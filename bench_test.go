@@ -591,6 +591,10 @@ func BenchmarkFederationThroughput(b *testing.B) {
 // coordinator relearns on (struct-on) versus off (struct-off). The flat
 // counter protocol is untouched either way (estimates stay bit-identical),
 // so the events/sec gap is the full price of learning the structure online.
+// struct-on ships at the 256-event cadence the site's pair kernel blocks on;
+// struct-on/batch=16 ships (and so folds a partial block, and encodes and
+// decodes the full cell vector) sixteen times as often, so a regression in
+// the small-cadence path shows up as its own row.
 func BenchmarkStructLearnOverhead(b *testing.B) {
 	run := func(b *testing.B, structBatch int) {
 		var frames, events int64
@@ -613,4 +617,5 @@ func BenchmarkStructLearnOverhead(b *testing.B) {
 	}
 	b.Run("struct-off", func(b *testing.B) { run(b, 0) })
 	b.Run("struct-on", func(b *testing.B) { run(b, 256) })
+	b.Run("struct-on/batch=16", func(b *testing.B) { run(b, 16) })
 }

@@ -62,6 +62,11 @@ type Config struct {
 	// frames the proxy buffers the next HoldFrames frames and releases them
 	// in one burst.
 	HoldEvery, HoldFrames int
+	// Tap, when set, observes every client→server frame after the handshake
+	// as the site sent it — before any fault is applied, so a frame the
+	// proxy then drops is still seen. Called from one goroutine per
+	// connection; the callback synchronizes.
+	Tap func(site uint32, frameType byte, payload []byte)
 }
 
 // Proxy is a frame-aware fault-injecting TCP proxy. Create with New, point
@@ -291,6 +296,9 @@ func (p *Proxy) handle(client net.Conn) {
 			return
 		}
 		frames++
+		if p.cfg.Tap != nil {
+			p.cfg.Tap(site, hdr[0], payload)
+		}
 		if pl.severAfter > 0 && frames >= pl.severAfter {
 			p.severs.Add(1)
 			if pl.midCut && len(payload) > 1 {

@@ -236,17 +236,10 @@ func TestChaosCoordinatorKillRestartConverges(t *testing.T) {
 	if err := <-serve1; err != ErrCoordinatorClosed {
 		t.Fatalf("killed Serve returned %v, want ErrCoordinatorClosed", err)
 	}
-	// A cadence checkpoint must exist by now (the kill point is past many
-	// cadences); the write is asynchronous, so allow it a moment to land.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if _, err := os.Stat(cfg.CheckpointPath); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no checkpoint file appeared")
-		}
-		time.Sleep(2 * time.Millisecond)
+	// A cadence checkpoint must exist by now: the kill point is past many
+	// cadences, and Serve returns only after the checkpoint writer has exited.
+	if _, err := os.Stat(cfg.CheckpointPath); err != nil {
+		t.Fatalf("no cadence checkpoint after the kill: %v", err)
 	}
 
 	co2, err := NewCoordinator(cfg, "127.0.0.1:0")
@@ -304,32 +297,24 @@ func TestChaosCoordinatorRestartAfterCompletion(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := estFingerprint(co1)
-	// RunLocal closes the coordinator on return; the final checkpoint write
-	// races that close, so wait for the checkpoint loop's last write by
-	// polling for a restorable complete-run checkpoint.
-	deadline := time.Now().Add(10 * time.Second)
-	var co2 *Coordinator
-	for {
-		co2, err = NewCoordinator(cfg, "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Only a complete-run checkpoint restores every site's Done marker;
-		// a mid-run one would make Serve wait for sites that never come.
-		if err := co2.RestoreCheckpointFile(cfg.CheckpointPath); err == nil &&
-			co2.LiveStats().Events == res1.Stats.Events {
-			if res, err := co2.Serve(); err == nil && res.Stats.Events == res1.Stats.Events {
-				break
-			}
-		}
-		co2.Close()
-		co2 = nil
-		if time.Now().After(deadline) {
-			t.Fatal("no complete-run checkpoint appeared")
-		}
-		time.Sleep(5 * time.Millisecond)
+	// RunLocal's Serve returned only after the checkpoint writer wrote the
+	// complete-run checkpoint and exited, so the file on disk is final.
+	co2, err := NewCoordinator(cfg, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
 	defer co2.Close()
+	if err := co2.RestoreCheckpointFile(cfg.CheckpointPath); err != nil {
+		t.Fatal(err)
+	}
+	// Only a complete-run checkpoint restores every site's Done marker; a
+	// mid-run one would make Serve wait for sites that never come.
+	if got := co2.LiveStats().Events; got != res1.Stats.Events {
+		t.Fatalf("checkpoint restored %d events, want the complete run's %d", got, res1.Stats.Events)
+	}
+	if res, err := co2.Serve(); err != nil || res.Stats.Events != res1.Stats.Events {
+		t.Fatalf("restored Serve = %+v, %v; want %d events", res.Stats, err, res1.Stats.Events)
+	}
 	if got := estFingerprint(co2); got != want {
 		t.Errorf("restored estimate fingerprint %#016x != original %#016x", got, want)
 	}

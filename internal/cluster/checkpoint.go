@@ -284,21 +284,26 @@ func (co *Coordinator) LastCheckpointError() error {
 }
 
 // checkpointLoop services the frame-cadenced checkpoint requests that
-// serveSite enqueues (nonblocking, so the ingest hot path never waits on
-// file IO) and writes one final checkpoint when the run completes, so a
-// coordinator restarted after completion serves stats immediately.
+// noteFrame enqueues (nonblocking, so the ingest hot path never waits on
+// file IO) and writes one last checkpoint when the run ends: the final one
+// after a clean finish, so a coordinator restarted after completion serves
+// stats immediately; after an abrupt Close only a cadence request that was
+// still pending, so a kill never races a cadence point away. Serve and Close
+// join on ckptDone: the loop never outlives them.
 func (co *Coordinator) checkpointLoop() {
+	defer close(co.ckptDone)
+	write := func() {
+		if err := co.WriteCheckpointFile(co.cfg.CheckpointPath); err != nil {
+			co.ckptErr.Store(&err)
+		}
+	}
 	for {
 		select {
 		case <-co.ckptCh:
-			if err := co.WriteCheckpointFile(co.cfg.CheckpointPath); err != nil {
-				co.ckptErr.Store(&err)
-			}
+			write()
 		case <-co.finishCh:
-			if co.finishErr == nil {
-				if err := co.WriteCheckpointFile(co.cfg.CheckpointPath); err != nil {
-					co.ckptErr.Store(&err)
-				}
+			if co.finishErr == nil || len(co.ckptCh) > 0 {
+				write()
 			}
 			return
 		}

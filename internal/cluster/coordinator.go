@@ -403,9 +403,11 @@ type Coordinator struct {
 
 	// ckptEvery/ckptCh drive the periodic checkpoint writer; ckptErr keeps
 	// the last asynchronous write failure (checkpointing is best-effort and
-	// must not fail the run).
+	// must not fail the run). ckptDone is non-nil once Serve has started the
+	// writer and closes when it exits; Serve and Close join on it.
 	ckptEvery int64
 	ckptCh    chan struct{}
+	ckptDone  chan struct{}
 	ckptErr   atomic.Pointer[error]
 
 	// structs is the structure-learning overlay (nil unless
@@ -510,6 +512,8 @@ func (co *Coordinator) Addr() string { return co.ln.Addr().String() }
 // abrupt stop — Serve returns ErrCoordinatorClosed without distributing
 // stats, the chaos tests' stand-in for kill -9 (no final checkpoint is
 // written; only the periodic cadence ones survive, as with a real crash).
+// Close returns only after the checkpoint writer has exited: no checkpoint
+// file is created or renamed once it has returned.
 func (co *Coordinator) Close() error {
 	co.closeOnce.Do(func() {
 		co.closed.Store(true)
@@ -523,7 +527,19 @@ func (co *Coordinator) Close() error {
 		co.mu.Unlock()
 		co.finish(ErrCoordinatorClosed)
 	})
+	co.joinCheckpointer()
 	return nil
+}
+
+// joinCheckpointer waits for the checkpoint writer, which the caller has
+// stopped by ending the run. Passing through serveOnce orders the read of
+// ckptDone after Serve's start-up — or keeps a Serve that comes after Close
+// from starting a writer at all.
+func (co *Coordinator) joinCheckpointer() {
+	co.serveOnce.Do(func() {})
+	if co.ckptDone != nil {
+		<-co.ckptDone
+	}
 }
 
 // finish ends the run exactly once.
@@ -566,11 +582,14 @@ func (co *Coordinator) Err() error {
 // Fatal errors remain fatal: a malformed handshake, an out-of-range site id,
 // a listener failure, or Close. Serve may be called once per Coordinator;
 // a coordinator restored from a checkpoint resumes the run where the
-// checkpoint left it (sites already recorded done stay done).
+// checkpoint left it (sites already recorded done stay done). With periodic
+// checkpointing on, Serve returns only after the checkpoint writer has
+// exited — on a clean finish the complete-run checkpoint is on disk.
 func (co *Coordinator) Serve() (Result, error) {
 	co.serveOnce.Do(func() {
 		go co.acceptLoop()
 		if co.ckptEvery > 0 {
+			co.ckptDone = make(chan struct{})
 			go co.checkpointLoop()
 		}
 	})
@@ -585,6 +604,7 @@ func (co *Coordinator) Serve() (Result, error) {
 	}
 
 	<-co.finishCh
+	co.joinCheckpointer()
 	if co.finishErr != nil {
 		return Result{}, co.finishErr
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
 )
@@ -124,8 +125,9 @@ func maxUvarint() []byte {
 // FuzzDecodeStructFrame feeds arbitrary bytes to the frameStructStats
 // decoder: whatever the payload, it must return an error or a well-formed
 // result (ascending in-range cell ids, non-negative counts) and never panic.
-// Successful decodes are re-encoded and re-decoded, pinning the struct-stats
-// codec round trip on fuzzer-discovered inputs.
+// Successful decodes are re-encoded through the dense-vector writer and
+// re-decoded, pinning the struct-stats codec round trip on fuzzer-discovered
+// inputs (zero-count entries drop out: the writer ships nonzero cells only).
 func FuzzDecodeStructFrame(f *testing.F) {
 	for _, seed := range fuzzStructFrameSeeds() {
 		f.Add(seed)
@@ -143,10 +145,11 @@ func FuzzDecodeStructFrame(f *testing.F) {
 				t.Fatalf("decodeStructStats accepted non-ascending ids at %d", i)
 			}
 		}
-		events2, again, err := decodeStructStats(nil, encodeStructStats(nil, events, ups), fuzzMaxCounters)
+		events2, again, err := decodeStructStats(nil, encodeStructStats(nil, events, denseCounts(fuzzMaxCounters, ups)), fuzzMaxCounters)
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded struct stats failed: %v", err)
 		}
+		ups = slices.DeleteFunc(ups, func(u Update) bool { return u.LocalCount == 0 })
 		if events2 != events || len(again) != len(ups) {
 			t.Fatalf("round trip changed header: events %d != %d, entries %d != %d",
 				events2, events, len(again), len(ups))
@@ -172,9 +175,9 @@ func fuzzStructFrameSeeds() [][]byte {
 			seeds = append(seeds, flipped)
 		}
 	}
-	add(encodeStructStats(nil, 0, nil))
-	add(encodeStructStats(nil, 1, []Update{{Counter: 0, LocalCount: 1}}))
-	add(encodeStructStats(nil, 123456, []Update{
+	add(encodeStructStatsRef(nil, 0, nil))
+	add(encodeStructStatsRef(nil, 1, []Update{{Counter: 0, LocalCount: 1}}))
+	add(encodeStructStatsRef(nil, 123456, []Update{
 		{Counter: 3, LocalCount: 7}, {Counter: 4, LocalCount: 300}, {Counter: 900, LocalCount: 1 << 40},
 	}))
 	// Max-varint event count, huge declared entry count.

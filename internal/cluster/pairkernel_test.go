@@ -1,0 +1,177 @@
+package cluster
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"distbayes/internal/bn"
+)
+
+// randomPairNet builds an edgeless network of n variables with
+// cardinalities drawn from 1..7 — the pair kernel only sees names and cards.
+func randomPairNet(t testing.TB, rng *rand.Rand, n int) *bn.Network {
+	t.Helper()
+	vars := make([]bn.Variable, n)
+	for i := range vars {
+		vars[i] = bn.Variable{Name: fmt.Sprintf("x%d", i), Card: 1 + rng.Intn(7)}
+	}
+	netw, err := bn.NewNetwork(vars)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return netw
+}
+
+// TestPairAccumulatorMatchesReference drives the bit-sliced kernel and the
+// per-event reference scatter over random networks and event streams and
+// compares the cumulative vectors after every ship, at cadences on both
+// sides of the word (64) and block (256) boundaries, with extra folds forced
+// at random mid-block positions (a resume replay can ask for the vector
+// anywhere).
+func TestPairAccumulatorMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(0xB175))
+	for _, cadence := range []int{1, 7, 63, 64, 65, 255, 256, 257, 1000} {
+		for trial := 0; trial < 4; trial++ {
+			netw := randomPairNet(t, rng, 2+rng.Intn(39))
+			layout, err := NewStructLayout(netw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			acc := newPairAccumulator(layout)
+			want := make([]int64, layout.Cells())
+			// Skew the value draw per trial so blocks in which a value never
+			// occurs (an inactive plane) are common.
+			skew := 1 + rng.Intn(3)
+			x := make([]int, netw.Len())
+			events := 3*cadence + rng.Intn(600)
+			for e := 1; e <= events; e++ {
+				for i := range x {
+					v := rng.Intn(netw.Card(i))
+					for s := 1; s < skew; s++ {
+						v = min(v, rng.Intn(netw.Card(i)))
+					}
+					x[i] = v
+				}
+				acc.add(x)
+				layout.Accumulate(want, x)
+				if e%cadence == 0 || e == events || rng.Intn(97) == 0 {
+					if got := acc.cumulative(); !slices.Equal(got, want) {
+						t.Fatalf("cadence %d trial %d (n=%d): cumulative vector differs from the reference after %d events",
+							cadence, trial, netw.Len(), e)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEncodeStructStatsMatchesReference pins the dense-vector writer to the
+// entry-list encoder it replaced, byte for byte, on random sorted inputs —
+// including a reused destination buffer holding stale bytes.
+func TestEncodeStructStatsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(0xE1C0DE))
+	var buf []byte
+	for trial := 0; trial < 300; trial++ {
+		cells := 1 + rng.Intn(3000)
+		density := rng.Float64()
+		var ups []Update
+		for id := 0; id < cells; id++ {
+			if rng.Float64() < density {
+				// Counts across every uvarint width.
+				ups = append(ups, Update{Counter: uint32(id), LocalCount: 1 + rng.Int63()>>uint(rng.Intn(63))})
+			}
+		}
+		events := rng.Uint64() >> uint(rng.Intn(64))
+		want := encodeStructStatsRef(nil, events, ups)
+		buf = encodeStructStats(buf, events, denseCounts(cells, ups))
+		if !bytes.Equal(buf, want) {
+			t.Fatalf("trial %d (%d cells, %d entries): dense encoding differs from the reference", trial, cells, len(ups))
+		}
+	}
+}
+
+// TestShipStructStatsFoldsOpenBlock pins the ship path's ordering: whatever
+// the stream position — here in the middle of a kernel block, as a resume
+// replay lands — the shipped vector is the exact cumulative count at that
+// position, not the count at the last block boundary.
+func TestShipStructStatsFoldsOpenBlock(t *testing.T) {
+	st, err := newSiteRun(0, StartConfig{
+		NetName: "alarm", CPTSeed: 0xC0DE, Strategy: 3, Eps: 0.1, Delta: 0.25,
+		Sites: 1, Events: 1000, StreamSeed: 7, StructBatchEvents: 256,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	layout := st.pairs.layout
+	want := make([]int64, layout.Cells())
+	var wire bytes.Buffer
+	site, c := NewSite(0, ""), newConn(&wire)
+	rd := newConn(&wire)
+	rd.setReadLimit(structPayloadCap(layout.Cells()))
+	for _, position := range []uint64{1, 100, 256, 300, 700} {
+		for st.next < position {
+			x := st.nextEvent()
+			st.pairs.add(x)
+			layout.Accumulate(want, x)
+			st.next++
+		}
+		if err := site.shipStructStats(c, st); err != nil {
+			t.Fatal(err)
+		}
+		ft, payload, err := rd.readFrame()
+		if err != nil || ft != frameStructStats {
+			t.Fatalf("position %d: read frame type %d: %v", position, ft, err)
+		}
+		events, ups, err := decodeStructStats(nil, payload, layout.Cells())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if events != position || !slices.Equal(denseCounts(len(want), ups), want) {
+			t.Fatalf("position %d: shipped vector (stamped %d) is not the exact cumulative count", position, events)
+		}
+	}
+}
+
+// BenchmarkPairAccumulate measures the site's pair path per event on alarm
+// (37 variables, 666 pairs, 6 854 cells) at three ship cadences — the fold
+// runs once per cadence (and per 256-event block) — next to the per-event
+// scatter the kernel replaced. One op is one event; the path must not
+// allocate.
+func BenchmarkPairAccumulate(b *testing.B) {
+	st, err := newSiteRun(0, StartConfig{
+		NetName: "alarm", CPTSeed: 0xC0DE, Strategy: 3, Eps: 0.1, Delta: 0.25,
+		Sites: 1, Events: 1 << 20, StreamSeed: 1, StructBatchEvents: 256,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	layout := st.pairs.layout
+	pool := make([][]int, 4096)
+	for i := range pool {
+		pool[i] = slices.Clone(st.nextEvent())
+	}
+	for _, cadence := range []int{1, 16, 256} {
+		b.Run(fmt.Sprintf("cadence=%d", cadence), func(b *testing.B) {
+			acc := newPairAccumulator(layout)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				acc.add(pool[i%len(pool)])
+				if (i+1)%cadence == 0 {
+					acc.cumulative()
+				}
+			}
+		})
+	}
+	b.Run("reference-scatter", func(b *testing.B) {
+		counts := make([]int64, layout.Cells())
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			layout.Accumulate(counts, pool[i%len(pool)])
+		}
+	})
+}

@@ -654,23 +654,34 @@ func decodeUpdates2(dst []Update, b []byte, maxCounters uint32) ([]Update, error
 }
 
 // encodeStructStats serializes a site's cumulative structure statistics into
-// dst (reused): uvarint siteEvents (the site's stream position), then the
-// frameUpdates2 entry encoding over StructLayout cell ids. ups must be
-// sorted by strictly ascending cell id with non-negative counts — the
-// site-side accumulation guarantees both.
-func encodeStructStats(dst []byte, siteEvents uint64, ups []Update) []byte {
-	dst = dst[:0]
-	var tmp [binary.MaxVarintLen64]byte
-	dst = append(dst, tmp[:binary.PutUvarint(tmp[:], siteEvents)]...)
-	dst = append(dst, tmp[:binary.PutUvarint(tmp[:], uint64(len(ups)))]...)
-	prev := uint32(0)
-	for _, u := range ups {
-		delta := u.Counter - prev // for the first entry prev is 0: delta is the id itself
-		dst = append(dst, tmp[:binary.PutUvarint(tmp[:], uint64(delta))]...)
-		dst = append(dst, tmp[:binary.PutUvarint(tmp[:], uint64(u.LocalCount))]...)
-		prev = u.Counter
+// dst (reused), straight from the dense cell vector: uvarint siteEvents (the
+// site's stream position), then the frameUpdates2 entry encoding over the
+// nonzero StructLayout cells (entry count, then per entry the delta-encoded
+// ascending cell id and the count). Counts must be non-negative.
+func encodeStructStats(dst []byte, siteEvents uint64, counts []int64) []byte {
+	nonzero := 0
+	for _, c := range counts {
+		if c != 0 {
+			nonzero++
+		}
+	}
+	dst = binary.AppendUvarint(dst[:0], siteEvents)
+	dst = binary.AppendUvarint(dst, uint64(nonzero))
+	prev := 0
+	for id, c := range counts {
+		if c != 0 {
+			dst = binary.AppendUvarint(dst, uint64(id-prev)) // first entry: prev is 0, the delta is the id itself
+			dst = binary.AppendUvarint(dst, uint64(c))
+			prev = id
+		}
 	}
 	return dst
+}
+
+// encodeStructUpdates is the frameStructStats payload over an explicit entry
+// list sorted by strictly ascending cell id — a relay's dirty cells.
+func encodeStructUpdates(siteEvents uint64, ups []Update) []byte {
+	return append(binary.AppendUvarint(nil, siteEvents), encodeUpdates2(nil, ups)...)
 }
 
 // decodeStructStats parses a frameStructStats payload into dst (reused),

@@ -897,7 +897,7 @@ func (r *Relay) flushUp() {
 				}
 			}
 			s.structAny = false
-			sgroups = append(sgroups, relayGroup{Site: uint32(i), Payload: encodeStructStats(nil, s.structEvents, ups)})
+			sgroups = append(sgroups, relayGroup{Site: uint32(i), Payload: encodeStructUpdates(s.structEvents, ups)})
 		}
 	}
 	r.mu.Unlock()

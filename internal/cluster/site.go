@@ -89,12 +89,11 @@ type siteRun struct {
 	doneSent bool
 	// batch is the pending protocol-v2 coalescing window (nil in v1 mode).
 	batch map[uint32]int64
-	// structLayout/structCounts hold the structure-learning overlay's
-	// cumulative pairwise co-occurrence counts (protocol v4; nil/empty with
-	// learning off). Counts are monotone and shipped whole, so a replayed
-	// frame max-merges to a no-op on the coordinator.
-	structLayout *StructLayout
-	structCounts []int64
+	// pairs holds the structure-learning overlay's cumulative pairwise
+	// co-occurrence counts (protocol v4; nil with learning off). Counts are
+	// monotone and shipped whole, so a replayed frame max-merges to a no-op
+	// on the coordinator.
+	pairs *pairAccumulator
 	// drift is the post-drift generating stream (nil without drift); events
 	// at positions ≥ cfg.DriftAtEvent are drawn from it instead of training.
 	drift *stream.Training
@@ -141,10 +140,11 @@ func newSiteRun(id uint32, cfg StartConfig) (*siteRun, error) {
 		st.batch = make(map[uint32]int64, 2*netw.Len())
 	}
 	if cfg.StructBatchEvents > 0 {
-		if st.structLayout, err = NewStructLayout(netw); err != nil {
+		sl, err := NewStructLayout(netw)
+		if err != nil {
 			return nil, err
 		}
-		st.structCounts = make([]int64, st.structLayout.Cells())
+		st.pairs = newPairAccumulator(sl)
 	}
 	if cfg.DriftNetName != "" {
 		driftNet, err := netgen.ByName(cfg.DriftNetName)
@@ -410,16 +410,10 @@ func (s *Site) replay(c *conn, st *siteRun) error {
 // the frame self-contained: the coordinator max-merges it, so duplicates
 // and replays are absorbed.
 func (s *Site) shipStructStats(c *conn, st *siteRun) error {
-	if st.structCounts == nil || st.next == 0 {
+	if st.pairs == nil || st.next == 0 {
 		return nil
 	}
-	st.ups = st.ups[:0]
-	for id, n := range st.structCounts {
-		if n != 0 {
-			st.ups = append(st.ups, Update{Counter: uint32(id), LocalCount: n})
-		}
-	}
-	st.buf = encodeStructStats(st.buf, st.next, st.ups)
+	st.buf = encodeStructStats(st.buf, st.next, st.pairs.cumulative())
 	if err := c.writeFrame(frameStructStats, st.buf); err != nil {
 		return err
 	}
@@ -460,8 +454,8 @@ func (s *Site) process(c *conn, st *siteRun) error {
 		}
 		e := st.next
 		x := st.nextEvent()
-		if st.structCounts != nil {
-			st.structLayout.Accumulate(st.structCounts, x)
+		if st.pairs != nil {
+			st.pairs.add(x)
 		}
 		st.ups = st.ups[:0]
 		for i := 0; i < netw.Len(); i++ {
@@ -490,7 +484,7 @@ func (s *Site) process(c *conn, st *siteRun) error {
 				time.Sleep(latency)
 			}
 		}
-		if st.structCounts != nil && (e+1)%uint64(cfg.StructBatchEvents) == 0 {
+		if st.pairs != nil && (e+1)%uint64(cfg.StructBatchEvents) == 0 {
 			if err := s.shipStructStats(c, st); err != nil {
 				return err
 			}
@@ -558,8 +552,8 @@ func (s *Site) processBatched(c *conn, st *siteRun) error {
 		}
 		e := st.next
 		x := st.nextEvent()
-		if st.structCounts != nil {
-			st.structLayout.Accumulate(st.structCounts, x)
+		if st.pairs != nil {
+			st.pairs.add(x)
 		}
 		for i := 0; i < netw.Len(); i++ {
 			pidx := netw.ParentIndex(i, x)
@@ -577,7 +571,7 @@ func (s *Site) processBatched(c *conn, st *siteRun) error {
 				return err
 			}
 		}
-		if st.structCounts != nil && (e+1)%uint64(cfg.StructBatchEvents) == 0 {
+		if st.pairs != nil && (e+1)%uint64(cfg.StructBatchEvents) == 0 {
 			if err := s.shipStructStats(c, st); err != nil {
 				return err
 			}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,16 +13,29 @@ import (
 	"distbayes/internal/decay"
 )
 
-// This file closes the structure-learning loop over the distributed stream
-// (ROADMAP item "distributed structure learning + drift"). Sites accumulate
-// windowless cumulative pair co-occurrence counts for every variable pair
-// and ship them as frameStructStats frames on a batching cadence; the
-// coordinator max-merges them per site (idempotent, like counter reports),
-// folds the resulting deltas into a decay.WindowVec so stale statistics age
-// out, and re-runs Chow–Liu on the windowed MI matrix at every window-block
-// rotation. When the learned tree's undirected edge set changes, the
-// coordinator hot-swaps the published structure: a new structState with a
-// bumped structure epoch, its parent-pair parameters seeded directly from
+// This file is the online structure-learning overlay (protocol v4; ROADMAP
+// item "distributed structure learning + drift").
+//
+// Site side. Each site keeps exact cumulative co-occurrence counts for every
+// (variable pair, value pair) cell — the sufficient statistics of a Chow–Liu
+// tree — and ships the whole monotone vector as one frameStructStats frame
+// every StructBatchEvents events, at the end of its stream and in every
+// resume replay. The counts are not computed one scatter at a time: an event
+// only sets one bit per variable in a 256-event bit-sliced block
+// (pairAccumulator), and the O(n²) cells are brought up to date once per
+// block, and before every ship, by popcounting ANDed bit-planes — on alarm
+// (37 variables, 666 pairs, 6 854 cells) ~190 ns/event at the 256-event
+// cadence against ~1 250 for the per-event scatter it replaced, about equal
+// at a 16-event cadence and ~2.5× the scatter when shipping after every
+// event (BenchmarkPairAccumulate). What is left on the site's struct path is
+// the frame itself: ~6.8k cells ≈ 27 KB per 256 events.
+//
+// Coordinator side. Frames are max-merged per site (idempotent, like counter
+// reports); the deltas land in a per-site decay.WindowVec so stale
+// statistics age out, and Chow–Liu re-runs on the windowed MI matrix at every
+// window-block rotation. When the learned tree's undirected edge set changes,
+// the coordinator hot-swaps the published structure: a new structState with
+// a bumped structure epoch, its parent-pair parameters seeded directly from
 // the same windowed pair statistics (for a tree, the windowed pair joint
 // counts ARE the CPT sufficient statistics). The flat base-DAG parameter
 // tracking is untouched — structure learning is a coordinator-local overlay,
@@ -100,18 +114,100 @@ func (l *StructLayout) JointAt(counts []int64, p int) []int64 {
 	return counts[lo:hi]
 }
 
-// Accumulate folds one complete observation into counts: every pair's
-// co-occurrence cell gains one.
-func (l *StructLayout) Accumulate(counts []int64, x []int) {
+// pairBlock is the kernel's block length in events: one bit-plane is
+// pairBlock/64 words, so a (variable, value) plane is half a cache line.
+const pairBlock = 256
+
+// pairAccumulator is a site's exact pair co-occurrence counter. An event only
+// sets one bit per variable, in the bit-plane of the value it took; the
+// O(n²) pair work happens once per block, where every cell gains
+// popcount(plane[i,vi] & plane[j,vj]) — the number of block events with
+// X_i = vi and X_j = vj. The cumulative vector is reachable only through
+// cumulative, which folds the open block first, so a shipped or replayed
+// vector is always exact at the site's stream position.
+type pairAccumulator struct {
+	layout   *StructLayout
+	counts   []int64                  // cumulative cells through the last fold
+	planes   [][pairBlock / 64]uint64 // planeOff[i]+v is the plane of X_i = v
+	planeOff []int                    // len n+1; variable i owns planes[planeOff[i]:planeOff[i+1]]
+	pending  int                      // events in the open block, < pairBlock
+	active   []activePlane            // fold scratch, in plane order
+	actOff   []int                    // fold scratch: len n+1, variable i owns active[actOff[i]:actOff[i+1]]
+}
+
+// activePlane is a plane with a bit set in the open block: the value val of
+// variable vari (of cardinality card) occurred in it.
+type activePlane struct{ plane, vari, val, card int }
+
+func newPairAccumulator(l *StructLayout) *pairAccumulator {
 	n := l.net.Len()
-	p := 0
+	a := &pairAccumulator{layout: l, counts: make([]int64, l.cells), planeOff: make([]int, n+1), actOff: make([]int, n+1)}
 	for i := 0; i < n; i++ {
-		rowBase := x[i]
-		for j := i + 1; j < n; j++ {
-			counts[l.pairOff[p]+uint32(rowBase*l.net.Card(j)+x[j])]++
-			p++
+		a.planeOff[i+1] = a.planeOff[i] + l.net.Card(i)
+	}
+	a.planes = make([][pairBlock / 64]uint64, a.planeOff[n])
+	a.active = make([]activePlane, 0, len(a.planes))
+	return a
+}
+
+// add records one complete observation.
+func (a *pairAccumulator) add(x []int) {
+	word, bit := a.pending>>6, uint64(1)<<(a.pending&63)
+	for i, v := range x {
+		a.planes[a.planeOff[i]+v][word] |= bit
+	}
+	if a.pending++; a.pending == pairBlock {
+		a.fold()
+	}
+}
+
+// cumulative folds the open block and returns the cumulative cell counts
+// (accumulator-owned; valid until the next add).
+func (a *pairAccumulator) cumulative() []int64 {
+	a.fold()
+	return a.counts
+}
+
+// fold adds the open block's co-occurrences to counts and clears it. Only
+// the words in use and the values seen in the block are touched, so a
+// one-event block costs one cell per pair, like the scatter it replaces.
+func (a *pairAccumulator) fold() {
+	if a.pending == 0 {
+		return
+	}
+	words := (a.pending + 63) >> 6
+	n := len(a.planeOff) - 1
+	a.active = a.active[:0]
+	for j := 0; j < n; j++ {
+		a.actOff[j] = len(a.active)
+		lo, hi := a.planeOff[j], a.planeOff[j+1]
+		for p := lo; p < hi; p++ {
+			if a.planes[p] != [pairBlock / 64]uint64{} {
+				a.active = append(a.active, activePlane{plane: p, vari: j, val: p - lo, card: hi - lo})
+			}
 		}
 	}
+	a.actOff[n] = len(a.active)
+	pairOff := a.layout.pairOff
+	for i := 0; i+1 < n; i++ {
+		first := a.layout.pairIdx[i][0] - (i + 1) // pairs are lexicographic: (i, j) is pair first+j
+		later := a.active[a.actOff[i+1]:]         // every active plane of the variables j > i
+		for _, ei := range a.active[a.actOff[i]:a.actOff[i+1]] {
+			u := a.planes[ei.plane]
+			for _, ej := range later {
+				v := &a.planes[ej.plane]
+				c := bits.OnesCount64(u[0] & v[0])
+				for w := 1; w < words; w++ {
+					c += bits.OnesCount64(u[w] & v[w])
+				}
+				a.counts[int(pairOff[first+ej.vari])+ei.val*ej.card+ej.val] += int64(c)
+			}
+		}
+	}
+	for _, e := range a.active {
+		a.planes[e.plane] = [pairBlock / 64]uint64{}
+	}
+	a.pending = 0
 }
 
 // ErrStructLearningOff is returned by AcquireLearnedSnapshot when the run

@@ -1,12 +1,55 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
 	"distbayes/internal/core"
 	"distbayes/internal/netgen"
 )
+
+// Accumulate is the per-event reference the bit-sliced pairAccumulator
+// replaced, kept as the test oracle: one complete observation bumps every
+// pair's co-occurrence cell by one.
+func (l *StructLayout) Accumulate(counts []int64, x []int) {
+	n := l.net.Len()
+	p := 0
+	for i := 0; i < n; i++ {
+		rowBase := x[i]
+		for j := i + 1; j < n; j++ {
+			counts[l.pairOff[p]+uint32(rowBase*l.net.Card(j)+x[j])]++
+			p++
+		}
+	}
+}
+
+// encodeStructStatsRef is the struct-stats encoder the dense-vector writer
+// replaced (entry list in, per-entry PutUvarint + copy), kept as its golden.
+func encodeStructStatsRef(dst []byte, siteEvents uint64, ups []Update) []byte {
+	dst = dst[:0]
+	var tmp [binary.MaxVarintLen64]byte
+	dst = append(dst, tmp[:binary.PutUvarint(tmp[:], siteEvents)]...)
+	dst = append(dst, tmp[:binary.PutUvarint(tmp[:], uint64(len(ups)))]...)
+	prev := uint32(0)
+	for _, u := range ups {
+		delta := u.Counter - prev // for the first entry prev is 0: delta is the id itself
+		dst = append(dst, tmp[:binary.PutUvarint(tmp[:], uint64(delta))]...)
+		dst = append(dst, tmp[:binary.PutUvarint(tmp[:], uint64(u.LocalCount))]...)
+		prev = u.Counter
+	}
+	return dst
+}
+
+// denseCounts scatters an entry list into a dense vector of cells counts —
+// the form the site-side encoder takes.
+func denseCounts(cells int, ups []Update) []int64 {
+	dense := make([]int64, cells)
+	for _, u := range ups {
+		dense[u.Counter] = u.LocalCount
+	}
+	return dense
+}
 
 // TestStartConfigV4RoundTrip pins the version-4 StartConfig tail: the
 // structure-learning cadence and the drift scenario fields survive the wire,
@@ -87,7 +130,7 @@ func TestStructStatsRoundTrip(t *testing.T) {
 		{999, []Update{{Counter: 3, LocalCount: 7}, {Counter: 4, LocalCount: 1}, {Counter: 900, LocalCount: 1 << 40}}},
 	}
 	for _, c := range cases {
-		events, ups, err := decodeStructStats(nil, encodeStructStats(nil, c.events, c.ups), 1000)
+		events, ups, err := decodeStructStats(nil, encodeStructStats(nil, c.events, denseCounts(1000, c.ups)), 1000)
 		if err != nil {
 			t.Fatalf("decode events=%d: %v", c.events, err)
 		}
@@ -103,7 +146,7 @@ func TestStructStatsRoundTrip(t *testing.T) {
 }
 
 func TestStructStatsRejectsMalformed(t *testing.T) {
-	good := encodeStructStats(nil, 7, []Update{{Counter: 2, LocalCount: 5}, {Counter: 9, LocalCount: 1}})
+	good := encodeStructStats(nil, 7, denseCounts(10, []Update{{Counter: 2, LocalCount: 5}, {Counter: 9, LocalCount: 1}}))
 	if _, _, err := decodeStructStats(nil, nil, 1000); err == nil {
 		t.Error("empty payload accepted")
 	}
