@@ -43,14 +43,13 @@ type Config struct {
 	// sequential mode that, with batching off, reproduces the historical
 	// coordinator bit for bit.
 	Shards int
-	// SiteBatchEvents switches the sites to protocol version 2: each site
-	// coalesces its report decisions into a local delta batch and ships one
-	// varint-compressed frameUpdates2 frame every SiteBatchEvents events
-	// instead of one frame per triggering event. 0 keeps the version-1
-	// one-frame-per-event behavior. Batching delays a report by at most one
+	// SiteBatchEvents is the sites' report window: each site coalesces its
+	// report decisions and ships one frame every SiteBatchEvents events
+	// instead of one frame per triggering event. 0 is the per-event
+	// protocol (a window of one). Batching delays a report by at most one
 	// window, which the (ε, δ) envelope absorbs exactly like the
 	// trailing-gap the report probability already models; see the package
-	// comment for the measured effect.
+	// comment.
 	SiteBatchEvents int
 	// HotSiteShare, when positive, routes that fraction of the stream to
 	// site 0 and splits the rest evenly — the skewed-routing regime of
@@ -302,17 +301,12 @@ type estSnapshot struct {
 // siteSlot is the coordinator's supervision record for one site id: the
 // current connection (nil while the site is disconnected), a generation
 // counter so a stale reader or grace timer can tell it has been superseded
-// by a reconnect, and the site's completion state. Guarded by Coordinator.mu
-// except where noted.
+// by a reconnect, and the site's completion state. Guarded by Coordinator.mu.
 type siteSlot struct {
-	// raw/c is the live direct connection, nil/nil while disconnected or
-	// routed through a relay.
-	raw net.Conn
-	c   *conn
-	// via is the relay connection the site is routed through (nil for a
-	// direct connection): control replies travel down it wrapped in
-	// frameRelayCtl and its death detaches every site it carried.
-	via *relayLink
+	// peer is where the site's control frames go: its live direct
+	// connection, or the relay link it is routed through (whose death
+	// detaches every site it carried); nil while disconnected.
+	peer *peer
 	// gen is bumped on every (re)connect; readers and grace timers capture
 	// it and stand down when the slot has moved on.
 	gen uint64
@@ -321,9 +315,6 @@ type siteSlot struct {
 	done bool
 	// events is the site's reported event count, recorded at Done.
 	events int64
-	// wmu serializes writers to the current connection (handshake replies
-	// and the closing stats frame can race a reconnect).
-	wmu sync.Mutex
 }
 
 // Coordinator is the query-answering hub of the monitoring system. Unlike
@@ -331,6 +322,10 @@ type siteSlot struct {
 // Serve returned, queries are valid at any time — during a live run they are
 // served from a version-validated snapshot of the striped reported-count
 // matrix, the paper's query-at-any-time model.
+//
+// Every connection — site or relay — is read through a frameFolder whose
+// fold target (coFold) lands reports in the striped matrix and the structure
+// engine; the per-connection loops only handle control frames.
 //
 // The connection layer is supervised and elastic: sites may connect at any
 // time after Serve starts (a late join simply starts streaming later), a
@@ -389,6 +384,12 @@ type Coordinator struct {
 	finishOnce sync.Once
 	finishCh   chan struct{}
 	finishErr  error
+
+	// conns tracks every accepted connection — attached to a slot, carrying
+	// a relay, or still handshaking — and its wait group joins the accept
+	// loop and the connection readers: Close closes them all and returns
+	// only once they are gone.
+	conns connSet
 
 	serveOnce sync.Once
 	closeOnce sync.Once
@@ -506,29 +507,33 @@ func sameVariables(a, b *bn.Network) error {
 // Addr returns the listening address.
 func (co *Coordinator) Addr() string { return co.ln.Addr().String() }
 
-// Close releases the listener and every site connection. Safe to call at any
-// time, from any goroutine, and more than once: called after Serve returned
-// it is a plain resource release; called while Serve is running it is an
-// abrupt stop — Serve returns ErrCoordinatorClosed without distributing
-// stats, the chaos tests' stand-in for kill -9 (no final checkpoint is
-// written; only the periodic cadence ones survive, as with a real crash).
-// Close returns only after the checkpoint writer has exited: no checkpoint
-// file is created or renamed once it has returned.
+// Close releases the listener and every accepted connection — direct site
+// connections, relay uplinks and connections still handshaking. Safe to call
+// at any time, from any goroutine but a connection reader's, and more than
+// once: called after Serve returned it is a plain resource release; called
+// while Serve is running it is an abrupt stop — Serve returns
+// ErrCoordinatorClosed without distributing stats, the chaos tests' stand-in
+// for kill -9 (no final checkpoint is written; only the periodic cadence ones
+// survive, as with a real crash). Close returns only after the checkpoint
+// writer, the accept loop and every connection reader have exited: no
+// checkpoint file is created or renamed, and no goroutine of this
+// coordinator runs, once it has returned.
 func (co *Coordinator) Close() error {
+	co.stop()
+	co.conns.wg.Wait()
+	return nil
+}
+
+// stop is Close without the join on the connection readers, for the one
+// caller that is a connection reader: the CrashAfterFrames hook.
+func (co *Coordinator) stop() {
 	co.closeOnce.Do(func() {
 		co.closed.Store(true)
 		co.ln.Close()
-		co.mu.Lock()
-		for i := range co.slots {
-			if co.slots[i].raw != nil {
-				co.slots[i].raw.Close()
-			}
-		}
-		co.mu.Unlock()
+		co.conns.closeAll()
 		co.finish(ErrCoordinatorClosed)
 	})
 	co.joinCheckpointer()
-	return nil
 }
 
 // joinCheckpointer waits for the checkpoint writer, which the caller has
@@ -587,6 +592,7 @@ func (co *Coordinator) Err() error {
 // exited — on a clean finish the complete-run checkpoint is on disk.
 func (co *Coordinator) Serve() (Result, error) {
 	co.serveOnce.Do(func() {
+		co.conns.wg.Add(1)
 		go co.acceptLoop()
 		if co.ckptEvery > 0 {
 			co.ckptDone = make(chan struct{})
@@ -612,39 +618,17 @@ func (co *Coordinator) Serve() (Result, error) {
 	stats := co.LiveStats()
 	payload := encodeStats(stats.Stats)
 	co.mu.Lock()
-	type out struct {
-		c    *conn
-		wmu  *sync.Mutex
-		site uint32
-		via  bool
-	}
-	var outs []out
+	peers := make([]*peer, len(co.slots))
 	for i := range co.slots {
-		switch {
-		case co.slots[i].c != nil:
-			outs = append(outs, out{co.slots[i].c, &co.slots[i].wmu, uint32(i), false})
-		case co.slots[i].via != nil:
-			// Relay-routed site: the stats travel down wrapped in a ctl
-			// frame; the relay unwraps and delivers them.
-			l := co.slots[i].via
-			outs = append(outs, out{l.c, &l.wmu, uint32(i), true})
-		}
+		peers[i] = co.slots[i].peer
 	}
 	co.mu.Unlock()
-	for _, o := range outs {
-		// Best effort: a site that lost its connection right at the end
-		// re-resumes and collects stats from the acceptLoop instead.
-		o.wmu.Lock()
-		var err error
-		if o.via {
-			err = o.c.writeFrame(frameRelayCtl, encodeRelayWrapped(o.site, frameStats, payload))
-		} else {
-			err = o.c.writeFrame(frameStats, payload)
+	for site, p := range peers {
+		if p != nil {
+			// Best effort: a site that lost its connection right at the end
+			// re-resumes and collects stats from the acceptLoop instead.
+			_ = p.writeCtl(uint32(site), frameStats, payload)
 		}
-		if err == nil {
-			o.c.flush()
-		}
-		o.wmu.Unlock()
 	}
 
 	runtime := time.Duration(co.lastNs.Load() - co.firstNs.Load())
@@ -659,94 +643,65 @@ func (co *Coordinator) Serve() (Result, error) {
 }
 
 // acceptLoop admits connections until the listener closes: site joins
-// (hello), process-restart rejoins (hello for an already-seen id) and
-// connection-level resumes (protocol v3). It outlives Serve so a site that
-// missed the closing stats can still reconnect and collect them.
+// (hello), process-restart rejoins (hello for an already-seen id),
+// connection-level resumes and relay uplinks. It outlives Serve so a site
+// that missed the closing stats can still reconnect and collect them.
 func (co *Coordinator) acceptLoop() {
-	for {
-		raw, err := co.ln.Accept()
-		if err != nil {
-			if !co.closed.Load() {
-				co.finish(fmt.Errorf("cluster: accept: %w", err))
-			}
-			return
-		}
-		go co.handleConn(raw)
+	defer co.conns.wg.Done()
+	if err := co.conns.acceptLoop(co.ln, co.handleConn); !co.closed.Load() {
+		co.finish(fmt.Errorf("cluster: accept: %w", err))
 	}
 }
 
-// handleConn performs the handshake on one accepted connection and, for a
-// live run, hands it to a reader goroutine.
-func (co *Coordinator) handleConn(raw net.Conn) {
-	c := newConn(raw)
+// handleConn serves one accepted connection: the handshake and, for a live
+// run, the frames that follow. It reports whether the connection stays open
+// after it returns — only a site whose Done was accepted does, attached and
+// idle, so the closing stats can reach it.
+func (co *Coordinator) handleConn(raw net.Conn) (keep bool) {
+	p := &peer{raw: raw, c: newConn(raw)}
+	c := p.c
 	t, payload, err := c.readFrame()
 	if err != nil {
 		// The dialer vanished (or a fault cut the handshake frame): not a
 		// protocol violation, just a dead connection.
-		raw.Close()
-		return
+		return false
 	}
 	var id uint32
-	var resume resumeReq
 	switch t {
 	case frameHello:
 		id, err = decodeHello(payload)
 	case frameResume:
+		var resume resumeReq
 		resume, err = decodeResume(payload)
 		id = resume.Site
 	case frameRelayHello:
-		relayID, err := decodeHello(payload)
-		if err != nil {
-			raw.Close()
-			co.finish(err)
-			return
+		if id, err = decodeHello(payload); err == nil {
+			p.isRelay = true
+			co.serveRelay(p, id)
+			return false
 		}
-		co.serveRelay(raw, c, relayID)
-		return
 	default:
-		raw.Close()
-		co.finish(fmt.Errorf("cluster: first frame %d, want hello or resume", t))
-		return
+		err = fmt.Errorf("cluster: first frame %d, want hello or resume", t)
+	}
+	if err == nil && id >= uint32(co.cfg.Sites) {
+		err = fmt.Errorf("cluster: site id %d out of range", id)
 	}
 	if err != nil {
-		raw.Close()
 		co.finish(err)
-		return
-	}
-	if id >= uint32(co.cfg.Sites) {
-		raw.Close()
-		co.finish(fmt.Errorf("cluster: site id %d out of range", id))
-		return
+		return false
 	}
 	if over, ferr := co.finished(); over {
 		if ferr == nil && t == frameResume {
 			// Run already complete: answer the resume with the closing stats
 			// so a site that crashed at the finish line still gets them.
-			c.writeFrame(frameResumeAck, encodeResumeAck(resumeAck{
-				Epoch:      co.epoch,
-				SiteEvents: uint64(co.siteEvents(id)),
-				Flags:      resumeRunComplete | resumeSiteDone,
-			}))
-			c.writeFrame(frameStats, encodeStats(co.LiveStats().Stats))
-			c.flush()
+			_ = co.replyRunComplete(p, id) // best effort: the site re-resumes
 		}
-		raw.Close()
-		return
+		return false
 	}
 
 	// Attach the connection: a lingering previous connection for the id is
 	// superseded (latest wins — its reader stands down via the generation).
-	co.mu.Lock()
-	slot := &co.slots[id]
-	if slot.raw != nil {
-		slot.raw.Close()
-	}
-	slot.raw, slot.c = raw, c
-	slot.via = nil
-	slot.gen++
-	gen := slot.gen
-	done, events := slot.done, slot.events
-	co.mu.Unlock()
+	gen, ack := co.attach(id, p)
 
 	// The handshake is done: widen the read limit from the control-frame
 	// bound to the largest update frame the layout admits (or the largest
@@ -755,38 +710,20 @@ func (co *Coordinator) handleConn(raw net.Conn) {
 	c.setReadLimit(co.innerFrameCap())
 
 	var reply error
-	slot.wmu.Lock()
-	switch t {
-	case frameHello:
+	if t == frameHello {
 		// Fresh join or a restarted site process rejoining from scratch: it
 		// gets the same deterministic StartConfig and replays its stream
 		// from event 0. Its reported row is deliberately kept — counts are
 		// monotone and the replayed reports max-merge idempotently.
-		reply = c.writeFrame(frameStart, encodeStart(co.startConfigFor(id)))
-	case frameResume:
-		ack := resumeAck{Epoch: co.epoch, SiteEvents: uint64(events)}
-		if done {
-			ack.Flags |= resumeSiteDone
-		}
-		reply = c.writeFrame(frameResumeAck, encodeResumeAck(ack))
+		reply = p.writeCtl(id, frameStart, encodeStart(co.startConfigFor(id)))
+	} else {
+		reply = p.writeCtl(id, frameResumeAck, encodeResumeAck(ack))
 	}
-	if reply == nil {
-		reply = c.flush()
+	if reply == nil && co.serveSite(c, id) == nil {
+		return true // Done accepted
 	}
-	slot.wmu.Unlock()
-	if reply != nil {
-		co.detach(id, gen)
-		return
-	}
-	go func() {
-		err := co.serveSite(c, id)
-		if err == nil {
-			// Done accepted: the connection stays attached, idle, so the
-			// closing stats can reach the site.
-			return
-		}
-		co.detach(id, gen)
-	}()
+	co.detach(id, gen)
+	return false
 }
 
 // startConfigFor builds the deterministic StartConfig for one site id —
@@ -822,17 +759,17 @@ func (co *Coordinator) startConfigFor(id uint32) StartConfig {
 	return start
 }
 
-// innerFrameCap is the largest site-level frame payload the layout admits —
-// the read limit for a direct site connection, and the per-group inner bound
-// for relay connections.
-func (co *Coordinator) innerFrameCap() uint32 {
-	limit := updatesPayloadCap(co.layout.NumCounters())
-	if co.structs != nil {
-		if sl := structPayloadCap(co.structs.layout.Cells()); sl > limit {
-			limit = sl
-		}
+// structCells is the structure layout's cell count, 0 with learning off.
+func (co *Coordinator) structCells() uint32 {
+	if co.structs == nil {
+		return 0
 	}
-	return limit
+	return co.structs.layout.Cells()
+}
+
+// innerFrameCap is the run's site-level data-frame bound (see the function).
+func (co *Coordinator) innerFrameCap() uint32 {
+	return innerFrameCap(co.layout.NumCounters(), co.structCells())
 }
 
 // detach marks a site disconnected (if gen still identifies the current
@@ -844,10 +781,7 @@ func (co *Coordinator) detach(id uint32, gen uint64) {
 		co.mu.Unlock()
 		return // a newer connection has already taken over
 	}
-	if slot.raw != nil {
-		slot.raw.Close()
-	}
-	slot.raw, slot.c, slot.via = nil, nil, nil
+	slot.peer = nil
 	done := slot.done
 	co.mu.Unlock()
 	co.armGrace(id, gen, done)
@@ -867,7 +801,7 @@ func (co *Coordinator) armGrace(id uint32, gen uint64, done bool) {
 	time.AfterFunc(grace, func() {
 		co.mu.Lock()
 		slot := &co.slots[id]
-		expired := slot.gen == gen && slot.raw == nil && slot.via == nil && !slot.done
+		expired := slot.gen == gen && slot.peer == nil && !slot.done
 		co.mu.Unlock()
 		if expired {
 			co.finish(fmt.Errorf("cluster: site %d disconnected and did not reconnect within %v", id, grace))
@@ -882,59 +816,58 @@ func (co *Coordinator) siteEvents(id uint32) int64 {
 	return co.slots[id].events
 }
 
-// serveSite consumes one site connection's frames until its Done marker,
-// decoding both the version-1 per-event format and the version-2 coalesced
-// format (a protocol-v3 resume replay arrives as an ordinary frameUpdates2).
-// A nil return means Done; any error means the connection is dead or spoke
+// coFold is one connection's fold target: the coordinator plus that
+// reader's per-stripe bucketing scratch.
+type coFold struct {
+	co      *Coordinator
+	buckets [][]Update
+}
+
+func (f *coFold) foldCounts(site uint32, ups []Update) {
+	f.co.applyUpdates(site, ups, f.buckets)
+	f.co.updates.Add(int64(len(ups)))
+}
+
+func (f *coFold) foldStruct(site uint32, siteEvents uint64, ups []Update) {
+	f.co.structs.apply(site, siteEvents, ups)
+}
+
+// newFolder builds the data-frame reader for one connection (site =
+// relayPeer for a relay link), folding into this coordinator.
+func (co *Coordinator) newFolder(from string, site uint32) *frameFolder {
+	return &frameFolder{
+		target: &coFold{co: co, buckets: make([][]Update, len(co.stripes))},
+		from:   from, site: site,
+		sites: uint32(co.cfg.Sites), lo: co.ownLo, hi: co.ownHi, counters: co.layout.NumCounters(),
+		cells: co.structCells(), innerCap: co.innerFrameCap(),
+	}
+}
+
+// serveSite consumes one site connection's frames until its Done marker. A
+// nil return means Done; any error means the connection is dead or spoke
 // garbage — the caller detaches it and the site is expected to come back.
 func (co *Coordinator) serveSite(c *conn, site uint32) error {
-	var ups []Update
-	buckets := make([][]Update, len(co.stripes)) // per-stripe scratch, reused across frames
+	folder := co.newFolder(fmt.Sprintf("site %d", site), site)
 	for {
 		t, payload, err := c.readFrame()
 		if err != nil {
 			return fmt.Errorf("cluster: site %d stream: %w", site, err)
 		}
 		co.noteFrame()
-		switch t {
-		case frameUpdates:
-			ups, err = decodeUpdates(ups, payload)
-			if err != nil {
-				return err
-			}
-			if err := co.applyUpdates(site, ups, buckets); err != nil {
-				return err
-			}
-			co.updates.Add(int64(len(ups)))
-		case frameUpdates2:
-			ups, err = decodeUpdates2(ups, payload, co.layout.NumCounters())
-			if err != nil {
-				return err
-			}
-			if err := co.applyUpdates(site, ups, buckets); err != nil {
-				return err
-			}
-			co.updates.Add(int64(len(ups)))
-		case frameStructStats:
-			if co.structs == nil {
-				return fmt.Errorf("cluster: site %d sent struct stats but structure learning is off", site)
-			}
-			var siteEvents uint64
-			siteEvents, ups, err = decodeStructStats(ups, payload, co.structs.layout.Cells())
-			if err != nil {
-				return err
-			}
-			co.structs.apply(site, siteEvents, ups)
-		case frameDone:
-			_, events, err := decodeDone(payload)
-			if err != nil {
-				return err
-			}
-			co.handleDone(site, events)
-			return nil
-		default:
+		if data, err := folder.fold(t, payload); err != nil {
+			return err
+		} else if data {
+			continue
+		}
+		if t != frameDone {
 			return fmt.Errorf("cluster: site %d unexpected frame %d", site, t)
 		}
+		_, events, err := decodeDone(payload)
+		if err != nil {
+			return err
+		}
+		co.handleDone(site, events)
+		return nil
 	}
 }
 
@@ -951,7 +884,7 @@ func (co *Coordinator) noteFrame() {
 	if co.CrashAfterFrames > 0 && n == co.CrashAfterFrames {
 		// Synchronous: the kill must win the race against a finishing
 		// run, or a seeded kill point near the end becomes flaky.
-		co.Close()
+		co.stop()
 	}
 	if co.ckptEvery > 0 && n%co.ckptEvery == 0 {
 		select {
@@ -981,20 +914,15 @@ func (co *Coordinator) handleDone(site uint32, events int64) {
 	}
 }
 
-// applyUpdates folds one decoded frame into the reported matrix: one pass
-// buckets the frame's updates by stripe (buckets is the caller's reusable
-// per-stripe scratch), then each touched stripe is locked once, applied in
-// ascending stripe order, and has its version bumped. Reports are monotone
-// local counts; the maximum is kept to stay robust to reordering within a
-// stream — the same property that makes resume replays and duplicated
-// frames idempotent.
-func (co *Coordinator) applyUpdates(site uint32, ups []Update, buckets [][]Update) error {
-	lo, hi := co.ownLo, co.ownHi
-	for _, u := range ups {
-		if u.Counter < lo || u.Counter >= hi {
-			return fmt.Errorf("cluster: site %d counter %d outside owned range [%d,%d)", site, u.Counter, lo, hi)
-		}
-	}
+// applyUpdates folds one site's decoded reports (ids already validated to lie
+// in the owned range) into the reported matrix: one pass buckets the updates
+// by stripe (buckets is the caller's reusable per-stripe scratch), then each
+// touched stripe is locked once, applied in ascending stripe order, and has
+// its version bumped. Reports are monotone local counts; the maximum is kept
+// to stay robust to reordering within a stream — the same property that
+// makes resume replays and duplicated frames idempotent.
+func (co *Coordinator) applyUpdates(site uint32, ups []Update, buckets [][]Update) {
+	lo := co.ownLo
 	row := co.reported[site]
 	nStripes := uint32(len(co.stripes))
 	if nStripes == 1 {
@@ -1007,7 +935,7 @@ func (co *Coordinator) applyUpdates(site uint32, ups []Update, buckets [][]Updat
 		}
 		st.version.Add(1)
 		st.mu.Unlock()
-		return nil
+		return
 	}
 	for _, u := range ups {
 		s := u.Counter % nStripes
@@ -1029,7 +957,6 @@ func (co *Coordinator) applyUpdates(site uint32, ups []Update, buckets [][]Updat
 		st.mu.Unlock()
 		buckets[s] = b[:0]
 	}
-	return nil
 }
 
 // stripeOf returns the stripe guarding counter id.
@@ -1265,18 +1192,6 @@ func (co *Coordinator) Network() *bn.Network { return co.net }
 // this run (Config.StructBatchEvents > 0).
 func (co *Coordinator) StructLearning() bool { return co.structs != nil }
 
-// relayLink is one relay's upstream connection as the coordinator (or a
-// mid-tier relay acting as parent) sees it: a single TCP connection carrying
-// many sites' traffic. Control replies for those sites travel down it
-// wrapped in frameRelayCtl frames.
-type relayLink struct {
-	raw net.Conn
-	c   *conn
-	// wmu serializes writers: ctl replies from the relay reader race the
-	// closing stats broadcast.
-	wmu sync.Mutex
-}
-
 // serveRelay drives one relay connection: it answers the relay's hello with
 // the base run configuration, admits the wrapped per-site joins the relay
 // forwards, folds the relay's grouped per-site update frames — one frame
@@ -1287,148 +1202,86 @@ type relayLink struct {
 // link detaches every site it carried (grace timers arm exactly as for a
 // direct disconnect — the relay reconnecting, or its sites re-resuming
 // through a restarted relay, heals the run).
-func (co *Coordinator) serveRelay(raw net.Conn, c *conn, relayID uint32) {
-	link := &relayLink{raw: raw, c: c}
-
+func (co *Coordinator) serveRelay(link *peer, relayID uint32) {
 	// The relay derives its fold layout from the same deterministic base
 	// config a site would get; Site and Events are meaningless for a relay
 	// and zeroed.
 	base := co.startConfigFor(0)
 	base.Site, base.Events = 0, 0
-	link.wmu.Lock()
-	err := c.writeFrame(frameStart, encodeStart(base))
-	if err == nil {
-		err = c.flush()
-	}
-	link.wmu.Unlock()
-	if err != nil {
-		raw.Close()
+	if link.write(frameStart, encodeStart(base)) != nil {
 		return
 	}
-
-	innerCap := co.innerFrameCap()
-	c.setReadLimit(relayPayloadCap(uint32(co.cfg.Sites), innerCap))
+	link.c.setReadLimit(relayPayloadCap(uint32(co.cfg.Sites), co.innerFrameCap()))
 
 	// Any error — connection death or garbage — detaches the relay's sites;
 	// like a direct site connection, the peer is expected to come back.
-	_ = co.relayLoop(link, innerCap, relayID)
+	_ = co.relayLoop(link, relayID)
 	co.detachRelay(link)
-	raw.Close()
 }
 
-// relayLoop consumes one relay connection's frames until it dies.
-func (co *Coordinator) relayLoop(link *relayLink, innerCap uint32, relayID uint32) error {
-	var ups []Update
-	var groups []relayGroup
-	buckets := make([][]Update, len(co.stripes))
+// relayLoop consumes one relay connection's frames until it dies: grouped
+// data frames fold per site, wrapped joins go through handleRelayJoin.
+func (co *Coordinator) relayLoop(link *peer, relayID uint32) error {
+	folder := co.newFolder(fmt.Sprintf("relay %d", relayID), relayPeer)
 	for {
 		t, payload, err := link.c.readFrame()
 		if err != nil {
 			return fmt.Errorf("cluster: relay %d stream: %w", relayID, err)
 		}
 		co.noteFrame()
-		switch t {
-		case frameRelayJoin:
-			site, kind, inner, err := decodeRelayWrapped(payload)
-			if err != nil {
-				return err
-			}
-			if site >= uint32(co.cfg.Sites) {
-				return fmt.Errorf("cluster: relay %d forwarded site id %d out of range", relayID, site)
-			}
-			if err := co.handleRelayJoin(link, site, kind, inner); err != nil {
-				return err
-			}
-		case frameRelayUpdates:
-			groups, err = decodeRelayGroups(groups, payload, uint32(co.cfg.Sites), innerCap)
-			if err != nil {
-				return err
-			}
-			for _, g := range groups {
-				ups, err = decodeUpdates2(ups, g.Payload, co.layout.NumCounters())
-				if err != nil {
-					return err
-				}
-				if err := co.applyUpdates(g.Site, ups, buckets); err != nil {
-					return err
-				}
-				co.updates.Add(int64(len(ups)))
-			}
-		case frameRelayStruct:
-			if co.structs == nil {
-				return fmt.Errorf("cluster: relay %d sent struct stats but structure learning is off", relayID)
-			}
-			groups, err = decodeRelayGroups(groups, payload, uint32(co.cfg.Sites), innerCap)
-			if err != nil {
-				return err
-			}
-			for _, g := range groups {
-				var siteEvents uint64
-				siteEvents, ups, err = decodeStructStats(ups, g.Payload, co.structs.layout.Cells())
-				if err != nil {
-					return err
-				}
-				co.structs.apply(g.Site, siteEvents, ups)
-			}
-		default:
+		if data, err := folder.fold(t, payload); err != nil {
+			return err
+		} else if data {
+			continue
+		}
+		if t != frameRelayJoin {
 			return fmt.Errorf("cluster: relay %d unexpected frame %d", relayID, t)
+		}
+		site, kind, inner, err := decodeRelayWrapped(payload)
+		if err != nil {
+			return err
+		}
+		if site >= uint32(co.cfg.Sites) {
+			return fmt.Errorf("cluster: relay %d forwarded site id %d out of range", relayID, site)
+		}
+		if err := co.handleRelayJoin(link, site, kind, inner); err != nil {
+			return err
 		}
 	}
 }
 
 // handleRelayJoin processes one wrapped site join forwarded by a relay —
 // the relay-routed mirror of the direct handshake in handleConn.
-func (co *Coordinator) handleRelayJoin(link *relayLink, site uint32, kind byte, inner []byte) error {
-	writeCtl := func(innerType byte, payload []byte) error {
-		link.wmu.Lock()
-		defer link.wmu.Unlock()
-		if err := link.c.writeFrame(frameRelayCtl, encodeRelayWrapped(site, innerType, payload)); err != nil {
-			return err
-		}
-		return link.c.flush()
-	}
+func (co *Coordinator) handleRelayJoin(link *peer, site uint32, kind byte, inner []byte) error {
+	over, ferr := co.finished()
 	switch kind {
 	case relayJoinHello:
-		if over, _ := co.finished(); over {
+		if over {
 			// Nothing left to start; a site that still wants the closing
 			// stats resumes instead.
 			return nil
 		}
-		co.attachVia(site, link)
-		return writeCtl(frameStart, encodeStart(co.startConfigFor(site)))
+		co.attach(site, link)
+		return link.writeCtl(site, frameStart, encodeStart(co.startConfigFor(site)))
 	case relayJoinResume:
 		if _, err := decodeResume(inner); err != nil {
 			return err
 		}
-		if over, ferr := co.finished(); over {
+		if over {
 			if ferr != nil {
 				return nil
 			}
-			// Run already complete: ack with the closing stats, as on a
-			// direct post-run resume.
-			if err := writeCtl(frameResumeAck, encodeResumeAck(resumeAck{
-				Epoch:      co.epoch,
-				SiteEvents: uint64(co.siteEvents(site)),
-				Flags:      resumeRunComplete | resumeSiteDone,
-			})); err != nil {
-				return err
-			}
-			return writeCtl(frameStats, encodeStats(co.LiveStats().Stats))
+			return co.replyRunComplete(link, site)
 		}
-		done, events := co.attachVia(site, link)
-		ack := resumeAck{Epoch: co.epoch, SiteEvents: uint64(events)}
-		if done {
-			ack.Flags |= resumeSiteDone
-		}
-		return writeCtl(frameResumeAck, encodeResumeAck(ack))
+		_, ack := co.attach(site, link)
+		return link.writeCtl(site, frameResumeAck, encodeResumeAck(ack))
 	case relayJoinReattach:
 		// The relay's upstream connection was re-established with this site
 		// still attached below it; no reply — re-routing the slot cancels
 		// the grace timer.
-		if over, _ := co.finished(); over {
-			return nil
+		if !over {
+			co.attach(site, link)
 		}
-		co.attachVia(site, link)
 		return nil
 	case relayJoinDone:
 		_, events, err := decodeDone(inner)
@@ -1445,31 +1298,48 @@ func (co *Coordinator) handleRelayJoin(link *relayLink, site uint32, kind byte, 
 	}
 }
 
-// attachVia routes a site slot through a relay link, superseding any direct
-// connection, and returns the slot's completion state.
-func (co *Coordinator) attachVia(site uint32, link *relayLink) (done bool, events int64) {
+// attach makes p — the site's own connection, or the relay link it arrived
+// through — the site's current peer, superseding any previous connection
+// (latest wins: a superseded direct connection is closed and its reader
+// stands down via the generation). It returns the new generation and the
+// resume ack describing the slot's completion state.
+func (co *Coordinator) attach(site uint32, p *peer) (gen uint64, ack resumeAck) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	slot := &co.slots[site]
-	if slot.raw != nil {
-		slot.raw.Close()
+	if old := slot.peer; old != nil && !old.isRelay {
+		old.raw.Close()
 	}
-	slot.raw, slot.c = nil, nil
-	slot.via = link
+	slot.peer = p
 	slot.gen++
-	return slot.done, slot.events
+	ack = resumeAck{Epoch: co.epoch, SiteEvents: uint64(slot.events)}
+	if slot.done {
+		ack.Flags |= resumeSiteDone
+	}
+	return slot.gen, ack
+}
+
+// replyRunComplete answers a resume that arrived after the run completed:
+// the ack, then the closing stats, so a site that crashed at the finish line
+// still collects them.
+func (co *Coordinator) replyRunComplete(p *peer, site uint32) error {
+	ack := resumeAck{Epoch: co.epoch, SiteEvents: uint64(co.siteEvents(site)), Flags: resumeRunComplete | resumeSiteDone}
+	if err := p.writeCtl(site, frameResumeAck, encodeResumeAck(ack)); err != nil {
+		return err
+	}
+	return p.writeCtl(site, frameStats, encodeStats(co.LiveStats().Stats))
 }
 
 // detachViaSite marks one relay-routed site disconnected (the relay reported
 // its downstream connection died) and arms its grace timer.
-func (co *Coordinator) detachViaSite(link *relayLink, site uint32) {
+func (co *Coordinator) detachViaSite(link *peer, site uint32) {
 	co.mu.Lock()
 	slot := &co.slots[site]
-	if slot.via != link {
+	if slot.peer != link {
 		co.mu.Unlock()
 		return // superseded by a direct reconnect or another relay
 	}
-	slot.via = nil
+	slot.peer = nil
 	gen, done := slot.gen, slot.done
 	co.mu.Unlock()
 	co.armGrace(site, gen, done)
@@ -1478,7 +1348,7 @@ func (co *Coordinator) detachViaSite(link *relayLink, site uint32) {
 // detachRelay marks every site routed through a dead relay link
 // disconnected and arms their grace timers: the relay must reconnect (or
 // its sites re-resume through a restarted one) within the grace.
-func (co *Coordinator) detachRelay(link *relayLink) {
+func (co *Coordinator) detachRelay(link *peer) {
 	type lost struct {
 		id   uint32
 		gen  uint64
@@ -1488,8 +1358,8 @@ func (co *Coordinator) detachRelay(link *relayLink) {
 	co.mu.Lock()
 	for i := range co.slots {
 		slot := &co.slots[i]
-		if slot.via == link {
-			slot.via = nil
+		if slot.peer == link {
+			slot.peer = nil
 			ps = append(ps, lost{uint32(i), slot.gen, slot.done})
 		}
 	}

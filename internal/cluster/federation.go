@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"net"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,11 +21,11 @@ import (
 // tests): striping moves counters between machines, never across sites.
 
 // FederatedSite is a site of a striped run: it connects to every stripe
-// coordinator, verifies they describe the same run, generates its share of
-// the stream ONCE (the same deterministic siteRun a flat Site regenerates —
-// same counters, same RNG draw order, so every report decision is identical
-// to the flat run's), and routes each decided report to the coordinator
-// owning its counter id.
+// coordinator, verifies they describe the same run, and runs the same
+// siteRun.stream loop a flat Site runs — ONE stream, same counters, same RNG
+// draw order, so every report decision is identical to the flat run's — with
+// a reportWriter over all K connections routing each decided report to the
+// coordinator owning its counter id.
 //
 // FederatedSite does not resume: a lost stripe connection fails the site.
 // Fault tolerance in the federation PR lives on the aggregation-tree tier
@@ -50,11 +49,6 @@ func NewFederatedSite(id uint32, addrs []string) *FederatedSite {
 	return &FederatedSite{id: id, addrs: addrs}
 }
 
-func (s *FederatedSite) dialRetry(addr string, jrng *bn.RNG) (net.Conn, error) {
-	helper := Site{id: s.id, addr: addr, DialAttempts: s.DialAttempts, RetryBase: s.RetryBase, RetryCap: s.RetryCap}
-	return helper.dialRetry(jrng)
-}
-
 // Run connects to every stripe coordinator, processes the configured stream
 // once, and returns each stripe's closing Stats (index = stripe). All
 // stripes report the same Events (every site's Done carries its full event
@@ -65,13 +59,12 @@ func (s *FederatedSite) Run() ([]Stats, error) {
 		return nil, fmt.Errorf("cluster: federated site %d has no stripe addresses", s.id)
 	}
 	jrng := bn.NewRNG(0xfede5a1e ^ (uint64(s.id) * 0x9e3779b97f4a7c15))
-	conns := make([]*conn, k)
-	raws := make([]net.Conn, k)
+	retry := retryPolicy{attempts: s.DialAttempts, base: s.RetryBase, cap: s.RetryCap}
+	conns := make([]*conn, 0, k)
+	raws := make([]net.Conn, 0, k)
 	defer func() {
 		for _, raw := range raws {
-			if raw != nil {
-				raw.Close()
-			}
+			raw.Close()
 		}
 	}()
 
@@ -79,41 +72,27 @@ func (s *FederatedSite) Run() ([]Stats, error) {
 	// but the stripe index (one run, K owners).
 	var base StartConfig
 	for i, addr := range s.addrs {
-		raw, err := s.dialRetry(addr, jrng)
+		raw, err := retry.dialSite(s.id, addr, jrng)
 		if err != nil {
 			return nil, err
 		}
-		raws[i] = raw
+		raws = append(raws, raw)
 		c := newConn(raw)
-		if err := c.writeFrame(frameHello, encodeHello(s.id)); err != nil {
-			return nil, err
-		}
-		if err := c.flush(); err != nil {
-			return nil, err
-		}
-		t, payload, err := c.readFrame()
+		cfg, _, err := hello(c, frameHello, s.id)
 		if err != nil {
-			return nil, fmt.Errorf("cluster: federated site %d waiting for start from stripe %d: %w", s.id, i, err)
-		}
-		if t != frameStart {
-			return nil, fmt.Errorf("cluster: federated site %d got frame %d from stripe %d, want start", s.id, t, i)
-		}
-		cfg, err := decodeStart(payload)
-		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("cluster: federated site %d: stripe %d: %w", s.id, i, err)
 		}
 		if int(cfg.StripeCount) != k || int(cfg.StripeIndex) != i {
 			return nil, fmt.Errorf("cluster: federated site %d: stripe %d announced stripe %d/%d, want %d/%d",
 				s.id, i, cfg.StripeIndex, cfg.StripeCount, i, k)
 		}
-		norm := cfg
-		norm.StripeIndex = 0
+		cfg.StripeIndex = 0
 		if i == 0 {
-			base = norm
-		} else if norm != base {
+			base = cfg
+		} else if cfg != base {
 			return nil, fmt.Errorf("cluster: federated site %d: stripe %d describes a different run than stripe 0", s.id, i)
 		}
-		conns[i] = c
+		conns = append(conns, c)
 	}
 
 	// One stream, regenerated exactly as a flat Site would (the stripe
@@ -123,125 +102,19 @@ func (s *FederatedSite) Run() ([]Stats, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Owned-range bounds, ascending; los[i] is stripe i's first id and
-	// stripe i owns [los[i], los[i+1]).
-	los := make([]uint32, k+1)
-	for i := 0; i < k; i++ {
-		los[i], los[i+1] = st.layout.StripeRange(uint32(i), uint32(k))
+	w := newReportWriter(st.layout, conns...)
+	if err := st.stream(w, 0); err != nil {
+		return nil, err
 	}
-
-	// ship routes one ascending decided-report batch: split into contiguous
-	// per-stripe runs (ids ascending makes each stripe's share one slice)
-	// and frame each non-empty run to its owner.
-	ship := func(frameType byte, ups []Update) error {
-		stripe := 0
-		for lo := 0; lo < len(ups); {
-			for ups[lo].Counter >= los[stripe+1] {
-				stripe++
-			}
-			hi := lo
-			for hi < len(ups) && ups[hi].Counter < los[stripe+1] {
-				hi++
-			}
-			if frameType == frameUpdates2 {
-				st.buf = encodeUpdates2(st.buf, ups[lo:hi])
-			} else {
-				st.buf = encodeUpdates(st.buf, ups[lo:hi])
-			}
-			if err := conns[stripe].writeFrame(frameType, st.buf); err != nil {
-				return err
-			}
-			lo = hi
-		}
-		return nil
-	}
-
-	cfg, netw, layout := st.cfg, st.netw, st.layout
-	window := uint64(cfg.BatchEvents)
-	const flushEvery = 1024
-	flushAll := func() error {
-		for _, c := range conns {
-			if err := c.flush(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	flushBatch := func() error {
-		if len(st.batch) == 0 {
-			return nil
-		}
-		st.ups = st.ups[:0]
-		for id, n := range st.batch {
-			st.ups = append(st.ups, Update{Counter: id, LocalCount: n})
-		}
-		clear(st.batch)
-		slices.SortFunc(st.ups, func(a, b Update) int { return int(a.Counter) - int(b.Counter) })
-		if err := ship(frameUpdates2, st.ups); err != nil {
-			return err
-		}
-		return flushAll()
-	}
-
-	for st.next < cfg.Events {
-		e := st.next
-		x := st.nextEvent()
-		st.ups = st.ups[:0]
-		for i := 0; i < netw.Len(); i++ {
-			pidx := netw.ParentIndex(i, x)
-			for _, id := range [2]uint32{layout.PairID(i, x[i], pidx), layout.ParID(i, pidx)} {
-				if n, report := st.counts.inc(id, st.rng); report {
-					st.lastReported[id] = n
-					if st.batch != nil {
-						st.batch[id] = n
-					} else {
-						st.ups = append(st.ups, Update{Counter: id, LocalCount: n})
-					}
-				}
-			}
-		}
-		// Consumed before any fallible write, as in Site.process.
-		st.next = e + 1
-		if st.batch == nil {
-			if len(st.ups) > 0 {
-				// Per-event ups are ascending by construction (variable
-				// blocks ascend; within one, pair ids precede parent ids).
-				if err := ship(frameUpdates, st.ups); err != nil {
-					return nil, err
-				}
-			}
-			if (e+1)%flushEvery == 0 {
-				if err := flushAll(); err != nil {
-					return nil, err
-				}
-			}
-		} else if (e+1)%window == 0 {
-			if err := flushBatch(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if st.batch != nil {
-		if err := flushBatch(); err != nil {
-			return nil, err
-		}
-	}
-
 	// Done carries the site's full event count to EVERY stripe — each owner
 	// supervises the whole membership, so each one's closing Events is the
 	// run total.
-	for _, c := range conns {
-		if err := c.writeFrame(frameDone, encodeDone(s.id, int64(cfg.Events))); err != nil {
-			return nil, err
-		}
-		if err := c.flush(); err != nil {
-			return nil, err
-		}
+	if err := w.writeAll(frameDone, encodeDone(s.id, int64(st.cfg.Events))); err != nil {
+		return nil, err
 	}
 	out := make([]Stats, k)
-	helper := Site{id: s.id}
 	for i, c := range conns {
-		if out[i], err = helper.awaitStats(c); err != nil {
+		if out[i], err = awaitStats(c, s.id); err != nil {
 			return nil, err
 		}
 	}
@@ -490,20 +363,9 @@ func RunLocalFederation(cfg Config, stripes int) (Result, *Federation, error) {
 		return Result{}, nil, err
 	}
 
-	type siteOut struct {
-		stats []Stats
-		err   error
-	}
-	outs := make([]siteOut, cfg.Sites)
-	var wg sync.WaitGroup
-	for i := 0; i < cfg.Sites; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			st, err := NewFederatedSite(uint32(i), addrs).Run()
-			outs[i] = siteOut{stats: st, err: err}
-		}(i)
-	}
+	wait := startSites(cfg.Sites, func(i int) ([]Stats, error) {
+		return NewFederatedSite(uint32(i), addrs).Run()
+	})
 
 	results := make([]Result, stripes)
 	errs := make([]error, stripes)
@@ -516,20 +378,20 @@ func RunLocalFederation(cfg Config, stripes int) (Result, *Federation, error) {
 		}(i, co)
 	}
 	swg.Wait()
-	wg.Wait()
+	outs, siteErr := wait()
 	for i, err := range errs {
 		if err != nil {
 			return Result{}, nil, fmt.Errorf("cluster: stripe %d: %w", i, err)
 		}
 	}
-	for i, o := range outs {
-		if o.err != nil {
-			return Result{}, nil, fmt.Errorf("cluster: federated site %d: %w", i, o.err)
-		}
+	if siteErr != nil {
+		return Result{}, nil, siteErr
+	}
+	for i, stats := range outs {
 		for s := range parts {
-			if o.stats[s] != results[s].Stats {
+			if stats[s] != results[s].Stats {
 				return Result{}, nil, fmt.Errorf("cluster: site %d saw stripe %d stats %+v, coordinator %+v",
-					i, s, o.stats[s], results[s].Stats)
+					i, s, stats[s], results[s].Stats)
 			}
 		}
 	}

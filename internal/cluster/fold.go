@@ -1,0 +1,229 @@
+package cluster
+
+import (
+	"fmt"
+	"net"
+	"sync"
+)
+
+// foldTarget is where decoded reports land: the coordinator's reported
+// matrix and structure engine, or a relay's per-site folded vectors. Both
+// folds are idempotent max-merges over monotone per-site counts, so a target
+// never needs to know whether a batch is fresh, duplicated or a replay. The
+// ids it receives are already validated (see frameFolder).
+type foldTarget interface {
+	// foldCounts merges one site's decided counter reports.
+	foldCounts(site uint32, ups []Update)
+	// foldStruct merges one site's cumulative pair-cell counts, stamped with
+	// the site's stream position.
+	foldStruct(site uint32, siteEvents uint64, ups []Update)
+}
+
+// relayPeer is frameFolder.site for a relay link: its frames are grouped and
+// every group names its own site.
+const relayPeer = ^uint32(0)
+
+// frameFolder is the receive half of the data plane: the one place the five
+// data frames (frameUpdates, frameUpdates2, frameStructStats from a site;
+// frameRelayUpdates, frameRelayStruct from a relay) are decoded. A site frame
+// is handled as a grouped frame of one group, so every topology runs the same
+// decode → validate → fold sequence. The whole frame is decoded and every id
+// bounds-checked before the first entry reaches the target: a malformed
+// frame leaves the folded state untouched. One folder serves one connection
+// (it owns the decode scratch).
+type frameFolder struct {
+	target foldTarget
+	// from names the connection in errors ("site 3", "relay 1").
+	from string
+	// site is the connection's site id, or relayPeer.
+	site uint32
+	// sites is the run's site count and counters the layout's counter count
+	// (what the decoders validate against); [lo, hi) is the id range this
+	// receiver owns — the whole layout unless it is a stripe coordinator;
+	// cells is the structure layout's cell count (0 = learning off);
+	// innerCap bounds one group's payload.
+	sites, lo, hi, counters, cells, innerCap uint32
+
+	groups []relayGroup
+	ups    []Update
+	spans  []foldSpan
+}
+
+// foldSpan is one decoded group: ups[from:] up to the next span's from.
+type foldSpan struct {
+	site   uint32
+	events uint64
+	from   int
+}
+
+// fold decodes, validates and folds one frame. data is false (and nothing
+// happened) for a frame that is not a data frame — control traffic the
+// caller handles itself.
+func (f *frameFolder) fold(t byte, payload []byte) (data bool, err error) {
+	switch t {
+	case frameUpdates, frameUpdates2, frameStructStats:
+		if f.site == relayPeer {
+			return true, fmt.Errorf("cluster: %s sent site frame %d on a relay link", f.from, t)
+		}
+		f.groups = append(f.groups[:0], relayGroup{Site: f.site, Payload: payload})
+	case frameRelayUpdates, frameRelayStruct:
+		if f.site != relayPeer {
+			return true, fmt.Errorf("cluster: %s sent relay frame %d on a site connection", f.from, t)
+		}
+		if f.groups, err = decodeRelayGroups(f.groups, payload, f.sites, f.innerCap); err != nil {
+			return true, fmt.Errorf("cluster: %s frame %d: %w", f.from, t, err)
+		}
+	default:
+		return false, nil
+	}
+	isStruct := t == frameStructStats || t == frameRelayStruct
+	if isStruct && f.cells == 0 {
+		return true, fmt.Errorf("cluster: %s sent struct stats (frame %d) but structure learning is off", f.from, t)
+	}
+
+	f.ups, f.spans = f.ups[:0], f.spans[:0]
+	for _, g := range f.groups {
+		sp := foldSpan{site: g.Site, from: len(f.ups)}
+		switch {
+		case isStruct:
+			sp.events, f.ups, err = decodeStructStats(f.ups, g.Payload, f.cells)
+		case t == frameUpdates:
+			f.ups, err = decodeUpdates(f.ups, g.Payload)
+		default:
+			f.ups, err = decodeUpdates2(f.ups, g.Payload, f.counters)
+		}
+		if err != nil {
+			return true, fmt.Errorf("cluster: %s: site %d frame %d: %w", f.from, g.Site, t, err)
+		}
+		if !isStruct {
+			for _, u := range f.ups[sp.from:] {
+				if u.Counter < f.lo || u.Counter >= f.hi {
+					return true, fmt.Errorf("cluster: %s: site %d frame %d: counter %d outside [%d,%d)",
+						f.from, g.Site, t, u.Counter, f.lo, f.hi)
+				}
+			}
+		}
+		f.spans = append(f.spans, sp)
+	}
+
+	for i, sp := range f.spans {
+		to := len(f.ups)
+		if i+1 < len(f.spans) {
+			to = f.spans[i+1].from
+		}
+		if isStruct {
+			f.target.foldStruct(sp.site, sp.events, f.ups[sp.from:to])
+		} else {
+			f.target.foldCounts(sp.site, f.ups[sp.from:to])
+		}
+	}
+	return true, nil
+}
+
+// dirtyVec is a monotone vector folded by max-merge that remembers which
+// cells moved since they were last drained — a relay's view of one site's
+// counters (or pair cells): the latest report per cell, shipped upstream a
+// dirty set at a time. Sized on first merge, so a site that never reports
+// costs nothing.
+type dirtyVec struct {
+	vals  []int64
+	dirty []bool
+	// any short-circuits clean vectors; the owner may also set it to force
+	// an (empty) drain, as the struct fold does when only the stamp moved.
+	any bool
+}
+
+// merge max-merges ups into a vector of size cells. Ids must be < size.
+func (v *dirtyVec) merge(size uint32, ups []Update) {
+	if v.vals == nil {
+		v.vals, v.dirty = make([]int64, size), make([]bool, size)
+	}
+	for _, u := range ups {
+		if u.LocalCount > v.vals[u.Counter] {
+			v.vals[u.Counter] = u.LocalCount
+			v.dirty[u.Counter] = true
+			v.any = true
+		}
+	}
+}
+
+// drain appends the dirty cells to dst in ascending id order and marks the
+// vector clean.
+func (v *dirtyVec) drain(dst []Update) []Update {
+	for id, d := range v.dirty {
+		if d {
+			dst = append(dst, Update{Counter: uint32(id), LocalCount: v.vals[id]})
+			v.dirty[id] = false
+		}
+	}
+	v.any = false
+	return dst
+}
+
+// markAll marks every nonzero cell dirty — a full replay. Counts are monotone
+// and the receiving fold is a max-merge, so over-shipping is free.
+func (v *dirtyVec) markAll() {
+	for id, n := range v.vals {
+		if n != 0 {
+			v.dirty[id] = true
+			v.any = true
+		}
+	}
+}
+
+// connSet owns the connections a listener accepted and the goroutines
+// serving them, so that Close means closed: closeAll closes every tracked
+// connection — attached, idle after a Done, or still handshaking — and wg
+// joins the accept loop and every handler.
+type connSet struct {
+	mu     sync.Mutex
+	conns  map[net.Conn]struct{}
+	closed bool
+	wg     sync.WaitGroup
+}
+
+// acceptLoop admits connections from ln until it fails (normally: is
+// closed), serving each on its own goroutine — the one place connection
+// readers start. handle reports whether the connection must stay open after
+// it returns (a site that sent Done idles, attached, until the closing stats
+// reach it); otherwise the connection is closed and forgotten.
+func (s *connSet) acceptLoop(ln net.Listener, handle func(net.Conn) (keep bool)) error {
+	for {
+		raw, err := ln.Accept()
+		if err != nil {
+			return err
+		}
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			raw.Close()
+			continue
+		}
+		if s.conns == nil {
+			s.conns = make(map[net.Conn]struct{})
+		}
+		s.conns[raw] = struct{}{}
+		s.wg.Add(1)
+		s.mu.Unlock()
+		go func() {
+			defer s.wg.Done()
+			if !handle(raw) {
+				raw.Close()
+				s.mu.Lock()
+				delete(s.conns, raw)
+				s.mu.Unlock()
+			}
+		}()
+	}
+}
+
+// closeAll closes every tracked connection and refuses new ones.
+func (s *connSet) closeAll() {
+	s.mu.Lock()
+	s.closed = true
+	for raw := range s.conns {
+		raw.Close()
+	}
+	s.conns = nil
+	s.mu.Unlock()
+}

@@ -1,0 +1,157 @@
+package cluster
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"distbayes/internal/core"
+)
+
+// recordingTarget is a foldTarget that only counts what reaches it.
+type recordingTarget struct{ counts, structs int }
+
+func (r *recordingTarget) foldCounts(uint32, []Update)         { r.counts++ }
+func (r *recordingTarget) foldStruct(uint32, uint64, []Update) { r.structs++ }
+
+// TestFoldRejectsBeforeItFolds pins the shared reader's all-or-nothing
+// contract on each of the five data frames: a frame whose LAST entry (of its
+// last group) is out of range is rejected with nothing folded — the valid
+// prefix, which a decode-as-you-fold reader would already have applied, must
+// not reach the target — and the error names the site and the frame type.
+// The relay rows fold into a real Relay and check its vectors; the striped
+// row checks the owned-range bound (ids valid for the layout, owned by
+// another stripe) against a real coordinator's matrix.
+func TestFoldRejectsBeforeItFolds(t *testing.T) {
+	const counters, cells, sites = 100, 50, 4
+	good := []Update{{Counter: 3, LocalCount: 7}, {Counter: 9, LocalCount: 2}}
+	badCounter := append(append([]Update(nil), good...), Update{Counter: counters, LocalCount: 1})
+	badCell := append(append([]Update(nil), good...), Update{Counter: cells, LocalCount: 1})
+	// encodeUpdates2 writes what it is given; the decoder must be the one to
+	// object. decodeStructStats shares its entry section.
+	v2 := func(ups []Update) []byte { return encodeUpdates2(nil, ups) }
+	groups := func(second []byte) []byte {
+		return encodeRelayGroups(nil, []relayGroup{{Site: 1, Payload: v2(good)}, {Site: 2, Payload: second}})
+	}
+	cases := []struct {
+		name    string
+		site    uint32 // the connection's site, or relayPeer
+		t       byte
+		payload []byte
+		errSite string
+	}{
+		{"updates", 2, frameUpdates, encodeUpdates(nil, badCounter), "site 2"},
+		{"updates2", 2, frameUpdates2, v2(badCounter), "site 2"},
+		{"structStats", 2, frameStructStats, encodeStructUpdates(40, badCell), "site 2"},
+		{"relayUpdates", relayPeer, frameRelayUpdates, groups(v2(badCounter)), "site 2"},
+		{"relayStruct", relayPeer, frameRelayStruct,
+			encodeRelayGroups(nil, []relayGroup{
+				{Site: 1, Payload: encodeStructUpdates(40, good)},
+				{Site: 2, Payload: encodeStructUpdates(40, badCell)},
+			}), "site 2"},
+		{"relayUpdates/badSite", relayPeer, frameRelayUpdates,
+			encodeRelayGroups(nil, []relayGroup{{Site: 1, Payload: v2(good)}, {Site: sites, Payload: v2(good)}}), ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := &Relay{
+				structCells: cells, innerCap: innerFrameCap(counters, cells),
+				sites: make([]relaySiteState, sites), flushReq: make(chan struct{}, 1),
+			}
+			r.layout = &Layout{total: counters}
+			f := r.newFolder("peer", tc.site)
+			data, err := f.fold(tc.t, tc.payload)
+			if !data || err == nil {
+				t.Fatalf("fold = (%v, %v), want a data frame rejected", data, err)
+			}
+			if !strings.Contains(err.Error(), tc.errSite) || !strings.Contains(err.Error(), fmt.Sprintf("frame %d", tc.t)) {
+				t.Errorf("error %q does not name %q and frame %d", err, tc.errSite, tc.t)
+			}
+			for i := range r.sites {
+				if s := &r.sites[i]; s.known || s.counts.vals != nil || s.structs.vals != nil || s.structEvents != 0 {
+					t.Errorf("site %d was folded into before the frame was rejected: %+v", i, s)
+				}
+			}
+			if n := r.DownFrames.Load(); n != 0 {
+				t.Errorf("%d downstream frames counted for a rejected frame", n)
+			}
+			// The same frame minus its bad tail folds.
+			if tc.site != relayPeer {
+				ok := map[byte][]byte{
+					frameUpdates: encodeUpdates(nil, good), frameUpdates2: v2(good),
+					frameStructStats: encodeStructUpdates(40, good),
+				}[tc.t]
+				if data, err := f.fold(tc.t, ok); !data || err != nil {
+					t.Fatalf("valid frame rejected: (%v, %v)", data, err)
+				}
+				if r.sites[tc.site].counts.vals == nil && r.sites[tc.site].structs.vals == nil {
+					t.Error("valid frame folded nothing")
+				}
+			}
+		})
+	}
+
+	// A control frame is not data, and a frame on the wrong kind of
+	// connection is rejected, not folded.
+	rec := &recordingTarget{}
+	f := &frameFolder{target: rec, from: "peer", site: 1, sites: sites, hi: counters, counters: counters, cells: cells,
+		innerCap: innerFrameCap(counters, cells)}
+	if data, err := f.fold(frameDone, encodeDone(1, 10)); data || err != nil {
+		t.Errorf("frameDone: fold = (%v, %v), want not data", data, err)
+	}
+	if _, err := f.fold(frameRelayUpdates, groups(v2(good))); err == nil {
+		t.Error("grouped relay frame accepted on a site connection")
+	}
+	f.site = relayPeer
+	if _, err := f.fold(frameUpdates2, v2(good)); err == nil {
+		t.Error("site frame accepted on a relay link")
+	}
+	f.cells = 0
+	if _, err := f.fold(frameRelayStruct, groups(encodeStructUpdates(1, good))); err == nil {
+		t.Error("struct stats accepted with structure learning off")
+	}
+	if rec.counts+rec.structs != 0 {
+		t.Errorf("rejected frames reached the target: %+v", rec)
+	}
+
+	// Striped coordinator: ids inside the layout but outside the owned range.
+	co, err := NewCoordinator(Config{
+		NetName: "alarm", Strategy: core.NonUniform, Eps: 0.1, Delta: 0.25,
+		Sites: 2, Events: 10, StripeIndex: 1, StripeCount: 2,
+	}, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	own := []Update{{Counter: co.ownLo, LocalCount: 5}, {Counter: co.ownLo + 1, LocalCount: 6}}
+	cf := co.newFolder("site 0", 0)
+	for _, foreign := range []uint32{co.ownLo - 1, co.ownHi} {
+		for _, ft := range []byte{frameUpdates, frameUpdates2} {
+			ups := append(append([]Update(nil), own...), Update{Counter: foreign, LocalCount: 1})
+			payload := v2(ups)
+			if ft == frameUpdates {
+				payload = encodeUpdates(nil, ups)
+			} else if foreign < co.ownLo {
+				ups = append([]Update{{Counter: foreign, LocalCount: 1}}, own...) // v2 ids ascend
+				payload = v2(ups)
+			}
+			if _, err := cf.fold(ft, payload); err == nil {
+				t.Errorf("frame %d with counter %d outside [%d,%d) accepted", ft, foreign, co.ownLo, co.ownHi)
+			}
+		}
+	}
+	for id := co.ownLo; id < co.ownHi; id++ {
+		if co.Estimate(id) != 0 {
+			t.Fatalf("counter %d folded from a rejected frame", id)
+		}
+	}
+	if co.updates.Load() != 0 {
+		t.Errorf("%d updates counted from rejected frames", co.updates.Load())
+	}
+	if _, err := cf.fold(frameUpdates2, v2(own)); err != nil {
+		t.Fatal(err)
+	}
+	if co.Estimate(co.ownLo) == 0 || co.updates.Load() != 2 {
+		t.Error("valid owned-range frame did not fold")
+	}
+}

@@ -108,7 +108,7 @@ func TestShipStructStatsFoldsOpenBlock(t *testing.T) {
 	layout := st.pairs.layout
 	want := make([]int64, layout.Cells())
 	var wire bytes.Buffer
-	site, c := NewSite(0, ""), newConn(&wire)
+	w := newReportWriter(st.layout, newConn(&wire))
 	rd := newConn(&wire)
 	rd.setReadLimit(structPayloadCap(layout.Cells()))
 	for _, position := range []uint64{1, 100, 256, 300, 700} {
@@ -118,7 +118,7 @@ func TestShipStructStatsFoldsOpenBlock(t *testing.T) {
 			layout.Accumulate(want, x)
 			st.next++
 		}
-		if err := site.shipStructStats(c, st); err != nil {
+		if err := st.shipStruct(w); err != nil {
 			t.Fatal(err)
 		}
 		ft, payload, err := rd.readFrame()

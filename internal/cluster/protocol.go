@@ -3,38 +3,64 @@
 // an AWS EC2 cluster; here the sites and coordinator talk over loopback or
 // any reachable network, see DESIGN.md §4).
 //
-// Architecture: one coordinator process listens; k site processes connect.
-// Each site generates its share of the training stream locally (the stream
-// is horizontally partitioned), runs the site-side half of the approximate
-// counters, and sends counter updates. The coordinator maintains the
-// tracked model and answers queries *at any time* — the paper's query
-// model — not just after the stream ends.
+// Architecture: one coordinator process listens; k site processes connect,
+// directly, through a tree of relays (relay.go), or to K stripe coordinators
+// at once (federation.go). Each site generates its share of the training
+// stream locally (the stream is horizontally partitioned), runs the
+// site-side half of the approximate counters, and sends counter updates. The
+// coordinator maintains the tracked model and answers queries *at any time*
+// — the paper's query model — not just after the stream ends.
+//
+// # One data plane
+//
+// The paper's protocol has one site-side rule (increment the local counter,
+// flip the coin, ship the local count) and one receiver-side rule (keep each
+// site's latest count, add the trailing-gap adjustment); flat, batched, tree
+// and striped runs differ only in where a decided report travels. The code
+// has one implementation of each side:
+//
+//   - Send: siteRun.stream (site.go) is the only stream loop. It draws the
+//     event, increments and decides, and at every window boundary
+//     (StartConfig.BatchEvents events; 0 means a window of one — the
+//     per-event protocol) hands the window's decided reports, ascending, to
+//     a reportWriter, the only writer of counter reports: one frameUpdates2
+//     frame per window to the connection owning the ids (one connection for
+//     a Site, one per stripe for a FederatedSite). Report decisions are made
+//     per increment by the same seeded site RNG in every mode and counts are
+//     monotone, so the window size changes how many frames carry the
+//     reports, never a final estimate
+//     (TestBatchedSitesBitIdenticalFewerFrames); a report is delayed by at
+//     most one window, staleness of the same kind as the trailing gap the
+//     report probability already models.
+//   - Receive: frameFolder.fold (fold.go) is the only place the five data
+//     frames are decoded — frameUpdates, frameUpdates2 and frameStructStats
+//     from a site, frameRelayUpdates and frameRelayStruct from a relay. It
+//     decodes the whole frame, bounds-checks every id against the layout
+//     (and the owned stripe) before anything is folded, and hands each
+//     site's batch to a foldTarget: the Coordinator's striped matrix and
+//     structure engine, or a Relay's per-site dirty vectors. Both folds are
+//     the same idempotent max-merge, which is what makes relays, replays and
+//     duplicated frames invisible to the final estimates. The per-connection
+//     reader loops only handle control frames (Done, relay joins).
 //
 // The coordinator is sharded the same way the in-process core.Tracker is:
-// one reader goroutine per site connection batch-decodes frames and folds
-// them into a reported-count matrix guarded by lock stripes (counter id c
-// belongs to stripe c mod Config.Shards), each stripe carrying a version
-// counter. The live query paths (Coordinator.QueryProb, EstimatedModel)
-// are served from an immutable estimate snapshot revalidated against the
-// stripe versions — repeated queries against a quiescent coordinator share
-// one snapshot with no lock traffic, and a query racing ingestion rebuilds
-// exactly the stripes that moved. With Shards ≤ 1 and batching off the
-// coordinator reproduces the historical serial implementation bit for bit
-// (pinned by TestSequentialClusterBitCompat's PR 3 HEAD goldens).
+// one reader goroutine per connection folds into a reported-count matrix
+// guarded by lock stripes (counter id c belongs to stripe c mod
+// Config.Shards), each stripe carrying a version counter. The live query
+// paths (Coordinator.QueryProb, EstimatedModel) are served from an immutable
+// estimate snapshot revalidated against the stripe versions — repeated
+// queries against a quiescent coordinator share one snapshot with no lock
+// traffic, and a query racing ingestion rebuilds exactly the stripes that
+// moved. With Shards ≤ 1 and batching off the coordinator reproduces the
+// historical serial implementation's updates, frame count and estimates bit
+// for bit (pinned by TestSequentialClusterBitCompat's PR 3 HEAD goldens).
 //
-// The wire protocol is versioned by frame type. A version-1 site ships one
-// fixed-width frameUpdates frame per event that triggered a report; a
-// version-2 site (StartConfig.BatchEvents > 0) coalesces a batching window
-// of report decisions into a local delta batch and ships one
-// varint-compressed frameUpdates2 frame per window. Report decisions are
-// made per increment by the same seeded site RNGs either way and counts
-// are monotone, so batching leaves every final estimate bit-identical
-// while sending a small fraction of the frames
-// (TestBatchedSitesBitIdenticalFewerFrames); a report is delayed by at
-// most one window, staleness of the same kind as the trailing gap the
-// report probability already models. The coordinator decodes both formats
-// and every decoder length-validates a frame against the layout before
-// allocating (updatesPayloadCap, fuzzed by FuzzDecodeFrame).
+// The wire protocol is versioned by frame type and append-only: every frame
+// type ever shipped still decodes (the fixed-width frameUpdates of the first
+// protocol version included, exercised by the fuzz corpus), while writers
+// emit exactly one format per kind of traffic. Every decoder
+// length-validates a frame against the layout before allocating
+// (updatesPayloadCap, fuzzed by FuzzDecodeFrame).
 //
 // Two deliberate deviations from the in-process simulation
 // (internal/counter) are documented here:
@@ -52,20 +78,17 @@
 //     an order of magnitude inside the ε budget.
 //  2. The paper's transmission optimization is applied: all counter updates
 //     triggered by one event are merged into a single frame, and an event
-//     that triggers no update sends nothing. Version-2 batching extends
-//     the same idea across events within a window.
+//     that triggers no update sends nothing. Batching extends the same idea
+//     across the events of a window.
 //
 // # Fault tolerance: reconnect, resume, checkpoint
 //
-// The cluster survives the loss of any process. Protocol version 3 adds a
-// resume handshake: instead of frameHello, a site that already holds run
-// state opens its connection with frameResume (site id + events processed)
-// and the coordinator acks with its run epoch, the site's recorded event
-// count and completion flags. On resume the site replays its latest decided
-// count for every counter as one frameUpdates2 frame before continuing the
-// stream. The handshake is append-only over versions 1 and 2: old frames
-// still decode, and a version-1 site can still join a batching-off
-// coordinator with plain frameHello.
+// The cluster survives the loss of any process. A site that already holds
+// run state opens its connection with frameResume (site id + events
+// processed) instead of frameHello, and the coordinator acks with its run
+// epoch, the site's recorded event count and completion flags. On resume the
+// site replays its latest decided count for every counter as one window
+// before continuing the stream.
 //
 // Crash-safety rests on three invariants, asserted bit-exactly by the chaos
 // suite (chaos_test.go) rather than only within the (ε, δ) envelope:
@@ -103,13 +126,15 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
+	"slices"
+	"sync"
 )
 
-// Frame types. The wire protocol is versioned by frame type: a version-1
-// site sends fixed-width frameUpdates frames, a version-2 site coalesces a
-// batching window into one varint-compressed frameUpdates2 frame. The
-// coordinator decodes both, so old sites interoperate with a new
-// coordinator; the StartConfig encoding likewise accepts the version-1
+// Frame types. The wire protocol is versioned by frame type and append-only:
+// sites report in frameUpdates2 frames, and the fixed-width frameUpdates of
+// the first protocol version still decodes, so old sites interoperate with a
+// new coordinator; the StartConfig encoding likewise accepts the version-1
 // length (see decodeStart).
 const (
 	// frameHello introduces a site: payload = site id (u32).
@@ -118,6 +143,7 @@ const (
 	frameStart byte = 2
 	// frameUpdates carries merged counter updates for one event
 	// (site → coordinator): repeated (counterID u32, localCount i64).
+	// Decode-only: current sites send frameUpdates2.
 	frameUpdates byte = 3
 	// frameDone signals a site has exhausted its stream: payload = site id,
 	// events processed (i64).
@@ -125,8 +151,9 @@ const (
 	// frameStats is the coordinator's closing reply: payload = total frames,
 	// total updates, total events (i64 each).
 	frameStats byte = 5
-	// frameUpdates2 carries a coalesced batching window (protocol version 2,
-	// site → coordinator): uvarint entry count, then per entry the uvarint
+	// frameUpdates2 carries one window of decided reports — a batching
+	// window, a single event's reports in per-event mode, or a resume replay
+	// (site → coordinator): uvarint entry count, then per entry the uvarint
 	// counter-id delta (ids strictly ascending; the first delta is the id
 	// itself) and the uvarint local count. Within a window only the latest
 	// local count per counter survives — counts are monotone, so coalescing
@@ -244,18 +271,18 @@ const maxControlFrame = 1 << 12
 // updatesPayloadCap is the largest well-formed update payload for a layout
 // of n counters, used to validate a frame header against the layout before
 // the payload is allocated (the frame-IO mirror of LoadState's StateLen
-// check). A version-1 frame merges the distinct counters one event touched
-// (≤ n entries of 12 bytes); a version-2 frame coalesces a window to at
-// most n entries of ≤ 15 varint bytes plus the count header.
+// check). A fixed-width frameUpdates frame merges the distinct counters one
+// event touched (≤ n entries of 12 bytes); a frameUpdates2 frame coalesces a
+// window to at most n entries of ≤ 15 varint bytes plus the count header.
 func updatesPayloadCap(numCounters uint32) uint32 {
-	cap := uint64(binary.MaxVarintLen32) + uint64(numCounters)*(binary.MaxVarintLen32+binary.MaxVarintLen64)
-	if cap > maxFrame {
-		return maxFrame
-	}
-	if cap < maxControlFrame {
-		return maxControlFrame // keep room for the done frame
-	}
-	return uint32(cap)
+	return clampFrame(uint64(binary.MaxVarintLen32) + uint64(numCounters)*(binary.MaxVarintLen32+binary.MaxVarintLen64))
+}
+
+// clampFrame bounds a computed payload cap to what a connection can carry:
+// at most maxFrame, at least maxControlFrame (room for the control frames —
+// done, joins — that share the connection).
+func clampFrame(cap uint64) uint32 {
+	return uint32(min(max(cap, maxControlFrame), maxFrame))
 }
 
 // structPayloadCap is the largest well-formed frameStructStats payload for a
@@ -263,15 +290,18 @@ func updatesPayloadCap(numCounters uint32) uint32 {
 // updatesPayloadCap, used to widen a connection's read limit when structure
 // learning is on.
 func structPayloadCap(numCells uint32) uint32 {
-	cap := uint64(binary.MaxVarintLen64) + uint64(binary.MaxVarintLen32) +
-		uint64(numCells)*(binary.MaxVarintLen32+binary.MaxVarintLen64)
-	if cap > maxFrame {
-		return maxFrame
+	return clampFrame(uint64(binary.MaxVarintLen64) + uint64(binary.MaxVarintLen32) +
+		uint64(numCells)*(binary.MaxVarintLen32+binary.MaxVarintLen64))
+}
+
+// innerFrameCap is the largest site-level data-frame payload a run admits:
+// the read limit for a direct site connection, and the per-group inner bound
+// on relay links. numCells is 0 with structure learning off.
+func innerFrameCap(numCounters, numCells uint32) uint32 {
+	if numCells == 0 {
+		return updatesPayloadCap(numCounters)
 	}
-	if cap < maxControlFrame {
-		return maxControlFrame
-	}
-	return uint32(cap)
+	return max(updatesPayloadCap(numCounters), structPayloadCap(numCells))
 }
 
 // Update is one counter update entry inside a frameUpdates frame.
@@ -303,10 +333,10 @@ type StartConfig struct {
 	StreamSeed uint64
 	// LatencyMicros is an artificial per-frame delay emulating WAN RTT.
 	LatencyMicros uint32
-	// BatchEvents is the site-side delta-batching cadence (protocol version
-	// 2): the site coalesces report decisions into a local delta buffer and
-	// ships one frameUpdates2 frame every BatchEvents events. 0 selects the
-	// version-1 behavior — one frameUpdates frame per triggering event.
+	// BatchEvents is the site's report window: decided reports coalesce
+	// (latest count per counter) and ship as one frame every BatchEvents
+	// events. 0 is the per-event protocol, a window of one: one frame per
+	// event that triggered a report.
 	BatchEvents uint32
 	// StructBatchEvents is the online structure-learning cadence (protocol
 	// version 4): the site accumulates pairwise co-occurrence counts over
@@ -397,6 +427,14 @@ func (c *conn) writeFrame(t byte, payload []byte) error {
 
 func (c *conn) flush() error { return c.w.Flush() }
 
+// send writes one frame and flushes.
+func (c *conn) send(t byte, payload []byte) error {
+	if err := c.writeFrame(t, payload); err != nil {
+		return err
+	}
+	return c.flush()
+}
+
 func (c *conn) readFrame() (byte, []byte, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(c.r, hdr[:]); err != nil {
@@ -411,6 +449,34 @@ func (c *conn) readFrame() (byte, []byte, error) {
 		return 0, nil, err
 	}
 	return hdr[0], payload, nil
+}
+
+// peer is an accepted connection as its owner (coordinator or relay) writes
+// control frames to it: a site's own connection, or — isRelay — a relay link
+// carrying many sites, on which a site's control frames travel wrapped in
+// frameRelayCtl for the relay to unwrap and deliver. Handshake replies, ctl
+// deliveries and the closing stats race each other, so writers hold wmu.
+type peer struct {
+	raw     net.Conn
+	c       *conn
+	isRelay bool
+	wmu     sync.Mutex
+}
+
+// write sends one frame and flushes.
+func (p *peer) write(t byte, payload []byte) error {
+	p.wmu.Lock()
+	defer p.wmu.Unlock()
+	return p.c.send(t, payload)
+}
+
+// writeCtl sends site one control frame (frameStart, frameResumeAck,
+// frameStats), wrapped when the next hop is a relay.
+func (p *peer) writeCtl(site uint32, t byte, payload []byte) error {
+	if p.isRelay {
+		t, payload = frameRelayCtl, encodeRelayWrapped(site, t, payload)
+	}
+	return p.write(t, payload)
 }
 
 // encodeStart serializes a StartConfig. The trailing fields are append-only
@@ -546,24 +612,14 @@ func decodeStart(b []byte) (StartConfig, error) {
 	return cfg, nil
 }
 
-// encodeUpdates serializes merged counter updates into dst (reused).
-func encodeUpdates(dst []byte, ups []Update) []byte {
-	dst = dst[:0]
-	var tmp [12]byte
-	for _, u := range ups {
-		binary.LittleEndian.PutUint32(tmp[:4], u.Counter)
-		binary.LittleEndian.PutUint64(tmp[4:], uint64(u.LocalCount))
-		dst = append(dst, tmp[:]...)
-	}
-	return dst
-}
-
-// decodeUpdates parses a frameUpdates payload into dst (reused).
+// decodeUpdates parses a frameUpdates payload — the fixed-width format no
+// writer emits any more (wire formats are append-only: old sites and the
+// committed fuzz corpus still speak it) — appending the entries to dst. Ids
+// are not validated here; the caller bounds-checks them against its layout.
 func decodeUpdates(dst []Update, b []byte) ([]Update, error) {
 	if len(b)%12 != 0 {
 		return nil, fmt.Errorf("cluster: updates frame length %d not a multiple of 12", len(b))
 	}
-	dst = dst[:0]
 	for len(b) > 0 {
 		dst = append(dst, Update{
 			Counter:    binary.LittleEndian.Uint32(b[:4]),
@@ -580,25 +636,22 @@ func decodeUpdates(dst []Update, b []byte) ([]Update, error) {
 // delta-encoded and everything is uvarint, so a window frame costs a few
 // bytes per touched counter instead of 12.
 func encodeUpdates2(dst []byte, ups []Update) []byte {
-	dst = dst[:0]
-	var tmp [binary.MaxVarintLen64]byte
-	dst = append(dst, tmp[:binary.PutUvarint(tmp[:], uint64(len(ups)))]...)
+	dst = binary.AppendUvarint(dst[:0], uint64(len(ups)))
 	prev := uint32(0)
 	for _, u := range ups {
-		delta := u.Counter - prev // for the first entry prev is 0: delta is the id itself
-		dst = append(dst, tmp[:binary.PutUvarint(tmp[:], uint64(delta))]...)
-		dst = append(dst, tmp[:binary.PutUvarint(tmp[:], uint64(u.LocalCount))]...)
+		dst = binary.AppendUvarint(dst, uint64(u.Counter-prev)) // first entry: prev is 0, the delta is the id itself
+		dst = binary.AppendUvarint(dst, uint64(u.LocalCount))
 		prev = u.Counter
 	}
 	return dst
 }
 
-// decodeUpdates2 parses a frameUpdates2 payload into dst (reused),
-// validating before any allocation that the declared entry count fits both
-// the layout (maxCounters — a coalesced window cannot hold more entries than
-// there are counters) and the payload length (every entry is at least two
-// bytes). Ids must be strictly ascending and within the layout; counts must
-// be non-negative.
+// decodeUpdates2 parses a frameUpdates2 payload, appending the entries to
+// dst. Before any allocation it validates that the declared entry count fits
+// both the layout (maxCounters — a coalesced window cannot hold more entries
+// than there are counters) and the payload length (every entry is at least
+// two bytes). Ids must be strictly ascending and within the layout; counts
+// must be non-negative.
 func decodeUpdates2(dst []Update, b []byte, maxCounters uint32) ([]Update, error) {
 	n, used := binary.Uvarint(b)
 	if used <= 0 {
@@ -611,11 +664,7 @@ func decodeUpdates2(dst []Update, b []byte, maxCounters uint32) ([]Update, error
 	if n*2 > uint64(len(b)) { // every entry is ≥ 2 varint bytes; pre-allocation sanity bound
 		return nil, fmt.Errorf("cluster: updates2 frame declares %d entries in %d bytes", n, len(b))
 	}
-	if cap(dst) < int(n) {
-		dst = make([]Update, 0, n)
-	} else {
-		dst = dst[:0]
-	}
+	dst = slices.Grow(dst, int(n))
 	id := uint64(0)
 	for i := uint64(0); i < n; i++ {
 		delta, used := binary.Uvarint(b)
@@ -684,8 +733,8 @@ func encodeStructUpdates(siteEvents uint64, ups []Update) []byte {
 	return append(binary.AppendUvarint(nil, siteEvents), encodeUpdates2(nil, ups)...)
 }
 
-// decodeStructStats parses a frameStructStats payload into dst (reused),
-// returning the site's event count and its cumulative cell counts. The
+// decodeStructStats parses a frameStructStats payload, returning the site's
+// event count and dst with its cumulative cell counts appended. The
 // entry section shares decodeUpdates2's validation: the declared entry
 // count is length-checked against maxCells and the payload before any
 // allocation, ids must be strictly ascending within the structure layout,
@@ -915,13 +964,6 @@ func decodeRelayGroups(dst []relayGroup, b []byte, maxSites, innerCap uint32) ([
 // grouped mirror of updatesPayloadCap, used to widen a relay-carrying
 // connection's read limit.
 func relayPayloadCap(numSites, innerCap uint32) uint32 {
-	cap := uint64(binary.MaxVarintLen32) +
-		uint64(numSites)*(2*binary.MaxVarintLen32+uint64(innerCap))
-	if cap > maxFrame {
-		return maxFrame
-	}
-	if cap < maxControlFrame {
-		return maxControlFrame
-	}
-	return uint32(cap)
+	return clampFrame(uint64(binary.MaxVarintLen32) +
+		uint64(numSites)*(2*binary.MaxVarintLen32+uint64(innerCap)))
 }

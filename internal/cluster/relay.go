@@ -41,18 +41,6 @@ type RelayConfig struct {
 	RetryBase, RetryCap time.Duration
 }
 
-// relayDown is one downstream connection: a site, or a child relay carrying
-// many sites.
-type relayDown struct {
-	raw net.Conn
-	c   *conn
-	// isRelay marks a child-relay connection: control frames going down are
-	// wrapped in frameRelayCtl instead of written raw.
-	isRelay bool
-	// wmu serializes writers (ctl deliveries race each other).
-	wmu sync.Mutex
-}
-
 // relaySiteState is the relay's folded view of one downstream site. The fold
 // is the coordinator's idempotent max-merge over the site's monotone counts,
 // applied mid-tier: the folded vector always equals the site's latest
@@ -64,21 +52,15 @@ type relayDown struct {
 type relaySiteState struct {
 	// known marks a site id the relay has seen traffic for.
 	known bool
-	// counts[id] is the folded latest reported local count (lazily sized to
-	// the layout on first contact).
-	counts []int64
-	// dirty[id] marks counts mutated since the last upstream flush; dirtyAny
-	// short-circuits clean sites.
-	dirty    []bool
-	dirtyAny bool
-	// Structure-learning overlay fold (sized lazily; unused when off).
-	structCounts []int64
-	structDirty  []bool
-	structAny    bool
-	structEvents uint64
+	// counts is the folded latest reported local count per counter; structs
+	// the folded cumulative pair cells of the structure-learning overlay
+	// (never sized when it is off), stamped with the site's stream position
+	// structEvents.
+	counts, structs dirtyVec
+	structEvents    uint64
 	// down is the current downstream connection carrying this site (nil
 	// while disconnected). Many sites may share one child-relay connection.
-	down *relayDown
+	down *peer
 	// pending is the site's last join (hello/resume) still awaiting the
 	// parent's ctl reply; re-forwarded if the upstream connection is
 	// replaced first, so a join can never be lost in a reconnect window.
@@ -98,9 +80,10 @@ type relaySiteState struct {
 // upstream it is a single connection to its parent carrying the whole
 // subtree's traffic.
 //
-// Per-site frameUpdates/frameUpdates2/frameStructStats frames fold locally
-// into per-site cumulative vectors and ship upstream coalesced: one grouped
-// frameRelayUpdates frame per flush round carries every dirty site, so the
+// Every downstream connection — site or child relay — is read through a
+// frameFolder whose fold target is the relay itself: data frames fold into
+// per-site dirtyVecs and ship upstream coalesced, one grouped
+// frameRelayUpdates frame per flush round carrying every dirty site, so the
 // parent's frame rate divides by the relay's branching factor while every
 // final estimate stays bit-identical (monotone counts, idempotent max-merge
 // — the same invariants that make resume replays exact).
@@ -146,6 +129,11 @@ type Relay struct {
 	DownFrames atomic.Int64
 	UpFrames   atomic.Int64
 
+	// downs tracks the accepted downstream connections; its wait group also
+	// joins the accept and flush loops, so Close returns with every goroutine
+	// the relay started gone.
+	downs connSet
+
 	closed    atomic.Bool
 	closeOnce sync.Once
 	done      chan struct{}
@@ -174,9 +162,12 @@ func NewRelay(cfg RelayConfig, addr string) (*Relay, error) {
 func (r *Relay) Addr() string { return r.ln.Addr().String() }
 
 // Close stops the relay: the listener, the upstream connection and every
-// downstream connection are closed. Safe to call at any time and more than
-// once. Sites that were routed through the relay reconnect elsewhere (or to
-// a restarted relay on the same address) and resume.
+// downstream connection — attached or still handshaking — are closed, and
+// the accept loop, the flusher and every downstream reader have exited when
+// it returns (Run, on its caller's goroutine, returns promptly after). Safe
+// to call at any time and more than once. Sites that were routed through the
+// relay reconnect elsewhere (or to a restarted relay on the same address)
+// and resume.
 func (r *Relay) Close() error {
 	r.closeOnce.Do(func() {
 		r.closed.Store(true)
@@ -187,14 +178,9 @@ func (r *Relay) Close() error {
 			r.upRaw.Close()
 		}
 		r.upMu.Unlock()
-		r.mu.Lock()
-		for i := range r.sites {
-			if d := r.sites[i].down; d != nil {
-				d.raw.Close()
-			}
-		}
-		r.mu.Unlock()
+		r.downs.closeAll()
 	})
+	r.downs.wg.Wait()
 	return nil
 }
 
@@ -203,28 +189,6 @@ func (r *Relay) flushInterval() time.Duration {
 		return r.cfg.FlushInterval
 	}
 	return 2 * time.Millisecond
-}
-
-func (r *Relay) dialAttempts() int {
-	if r.cfg.DialAttempts > 0 {
-		return r.cfg.DialAttempts
-	}
-	return 8
-}
-
-func (r *Relay) backoff(n int, jrng *bn.RNG) time.Duration {
-	base, cap := r.cfg.RetryBase, r.cfg.RetryCap
-	if base <= 0 {
-		base = 20 * time.Millisecond
-	}
-	if cap <= 0 {
-		cap = time.Second
-	}
-	d := base << uint(min(n, 20))
-	if d > cap || d <= 0 {
-		d = cap
-	}
-	return d + time.Duration(jrng.Float64()*0.5*float64(d))
 }
 
 // Run connects upstream, learns the run's base configuration, and serves the
@@ -237,8 +201,15 @@ func (r *Relay) Run() error {
 	if err := r.connectUp(jrng, true); err != nil {
 		return err
 	}
-	go r.acceptLoop()
-	go r.flushLoop()
+	r.downs.wg.Add(2)
+	go func() {
+		defer r.downs.wg.Done()
+		_ = r.downs.acceptLoop(r.ln, r.handleDown) // ends when Close closes the listener
+	}()
+	go func() {
+		defer r.downs.wg.Done()
+		r.flushLoop()
+	}()
 	return r.upReadLoop(jrng)
 }
 
@@ -246,55 +217,20 @@ func (r *Relay) Run() error {
 // configuration. On the first connection it derives the fold layout; later
 // reconnects verify the run still matches.
 func (r *Relay) connectUp(jrng *bn.RNG, first bool) error {
-	var lastErr error
-	for n := 0; n < r.dialAttempts(); n++ {
-		if n > 0 {
-			time.Sleep(r.backoff(n-1, jrng))
-		}
+	retry := retryPolicy{attempts: r.cfg.DialAttempts, base: r.cfg.RetryBase, cap: r.cfg.RetryCap}
+	err := retry.try(jrng, r.done, func() (terminal bool, err error) {
 		if r.closed.Load() {
-			return ErrRelayClosed
+			return true, ErrRelayClosed
 		}
 		raw, err := net.Dial("tcp", r.cfg.Parent)
 		if err != nil {
-			lastErr = err
-			continue
+			return false, err
 		}
 		c := newConn(raw)
-		if err := c.writeFrame(frameRelayHello, encodeHello(r.cfg.ID)); err == nil {
-			err = c.flush()
-		} else {
+		if terminal, err = r.helloUp(c, first); err != nil {
 			raw.Close()
-			lastErr = err
-			continue
+			return terminal, err
 		}
-		t, payload, err := c.readFrame()
-		if err != nil {
-			raw.Close()
-			lastErr = err
-			continue
-		}
-		if t != frameStart {
-			raw.Close()
-			return fmt.Errorf("cluster: relay %d got frame %d, want start", r.cfg.ID, t)
-		}
-		base, err := decodeStart(payload)
-		if err != nil {
-			raw.Close()
-			return err
-		}
-		if first {
-			if err := r.initFromBase(base); err != nil {
-				raw.Close()
-				return err
-			}
-		} else if base.NetName != r.base.NetName || base.Sites != r.base.Sites {
-			raw.Close()
-			return fmt.Errorf("cluster: relay %d reconnected to a different run (%s/%d sites, was %s/%d)",
-				r.cfg.ID, base.NetName, base.Sites, r.base.NetName, r.base.Sites)
-		}
-		// Ctl frames wrap small control payloads only; the grouped data
-		// frames travel up, never down.
-		c.setReadLimit(maxControlFrame + 16)
 		r.upMu.Lock()
 		if r.upRaw != nil {
 			r.upRaw.Close()
@@ -303,11 +239,36 @@ func (r *Relay) connectUp(jrng *bn.RNG, first bool) error {
 		r.upMu.Unlock()
 		if r.closed.Load() {
 			raw.Close()
-			return ErrRelayClosed
+			return true, ErrRelayClosed
 		}
-		return nil
+		return false, nil
+	})
+	if err != nil && !errors.Is(err, ErrRelayClosed) {
+		return fmt.Errorf("cluster: relay %d connecting to parent: %w", r.cfg.ID, err)
 	}
-	return fmt.Errorf("cluster: relay %d dial parent: %w", r.cfg.ID, lastErr)
+	return err
+}
+
+// helloUp introduces the relay on a fresh upstream connection and checks the
+// base configuration the parent answers with. terminal marks a failure a
+// redial cannot cure.
+func (r *Relay) helloUp(c *conn, first bool) (terminal bool, err error) {
+	base, terminal, err := hello(c, frameRelayHello, r.cfg.ID)
+	if err != nil {
+		return terminal, err
+	}
+	if first {
+		if err := r.initFromBase(base); err != nil {
+			return true, err
+		}
+	} else if base.NetName != r.base.NetName || base.Sites != r.base.Sites {
+		return true, fmt.Errorf("reconnected to a different run (%s/%d sites, was %s/%d)",
+			base.NetName, base.Sites, r.base.NetName, r.base.Sites)
+	}
+	// Ctl frames wrap small control payloads only; the grouped data frames
+	// travel up, never down.
+	c.setReadLimit(maxControlFrame + 16)
+	return false, nil
 }
 
 // initFromBase derives the fold layout from the base run configuration —
@@ -323,17 +284,14 @@ func (r *Relay) initFromBase(base StartConfig) error {
 	}
 	r.base = base
 	r.layout = layout
-	r.innerCap = updatesPayloadCap(layout.NumCounters())
 	if base.StructBatchEvents > 0 {
 		sl, err := NewStructLayout(netw)
 		if err != nil {
 			return err
 		}
 		r.structCells = sl.Cells()
-		if sc := structPayloadCap(r.structCells); sc > r.innerCap {
-			r.innerCap = sc
-		}
 	}
+	r.innerCap = innerFrameCap(layout.NumCounters(), r.structCells)
 	r.sites = make([]relaySiteState, base.Sites)
 	return nil
 }
@@ -387,20 +345,9 @@ func (r *Relay) deliver(site uint32, innerType byte, inner []byte) {
 	}
 	d := s.down
 	r.mu.Unlock()
-	if d == nil {
-		return
+	if d != nil {
+		_ = d.writeCtl(site, innerType, inner) // a dead downstream link detaches itself
 	}
-	d.wmu.Lock()
-	var err error
-	if d.isRelay {
-		err = d.c.writeFrame(frameRelayCtl, encodeRelayWrapped(site, innerType, inner))
-	} else {
-		err = d.c.writeFrame(innerType, inner)
-	}
-	if err == nil {
-		d.c.flush()
-	}
-	d.wmu.Unlock()
 }
 
 // forwardJoin ships one wrapped join upstream. Write errors are dropped: the
@@ -410,9 +357,7 @@ func (r *Relay) forwardJoin(site uint32, kind byte, inner []byte) {
 	payload := encodeRelayWrapped(site, kind, inner)
 	r.upMu.Lock()
 	if r.up != nil {
-		if err := r.up.writeFrame(frameRelayJoin, payload); err == nil {
-			r.up.flush()
-		}
+		_ = r.up.send(frameRelayJoin, payload)
 	}
 	r.upMu.Unlock()
 }
@@ -441,20 +386,8 @@ func (r *Relay) replayUp() {
 		case s.down != nil || s.done:
 			joins = append(joins, j{uint32(i), relayJoinReattach, nil})
 		}
-		// Full replay: every nonzero folded count is dirty again. Counts
-		// are monotone and the fold is max-merge, so over-shipping is free.
-		for id, n := range s.counts {
-			if n != 0 {
-				s.dirty[id] = true
-				s.dirtyAny = true
-			}
-		}
-		for id, n := range s.structCounts {
-			if n != 0 {
-				s.structDirty[id] = true
-				s.structAny = true
-			}
-		}
+		s.counts.markAll()
+		s.structs.markAll()
 		if s.done {
 			dones = append(dones, j{uint32(i), relayJoinDone, encodeDone(uint32(i), s.doneEvents)})
 		}
@@ -469,29 +402,19 @@ func (r *Relay) replayUp() {
 	}
 }
 
-// acceptLoop admits downstream connections until the listener closes.
-func (r *Relay) acceptLoop() {
-	for {
-		raw, err := r.ln.Accept()
-		if err != nil {
-			return
-		}
-		go r.handleDown(raw)
-	}
-}
-
-// handleDown performs the downstream handshake: sites open with hello or
-// resume (forwarded upstream as wrapped joins; the parent's reply routes
-// back through deliver), child relays open with relayHello (answered
-// locally from the cached base config).
-func (r *Relay) handleDown(raw net.Conn) {
+// handleDown serves one accepted downstream connection: sites open with
+// hello or resume (forwarded upstream as wrapped joins; the parent's reply
+// routes back through deliver), child relays open with relayHello (answered
+// locally from the cached base config). It reports whether the connection
+// stays open after it returns — only a site that sent Done does, attached and
+// idle, so the closing stats can route down to it.
+func (r *Relay) handleDown(raw net.Conn) (keep bool) {
 	c := newConn(raw)
 	t, payload, err := c.readFrame()
 	if err != nil {
-		raw.Close()
-		return
+		return false
 	}
-	d := &relayDown{raw: raw, c: c}
+	d := &peer{raw: raw, c: c}
 	switch t {
 	case frameHello, frameResume:
 		var site uint32
@@ -503,8 +426,7 @@ func (r *Relay) handleDown(raw net.Conn) {
 			site = req.Site
 		}
 		if err != nil || site >= uint32(len(r.sites)) {
-			raw.Close()
-			return
+			return false
 		}
 		kind := relayJoinHello
 		var inner []byte
@@ -517,23 +439,16 @@ func (r *Relay) handleDown(raw net.Conn) {
 		r.forwardJoin(site, kind, inner)
 		if err := r.siteLoop(d, site); err != nil {
 			r.detachDown(site, d)
+			return false
 		}
-		// A nil return is Done: the connection stays attached, idle, so the
-		// closing stats can route down to the site.
+		return true
 	case frameRelayHello:
 		// Child relay: it needs the base config we already hold.
 		d.isRelay = true
 		base := r.base
 		base.Site, base.Events = 0, 0
-		d.wmu.Lock()
-		err := c.writeFrame(frameStart, encodeStart(base))
-		if err == nil {
-			err = c.flush()
-		}
-		d.wmu.Unlock()
-		if err != nil {
-			raw.Close()
-			return
+		if d.write(frameStart, encodeStart(base)) != nil {
+			return false
 		}
 		c.setReadLimit(relayPayloadCap(uint32(len(r.sites)), r.innerCap))
 		r.childRelayLoop(d)
@@ -555,16 +470,15 @@ func (r *Relay) handleDown(raw net.Conn) {
 		for _, site := range lostSites {
 			r.forwardJoin(site, relayJoinDetach, nil)
 		}
-	default:
-		raw.Close()
 	}
+	return false
 }
 
 // attachDown records a site's downstream connection and its pending join.
-func (r *Relay) attachDown(site uint32, d *relayDown, kind byte, inner []byte) {
+func (r *Relay) attachDown(site uint32, d *peer, kind byte, inner []byte) {
 	r.mu.Lock()
 	s := &r.sites[site]
-	r.ensureSiteLocked(s)
+	s.known = true
 	if s.down != nil && s.down != d && !s.down.isRelay {
 		s.down.raw.Close() // superseded; latest wins, as at the coordinator
 	}
@@ -578,19 +492,6 @@ func (r *Relay) attachDown(site uint32, d *relayDown, kind byte, inner []byte) {
 	r.mu.Unlock()
 }
 
-// ensureSiteLocked lazily sizes a site's fold vectors. Caller holds r.mu.
-func (r *Relay) ensureSiteLocked(s *relaySiteState) {
-	s.known = true
-	if s.counts == nil {
-		s.counts = make([]int64, r.layout.NumCounters())
-		s.dirty = make([]bool, r.layout.NumCounters())
-	}
-	if r.structCells > 0 && s.structCounts == nil {
-		s.structCounts = make([]int64, r.structCells)
-		s.structDirty = make([]bool, r.structCells)
-	}
-}
-
 // siteDetachedLocked updates the round accounting when a site's downstream
 // connection is lost. Caller holds r.mu.
 func (r *Relay) siteDetachedLocked(s *relaySiteState) {
@@ -601,7 +502,7 @@ func (r *Relay) siteDetachedLocked(s *relaySiteState) {
 
 // detachDown clears a site's downstream connection (if d is still current)
 // and forwards the detach so the coordinator arms the site's grace timer.
-func (r *Relay) detachDown(site uint32, d *relayDown) {
+func (r *Relay) detachDown(site uint32, d *peer) {
 	r.mu.Lock()
 	s := &r.sites[site]
 	if s.down != d {
@@ -618,109 +519,73 @@ func (r *Relay) detachDown(site uint32, d *relayDown) {
 	}
 }
 
-// siteLoop consumes one site connection's data frames, folding them locally.
-// A nil return is the site's Done (flushed and forwarded, connection kept);
-// an error detaches the connection.
-func (r *Relay) siteLoop(d *relayDown, site uint32) error {
-	var ups []Update
+// newFolder builds the data-frame reader for one downstream connection (site
+// = relayPeer for a child relay), folding into this relay.
+func (r *Relay) newFolder(from string, site uint32) *frameFolder {
+	total := r.layout.NumCounters()
+	return &frameFolder{
+		target: r, from: fmt.Sprintf("relay %d: %s", r.cfg.ID, from), site: site,
+		sites: uint32(len(r.sites)), hi: total, counters: total,
+		cells: r.structCells, innerCap: r.innerCap,
+	}
+}
+
+// siteLoop consumes one site connection's frames. A nil return is the
+// site's Done (flushed and forwarded, connection kept); an error detaches
+// the connection.
+func (r *Relay) siteLoop(d *peer, site uint32) error {
+	folder := r.newFolder(fmt.Sprintf("site %d", site), site)
 	for {
 		t, payload, err := d.c.readFrame()
 		if err != nil {
 			return err
 		}
-		switch t {
-		case frameUpdates:
-			ups, err = decodeUpdates(ups, payload)
-			if err != nil {
-				return err
-			}
-			if err := r.fold(site, ups); err != nil {
-				return err
-			}
-		case frameUpdates2:
-			ups, err = decodeUpdates2(ups, payload, r.layout.NumCounters())
-			if err != nil {
-				return err
-			}
-			if err := r.fold(site, ups); err != nil {
-				return err
-			}
-		case frameStructStats:
-			if r.structCells == 0 {
-				return fmt.Errorf("cluster: relay %d: site %d sent struct stats but structure learning is off", r.cfg.ID, site)
-			}
-			var siteEvents uint64
-			siteEvents, ups, err = decodeStructStats(ups, payload, r.structCells)
-			if err != nil {
-				return err
-			}
-			r.foldStruct(site, siteEvents, ups)
-		case frameDone:
-			_, events, err := decodeDone(payload)
-			if err != nil {
-				return err
-			}
-			r.siteDone(site, events, payload)
-			return nil
-		default:
-			return fmt.Errorf("cluster: relay %d: site %d unexpected frame %d", r.cfg.ID, site, t)
+		if data, err := folder.fold(t, payload); err != nil {
+			return err
+		} else if data {
+			continue
 		}
+		if t != frameDone {
+			return fmt.Errorf("cluster: %s unexpected frame %d", folder.from, t)
+		}
+		_, events, err := decodeDone(payload)
+		if err != nil {
+			return err
+		}
+		r.siteDone(site, events, payload)
+		return nil
 	}
 }
 
-// childRelayLoop consumes a child relay's frames: wrapped joins (bookkept
-// locally, forwarded up) and grouped data frames (unwrapped and folded per
-// site — the fold composes across tiers because max-merge is associative).
-func (r *Relay) childRelayLoop(d *relayDown) {
-	var ups []Update
-	var groups []relayGroup
+// childRelayLoop consumes a child relay's frames until the link dies or
+// speaks garbage: grouped data frames re-fold per site (the fold composes
+// across tiers because max-merge is associative), wrapped joins are
+// bookkept locally and forwarded up.
+func (r *Relay) childRelayLoop(d *peer) {
+	folder := r.newFolder("child relay", relayPeer)
 	for {
 		t, payload, err := d.c.readFrame()
 		if err != nil {
 			return
 		}
-		switch t {
-		case frameRelayJoin:
-			site, kind, inner, err := decodeRelayWrapped(payload)
-			if err != nil || site >= uint32(len(r.sites)) {
-				return
-			}
-			r.childJoin(d, site, kind, inner)
-		case frameRelayUpdates:
-			groups, err = decodeRelayGroups(groups, payload, uint32(len(r.sites)), r.innerCap)
-			if err != nil {
-				return
-			}
-			for _, g := range groups {
-				ups, err = decodeUpdates2(ups, g.Payload, r.layout.NumCounters())
-				if err != nil {
-					return
-				}
-				if r.fold(g.Site, ups) != nil {
-					return
-				}
-			}
-		case frameRelayStruct:
-			groups, err = decodeRelayGroups(groups, payload, uint32(len(r.sites)), r.innerCap)
-			if err != nil || r.structCells == 0 {
-				return
-			}
-			for _, g := range groups {
-				var siteEvents uint64
-				siteEvents, ups, err = decodeStructStats(ups, g.Payload, r.structCells)
-				if err != nil {
-					return
-				}
-				r.foldStruct(g.Site, siteEvents, ups)
-			}
-		default:
+		if data, err := folder.fold(t, payload); err != nil {
+			return
+		} else if data {
+			continue
+		}
+		if t != frameRelayJoin {
 			return
 		}
+		site, kind, inner, err := decodeRelayWrapped(payload)
+		if err != nil || site >= uint32(len(r.sites)) {
+			return
+		}
+		r.childJoin(d, site, kind, inner)
 	}
 }
 
 // childJoin bookkeeps one join forwarded by a child relay and passes it up.
-func (r *Relay) childJoin(d *relayDown, site uint32, kind byte, inner []byte) {
+func (r *Relay) childJoin(d *peer, site uint32, kind byte, inner []byte) {
 	switch kind {
 	case relayJoinHello, relayJoinResume, relayJoinReattach:
 		r.attachDown(site, d, kind, append([]byte(nil), inner...))
@@ -757,7 +622,7 @@ func (r *Relay) childJoin(d *relayDown, site uint32, kind byte, inner []byte) {
 func (r *Relay) siteDone(site uint32, events int64, donePayload []byte) {
 	r.mu.Lock()
 	s := &r.sites[site]
-	r.ensureSiteLocked(s)
+	s.known = true
 	if !s.done {
 		s.done = true
 		s.doneEvents = events
@@ -770,46 +635,29 @@ func (r *Relay) siteDone(site uint32, events int64, donePayload []byte) {
 	r.forwardJoin(site, relayJoinDone, donePayload)
 }
 
-// fold max-merges one decoded per-site update batch into the site's folded
-// vector and signals the flusher.
-func (r *Relay) fold(site uint32, ups []Update) error {
-	total := r.layout.NumCounters()
+// foldCounts max-merges one site's decoded report batch into its folded
+// vector and signals the flusher (foldTarget).
+func (r *Relay) foldCounts(site uint32, ups []Update) {
 	r.mu.Lock()
 	s := &r.sites[site]
-	r.ensureSiteLocked(s)
-	for _, u := range ups {
-		if u.Counter >= total {
-			r.mu.Unlock()
-			return fmt.Errorf("cluster: relay %d: site %d counter %d out of range", r.cfg.ID, site, u.Counter)
-		}
-		if u.LocalCount > s.counts[u.Counter] {
-			s.counts[u.Counter] = u.LocalCount
-			s.dirty[u.Counter] = true
-			s.dirtyAny = true
-		}
-	}
+	s.known = true
+	s.counts.merge(r.layout.NumCounters(), ups)
 	r.mu.Unlock()
 	r.noteDownFrame()
-	return nil
 }
 
-// foldStruct max-merges one struct-stats frame into the site's cumulative
-// cell vector.
+// foldStruct max-merges one site's struct-stats batch into its cumulative
+// cell vector (foldTarget). A stamp that moved ships even with no cell
+// changed: the coordinator's window clock runs on it.
 func (r *Relay) foldStruct(site uint32, siteEvents uint64, ups []Update) {
 	r.mu.Lock()
 	s := &r.sites[site]
-	r.ensureSiteLocked(s)
+	s.known = true
 	if siteEvents > s.structEvents {
 		s.structEvents = siteEvents
-		s.structAny = true
+		s.structs.any = true
 	}
-	for _, u := range ups {
-		if u.Counter < uint32(len(s.structCounts)) && u.LocalCount > s.structCounts[u.Counter] {
-			s.structCounts[u.Counter] = u.LocalCount
-			s.structDirty[u.Counter] = true
-			s.structAny = true
-		}
-	}
+	s.structs.merge(r.structCells, ups)
 	r.mu.Unlock()
 	r.noteDownFrame()
 }
@@ -875,33 +723,18 @@ func (r *Relay) flushUp() {
 	r.mu.Lock()
 	for i := range r.sites {
 		s := &r.sites[i]
-		if s.dirtyAny {
-			ups = ups[:0]
-			for id, d := range s.dirty {
-				if d {
-					ups = append(ups, Update{Counter: uint32(id), LocalCount: s.counts[id]})
-					s.dirty[id] = false
-				}
-			}
-			s.dirtyAny = false
-			if len(ups) > 0 {
+		if s.counts.any {
+			if ups = s.counts.drain(ups[:0]); len(ups) > 0 {
 				groups = append(groups, relayGroup{Site: uint32(i), Payload: encodeUpdates2(nil, ups)})
 			}
 		}
-		if s.structAny {
-			ups = ups[:0]
-			for id, d := range s.structDirty {
-				if d {
-					ups = append(ups, Update{Counter: uint32(id), LocalCount: s.structCounts[id]})
-					s.structDirty[id] = false
-				}
-			}
-			s.structAny = false
+		if s.structs.any {
+			ups = s.structs.drain(ups[:0])
 			sgroups = append(sgroups, relayGroup{Site: uint32(i), Payload: encodeStructUpdates(s.structEvents, ups)})
 		}
 	}
 	r.mu.Unlock()
-	if len(groups) == 0 && len(sgroups) == 0 {
+	if len(groups)+len(sgroups) == 0 {
 		return
 	}
 	r.upMu.Lock()
@@ -909,24 +742,18 @@ func (r *Relay) flushUp() {
 	if r.up == nil {
 		return // reconnecting; the replay will re-ship
 	}
-	ok := true
-	if len(groups) > 0 {
-		r.upBuf = encodeRelayGroups(r.upBuf, groups)
-		if err := r.up.writeFrame(frameRelayUpdates, r.upBuf); err != nil {
-			ok = false
-		} else {
-			r.UpFrames.Add(1)
+	for _, f := range [2]struct {
+		t      byte
+		groups []relayGroup
+	}{{frameRelayUpdates, groups}, {frameRelayStruct, sgroups}} {
+		if len(f.groups) == 0 {
+			continue
 		}
-	}
-	if ok && len(sgroups) > 0 {
-		r.upBuf = encodeRelayGroups(r.upBuf, sgroups)
-		if err := r.up.writeFrame(frameRelayStruct, r.upBuf); err != nil {
-			ok = false
-		} else {
-			r.UpFrames.Add(1)
+		r.upBuf = encodeRelayGroups(r.upBuf, f.groups)
+		if r.up.writeFrame(f.t, r.upBuf) != nil {
+			return // dead link: the upstream reader reconnects and replays
 		}
+		r.UpFrames.Add(1)
 	}
-	if ok {
-		r.up.flush()
-	}
+	r.up.flush()
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -17,7 +18,12 @@ const fuzzRelaySites = 16
 // counts, out-of-range sites or ids — the decoders must error or produce
 // well-formed groups, never panic, and the fold → re-encode → decode round
 // trip must reproduce the folded per-site state exactly (the invariant that
-// makes a relay tier invisible to final estimates).
+// makes a relay tier invisible to final estimates). The same bytes also go
+// through the production reader (frameFolder into a Relay), read both as
+// frameRelayUpdates — where the folded vectors must equal the reference fold
+// whenever the reader accepts the frame — and as frameRelayStruct, whose
+// fold → re-encode → decode round trip must reproduce the folded cells and
+// stamp; a rejected frame must leave the relay untouched.
 func FuzzRelayGroups(f *testing.F) {
 	for _, seed := range fuzzRelayGroupSeeds() {
 		f.Add(seed)
@@ -30,12 +36,14 @@ func FuzzRelayGroups(f *testing.F) {
 		}
 		// Fold: the relay's per-site max-merge over monotone counts.
 		folded := map[uint32]map[uint32]int64{}
+		allValid := true
 		for _, g := range groups {
 			if g.Site >= fuzzRelaySites {
 				t.Fatalf("decodeRelayGroups accepted out-of-range site %d", g.Site)
 			}
 			ups, err := decodeUpdates2(nil, g.Payload, fuzzMaxCounters)
 			if err != nil {
+				allValid = false
 				continue // garbage inner payload: the relay drops the conn
 			}
 			m := folded[g.Site]
@@ -49,6 +57,7 @@ func FuzzRelayGroups(f *testing.F) {
 				}
 			}
 		}
+		fuzzRelayFold(t, data, innerCap, folded, allValid)
 		// Re-encode the folded state the way flushUp does: per site, the
 		// dirty counters ascending, grouped into one frame.
 		var out []relayGroup
@@ -98,6 +107,66 @@ func FuzzRelayGroups(f *testing.F) {
 	})
 }
 
+// fuzzRelayFold drives the production reader over one grouped payload that
+// decodeRelayGroups accepted; want is the reference fold of its groups read
+// as counter updates, complete when allValid.
+func fuzzRelayFold(t *testing.T, data []byte, innerCap uint32, want map[uint32]map[uint32]int64, allValid bool) {
+	newRelay := func() *Relay {
+		return &Relay{
+			layout: &Layout{total: fuzzMaxCounters}, structCells: fuzzMaxCounters, innerCap: innerCap,
+			sites: make([]relaySiteState, fuzzRelaySites), flushReq: make(chan struct{}, 1),
+		}
+	}
+	untouched := func(r *Relay, what string) {
+		for i := range r.sites {
+			if r.sites[i].known {
+				t.Fatalf("%s: rejected frame folded into site %d", what, i)
+			}
+		}
+	}
+
+	r := newRelay()
+	_, err := r.newFolder("fuzz", relayPeer).fold(frameRelayUpdates, data)
+	if (err == nil) != allValid {
+		t.Fatalf("reader accepted=%v, reference decode allValid=%v (%v)", err == nil, allValid, err)
+	}
+	if err != nil {
+		untouched(r, "updates")
+	} else {
+		for site := range r.sites {
+			got := r.sites[site].counts.drain(nil)
+			if len(got) != len(want[uint32(site)]) {
+				t.Fatalf("site %d: reader folded %d counters, reference %d", site, len(got), len(want[uint32(site)]))
+			}
+			for _, u := range got {
+				if want[uint32(site)][u.Counter] != u.LocalCount {
+					t.Fatalf("site %d counter %d: reader %d, reference %d", site, u.Counter, u.LocalCount, want[uint32(site)][u.Counter])
+				}
+			}
+		}
+	}
+
+	r = newRelay()
+	if _, err := r.newFolder("fuzz", relayPeer).fold(frameRelayStruct, data); err != nil {
+		untouched(r, "struct")
+		return
+	}
+	for site := range r.sites {
+		s := &r.sites[site]
+		if !s.structs.any {
+			continue
+		}
+		cells := slices.Clone(s.structs.vals)
+		events, ups, err := decodeStructStats(nil, encodeStructUpdates(s.structEvents, s.structs.drain(nil)), fuzzMaxCounters)
+		if err != nil || events != s.structEvents {
+			t.Fatalf("site %d: struct round trip: events %d != %d, err %v", site, events, s.structEvents, err)
+		}
+		if !slices.Equal(denseCounts(len(cells), ups), cells) {
+			t.Fatalf("site %d: struct round trip changed the folded cells", site)
+		}
+	}
+}
+
 // fuzzRelayGroupSeeds builds valid grouped payloads (including duplicate
 // sites, which the fold must merge) plus truncated and bit-flipped mutants
 // and adversarial headers.
@@ -134,6 +203,13 @@ func fuzzRelayGroupSeeds() [][]byte {
 	seeds = append(seeds, []byte{0xff, 0xff, 0xff, 0xff, 0x0f, 1, 1})
 	seeds = append(seeds, append(maxUvarint(), 1, 1))
 	seeds = append(seeds, []byte{1, 0, 0x7f, 1, 2, 3})
+	// A frameRelayStruct payload: per group a stamped frameStructStats
+	// payload (new seeds go last — the committed corpus is indexed).
+	add(encodeRelayGroups(nil, []relayGroup{
+		{Site: 1, Payload: encodeStructUpdates(256, []Update{{Counter: 0, LocalCount: 200}, {Counter: 7, LocalCount: 56}})},
+		{Site: 1, Payload: encodeStructUpdates(512, []Update{{Counter: 7, LocalCount: 90}, {Counter: 999, LocalCount: 1 << 33}})},
+		{Site: 9, Payload: encodeStructUpdates(300, nil)},
+	}))
 	return seeds
 }
 

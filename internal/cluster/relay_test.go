@@ -1,6 +1,9 @@
 package cluster
 
 import (
+	"errors"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -17,58 +20,99 @@ func allEstimates(co *Coordinator) []float64 {
 	return out
 }
 
+// structRows copies each site's cumulative struct row and stamped stream
+// position out of the coordinator's structure engine.
+func structRows(co *Coordinator) (rows [][]int64, siteEvents []uint64) {
+	e := co.structs
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, row := range e.perSite {
+		rows = append(rows, slices.Clone(row))
+	}
+	return rows, slices.Clone(e.siteEvents)
+}
+
 // TestTreeBitIdenticalToFlat is the tentpole acceptance check: a depth-2
 // relay tree produces bit-identical final estimates to a flat run of the
 // same Config (the relays fold per-site monotone counts with the same
 // idempotent max-merge the coordinator uses, so fold-then-forward cannot
 // change any estimate), while the root coordinator sees at least 3x fewer
-// frames at branching 4.
+// frames at branching 4. With structure learning on, the struct statistics
+// travel the same tree (Relay.foldStruct, frameRelayStruct, the coordinator's
+// grouped struct fold): each site's cumulative pair-count row and stamped
+// position at the coordinator must equal the flat run's — those are
+// interleaving-independent, unlike Swaps/Epoch, which depend on which sites'
+// statistics a relearn happened to see and stay unpinned with ≥ 2 sites.
 func TestTreeBitIdenticalToFlat(t *testing.T) {
-	cfg := Config{
-		NetName: "alarm", CPTSeed: 0xC0DE, Strategy: core.NonUniform,
-		Eps: 0.1, Delta: 0.25, Sites: 8, Events: 48000, StreamSeed: 7,
-		SiteBatchEvents: 200,
-	}
-	flatRes, flatCo, err := RunLocal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat := allEstimates(flatCo)
+	for _, structBatch := range []int{0, 256} {
+		t.Run(fmt.Sprintf("struct=%d", structBatch), func(t *testing.T) {
+			cfg := Config{
+				NetName: "alarm", CPTSeed: 0xC0DE, Strategy: core.NonUniform,
+				Eps: 0.1, Delta: 0.25, Sites: 8, Events: 48000, StreamSeed: 7,
+				SiteBatchEvents: 200, StructBatchEvents: structBatch,
+			}
+			flatRes, flatCo, err := RunLocal(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			flat := allEstimates(flatCo)
 
-	// A generous flush interval makes the round-trigger (one frame from
-	// every active child) the dominant flush cause, so the reduction factor
-	// is robustly ~branching even on a loaded test machine.
-	treeRes, treeCo, relays, err := RunLocalTree(cfg, 4, 200*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree := allEstimates(treeCo)
+			// A generous flush interval makes the round-trigger (one frame from
+			// every active child) the dominant flush cause, so the reduction factor
+			// is robustly ~branching even on a loaded test machine.
+			treeRes, treeCo, relays, err := RunLocalTree(cfg, 4, 200*time.Millisecond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tree := allEstimates(treeCo)
 
-	for id := range flat {
-		if flat[id] != tree[id] {
-			t.Fatalf("counter %d: flat %v, tree %v — relay fold changed an estimate", id, flat[id], tree[id])
-		}
-	}
-	if treeRes.Stats.Events != flatRes.Stats.Events {
-		t.Errorf("events: tree %d, flat %d", treeRes.Stats.Events, flatRes.Stats.Events)
-	}
-	// Updates may legitimately shrink through the tree (a flush that
-	// coalesces two windows ships one entry for a twice-updated counter),
-	// never grow — the fold re-ships only changed counters.
-	if treeRes.Stats.Updates > flatRes.Stats.Updates {
-		t.Errorf("updates: tree %d > flat %d (fold must not invent reports)",
-			treeRes.Stats.Updates, flatRes.Stats.Updates)
-	}
-	if 3*treeRes.Stats.Frames > flatRes.Stats.Frames {
-		t.Errorf("root frames %d, flat %d: want >= 3x reduction at branching 4",
-			treeRes.Stats.Frames, flatRes.Stats.Frames)
-	}
-	var down int64
-	for _, r := range relays {
-		down += r.DownFrames.Load()
-	}
-	if down == 0 {
-		t.Error("relays folded no downstream frames")
+			for id := range flat {
+				if flat[id] != tree[id] {
+					t.Fatalf("counter %d: flat %v, tree %v — relay fold changed an estimate", id, flat[id], tree[id])
+				}
+			}
+			if treeRes.Stats.Events != flatRes.Stats.Events {
+				t.Errorf("events: tree %d, flat %d", treeRes.Stats.Events, flatRes.Stats.Events)
+			}
+			// Updates may legitimately shrink through the tree (a flush that
+			// coalesces two windows ships one entry for a twice-updated counter),
+			// never grow — the fold re-ships only changed counters.
+			if treeRes.Stats.Updates > flatRes.Stats.Updates {
+				t.Errorf("updates: tree %d > flat %d (fold must not invent reports)",
+					treeRes.Stats.Updates, flatRes.Stats.Updates)
+			}
+			// The struct frames (one per site per 256 events, on their own
+			// cadence) make flush rounds less regular; the 3x floor is the
+			// counter-only run's.
+			if structBatch == 0 && 3*treeRes.Stats.Frames > flatRes.Stats.Frames {
+				t.Errorf("root frames %d, flat %d: want >= 3x reduction at branching 4",
+					treeRes.Stats.Frames, flatRes.Stats.Frames)
+			}
+			var down int64
+			for _, r := range relays {
+				down += r.DownFrames.Load()
+			}
+			if down == 0 {
+				t.Error("relays folded no downstream frames")
+			}
+			if structBatch == 0 {
+				return
+			}
+			flatRows, flatPos := structRows(flatCo)
+			treeRows, treePos := structRows(treeCo)
+			for site := range flatRows {
+				if flatPos[site] != uint64(cfg.eventsFor(uint32(site))) || treePos[site] != flatPos[site] {
+					t.Errorf("site %d struct position: flat %d, tree %d, want %d",
+						site, flatPos[site], treePos[site], cfg.eventsFor(uint32(site)))
+				}
+				if !slices.Equal(flatRows[site], treeRows[site]) {
+					t.Errorf("site %d: cumulative struct row differs between flat and tree", site)
+				}
+			}
+			if st := treeCo.StructLearnStats(); st.Relearns == 0 || st.Epoch == 0 {
+				t.Errorf("tree run never learned a structure: %+v", st)
+			}
+		})
 	}
 }
 
@@ -307,6 +351,7 @@ func TestRelayRestart(t *testing.T) {
 			restarted <- err
 			return
 		}
+		t.Cleanup(func() { r2.Close() })
 		go r2.Run()
 		restarted <- nil
 	}()
@@ -368,5 +413,67 @@ func TestRelayWrappedCodecRoundTrips(t *testing.T) {
 	bad := encodeRelayGroups(nil, []relayGroup{{Site: 8, Payload: []byte{0}}})
 	if _, err := decodeRelayGroups(nil, bad, 8, 64); err == nil {
 		t.Error("out-of-range group site accepted")
+	}
+}
+
+// TestCoordinatorCloseClosesRelayLinks pins that Close means closed for
+// relay-routed runs: a coordinator stopped mid-stream must close the relay's
+// uplink too (a relay-routed slot has no connection of its own to close), so
+// the relay sees its parent die — its upstream read fails, it enters
+// reconnect, and with the listener gone it gives up — instead of reading a
+// half-dead connection forever. Close must also return, having joined the
+// accept loop and every connection reader.
+func TestCoordinatorCloseClosesRelayLinks(t *testing.T) {
+	cfg := Config{
+		NetName: "alarm", CPTSeed: 0xC0DE, Strategy: core.NonUniform,
+		Eps: 0.1, Delta: 0.25, Sites: 2, Events: 40000, StreamSeed: 5,
+		SiteBatchEvents: 50,
+	}
+	co, err := NewCoordinator(cfg, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The kill lands mid-stream at a deterministic frame: well past the two
+	// joins, far before the run's ~800 window frames.
+	co.CrashAfterFrames = 12
+	relay, err := NewRelay(RelayConfig{
+		ID: 0, Parent: co.Addr(), DialAttempts: 2, RetryBase: time.Millisecond, RetryCap: 5 * time.Millisecond,
+	}, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer relay.Close()
+	relayErr := make(chan error, 1)
+	go func() { relayErr <- relay.Run() }()
+
+	wait := startSites(cfg.Sites, func(i int) (Stats, error) {
+		s := NewSite(uint32(i), relay.Addr())
+		s.DialAttempts, s.MaxResumes = 1, 1
+		s.RetryBase, s.RetryCap = time.Millisecond, 5*time.Millisecond
+		return s.Run()
+	})
+
+	if _, err := co.Serve(); !errors.Is(err, ErrCoordinatorClosed) {
+		t.Fatalf("Serve returned %v, want ErrCoordinatorClosed", err)
+	}
+	select {
+	case err := <-relayErr:
+		if err == nil || errors.Is(err, ErrRelayClosed) {
+			t.Fatalf("relay.Run returned %v, want a failed reconnect to the dead parent", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("relay never noticed its parent die: the coordinator's Close left the relay uplink open")
+	}
+	closed := make(chan struct{})
+	go func() { co.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Coordinator.Close did not return: a connection reader outlived it")
+	}
+	// The sites lose the run with their relay's parent; they must fail, not hang.
+	relay.Close()
+	if _, err := wait(); err == nil {
+		t.Fatal("sites completed a run whose coordinator was killed")
 	}
 }

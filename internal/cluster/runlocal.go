@@ -4,25 +4,90 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"distbayes/internal/bn"
 	"distbayes/internal/stream"
 )
 
+// startSites runs run(i) for each of n sites on its own goroutine. The
+// returned wait blocks until all of them returned and yields their results,
+// or the lowest-numbered site's error.
+func startSites[T any](n int, run func(i int) (T, error)) (wait func() ([]T, error)) {
+	outs, errs := make([]T, n), make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outs[i], errs[i] = run(i)
+		}()
+	}
+	return func() ([]T, error) {
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				return nil, fmt.Errorf("cluster: site %d: %w", i, err)
+			}
+		}
+		return outs, nil
+	}
+}
+
+// runLocal is the skeleton every single-coordinator launcher shares: start
+// the sites (runSite is how one site runs — directly, under churn, through a
+// relay), serve the run to completion — under the mid-run query mix when
+// Config.LiveQueryMicros is set — collect the sites, and cross-check the
+// closing stats each site received against the coordinator's own.
+func runLocal(co *Coordinator, runSite func(i int) (Stats, error)) (Result, error) {
+	wait := startSites(co.cfg.Sites, runSite)
+
+	// The mid-run query mix: hammer the live query paths until Serve is
+	// done. Queries race ingestion by design — that is the scenario the
+	// striped snapshot machinery exists for.
+	var queries int64
+	var qwg sync.WaitGroup
+	stop := make(chan struct{})
+	if co.cfg.LiveQueryMicros > 0 {
+		interval := time.Duration(co.cfg.LiveQueryMicros) * time.Microsecond
+		qwg.Add(1)
+		go func() {
+			defer qwg.Done()
+			queries = LiveQueryMix(co, co.cfg.StreamSeed^0x11fe, interval, stop)
+		}()
+	}
+
+	res, serveErr := co.Serve()
+	close(stop)
+	qwg.Wait()
+	stats, err := wait()
+	if serveErr != nil {
+		return Result{}, serveErr
+	}
+	if err != nil {
+		return Result{}, err
+	}
+	for i, st := range stats {
+		if st != res.Stats {
+			return Result{}, fmt.Errorf("cluster: site %d saw stats %+v, coordinator %+v", i, st, res.Stats)
+		}
+	}
+	res.LiveQueries = queries
+	return res, nil
+}
+
 // RunLocal executes a full cluster run on loopback TCP: it starts a
 // coordinator on an ephemeral port, launches cfg.Sites site goroutines (each
 // with its own TCP connection), and returns the run result together with the
-// coordinator (still usable for queries). Sites generate the same per-site
-// sub-streams as the in-process parallel engine (stream.NewSiteTrainings
-// with seed StreamSeed+id), so a cluster run and a sharded in-process run
-// over the same StreamSeed ingest identical events.
+// coordinator (closed, still usable for queries). Sites generate the same
+// per-site sub-streams as the in-process parallel engine
+// (stream.NewSiteTrainings with seed StreamSeed+id), so a cluster run and a
+// sharded in-process run over the same StreamSeed ingest identical events.
 //
-// With Config.LiveQueryMicros set, RunLocal also drives a mid-run query mix:
-// a dedicated goroutine issues QueryProb on random assignments (every eighth
-// probe an EstimatedModel) against the coordinator for as long as the sites
-// stream — exercising the live snapshot-query path, the paper's
+// With Config.LiveQueryMicros set, the local launchers also drive a mid-run
+// query mix: a dedicated goroutine issues QueryProb on random assignments
+// (every eighth probe an EstimatedModel) against the coordinator for as long
+// as the sites stream — exercising the live snapshot-query path, the paper's
 // query-at-any-time model. The number of queries issued is returned in
 // Result.LiveQueries.
 //
@@ -34,53 +99,12 @@ func RunLocal(cfg Config) (Result, *Coordinator, error) {
 		return Result{}, nil, err
 	}
 	defer co.Close()
-
-	type siteOut struct {
-		stats Stats
-		err   error
+	res, err := runLocal(co, func(i int) (Stats, error) {
+		return NewSite(uint32(i), co.Addr()).Run()
+	})
+	if err != nil {
+		return Result{}, nil, err
 	}
-	outs := make([]siteOut, cfg.Sites)
-	var wg sync.WaitGroup
-	for i := 0; i < cfg.Sites; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			st, err := NewSite(uint32(i), co.Addr()).Run()
-			outs[i] = siteOut{stats: st, err: err}
-		}(i)
-	}
-
-	// The mid-run query mix: hammer the live query paths until Serve is
-	// done. Queries race ingestion by design — that is the scenario the
-	// striped snapshot machinery exists for.
-	var queries atomic.Int64
-	var qwg sync.WaitGroup
-	stop := make(chan struct{})
-	if cfg.LiveQueryMicros > 0 {
-		interval := time.Duration(cfg.LiveQueryMicros) * time.Microsecond
-		qwg.Add(1)
-		go func() {
-			defer qwg.Done()
-			queries.Store(LiveQueryMix(co, cfg.StreamSeed^0x11fe, interval, stop))
-		}()
-	}
-
-	res, serveErr := co.Serve()
-	close(stop)
-	qwg.Wait()
-	wg.Wait()
-	if serveErr != nil {
-		return Result{}, nil, serveErr
-	}
-	for i, o := range outs {
-		if o.err != nil {
-			return Result{}, nil, fmt.Errorf("cluster: site %d: %w", i, o.err)
-		}
-		if o.stats != res.Stats {
-			return Result{}, nil, fmt.Errorf("cluster: site %d saw stats %+v, coordinator %+v", i, o.stats, res.Stats)
-		}
-	}
-	res.LiveQueries = queries.Load()
 	return res, co, nil
 }
 
@@ -109,55 +133,29 @@ func RunLocalChurn(cfg Config, churn ChurnConfig) (Result, *Coordinator, error) 
 		return Result{}, nil, err
 	}
 	defer co.Close()
-
-	type siteOut struct {
-		stats Stats
-		err   error
-	}
-	outs := make([]siteOut, cfg.Sites)
-	var wg sync.WaitGroup
-	for i := 0; i < cfg.Sites; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			rng := bn.NewRNG(churn.Seed ^ (uint64(i)+1)*0x9e3779b97f4a7c15)
-			ev := uint64(cfg.eventsFor(uint32(i)))
-			// Ascending crash points: each incarnation must outlive the
-			// previous crash position or the schedule would livelock.
-			points := make([]uint64, 0, churn.CrashesPerSite)
-			for ev > 0 && len(points) < churn.CrashesPerSite {
-				p := 1 + uint64(rng.Intn(int(ev)))
-				if len(points) == 0 || p > points[len(points)-1] {
-					points = append(points, p)
-				} else {
-					break // tail of the schedule collapsed; fewer crashes, still valid
-				}
+	res, err := runLocal(co, func(i int) (Stats, error) {
+		rng := bn.NewRNG(churn.Seed ^ (uint64(i)+1)*0x9e3779b97f4a7c15)
+		ev := uint64(cfg.eventsFor(uint32(i)))
+		// Ascending crash points: each incarnation must outlive the previous
+		// crash position or the schedule would livelock; a draw that does
+		// not ascend ends the schedule (fewer crashes, still valid).
+		var last uint64
+		for n := 0; ev > 0 && n < churn.CrashesPerSite; n++ {
+			p := 1 + uint64(rng.Intn(int(ev)))
+			if p <= last {
+				break
 			}
-			for _, p := range points {
-				s := NewSite(uint32(i), co.Addr())
-				s.CrashAfterEvents = p
-				if _, err := s.Run(); !errors.Is(err, ErrSiteCrashed) {
-					outs[i] = siteOut{err: fmt.Errorf("cluster: churn site %d: crash hook returned %v, want ErrSiteCrashed", i, err)}
-					return
-				}
+			last = p
+			s := NewSite(uint32(i), co.Addr())
+			s.CrashAfterEvents = p
+			if _, err := s.Run(); !errors.Is(err, ErrSiteCrashed) {
+				return Stats{}, fmt.Errorf("churn crash hook returned %v, want ErrSiteCrashed", err)
 			}
-			st, err := NewSite(uint32(i), co.Addr()).Run()
-			outs[i] = siteOut{stats: st, err: err}
-		}(i)
-	}
-
-	res, serveErr := co.Serve()
-	wg.Wait()
-	if serveErr != nil {
-		return Result{}, nil, serveErr
-	}
-	for i, o := range outs {
-		if o.err != nil {
-			return Result{}, nil, fmt.Errorf("cluster: site %d: %w", i, o.err)
 		}
-		if o.stats != res.Stats {
-			return Result{}, nil, fmt.Errorf("cluster: site %d saw stats %+v, coordinator %+v", i, o.stats, res.Stats)
-		}
+		return NewSite(uint32(i), co.Addr()).Run()
+	})
+	if err != nil {
+		return Result{}, nil, err
 	}
 	return res, co, nil
 }
@@ -180,58 +178,31 @@ func RunLocalTree(cfg Config, branching int, flush time.Duration) (Result, *Coor
 	}
 	defer co.Close()
 
-	nRelays := (cfg.Sites + branching - 1) / branching
-	relays := make([]*Relay, nRelays)
+	relays := make([]*Relay, 0, (cfg.Sites+branching-1)/branching)
 	var rwg sync.WaitGroup
-	for i := range relays {
-		r, err := NewRelay(RelayConfig{ID: uint32(i), Parent: co.Addr(), FlushInterval: flush}, "127.0.0.1:0")
-		if err != nil {
-			for _, r := range relays[:i] {
-				r.Close()
-			}
-			return Result{}, nil, nil, err
-		}
-		relays[i] = r
-		rwg.Add(1)
-		go func() {
-			defer rwg.Done()
-			r.Run()
-		}()
-	}
 	defer func() {
 		for _, r := range relays {
 			r.Close()
 		}
 		rwg.Wait()
 	}()
-
-	type siteOut struct {
-		stats Stats
-		err   error
-	}
-	outs := make([]siteOut, cfg.Sites)
-	var wg sync.WaitGroup
-	for i := 0; i < cfg.Sites; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			st, err := NewSite(uint32(i), relays[i/branching].Addr()).Run()
-			outs[i] = siteOut{stats: st, err: err}
-		}(i)
-	}
-
-	res, serveErr := co.Serve()
-	wg.Wait()
-	if serveErr != nil {
-		return Result{}, nil, nil, serveErr
-	}
-	for i, o := range outs {
-		if o.err != nil {
-			return Result{}, nil, nil, fmt.Errorf("cluster: site %d: %w", i, o.err)
+	for i := 0; i < cap(relays); i++ {
+		r, err := NewRelay(RelayConfig{ID: uint32(i), Parent: co.Addr(), FlushInterval: flush}, "127.0.0.1:0")
+		if err != nil {
+			return Result{}, nil, nil, err
 		}
-		if o.stats != res.Stats {
-			return Result{}, nil, nil, fmt.Errorf("cluster: site %d saw stats %+v, coordinator %+v", i, o.stats, res.Stats)
-		}
+		relays = append(relays, r)
+		rwg.Add(1)
+		go func() {
+			defer rwg.Done()
+			r.Run()
+		}()
+	}
+	res, err := runLocal(co, func(i int) (Stats, error) {
+		return NewSite(uint32(i), relays[i/branching].Addr()).Run()
+	})
+	if err != nil {
+		return Result{}, nil, nil, err
 	}
 	return res, co, relays, nil
 }

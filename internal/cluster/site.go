@@ -23,17 +23,18 @@ import (
 var ErrSiteCrashed = errors.New("cluster: site crashed (chaos hook)")
 
 // Site is one stream-receiving processor of the monitoring system. It
-// connects to the coordinator, receives its StartConfig, generates its share
-// of the training stream locally, and runs the site half of the counter
-// protocol.
+// connects to the coordinator (or to a relay — the handshake is the same),
+// receives its StartConfig, generates its share of the training stream
+// locally, and runs the site half of the counter protocol: siteRun.stream,
+// the one stream loop, writing through a reportWriter over its connection.
 //
 // The connection is supervised: a transient dial failure retries with
-// exponential backoff and deterministic jitter, and a connection lost
-// mid-run reconnects with a protocol-v3 resume handshake — the site keeps
+// exponential backoff and deterministic jitter (retryPolicy), and a
+// connection lost mid-run reconnects with a resume handshake — the site keeps
 // its stream position and counter state across reconnects, replays its
-// latest decided per-counter local counts in one frameUpdates2 frame (safe:
-// counts are monotone and the coordinator's fold is max-merge, so the
-// replay is idempotent), and continues the stream where it stopped.
+// latest decided per-counter local counts in one frame (safe: counts are
+// monotone and the receiver's fold is max-merge, so the replay is
+// idempotent), and continues the stream where it stopped.
 type Site struct {
 	id   uint32
 	addr string
@@ -65,6 +66,69 @@ type Site struct {
 // address.
 func NewSite(id uint32, addr string) *Site { return &Site{id: id, addr: addr} }
 
+// retryPolicy is the dial/backoff policy Site, FederatedSite and Relay
+// share; zero fields select the defaults (8 attempts, 20ms base, 1s cap).
+type retryPolicy struct {
+	attempts  int
+	base, cap time.Duration
+}
+
+// backoff returns the wait before retry attempt n (0-based): exponential
+// with deterministic jitter from jrng, capped.
+func (p retryPolicy) backoff(n int, jrng *bn.RNG) time.Duration {
+	base, cap := p.base, p.cap
+	if base <= 0 {
+		base = 20 * time.Millisecond
+	}
+	if cap <= 0 {
+		cap = time.Second
+	}
+	d := base << uint(min(n, 20))
+	if d > cap || d <= 0 {
+		d = cap
+	}
+	// Up to 50% jitter, drawn from a seeded generator so two peers that fail
+	// together do not thunder back together — and so tests stay reproducible.
+	return d + time.Duration(jrng.Float64()*0.5*float64(d))
+}
+
+// try runs connect until it succeeds, fails terminally, or the attempt
+// budget is spent, backing off between attempts; a peer that is briefly down
+// (a coordinator restarting from a checkpoint, say) just costs a few retries.
+// A close of stop (nil: never) cuts a backoff wait short.
+func (p retryPolicy) try(jrng *bn.RNG, stop <-chan struct{}, connect func() (terminal bool, err error)) error {
+	attempts := p.attempts
+	if attempts <= 0 {
+		attempts = 8
+	}
+	var err error
+	for n := 0; n < attempts; n++ {
+		if n > 0 {
+			select {
+			case <-time.After(p.backoff(n-1, jrng)):
+			case <-stop:
+			}
+		}
+		var terminal bool
+		if terminal, err = connect(); err == nil || terminal {
+			return err
+		}
+	}
+	return err
+}
+
+// dialSite dials addr under the policy on behalf of site id.
+func (p retryPolicy) dialSite(id uint32, addr string, jrng *bn.RNG) (raw net.Conn, err error) {
+	err = p.try(jrng, nil, func() (bool, error) {
+		raw, err = net.Dial("tcp", addr)
+		return false, err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("cluster: site %d dial: %w", id, err)
+	}
+	return raw, nil
+}
+
 // siteRun is the state a site keeps across reconnects: the decoded run
 // configuration, the regenerated model and layout, the approximate-counter
 // state, the stream position, and — the crux of crash safety — lastReported,
@@ -82,24 +146,27 @@ type siteRun struct {
 	// lastReported[id] is the latest local count this site decided to
 	// report for counter id (0 = never reported).
 	lastReported []int64
+	// pending lists the counters with a report decided since the last
+	// shipped window, each once (queued[id] marks membership). Ids suffice:
+	// the values to ship are lastReported's — counts are monotone, so the
+	// latest decision subsumes the window's earlier ones.
+	pending []uint32
+	queued  []bool
 	// next is the index of the next stream event to process.
 	next uint64
 	// doneSent records that the coordinator accepted this site's Done
 	// marker (learned from a resume ack's resumeSiteDone flag).
 	doneSent bool
-	// batch is the pending protocol-v2 coalescing window (nil in v1 mode).
-	batch map[uint32]int64
 	// pairs holds the structure-learning overlay's cumulative pairwise
-	// co-occurrence counts (protocol v4; nil with learning off). Counts are
-	// monotone and shipped whole, so a replayed frame max-merges to a no-op
-	// on the coordinator.
+	// co-occurrence counts (nil with learning off). Counts are monotone and
+	// shipped whole, so a replayed frame max-merges to a no-op on the
+	// coordinator.
 	pairs *pairAccumulator
 	// drift is the post-drift generating stream (nil without drift); events
 	// at positions ≥ cfg.DriftAtEvent are drawn from it instead of training.
 	drift *stream.Training
-	// scratch buffers reused across frames.
+	// ups is the window scratch reused across frames.
 	ups []Update
-	buf []byte
 }
 
 // newSiteRun regenerates the deterministic run state from a StartConfig.
@@ -133,11 +200,8 @@ func newSiteRun(id uint32, cfg StartConfig) (*siteRun, error) {
 		// cluster-vs-in-process equivalence.
 		training:     stream.NewSiteTraining(model, int(id), cfg.StreamSeed),
 		lastReported: make([]int64, layout.NumCounters()),
+		queued:       make([]bool, layout.NumCounters()),
 		ups:          make([]Update, 0, 2*netw.Len()),
-		buf:          make([]byte, 0, 24*netw.Len()),
-	}
-	if cfg.BatchEvents > 0 {
-		st.batch = make(map[uint32]int64, 2*netw.Len())
 	}
 	if cfg.StructBatchEvents > 0 {
 		sl, err := NewStructLayout(netw)
@@ -187,55 +251,244 @@ func (st *siteRun) nextEvent() []int {
 	return x
 }
 
-func (s *Site) maxResumes() int {
-	if s.MaxResumes > 0 {
-		return s.MaxResumes
-	}
-	return 32
+// reportWriter is the send half of the data plane: the one writer of
+// decided reports. It owns one connection per stripe coordinator (a flat
+// Site is the one-stripe case) and frames an ascending report batch to the
+// connections owning its ids, always as frameUpdates2.
+type reportWriter struct {
+	conns []*conn
+	// los[i] is stripe i's first counter id: stripe i owns [los[i], los[i+1]).
+	los []uint32
+	buf []byte
 }
 
-func (s *Site) dialAttempts() int {
-	if s.DialAttempts > 0 {
-		return s.DialAttempts
+// newReportWriter routes over conns[i] = the owner of stripe i of len(conns).
+func newReportWriter(layout *Layout, conns ...*conn) *reportWriter {
+	k := uint32(len(conns))
+	w := &reportWriter{conns: conns, los: make([]uint32, k+1)}
+	for i := uint32(0); i < k; i++ {
+		w.los[i], w.los[i+1] = layout.StripeRange(i, k)
 	}
-	return 8
+	return w
 }
 
-// backoff returns the wait before retry attempt n (0-based): exponential
-// with deterministic jitter from jrng, capped.
-func (s *Site) backoff(n int, jrng *bn.RNG) time.Duration {
-	base, cap := s.RetryBase, s.RetryCap
-	if base <= 0 {
-		base = 20 * time.Millisecond
-	}
-	if cap <= 0 {
-		cap = time.Second
-	}
-	d := base << uint(min(n, 20))
-	if d > cap || d <= 0 {
-		d = cap
-	}
-	// Up to 50% jitter, drawn from a seeded generator so two sites that fail
-	// together do not thunder back together — and so tests stay reproducible.
-	return d + time.Duration(jrng.Float64()*0.5*float64(d))
-}
-
-// dialRetry dials the coordinator with bounded exponential backoff; a
-// coordinator that is briefly down (restarting from a checkpoint, say) just
-// costs a few retries instead of failing the site.
-func (s *Site) dialRetry(jrng *bn.RNG) (net.Conn, error) {
-	var lastErr error
-	for n := 0; n < s.dialAttempts(); n++ {
-		if n > 0 {
-			time.Sleep(s.backoff(n-1, jrng))
+// writeUpdates frames one batch of reports sorted by strictly ascending
+// counter id: ascending ids make each stripe's share one contiguous run, and
+// every non-empty run becomes one frame to its owner.
+func (w *reportWriter) writeUpdates(ups []Update) error {
+	stripe := 0
+	for lo := 0; lo < len(ups); {
+		for ups[lo].Counter >= w.los[stripe+1] {
+			stripe++
 		}
-		raw, err := net.Dial("tcp", s.addr)
-		if err == nil {
-			return raw, nil
+		hi := lo
+		for hi < len(ups) && ups[hi].Counter < w.los[stripe+1] {
+			hi++
 		}
-		lastErr = err
+		w.buf = encodeUpdates2(w.buf, ups[lo:hi])
+		if err := w.conns[stripe].writeFrame(frameUpdates2, w.buf); err != nil {
+			return err
+		}
+		lo = hi
 	}
-	return nil, fmt.Errorf("cluster: site %d dial: %w", s.id, lastErr)
+	return nil
+}
+
+// writeAll sends one control frame to every stripe and flushes.
+func (w *reportWriter) writeAll(t byte, payload []byte) error {
+	for _, c := range w.conns {
+		if err := c.writeFrame(t, payload); err != nil {
+			return err
+		}
+	}
+	return w.flush()
+}
+
+func (w *reportWriter) flush() error {
+	for _, c := range w.conns {
+		if err := c.flush(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// stream is the site half of the counter protocol — the one stream loop,
+// whatever the topology: draw the event, increment every touched counter
+// and flip its report coin (same counters, same RNG draw order in every
+// mode), record each decided report in lastReported, and at every window
+// boundary hand the window's reports to w. Resumes from st.next; window
+// boundaries are absolute stream positions, so a reconnect does not shift
+// the frame schedule.
+//
+// The window is cfg.BatchEvents events; 0 is the per-event protocol, a
+// window of one — the paper's transmission optimization (all reports one
+// event triggers share a frame, an event that triggers none sends nothing),
+// which batching extends across events. A report is delayed by at most one
+// window, staleness of the same kind as the trailing gap the report
+// probability already models. crashAt is the CrashAfterEvents chaos hook (0
+// = off).
+func (st *siteRun) stream(w *reportWriter, crashAt uint64) error {
+	cfg, netw, layout := st.cfg, st.netw, st.layout
+	window := uint64(max(cfg.BatchEvents, 1))
+	latency := time.Duration(cfg.LatencyMicros) * time.Microsecond
+	// Per-event frames without artificial latency ride the 64KB connection
+	// buffer, flushed on a fixed event cadence so the coordinator's
+	// continuous view stays fresh even on low-rate counters. A multi-event
+	// window frame is rare by construction and is pushed out immediately, so
+	// the live view stays at most one window stale.
+	const flushEvery = 1024
+	buffered := cfg.BatchEvents == 0 && latency == 0
+
+	for st.next < cfg.Events {
+		if crashAt > 0 && st.next >= crashAt {
+			return ErrSiteCrashed
+		}
+		x := st.nextEvent()
+		if st.pairs != nil {
+			st.pairs.add(x)
+		}
+		for i := 0; i < netw.Len(); i++ {
+			pidx := netw.ParentIndex(i, x)
+			for _, id := range [2]uint32{layout.PairID(i, x[i], pidx), layout.ParID(i, pidx)} {
+				if n, report := st.counts.inc(id, st.rng); report {
+					st.lastReported[id] = n
+					if !st.queued[id] {
+						st.queued[id] = true
+						st.pending = append(st.pending, id)
+					}
+				}
+			}
+		}
+		// The event is consumed the moment the sample is drawn and the
+		// decisions recorded; advance before any fallible write so a broken
+		// connection can never replay a consumed sample (the decisions it
+		// carried are in lastReported and covered by resume replay).
+		st.next++
+		if st.next%window == 0 && len(st.pending) > 0 {
+			if err := st.shipWindow(w); err != nil {
+				return err
+			}
+			if !buffered {
+				if err := w.flush(); err != nil {
+					return err
+				}
+				time.Sleep(latency)
+			}
+		}
+		if st.pairs != nil && st.next%uint64(cfg.StructBatchEvents) == 0 {
+			if err := st.shipStruct(w); err != nil {
+				return err
+			}
+		}
+		// The cadence check runs even for report-less events, so a frame
+		// buffered during a long quiet stretch still reaches the coordinator
+		// promptly.
+		if buffered && st.next%flushEvery == 0 {
+			if err := w.flush(); err != nil {
+				return err
+			}
+		}
+	}
+	// The tails shorter than one window / one struct cadence.
+	if err := st.shipWindow(w); err != nil {
+		return err
+	}
+	if err := st.shipStruct(w); err != nil {
+		return err
+	}
+	return w.flush()
+}
+
+// shipWindow frames the pending window: the latest decided count of every
+// counter in st.pending, ascending. The window is emptied before the
+// fallible write — a frame lost with its connection is covered by replay.
+func (st *siteRun) shipWindow(w *reportWriter) error {
+	// Per-event windows arrive ascending (variable blocks ascend; within
+	// one, pair ids precede parent ids) and sort in linear time.
+	slices.Sort(st.pending)
+	st.ups = st.ups[:0]
+	for _, id := range st.pending {
+		st.queued[id] = false
+		st.ups = append(st.ups, Update{Counter: id, LocalCount: st.lastReported[id]})
+	}
+	st.pending = st.pending[:0]
+	return w.writeUpdates(st.ups)
+}
+
+// shipStruct sends the site's full cumulative pairwise co-occurrence vector
+// and stream position as one frameStructStats frame (a no-op with structure
+// learning off or before the first event) and flushes. Cumulative counts
+// make the frame self-contained: the coordinator max-merges it, so
+// duplicates and replays are absorbed. Structure learning and striping are
+// mutually exclusive, so the frame has exactly one destination.
+func (st *siteRun) shipStruct(w *reportWriter) error {
+	if st.pairs == nil || st.next == 0 {
+		return nil
+	}
+	w.buf = encodeStructStats(w.buf, st.next, st.pairs.cumulative())
+	return w.conns[0].send(frameStructStats, w.buf)
+}
+
+// replay ships the site's latest decided report for every counter it ever
+// reported, as one coalesced window — a superset of whatever window was
+// pending when the connection died. Idempotent by construction: every
+// replayed count is ≤ the count an uninterrupted run would have delivered by
+// now, and the coordinator keeps the max.
+func (st *siteRun) replay(w *reportWriter) error {
+	st.pending = st.pending[:0]
+	for id, n := range st.lastReported {
+		if n != 0 {
+			st.pending = append(st.pending, uint32(id))
+		}
+	}
+	if err := st.shipWindow(w); err != nil {
+		return err
+	}
+	// Re-ship the cumulative structure statistics too: a coordinator
+	// restored from a checkpoint restarts with an empty MI window, and the
+	// replayed cumulative counts (max-merged, so a no-op when nothing was
+	// lost) put the per-site statistics back.
+	if err := st.shipStruct(w); err != nil {
+		return err
+	}
+	return w.flush()
+}
+
+// hello opens the handshake on a fresh connection — with frameHello for a
+// site, frameRelayHello for a relay, either carrying the sender's id — and
+// decodes the StartConfig reply. terminal marks a protocol violation, which a
+// retry cannot cure.
+func hello(c *conn, opening byte, id uint32) (cfg StartConfig, terminal bool, err error) {
+	if err := c.send(opening, encodeHello(id)); err != nil {
+		return cfg, false, err
+	}
+	t, payload, err := c.readFrame()
+	if err != nil {
+		return cfg, false, fmt.Errorf("waiting for start: %w", err)
+	}
+	if t != frameStart {
+		return cfg, true, fmt.Errorf("got frame %d, want start", t)
+	}
+	cfg, err = decodeStart(payload)
+	return cfg, true, err
+}
+
+// awaitStats reads frames until the coordinator's closing stats arrive.
+func awaitStats(c *conn, id uint32) (Stats, error) {
+	for {
+		t, payload, err := c.readFrame()
+		if err != nil {
+			return Stats{}, fmt.Errorf("cluster: site %d waiting for stats: %w", id, err)
+		}
+		if t == frameStats {
+			return decodeStats(payload)
+		}
+	}
+}
+
+func (s *Site) retry() retryPolicy {
+	return retryPolicy{attempts: s.DialAttempts, base: s.RetryBase, cap: s.RetryCap}
 }
 
 // Run connects, processes the configured stream, and returns the
@@ -244,10 +497,14 @@ func (s *Site) dialRetry(jrng *bn.RNG) (net.Conn, error) {
 // doc comment) until MaxResumes is exhausted.
 func (s *Site) Run() (Stats, error) {
 	jrng := bn.NewRNG(0xc1a05c0de ^ (uint64(s.id) * 0x9e3779b97f4a7c15))
+	maxResumes := s.MaxResumes
+	if maxResumes <= 0 {
+		maxResumes = 32
+	}
 	var st *siteRun
 	stalled := 0 // consecutive resumes without stream progress
 	for {
-		raw, err := s.dialRetry(jrng)
+		raw, err := s.retry().dialSite(s.id, s.addr, jrng)
 		if err != nil {
 			return Stats{}, err
 		}
@@ -265,10 +522,10 @@ func (s *Site) Run() (Stats, error) {
 		} else {
 			stalled++
 		}
-		if stalled > s.maxResumes() {
+		if stalled > maxResumes {
 			return Stats{}, fmt.Errorf("cluster: site %d out of resume attempts: %w", s.id, err)
 		}
-		time.Sleep(s.backoff(stalled, jrng))
+		time.Sleep(s.retry().backoff(stalled, jrng))
 	}
 }
 
@@ -280,39 +537,25 @@ func (s *Site) Run() (Stats, error) {
 func (s *Site) runConn(raw net.Conn, pst **siteRun) (Stats, bool, error) {
 	c := newConn(raw)
 	st := *pst
-
-	if st == nil {
+	resuming := st != nil
+	if !resuming {
 		// First connection: introduce ourselves, receive the run config.
-		if err := c.writeFrame(frameHello, encodeHello(s.id)); err != nil {
-			return Stats{}, false, err
-		}
-		if err := c.flush(); err != nil {
-			return Stats{}, false, err
-		}
-		t, payload, err := c.readFrame()
+		cfg, terminal, err := hello(c, frameHello, s.id)
 		if err != nil {
-			return Stats{}, false, fmt.Errorf("cluster: site %d waiting for start: %w", s.id, err)
-		}
-		if t != frameStart {
-			return Stats{}, true, fmt.Errorf("cluster: site %d got frame %d, want start", s.id, t)
-		}
-		cfg, err := decodeStart(payload)
-		if err != nil {
-			return Stats{}, true, err
+			return Stats{}, terminal, fmt.Errorf("cluster: site %d: %w", s.id, err)
 		}
 		if st, err = newSiteRun(s.id, cfg); err != nil {
 			return Stats{}, true, err
 		}
 		*pst = st
-	} else {
+	}
+	w := newReportWriter(st.layout, c)
+	if resuming {
 		// Reconnect: resume with our stream position, then replay the
 		// decided counts so the coordinator's row catches up to our state
 		// regardless of what the dead connection actually delivered (or what
 		// a restored-from-checkpoint coordinator remembers).
-		if err := c.writeFrame(frameResume, encodeResume(resumeReq{Site: s.id, Events: st.next})); err != nil {
-			return Stats{}, false, err
-		}
-		if err := c.flush(); err != nil {
+		if err := w.writeAll(frameResume, encodeResume(resumeReq{Site: s.id, Events: st.next})); err != nil {
 			return Stats{}, false, err
 		}
 		t, payload, err := c.readFrame()
@@ -329,257 +572,34 @@ func (s *Site) runConn(raw net.Conn, pst **siteRun) (Stats, bool, error) {
 		if ack.Flags&resumeRunComplete != 0 {
 			// The run finished while we were away; the closing stats follow
 			// on this connection.
-			stats, err := s.awaitStats(c)
+			stats, err := awaitStats(c, s.id)
 			return stats, err == nil, err
 		}
 		if ack.Flags&resumeSiteDone != 0 {
 			st.doneSent = true
 		}
 		if !st.doneSent {
-			if err := s.replay(c, st); err != nil {
+			if err := st.replay(w); err != nil {
 				return Stats{}, false, err
 			}
 		}
 	}
 
-	if !st.doneSent && st.next < st.cfg.Events {
-		var err error
-		if st.cfg.BatchEvents > 0 {
-			err = s.processBatched(c, st)
-		} else {
-			err = s.process(c, st)
-		}
-		if err != nil {
-			terminal := errors.Is(err, ErrSiteCrashed)
-			return Stats{}, terminal, err
-		}
-	}
 	if !st.doneSent {
+		if st.next < st.cfg.Events {
+			if err := st.stream(w, s.CrashAfterEvents); err != nil {
+				return Stats{}, errors.Is(err, ErrSiteCrashed), err
+			}
+		}
 		// The Done marker carries the site's full event count; the
 		// coordinator deduplicates, so re-sending after a resume is safe.
-		if err := c.writeFrame(frameDone, encodeDone(s.id, int64(st.cfg.Events))); err != nil {
-			return Stats{}, false, err
-		}
-		if err := c.flush(); err != nil {
+		if err := w.writeAll(frameDone, encodeDone(s.id, int64(st.cfg.Events))); err != nil {
 			return Stats{}, false, err
 		}
 	}
-	stats, err := s.awaitStats(c)
+	stats, err := awaitStats(c, s.id)
 	if err != nil {
 		return Stats{}, false, err // stats lost in transit: resume and re-ask
 	}
 	return stats, true, nil
-}
-
-// replay ships the site's latest decided report for every counter it ever
-// reported, as one coalesced frameUpdates2 frame. Idempotent by
-// construction: every replayed count is ≤ the count an uninterrupted run
-// would have delivered by now, and the coordinator keeps the max.
-func (s *Site) replay(c *conn, st *siteRun) error {
-	st.ups = st.ups[:0]
-	for id, n := range st.lastReported {
-		if n != 0 {
-			st.ups = append(st.ups, Update{Counter: uint32(id), LocalCount: n})
-		}
-	}
-	if st.batch != nil {
-		// The pending window is subsumed by lastReported (both record the
-		// latest decision); drop it so it is not re-flushed at the next
-		// window boundary.
-		clear(st.batch)
-	}
-	if len(st.ups) > 0 {
-		st.buf = encodeUpdates2(st.buf, st.ups)
-		if err := c.writeFrame(frameUpdates2, st.buf); err != nil {
-			return err
-		}
-	}
-	// Re-ship the cumulative structure statistics too: a coordinator
-	// restored from a checkpoint restarts with an empty MI window, and the
-	// replayed cumulative counts (max-merged, so a no-op when nothing was
-	// lost) put the per-site statistics back.
-	if err := s.shipStructStats(c, st); err != nil {
-		return err
-	}
-	return c.flush()
-}
-
-// shipStructStats sends the site's full cumulative pairwise co-occurrence
-// vector and stream position as one frameStructStats frame (a no-op with
-// structure learning off or before the first event). Cumulative counts make
-// the frame self-contained: the coordinator max-merges it, so duplicates
-// and replays are absorbed.
-func (s *Site) shipStructStats(c *conn, st *siteRun) error {
-	if st.pairs == nil || st.next == 0 {
-		return nil
-	}
-	st.buf = encodeStructStats(st.buf, st.next, st.pairs.cumulative())
-	if err := c.writeFrame(frameStructStats, st.buf); err != nil {
-		return err
-	}
-	return c.flush()
-}
-
-// awaitStats reads frames until the coordinator's closing stats arrive.
-func (s *Site) awaitStats(c *conn) (Stats, error) {
-	for {
-		t, payload, err := c.readFrame()
-		if err != nil {
-			return Stats{}, fmt.Errorf("cluster: site %d waiting for stats: %w", s.id, err)
-		}
-		if t == frameStats {
-			return decodeStats(payload)
-		}
-	}
-}
-
-// crashed reports whether the chaos hook fires at stream position next.
-func (s *Site) crashed(next uint64) bool {
-	return s.CrashAfterEvents > 0 && next >= s.CrashAfterEvents
-}
-
-// process is the protocol-version-1 stream loop: one frameUpdates frame per
-// event that triggered a report, resuming from st.next.
-func (s *Site) process(c *conn, st *siteRun) error {
-	cfg, netw, layout := st.cfg, st.netw, st.layout
-	latency := time.Duration(cfg.LatencyMicros) * time.Microsecond
-	// Without artificial latency, frames ride the 64KB connection buffer;
-	// flush on a fixed event cadence so the coordinator's continuous view
-	// stays fresh even on low-rate counters.
-	const flushEvery = 1024
-
-	for st.next < cfg.Events {
-		if s.crashed(st.next) {
-			return ErrSiteCrashed
-		}
-		e := st.next
-		x := st.nextEvent()
-		if st.pairs != nil {
-			st.pairs.add(x)
-		}
-		st.ups = st.ups[:0]
-		for i := 0; i < netw.Len(); i++ {
-			pidx := netw.ParentIndex(i, x)
-			for _, id := range [2]uint32{layout.PairID(i, x[i], pidx), layout.ParID(i, pidx)} {
-				if n, report := st.counts.inc(id, st.rng); report {
-					st.lastReported[id] = n
-					st.ups = append(st.ups, Update{Counter: id, LocalCount: n})
-				}
-			}
-		}
-		// The event is consumed the moment the sample is drawn and the
-		// decisions recorded; advance before any fallible write so a broken
-		// connection can never replay a consumed sample (the decisions it
-		// carried are in lastReported and covered by resume replay).
-		st.next = e + 1
-		if len(st.ups) > 0 {
-			st.buf = encodeUpdates(st.buf, st.ups)
-			if err := c.writeFrame(frameUpdates, st.buf); err != nil {
-				return err
-			}
-			if latency > 0 {
-				if err := c.flush(); err != nil {
-					return err
-				}
-				time.Sleep(latency)
-			}
-		}
-		if st.pairs != nil && (e+1)%uint64(cfg.StructBatchEvents) == 0 {
-			if err := s.shipStructStats(c, st); err != nil {
-				return err
-			}
-		}
-		// Cadence check runs even for update-less events (the paper's no
-		// update, no message optimization), so a frame buffered during a
-		// long quiet stretch still reaches the coordinator promptly.
-		if latency == 0 && (e+1)%flushEvery == 0 {
-			if err := c.flush(); err != nil {
-				return err
-			}
-		}
-	}
-	// A final ship covers the tail shorter than one struct batch window.
-	if err := s.shipStructStats(c, st); err != nil {
-		return err
-	}
-	return c.flush()
-}
-
-// processBatched is the protocol-version-2 stream loop: report decisions are
-// made per increment exactly as in the per-event path (same counters, same
-// RNG draw order), but instead of shipping a frame per triggering event the
-// decided reports coalesce into a sparse delta batch — a map from counter id
-// to its latest decided local count; counts are monotone, so the latest
-// subsumes the window's earlier decisions — that is flushed as one
-// varint-compressed frameUpdates2 frame every cfg.BatchEvents events. A
-// report is therefore delayed by at most one window, a staleness of the same
-// kind as the trailing gap the report probability already models. Resumes
-// from st.next; window boundaries are absolute stream positions, so a
-// reconnect does not shift the frame schedule.
-func (s *Site) processBatched(c *conn, st *siteRun) error {
-	cfg, netw, layout := st.cfg, st.netw, st.layout
-	window := uint64(cfg.BatchEvents)
-	latency := time.Duration(cfg.LatencyMicros) * time.Microsecond
-
-	flush := func() error {
-		if len(st.batch) == 0 {
-			return nil
-		}
-		st.ups = st.ups[:0]
-		for id, n := range st.batch {
-			st.ups = append(st.ups, Update{Counter: id, LocalCount: n})
-		}
-		clear(st.batch)
-		slices.SortFunc(st.ups, func(a, b Update) int { return int(a.Counter) - int(b.Counter) })
-		st.buf = encodeUpdates2(st.buf, st.ups)
-		if err := c.writeFrame(frameUpdates2, st.buf); err != nil {
-			return err
-		}
-		// A window frame is rare by construction: push it out immediately so
-		// the coordinator's live view stays at most one window stale.
-		if err := c.flush(); err != nil {
-			return err
-		}
-		if latency > 0 {
-			time.Sleep(latency)
-		}
-		return nil
-	}
-
-	for st.next < cfg.Events {
-		if s.crashed(st.next) {
-			return ErrSiteCrashed
-		}
-		e := st.next
-		x := st.nextEvent()
-		if st.pairs != nil {
-			st.pairs.add(x)
-		}
-		for i := 0; i < netw.Len(); i++ {
-			pidx := netw.ParentIndex(i, x)
-			for _, id := range [2]uint32{layout.PairID(i, x[i], pidx), layout.ParID(i, pidx)} {
-				if n, report := st.counts.inc(id, st.rng); report {
-					st.lastReported[id] = n
-					st.batch[id] = n
-				}
-			}
-		}
-		// Consumed: advance before the fallible flush (see process).
-		st.next = e + 1
-		if (e+1)%window == 0 {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-		if st.pairs != nil && (e+1)%uint64(cfg.StructBatchEvents) == 0 {
-			if err := s.shipStructStats(c, st); err != nil {
-				return err
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		return err
-	}
-	// A final ship covers the tail shorter than one struct batch window.
-	return s.shipStructStats(c, st)
 }

@@ -41,6 +41,21 @@ func encodeStructStatsRef(dst []byte, siteEvents uint64, ups []Update) []byte {
 	return dst
 }
 
+// encodeUpdates is the reference encoder of the fixed-width frameUpdates
+// payload (repeated u32 counter id, i64 local count). No writer emits the
+// format any more; the decoder stays (append-only wire formats), and the
+// round-trip test and the FuzzDecodeFrame seed corpus are built with this.
+func encodeUpdates(dst []byte, ups []Update) []byte {
+	dst = dst[:0]
+	var tmp [12]byte
+	for _, u := range ups {
+		binary.LittleEndian.PutUint32(tmp[:4], u.Counter)
+		binary.LittleEndian.PutUint64(tmp[4:], uint64(u.LocalCount))
+		dst = append(dst, tmp[:]...)
+	}
+	return dst
+}
+
 // denseCounts scatters an entry list into a dense vector of cells counts —
 // the form the site-side encoder takes.
 func denseCounts(cells int, ups []Update) []int64 {

@@ -58,8 +58,8 @@ func clusterSweep(p Params, networks []string) (map[string]map[int]map[core.Stra
 }
 
 // batchWindows are the site-side batching cadences of the batching
-// ablation: 0 is the version-1 one-frame-per-triggering-event baseline,
-// the rest are version-2 coalescing windows in events.
+// ablation: 0 is the per-event baseline (one frame per triggering event, a
+// window of one), the rest are coalescing windows in events.
 var batchWindows = []int{0, 16, 64, 256}
 
 // runBatching is the communication-batching ablation: the same stream, k
@@ -73,7 +73,7 @@ func runBatching(p Params) ([]*Table, error) {
 		ID: "batching", Title: "Site delta-batching ablation: frames vs window (equal accuracy)",
 		Header: []string{"network", "sites", "m", "window", "frames", "frames/event", "updates", "live-queries", "throughput"},
 		Notes: []string{
-			"window 0 = protocol v1 (one frame per triggering event); windows > 0 coalesce into one frameUpdates2 per window",
+			"window 0 = per-event (one frame per triggering event); windows > 0 coalesce a window's reports into one frame",
 			"report decisions are per-site deterministic: every row's final estimates are bit-identical",
 		},
 	}
