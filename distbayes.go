@@ -14,12 +14,13 @@
 //	internal/bn          Bayesian-network substrate (DAG, CPTs, sampling)
 //	internal/counter     distributed counters (exact, HYZ randomized, deterministic)
 //	internal/core        the tracking algorithms (EXACTMLE, BASELINE, UNIFORM,
-//	                     NONUNIFORM, Naïve-Bayes specialization, classification)
-//	internal/budget      the Lagrange error-budget allocator (eqs. 5-9)
+//	                     NONUNIFORM, Naïve-Bayes specialization) with their
+//	                     Lagrange error-budget allocator (eqs. 5-9), and the
+//	                     one read path: core.Snapshot and the query kernel
 //	internal/netgen      Table I network generators and variants
 //	internal/stream      workload generation (training streams, test queries)
 //	internal/cluster     live TCP implementation (coordinator + sites)
-//	internal/serve       HTTP query front end over immutable model snapshots
+//	internal/serve       HTTP query front end over core.Snapshots
 //	internal/chowliu     Chow–Liu structure learning (offline and the MI
 //	                     primitives of the online distributed path)
 //	internal/decay       time-decayed counters (future-work extension)
@@ -88,6 +89,16 @@
 // per variable per rebuild. Trackers with a CounterFactory skip the caching
 // (factory counters may change out of band) but keep the batched reads.
 //
+// There is one snapshot type and one query kernel. core.Snapshot is an
+// immutable set of per-variable factor rows with its network, version, build
+// time and structure epoch; the tracker, the cluster coordinator, a striped
+// federation and the coordinator's learned-structure overlay each only build
+// one, and Algorithm 3, the Markov-blanket argmax, partial-evidence
+// classification and the normalized model are each written once against it
+// (core.QueryProb, core.Classify, ... — also what the tracker's per-cell
+// fallback and the HTTP handlers call). Any number of goroutines may read one
+// snapshot; each acquisition is released exactly once.
+//
 // # Query serving
 //
 // internal/serve puts a network front end on the snapshot read path: an
@@ -95,10 +106,11 @@
 // ClassifyPartial, InferMarginal and EstimatedModel, where every response
 // is computed against exactly one immutable model snapshot and tagged with
 // that snapshot's version and age (the snapshot-consistency contract; see
-// the serve package documentation). A server fronts either an in-process
-// Tracker (NewTrackerSource) or a live cluster coordinator
-// (serve.NewCoordinatorSource, cmd/bncluster -serve) through the same
-// ModelSource interface. Underneath, snapshot rebuilds read whole counter
+// the serve package documentation). A server fronts an in-process Tracker
+// (NewTrackerSource), a live cluster coordinator
+// (serve.NewCoordinatorSource, cmd/bncluster -serve), its learned tree or a
+// striped federation through the same ModelSource interface, all handing out
+// core.Snapshots. Underneath, snapshot rebuilds read whole counter
 // rows through kind-specialized counter.Bank.EstimateRange bulk loops
 // instead of a per-cell Estimate switch, so rebuilding the ~80k-cell munin
 // network stays cheap enough to refresh on a millisecond staleness bound

@@ -279,7 +279,9 @@ type coStripe struct {
 // estSnapshot is one immutable materialization of every counter's estimate,
 // validated against the stripe versions exactly like core.Tracker's model
 // snapshots: a query reuses the cached snapshot while every stripe version
-// still matches and rebuilds only the stripes that moved.
+// still matches and rebuilds only the stripes that moved. A Federation's
+// merge of its stripes' snapshots is the same type, with one version per
+// part.
 type estSnapshot struct {
 	// versions[s] is stripes[s].version at the time stripe s's estimates
 	// were computed (or inherited from the previous snapshot).
@@ -287,15 +289,43 @@ type estSnapshot struct {
 	// est[c] is counter c's estimate: Σ_sites reported + trailing-gap
 	// adjustment.
 	est []float64
-	// model caches the normalized bn.Model built from est (EstimatedModel),
-	// populated lazily at most once per snapshot.
-	model atomic.Pointer[bn.Model]
-	// version is the sum of the per-stripe versions — monotone
-	// non-decreasing across snapshots (every accepted update bumps one
-	// stripe version) — and builtAt is when the estimates were computed.
-	// Surfaced by the serving layer (Snapshot.Version/BuiltAt).
+	// version is the sum of versions — monotone non-decreasing across
+	// snapshots (every accepted update bumps one stripe version) — and
+	// builtAt is when the estimates were computed.
 	version uint64
 	builtAt time.Time
+
+	// view is the read handle over est, derived on first use: the stripe
+	// coordinators of a federation are only ever read through the merge.
+	viewOnce sync.Once
+	view     *core.Snapshot
+}
+
+// snapshot returns the read handle every query goes through: the factor rows
+// est[pair]/est[par] of every CPD cell (0 where the parent configuration has
+// no mass, so a joint query over it is 0 and its model row normalizes to
+// uniform), at this snapshot's version. est/den computed here is the same
+// float as est/den computed per query.
+func (s *estSnapshot) snapshot(netw *bn.Network, layout *Layout) *core.Snapshot {
+	s.viewOnce.Do(func() {
+		rows := make([][]float64, netw.Len())
+		cells := make([]float64, netw.NumCells()) // one backing array for every row
+		for i := range rows {
+			j, k := netw.Card(i), netw.ParentCard(i)
+			row := cells[: j*k : j*k]
+			cells = cells[j*k:]
+			for pidx := 0; pidx < k; pidx++ {
+				if den := s.est[layout.ParID(i, pidx)]; den > 0 {
+					for v := 0; v < j; v++ {
+						row[pidx*j+v] = s.est[layout.PairID(i, v, pidx)] / den
+					}
+				}
+			}
+			rows[i] = row
+		}
+		s.view = core.NewSnapshot(netw, rows, s.version, s.builtAt, 0)
+	})
+	return s.view
 }
 
 // siteSlot is the coordinator's supervision record for one site id: the
@@ -1003,7 +1033,7 @@ func (co *Coordinator) snapFresh(snap *estSnapshot) bool {
 	return true
 }
 
-// snapshot returns a current estimate snapshot, rebuilding only the stripes
+// estimates returns a current estimate snapshot, rebuilding only the stripes
 // whose version moved since the cached one was built. Mirrors
 // core.Tracker's snapshot machinery: repeated queries against a quiescent
 // coordinator share one snapshot with no lock traffic, and a query racing
@@ -1011,7 +1041,7 @@ func (co *Coordinator) snapFresh(snap *estSnapshot) bool {
 // snapshot taken while frames are in flight may interleave stripes from
 // slightly different stream positions — the same consistency the per-cell
 // Estimate path has.
-func (co *Coordinator) snapshot() *estSnapshot {
+func (co *Coordinator) estimates() *estSnapshot {
 	if s := co.snap.Load(); s != nil && co.snapFresh(s) {
 		return s
 	}
@@ -1103,59 +1133,25 @@ func (co *Coordinator) snapshot() *estSnapshot {
 	return ns
 }
 
-// QueryProb answers a joint-probability query from the tracked counters
-// (Algorithm 3 over the cluster state), served from the version-validated
-// estimate snapshot. Valid at any time: during a live run the answer
-// reflects the reports received so far — the paper's query-at-any-time
-// model — and after Serve returns it is the final estimate.
-func (co *Coordinator) QueryProb(x []int) float64 {
-	est := co.snapshot().est
-	p := 1.0
-	for i := 0; i < co.net.Len(); i++ {
-		pidx := co.net.ParentIndex(i, x)
-		den := est[co.layout.ParID(i, pidx)]
-		if den <= 0 {
-			return 0
-		}
-		p *= est[co.layout.PairID(i, x[i], pidx)] / den
-	}
-	return p
+// AcquireSnapshot returns the current estimates as the one read handle of the
+// repo (core.Snapshot), rebuilding only the stripes whose version moved since
+// the cached one was built. Valid at any time: mid-run it reflects the reports
+// received so far — the paper's query-at-any-time model — and after Serve
+// returns it is the final estimate. Estimate snapshots are garbage-collected,
+// so Release is a no-op.
+func (co *Coordinator) AcquireSnapshot() *core.Snapshot {
+	return co.estimates().snapshot(co.net, co.layout)
 }
+
+// QueryProb answers a joint-probability query from the tracked counters
+// (Algorithm 3 over the cluster state) on the current snapshot.
+func (co *Coordinator) QueryProb(x []int) float64 { return co.AcquireSnapshot().QueryProb(x) }
 
 // EstimatedModel materializes the tracked parameters into a normalized
-// bn.Model, built from the same estimate snapshot QueryProb reads and
-// cached per snapshot (repeated calls between reports are free). Rows whose
-// parent configuration has no mass become uniform. Valid at any time, like
-// QueryProb.
-func (co *Coordinator) EstimatedModel() (*bn.Model, error) {
-	return co.modelFor(co.snapshot())
-}
-
-// modelFor returns snap's cached normalized model, building and publishing
-// it on first use — shared by EstimatedModel and the serving layer's
-// Snapshot.Model.
-func (co *Coordinator) modelFor(snap *estSnapshot) (*bn.Model, error) {
-	if m := snap.model.Load(); m != nil {
-		return m, nil
-	}
-	est := snap.est
-	m, err := bn.NewNormalizedModel(co.net, func(i int, tbl []float64) {
-		j, k := co.net.Card(i), co.net.ParentCard(i)
-		for pidx := 0; pidx < k; pidx++ {
-			den := est[co.layout.ParID(i, pidx)]
-			for v := 0; v < j; v++ {
-				if den > 0 {
-					tbl[pidx*j+v] = est[co.layout.PairID(i, v, pidx)] / den
-				}
-			}
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	snap.model.Store(m)
-	return m, nil
-}
+// bn.Model, built from the same snapshot QueryProb reads and cached with it
+// (repeated calls between reports are free). Rows whose parent configuration
+// has no mass become uniform.
+func (co *Coordinator) EstimatedModel() (*bn.Model, error) { return co.AcquireSnapshot().Model() }
 
 // RunStats is LiveStats' full point-in-time view of a run: the protocol
 // counters plus — when the structure-learning overlay is on — its fold

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"distbayes/internal/bn"
+	"distbayes/internal/core"
 )
 
 // Striped coordinator federation: the flat counter-id space is partitioned
@@ -133,19 +134,7 @@ type Federation struct {
 	layout *Layout
 
 	rebuildMu sync.Mutex
-	snap      atomic.Pointer[fedSnapshot]
-}
-
-// fedSnapshot is one immutable merge of the per-stripe estimate snapshots.
-type fedSnapshot struct {
-	// versions[i] is part i's snapshot version at merge time.
-	versions []uint64
-	est      []float64
-	model    atomic.Pointer[bn.Model]
-	// version is the sum of the per-part versions — monotone non-decreasing,
-	// like a single coordinator's snapshot version.
-	version uint64
-	builtAt time.Time
+	snap      atomic.Pointer[estSnapshot]
 }
 
 // NewFederation builds the query plane over the stripe coordinators;
@@ -204,16 +193,17 @@ func (f *Federation) Estimate(id uint32) float64 {
 	}
 }
 
-// snapshot returns a current merged snapshot, re-merging only when some
-// stripe's snapshot version moved. The per-part acquisitions reuse each
-// coordinator's own version-validated snapshot, so a federation query
-// against quiescent stripes costs K version comparisons.
-func (f *Federation) snapshot() *fedSnapshot {
+// estimates returns a current merged snapshot (versions[i] is part i's
+// snapshot version at merge time), re-merging only when some stripe's
+// snapshot version moved. The per-part acquisitions reuse each coordinator's
+// own version-validated snapshot, so a federation query against quiescent
+// stripes costs K version comparisons.
+func (f *Federation) estimates() *estSnapshot {
 	parts := make([]*estSnapshot, len(f.parts))
 	fresh := true
 	old := f.snap.Load()
 	for i, co := range f.parts {
-		parts[i] = co.snapshot()
+		parts[i] = co.estimates()
 		if old == nil || old.versions[i] != parts[i].version {
 			fresh = false
 		}
@@ -223,7 +213,7 @@ func (f *Federation) snapshot() *fedSnapshot {
 	}
 	f.rebuildMu.Lock()
 	defer f.rebuildMu.Unlock()
-	ns := &fedSnapshot{
+	ns := &estSnapshot{
 		versions: make([]uint64, len(parts)),
 		est:      make([]float64, f.layout.NumCounters()),
 	}
@@ -238,93 +228,20 @@ func (f *Federation) snapshot() *fedSnapshot {
 	return ns
 }
 
+// AcquireSnapshot returns the current merged estimates behind the same read
+// handle a single coordinator offers, so the serving layer fronts a federation
+// unchanged. Its version is the sum of the per-stripe snapshot versions.
+func (f *Federation) AcquireSnapshot() *core.Snapshot {
+	return f.estimates().snapshot(f.net, f.layout)
+}
+
 // QueryProb answers a joint-probability query from the merged estimates —
 // the same Algorithm-3 product a single coordinator computes.
-func (f *Federation) QueryProb(x []int) float64 {
-	est := f.snapshot().est
-	p := 1.0
-	for i := 0; i < f.net.Len(); i++ {
-		pidx := f.net.ParentIndex(i, x)
-		den := est[f.layout.ParID(i, pidx)]
-		if den <= 0 {
-			return 0
-		}
-		p *= est[f.layout.PairID(i, x[i], pidx)] / den
-	}
-	return p
-}
+func (f *Federation) QueryProb(x []int) float64 { return f.AcquireSnapshot().QueryProb(x) }
 
 // EstimatedModel materializes the merged estimates into a normalized
 // bn.Model, cached per merged snapshot.
-func (f *Federation) EstimatedModel() (*bn.Model, error) {
-	return f.modelFor(f.snapshot())
-}
-
-func (f *Federation) modelFor(snap *fedSnapshot) (*bn.Model, error) {
-	if m := snap.model.Load(); m != nil {
-		return m, nil
-	}
-	est := snap.est
-	m, err := bn.NewNormalizedModel(f.net, func(i int, tbl []float64) {
-		j, k := f.net.Card(i), f.net.ParentCard(i)
-		for pidx := 0; pidx < k; pidx++ {
-			den := est[f.layout.ParID(i, pidx)]
-			for v := 0; v < j; v++ {
-				if den > 0 {
-					tbl[pidx*j+v] = est[f.layout.PairID(i, v, pidx)] / den
-				}
-			}
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	snap.model.Store(m)
-	return m, nil
-}
-
-// FedSnapshot is an exported read handle on one merged federation snapshot,
-// offering the same surface as a single coordinator's Snapshot so the
-// serving layer fronts a federation unchanged.
-type FedSnapshot struct {
-	f *Federation
-	s *fedSnapshot
-}
-
-// AcquireSnapshot returns the current merged snapshot.
-func (f *Federation) AcquireSnapshot() *FedSnapshot {
-	return &FedSnapshot{f: f, s: f.snapshot()}
-}
-
-// Factor returns the merged estimate of P[X_i = v | parent config pidx].
-func (s *FedSnapshot) Factor(i, v, pidx int) float64 {
-	den := s.s.est[s.f.layout.ParID(i, pidx)]
-	if den <= 0 {
-		return 0
-	}
-	return s.s.est[s.f.layout.PairID(i, v, pidx)] / den
-}
-
-// Version is the sum of the per-stripe snapshot versions; monotone
-// non-decreasing across acquisitions.
-func (s *FedSnapshot) Version() uint64 { return s.s.version }
-
-// BuiltAt is when the merge was computed.
-func (s *FedSnapshot) BuiltAt() time.Time { return s.s.builtAt }
-
-// Model returns the merged estimates normalized into a bn.Model, built at
-// most once per merged snapshot; immutable.
-func (s *FedSnapshot) Model() (*bn.Model, error) { return s.f.modelFor(s.s) }
-
-// Network returns the tracked base network.
-func (s *FedSnapshot) Network() *bn.Network { return s.f.net }
-
-// StructureEpoch is always 0: striped federation tracks the configured base
-// structure (striping and structure learning are mutually exclusive).
-func (s *FedSnapshot) StructureEpoch() uint64 { return 0 }
-
-// Release is a no-op: merged snapshots carry no pooled resources.
-func (s *FedSnapshot) Release() {}
+func (f *Federation) EstimatedModel() (*bn.Model, error) { return f.AcquireSnapshot().Model() }
 
 // RunLocalFederation executes a striped run on loopback TCP: K stripe
 // coordinators (cfg with StripeIndex = 0..K-1, StripeCount = K), cfg.Sites

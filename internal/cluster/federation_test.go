@@ -69,49 +69,6 @@ func TestFederationBitIdenticalToFlat(t *testing.T) {
 	}
 }
 
-// TestFederationSnapshotSurface exercises the FedSnapshot handle the serving
-// layer consumes: factors match the merged estimates, versions are monotone,
-// and the structure epoch is pinned at 0.
-func TestFederationSnapshotSurface(t *testing.T) {
-	cfg := Config{
-		NetName: "alarm", CPTSeed: 0xC0DE, Strategy: core.ExactMLE,
-		Sites: 3, Events: 3000, StreamSeed: 43,
-	}
-	_, fed, err := RunLocalFederation(cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := fed.AcquireSnapshot()
-	defer snap.Release()
-	netw := fed.Network()
-	for i := 0; i < netw.Len(); i++ {
-		for pidx := 0; pidx < netw.ParentCard(i); pidx++ {
-			var sum float64
-			for v := 0; v < netw.Card(i); v++ {
-				f := snap.Factor(i, v, pidx)
-				if f < 0 || f > 1.0000001 {
-					t.Fatalf("factor(%d,%d,%d) = %v out of range", i, v, pidx, f)
-				}
-				sum += f
-			}
-			if sum > 0 && (sum < 0.999 || sum > 1.001) {
-				t.Fatalf("factors of var %d pidx %d sum to %v", i, pidx, sum)
-			}
-		}
-	}
-	if snap.StructureEpoch() != 0 {
-		t.Errorf("structure epoch = %d, want 0", snap.StructureEpoch())
-	}
-	if _, err := snap.Model(); err != nil {
-		t.Fatal(err)
-	}
-	again := fed.AcquireSnapshot()
-	defer again.Release()
-	if again.Version() < snap.Version() {
-		t.Errorf("version went backwards: %d < %d", again.Version(), snap.Version())
-	}
-}
-
 // TestStripedConfigValidation pins the striping config contract: bad stripe
 // specs and the striping/structure-learning exclusion are rejected.
 func TestStripedConfigValidation(t *testing.T) {

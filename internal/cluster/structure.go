@@ -10,6 +10,7 @@ import (
 
 	"distbayes/internal/bn"
 	"distbayes/internal/chowliu"
+	"distbayes/internal/core"
 	"distbayes/internal/decay"
 )
 
@@ -221,81 +222,26 @@ var ErrStructLearningOff = errors.New("cluster: structure learning not enabled")
 // serves normally — the documented cold-start behavior.
 var ErrNoLearnedStructure = errors.New("cluster: no learned structure yet")
 
-// structState is one immutable published structure: the learned tree, its
-// windowed-MLE parameters, and the epoch/version pair the serving contract
-// rides on. Hot swaps publish a fresh structState; readers holding an old
-// one keep a consistent view.
+// structState is one immutable published structure: the learned tree and its
+// windowed-MLE parameters as a core.Snapshot, plus what the next relearn
+// compares against. Hot swaps publish a fresh structState; readers holding an
+// old one keep a consistent view.
 type structState struct {
-	// epoch counts structure changes: 1 for the first learned tree, bumped
-	// every time the learned undirected edge set differs from the previous
-	// one. Surfaced on every snapshot so serving clients can observe swaps.
-	epoch uint64
-	// version is the struct-statistics version the state was built from —
-	// monotone across relearns (parameter refreshes bump it even when the
-	// tree is unchanged), which keeps the per-client version-monotone
-	// serving contract intact across hot swaps.
-	version uint64
-	builtAt time.Time
-	// net is the learned tree (base variable names and cardinalities,
-	// learned single-parent structure, rooted at variable 0).
-	net    *bn.Network
+	// snap is the read handle served for this state. Its network is the
+	// learned tree (base variable names and cardinalities, learned
+	// single-parent structure, rooted at variable 0); its factor rows are
+	// seeded from the windowed pair statistics, rows with an unobserved parent
+	// configuration uniform (chowliu.LearnModel's convention). Its structure
+	// epoch counts structure changes — 1 for the first learned tree, bumped
+	// every time the learned undirected edge set differs from the previous one
+	// — so serving clients can observe swaps. Its version is the
+	// struct-statistics version the state was built from: monotone across
+	// relearns (parameter refreshes bump it even when the tree is unchanged),
+	// which keeps the per-client version-monotone serving contract intact
+	// across hot swaps.
+	snap   *core.Snapshot
 	parent []int
-	// factors[i][pidx*Card(i)+v] estimates P[X_i = v | parent config pidx],
-	// seeded from the windowed pair statistics; rows with an unobserved
-	// parent configuration are uniform (chowliu.LearnModel's convention).
-	factors [][]float64
-	// windowTotal is the in-window event mass the state was learned from.
-	windowTotal int64
-
-	modelOnce sync.Once
-	model     *bn.Model
-	modelErr  error
 }
-
-// LearnedSnapshot is a read handle on one published learned structure,
-// implementing the serving layer's Snapshot contract (including Network and
-// StructureEpoch — the structure genuinely changes across snapshots here,
-// unlike the flat parameter snapshots).
-type LearnedSnapshot struct{ s *structState }
-
-// Factor returns the learned estimate of P[X_i = v | parent config pidx]
-// under this snapshot's tree.
-func (s *LearnedSnapshot) Factor(i, v, pidx int) float64 {
-	return s.s.factors[i][pidx*s.s.net.Card(i)+v]
-}
-
-// Version identifies the struct-statistics state the snapshot was learned
-// from; monotone non-decreasing across acquisitions, including across
-// structure swaps.
-func (s *LearnedSnapshot) Version() uint64 { return s.s.version }
-
-// BuiltAt is when the structure was learned.
-func (s *LearnedSnapshot) BuiltAt() time.Time { return s.s.builtAt }
-
-// Network returns the learned tree.
-func (s *LearnedSnapshot) Network() *bn.Network { return s.s.net }
-
-// StructureEpoch counts structure changes; it bumps exactly when the
-// learned undirected edge set changes (a hot swap).
-func (s *LearnedSnapshot) StructureEpoch() uint64 { return s.s.epoch }
-
-// WindowEvents is the in-window event mass the structure was learned from.
-func (s *LearnedSnapshot) WindowEvents() int64 { return s.s.windowTotal }
-
-// Model normalizes the learned factors into a bn.Model, built at most once
-// per snapshot; immutable.
-func (s *LearnedSnapshot) Model() (*bn.Model, error) {
-	st := s.s
-	st.modelOnce.Do(func() {
-		st.model, st.modelErr = bn.NewNormalizedModel(st.net, func(i int, tbl []float64) {
-			copy(tbl, st.factors[i])
-		})
-	})
-	return st.model, st.modelErr
-}
-
-// Release is a no-op: learned snapshots are garbage-collected.
-func (s *LearnedSnapshot) Release() {}
 
 // StructStats summarizes the structure-learning overlay's communication and
 // learning activity — the numbers the drift experiment quotes against the
@@ -427,16 +373,16 @@ func (e *structEngine) relearnLocked() {
 	old := e.state.Load()
 	changed := old == nil || !sameUndirected(parent, old.parent, n)
 	epoch := uint64(1)
+	var netw *bn.Network
 	if old != nil {
-		epoch = old.epoch
+		epoch, netw = old.snap.StructureEpoch(), old.snap.Network()
 		if changed {
 			epoch++
 			e.swaps++
 		}
 	}
 
-	netw := old.netOrNil()
-	if changed || netw == nil {
+	if changed {
 		vars := make([]bn.Variable, n)
 		for i := 0; i < n; i++ {
 			base := e.net.Var(i)
@@ -455,25 +401,10 @@ func (e *structEngine) relearnLocked() {
 		parent = old.parent // identical edge set: keep the old orientation too
 	}
 
-	factors, total := e.seedFactorsLocked(win, netw)
-	ns := &structState{
-		epoch:       epoch,
-		version:     e.version,
-		builtAt:     time.Now(),
-		net:         netw,
-		parent:      parent,
-		factors:     factors,
-		windowTotal: total,
-	}
-	e.state.Store(ns)
-}
-
-// netOrNil tolerates a nil receiver so the first relearn reads naturally.
-func (s *structState) netOrNil() *bn.Network {
-	if s == nil {
-		return nil
-	}
-	return s.net
+	e.state.Store(&structState{
+		snap:   core.NewSnapshot(netw, e.seedFactorsLocked(win, netw), e.version, time.Now(), epoch),
+		parent: parent,
+	})
 }
 
 // seedFactorsLocked materializes the learned tree's CPD estimates straight
@@ -483,7 +414,7 @@ func (s *structState) netOrNil() *bn.Network {
 // every pair, and a site's frame lands atomically, so the tables are
 // mutually consistent). Unobserved parent configurations fall back to the
 // uniform row, chowliu.LearnModel's convention. Callers hold e.mu.
-func (e *structEngine) seedFactorsLocked(win []int64, learned *bn.Network) ([][]float64, int64) {
+func (e *structEngine) seedFactorsLocked(win []int64, learned *bn.Network) [][]float64 {
 	n := e.net.Len()
 	marg := make([][]int64, n)
 	for i := 0; i < n; i++ {
@@ -555,7 +486,7 @@ func (e *structEngine) seedFactorsLocked(win []int64, learned *bn.Network) ([][]
 		}
 		factors[i] = tbl
 	}
-	return factors, total
+	return factors
 }
 
 // sameUndirected reports whether two parent vectors describe the same
@@ -599,17 +530,20 @@ func (e *structEngine) stats() StructStats {
 		Swaps:    e.swaps,
 	}
 	if st := e.state.Load(); st != nil {
-		s.Epoch = st.epoch
+		s.Epoch = st.snap.StructureEpoch()
 	}
 	return s
 }
 
-// AcquireLearnedSnapshot returns the current learned-structure snapshot.
-// It fails with ErrStructLearningOff when the run has no structure-learning
-// overlay and ErrNoLearnedStructure before the first learned tree — both
-// treated by the serving layer as refresh failures (degraded/unavailable),
-// so a server over a learned source comes up cleanly mid-run.
-func (co *Coordinator) AcquireLearnedSnapshot() (*LearnedSnapshot, error) {
+// AcquireLearnedSnapshot returns the current learned structure as a
+// core.Snapshot whose Network is the learned tree and whose StructureEpoch
+// bumps exactly when the learned undirected edge set changes (a hot swap);
+// garbage-collected, so Release is a no-op. It fails with
+// ErrStructLearningOff when the run has no structure-learning overlay and
+// ErrNoLearnedStructure before the first learned tree — both treated by the
+// serving layer as refresh failures (degraded/unavailable), so a server over
+// a learned source comes up cleanly mid-run.
+func (co *Coordinator) AcquireLearnedSnapshot() (*core.Snapshot, error) {
 	if co.structs == nil {
 		return nil, ErrStructLearningOff
 	}
@@ -617,20 +551,17 @@ func (co *Coordinator) AcquireLearnedSnapshot() (*LearnedSnapshot, error) {
 	if st == nil {
 		return nil, ErrNoLearnedStructure
 	}
-	return &LearnedSnapshot{s: st}, nil
+	return st.snap, nil
 }
 
 // LearnedStructure returns the current learned tree and its structure
 // epoch; ok is false before the first learn (or with learning off).
 func (co *Coordinator) LearnedStructure() (netw *bn.Network, epoch uint64, ok bool) {
-	if co.structs == nil {
+	snap, err := co.AcquireLearnedSnapshot()
+	if err != nil {
 		return nil, 0, false
 	}
-	st := co.structs.state.Load()
-	if st == nil {
-		return nil, 0, false
-	}
-	return st.net, st.epoch, true
+	return snap.Network(), snap.StructureEpoch(), true
 }
 
 // StructLearnStats returns the structure-learning overlay's tallies (zero

@@ -1,4 +1,4 @@
-package budget
+package core
 
 import (
 	"math"
@@ -8,17 +8,49 @@ import (
 	"distbayes/internal/bn"
 )
 
-func TestAllocateValidation(t *testing.T) {
-	if _, err := Allocate(nil, 1); err != ErrEmpty {
-		t.Errorf("empty costs: err = %v, want ErrEmpty", err)
+// budgetCost evaluates the objective Σ c_i/ν_i of allocateBudget's program for
+// a feasible point.
+func budgetCost(costs, nu []float64) float64 {
+	total := 0.0
+	for i, c := range costs {
+		total += c / nu[i]
 	}
-	if _, err := Allocate([]float64{1, 2}, 0); err == nil {
+	return total
+}
+
+// optimalBudgetCost returns the objective value at the optimum without
+// materializing the allocation: (Σ c^{2/3})^{3/2} / √B.
+func optimalBudgetCost(costs []float64, budgetSq float64) float64 {
+	sum := 0.0
+	for _, c := range costs {
+		sum += math.Cbrt(c * c)
+	}
+	return math.Pow(sum, 1.5) / math.Sqrt(budgetSq)
+}
+
+// budgetFeasible reports whether Σ ν² equals budgetSq within tol and all ν > 0.
+func budgetFeasible(nu []float64, budgetSq, tol float64) bool {
+	sum := 0.0
+	for _, v := range nu {
+		if !(v > 0) {
+			return false
+		}
+		sum += v * v
+	}
+	return math.Abs(sum-budgetSq) <= tol*budgetSq
+}
+
+func TestAllocateValidation(t *testing.T) {
+	if _, err := allocateBudget(nil, 1); err == nil {
+		t.Error("empty costs accepted")
+	}
+	if _, err := allocateBudget([]float64{1, 2}, 0); err == nil {
 		t.Error("zero budget accepted")
 	}
-	if _, err := Allocate([]float64{1, -2}, 1); err == nil {
+	if _, err := allocateBudget([]float64{1, -2}, 1); err == nil {
 		t.Error("negative cost accepted")
 	}
-	if _, err := Allocate([]float64{1, math.NaN()}, 1); err == nil {
+	if _, err := allocateBudget([]float64{1, math.NaN()}, 1); err == nil {
 		t.Error("NaN cost accepted")
 	}
 }
@@ -28,7 +60,7 @@ func TestAllocateMatchesPaperEquation7(t *testing.T) {
 	// ν_i = (J_iK_i)^{1/3} ε / (16 α), α = (Σ (J_iK_i)^{2/3})^{1/2}.
 	eps := 0.1
 	jk := []float64{6, 2, 24, 4, 8}
-	nu, err := Allocate(jk, eps*eps/256)
+	nu, err := allocateBudget(jk, eps*eps/256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,17 +78,17 @@ func TestAllocateMatchesPaperEquation7(t *testing.T) {
 }
 
 func TestAllocateFeasible(t *testing.T) {
-	nu, err := Allocate([]float64{1, 10, 100}, 0.25)
+	nu, err := allocateBudget([]float64{1, 10, 100}, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Feasible(nu, 0.25, 1e-9) {
+	if !budgetFeasible(nu, 0.25, 1e-9) {
 		t.Errorf("allocation %v violates Σν² = 0.25", nu)
 	}
 }
 
 func TestUniformCostsGiveUniformAllocation(t *testing.T) {
-	nu, err := Allocate([]float64{7, 7, 7, 7}, 1)
+	nu, err := allocateBudget([]float64{7, 7, 7, 7}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,14 +105,14 @@ func TestUniformCostsGiveUniformAllocation(t *testing.T) {
 func TestOptimalCostMatchesAllocation(t *testing.T) {
 	costs := []float64{3, 1, 4, 1, 5, 9}
 	const b = 0.04
-	nu, err := Allocate(costs, b)
+	nu, err := allocateBudget(costs, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := Cost(costs, nu)
-	want := OptimalCost(costs, b)
+	got := budgetCost(costs, nu)
+	want := optimalBudgetCost(costs, b)
 	if math.Abs(got-want) > 1e-9*want {
-		t.Errorf("Cost(optimal) = %v, OptimalCost = %v", got, want)
+		t.Errorf("budgetCost(optimal) = %v, optimalBudgetCost = %v", got, want)
 	}
 }
 
@@ -95,11 +127,11 @@ func TestAllocationOptimalityQuick(t *testing.T) {
 			costs[i] = 0.5 + 100*rng.Float64()
 		}
 		const b = 1.0
-		nu, err := Allocate(costs, b)
+		nu, err := allocateBudget(costs, b)
 		if err != nil {
 			return false
 		}
-		best := Cost(costs, nu)
+		best := budgetCost(costs, nu)
 		for trial := 0; trial < 25; trial++ {
 			// Random positive direction, renormalized to the sphere Σν²=B.
 			cand := make([]float64, n)
@@ -112,7 +144,7 @@ func TestAllocationOptimalityQuick(t *testing.T) {
 			for i := range cand {
 				cand[i] *= scale
 			}
-			if Cost(costs, cand) < best*(1-1e-9) {
+			if budgetCost(costs, cand) < best*(1-1e-9) {
 				return false
 			}
 		}
@@ -124,10 +156,10 @@ func TestAllocationOptimalityQuick(t *testing.T) {
 }
 
 func TestFeasibleRejects(t *testing.T) {
-	if Feasible([]float64{0.5, 0}, 0.25, 1e-9) {
+	if budgetFeasible([]float64{0.5, 0}, 0.25, 1e-9) {
 		t.Error("zero entry accepted")
 	}
-	if Feasible([]float64{1, 1}, 0.25, 1e-9) {
+	if budgetFeasible([]float64{1, 1}, 0.25, 1e-9) {
 		t.Error("budget violation accepted")
 	}
 }

@@ -522,3 +522,47 @@ func TestConcurrentSnapshotQueries(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestHeldSnapshotOutlivesSuccessors: a reader may hold a snapshot while any
+// number of successors are built and retired. A successor shares the rows of
+// the stripes that did not change; retiring it must not recycle rows an older,
+// still-held snapshot reads — a row goes back to the pool only when the last
+// snapshot that references it is gone.
+func TestHeldSnapshotOutlivesSuccessors(t *testing.T) {
+	m := testModel(t) // 3 variables, one per stripe
+	net := m.Network()
+	tr, err := NewTracker(net, cfgFor(ExactMLE, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.UpdateEvents(genEventStream(m, 4, 1000, 9))
+	held := tr.AcquireSnapshot()
+	var want [][]float64
+	for i := 0; i < net.Len(); i++ {
+		want = append(want, append([]float64(nil), held.factors[i]...))
+	}
+	// bump dirties one stripe by hand, as an out-of-band single-stripe
+	// mutation would, and rebuilds.
+	bump := func(i int) {
+		sh := tr.stripeOf(i)
+		sh.mu.Lock()
+		tr.pair[i].Inc(0, 0)
+		tr.par[i].Inc(0, 0)
+		sh.version.Add(1)
+		sh.mu.Unlock()
+		tr.AcquireSnapshot().Release()
+	}
+	bump(1) // the successor shares held's rows 0 and 2
+	bump(0) // retires that successor, the only other user of held's row 0
+	bump(0) // a rebuild of row 0 draws from the pool
+	bump(2)
+	bump(2)
+	for i := range want {
+		for c, w := range want[i] {
+			if got := held.factors[i][c]; got != w {
+				t.Fatalf("held snapshot row %d cell %d changed from %v to %v: recycled under a reader", i, c, w, got)
+			}
+		}
+	}
+	held.Release()
+}

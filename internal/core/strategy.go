@@ -25,7 +25,6 @@ import (
 	"math"
 
 	"distbayes/internal/bn"
-	"distbayes/internal/budget"
 )
 
 // Strategy selects the error-budget allocation (and EXACTMLE, which does not
@@ -128,11 +127,11 @@ func Allocate(net *bn.Network, strategy Strategy, eps float64) (Allocation, erro
 			costsA[i] = ji * ki
 			costsB[i] = ki
 		}
-		nu, err := budget.Allocate(costsA, b)
+		nu, err := allocateBudget(costsA, b)
 		if err != nil {
 			return a, err
 		}
-		mu, err := budget.Allocate(costsB, b)
+		mu, err := allocateBudget(costsB, b)
 		if err != nil {
 			return a, err
 		}
@@ -149,7 +148,7 @@ func Allocate(net *bn.Network, strategy Strategy, eps float64) (Allocation, erro
 		for i := 0; i < n; i++ {
 			costsA[i] = float64(net.Card(i)) * float64(net.ParentCard(i))
 		}
-		nu, err := budget.Allocate(costsA, b)
+		nu, err := allocateBudget(costsA, b)
 		if err != nil {
 			return a, err
 		}
@@ -162,6 +161,43 @@ func Allocate(net *bn.Network, strategy Strategy, eps float64) (Allocation, erro
 	default:
 		return a, fmt.Errorf("core: unknown strategy %v", strategy)
 	}
+}
+
+// allocateBudget solves the error-budget allocation problem at the heart of
+// the NONUNIFORM algorithm (Section IV-E of the paper):
+//
+//	minimize   Σ_i c_i / ν_i
+//	subject to Σ_i ν_i² = B,   ν_i > 0
+//
+// where c_i is the number of distributed counters in group i (so c_i/ν_i is
+// proportional to that group's communication cost) and B is the squared error
+// budget (ε²/256 in the paper). The Lagrange-multiplier solution is
+//
+//	ν_i = c_i^{1/3} · √B / (Σ_j c_j^{2/3})^{1/2}
+//
+// which reduces to equations (7), (8) and (9) of the paper for the choices
+// c_i = J_i·K_i, c_i = K_i and the Naïve-Bayes special case respectively.
+// costs and budgetSq must be positive.
+func allocateBudget(costs []float64, budgetSq float64) ([]float64, error) {
+	if len(costs) == 0 {
+		return nil, fmt.Errorf("core: no cost groups to allocate a budget over")
+	}
+	if !(budgetSq > 0) || math.IsInf(budgetSq, 0) || math.IsNaN(budgetSq) {
+		return nil, fmt.Errorf("core: invalid budget %v", budgetSq)
+	}
+	sum := 0.0
+	for i, c := range costs {
+		if !(c > 0) || math.IsInf(c, 0) || math.IsNaN(c) {
+			return nil, fmt.Errorf("core: cost %d is %v, want > 0", i, c)
+		}
+		sum += math.Cbrt(c * c) // c^{2/3}
+	}
+	scale := math.Sqrt(budgetSq / sum)
+	nu := make([]float64, len(costs))
+	for i, c := range costs {
+		nu[i] = math.Cbrt(c) * scale
+	}
+	return nu, nil
 }
 
 // BudgetSpent returns Σ ν_i² for the pair-counter side of an allocation —

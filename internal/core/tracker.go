@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -224,14 +223,16 @@ type Tracker struct {
 	// snap is the last published model snapshot (nil until the first
 	// structured query; never cached for CounterFactory trackers).
 	snap atomic.Pointer[modelSnapshot]
-	// rebuildMu serializes snapshot rebuilds and cache replacement, which is
-	// what makes snapshot-row ownership hand-off (modelSnapshot.inherited)
-	// race-free. The query fast path never takes it.
+	// rebuildMu serializes snapshot rebuilds and cache replacement: a rebuild
+	// shares the rows of the cached snapshot, which its cache reference keeps
+	// alive for as long as rebuildMu is held. The query fast path never takes
+	// it.
 	rebuildMu sync.Mutex
-	// rowPools[i] recycles variable i's factor rows from retired snapshots
-	// (*[]float64 of exactly J_i·K_i cells), so steady-state ingest+query
-	// mixes stop allocating one row per dirty variable per rebuild. One pool
-	// per variable keeps every recycled row exactly the right size.
+	// rowPools[i] recycles variable i's factor rows (*factorRow of exactly
+	// J_i·K_i cells) once no snapshot references them, so steady-state
+	// ingest+query mixes stop allocating one row per dirty variable per
+	// rebuild. One pool per variable keeps every recycled row exactly the
+	// right size.
 	rowPools []sync.Pool
 	// staleQueries counts point queries served per-cell since the cached
 	// snapshot went stale; once it passes staleQueryRebuildThreshold the
@@ -661,8 +662,10 @@ func (t *Tracker) readRowsLocked(i int, pair, par []float64) {
 	t.par[i].EstimateRange(0, len(par), par)
 }
 
-// modelSnapshot is one consistent-enough view of every CPD factor, built by
-// batched per-stripe reads and shared by the structured query paths.
+// modelSnapshot is the tracker's cache entry: one Snapshot — a
+// consistent-enough view of every CPD factor, built by batched per-stripe
+// reads and shared by the structured query paths — plus the bookkeeping that
+// validates, shares and recycles it.
 //
 // Invalidation rules: factors[i] holds the smoothed factor of every cell of
 // variable i, read under i's stripe lock together with that stripe's
@@ -675,38 +678,36 @@ func (t *Tracker) readRowsLocked(i int, pair, par []float64) {
 // post-event and later stripes pre-event; quiesce ingestion for a
 // stream-position-exact view.
 type modelSnapshot struct {
+	// Snapshot holds the rows (factors[i][pidx*J_i+v] is the smoothed
+	// cpdFactor value), the lazily normalized model, when the rows were read,
+	// and the version: the sum of the per-stripe versions, monotone
+	// non-decreasing across snapshots because every mutation bumps exactly
+	// one stripe version. Its Release drops one reference (releaseSnap).
+	Snapshot
 	// versions[s] is shards[s].version at the time stripe s's rows were
 	// read (or inherited from the previous snapshot).
 	versions []uint64
-	// factors[i][pidx*J_i+v] is the smoothed cpdFactor value.
-	factors [][]float64
-	// model caches the normalized bn.Model built from factors
-	// (EstimatedModel), populated lazily at most once per snapshot.
-	model atomic.Pointer[bn.Model]
-	// version identifies the counter state this snapshot was built from:
-	// the sum of the per-stripe versions, monotone non-decreasing across
-	// snapshots because every mutation bumps exactly one stripe version.
-	// builtAt records when the rows were read. Both are surfaced to the
-	// serving layer (Snapshot.Version/BuiltAt) so every query reply can say
-	// how fresh its snapshot is.
-	version uint64
-	builtAt time.Time
 
 	// refs counts live references: one held by the tracker's cache slot
 	// while this is the published snapshot, plus one per in-flight query.
-	// When it drops to zero the snapshot is retired and its owned rows are
-	// recycled through the tracker's rowPool. Readers take references with
+	// When it drops to zero the snapshot is retired and the rows no other
+	// snapshot shares are recycled through the tracker's rowPools. Readers take references with
 	// Tracker.acquireSnap (a CAS loop that refuses retired snapshots) and
 	// drop them with Tracker.releaseSnap.
 	refs atomic.Int32
-	// inherited[i] marks rows whose ownership was handed to the successor
-	// snapshot (set under rebuildMu, strictly before the cache reference is
-	// dropped): retirement recycles only the rows this snapshot still owns.
-	inherited []bool
-	// boxes[i] is the pooled *[]float64 backing factors[i], kept so
-	// retirement can Put the same pointer back without re-boxing the slice
-	// header (a Put(&row) would allocate, costing what pooling saves).
-	boxes []*[]float64
+	// rows[i] is the pooled, shared row backing factors[i].
+	rows []*factorRow
+}
+
+// factorRow is one variable's pooled factor row. A rebuild shares the rows of
+// unchanged stripes with its predecessor, and either snapshot may outlive the
+// other (a reader can hold an old one across any number of rebuilds), so a
+// row counts the snapshots that reference it and returns to the pool when the
+// last of them retires. Pooling the box rather than the slice keeps Put from
+// re-boxing a slice header (that allocation would cost what pooling saves).
+type factorRow struct {
+	cells []float64
+	snaps atomic.Int32
 }
 
 // acquireSnap takes a read reference on the cached snapshot, or returns nil
@@ -731,27 +732,27 @@ func (t *Tracker) acquireSnap() *modelSnapshot {
 
 // releaseSnap drops a reference taken by acquireSnap (or returned by
 // snapshot/pointSnapshot); the final drop retires the snapshot and recycles
-// the rows it still owns into the row pool.
+// the rows no other snapshot shares into the row pool.
 func (t *Tracker) releaseSnap(s *modelSnapshot) {
 	if s.refs.Add(-1) != 0 {
 		return
 	}
-	for i, box := range s.boxes {
-		if !s.inherited[i] {
-			t.rowPools[i].Put(box)
+	for i, row := range s.rows {
+		if row.snaps.Add(-1) == 0 {
+			t.rowPools[i].Put(row)
 		}
 	}
 }
 
 // getRow returns a pooled factor row for variable i with n cells (contents
 // unspecified — snapshot building overwrites every cell).
-func (t *Tracker) getRow(i, n int) *[]float64 {
-	if p, ok := t.rowPools[i].Get().(*[]float64); ok {
-		*p = (*p)[:n]
-		return p
+func (t *Tracker) getRow(i, n int) *factorRow {
+	row, ok := t.rowPools[i].Get().(*factorRow)
+	if !ok {
+		row = &factorRow{cells: make([]float64, n)}
 	}
-	row := make([]float64, n)
-	return &row
+	row.snaps.Store(1)
+	return row
 }
 
 // snapFresh reports whether snap matches every stripe's live version.
@@ -828,31 +829,37 @@ func (t *Tracker) snapshot() *modelSnapshot {
 	return t.buildSnapshot(t.snap.Load(), true)
 }
 
+// AcquireSnapshot returns the current model snapshot with a read reference
+// held — the tracker's refcounted snapshot machinery surfaced as a
+// read-replica primitive for the serving layer (internal/serve) — rebuilding
+// only the stripes whose version moved since the cached snapshot was built (a
+// full rebuild bulk-reads every CPT cell via counter.Bank.EstimateRange).
+// Ingestion proceeding underneath retires the snapshot without waiting for
+// readers. The caller owns one reference and must call Release exactly once.
+func (t *Tracker) AcquireSnapshot() *Snapshot { return &t.snapshot().Snapshot }
+
 // buildSnapshot reads every stripe (reusing old's rows for unchanged
 // stripes) and returns the new snapshot with the caller's reference held.
 // When cacheable it also publishes the snapshot and retires old's cache
 // reference; callers then hold rebuildMu.
 func (t *Tracker) buildSnapshot(old *modelSnapshot, cacheable bool) *modelSnapshot {
 	ns := &modelSnapshot{
-		versions:  make([]uint64, len(t.shards)),
-		factors:   make([][]float64, t.net.Len()),
-		inherited: make([]bool, t.net.Len()),
-		boxes:     make([]*[]float64, t.net.Len()),
+		Snapshot: Snapshot{net: t.net, factors: make([][]float64, t.net.Len())},
+		versions: make([]uint64, len(t.shards)),
+		rows:     make([]*factorRow, t.net.Len()),
 	}
+	ns.release = func() { t.releaseSnap(ns) }
 	var par []float64 // parent-row scratch shared across variables
 	for s := range t.shards {
 		sh := &t.shards[s]
 		if old != nil {
 			if v := sh.version.Load(); v == old.versions[s] {
-				// Stripe unchanged since the cached snapshot: inherit its
-				// immutable rows, transferring ownership so old's retirement
-				// does not recycle them under us. (A concurrent mutation
-				// after the load is caught by the next query's
-				// revalidation.)
+				// Stripe unchanged since the cached snapshot: share its
+				// immutable rows. (A concurrent mutation after the load is
+				// caught by the next query's revalidation.)
 				for _, i := range sh.vars {
-					ns.factors[i] = old.factors[i]
-					ns.boxes[i] = old.boxes[i]
-					old.inherited[i] = true
+					old.rows[i].snaps.Add(1)
+					ns.factors[i], ns.rows[i] = old.factors[i], old.rows[i]
 				}
 				ns.versions[s] = v
 				continue
@@ -861,8 +868,8 @@ func (t *Tracker) buildSnapshot(old *modelSnapshot, cacheable bool) *modelSnapsh
 		sh.mu.Lock()
 		for _, i := range sh.vars {
 			j, k := t.net.Card(i), t.net.ParentCard(i)
-			box := t.getRow(i, j*k)
-			row := *box
+			shared := t.getRow(i, j*k)
+			row := shared.cells
 			par = growFloats(par, k)
 			t.readRowsLocked(i, row, par)
 			for pidx := 0; pidx < k; pidx++ {
@@ -873,7 +880,7 @@ func (t *Tracker) buildSnapshot(old *modelSnapshot, cacheable bool) *modelSnapsh
 				}
 			}
 			ns.factors[i] = row
-			ns.boxes[i] = box
+			ns.rows[i] = shared
 		}
 		ns.versions[s] = sh.version.Load() // under mu: stable
 		sh.mu.Unlock()
@@ -913,40 +920,25 @@ func (t *Tracker) invalidateSnapshotLocked() {
 // (Algorithm 3): Π_i A_i(x_i, x_i^par) / A_i(x_i^par). With no smoothing and
 // an unseen parent configuration the result is 0. Served from the cached
 // model snapshot when one is current, per-cell otherwise (see Tracker's
-// type comment and pointSnapshot); both paths are bit-identical.
+// type comment and pointSnapshot); both feed the same kernel and are
+// bit-identical.
 func (t *Tracker) QueryProb(x []int) float64 {
-	snap := t.pointSnapshot()
-	if snap != nil {
+	if snap := t.pointSnapshot(); snap != nil {
 		defer t.releaseSnap(snap)
+		return snap.QueryProb(x)
 	}
-	p := 1.0
-	for i := 0; i < t.net.Len(); i++ {
-		if snap != nil {
-			p *= snap.factors[i][t.net.ParentIndex(i, x)*t.net.Card(i)+x[i]]
-		} else {
-			p *= t.cpdFactor(i, x[i], t.net.ParentIndex(i, x))
-		}
-	}
-	return p
+	return QueryProb(t.net, t.cpdFactor, x)
 }
 
 // QuerySubsetProb estimates the marginal probability of x restricted to an
 // ancestrally closed variable set (see bn.Network.AncestralClosure), which
 // factorizes exactly over the member CPDs.
 func (t *Tracker) QuerySubsetProb(set []int, x []int) float64 {
-	snap := t.pointSnapshot()
-	if snap != nil {
+	if snap := t.pointSnapshot(); snap != nil {
 		defer t.releaseSnap(snap)
+		return snap.QuerySubsetProb(set, x)
 	}
-	p := 1.0
-	for _, i := range set {
-		if snap != nil {
-			p *= snap.factors[i][t.net.ParentIndex(i, x)*t.net.Card(i)+x[i]]
-		} else {
-			p *= t.cpdFactor(i, x[i], t.net.ParentIndex(i, x))
-		}
-	}
-	return p
+	return QuerySubsetProb(t.net, t.cpdFactor, set, x)
 }
 
 // QueryCPD estimates the single CPD entry P[X_i = v | parent config pidx]
@@ -957,74 +949,25 @@ func (t *Tracker) QueryCPD(i, v, pidx int) float64 {
 }
 
 // Classify returns argmax_y of the tracked P[X_target = y | x_{-target}]
-// (the approximate Bayesian classification of Definition 4). Only the
-// factors in the target's Markov blanket are scanned, all read from one
-// model snapshot. Ties break toward the smaller value. The scratch cell
-// x[target] is restored before returning, so concurrent callers must each
-// pass their own x slice.
+// (the approximate Bayesian classification of Definition 4; see the Classify
+// function). x[target] is scratch, restored before returning, so concurrent
+// callers must each pass their own x slice.
 func (t *Tracker) Classify(target int, x []int) int {
-	snap := t.pointSnapshot()
-	if snap != nil {
+	if snap := t.pointSnapshot(); snap != nil {
 		defer t.releaseSnap(snap)
+		return snap.Classify(target, x)
 	}
-	saved := x[target]
-	defer func() { x[target] = saved }()
-
-	factor := func(i, v int) float64 {
-		pidx := t.net.ParentIndex(i, x)
-		if snap != nil {
-			return snap.factors[i][pidx*t.net.Card(i)+v]
-		}
-		return t.cpdFactor(i, v, pidx)
-	}
-	best, bestScore := 0, math.Inf(-1)
-	for y := 0; y < t.net.Card(target); y++ {
-		x[target] = y
-		score := logOrNegInf(factor(target, y))
-		for _, c := range t.net.Children(target) {
-			score += logOrNegInf(factor(c, x[c]))
-		}
-		if score > bestScore {
-			best, bestScore = y, score
-		}
-	}
-	return best
+	return Classify(t.net, t.cpdFactor, target, x)
 }
 
-func logOrNegInf(p float64) float64 {
-	if p <= 0 {
-		return math.Inf(-1)
-	}
-	return math.Log(p)
-}
-
-// EstimatedModel snapshots the tracked parameters into a bn.Model. Rows whose
-// parent configuration has no mass become uniform. The snapshot normalizes
-// each row (tracked ratios need not sum to exactly 1 under approximation).
-// The model is built at most once per counter-state snapshot and shared by
-// subsequent calls (and by InferMarginal/ClassifyPartial) until ingestion
-// advances; treat it as read-only.
+// EstimatedModel snapshots the tracked parameters into a bn.Model (see
+// Snapshot.Model). The model is built at most once per counter-state snapshot
+// and shared by subsequent calls (and by InferMarginal/ClassifyPartial) until
+// ingestion advances; treat it as read-only.
 func (t *Tracker) EstimatedModel() (*bn.Model, error) {
 	snap := t.snapshot()
 	defer t.releaseSnap(snap)
-	return snap.normalizedModel(t.net)
-}
-
-// normalizedModel returns the snapshot's cached bn.Model, building and
-// publishing it on first use — shared by EstimatedModel and the serving
-// layer's Snapshot.Model. Callers must hold a reference on the snapshot.
-func (s *modelSnapshot) normalizedModel(net *bn.Network) (*bn.Model, error) {
-	if m := s.model.Load(); m != nil {
-		return m, nil
-	}
-	m, err := bn.NewNormalizedModel(net, func(i int, tbl []float64) {
-		copy(tbl, s.factors[i])
-	})
-	if err != nil {
-		return nil, err
-	}
-	s.model.Store(m)
-	return m, nil
+	return snap.Model()
 }
 
 // ExactCount returns the true (not estimated) pair and parent counts for a
@@ -1039,46 +982,21 @@ func (t *Tracker) ExactCount(i, v, pidx int) (pairCount, parCount int64) {
 }
 
 // InferMarginal answers an arbitrary marginal query P[assign] against the
-// tracked model by snapshotting the current parameters (EstimatedModel) and
-// running exact variable-elimination inference. The snapshot — including
-// the normalized model — is cached between ingest flushes, so issuing many
-// marginal queries against the same training state no longer rebuilds the
-// model per call.
+// tracked model (see Snapshot.InferMarginal). The snapshot — including the
+// normalized model — is cached between ingest flushes, so issuing many
+// marginal queries against the same training state does not rebuild the model
+// per call.
 func (t *Tracker) InferMarginal(assign map[int]int) (float64, error) {
-	m, err := t.EstimatedModel()
-	if err != nil {
-		return 0, err
-	}
-	return m.MarginalProb(assign)
+	snap := t.snapshot()
+	defer t.releaseSnap(snap)
+	return snap.InferMarginal(assign)
 }
 
 // ClassifyPartial predicts argmax_y P[X_target = y | evidence] when only a
-// subset of the other variables is observed (the general Bayesian
-// classification setting; Classify handles the fully observed case much
-// faster). It snapshots the tracked parameters and runs exact
-// variable-elimination inference, so it is exponential in the treewidth —
-// intended for moderate networks or small unobserved sets.
+// subset of the other variables is observed (see the ClassifyPartial
+// function).
 func (t *Tracker) ClassifyPartial(target int, evidence map[int]int) (int, error) {
-	if target < 0 || target >= t.net.Len() {
-		return 0, fmt.Errorf("core: target %d out of range", target)
-	}
-	if _, ok := evidence[target]; ok {
-		return 0, fmt.Errorf("core: target %d appears in evidence", target)
-	}
-	m, err := t.EstimatedModel()
-	if err != nil {
-		return 0, err
-	}
-	best, bestP := 0, -1.0
-	for y := 0; y < t.net.Card(target); y++ {
-		q := map[int]int{target: y}
-		p, err := m.ConditionalProb(q, evidence)
-		if err != nil {
-			return 0, err
-		}
-		if p > bestP {
-			best, bestP = y, p
-		}
-	}
-	return best, nil
+	snap := t.snapshot()
+	defer t.releaseSnap(snap)
+	return snap.ClassifyPartial(target, evidence)
 }

@@ -229,8 +229,18 @@ func TestServeCoordinatorClosedDegrades(t *testing.T) {
 	}()
 	// Only site 0 joins; its stream lands while site 1's absence keeps the
 	// run (and finish(nil)) from ever happening.
+	siteDone := make(chan struct{})
 	go func() {
-		cluster.NewSite(0, co.Addr()).Run() // dies when the coordinator closes
+		defer close(siteDone)
+		site := cluster.NewSite(0, co.Addr())
+		// The coordinator never comes back: give up at the first refused dial
+		// instead of backing off for seconds past the end of the test.
+		site.DialAttempts, site.RetryBase = 1, time.Millisecond
+		site.Run()
+	}()
+	defer func() {
+		co.Close() // whatever path the test leaves by, the site's peer is dead before the join
+		<-siteDone
 	}()
 
 	srv := startServer(t, Config{Source: NewCoordinatorSource(co), MaxSnapshotAge: -1})
@@ -417,6 +427,57 @@ func TestServePanicRecovery(t *testing.T) {
 	}
 	if st := srv.Stats(); st.Panics != 3 {
 		t.Errorf("panic counter = %d, want 3", st.Panics)
+	}
+}
+
+// brokenModelSource returns snapshots whose Model fails — a fault of the
+// snapshot, not of the request.
+type brokenModelSource struct{ ModelSource }
+
+type brokenModelSnap struct{ Snapshot }
+
+func (brokenModelSnap) Model() (*bn.Model, error) {
+	return nil, errors.New("injected model failure")
+}
+
+func (s brokenModelSource) AcquireSnapshot() (Snapshot, error) {
+	snap, err := s.ModelSource.AcquireSnapshot()
+	if err != nil {
+		return nil, err
+	}
+	return brokenModelSnap{snap}, nil
+}
+
+// TestServeModelFailureIsServerError: when the snapshot's own Model fails,
+// every endpoint that needs the model blames the server (500) — a well-formed
+// request is not a bad request — while malformed requests against the same
+// snapshot are still 400 and the factor endpoints are unaffected.
+func TestServeModelFailureIsServerError(t *testing.T) {
+	_, tr := newAlarmTracker(t, 500, 0)
+	srv := startServer(t, Config{Source: brokenModelSource{NewTrackerSource(tr)}})
+	nw := tr.Network()
+	a, b := nw.Var(0).Name, nw.Var(1).Name
+	for endpoint, body := range map[string]string{
+		"/v1/classifypartial": fmt.Sprintf(`{"target":%q,"evidence":{%q:0}}`, a, b),
+		"/v1/marginal":        fmt.Sprintf(`{"assign":{%q:0}}`, a),
+	} {
+		if code, resp := post(t, srv.Addr(), endpoint, body); code != http.StatusInternalServerError {
+			t.Errorf("%s with a failing model: status %d (%s), want 500", endpoint, code, resp)
+		}
+		if code, resp := post(t, srv.Addr(), endpoint, `{"nonsense":1}`); code != http.StatusBadRequest {
+			t.Errorf("%s malformed with a failing model: status %d (%s), want 400", endpoint, code, resp)
+		}
+	}
+	resp, err := http.Get("http://" + srv.Addr() + "/v1/model")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Errorf("/v1/model with a failing model: status %d, want 500", resp.StatusCode)
+	}
+	if code, _ := queryOnce(t, srv.Addr(), make([]int, nw.Len())); code != http.StatusOK {
+		t.Errorf("queryprob with a failing model: status %d, want 200", code)
 	}
 }
 

@@ -87,7 +87,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -95,6 +94,7 @@ import (
 	"time"
 
 	"distbayes/internal/bn"
+	"distbayes/internal/core"
 )
 
 // Defaults for Config zero values.
@@ -199,7 +199,8 @@ type Server struct {
 	handler http.Handler // mux wrapped in panic recovery
 	hs      *http.Server
 	ln      net.Listener
-	gate    *gate // nil = unlimited
+	served  chan struct{} // closed when Start's accept goroutine has exited
+	gate    *gate         // nil = unlimited
 
 	// cache is the shared snapshot acquisition. refreshMu is a 1-slot
 	// channel serializing re-acquisition — a stale cache triggers one
@@ -279,18 +280,17 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.mux = http.NewServeMux()
 	s.byEndpoint = make(map[string]*atomic.Int64)
-	post := func(name string, fn func(body []byte, snap Snapshot) (any, error)) {
+	query := func(method, name string, fn func(body []byte, snap Snapshot) (any, error)) {
 		ctr := new(atomic.Int64)
 		s.byEndpoint[name] = ctr
-		s.mux.HandleFunc("/v1/"+name, s.handle(ctr, fn))
+		s.mux.HandleFunc("/v1/"+name, s.handle(ctr, method, fn))
 	}
-	post("queryprob", s.queryProb)
-	post("subsetprob", s.subsetProb)
-	post("classify", s.classify)
-	post("classifypartial", s.classifyPartial)
-	post("marginal", s.marginal)
-	s.byEndpoint["model"] = new(atomic.Int64)
-	s.mux.HandleFunc("/v1/model", s.handleModel)
+	query(http.MethodPost, "queryprob", s.queryProb)
+	query(http.MethodPost, "subsetprob", s.subsetProb)
+	query(http.MethodPost, "classify", s.classify)
+	query(http.MethodPost, "classifypartial", s.classifyPartial)
+	query(http.MethodPost, "marginal", s.marginal)
+	query(http.MethodGet, "model", s.model)
 	s.mux.HandleFunc("/statsz", s.handleStatsz)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.handler = s.withRecovery(s.mux)
@@ -321,16 +321,21 @@ func (s *Server) Start(addr string) error {
 		WriteTimeout:      s.writeTimeout,
 		IdleTimeout:       s.idleTimeout,
 	}
-	go s.hs.Serve(ln)
+	s.served = make(chan struct{})
+	go func() {
+		defer close(s.served)
+		s.hs.Serve(ln) // returns once Shutdown has closed the listener
+	}()
 	return nil
 }
 
 // Addr returns the bound listen address (after Start).
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Shutdown flips /healthz to draining, stops accepting connections,
-// drains in-flight requests (every accepted request completes and its
-// response is written), then releases the cached snapshot reference —
+// Shutdown flips /healthz to draining, stops accepting connections and joins
+// the accept goroutine Start launched, drains in-flight requests (every
+// accepted request completes and its response is written), then releases the
+// cached snapshot reference —
 // taken under the refresh slot so the release cannot race an in-flight
 // refresh publishing a new snapshot. The context bounds the drain, as in
 // net/http.Server.Shutdown.
@@ -339,6 +344,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	var err error
 	if s.hs != nil {
 		err = s.hs.Shutdown(ctx)
+		<-s.served
 	}
 	select {
 	case s.refreshMu <- struct{}{}:
@@ -511,12 +517,12 @@ type classifyResult struct {
 	Value int `json:"value"`
 }
 
-// readBody enforces the POST method and the body cap: an over-declared
+// readBody enforces the endpoint's method and the body cap: an over-declared
 // Content-Length is rejected before any read, and a MaxBytesReader
 // backstops bodies with no declared length.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, int, error) {
-	if r.Method != http.MethodPost {
-		return nil, http.StatusMethodNotAllowed, fmt.Errorf("serve: %s wants POST", r.URL.Path)
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request, method string) ([]byte, int, error) {
+	if r.Method != method {
+		return nil, http.StatusMethodNotAllowed, fmt.Errorf("serve: %s wants %s", r.URL.Path, method)
 	}
 	if r.ContentLength > s.maxBody {
 		return nil, http.StatusRequestEntityTooLarge,
@@ -564,11 +570,12 @@ func (s *Server) reject(w http.ResponseWriter, err error) {
 // or a coordinator failover, so clients should come back quickly.
 const retryAfterSeconds = 1
 
-// handle wraps one POST query endpoint with the shared mechanics: request
-// accounting, the per-request deadline, the admission gate, the body cap,
-// the per-request snapshot acquire/release, the response envelope and
-// latency recording. fn computes the payload from one immutable snapshot.
-func (s *Server) handle(ctr *atomic.Int64, fn func(body []byte, snap Snapshot) (any, error)) http.HandlerFunc {
+// handle wraps one query endpoint with the shared mechanics: request
+// accounting, the per-request deadline, the admission gate, the method and
+// body cap, the per-request snapshot acquire/release, the response envelope
+// and latency recording. fn computes the payload from one immutable snapshot;
+// its errors are the request's fault (400) unless marked snapshotError (500).
+func (s *Server) handle(ctr *atomic.Int64, method string, fn func(body []byte, snap Snapshot) (any, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		started := time.Now()
 		s.requests.Add(1)
@@ -581,7 +588,7 @@ func (s *Server) handle(ctr *atomic.Int64, fn func(body []byte, snap Snapshot) (
 			return
 		}
 		defer s.gate.leave()
-		body, code, err := s.readBody(w, r)
+		body, code, err := s.readBody(w, r, method)
 		if err != nil {
 			s.fail(w, code, err)
 			return
@@ -595,7 +602,11 @@ func (s *Server) handle(ctr *atomic.Int64, fn func(body []byte, snap Snapshot) (
 		result, err := fn(body, c.snap)
 		info := s.snapInfoFor(c, degraded)
 		if err != nil {
-			s.fail(w, http.StatusBadRequest, err)
+			code := http.StatusBadRequest
+			if errors.As(err, new(snapshotError)) {
+				code = http.StatusInternalServerError
+			}
+			s.fail(w, code, err)
 			return
 		}
 		s.writeJSON(w, envelope{Result: result, Snapshot: info})
@@ -615,95 +626,59 @@ func (s *Server) fail(w http.ResponseWriter, code int, err error) {
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
-// queryProb answers P[x] for a full assignment: the product of the
-// snapshot factors in ascending variable order — the same order and the
-// same float64 values Tracker.QueryProb multiplies, so answers from a
-// tracker source are bit-identical to in-process queries against the same
-// snapshot. Parent sets resolve against the snapshot's own network, so a
-// learned-structure snapshot evaluates under its own (possibly swapped)
-// tree.
+// The five query handlers below decode a request against the snapshot's own
+// network — under a learned-structure source the parent sets and the
+// ancestrally closed subsets can change across a hot swap — and hand it to
+// the one query kernel (internal/core), reading factors through
+// Snapshot.Factor: the same float64 values multiplied in the same order as an
+// in-process Tracker or Coordinator query, so answers are bit-identical to
+// in-process queries against the same snapshot.
+
+// queryProb answers P[x] for a full assignment (core.QueryProb).
 func (s *Server) queryProb(body []byte, snap Snapshot) (any, error) {
 	netw := snap.Network()
 	x, err := decodeFullAssignment(netw, s.names, body)
 	if err != nil {
 		return nil, err
 	}
-	p := 1.0
-	for i := 0; i < netw.Len(); i++ {
-		p *= snap.Factor(i, x[i], netw.ParentIndex(i, x))
-	}
-	return probResult{P: p}, nil
+	return probResult{P: core.QueryProb(netw, snap.Factor, x)}, nil
 }
 
-// subsetProb answers the marginal of an ancestrally closed subset, which
-// factorizes exactly over the member CPDs (Tracker.QuerySubsetProb).
-// Ancestral closure is checked against the snapshot's own network — under
-// a learned-structure source the closed sets can change across a hot swap.
+// subsetProb answers the marginal of an ancestrally closed subset
+// (core.QuerySubsetProb).
 func (s *Server) subsetProb(body []byte, snap Snapshot) (any, error) {
 	netw := snap.Network()
 	set, x, err := decodeSubsetAssignment(netw, s.names, body)
 	if err != nil {
 		return nil, err
 	}
-	p := 1.0
-	for _, i := range set {
-		p *= snap.Factor(i, x[i], netw.ParentIndex(i, x))
-	}
-	return probResult{P: p}, nil
+	return probResult{P: core.QuerySubsetProb(netw, snap.Factor, set, x)}, nil
 }
 
-// classify is the fully observed Markov-blanket argmax
-// (Tracker.Classify): only the target's own factor and its children's
-// factors vary with y, all read from one snapshot. Ties break toward the
-// smaller value, like the tracker.
+// classify is the fully observed Markov-blanket argmax (core.Classify).
 func (s *Server) classify(body []byte, snap Snapshot) (any, error) {
 	netw := snap.Network()
 	target, x, err := decodeClassify(netw, s.names, body)
 	if err != nil {
 		return nil, err
 	}
-	best, bestScore := 0, math.Inf(-1)
-	for y := 0; y < netw.Card(target); y++ {
-		x[target] = y
-		score := logOrNegInf(snap.Factor(target, y, netw.ParentIndex(target, x)))
-		for _, c := range netw.Children(target) {
-			score += logOrNegInf(snap.Factor(c, x[c], netw.ParentIndex(c, x)))
-		}
-		if score > bestScore {
-			best, bestScore = y, score
-		}
-	}
-	return classifyResult{Value: best}, nil
-}
-
-func logOrNegInf(p float64) float64 {
-	if p <= 0 {
-		return math.Inf(-1)
-	}
-	return math.Log(p)
+	return classifyResult{Value: core.Classify(netw, snap.Factor, target, x)}, nil
 }
 
 // classifyPartial predicts the target from partial evidence by exact
-// inference on the snapshot's normalized model (Tracker.ClassifyPartial).
+// inference on the snapshot's normalized model (core.ClassifyPartial).
 func (s *Server) classifyPartial(body []byte, snap Snapshot) (any, error) {
-	netw := snap.Network()
-	target, ev, err := decodeClassifyPartial(netw, s.names, body)
+	target, ev, err := decodeClassifyPartial(snap.Network(), s.names, body)
 	if err != nil {
 		return nil, err
 	}
-	m, err := snap.Model()
+	m, err := modelOf(snap)
 	if err != nil {
 		return nil, err
 	}
-	best, bestP := 0, -1.0
-	for y := 0; y < netw.Card(target); y++ {
-		p, err := m.ConditionalProb(map[int]int{target: y}, ev)
-		if err != nil {
-			return nil, err
-		}
-		if p > bestP {
-			best, bestP = y, p
-		}
+	best, err := core.ClassifyPartial(m, target, ev)
+	if err != nil {
+		return nil, err
 	}
 	return classifyResult{Value: best}, nil
 }
@@ -715,7 +690,7 @@ func (s *Server) marginal(body []byte, snap Snapshot) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := snap.Model()
+	m, err := modelOf(snap)
 	if err != nil {
 		return nil, err
 	}
@@ -726,6 +701,19 @@ func (s *Server) marginal(body []byte, snap Snapshot) (any, error) {
 	return probResult{P: p}, nil
 }
 
+// snapshotError marks a failure of the snapshot itself rather than of the
+// request: the client did nothing wrong, so it is answered 500, not 400.
+type snapshotError struct{ error }
+
+// modelOf is Snapshot.Model with its failure blamed on the server side.
+func modelOf(snap Snapshot) (*bn.Model, error) {
+	m, err := snap.Model()
+	if err != nil {
+		return nil, snapshotError{err}
+	}
+	return m, nil
+}
+
 // modelVar is one variable of the /v1/model dump.
 type modelVar struct {
 	Name    string    `json:"name"`
@@ -734,39 +722,15 @@ type modelVar struct {
 	CPT     []float64 `json:"cpt"`
 }
 
-// handleModel dumps the snapshot's normalized model (EstimatedModel over
-// the wire): every variable's name, cardinality, parents and CPT in
-// pidx-major order. The model is immutable, so encoding it after the
-// snapshot reference is released is safe.
-func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
-	started := time.Now()
-	s.requests.Add(1)
-	s.qps.record(started.Unix())
-	s.byEndpoint["model"].Add(1)
-	if r.Method != http.MethodGet {
-		s.fail(w, http.StatusMethodNotAllowed, fmt.Errorf("serve: /v1/model wants GET"))
-		return
-	}
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
-	if err := s.gate.enter(ctx); err != nil {
-		s.reject(w, err)
-		return
-	}
-	defer s.gate.leave()
-	c, degraded, err := s.acquireRef(ctx)
+// model dumps the snapshot's normalized model (EstimatedModel over the
+// wire): every variable's name, cardinality, parents — the snapshot's own,
+// possibly learned, structure — and CPT in pidx-major order.
+func (s *Server) model(_ []byte, snap Snapshot) (any, error) {
+	m, err := modelOf(snap)
 	if err != nil {
-		s.reject(w, err)
-		return
+		return nil, err
 	}
-	m, err := c.snap.Model()
-	netw := c.snap.Network() // the snapshot's own (possibly learned) structure
-	info := s.snapInfoFor(c, degraded)
-	s.releaseRef(c)
-	if err != nil {
-		s.fail(w, http.StatusInternalServerError, err)
-		return
-	}
+	netw := snap.Network()
 	vars := make([]modelVar, netw.Len())
 	for i := range vars {
 		cpd := m.CPD(i)
@@ -781,8 +745,7 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 			CPT:     tbl,
 		}
 	}
-	s.writeJSON(w, envelope{Result: map[string]any{"vars": vars}, Snapshot: info})
-	s.lat.observe(time.Since(started))
+	return map[string]any{"vars": vars}, nil
 }
 
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {

@@ -61,7 +61,10 @@ func startServer(t testing.TB, cfg Config) *Server {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		// net/http counts a connection that was dialed but never carried a
+		// request (the shared client transport races dials) as busy for its
+		// first 5 s, so a drain can legitimately take that long.
+		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 		defer cancel()
 		if err := srv.Shutdown(ctx); err != nil {
 			t.Errorf("shutdown: %v", err)
@@ -365,15 +368,23 @@ func TestServeStatszAndModel(t *testing.T) {
 		}
 	}
 
-	resp, err = http.Get("http://" + addr + "/statsz")
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A handler records its latency after writing the response, so the model
+	// dump's sample may land a moment after the client has read the body.
 	var st Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		resp, err = http.Get("http://" + addr + "/statsz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		st = Stats{}
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if st.Latency.Count >= 2 || time.Now().After(deadline) {
+			break
+		}
 	}
-	resp.Body.Close()
 	if st.Requests < 2 || st.ByEndpoint["queryprob"] != 1 || st.ByEndpoint["model"] != 1 {
 		t.Errorf("statsz counters off: %+v", st)
 	}

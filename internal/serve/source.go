@@ -18,6 +18,11 @@ import (
 // bn.Model, cached per snapshot; the returned model is immutable and
 // remains valid after Release. Release returns the snapshot's reference to
 // its source and must be called exactly once, after the last read.
+//
+// Production has exactly one implementation, *core.Snapshot, which every
+// source below hands out (SwappableSource wraps it to offset the version);
+// this stays an interface so tests can substitute fakes — a panicking
+// Factor, a failing Model.
 type Snapshot interface {
 	// Factor is the tracked estimate of P[X_i = v | parent config pidx].
 	Factor(i, v, pidx int) float64
@@ -39,10 +44,12 @@ type Snapshot interface {
 	Release()
 }
 
-// ModelSource is the serving back end: an in-process tracker
-// (NewTrackerSource) or a live cluster coordinator (NewCoordinatorSource),
-// behind one interface so the server neither knows nor cares whether the
-// model is trained in-process or across a TCP cluster.
+// ModelSource is the serving back end — an in-process tracker
+// (NewTrackerSource), a live cluster coordinator (NewCoordinatorSource), its
+// learned-structure overlay (NewLearnedCoordinatorSource) or a striped
+// federation (NewFederatedSource) — behind one interface so the server
+// neither knows nor cares where the model is trained: each is a health check
+// plus the producer's AcquireSnapshot.
 type ModelSource interface {
 	Network() *bn.Network
 	// AcquireSnapshot returns the current model snapshot with a read
@@ -89,9 +96,9 @@ func (s coordinatorSource) AcquireSnapshot() (Snapshot, error) {
 type federationSource struct{ f *cluster.Federation }
 
 // NewFederatedSource serves queries from a striped coordinator federation:
-// the scatter-gather merge of the per-stripe estimate snapshots, behind the
-// same ModelSource interface as a single coordinator — so cmd/bnserve fronts
-// a federation unchanged. Snapshot versions are the sum of the per-stripe
+// the scatter-gather merge of the per-stripe estimates, behind the same
+// ModelSource interface as a single coordinator — so cmd/bnserve fronts a
+// federation unchanged. Snapshot versions are the sum of the per-stripe
 // versions (monotone, like a single coordinator's). If any stripe
 // coordinator dies, AcquireSnapshot fails and the server flips into degraded
 // mode, answering from the last-good merged snapshot.
@@ -105,7 +112,9 @@ func (s federationSource) AcquireSnapshot() (Snapshot, error) {
 	return s.f.AcquireSnapshot(), nil
 }
 
-type learnedSource struct{ co *cluster.Coordinator }
+// learnedSource is coordinatorSource (same network, same health check, same
+// learning counters) handing out the learned-structure snapshot instead.
+type learnedSource struct{ coordinatorSource }
 
 // NewLearnedCoordinatorSource serves queries from a coordinator's *learned*
 // structure — the online distributed Chow–Liu tree — instead of the fixed
@@ -116,9 +125,10 @@ type learnedSource struct{ co *cluster.Coordinator }
 // unchanged. Before the first learned tree lands (or if the run was started
 // without structure learning) AcquireSnapshot fails, which the server
 // surfaces as unavailable/degraded — the documented cold-start behavior.
-func NewLearnedCoordinatorSource(co *cluster.Coordinator) ModelSource { return learnedSource{co} }
+func NewLearnedCoordinatorSource(co *cluster.Coordinator) ModelSource {
+	return learnedSource{coordinatorSource{co}}
+}
 
-func (s learnedSource) Network() *bn.Network { return s.co.Network() }
 func (s learnedSource) AcquireSnapshot() (Snapshot, error) {
 	if err := s.co.Err(); err != nil {
 		return nil, fmt.Errorf("serve: learned source: %w", err)
@@ -212,13 +222,6 @@ type StructStatsReporter interface {
 }
 
 func (s coordinatorSource) StructLearnStats() (cluster.StructStats, bool) {
-	if !s.co.StructLearning() {
-		return cluster.StructStats{}, false
-	}
-	return s.co.StructLearnStats(), true
-}
-
-func (s learnedSource) StructLearnStats() (cluster.StructStats, bool) {
 	if !s.co.StructLearning() {
 		return cluster.StructStats{}, false
 	}
