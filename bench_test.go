@@ -1,14 +1,12 @@
-// Benchmarks: one target per table/figure of the paper's evaluation plus
-// micro-benchmarks of the hot paths. Each figure bench executes the same
-// experiment driver as cmd/bnmle at a reduced scale, so `go test -bench=.`
-// regenerates (small versions of) every published artifact; run cmd/bnmle
-// with larger -sizes/-events for paper-scale numbers (see EXPERIMENTS.md).
+// Benchmarks: micro-benchmarks of the hot paths and the throughput rows the
+// regression gate reads (scripts/bench_regression.sh). The paper's tables and
+// figures are not benchmarks: cmd/bnmle prints them at any scale and
+// internal/experiments tests every id (TestEveryExperimentRuns).
 package distbayes_test
 
 import (
 	"fmt"
 	"runtime"
-	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -17,154 +15,9 @@ import (
 	"distbayes/internal/cluster"
 	"distbayes/internal/core"
 	"distbayes/internal/counter"
-	"distbayes/internal/experiments"
 	"distbayes/internal/netgen"
 	"distbayes/internal/stream"
 )
-
-// benchParams is the reduced scale shared by the figure benchmarks.
-func benchParams() experiments.Params {
-	return experiments.Params{
-		Networks:    []string{"alarm", "hepar2"},
-		Network:     "hepar2",
-		Sizes:       []int{1000, 5000},
-		Events:      5000,
-		Eps:         0.1,
-		EpsList:     []float64{0.1, 0.2, 0.4},
-		Sites:       10,
-		SiteList:    []int{2, 4},
-		NodeTargets: []int{24, 124},
-		Queries:     100,
-		ClassTests:  200,
-		Runs:        1,
-		Seed:        1,
-		ZipfS:       []float64{0, 1},
-	}
-}
-
-// runExperiment executes one experiment driver b.N times and reports the
-// number of result rows as a sanity metric.
-func runExperiment(b *testing.B, id string, p experiments.Params) {
-	b.Helper()
-	rows := 0
-	for i := 0; i < b.N; i++ {
-		tabs, err := experiments.Run(id, p)
-		if err != nil {
-			b.Fatalf("%s: %v", id, err)
-		}
-		rows = 0
-		for _, t := range tabs {
-			rows += len(t.Rows)
-		}
-	}
-	b.ReportMetric(float64(rows), "rows")
-}
-
-func BenchmarkTable1NetworkGeneration(b *testing.B) {
-	p := benchParams()
-	p.Networks = []string{"alarm", "hepar2", "link", "munin"}
-	runExperiment(b, "table1", p)
-}
-
-func BenchmarkFig1HeparErrorToTruth(b *testing.B) { runExperiment(b, "fig1", benchParams()) }
-
-func BenchmarkFig2LinkErrorToTruth(b *testing.B) {
-	p := benchParams()
-	p.Sizes = []int{500, 2000}
-	p.Queries = 50
-	runExperiment(b, "fig2", p)
-}
-
-func BenchmarkFig3MeanErrorToTruth(b *testing.B) { runExperiment(b, "fig3", benchParams()) }
-
-func BenchmarkFig4ErrorToMLE(b *testing.B) { runExperiment(b, "fig4", benchParams()) }
-
-func BenchmarkFig5MeanErrorToMLE(b *testing.B) { runExperiment(b, "fig5", benchParams()) }
-
-func BenchmarkFig6Communication(b *testing.B) {
-	p := benchParams()
-	tabsMetric(b, p, "fig6")
-}
-
-// tabsMetric runs fig6-style experiments and reports the exact/nonuniform
-// message ratio of the last row as the headline metric.
-func tabsMetric(b *testing.B, p experiments.Params, id string) {
-	b.Helper()
-	ratio := 0.0
-	for i := 0; i < b.N; i++ {
-		tabs, err := experiments.Run(id, p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := tabs[0].Rows[len(tabs[0].Rows)-1]
-		exact, _ := strconv.ParseFloat(last[2], 64)
-		nonu, _ := strconv.ParseFloat(last[len(last)-1], 64)
-		if nonu > 0 {
-			ratio = exact / nonu
-		}
-	}
-	b.ReportMetric(ratio, "exact/nonuniform-msgs")
-}
-
-func BenchmarkFig7ClusterRuntime(b *testing.B) {
-	p := benchParams()
-	p.Events = 2000
-	runExperiment(b, "fig7", p)
-}
-
-func BenchmarkFig8ClusterThroughput(b *testing.B) {
-	p := benchParams()
-	p.Events = 2000
-	runExperiment(b, "fig8", p)
-}
-
-func BenchmarkFig9Scaling(b *testing.B) {
-	p := benchParams()
-	p.Events = 2000
-	p.Queries = 1
-	runExperiment(b, "fig9", p)
-}
-
-func BenchmarkFig10EpsilonSweep(b *testing.B) {
-	p := benchParams()
-	p.Queries = 50
-	runExperiment(b, "fig10", p)
-}
-
-func BenchmarkFig11SitesSweep(b *testing.B) {
-	p := benchParams()
-	p.Events = 3000
-	p.Queries = 1
-	runExperiment(b, "fig11", p)
-}
-
-func BenchmarkTable2Classification(b *testing.B) { runExperiment(b, "table2", benchParams()) }
-
-func BenchmarkTable3ClassifierMessages(b *testing.B) { runExperiment(b, "table3", benchParams()) }
-
-func BenchmarkNewAlarmNonUniformGain(b *testing.B) {
-	p := benchParams()
-	p.Queries = 10
-	runExperiment(b, "newalarm", p)
-}
-
-func BenchmarkAblationCounter(b *testing.B) {
-	p := benchParams()
-	p.Queries = 20
-	runExperiment(b, "ablation-counter", p)
-}
-
-func BenchmarkAblationSkew(b *testing.B) {
-	p := benchParams()
-	p.Queries = 20
-	runExperiment(b, "ablation-skew", p)
-}
-
-func BenchmarkAblationNaiveBayes(b *testing.B) {
-	p := benchParams()
-	p.Queries = 20
-	runExperiment(b, "ablation-nb", p)
-}
 
 // --- micro-benchmarks of the hot paths ---
 

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"io"
 	"os"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -109,5 +110,66 @@ func TestSplitHelpers(t *testing.T) {
 	}
 	if got, err := splitInts(""); err != nil || got != nil {
 		t.Errorf("splitInts(\"\") = %v, %v, want nil, nil", got, err)
+	}
+}
+
+// goldenIDs are the experiments whose output is a pure function of the
+// parameters (no wall clock, no TCP interleaving), in the order the golden
+// file concatenates them.
+var goldenIDs = []string{"table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig9", "fig10", "fig11",
+	"table2", "table3", "newalarm", "ablation-counter", "ablation-skew", "ablation-nb", "ablation-decay", "ablation-sketch"}
+
+// TestFiguresGolden compares one `-exp <id>` run per deterministic id against
+// testdata/figures_small.golden, recorded with the binary of the commit
+// before the figures became projections of shared sweeps (only the two note
+// lines that cited files the repository never had were edited since). The
+// scale is the smallest at which BASELINE, UNIFORM and NONUNIFORM leave exact
+// mode and print three different columns. `-exp table2` and `-exp table3` on
+// their own each print both tables.
+func TestFiguresGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("18 experiments at 20K events: ~17 s")
+	}
+	want, err := os.ReadFile("testdata/figures_small.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, id := range goldenIDs {
+		got.WriteString(runMain(t, "bnmle", "-exp", id, "-nets", "alarm,hepar2", "-net", "alarm",
+			"-sizes", "5000,20000", "-events", "20000", "-sites", "5", "-queries", "50", "-runs", "2", "-seed", "7"))
+	}
+	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	for i := range min(len(gotLines), len(wantLines)) {
+		if gotLines[i] != wantLines[i] {
+			t.Fatalf("line %d differs from the golden:\n got: %s\nwant: %s", i+1, gotLines[i], wantLines[i])
+		}
+	}
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("output has %d lines, golden has %d", len(gotLines), len(wantLines))
+	}
+}
+
+// TestAllPrintsEveryTableOnce: `-exp all` is one session, so every id prints
+// its table under its own header exactly once (Tables II and III used to
+// appear twice each).
+func TestAllPrintsEveryTableOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("every experiment at tiny scale, LINK and MUNIN included")
+	}
+	out := runMain(t, "bnmle", "-exp", "all", "-nets", "alarm", "-net", "alarm", "-sizes", "500,2000",
+		"-events", "2000", "-sites", "5", "-sitelist", "2,3", "-queries", "50", "-runs", "1")
+	headers := regexp.MustCompile(`(?m)^== ([a-z0-9-]+):`).FindAllStringSubmatch(out, -1)
+	seen := map[string]int{}
+	for _, h := range headers {
+		seen[h[1]]++
+	}
+	for _, id := range experiments.IDs() {
+		if seen[id] != 1 {
+			t.Errorf("-exp all printed the %s header %d times, want 1", id, seen[id])
+		}
+	}
+	if len(headers) != len(experiments.IDs()) {
+		t.Errorf("-exp all printed %d tables for %d ids", len(headers), len(experiments.IDs()))
 	}
 }

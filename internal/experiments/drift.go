@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"distbayes/internal/bn"
 	"distbayes/internal/chowliu"
@@ -10,7 +9,6 @@ import (
 	"distbayes/internal/core"
 	"distbayes/internal/decay"
 	"distbayes/internal/netgen"
-	"distbayes/internal/stats"
 	"distbayes/internal/stream"
 )
 
@@ -34,23 +32,17 @@ const (
 // ages out — must re-learn and hot-swap to the new tree. The same drifting
 // stream is also run with structure learning off, so the frames delta
 // quantifies exactly what the learning overlay costs in communication.
-func runDrift(p Params) ([]*Table, error) {
+func runDrift(s *Session) ([]*Table, error) {
+	p := s.p
 	baseName := fmt.Sprintf("tree:%d:%d:%d", driftTreeNodes, driftTreeCard, p.Seed+3)
 	driftName := fmt.Sprintf("tree:%d:%d:%d", driftTreeNodes, driftTreeCard, p.Seed+57)
-	cfg := cluster.Config{
-		NetName:      baseName,
-		CPTSeed:      p.Seed + 0xC0DE,
-		Strategy:     core.Uniform,
-		Eps:          p.Eps,
-		Delta:        p.Delta,
-		Sites:        p.Sites,
-		Events:       p.Events,
-		StreamSeed:   p.Seed + 7,
-		Shards:       p.Sites,
-		DriftNetName: driftName,
-		DriftAfter:   0.5,
-		DriftCPTSeed: p.Seed + 0xD21F,
-	}
+	cfg := clusterBase(p)
+	cfg.NetName = baseName
+	cfg.Strategy = core.Uniform
+	cfg.Shards = p.Sites
+	cfg.DriftNetName = driftName
+	cfg.DriftAfter = 0.5
+	cfg.DriftCPTSeed = p.Seed + 0xD21F
 	flat, _, err := cluster.RunLocal(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("drift flat run: %w", err)
@@ -111,55 +103,37 @@ func runDrift(p Params) ([]*Table, error) {
 // future-work item 2): the stream's generating distribution is switched
 // halfway, and the decayed tracker's error against the *current* truth is
 // compared with the plain (all-history) tracker's.
-func runAblationDecay(p Params) ([]*Table, error) {
+func runAblationDecay(s *Session) ([]*Table, error) {
+	p := s.p
 	net, err := netgen.ByName("alarm")
 	if err != nil {
 		return nil, err
 	}
-	optA := netgen.DefaultCPTOptions()
-	optA.Seed = p.Seed + 100
-	cpdsA, err := netgen.GenCPTs(net, optA)
+	modelA, err := modelOf(net, p.Seed+100)
 	if err != nil {
 		return nil, err
 	}
-	modelA, err := bn.NewModel(net, cpdsA)
-	if err != nil {
-		return nil, err
-	}
-	optB := netgen.DefaultCPTOptions()
-	optB.Seed = p.Seed + 200 // independent parameters = a drifted world
-	cpdsB, err := netgen.GenCPTs(net, optB)
-	if err != nil {
-		return nil, err
-	}
-	modelB, err := bn.NewModel(net, cpdsB)
+	modelB, err := modelOf(net, p.Seed+200) // independent parameters = a drifted world
 	if err != nil {
 		return nil, err
 	}
 
-	half := p.Events / 2
-	if half < 1 {
-		half = 1
-	}
+	half := max(p.Events/2, 1)
 	bank, err := decay.NewBank(decay.Options{
 		Gamma:       0.5,
-		BlockEvents: int64(maxInt(half/8, 1)),
+		BlockEvents: int64(max(half/8, 1)),
 		Sites:       p.Sites,
 	})
 	if err != nil {
 		return nil, err
 	}
-	decayed, err := core.NewTracker(net, core.Config{
-		Strategy: core.NonUniform, Eps: p.Eps, Delta: p.Delta, Sites: p.Sites,
-		Seed: p.Seed, CounterFactory: bank.Factory(),
-	})
+	cfg := core.Config{Strategy: core.NonUniform, Eps: p.Eps, Delta: p.Delta, Sites: p.Sites, Seed: p.Seed}
+	plain, err := core.NewTracker(net, cfg)
 	if err != nil {
 		return nil, err
 	}
-	plain, err := core.NewTracker(net, core.Config{
-		Strategy: core.NonUniform, Eps: p.Eps, Delta: p.Delta, Sites: p.Sites,
-		Seed: p.Seed,
-	})
+	cfg.CounterFactory = bank.Factory()
+	decayed, err := core.NewTracker(net, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -190,28 +164,16 @@ func runAblationDecay(p Params) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	var errDecayed, errPlain []float64
-	for _, q := range queries {
-		errDecayed = append(errDecayed, math.Abs(decayed.QuerySubsetProb(q.Set, q.X)-q.Truth)/q.Truth)
-		errPlain = append(errPlain, math.Abs(plain.QuerySubsetProb(q.Set, q.X)-q.Truth)/q.Truth)
-	}
 
 	t := &Table{
 		ID:     "ablation-decay",
 		Title:  "Extension: time-decayed counters under distribution drift (ALARM, drift at m/2)",
 		Header: []string{"tracker", "m", "mean-err-to-current-truth", "messages"},
 		Rows: [][]string{
-			{"decayed(γ=0.5/block)", fmtInt(int64(p.Events)), fmtF(stats.Mean(errDecayed)), fmtF(float64(decayed.Messages().Total()))},
-			{"plain", fmtInt(int64(p.Events)), fmtF(stats.Mean(errPlain)), fmtF(float64(plain.Messages().Total()))},
+			{"decayed(γ=0.5/block)", fmtInt(int64(p.Events)), fmtF(meanErrToTruth(queries, decayed.QuerySubsetProb)), fmtF(float64(decayed.Messages().Total()))},
+			{"plain", fmtInt(int64(p.Events)), fmtF(meanErrToTruth(queries, plain.QuerySubsetProb)), fmtF(float64(plain.Messages().Total()))},
 		},
 		Notes: []string{"the decayed tracker forgets the pre-drift half of the stream and tracks the current distribution"},
 	}
 	return []*Table{t}, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"distbayes/internal/cluster"
@@ -34,7 +33,8 @@ const federationStripes = 3
 // (the deviation each counter is allowed against the exact count, which the
 // flat protocol itself already spends). The frame columns show what each
 // topology costs or saves at the root at that equal accuracy.
-func runFederation(p Params) ([]*Table, error) {
+func runFederation(s *Session) ([]*Table, error) {
+	p := s.p
 	t := &Table{
 		ID: "federation", Title: "Hierarchical federation: aggregation tree and striped coordinators vs flat (live TCP)",
 		Header: []string{"topology", "sites", "m", "root-frames", "frames/event", "site-frames/root-frame", "max-divergence-vs-flat", "eps*m-slack"},
@@ -44,17 +44,9 @@ func runFederation(p Params) ([]*Table, error) {
 			fmt.Sprintf("eps*m-slack is max_i eps_i*m, the per-counter deviation the paper's protocol may spend vs the exact count; topology adds none of it (tree branching %d, %d stripes)", federationBranching, federationStripes),
 		},
 	}
-	cfg := cluster.Config{
-		NetName:         p.Network,
-		CPTSeed:         p.Seed + 0xC0DE,
-		Strategy:        core.NonUniform,
-		Eps:             p.Eps,
-		Delta:           p.Delta,
-		Sites:           p.Sites,
-		Events:          p.Events,
-		StreamSeed:      p.Seed + 7,
-		SiteBatchEvents: 64,
-	}
+	cfg := clusterBase(p)
+	cfg.Strategy = core.NonUniform
+	cfg.SiteBatchEvents = 64
 	flat, coFlat, err := cluster.RunLocal(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("federation flat run: %w", err)
@@ -65,18 +57,10 @@ func runFederation(p Params) ([]*Table, error) {
 	}
 	slack := 0.0
 	for id := uint32(0); id < layout.NumCounters(); id++ {
-		if s := layout.Eps(id) * float64(p.Events); s > slack {
-			slack = s
-		}
+		slack = max(slack, layout.Eps(id)*float64(p.Events))
 	}
 	divergence := func(est func(uint32) float64) float64 {
-		max := 0.0
-		for id := uint32(0); id < layout.NumCounters(); id++ {
-			if d := math.Abs(est(id) - coFlat.Estimate(id)); d > max {
-				max = d
-			}
-		}
-		return max
+		return maxDivergence(layout.NumCounters(), est, coFlat.Estimate)
 	}
 	row := func(name string, rootFrames, siteFrames, events int64, div float64) {
 		t.Rows = append(t.Rows, []string{

@@ -2,50 +2,182 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"distbayes/internal/bn"
 	"distbayes/internal/core"
 	"distbayes/internal/netgen"
-	"distbayes/internal/stats"
 	"distbayes/internal/stream"
 )
 
-// netgenLoad resolves a network name to a ground-truth model; indirected so
-// tests can substitute tiny models.
-var netgenLoad = netgen.ModelByName
-
 func init() {
 	registry["table1"] = runTable1
-	registry["fig1"] = figBoxTruth("fig1", "hepar2", "Fig. 1: testing error (relative to ground truth) vs training instances, HEPAR II")
-	registry["fig2"] = figBoxTruth("fig2", "link", "Fig. 2: testing error (relative to ground truth) vs training instances, LINK")
-	registry["fig3"] = runFig3
-	registry["fig4"] = runFig4
-	registry["fig5"] = runFig5
-	registry["fig6"] = runFig6
+	for _, f := range paperFigures {
+		registry[f.id] = f.run
+	}
 	registry["fig9"] = runFig9
 	registry["fig10"] = runFig10
 	registry["fig11"] = runFig11
-	registry["table2"] = runClassification
-	registry["table3"] = runClassification
+	registry["table2"] = classTable(0)
+	registry["table3"] = classTable(1)
 	registry["newalarm"] = runNewAlarm
 	registry["ablation-counter"] = runAblationCounter
 	registry["ablation-skew"] = runAblationSkew
 	registry["ablation-nb"] = runAblationNB
 }
 
-var paperStrategies = []core.Strategy{core.Baseline, core.Uniform, core.NonUniform}
+var (
+	allStrategies   = []core.Strategy{core.ExactMLE, core.Baseline, core.Uniform, core.NonUniform}
+	paperStrategies = allStrategies[1:]
+)
+
+// The metric a figure plots: samples selects the pooled per-query errors of
+// one (strategy, checkpoint) cell of a tracking sweep, reading one number.
+type (
+	reading func(r *trackingResult, st core.Strategy, ci int) float64
+	samples func(r *trackingResult, st core.Strategy, ci int) []float64
+)
+
+func errTruth(r *trackingResult, st core.Strategy, ci int) []float64 { return r.errTruth[st][ci] }
+func errMLE(r *trackingResult, st core.Strategy, ci int) []float64   { return r.errMLE[st][ci] }
+func messages(r *trackingResult, st core.Strategy, ci int) float64   { return r.messages[st][ci] }
+
+func meanOf(of samples) reading {
+	return func(r *trackingResult, st core.Strategy, ci int) float64 { return mean(of(r, st, ci)) }
+}
+
+// figure declares one of Figs. 1–6 as a projection of the paper sweep: which
+// networks, which strategies, and either the samples a boxplot summarises
+// (one row per strategy and checkpoint) or the reading a line plots (one row
+// per checkpoint, one column per strategy).
+type figure struct {
+	id, title string
+	// network is the paper's fixed network; empty means one block of rows per
+	// p.Networks behind a leading network column.
+	network    string
+	strategies []core.Strategy
+	box        samples
+	line       reading
+}
+
+var paperFigures = []figure{
+	{id: "fig1", title: "Fig. 1: testing error (relative to ground truth) vs training instances, HEPAR II",
+		network: "hepar2", strategies: allStrategies, box: errTruth},
+	{id: "fig2", title: "Fig. 2: testing error (relative to ground truth) vs training instances, LINK",
+		network: "link", strategies: allStrategies, box: errTruth},
+	{id: "fig3", title: "Fig. 3: mean testing error (relative to ground truth) vs training instances",
+		strategies: allStrategies, line: meanOf(errTruth)},
+	{id: "fig4", title: "Fig. 4: testing error (relative to EXACTMLE) vs training instances",
+		strategies: []core.Strategy{core.Uniform, core.NonUniform}, box: errMLE},
+	{id: "fig5", title: "Fig. 5: mean testing error (relative to EXACTMLE) vs training instances",
+		strategies: paperStrategies, line: meanOf(errMLE)},
+	{id: "fig6", title: "Fig. 6: communication cost vs number of training instances",
+		strategies: allStrategies, line: messages},
+}
+
+func (f figure) run(s *Session) ([]*Table, error) {
+	t := &Table{ID: f.id, Title: f.title}
+	networks := []string{f.network}
+	if f.network == "" {
+		networks = s.p.Networks
+		t.Header = []string{"network"}
+	}
+	if f.box != nil {
+		t.Header = append(t.Header, "algorithm", "m", "min", "q1", "median", "q3", "max", "mean")
+	} else {
+		t.Header = append(append(t.Header, "m"), strategyNames(f.strategies, "")...)
+	}
+	for _, name := range networks {
+		res, err := s.paperSweep(name)
+		if err != nil {
+			return nil, err
+		}
+		var lead []string
+		if f.network == "" {
+			lead = []string{name}
+		}
+		if f.box != nil {
+			t.Rows = append(t.Rows, boxRows(lead, res, f.strategies, f.box)...)
+		} else {
+			t.Rows = append(t.Rows, lineRows(lead, res, f.strategies, f.line)...)
+		}
+	}
+	return []*Table{t}, nil
+}
+
+// boxRows shapes one row per (strategy, checkpoint): the five-number summary
+// and mean of the pooled samples.
+func boxRows(lead []string, r *trackingResult, strategies []core.Strategy, of samples) [][]string {
+	var rows [][]string
+	for _, st := range strategies {
+		for ci, m := range r.checkpoints {
+			s := summarize(of(r, st, ci))
+			rows = append(rows, slices.Concat(lead, []string{
+				st.String(), fmtInt(int64(m)),
+				fmtF(s.Min), fmtF(s.Q1), fmtF(s.Median), fmtF(s.Q3), fmtF(s.Max), fmtF(s.Mean),
+			}))
+		}
+	}
+	return rows
+}
+
+// lineRows shapes one row per checkpoint with one column per strategy.
+func lineRows(lead []string, r *trackingResult, strategies []core.Strategy, of reading) [][]string {
+	var rows [][]string
+	for ci, m := range r.checkpoints {
+		rows = append(rows, slices.Concat(lead, []string{fmtInt(int64(m))},
+			strategyCells(strategies, func(st core.Strategy) float64 { return of(r, st, ci) })))
+	}
+	return rows
+}
+
+// strategyNames are the header cells of per-strategy columns.
+func strategyNames(strategies []core.Strategy, suffix string) []string {
+	names := make([]string, len(strategies))
+	for i, st := range strategies {
+		names[i] = st.String() + suffix
+	}
+	return names
+}
+
+// strategyCells formats one value per strategy: the trailing columns of every
+// row that compares algorithms side by side.
+func strategyCells(strategies []core.Strategy, of func(core.Strategy) float64) []string {
+	cells := make([]string, len(strategies))
+	for i, st := range strategies {
+		cells[i] = fmtF(of(st))
+	}
+	return cells
+}
+
+// modelOf draws ground-truth parameters for net from the default Dirichlet
+// options at the given CPT seed.
+func modelOf(net *bn.Network, seed uint64) (*bn.Model, error) {
+	opt := netgen.DefaultCPTOptions()
+	opt.Seed = seed
+	cpds, err := netgen.GenCPTs(net, opt)
+	if err != nil {
+		return nil, err
+	}
+	return bn.NewModel(net, cpds)
+}
+
+// defaultCPTSeed is the seed netgen.ModelByName gives the Table I networks;
+// the derived networks (stripped LINK, NEW-ALARM, the Naïve-Bayes model) use
+// it too.
+var defaultCPTSeed = netgen.DefaultCPTOptions().Seed
 
 // runTable1 reproduces Table I: the network inventory.
-func runTable1(p Params) ([]*Table, error) {
+func runTable1(s *Session) ([]*Table, error) {
 	t := &Table{
 		ID:     "table1",
 		Title:  "Table I: Bayesian networks used in the experiments (synthetic structural twins)",
 		Header: []string{"network", "nodes", "edges", "params", "max-indegree", "max-card", "cpt-cells"},
 		Notes: []string{
-			"node/edge/parameter counts match the published Table I exactly; structures are synthetic twins (see DESIGN.md §4)",
+			"node/edge/parameter counts match the published Table I exactly; structures are synthetic twins (see README, Reproducing the paper)",
 		},
 	}
-	for _, name := range p.Networks {
+	for _, name := range s.p.Networks {
 		net, err := netgen.ByName(name)
 		if err != nil {
 			return nil, err
@@ -63,191 +195,17 @@ func runTable1(p Params) ([]*Table, error) {
 	return []*Table{t}, nil
 }
 
-// figBoxTruth builds the runner for the per-algorithm error-to-truth boxplot
-// figures (Figs. 1 and 2).
-func figBoxTruth(id, network, title string) Runner {
-	return func(p Params) ([]*Table, error) {
-		m, err := netgenLoad(network)
-		if err != nil {
-			return nil, err
-		}
-		res, err := runTracking(trackingSpec{
-			model: m, strategies: paperStrategies, checkpoints: p.Sizes,
-			eps: p.Eps, delta: p.Delta, sites: p.Sites, queries: p.Queries,
-			minProb: p.MinProb, runs: p.Runs, seed: p.Seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		t := &Table{
-			ID: id, Title: title,
-			Header: []string{"algorithm", "m", "min", "q1", "median", "q3", "max", "mean"},
-		}
-		for _, st := range res.strategiesOrdered() {
-			for ci, m := range res.checkpoints {
-				s := stats.Summarize(res.errTruth[st][ci])
-				t.Rows = append(t.Rows, []string{
-					st.String(), fmtInt(int64(m)),
-					fmtF(s.Min), fmtF(s.Q1), fmtF(s.Median), fmtF(s.Q3), fmtF(s.Max), fmtF(s.Mean),
-				})
-			}
-		}
-		return []*Table{t}, nil
-	}
-}
-
-func (r *trackingResult) strategiesOrdered() []core.Strategy {
-	order := []core.Strategy{core.ExactMLE, core.Baseline, core.Uniform, core.NonUniform, core.NaiveBayes}
-	var out []core.Strategy
-	for _, st := range order {
-		if _, ok := r.errTruth[st]; ok {
-			out = append(out, st)
-		}
-	}
-	return out
-}
-
-// runFig3 reproduces Fig. 3: mean testing error (relative to ground truth)
-// vs training instances for every network and algorithm.
-func runFig3(p Params) ([]*Table, error) {
-	t := &Table{
-		ID: "fig3", Title: "Fig. 3: mean testing error (relative to ground truth) vs training instances",
-		Header: []string{"network", "m", "exact", "baseline", "uniform", "nonuniform"},
-	}
-	models, err := loadModels(p.Networks)
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range p.Networks {
-		res, err := runTracking(trackingSpec{
-			model: models[name], strategies: paperStrategies, checkpoints: p.Sizes,
-			eps: p.Eps, delta: p.Delta, sites: p.Sites, queries: p.Queries,
-			minProb: p.MinProb, runs: p.Runs, seed: p.Seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		for ci, m := range res.checkpoints {
-			t.Rows = append(t.Rows, []string{
-				name, fmtInt(int64(m)),
-				fmtF(stats.Mean(res.errTruth[core.ExactMLE][ci])),
-				fmtF(stats.Mean(res.errTruth[core.Baseline][ci])),
-				fmtF(stats.Mean(res.errTruth[core.Uniform][ci])),
-				fmtF(stats.Mean(res.errTruth[core.NonUniform][ci])),
-			})
-		}
-	}
-	return []*Table{t}, nil
-}
-
-// runFig4 reproduces Fig. 4: error relative to EXACTMLE (boxplots) for
-// UNIFORM and NONUNIFORM on every network.
-func runFig4(p Params) ([]*Table, error) {
-	t := &Table{
-		ID: "fig4", Title: "Fig. 4: testing error (relative to EXACTMLE) vs training instances",
-		Header: []string{"network", "algorithm", "m", "min", "q1", "median", "q3", "max", "mean"},
-	}
-	models, err := loadModels(p.Networks)
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range p.Networks {
-		res, err := runTracking(trackingSpec{
-			model: models[name], strategies: []core.Strategy{core.Uniform, core.NonUniform},
-			checkpoints: p.Sizes, eps: p.Eps, delta: p.Delta, sites: p.Sites,
-			queries: p.Queries, minProb: p.MinProb, runs: p.Runs, seed: p.Seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		for _, st := range []core.Strategy{core.Uniform, core.NonUniform} {
-			for ci, m := range res.checkpoints {
-				s := stats.Summarize(res.errMLE[st][ci])
-				t.Rows = append(t.Rows, []string{
-					name, st.String(), fmtInt(int64(m)),
-					fmtF(s.Min), fmtF(s.Q1), fmtF(s.Median), fmtF(s.Q3), fmtF(s.Max), fmtF(s.Mean),
-				})
-			}
-		}
-	}
-	return []*Table{t}, nil
-}
-
-// runFig5 reproduces Fig. 5: mean testing error relative to EXACTMLE for the
-// three approximate algorithms.
-func runFig5(p Params) ([]*Table, error) {
-	t := &Table{
-		ID: "fig5", Title: "Fig. 5: mean testing error (relative to EXACTMLE) vs training instances",
-		Header: []string{"network", "m", "baseline", "uniform", "nonuniform"},
-	}
-	models, err := loadModels(p.Networks)
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range p.Networks {
-		res, err := runTracking(trackingSpec{
-			model: models[name], strategies: paperStrategies, checkpoints: p.Sizes,
-			eps: p.Eps, delta: p.Delta, sites: p.Sites, queries: p.Queries,
-			minProb: p.MinProb, runs: p.Runs, seed: p.Seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		for ci, m := range res.checkpoints {
-			t.Rows = append(t.Rows, []string{
-				name, fmtInt(int64(m)),
-				fmtF(stats.Mean(res.errMLE[core.Baseline][ci])),
-				fmtF(stats.Mean(res.errMLE[core.Uniform][ci])),
-				fmtF(stats.Mean(res.errMLE[core.NonUniform][ci])),
-			})
-		}
-	}
-	return []*Table{t}, nil
-}
-
-// runFig6 reproduces Fig. 6: communication cost (number of messages) vs
-// number of training instances.
-func runFig6(p Params) ([]*Table, error) {
-	t := &Table{
-		ID: "fig6", Title: "Fig. 6: communication cost vs number of training instances",
-		Header: []string{"network", "m", "exact", "baseline", "uniform", "nonuniform"},
-	}
-	models, err := loadModels(p.Networks)
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range p.Networks {
-		res, err := runTracking(trackingSpec{
-			model: models[name], strategies: paperStrategies, checkpoints: p.Sizes,
-			eps: p.Eps, delta: p.Delta, sites: p.Sites,
-			queries: 1, minProb: p.MinProb, runs: p.Runs, seed: p.Seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		for ci, m := range res.checkpoints {
-			t.Rows = append(t.Rows, []string{
-				name, fmtInt(int64(m)),
-				fmtF(res.messages[core.ExactMLE][ci]),
-				fmtF(res.messages[core.Baseline][ci]),
-				fmtF(res.messages[core.Uniform][ci]),
-				fmtF(res.messages[core.NonUniform][ci]),
-			})
-		}
-	}
-	return []*Table{t}, nil
-}
-
 // runFig9 reproduces Fig. 9: communication cost as the network scales,
 // obtained by iteratively stripping sinks from LINK.
-func runFig9(p Params) ([]*Table, error) {
+func runFig9(s *Session) ([]*Table, error) {
+	p := s.p
 	link, err := netgen.ByName("link")
 	if err != nil {
 		return nil, err
 	}
 	t := &Table{
 		ID: "fig9", Title: "Fig. 9: communication cost vs network size (LINK with sinks removed)",
-		Header: []string{"nodes", "edges", "m", "exact", "baseline", "uniform", "nonuniform"},
+		Header: append([]string{"nodes", "edges", "m"}, strategyNames(allStrategies, "")...),
 		Notes:  []string{"paper uses 500K training instances; column m records the stream length used here"},
 	}
 	for _, target := range p.NodeTargets {
@@ -255,59 +213,45 @@ func runFig9(p Params) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		cpds, err := netgen.GenCPTs(sub, netgen.DefaultCPTOptions())
+		m, err := modelOf(sub, defaultCPTSeed)
 		if err != nil {
 			return nil, err
 		}
-		m, err := bn.NewModel(sub, cpds)
+		spec := s.spec(m, paperStrategies...)
+		spec.queries, spec.runs = 1, 1
+		msgs, _, err := s.lastPoint(spec)
 		if err != nil {
 			return nil, err
 		}
-		res, err := runTracking(trackingSpec{
-			model: m, strategies: paperStrategies, checkpoints: []int{p.Events},
-			eps: p.Eps, delta: p.Delta, sites: p.Sites,
-			queries: 1, minProb: p.MinProb, runs: 1, seed: p.Seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{
+		t.Rows = append(t.Rows, append([]string{
 			fmtInt(int64(sub.Len())), fmtInt(int64(sub.NumEdges())), fmtInt(int64(p.Events)),
-			fmtF(res.messages[core.ExactMLE][0]),
-			fmtF(res.messages[core.Baseline][0]),
-			fmtF(res.messages[core.Uniform][0]),
-			fmtF(res.messages[core.NonUniform][0]),
-		})
+		}, strategyCells(allStrategies, msgs)...))
 	}
 	return []*Table{t}, nil
 }
 
 // runFig10 reproduces Fig. 10: mean error against ground truth as a function
 // of the approximation factor ε (BASELINE and NONUNIFORM, HEPAR II).
-func runFig10(p Params) ([]*Table, error) {
-	m, err := netgenLoad(p.Network)
+func runFig10(s *Session) ([]*Table, error) {
+	p := s.p
+	m, err := netgen.ModelByName(p.Network)
 	if err != nil {
 		return nil, err
 	}
+	strategies := []core.Strategy{core.Baseline, core.NonUniform}
 	tb := &Table{
 		ID: "fig10", Title: fmt.Sprintf("Fig. 10: %s mean error against ground truth vs approximation factor ε", p.Network),
-		Header: []string{"m", "eps", "baseline", "nonuniform"},
+		Header: append([]string{"m", "eps"}, strategyNames(strategies, "")...),
 	}
 	for _, eps := range p.EpsList {
-		res, err := runTracking(trackingSpec{
-			model: m, strategies: []core.Strategy{core.Baseline, core.NonUniform},
-			checkpoints: p.Sizes, eps: eps, delta: p.Delta, sites: p.Sites,
-			queries: p.Queries, minProb: p.MinProb, runs: p.Runs, seed: p.Seed,
-		})
+		spec := s.spec(m, strategies...)
+		spec.eps = eps
+		res, err := runTracking(spec)
 		if err != nil {
 			return nil, err
 		}
-		for ci, sz := range res.checkpoints {
-			tb.Rows = append(tb.Rows, []string{
-				fmtInt(int64(sz)), fmtF(eps),
-				fmtF(stats.Mean(res.errTruth[core.Baseline][ci])),
-				fmtF(stats.Mean(res.errTruth[core.NonUniform][ci])),
-			})
+		for _, row := range lineRows(nil, res, strategies, meanOf(errTruth)) {
+			tb.Rows = append(tb.Rows, slices.Insert(row, 1, fmtF(eps)))
 		}
 	}
 	return []*Table{tb}, nil
@@ -318,52 +262,68 @@ func runFig10(p Params) ([]*Table, error) {
 var fig11Sites = []int{5, 10, 20, 30, 40, 50}
 
 // runFig11 reproduces Fig. 11: communication cost vs number of sites.
-func runFig11(p Params) ([]*Table, error) {
-	m, err := netgenLoad("alarm")
+func runFig11(s *Session) ([]*Table, error) {
+	p := s.p
+	m, err := netgen.ModelByName("alarm")
 	if err != nil {
 		return nil, err
 	}
 	t := &Table{
 		ID: "fig11", Title: "Fig. 11: communication cost vs number of sites (ALARM)",
-		Header: []string{"sites", "m", "baseline", "uniform", "nonuniform"},
+		Header: append([]string{"sites", "m"}, strategyNames(paperStrategies, "")...),
 	}
 	for _, k := range fig11Sites {
-		res, err := runTracking(trackingSpec{
-			model: m, strategies: paperStrategies, checkpoints: []int{p.Events},
-			eps: p.Eps, delta: p.Delta, sites: k,
-			queries: 1, minProb: p.MinProb, runs: p.Runs, seed: p.Seed,
-		})
+		spec := s.spec(m, paperStrategies...)
+		spec.sites, spec.queries = k, 1
+		msgs, _, err := s.lastPoint(spec)
 		if err != nil {
 			return nil, err
 		}
-		t.Rows = append(t.Rows, []string{
-			fmtInt(int64(k)), fmtInt(int64(p.Events)),
-			fmtF(res.messages[core.Baseline][0]),
-			fmtF(res.messages[core.Uniform][0]),
-			fmtF(res.messages[core.NonUniform][0]),
-		})
+		t.Rows = append(t.Rows, append([]string{fmtInt(int64(k)), fmtInt(int64(p.Events))},
+			strategyCells(paperStrategies, msgs)...))
 	}
 	return []*Table{t}, nil
 }
 
-// runClassification reproduces Tables II and III: Bayesian-classification
-// error rate and the communication cost of learning the classifier.
-func runClassification(p Params) ([]*Table, error) {
+// classTable is the runner of Table II (i = 0) or Table III (i = 1), two
+// readings of one classification pass. A session asked for both ids prints
+// each table under its own id; asked for one, it prints both, as the paper
+// presents them together.
+func classTable(i int) runner {
+	return func(s *Session) ([]*Table, error) {
+		tabs, err := s.classification()
+		if err != nil {
+			return nil, err
+		}
+		if slices.Contains(s.requested, "table2") && slices.Contains(s.requested, "table3") {
+			return tabs[i : i+1], nil
+		}
+		return tabs, nil
+	}
+}
+
+// classification reproduces Tables II and III: Bayesian-classification error
+// rate and the communication cost of learning the classifier. Run on first
+// use and kept for the session.
+func (s *Session) classification() ([]*Table, error) {
+	if s.classes != nil {
+		return s.classes, nil
+	}
+	p := s.p
+	header := append([]string{"network"}, strategyNames(allStrategies, "")...)
 	errT := &Table{
 		ID: "table2", Title: fmt.Sprintf("Table II: error rate for Bayesian classification, %d training instances", p.Events),
-		Header: []string{"network", "exact", "baseline", "uniform", "nonuniform"},
+		Header: header,
 	}
 	msgT := &Table{
 		ID: "table3", Title: "Table III: communication cost (messages) to learn a Bayesian classifier",
-		Header: []string{"network", "exact", "baseline", "uniform", "nonuniform"},
+		Header: header,
 	}
-	models, err := loadModels(p.Networks)
-	if err != nil {
-		return nil, err
-	}
-	all := []core.Strategy{core.ExactMLE, core.Baseline, core.Uniform, core.NonUniform}
 	for _, name := range p.Networks {
-		model := models[name]
+		model, err := netgen.ModelByName(name)
+		if err != nil {
+			return nil, err
+		}
 		net := model.Network()
 		tests, err := stream.GenClassTests(model, p.ClassTests, p.Seed+5)
 		if err != nil {
@@ -371,7 +331,7 @@ func runClassification(p Params) ([]*Table, error) {
 		}
 		errRow := []string{name}
 		msgRow := []string{name}
-		for _, st := range all {
+		for _, st := range allStrategies {
 			tr, err := core.NewTracker(net, core.Config{
 				Strategy: st, Eps: p.Eps, Delta: p.Delta, Sites: p.Sites,
 				Seed: p.Seed + uint64(st), Smoothing: p.Smoothing,
@@ -396,35 +356,28 @@ func runClassification(p Params) ([]*Table, error) {
 		errT.Rows = append(errT.Rows, errRow)
 		msgT.Rows = append(msgT.Rows, msgRow)
 	}
-	return []*Table{errT, msgT}, nil
+	s.classes = []*Table{errT, msgT}
+	return s.classes, nil
 }
 
 // runNewAlarm reproduces the NEW-ALARM study: with 6 domains inflated to 20
 // values, NONUNIFORM's communication drops well below UNIFORM's (the paper
 // reports ~35%).
-func runNewAlarm(p Params) ([]*Table, error) {
+func runNewAlarm(s *Session) ([]*Table, error) {
+	p := s.p
 	net, err := netgen.NewAlarm()
 	if err != nil {
 		return nil, err
 	}
-	cpds, err := netgen.GenCPTs(net, netgen.DefaultCPTOptions())
+	m, err := modelOf(net, defaultCPTSeed)
 	if err != nil {
 		return nil, err
 	}
-	m, err := bn.NewModel(net, cpds)
+	msgs, _, err := s.lastPoint(s.spec(m, core.Uniform, core.NonUniform))
 	if err != nil {
 		return nil, err
 	}
-	res, err := runTracking(trackingSpec{
-		model: m, strategies: []core.Strategy{core.Uniform, core.NonUniform},
-		checkpoints: []int{p.Events}, eps: p.Eps, delta: p.Delta, sites: p.Sites,
-		queries: p.Queries, minProb: p.MinProb, runs: p.Runs, seed: p.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	u := res.messages[core.Uniform][0]
-	nu := res.messages[core.NonUniform][0]
+	u, nu := msgs(core.Uniform), msgs(core.NonUniform)
 	// Theoretical bounds (Theorems 1 and 2): structure-dependent factors.
 	bu, err := core.CostBound(net, core.Uniform, p.Eps)
 	if err != nil {
@@ -445,86 +398,72 @@ func runNewAlarm(p Params) ([]*Table, error) {
 		Notes: []string{
 			"paper reports NONUNIFORM ~35% cheaper than UNIFORM on NEW-ALARM",
 			"theory-reduction compares the Theorem 1 vs Theorem 2 bounds, which assume every counter is in its sampling regime;",
-			"the measured gap approaches the theoretical one as m grows (see EXPERIMENTS.md for the trend)",
+			"the measured gap approaches the theoretical one as m grows",
 		},
+	}
+	return []*Table{t}, nil
+}
+
+// variant is one row of an ablation: a labelled variation of the paper's
+// tracking setup, run to the single checkpoint p.Events.
+type variant struct {
+	label string
+	spec  trackingSpec
+}
+
+// ablationTable renders the table shape the ablations share: per variant its
+// label, the stream length, and the (single) strategy's message count and
+// mean error to EXACTMLE at the end of the run.
+func (s *Session) ablationTable(id, title, labelHeader string, variants []variant) ([]*Table, error) {
+	t := &Table{ID: id, Title: title, Header: []string{labelHeader, "m", "messages", "mean-err-to-mle"}}
+	for _, v := range variants {
+		msgs, errToMLE, err := s.lastPoint(v.spec)
+		if err != nil {
+			return nil, err
+		}
+		st := v.spec.strategies[0]
+		t.Rows = append(t.Rows, []string{v.label, fmtInt(int64(s.p.Events)), fmtF(msgs(st)), fmtF(errToMLE(st))})
 	}
 	return []*Table{t}, nil
 }
 
 // runAblationCounter compares the HYZ randomized counter against the
 // deterministic threshold counter inside the UNIFORM tracker.
-func runAblationCounter(p Params) ([]*Table, error) {
-	m, err := netgenLoad("alarm")
+func runAblationCounter(s *Session) ([]*Table, error) {
+	m, err := netgen.ModelByName("alarm")
 	if err != nil {
 		return nil, err
 	}
-	t := &Table{
-		ID: "ablation-counter", Title: "Ablation: randomized (HYZ) vs deterministic distributed counters, UNIFORM on ALARM",
-		Header: []string{"counter", "m", "messages", "mean-err-to-mle"},
-	}
-	for _, kind := range []core.CounterKind{core.HYZCounter, core.DeterministicCounter} {
-		res, err := runTracking(trackingSpec{
-			model: m, strategies: []core.Strategy{core.Uniform},
-			checkpoints: []int{p.Events}, eps: p.Eps, delta: p.Delta, sites: p.Sites,
-			queries: p.Queries, minProb: p.MinProb, runs: p.Runs, seed: p.Seed,
-			counter: kind,
-		})
-		if err != nil {
-			return nil, err
-		}
-		name := "hyz"
-		if kind == core.DeterministicCounter {
-			name = "deterministic"
-		}
-		t.Rows = append(t.Rows, []string{
-			name, fmtInt(int64(p.Events)),
-			fmtF(res.messages[core.Uniform][0]),
-			fmtF(stats.Mean(res.errMLE[core.Uniform][0])),
-		})
-	}
-	return []*Table{t}, nil
+	hyz, det := s.spec(m, core.Uniform), s.spec(m, core.Uniform)
+	hyz.counter, det.counter = core.HYZCounter, core.DeterministicCounter
+	return s.ablationTable("ablation-counter",
+		"Ablation: randomized (HYZ) vs deterministic distributed counters, UNIFORM on ALARM",
+		"counter", []variant{{"hyz", hyz}, {"deterministic", det}})
 }
 
 // runAblationSkew exercises the future-work extension of skewed site
 // distributions: Zipf(s) routing, NONUNIFORM on ALARM.
-func runAblationSkew(p Params) ([]*Table, error) {
-	m, err := netgenLoad("alarm")
+func runAblationSkew(s *Session) ([]*Table, error) {
+	p := s.p
+	m, err := netgen.ModelByName("alarm")
 	if err != nil {
 		return nil, err
 	}
-	t := &Table{
-		ID: "ablation-skew", Title: "Extension: skewed site distribution (Zipf routing), NONUNIFORM on ALARM",
-		Header: []string{"zipf-s", "m", "messages", "mean-err-to-mle"},
-	}
-	for _, s := range p.ZipfS {
-		s := s
-		res, err := runTracking(trackingSpec{
-			model: m, strategies: []core.Strategy{core.NonUniform},
-			checkpoints: []int{p.Events}, eps: p.Eps, delta: p.Delta, sites: p.Sites,
-			queries: p.Queries, minProb: p.MinProb, runs: p.Runs, seed: p.Seed,
-			assigner: func(run int) stream.Assigner {
-				a, err := stream.NewZipfAssigner(p.Sites, s, p.Seed+917*uint64(run))
-				if err != nil {
-					panic(err) // parameters validated above
-				}
-				return a
-			},
-		})
-		if err != nil {
-			return nil, err
+	var variants []variant
+	for _, z := range p.ZipfS {
+		spec := s.spec(m, core.NonUniform)
+		spec.assigner = func(run int) (stream.Assigner, error) {
+			return stream.NewZipfAssigner(p.Sites, z, p.Seed+917*uint64(run))
 		}
-		t.Rows = append(t.Rows, []string{
-			fmtF(s), fmtInt(int64(p.Events)),
-			fmtF(res.messages[core.NonUniform][0]),
-			fmtF(stats.Mean(res.errMLE[core.NonUniform][0])),
-		})
+		variants = append(variants, variant{fmtF(z), spec})
 	}
-	return []*Table{t}, nil
+	return s.ablationTable("ablation-skew",
+		"Extension: skewed site distribution (Zipf routing), NONUNIFORM on ALARM", "zipf-s", variants)
 }
 
 // runAblationNB compares the Naïve-Bayes specialization (eq. 9) against the
 // general allocations on a Naïve-Bayes model (Section V, Lemma 11).
-func runAblationNB(p Params) ([]*Table, error) {
+func runAblationNB(s *Session) ([]*Table, error) {
 	featureCards := make([]int, 30)
 	for i := range featureCards {
 		featureCards[i] = 2 + i%5
@@ -533,32 +472,14 @@ func runAblationNB(p Params) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	cpds, err := netgen.GenCPTs(net, netgen.DefaultCPTOptions())
+	m, err := modelOf(net, defaultCPTSeed)
 	if err != nil {
 		return nil, err
 	}
-	m, err := bn.NewModel(net, cpds)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		ID: "ablation-nb", Title: "Section V: Naïve-Bayes specialization vs general allocations (5-class NB, 30 features)",
-		Header: []string{"algorithm", "m", "messages", "mean-err-to-mle"},
-	}
+	var variants []variant
 	for _, st := range []core.Strategy{core.Uniform, core.NonUniform, core.NaiveBayes} {
-		res, err := runTracking(trackingSpec{
-			model: m, strategies: []core.Strategy{st},
-			checkpoints: []int{p.Events}, eps: p.Eps, delta: p.Delta, sites: p.Sites,
-			queries: p.Queries, minProb: p.MinProb, runs: p.Runs, seed: p.Seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{
-			st.String(), fmtInt(int64(p.Events)),
-			fmtF(res.messages[st][0]),
-			fmtF(stats.Mean(res.errMLE[st][0])),
-		})
+		variants = append(variants, variant{st.String(), s.spec(m, st)})
 	}
-	return []*Table{t}, nil
+	return s.ablationTable("ablation-nb",
+		"Section V: Naïve-Bayes specialization vs general allocations (5-class NB, 30 features)", "algorithm", variants)
 }

@@ -1,4 +1,4 @@
-package sketch
+package experiments
 
 import (
 	"math"
@@ -11,13 +11,13 @@ import (
 )
 
 func TestCountMinValidation(t *testing.T) {
-	if _, err := NewCountMin(0, 3, 1); err == nil {
+	if _, err := newCountMin(0, 3, 1); err == nil {
 		t.Error("width=0 accepted")
 	}
-	if _, err := NewCountMin(8, 0, 1); err == nil {
+	if _, err := newCountMin(8, 0, 1); err == nil {
 		t.Error("depth=0 accepted")
 	}
-	if _, err := NewEstimator(nil2net(t), 0, 1, 1); err == nil {
+	if _, err := newSketchEstimator(nil2net(t), 0, 1, 1); err == nil {
 		t.Error("estimator width=0 accepted")
 	}
 }
@@ -30,7 +30,7 @@ func nil2net(t *testing.T) *bn.Network {
 func TestCountMinNeverUndercounts(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := bn.NewRNG(seed)
-		cm, err := NewCountMin(64, 3, seed)
+		cm, err := newCountMin(64, 3, seed)
 		if err != nil {
 			return false
 		}
@@ -53,7 +53,7 @@ func TestCountMinNeverUndercounts(t *testing.T) {
 }
 
 func TestCountMinAccuracyOnSkewedKeys(t *testing.T) {
-	cm, err := NewCountMin(512, 4, 7)
+	cm, err := newCountMin(512, 4, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestEstimatorOnAlarm(t *testing.T) {
 		t.Fatal(err)
 	}
 	net := m.Network()
-	est, err := NewEstimator(net, 256, 4, 5)
+	est, err := newSketchEstimator(net, 256, 4, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestEstimatorCPDInRange(t *testing.T) {
 		{Name: "A", Card: 3},
 		{Name: "B", Card: 2, Parents: []int{0}},
 	})
-	est, err := NewEstimator(net, 4, 2, 1) // deliberately tiny: collisions
+	est, err := newSketchEstimator(net, 4, 2, 1) // deliberately tiny: collisions
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestEstimatorCPDUnseenParentUniform(t *testing.T) {
 		{Name: "A", Card: 2},
 		{Name: "B", Card: 4, Parents: []int{0}},
 	})
-	est, err := NewEstimator(net, 256, 4, 1)
+	est, err := newSketchEstimator(net, 256, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

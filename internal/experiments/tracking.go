@@ -7,7 +7,7 @@ import (
 
 	"distbayes/internal/bn"
 	"distbayes/internal/core"
-	"distbayes/internal/stats"
+	"distbayes/internal/netgen"
 	"distbayes/internal/stream"
 )
 
@@ -26,10 +26,9 @@ type trackingSpec struct {
 	runs        int
 	seed        uint64
 	counter     core.CounterKind
-	smoothing   float64
 	// assigner, if set, overrides the default uniform router (run index is
 	// passed for seeding).
-	assigner func(run int) stream.Assigner
+	assigner func(run int) (stream.Assigner, error)
 }
 
 // trackingResult pools per-query errors across runs and reports the median
@@ -89,7 +88,6 @@ func runTracking(s trackingSpec) (*trackingResult, error) {
 			cfg := core.Config{
 				Strategy: st, Eps: s.eps, Delta: s.delta, Sites: s.sites,
 				Seed: s.seed + uint64(run)*1001 + uint64(st), Counter: s.counter,
-				Smoothing: s.smoothing,
 			}
 			tr, err := core.NewTracker(net, cfg)
 			if err != nil {
@@ -105,7 +103,9 @@ func runTracking(s trackingSpec) (*trackingResult, error) {
 		}
 		var assign stream.Assigner
 		if s.assigner != nil {
-			assign = s.assigner(run)
+			if assign, err = s.assigner(run); err != nil {
+				return nil, err
+			}
 		} else {
 			assign = stream.NewUniformAssigner(s.sites, s.seed+77*uint64(run))
 		}
@@ -162,34 +162,69 @@ func runTracking(s trackingSpec) (*trackingResult, error) {
 	for _, st := range all {
 		res.messages[st] = make([]float64, len(s.checkpoints))
 		for ci := range s.checkpoints {
-			res.messages[st][ci] = stats.Median(perRunMsgs[st][ci])
+			res.messages[st][ci] = median(perRunMsgs[st][ci])
 		}
 	}
 	return res, nil
 }
 
-// relErr is the relative error |est-ref|/ref; ref is guaranteed positive for
-// truth values by query generation.
-func relErr(est, ref float64) float64 {
-	if ref == 0 {
-		if est == 0 {
-			return 0
-		}
-		return math.Inf(1)
+// relErr is the relative error |est-ref|/ref. Callers pass a positive ref:
+// query generation guarantees it for truth values, and runTracking skips test
+// events the EXACTMLE reference gives probability 0.
+func relErr(est, ref float64) float64 { return math.Abs(est-ref) / ref }
+
+// meanErrToTruth is the mean relative error of estimate against the
+// ground-truth probability of every test event.
+func meanErrToTruth(queries []stream.Query, estimate func(set, x []int) float64) float64 {
+	errs := make([]float64, len(queries))
+	for i, q := range queries {
+		errs[i] = relErr(estimate(q.Set, q.X), q.Truth)
 	}
-	return math.Abs(est-ref) / ref
+	return mean(errs)
 }
 
-// loadModels resolves network names to ground-truth models via netgenLoad
-// (indirected for tests).
-func loadModels(names []string) (map[string]*bn.Model, error) {
-	out := make(map[string]*bn.Model, len(names))
-	for _, n := range names {
-		m, err := netgenLoad(n)
-		if err != nil {
-			return nil, err
-		}
-		out[n] = m
+// spec is the paper's tracking setup at the session's parameters: the sweep
+// Figs. 1–6 share. The other tracking experiments vary one or two fields of it.
+func (s *Session) spec(m *bn.Model, strategies ...core.Strategy) trackingSpec {
+	p := s.p
+	return trackingSpec{
+		model: m, strategies: strategies, checkpoints: p.Sizes,
+		eps: p.Eps, delta: p.Delta, sites: p.Sites, queries: p.Queries,
+		minProb: p.MinProb, runs: p.Runs, seed: p.Seed,
 	}
-	return out, nil
+}
+
+// paperSweep is the shared sweep of Figs. 1–6 on one Table I network: every
+// paper strategy over p.Sizes with p.Queries test events, run on first use
+// and kept for the session. Trackers are seeded per run and strategy and
+// never see the test events, so a figure that reads fewer strategies or only
+// the message tallies reads the same numbers its own narrower run would give.
+func (s *Session) paperSweep(network string) (*trackingResult, error) {
+	if res, ok := s.tracking[network]; ok {
+		return res, nil
+	}
+	m, err := netgen.ModelByName(network)
+	if err != nil {
+		return nil, err
+	}
+	res, err := runTracking(s.spec(m, paperStrategies...))
+	if err != nil {
+		return nil, err
+	}
+	s.tracking[network] = res
+	return res, nil
+}
+
+// lastPoint runs spec to the single checkpoint p.Events and returns what the
+// single-point experiments report there, per strategy: the median message
+// count and the mean error to EXACTMLE.
+func (s *Session) lastPoint(spec trackingSpec) (msgs, errToMLE func(core.Strategy) float64, err error) {
+	spec.checkpoints = []int{s.p.Events}
+	res, err := runTracking(spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	msgs = func(st core.Strategy) float64 { return messages(res, st, 0) }
+	errToMLE = func(st core.Strategy) float64 { return mean(errMLE(res, st, 0)) }
+	return msgs, errToMLE, nil
 }
