@@ -60,3 +60,32 @@ func TestWarmQueriesDoNotAllocate(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmIngestDoesNotAllocate gates the ingest side the same way: once the
+// pooled pass scratch exists, UpdateEvents (the benchmark's 12-event pump
+// batches and 256-event rounds) and Update allocate nothing, on the
+// sequential reference tracker and on a striped one. The pool holds the
+// scratch's box, so Put has no slice header to re-box.
+func TestWarmIngestDoesNotAllocate(t *testing.T) {
+	model, err := netgen.ModelByName("alarm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := stream.NewTraining(model, stream.NewUniformAssigner(4, 2), 3).NextEvents(nil, 256)
+	for _, shards := range []int{1, 4} {
+		tr, err := core.NewTracker(model.Network(), core.Config{Strategy: core.NonUniform, Eps: 0.1, Sites: 4, Seed: 1, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, ingest := range map[string]func(){
+			"UpdateEvents(12)":  func() { tr.UpdateEvents(events[:12]) },
+			"UpdateEvents(256)": func() { tr.UpdateEvents(events) },
+			"Update":            func() { tr.Update(events[0].Site, events[0].X) },
+		} {
+			ingest() // size the scratch for this batch length
+			if a := testing.AllocsPerRun(100, ingest); a != 0 {
+				t.Errorf("Shards=%d: warm %s allocates %v/op, want 0", shards, name, a)
+			}
+		}
+	}
+}

@@ -1,7 +1,7 @@
 // Package cluster is the live implementation of the distributed monitoring
 // system over real TCP connections (the paper runs the same architecture on
 // an AWS EC2 cluster; here the sites and coordinator talk over loopback or
-// any reachable network, see DESIGN.md §4).
+// any reachable network, see README, Reproducing the paper).
 //
 // Architecture: one coordinator process listens; k site processes connect,
 // directly, through a tree of relays (relay.go), or to K stripe coordinators

@@ -262,8 +262,7 @@ func (d *DeltaBuffer) flushLocked() {
 				t.par[i].Merge(d.par[i])
 			}
 		}
-		sh.version.Add(1)
-		sh.mu.Unlock()
+		t.unlockMutated(sh)
 		for _, i := range sh.vars {
 			if d.spPair != nil {
 				d.spPair[i].reset()

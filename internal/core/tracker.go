@@ -50,12 +50,16 @@ type Config struct {
 	// Shards is the number of lock stripes of the concurrent ingestion
 	// engine. Variable i's counter banks belong to stripe i mod Shards, and
 	// every stripe owns an independent RNG. 0 and 1 both mean a single
-	// stripe, which keeps one global update order and one RNG and therefore
-	// reproduces the historical sequential tracker exactly (same counts,
-	// same message tallies, same query answers for a fixed seed and event
-	// order). Shards > 1 lets concurrent updates proceed on different
-	// stripes in parallel; exact counts stay exact, but randomized-counter
-	// message schedules become interleaving-dependent.
+	// stripe, which keeps one global event-major update order and one RNG
+	// and therefore reproduces the historical sequential tracker exactly
+	// (same counts, same message tallies, same query answers for a fixed
+	// seed and event order, however the caller batches). Shards > 1 lets
+	// concurrent updates proceed on different stripes in parallel and applies
+	// each batch bank by bank (see applyIndexed); exact counts stay exact,
+	// but randomized-counter message schedules then depend on the
+	// interleaving of writers and on how each writer batches its events — a
+	// single writer is reproducible for a fixed seed, event order and
+	// batching.
 	Shards int
 	// DeltaBuffered selects the lock-free ingestion mode: every ingestion
 	// entry point accumulates exact increment counts into a per-goroutine
@@ -146,10 +150,14 @@ type Event struct {
 //   - Striped (Shards > 1, DeltaBuffered false): counter banks are
 //     partitioned into Config.Shards lock stripes by variable index; an
 //     update walks the stripes in ascending order, so two concurrent
-//     updates pipeline across stripes instead of serializing. Exact counts
+//     updates pipeline across stripes instead of serializing, and under
+//     each stripe lock a batch is applied bank-major — every owned
+//     variable's increments for up to 64 events as one run
+//     (counter.Bank.IncBatch) — rather than event by event. Exact counts
 //     stay exact under any interleaving; randomized-counter message
-//     schedules become interleaving-dependent but keep the (ε, δ)
-//     guarantee. Reads are immediate, as in sequential mode.
+//     schedules depend on the interleaving and on the batching (a single
+//     writer is deterministic for a fixed seed and batching) but keep the
+//     (ε, δ) guarantee. Reads are immediate, as in sequential mode.
 //   - Delta-buffered (DeltaBuffered true, any Shards): ingestion
 //     accumulates exact increment counts into per-goroutine DeltaBuffers
 //     with no shared-state access at all, publishing on a cadence by
@@ -160,6 +168,14 @@ type Event struct {
 //     correspond to a batched interleaving; the query, checkpoint and
 //     snapshot paths all start with a FlushDeltas barrier so reads always
 //     see every increment published before the barrier.
+//
+// Message accounting: the flat banks of a stripe tally messages with plain
+// adds into the stripe's private tally, published to the atomic sink behind
+// Messages at the end of every locked mutation section (unlockMutated) —
+// not one LOCK XADD per message. While ingestion is in flight Messages
+// therefore trails the counters by at most one locked section per stripe (a
+// pass, or a delta flush); once the ingesting calls have returned it is
+// exact. CounterFactory counters tally straight into the atomic sink.
 //
 // Concurrent queries must not share mutable arguments — Classify scratches
 // x[target] in the caller's slice, so each goroutine needs its own x.
@@ -204,7 +220,7 @@ type Tracker struct {
 	pair []*counter.Bank
 	par  []*counter.Bank
 
-	scratch sync.Pool // *[]int32 parent-index buffers for batched ingestion
+	scratch sync.Pool // *passScratch of the ingestion engine (applyIndexed)
 
 	// deltaFlushEvery is the normalized publish cadence of delta-buffered
 	// ingestion (Config.DeltaFlushEvents, defaulted).
@@ -241,14 +257,19 @@ type Tracker struct {
 }
 
 // shard is one lock stripe: a mutex, the stripe-local RNG feeding the
-// randomized counters that live here, the owned variable indices in
-// ascending order, and the snapshot-invalidation version.
+// randomized counters that live here, the stripe-local message tally of the
+// flat banks that live here, the owned variable indices in ascending order,
+// and the snapshot-invalidation version.
 type shard struct {
 	mu  sync.Mutex
 	rng *bn.RNG
+	// tally is where this stripe's flat banks count messages, with plain adds
+	// under mu; unlockMutated publishes it to Tracker.metrics. CounterFactory
+	// counters are handed the atomic Tracker.metrics itself instead.
+	tally counter.Metrics
 	// version counts mutations of this stripe's banks. It is incremented
-	// under mu at the end of every locked mutation section (per-event or
-	// per-chunk) and read with atomic loads by the snapshot validator: a
+	// under mu at the end of every locked mutation section (a pass or a
+	// delta flush) and read with atomic loads by the snapshot validator: a
 	// snapshot built when every stripe version matched is current.
 	version atomic.Uint64
 	vars    []int
@@ -301,11 +322,11 @@ func NewTracker(net *bn.Network, cfg Config) (*Tracker, error) {
 		sh := &t.shards[i%nShards]
 		sh.vars = append(sh.vars, i)
 		j, k := net.Card(i), net.ParentCard(i)
-		t.pair[i], err = t.newBank(j*k, alloc.EpsA[i], sh.rng)
+		t.pair[i], err = t.newBank(j*k, alloc.EpsA[i], sh)
 		if err != nil {
 			return nil, err
 		}
-		t.par[i], err = t.newBank(k, alloc.EpsB[i], sh.rng)
+		t.par[i], err = t.newBank(k, alloc.EpsB[i], sh)
 		if err != nil {
 			return nil, err
 		}
@@ -318,20 +339,20 @@ func NewTracker(net *bn.Network, cfg Config) (*Tracker, error) {
 // is set. Custom-bank cells are created in ascending cell order, preserving
 // the historical per-cell construction order (and hence any factory-side
 // registration order, e.g. the decay banks').
-func (t *Tracker) newBank(cells int, eps float64, rng *bn.RNG) (*counter.Bank, error) {
+func (t *Tracker) newBank(cells int, eps float64, sh *shard) (*counter.Bank, error) {
 	if t.cfg.CounterFactory != nil {
 		return counter.NewCustomBank(cells, func(int) (counter.Counter, error) {
-			return t.cfg.CounterFactory(eps, &t.metrics, rng)
+			return t.cfg.CounterFactory(eps, &t.metrics, sh.rng)
 		})
 	}
 	if t.cfg.Strategy == ExactMLE {
-		return counter.NewBank(counter.ExactKind, cells, t.cfg.Sites, 0, 0, &t.metrics, nil)
+		return counter.NewBank(counter.ExactKind, cells, t.cfg.Sites, 0, 0, &sh.tally, nil)
 	}
 	switch t.cfg.Counter {
 	case HYZCounter:
-		return counter.NewBank(counter.HYZKind, cells, t.cfg.Sites, eps, t.cfg.Delta, &t.metrics, rng)
+		return counter.NewBank(counter.HYZKind, cells, t.cfg.Sites, eps, t.cfg.Delta, &sh.tally, sh.rng)
 	case DeterministicCounter:
-		return counter.NewBank(counter.DeterministicKind, cells, t.cfg.Sites, eps, 0, &t.metrics, nil)
+		return counter.NewBank(counter.DeterministicKind, cells, t.cfg.Sites, eps, 0, &sh.tally, nil)
 	default:
 		return nil, fmt.Errorf("core: unknown counter kind %d", t.cfg.Counter)
 	}
@@ -368,8 +389,10 @@ func (t *Tracker) Allocation() Allocation { return t.alloc }
 func (t *Tracker) Events() int64 { return t.events.Load() }
 
 // Messages returns a snapshot of the protocol messages exchanged so far;
-// safe to call while ingestion is in flight. Like Events, in delta-buffered
-// mode the tallies reflect published increments only.
+// safe to call while ingestion is in flight, when it may lag the counters by
+// the locked section in flight on each stripe (see the type comment). Like
+// Events, in delta-buffered mode the tallies reflect published increments
+// only.
 func (t *Tracker) Messages() counter.Metrics { return t.metrics.Snapshot() }
 
 func (t *Tracker) checkSite(site int) {
@@ -386,123 +409,127 @@ func (t *Tracker) checkSite(site int) {
 // published on the flush cadence rather than immediately.
 func (t *Tracker) Update(site int, x []int) {
 	t.checkSite(site)
-	if t.cfg.DeltaBuffered {
-		d := t.getDelta()
-		d.addOneChecked(site, x)
-		t.putDelta(d)
-		return
-	}
-	if len(t.shards) == 1 {
-		// Single stripe: hoisting parent indices buys no parallelism (the
-		// lock must be held for every variable anyway), so keep the
-		// historical zero-overhead inline loop.
-		sh := &t.shards[0]
-		sh.mu.Lock()
-		for i := 0; i < t.net.Len(); i++ {
-			pidx := t.net.ParentIndex(i, x)
-			t.pair[i].Inc(pidx*t.net.Card(i)+x[i], site)
-			t.par[i].Inc(pidx, site)
-		}
-		sh.version.Add(1)
-		sh.mu.Unlock()
-	} else {
-		t.applyOne(site, x)
-	}
-	t.events.Add(1)
+	t.applyIndexed(1, func(int) []int { return x }, func(int) int { return site })
 }
 
-// getScratch returns a parent-index buffer with at least n cells.
-func (t *Tracker) getScratch(n int) []int32 {
-	if p, ok := t.scratch.Get().(*[]int32); ok && cap(*p) >= n {
-		return (*p)[:n]
-	}
-	return make([]int32, n)
+// Pass sizing of the ingestion engine (applyIndexed). A pass's scratch holds 2n cell indices per
+// event, so a pass is as many events as keep it within maxPassEntries int32s
+// — 512 KiB whatever the network (munin, n = 1041: 62 events) — and never
+// more than maxPassEvents, which already amortizes a bank's cache misses over
+// a run. Internal constants, not knobs.
+const (
+	maxPassEvents  = 64
+	maxPassEntries = 1 << 17
+)
+
+// passScratch is the pooled scratch of one pass: the pair-bank and
+// parent-bank cell of every (variable, event) of the pass and the events'
+// sites. The box is pooled, not the slices, so Put does not re-box a slice
+// header on every call (cf. factorRow).
+type passScratch struct {
+	cells, sites []int32
 }
 
-func (t *Tracker) putScratch(buf []int32) { t.scratch.Put(&buf) }
-
-// applyIndexed is the batched ingestion engine shared by UpdateBatch,
-// UpdateEvents and Ingest. The goroutine-local phase computes every event's
-// parent indices with no lock held (this is the bulk of the per-event CPU
-// work and parallelizes perfectly across producers); the merge phase then
-// walks the stripes in ascending order and, under each stripe's lock, replays
-// the batch's increments for the variables that stripe owns. With one stripe
-// this reproduces the sequential per-event update order exactly.
+// applyIndexed is the ingestion engine behind Update (m = 1), UpdateBatch,
+// UpdateEvents and Ingest. A delta-buffered tracker accumulates into a pooled
+// buffer. Otherwise the m events are cut into passes; for each pass the
+// goroutine-local phase computes every event's pair and parent cell with no
+// lock held (the bulk of the per-event CPU work, and perfectly parallel
+// across producers) into a variable-major scratch, and the merge phase walks
+// the stripes in ascending order and, under each stripe's lock, applies every
+// owned variable's whole run with two Bank.IncBatch calls.
+//
+// Bank-major order is the point: event-major application touches all 2n banks
+// (header, total[] and sampling[] lines each) per event and reuses nothing
+// between two visits to a bank — on munin's 2082 banks that was most of the
+// 36 µs per event — while a run loads a bank's lines once per pass. Within a
+// stripe the randomized counters share one RNG, so the draw order, and with
+// it the message schedule, depends on where the pass boundaries fall: on a
+// striped tracker a single writer's schedule is a function of seed, event
+// order and batching (exact counts and the (ε, δ) guarantee do not care).
+//
+// A single stripe keeps the historical event-major order instead — it is the
+// reference mode the goldens pin, and its schedule must not depend on
+// batching — over the same scratch laid out event-major. (Making its passes
+// one event long, so that both orders coincide and one loop serves, was
+// measured: a lock hand-off per event cost BenchmarkParallelIngest/shards=1
+// 40%.) A one-event pass takes that loop on any tracker: the two orders
+// coincide there and Inc beats a one-pair IncBatch.
 func (t *Tracker) applyIndexed(m int, xAt func(int) []int, siteAt func(int) int) {
 	if m == 0 {
 		return
 	}
 	if t.cfg.DeltaBuffered {
-		// Buffered mode: accumulate into a pooled buffer (sites already
-		// validated by the callers), publishing on cadence. The free-list
-		// checkout costs two deltaMu acquisitions per call — amortized by
-		// batching here; per-event hot loops should hold an explicit
-		// NewDeltaBuffer instead (as the parallel drivers do).
+		// Sites are already validated by the callers. The free-list checkout
+		// costs two deltaMu acquisitions per call — amortized by batching
+		// here; per-event hot loops should hold an explicit NewDeltaBuffer
+		// instead (as the parallel drivers do).
 		d := t.getDelta()
 		d.addIndexedChecked(m, xAt, siteAt)
 		t.putDelta(d)
 		return
 	}
-	// Process huge batches in bounded chunks so the scratch buffer (and the
-	// pooled slab it leaves behind) stays small regardless of batch size.
-	// Chunking preserves per-event order within each stripe, so the
-	// single-stripe sequential equivalence is unaffected.
-	const maxChunk = 4096
-	for lo := 0; lo < m; lo += maxChunk {
-		t.applyChunk(lo, min(lo+maxChunk, m), xAt, siteAt)
+	n := t.net.Len()
+	pass := max(1, min(m, maxPassEvents, maxPassEntries/(2*n)))
+	sc, _ := t.scratch.Get().(*passScratch)
+	if sc == nil {
+		sc = new(passScratch)
 	}
+	if cap(sc.sites) < pass {
+		sc.cells, sc.sites = make([]int32, 2*n*pass), make([]int32, pass)
+	}
+	for lo := 0; lo < m; lo += pass {
+		q := min(pass, m-lo)
+		cells, sites := sc.cells[:2*n*q], sc.sites[:q]
+		// Variable i's pair cell for event e is cells[i*vs+e*es], its parent
+		// cell po further: variable-major runs of q, or event-major rows of 2n.
+		eventMajor := len(t.shards) == 1 || q == 1
+		vs, es, po := 2*q, 1, q
+		if eventMajor {
+			vs, es, po = 2, 2*n, 1
+		}
+		for e := 0; e < q; e++ {
+			x := xAt(lo + e)
+			sites[e] = int32(siteAt(lo + e))
+			for i := 0; i < n; i++ {
+				pidx := t.net.ParentIndex(i, x)
+				cells[i*vs+e*es] = int32(pidx*t.net.Card(i) + x[i])
+				cells[i*vs+e*es+po] = int32(pidx)
+			}
+		}
+		for s := range t.shards {
+			sh := &t.shards[s]
+			sh.mu.Lock()
+			if eventMajor {
+				for e := 0; e < q; e++ {
+					row, site := cells[e*es:e*es+es], int(sites[e])
+					for _, i := range sh.vars {
+						t.pair[i].Inc(int(row[2*i]), site)
+						t.par[i].Inc(int(row[2*i+1]), site)
+					}
+				}
+			} else {
+				for _, i := range sh.vars {
+					t.pair[i].IncBatch(cells[i*vs:i*vs+q], sites)
+					t.par[i].IncBatch(cells[i*vs+q:i*vs+2*q], sites)
+				}
+			}
+			t.unlockMutated(sh)
+		}
+	}
+	t.scratch.Put(sc)
 	t.events.Add(int64(m))
 }
 
-// applyOne is applyChunk's single-event fast path: the multi-stripe walk for
-// one observation with the parent indices hoisted out of the locks, without
-// the per-call closure allocations of the generic chunk engine.
-func (t *Tracker) applyOne(site int, x []int) {
-	n := t.net.Len()
-	idx := t.getScratch(n)
-	for i := 0; i < n; i++ {
-		idx[i] = int32(t.net.ParentIndex(i, x))
-	}
-	for s := range t.shards {
-		sh := &t.shards[s]
-		sh.mu.Lock()
-		for _, i := range sh.vars {
-			pidx := int(idx[i])
-			t.pair[i].Inc(pidx*t.net.Card(i)+x[i], site)
-			t.par[i].Inc(pidx, site)
-		}
-		sh.version.Add(1)
-		sh.mu.Unlock()
-	}
-	t.putScratch(idx)
-}
-
-func (t *Tracker) applyChunk(lo, hi int, xAt func(int) []int, siteAt func(int) int) {
-	n := t.net.Len()
-	idx := t.getScratch((hi - lo) * n)
-	for e := lo; e < hi; e++ {
-		x := xAt(e)
-		row := idx[(e-lo)*n : (e-lo)*n+n]
-		for i := 0; i < n; i++ {
-			row[i] = int32(t.net.ParentIndex(i, x))
-		}
-	}
-	for s := range t.shards {
-		sh := &t.shards[s]
-		sh.mu.Lock()
-		for e := lo; e < hi; e++ {
-			x, site := xAt(e), siteAt(e)
-			row := idx[(e-lo)*n : (e-lo)*n+n]
-			for _, i := range sh.vars {
-				pidx := int(row[i])
-				t.pair[i].Inc(pidx*t.net.Card(i)+x[i], site)
-				t.par[i].Inc(pidx, site)
-			}
-		}
-		sh.version.Add(1)
-		sh.mu.Unlock()
-	}
-	t.putScratch(idx)
+// unlockMutated ends a locked section that mutated sh's banks: it publishes
+// the stripe's message tally to the live sink, bumps the snapshot version and
+// unlocks. Every such section ends here, so the tally is zero whenever the
+// lock is free (SaveState relies on that) and Messages trails the counters by
+// at most the section in flight on each stripe.
+func (t *Tracker) unlockMutated(sh *shard) {
+	sh.tally.DrainTo(&t.metrics)
+	sh.version.Add(1)
+	sh.mu.Unlock()
 }
 
 // UpdateBatch records a batch of observations all received at the same site,

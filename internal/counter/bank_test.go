@@ -1,6 +1,7 @@
 package counter
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -239,5 +240,136 @@ func TestCustomBank(t *testing.T) {
 	}
 	if _, err := nb.MarshalBinary(); err == nil {
 		t.Error("unmarshalable custom cell accepted")
+	}
+}
+
+// TestIncBatchMatchesInc drives twin banks that share a seed — one through
+// Inc per pair, one through IncBatch over runs of mixed lengths — and asserts
+// bit-identical state bytes, estimates, RNG position and message tallies for
+// the three flat kinds and a custom bank of randomized cells: IncBatch is a
+// faster spelling of the same increments in the same order, nothing else.
+func TestIncBatchMatchesInc(t *testing.T) {
+	const cells, k, n = 5, 6, 60000
+	custom := struct {
+		name string
+		kind Kind
+		eps  float64
+	}{"custom", customKind, 0.1}
+	for _, tc := range append(bankKinds[:len(bankKinds):len(bankKinds)], custom) {
+		t.Run(tc.name, func(t *testing.T) {
+			var tallies [2]Metrics
+			var rngs [2]*bn.RNG
+			var banks [2]*Bank
+			for j := range banks {
+				var err error
+				rngs[j] = bn.NewRNG(42)
+				if tc.kind == customKind {
+					banks[j], err = NewCustomBank(cells, func(int) (Counter, error) {
+						return NewHYZ(k, tc.eps, 0.25, &tallies[j], rngs[j])
+					})
+				} else {
+					banks[j], err = NewBank(tc.kind, cells, k, tc.eps, 0.25, &tallies[j], rngs[j])
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			one, bulk := banks[0], banks[1]
+
+			sched := bn.NewRNG(7)
+			var runCells, runSites []int32
+			for done := 0; done < n; {
+				// Run lengths 0..70 straddle the tracker's 64-event passes;
+				// every seventh run hammers one cell, as a skewed CPT does.
+				m := min(sched.Intn(71), n-done)
+				runCells, runSites = runCells[:0], runSites[:0]
+				hot := sched.Intn(7) == 0
+				for i := 0; i < m; i++ {
+					cell := sched.Intn(cells)
+					if hot {
+						cell = 0
+					}
+					runCells = append(runCells, int32(cell))
+					runSites = append(runSites, int32(sched.Intn(k)))
+				}
+				for i, c := range runCells {
+					one.Inc(int(c), int(runSites[i]))
+				}
+				bulk.IncBatch(runCells, runSites)
+				done += m
+
+				if tallies[0] != tallies[1] {
+					t.Fatalf("after %d increments: tallies %+v (Inc) != %+v (IncBatch)", done, tallies[0], tallies[1])
+				}
+				for c := 0; c < cells; c++ {
+					if one.Estimate(c) != bulk.Estimate(c) || one.Exact(c) != bulk.Exact(c) {
+						t.Fatalf("after %d increments, cell %d: Inc %v/%d != IncBatch %v/%d",
+							done, c, one.Estimate(c), one.Exact(c), bulk.Estimate(c), bulk.Exact(c))
+					}
+				}
+			}
+			if rngs[0].State() != rngs[1].State() {
+				t.Error("RNG positions differ: IncBatch drew a different number of coins")
+			}
+			a, err := one.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := bulk.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a, b) {
+				t.Error("state bytes differ between Inc and IncBatch twins")
+			}
+			if tc.kind != ExactKind && tallies[0].CoordToSite == 0 {
+				t.Error("schedule never left exact mode; the sampling path went untested")
+			}
+		})
+	}
+}
+
+// BenchmarkBankIncBatch compares the two spellings of the ingest write — Inc
+// per pair against one IncBatch per 64-pair run — on a randomized bank in
+// exact mode (every increment forwards a message: the tally is the cost) and
+// in sampling mode (an RNG draw per increment). ns/op is ns per increment.
+func BenchmarkBankIncBatch(b *testing.B) {
+	const cells, k, run = 256, 30, 64
+	sched := bn.NewRNG(3)
+	runCells, runSites := make([]int32, 1<<16), make([]int32, 1<<16)
+	for i := range runCells {
+		runCells[i], runSites[i] = int32(sched.Intn(cells)), int32(sched.Intn(k))
+	}
+	for _, mode := range []struct {
+		name string
+		eps  float64 // exact mode lasts until √k/ε increments per cell
+	}{{"exact-mode", 1e-9}, {"sampling-mode", 0.1}} {
+		newBank := func(b *testing.B) *Bank {
+			var m Metrics
+			bank, err := NewBank(HYZKind, cells, k, mode.eps, 0.25, &m, bn.NewRNG(1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			bank.IncBatch(runCells, runSites) // sampling mode: past every cell's threshold
+			return bank
+		}
+		b.Run(mode.name+"/Inc", func(b *testing.B) {
+			bank := newBank(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				j := i & (len(runCells) - 1)
+				bank.Inc(int(runCells[j]), int(runSites[j]))
+			}
+		})
+		b.Run(mode.name+"/IncBatch", func(b *testing.B) {
+			bank := newBank(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i += run {
+				j := i & (len(runCells) - 1)
+				bank.IncBatch(runCells[j:j+run], runSites[j:j+run])
+			}
+		})
 	}
 }

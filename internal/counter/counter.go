@@ -36,13 +36,15 @@ import (
 // one synchronization/broadcast unit, matching the accounting used in the
 // paper's experiments (Section VI-A).
 //
-// A Metrics value used as a live sink (passed by pointer to counter
-// constructors) is race-safe: counters tally through atomic adds, so one sink
-// may be shared by counters living in different lock stripes of a sharded
-// tracker. Read a live sink with Snapshot; plain field access is only safe
-// once all ingestion has completed (or on Snapshot copies). When embedding a
-// live sink inside another struct, place it at a 64-bit-aligned offset
-// (e.g. as the first field) so the atomic ops hold on 32-bit platforms.
+// A Metrics value used as a live sink (passed by pointer to NewExact, NewHYZ,
+// NewDeterministic, or filled through DrainTo) is race-safe: it is only ever
+// written with atomic adds, so one sink may be shared by counters living in
+// different lock stripes of a sharded tracker. Read a live sink with Snapshot;
+// plain field access is only safe once all ingestion has completed (or on
+// Snapshot copies). When embedding a live sink inside another struct, place
+// it at a 64-bit-aligned offset (e.g. as the first field) so the atomic ops
+// hold on 32-bit platforms. A Metrics value handed to NewBank is the other
+// thing — a private tally written with plain adds (see Bank).
 type Metrics struct {
 	// SiteToCoord counts site → coordinator messages (counter updates and
 	// round-synchronization reports).
@@ -66,6 +68,20 @@ func (m *Metrics) AddSiteToCoord(n int64) { atomic.AddInt64(&m.SiteToCoord, n) }
 
 // AddCoordToSite atomically tallies n coordinator → site messages.
 func (m *Metrics) AddCoordToSite(n int64) { atomic.AddInt64(&m.CoordToSite, n) }
+
+// DrainTo publishes a private tally: it atomically adds m's counts to the
+// live sink and zeroes m. Only m's owner may call it (m itself is read and
+// written with plain accesses).
+func (m *Metrics) DrainTo(sink *Metrics) {
+	if m.SiteToCoord != 0 {
+		sink.AddSiteToCoord(m.SiteToCoord)
+		m.SiteToCoord = 0
+	}
+	if m.CoordToSite != 0 {
+		sink.AddCoordToSite(m.CoordToSite)
+		m.CoordToSite = 0
+	}
+}
 
 // Snapshot returns a race-free copy of the tallies, safe to call while other
 // goroutines are still incrementing counters that write to m. The two fields
@@ -173,8 +189,31 @@ func validate(k int, eps float64) error {
 // The delta parameter of the paper's DistCounter(ε, δ) interface is accepted
 // for fidelity but not used: as in the paper's experiments a single instance
 // is run, the median-of-O(log 1/δ) amplification being analysis only.
-type HYZ struct {
-	b *Bank
+type HYZ struct{ oneCell }
+
+// oneCell is what the one-cell views share: a single-cell Bank that tallies
+// into the view's private count with plain adds, and the caller's sink that
+// Inc drains the count into — so a sink shared across goroutines stays
+// race-safe although banks tally without atomics.
+type oneCell struct {
+	b     *Bank
+	sink  *Metrics
+	tally Metrics
+}
+
+func (v *oneCell) init(kind Kind, k int, eps, delta float64, metrics *Metrics, rng *bn.RNG) (err error) {
+	if metrics == nil {
+		return fmt.Errorf("counter: counter needs a metrics sink")
+	}
+	v.sink = metrics
+	v.b, err = NewBank(kind, 1, k, eps, delta, &v.tally, rng)
+	return err
+}
+
+// Inc implements Counter.
+func (v *oneCell) Inc(site int) {
+	v.b.Inc(0, site)
+	v.tally.DrainTo(v.sink)
 }
 
 // NewHYZ creates a randomized counter over k sites with error parameter eps,
@@ -183,15 +222,12 @@ type HYZ struct {
 // argument is accepted for interface fidelity with DistCounter(ε, δ) and is
 // unused (see type comment).
 func NewHYZ(k int, eps, delta float64, metrics *Metrics, rng *bn.RNG) (*HYZ, error) {
-	b, err := NewBank(HYZKind, 1, k, eps, delta, metrics, rng)
-	if err != nil {
+	c := new(HYZ)
+	if err := c.init(HYZKind, k, eps, delta, metrics, rng); err != nil {
 		return nil, err
 	}
-	return &HYZ{b: b}, nil
+	return c, nil
 }
-
-// Inc implements Counter.
-func (c *HYZ) Inc(site int) { c.b.incHYZ(0, site) }
 
 // Estimate implements Counter.
 func (c *HYZ) Estimate() float64 { return c.b.Estimate(0) }
@@ -208,22 +244,17 @@ func (c *HYZ) Eps() float64 { return c.b.eps }
 // the coordinator's estimate is within ε·base ≤ ε·C of the truth, at a cost
 // of O(k/ε) messages per round and O(k/ε · log T) messages overall. Like
 // HYZ, it is a one-cell view over a flat Bank.
-type Deterministic struct {
-	b *Bank
-}
+type Deterministic struct{ oneCell }
 
 // NewDeterministic creates a deterministic counter over k sites with error
 // parameter eps.
 func NewDeterministic(k int, eps float64, metrics *Metrics) (*Deterministic, error) {
-	b, err := NewBank(DeterministicKind, 1, k, eps, 0, metrics, nil)
-	if err != nil {
+	c := new(Deterministic)
+	if err := c.init(DeterministicKind, k, eps, 0, metrics, nil); err != nil {
 		return nil, err
 	}
-	return &Deterministic{b: b}, nil
+	return c, nil
 }
-
-// Inc implements Counter.
-func (c *Deterministic) Inc(site int) { c.b.incDet(0, site) }
 
 // Estimate implements Counter.
 func (c *Deterministic) Estimate() float64 { return c.b.Estimate(0) }

@@ -1,6 +1,7 @@
 package counter
 
 import (
+	"bytes"
 	"math"
 	"os"
 	"path/filepath"
@@ -23,7 +24,10 @@ import (
 //
 // and, at the end of the schedule, that folding the same increments through
 // Merge (the delta-buffered ingestion path) reproduces the same exact
-// counts.
+// counts, and that feeding them through IncBatch in runs (the striped
+// ingestion path; run lengths are taken from the input too) leaves a twin
+// bank in exactly the state, RNG position and message tally of the per-pair
+// Inc bank.
 func FuzzBankIncEstimate(f *testing.F) {
 	f.Add([]byte{0, 0})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
@@ -33,8 +37,9 @@ func FuzzBankIncEstimate(f *testing.F) {
 	const cells, k = 4, 5
 	const eps = 0.1
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var mh, md, me, mm Metrics
-		hyz, err := NewBank(HYZKind, cells, k, eps, 0.25, &mh, bn.NewRNG(1))
+		var mh, md, me, mm, mb Metrics
+		hyzRNG, batchRNG := bn.NewRNG(1), bn.NewRNG(1)
+		hyz, err := NewBank(HYZKind, cells, k, eps, 0.25, &mh, hyzRNG)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,6 +55,11 @@ func FuzzBankIncEstimate(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		batched, err := NewBank(HYZKind, cells, k, eps, 0.25, &mb, batchRNG)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var runCells, runSites []int32
 
 		ref := map[int]int64{}
 		delta := make([]int64, cells*k)
@@ -78,11 +88,22 @@ func FuzzBankIncEstimate(f *testing.F) {
 			exact.Inc(cell, site)
 			ref[cell]++
 			delta[cell*k+site]++
+			runCells, runSites = append(runCells, int32(cell)), append(runSites, int32(site))
+			if len(runCells) > int(data[i])/3 { // run lengths 1..86
+				batched.IncBatch(runCells, runSites)
+				runCells, runSites = runCells[:0], runSites[:0]
+			}
 			if i%64 == 0 {
 				check()
 			}
 		}
 		check()
+		batched.IncBatch(runCells, runSites)
+		want, _ := hyz.MarshalBinary()
+		got, _ := batched.MarshalBinary()
+		if !bytes.Equal(want, got) || mh != mb || hyzRNG.State() != batchRNG.State() {
+			t.Fatalf("IncBatch twin diverged from Inc: tallies %+v vs %+v", mb, mh)
+		}
 		merged.Merge(delta)
 		for c := 0; c < cells; c++ {
 			if merged.Exact(c) != ref[c] {

@@ -8,8 +8,8 @@
 // matching the published characteristics of each network. Communication cost
 // and the approximation guarantees of the tracking algorithms depend only on
 // these structural statistics and on the stream, so the twins preserve the
-// qualitative behaviour of every experiment (see DESIGN.md §4). All
-// generation is deterministic given the profile's seed.
+// qualitative behaviour of every experiment (see README, Reproducing the
+// paper). All generation is deterministic given the profile's seed.
 package netgen
 
 import (

@@ -31,12 +31,13 @@ cd "$(dirname "$0")/.."
 BASELINE=${BENCH_BASELINE:-BENCH_BASELINE.txt}
 THRESHOLD=${BENCH_REGRESSION_PCT:-30}
 BENCH_TIME=${BENCH_TIME:-1s}
-PATTERN='BenchmarkParallelIngest|BenchmarkDeltaIngest|BenchmarkQueryProb|BenchmarkClassify$|BenchmarkEstimatedModel|BenchmarkNewTracker|BenchmarkClusterThroughput|BenchmarkStructLearnOverhead|BenchmarkPairAccumulate|BenchmarkFederationThroughput|BenchmarkServeQueries|BenchmarkServeOverload'
+PATTERN='BenchmarkParallelIngest|BenchmarkDeltaIngest|BenchmarkQueryProb|BenchmarkClassify$|BenchmarkEstimatedModel|BenchmarkNewTracker|BenchmarkClusterThroughput|BenchmarkStructLearnOverhead|BenchmarkPairAccumulate|BenchmarkBankIncBatch|BenchmarkFederationThroughput|BenchmarkServeQueries|BenchmarkServeOverload'
 
-# BenchmarkPairAccumulate lives beside the unexported kernel it measures, in
-# internal/cluster (ns/event and allocs: reported, not gated).
+# BenchmarkPairAccumulate and BenchmarkBankIncBatch live beside the kernels
+# they measure, in internal/cluster and internal/counter (ns/event,
+# ns/increment and allocs: reported, not gated).
 run_benchmarks() {
-  go test -count=1 -run '^$' -bench "$PATTERN" -benchtime "$BENCH_TIME" . ./internal/cluster
+  go test -count=1 -run '^$' -bench "$PATTERN" -benchtime "$BENCH_TIME" . ./internal/cluster ./internal/counter
 }
 
 if [[ "${1:-}" == "--update-baseline" ]]; then
