@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -34,45 +35,56 @@ type jsonNetwork struct {
 }
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "bngen:", err)
+		os.Exit(1)
+	}
+}
+
+// run is main without the process: it parses args, writes the requested
+// view to w and returns instead of exiting.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("bngen", flag.ExitOnError)
 	var (
-		list   = flag.Bool("list", false, "list built-in network names")
-		asBIF  = flag.Bool("bif", false, "emit the model (with default CPTs) in BIF format")
-		name   = flag.String("net", "", "network name")
-		asJSON = flag.Bool("json", false, "emit the structure as JSON")
-		sample = flag.Int("sample", 0, "emit N sampled events as CSV")
-		seed   = flag.Uint64("seed", 1, "sampling seed")
+		list   = fs.Bool("list", false, "list built-in network names")
+		asBIF  = fs.Bool("bif", false, "emit the model (with default CPTs) in BIF format")
+		name   = fs.String("net", "", "network name")
+		asJSON = fs.Bool("json", false, "emit the structure as JSON")
+		sample = fs.Int("sample", 0, "emit N sampled events as CSV")
+		seed   = fs.Uint64("seed", 1, "sampling seed")
 	)
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: a bad flag has already exited
 
 	if *list {
 		for _, n := range netgen.Names() {
-			fmt.Println(n)
+			fmt.Fprintln(w, n)
 		}
-		return
+		return nil
 	}
 	if *name == "" {
-		fmt.Fprintln(os.Stderr, "bngen: -net is required (or -list)")
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return fmt.Errorf("-net is required (or -list)")
+	}
+	if *sample < 0 {
+		return fmt.Errorf("-sample = %d, want >= 0", *sample)
 	}
 	net, err := netgen.ByName(*name)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	switch {
 	case *asBIF:
 		model, err := netgen.ModelByName(*name)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		data, err := bif.Marshal(*name, model)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		if _, err := os.Stdout.Write(data); err != nil {
-			fatal(err)
-		}
+		_, err = w.Write(data)
+		return err
 	case *asJSON:
 		out := jsonNetwork{
 			Name:   *name,
@@ -86,15 +98,13 @@ func main() {
 				Name: v.Name, Card: v.Card, Parents: v.Parents,
 			})
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fatal(err)
-		}
+		return enc.Encode(out)
 	case *sample > 0:
 		model, err := netgen.ModelByName(*name)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		s := model.NewSampler(*seed)
 		x := make([]int, net.Len())
@@ -104,20 +114,16 @@ func main() {
 			for i, v := range x {
 				cells[i] = strconv.Itoa(v)
 			}
-			fmt.Println(strings.Join(cells, ","))
+			fmt.Fprintln(w, strings.Join(cells, ","))
 		}
 	default:
-		fmt.Printf("network      %s\n", *name)
-		fmt.Printf("nodes        %d\n", net.Len())
-		fmt.Printf("edges        %d\n", net.NumEdges())
-		fmt.Printf("parameters   %d\n", net.NumParams())
-		fmt.Printf("cpt cells    %d\n", net.NumCells())
-		fmt.Printf("max indegree %d\n", net.MaxInDegree())
-		fmt.Printf("max card     %d\n", net.MaxCard())
+		fmt.Fprintf(w, "network      %s\n", *name)
+		fmt.Fprintf(w, "nodes        %d\n", net.Len())
+		fmt.Fprintf(w, "edges        %d\n", net.NumEdges())
+		fmt.Fprintf(w, "parameters   %d\n", net.NumParams())
+		fmt.Fprintf(w, "cpt cells    %d\n", net.NumCells())
+		fmt.Fprintf(w, "max indegree %d\n", net.MaxInDegree())
+		fmt.Fprintf(w, "max card     %d\n", net.MaxCard())
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "bngen:", err)
-	os.Exit(1)
+	return nil
 }

@@ -94,7 +94,7 @@ func loadModel(netName, bifPath string) (*bn.Model, error) {
 }
 
 // parseAssignments resolves "name=value,..." against the network's variable
-// names; values are numeric indices.
+// names; values are numeric indices, and a variable may appear only once.
 func parseAssignments(net *bn.Network, s string) (map[int]int, error) {
 	byName := map[string]int{}
 	for i := 0; i < net.Len(); i++ {
@@ -117,6 +117,9 @@ func parseAssignments(net *bn.Network, s string) (map[int]int, error) {
 		}
 		if val < 0 || val >= net.Card(v) {
 			return nil, fmt.Errorf("value %d out of range for %s (card %d)", val, kv[0], net.Card(v))
+		}
+		if _, dup := out[v]; dup {
+			return nil, fmt.Errorf("variable %s assigned twice in %q", kv[0], s)
 		}
 		out[v] = val
 	}

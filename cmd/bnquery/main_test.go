@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"distbayes/internal/bif"
@@ -112,6 +113,16 @@ func TestParseAssignments(t *testing.T) {
 	}
 	if _, err := parseAssignments(net, "alarm_3=x"); err == nil {
 		t.Error("non-numeric value accepted")
+	}
+	// A repeated variable is an error, not a silent overwrite: the answer to
+	// -query alarm_3=0,alarm_3=1 would be P[alarm_3=1] under a label showing both.
+	for _, dup := range []struct{ in, name string }{
+		{"alarm_3=0,alarm_3=1", "alarm_3"},
+		{"alarm_0=0,alarm_1=1,alarm_0=0", "alarm_0"},
+	} {
+		if _, err := parseAssignments(net, dup.in); err == nil || !strings.Contains(err.Error(), dup.name+" ") {
+			t.Errorf("parseAssignments(%q) = %v, want an error naming %s", dup.in, err, dup.name)
+		}
 	}
 	got, err := parseAssignments(net, "alarm_3=1,alarm_0=0")
 	if err != nil || len(got) != 2 || got[3] != 1 || got[0] != 0 {

@@ -63,15 +63,11 @@
 // explicit Flush, or the barrier every query and checkpoint path runs), with
 // the counter message protocol replayed on the merged totals. Exact counts
 // and the (ε, δ) guarantee are preserved; Events and Messages lag until a
-// publish. Config.DeltaSparse switches the buffers to a sparse touched-cell
-// representation whose memory and flush cost scale with the cells a window
-// actually dirtied rather than the whole network — the right choice for
-// large networks (munin-scale) or small cadences, bit-identical to the
-// dense merge for the same flush points. See the core.Tracker documentation
-// for the full three-mode contract. SaveState/LoadState require ingestion
-// to be quiesced for a meaningful stream position, as does any out-of-band
-// mutation of Config.CounterFactory counters (e.g. the decay banks' Tick),
-// whose mutation the stripe locks only cover inside Inc.
+// publish. See the core.Tracker documentation for the full three-mode
+// contract. SaveState/LoadState require ingestion to be quiesced for a
+// meaningful stream position, as does any out-of-band mutation of
+// Config.CounterFactory counters (e.g. the decay banks' Tick), whose
+// mutation the stripe locks only cover inside Inc.
 //
 // # Storage and query performance
 //
@@ -107,7 +103,7 @@
 // is computed against exactly one immutable model snapshot and tagged with
 // that snapshot's version and age (the snapshot-consistency contract; see
 // the serve package documentation). A server fronts an in-process Tracker
-// (NewTrackerSource), a live cluster coordinator
+// (serve.NewTrackerSource), a live cluster coordinator
 // (serve.NewCoordinatorSource, cmd/bncluster -serve), its learned tree or a
 // striped federation through the same ModelSource interface, all handing out
 // core.Snapshots. Underneath, snapshot rebuilds read whole counter
@@ -125,8 +121,8 @@
 // cancel waits with clean 503s, and when a snapshot refresh fails — the
 // coordinator crashed, the source is gone — the server keeps answering
 // from the last-good refcounted snapshot, tagging responses degraded with
-// their version and age up to a staleness ceiling. SwappableSource swaps
-// a replacement coordinator (restored from its checkpoint) under a
+// their version and age up to a staleness ceiling. serve.SwappableSource
+// swaps a replacement coordinator (restored from its checkpoint) under a
 // running server with a monotone snapshot-version clock across the
 // failover. The full contract under chaos — every response a correct
 // version-monotone answer or a clean 429/503, never a hang, torn read or
@@ -137,10 +133,9 @@
 //
 // The paper treats structure selection as orthogonal ("learned offline on a
 // suitable sample"); internal/chowliu provides that offline route (Learn,
-// LearnModel, re-exported here as LearnStructure/LearnStructureModel) and
-// the repository closes the loop online: with
-// cluster.Config.StructBatchEvents set, sites ship windowed pairwise
-// co-occurrence statistics on the batched frame cadence, the coordinator
+// re-exported here as LearnStructure) and the repository closes the loop
+// online: with cluster.Config.StructBatchEvents set, sites ship windowed
+// pairwise co-occurrence statistics on the batched frame cadence, the coordinator
 // periodically re-runs Chow–Liu over the aggregated mutual-information
 // matrix (chowliu.MIFromCounts + chowliu.TreeFromMI over per-site
 // decay.WindowVec windows, so stale evidence ages out), and hot-swaps the
@@ -195,9 +190,7 @@ import (
 	"distbayes/internal/bn"
 	"distbayes/internal/chowliu"
 	"distbayes/internal/core"
-	"distbayes/internal/counter"
 	"distbayes/internal/netgen"
-	"distbayes/internal/serve"
 	"distbayes/internal/stream"
 )
 
@@ -211,8 +204,6 @@ type (
 	CPT = bn.CPT
 	// Model is a network with ground-truth parameters.
 	Model = bn.Model
-	// RNG is the deterministic random generator used across the library.
-	RNG = bn.RNG
 )
 
 // Tracking types (the paper's contribution).
@@ -223,21 +214,9 @@ type (
 	Config = core.Config
 	// Strategy selects the tracking algorithm.
 	Strategy = core.Strategy
-	// Allocation holds per-variable counter error parameters.
-	Allocation = core.Allocation
-	// Metrics tallies protocol messages.
-	Metrics = counter.Metrics
 	// Event is one (site, observation) pair, the unit of batched and
 	// channel-based ingestion (Tracker.UpdateEvents, Tracker.Ingest).
 	Event = core.Event
-	// CPDRows is caller-owned scratch for Tracker.ReadCPDRows: one
-	// variable's raw pair and parent estimates copied under a single stripe
-	// lock acquisition.
-	CPDRows = core.CPDRows
-	// DeltaBuffer is one goroutine's private increment accumulation in the
-	// lock-free ingestion mode (Config.DeltaBuffered); create with
-	// Tracker.NewDeltaBuffer, publish with Flush, retire with Release.
-	DeltaBuffer = core.DeltaBuffer
 )
 
 // Strategies.
@@ -278,51 +257,12 @@ func LoadModel(name string) (*Model, error) { return netgen.ModelByName(name) }
 // NetworkNames lists the built-in network names.
 func NetworkNames() []string { return netgen.Names() }
 
-// Query-serving types (internal/serve).
-type (
-	// QueryServer is the HTTP query front end: every response is answered
-	// from one immutable model snapshot and tagged with its version and
-	// age. Attach with Start, stop with Shutdown (drains in-flight
-	// requests), observe via /statsz.
-	QueryServer = serve.Server
-	// QueryServerConfig parameterizes a QueryServer: the ModelSource, the
-	// request-body cap, the snapshot staleness bound, the admission limits
-	// (MaxConcurrent/MaxQueue/RequestTimeout) and the degraded-mode
-	// staleness ceiling (MaxDegradedAge).
-	QueryServerConfig = serve.Config
-	// ModelSource is what a QueryServer serves from — an in-process
-	// Tracker (NewTrackerSource) or a live cluster coordinator
-	// (serve.NewCoordinatorSource).
-	ModelSource = serve.ModelSource
-	// SwappableSource is a ModelSource whose back end can be replaced
-	// under a running QueryServer (NewSwappableSource, Swap) — the
-	// coordinator-failover primitive. Snapshot versions stay monotone
-	// across a swap.
-	SwappableSource = serve.SwappableSource
-)
-
-// NewQueryServer builds the HTTP query service; pair with
-// QueryServer.Start or mount QueryServer.Handler in an existing server.
-func NewQueryServer(cfg QueryServerConfig) (*QueryServer, error) { return serve.New(cfg) }
-
-// NewTrackerSource adapts a Tracker into the ModelSource a QueryServer
-// serves from.
-func NewTrackerSource(tr *Tracker) ModelSource { return serve.NewTrackerSource(tr) }
-
-// NewSwappableSource wraps an initial ModelSource so the back end can
-// later be replaced with Swap without restarting the QueryServer.
-func NewSwappableSource(initial ModelSource) (*SwappableSource, error) {
-	return serve.NewSwappableSource(initial)
-}
-
 // Workload types.
 type (
 	// Training couples a ground-truth sampler with a site assigner.
 	Training = stream.Training
 	// Query is one probability test event.
 	Query = stream.Query
-	// Assigner routes events to sites.
-	Assigner = stream.Assigner
 )
 
 // NewTraining builds a training stream over k uniformly loaded sites.
@@ -331,26 +271,10 @@ func NewTraining(model *Model, sites int, seed uint64) *Training {
 }
 
 // NewSiteTrainings builds one independent training sub-stream per site for
-// parallel ingestion — pair with DriveParallel, Produce, or one
-// Tracker.Ingest/UpdateBatch pump per site.
+// parallel ingestion — pair with Produce, or one Tracker.Ingest/UpdateBatch
+// pump per site.
 func NewSiteTrainings(model *Model, sites int, seed uint64) []*Training {
 	return stream.NewSiteTrainings(model, sites, seed)
-}
-
-// DriveParallel ingests perSite events from each sub-stream into tr on one
-// goroutine per stream, in batches of batchSize events; returns the total
-// ingested. The k-sites-on-k-goroutines engine behind the throughput
-// benchmarks.
-func DriveParallel(tr *Tracker, streams []*Training, perSite, batchSize int) int64 {
-	return stream.DriveParallel(tr, streams, perSite, batchSize)
-}
-
-// DriveWorkStealing ingests counts[s] events from streams[s] — per-site
-// quotas that may differ wildly, e.g. a Zipf-skewed assignment — with batch
-// stealing between the site pumps, so idle workers drain the hot sites'
-// tails. Returns the total ingested.
-func DriveWorkStealing(tr *Tracker, streams []*Training, counts []int, batchSize int) int64 {
-	return stream.DriveWorkStealing(tr, streams, counts, batchSize)
 }
 
 // Produce sends the next n events of t into out (each with its own backing
@@ -372,12 +296,6 @@ func LearnStructure(samples [][]int, cards []int) (*Network, error) {
 	return chowliu.Learn(samples, cards)
 }
 
-// LearnStructureModel learns the Chow–Liu structure and fits its CPTs by
-// maximum likelihood on the same sample with Laplace smoothing alpha.
-func LearnStructureModel(samples [][]int, cards []int, alpha float64) (*Model, error) {
-	return chowliu.LearnModel(samples, cards, alpha)
-}
-
 // MarshalBIF renders a model in the Bayesian Interchange Format subset
 // understood by UnmarshalBIF — compatible with the bnlearn repository files
 // the paper's networks come from.
@@ -386,9 +304,3 @@ func MarshalBIF(name string, m *Model) ([]byte, error) { return bif.Marshal(name
 // UnmarshalBIF parses a BIF document into a model, e.g. a genuine
 // repository network downloaded separately.
 func UnmarshalBIF(data []byte) (*Model, error) { return bif.Unmarshal(data) }
-
-// KLDivergence estimates D(P‖Q) in nats by Monte Carlo — the standard
-// distance between a ground-truth model and a learned one.
-func KLDivergence(p, q *Model, samples int, seed uint64) (float64, error) {
-	return bn.KLDivergenceEstimate(p, q, samples, seed)
-}

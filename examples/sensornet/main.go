@@ -23,10 +23,10 @@ import (
 
 func main() {
 	const (
-		sensors = 60
+		sensors = 20
 		states  = 3 // low / medium / high congestion
-		sites   = 30
-		events  = 300000
+		sites   = 10
+		events  = 200000
 		eps     = 0.1
 	)
 

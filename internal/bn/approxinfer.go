@@ -2,7 +2,6 @@ package bn
 
 import (
 	"fmt"
-	"math"
 )
 
 // This file provides sampling-based approximate inference for queries on
@@ -158,56 +157,3 @@ func sampleRow(row []float64, rng *RNG) int {
 
 // sampleDist draws an index from an arbitrary normalized distribution slice.
 func sampleDist(dist []float64, rng *RNG) int { return sampleRow(dist, rng) }
-
-// entropyRate is a small diagnostic: the average log-loss of the model on
-// its own samples (an estimate of the joint entropy in nats), used by tests
-// and examples to sanity-check learned models.
-func (m *Model) entropyRate(samples int, seed uint64) float64 {
-	s := m.NewSampler(seed)
-	x := make([]int, m.net.Len())
-	total := 0.0
-	for i := 0; i < samples; i++ {
-		s.Sample(x)
-		total -= m.LogJointProb(x)
-	}
-	return total / float64(samples)
-}
-
-// EntropyEstimate exposes entropyRate: a Monte-Carlo estimate of the joint
-// entropy H(P) in nats from the model's own samples.
-func (m *Model) EntropyEstimate(samples int, seed uint64) (float64, error) {
-	if samples < 1 {
-		return 0, fmt.Errorf("bn: samples = %d, want >= 1", samples)
-	}
-	return m.entropyRate(samples, seed), nil
-}
-
-// KLDivergenceEstimate estimates D(P‖Q) in nats by sampling from P and
-// scoring both models — the standard measure of how far a learned model Q is
-// from the ground truth P. The networks must share shape. Returns math.Inf(1)
-// if Q assigns zero probability to a sampled assignment.
-func KLDivergenceEstimate(p, q *Model, samples int, seed uint64) (float64, error) {
-	if samples < 1 {
-		return 0, fmt.Errorf("bn: samples = %d, want >= 1", samples)
-	}
-	if p.net.Len() != q.net.Len() {
-		return 0, fmt.Errorf("bn: model shapes differ: %d vs %d variables", p.net.Len(), q.net.Len())
-	}
-	for i := 0; i < p.net.Len(); i++ {
-		if p.net.Card(i) != q.net.Card(i) {
-			return 0, fmt.Errorf("bn: variable %d cardinality differs", i)
-		}
-	}
-	s := p.NewSampler(seed)
-	x := make([]int, p.net.Len())
-	total := 0.0
-	for i := 0; i < samples; i++ {
-		s.Sample(x)
-		lq := q.LogJointProb(x)
-		if math.IsInf(lq, -1) {
-			return math.Inf(1), nil
-		}
-		total += p.LogJointProb(x) - lq
-	}
-	return total / float64(samples), nil
-}

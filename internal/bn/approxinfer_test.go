@@ -105,55 +105,3 @@ func TestLikelihoodWeightingNoEvidence(t *testing.T) {
 		t.Errorf("LW unconditional = %v, want 0.41", got)
 	}
 }
-
-func TestEntropyEstimate(t *testing.T) {
-	// Fair coin: entropy ln 2.
-	nw := MustNetwork([]Variable{{Name: "X", Card: 2}})
-	cpt, _ := NewCPT(2, 1, []float64{0.5, 0.5})
-	m := MustModel(nw, []*CPT{cpt})
-	h, err := m.EntropyEstimate(50000, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(h-math.Ln2) > 0.01 {
-		t.Errorf("entropy = %v, want ln2 = %v", h, math.Ln2)
-	}
-	if _, err := m.EntropyEstimate(0, 1); err == nil {
-		t.Error("zero samples accepted")
-	}
-}
-
-func TestKLDivergenceEstimate(t *testing.T) {
-	nw := MustNetwork([]Variable{{Name: "X", Card: 2}})
-	cptP, _ := NewCPT(2, 1, []float64{0.5, 0.5})
-	cptQ, _ := NewCPT(2, 1, []float64{0.25, 0.75})
-	p := MustModel(nw, []*CPT{cptP})
-	q := MustModel(nw, []*CPT{cptQ})
-
-	// D(P||P) = 0.
-	if d, err := KLDivergenceEstimate(p, p, 10000, 1); err != nil || math.Abs(d) > 1e-9 {
-		t.Errorf("D(P||P) = %v, %v", d, err)
-	}
-	// D(P||Q) = 0.5 ln(0.5/0.25) + 0.5 ln(0.5/0.75).
-	want := 0.5*math.Log(2) + 0.5*math.Log(2.0/3)
-	d, err := KLDivergenceEstimate(p, q, 200000, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(d-want) > 0.01 {
-		t.Errorf("D(P||Q) = %v, want %v", d, want)
-	}
-	// Zero-probability q -> +Inf.
-	cptZ, _ := NewCPT(2, 1, []float64{1, 0})
-	z := MustModel(nw, []*CPT{cptZ})
-	if d, err := KLDivergenceEstimate(p, z, 1000, 3); err != nil || !math.IsInf(d, 1) {
-		t.Errorf("D(P||Z) = %v, %v, want +Inf", d, err)
-	}
-	// Shape mismatch.
-	nw2 := MustNetwork([]Variable{{Name: "X", Card: 3}})
-	cpt3, _ := NewCPT(3, 1, []float64{0.3, 0.3, 0.4})
-	m3 := MustModel(nw2, []*CPT{cpt3})
-	if _, err := KLDivergenceEstimate(p, m3, 100, 1); err == nil {
-		t.Error("shape mismatch accepted")
-	}
-}

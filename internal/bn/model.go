@@ -210,14 +210,3 @@ func (s *Sampler) Sample(dst []int) []int {
 	}
 	return dst
 }
-
-// MinParameter returns the smallest CPT entry across the model (λ).
-func (m *Model) MinParameter() float64 {
-	min := math.Inf(1)
-	for _, c := range m.cpds {
-		if v := c.MinProb(); v < min {
-			min = v
-		}
-	}
-	return min
-}

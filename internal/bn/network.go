@@ -168,10 +168,6 @@ func (nw *Network) Children(i int) []int { return nw.children[i] }
 // (1 for a root).
 func (nw *Network) ParentCard(i int) int { return nw.parentCard[i] }
 
-// TopoOrder returns a topological order of variable indices (parents before
-// children). The returned slice must not be modified.
-func (nw *Network) TopoOrder() []int { return nw.order }
-
 // NumEdges returns the number of directed edges (conditional dependencies).
 func (nw *Network) NumEdges() int {
 	e := 0

@@ -105,7 +105,7 @@ func TestTopoOrderProperty(t *testing.T) {
 		{Name: "E", Card: 2, Parents: []int{0, 3}},
 	})
 	pos := make(map[int]int)
-	for at, v := range nw.TopoOrder() {
+	for at, v := range nw.order {
 		pos[v] = at
 	}
 	if len(pos) != nw.Len() {

@@ -59,47 +59,6 @@ func Learn(samples [][]int, cards []int) (*bn.Network, error) {
 	return bn.NewNetwork(vars)
 }
 
-// LearnModel learns the Chow–Liu structure and fits its CPTs by maximum
-// likelihood on the same sample with Laplace smoothing alpha.
-func LearnModel(samples [][]int, cards []int, alpha float64) (*bn.Model, error) {
-	net, err := Learn(samples, cards)
-	if err != nil {
-		return nil, err
-	}
-	cpds := make([]*bn.CPT, net.Len())
-	for i := 0; i < net.Len(); i++ {
-		j, k := net.Card(i), net.ParentCard(i)
-		counts := make([]float64, j*k)
-		for ci := range counts {
-			counts[ci] = alpha
-		}
-		for _, s := range samples {
-			counts[net.ParentIndex(i, s)*j+s[i]]++
-		}
-		for pidx := 0; pidx < k; pidx++ {
-			row := counts[pidx*j : (pidx+1)*j]
-			sum := 0.0
-			for _, c := range row {
-				sum += c
-			}
-			if sum == 0 {
-				for v := range row {
-					row[v] = 1 / float64(j)
-				}
-				continue
-			}
-			for v := range row {
-				row[v] /= sum
-			}
-		}
-		cpds[i], err = bn.NewCPT(j, k, counts)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return bn.NewModel(net, cpds)
-}
-
 // PairwiseMI computes the empirical mutual information of every variable
 // pair; the result is symmetric with zero diagonal. An empty sample slice
 // yields the all-zero matrix (no evidence of dependence), not NaNs.

@@ -122,17 +122,19 @@ func TestLayoutDisjointAndComplete(t *testing.T) {
 }
 
 func TestReportProbLocal(t *testing.T) {
-	if p := reportProbLocal(4, 0, 100); p != 1 {
+	const k = 4
+	sqrtK := math.Sqrt(k)
+	if p := reportProbSqrtK(k, sqrtK, 0, 100); p != 1 {
 		t.Errorf("eps=0 (exact) p = %v, want 1", p)
 	}
-	if p := reportProbLocal(4, 0.1, 0); p != 1 {
+	if p := reportProbSqrtK(k, sqrtK, 0.1, 0); p != 1 {
 		t.Errorf("zero count p = %v, want 1", p)
 	}
 	// Global proxy = k*n = 4000: p = 2/(0.1*4000) = 0.005.
-	if p := reportProbLocal(4, 0.1, 1000); math.Abs(p-0.005) > 1e-12 {
+	if p := reportProbSqrtK(k, sqrtK, 0.1, 1000); math.Abs(p-0.005) > 1e-12 {
 		t.Errorf("p = %v, want 0.005", p)
 	}
-	if a := adjustment(4, 0.1, 0); a != 0 {
+	if a := adjustmentSqrtK(k, sqrtK, 0.1, 0); a != 0 {
 		t.Errorf("adjustment at r=0 = %v", a)
 	}
 }

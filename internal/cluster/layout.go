@@ -106,17 +106,11 @@ func (l *Layout) ParID(i, pidx int) uint32 {
 // Eps returns the error parameter of a counter.
 func (l *Layout) Eps(id uint32) float64 { return l.eps[id] }
 
-// reportProbLocal is the coordinator-free report probability: a site whose
+// reportProbSqrtK is the coordinator-free report probability: a site whose
 // local count is n estimates the global count as k·n (uniform routing) and
 // reports with p = min(1, √k/(ε'·k·n)). Exact counters (ε' = 0, the
-// ExactMLE allocation) always report.
-func reportProbLocal(k int, eps float64, localCount int64) float64 {
-	return reportProbSqrtK(k, math.Sqrt(float64(k)), eps, localCount)
-}
-
-// reportProbSqrtK is reportProbLocal with the √k hoisted out, for the
-// per-increment site path and the per-cell coordinator reads (same float
-// operations, so hoisting does not change any report decision).
+// ExactMLE allocation) always report. Callers pass √k alongside k: the
+// per-increment site path and the per-cell coordinator reads compute it once.
 func reportProbSqrtK(k int, sqrtK, eps float64, localCount int64) float64 {
 	if eps <= 0 {
 		return 1
@@ -132,14 +126,9 @@ func reportProbSqrtK(k int, sqrtK, eps float64, localCount int64) float64 {
 	return p
 }
 
-// adjustment is the coordinator's trailing-gap correction for a site whose
-// last reported local count is r: the expected number of unreported local
-// increments is (1-p)/p at the report probability in force at count r.
-func adjustment(k int, eps float64, r int64) float64 {
-	return adjustmentSqrtK(k, math.Sqrt(float64(k)), eps, r)
-}
-
-// adjustmentSqrtK is adjustment with the √k hoisted out.
+// adjustmentSqrtK is the coordinator's trailing-gap correction for a site
+// whose last reported local count is r: the expected number of unreported
+// local increments is (1-p)/p at the report probability in force at count r.
 func adjustmentSqrtK(k int, sqrtK, eps float64, r int64) float64 {
 	if r <= 0 {
 		return 0

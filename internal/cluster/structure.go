@@ -98,12 +98,6 @@ func (l *StructLayout) PairAt(p int) (int, int) { return l.pairs[p][0], l.pairs[
 // PairIndex returns the pair index of (i, j); callers pass i < j.
 func (l *StructLayout) PairIndex(i, j int) int { return l.pairIdx[i][j-i-1] }
 
-// CellID returns the cell id of the co-occurrence (X_i = vi, X_j = vj);
-// callers pass i < j.
-func (l *StructLayout) CellID(i, vi, j, vj int) uint32 {
-	return l.pairOff[l.PairIndex(i, j)] + uint32(vi*l.net.Card(j)+vj)
-}
-
 // JointAt returns pair p's joint count table as a sub-slice of a full cell
 // vector: entry vi*Card(j)+vj is the (vi, vj) co-occurrence count.
 func (l *StructLayout) JointAt(counts []int64, p int) []int64 {
@@ -231,14 +225,13 @@ type structState struct {
 	// learned tree (base variable names and cardinalities, learned
 	// single-parent structure, rooted at variable 0); its factor rows are
 	// seeded from the windowed pair statistics, rows with an unobserved parent
-	// configuration uniform (chowliu.LearnModel's convention). Its structure
-	// epoch counts structure changes — 1 for the first learned tree, bumped
-	// every time the learned undirected edge set differs from the previous one
-	// — so serving clients can observe swaps. Its version is the
-	// struct-statistics version the state was built from: monotone across
-	// relearns (parameter refreshes bump it even when the tree is unchanged),
-	// which keeps the per-client version-monotone serving contract intact
-	// across hot swaps.
+	// configuration uniform. Its structure epoch counts structure changes — 1
+	// for the first learned tree, bumped every time the learned undirected
+	// edge set differs from the previous one — so serving clients can observe
+	// swaps. Its version is the struct-statistics version the state was built
+	// from: monotone across relearns (parameter refreshes bump it even when
+	// the tree is unchanged), which keeps the per-client version-monotone
+	// serving contract intact across hot swaps.
 	snap   *core.Snapshot
 	parent []int
 }
@@ -413,7 +406,7 @@ func (e *structEngine) relearnLocked() {
 // marginals come from summing any pair's table (every event increments
 // every pair, and a site's frame lands atomically, so the tables are
 // mutually consistent). Unobserved parent configurations fall back to the
-// uniform row, chowliu.LearnModel's convention. Callers hold e.mu.
+// uniform row. Callers hold e.mu.
 func (e *structEngine) seedFactorsLocked(win []int64, learned *bn.Network) [][]float64 {
 	n := e.net.Len()
 	marg := make([][]int64, n)

@@ -201,7 +201,7 @@ func TestStructLayout(t *testing.T) {
 		}
 		for vi := 0; vi < netw.Card(i); vi++ {
 			for vj := 0; vj < netw.Card(j); vj++ {
-				id := l.CellID(i, vi, j, vj)
+				id := l.pairOff[p] + uint32(vi*netw.Card(j)+vj)
 				if id >= l.Cells() || seen[id] {
 					t.Fatalf("cell id %d invalid or duplicated", id)
 				}

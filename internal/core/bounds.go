@@ -49,31 +49,3 @@ func CostBound(net *bn.Network, strategy Strategy, eps float64) (float64, error)
 		return 0, fmt.Errorf("core: unknown strategy %v", strategy)
 	}
 }
-
-// SampleComplexity returns the training-set size m that Lemma 3 (Corollary
-// 17.3 of Koller & Friedman, quoted in Section III) prescribes for the MLE
-// itself to be within e^{±nε} of the ground truth with probability 1-δ:
-//
-//	m ≥ (1+ε)²/(2λ²ε²) · (d+1)² · log(n·J^{d+1}/δ)
-//
-// where λ is the smallest conditional probability in the ground truth, J the
-// maximum domain cardinality and d the maximum in-degree. It quantifies the
-// "statistical error" component the evaluation separates from the
-// approximation error.
-func SampleComplexity(net *bn.Network, eps, delta, lambda float64) (int64, error) {
-	if !(eps > 0 && eps < 1) {
-		return 0, fmt.Errorf("core: eps = %v, want 0 < eps < 1", eps)
-	}
-	if !(delta > 0 && delta < 1) {
-		return 0, fmt.Errorf("core: delta = %v, want 0 < delta < 1", delta)
-	}
-	if !(lambda > 0 && lambda <= 1) {
-		return 0, fmt.Errorf("core: lambda = %v, want 0 < lambda <= 1", lambda)
-	}
-	n := float64(net.Len())
-	j := float64(net.MaxCard())
-	d := float64(net.MaxInDegree())
-	m := (1 + eps) * (1 + eps) / (2 * lambda * lambda * eps * eps) *
-		(d + 1) * (d + 1) * math.Log(n*math.Pow(j, d+1)/delta)
-	return int64(math.Ceil(m)), nil
-}

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"slices"
-	"sync"
-
-	"distbayes/internal/counter"
-)
+import "sync"
 
 // This file implements the delta-buffered (lock-free) ingestion mode of the
 // tracker (Config.DeltaBuffered): instead of incrementing the shared counter
@@ -26,26 +21,11 @@ import (
 // structured read path starts with a FlushDeltas barrier (see tracker.go)
 // and the parallel drivers flush before returning.
 //
-// Memory: a dense buffer (the default) holds one delta slice per counter
-// bank, J_i·K_i·k plus K_i·k int64 cells for variable i — the same
-// asymptotic footprint as the banks themselves, per buffer. Buffers are
-// pooled (getDelta/putDelta) and registered with the tracker so a barrier
-// can reach increments parked in a checked-in buffer.
-//
-// Config.DeltaSparse switches every buffer to a sparse touched-cell
-// representation (sparseCells below): per bank, a map from touched cell to a
-// slot in a compact slab of k-wide per-site rows, plus the list of touched
-// cells. Accumulation costs one map lookup per (variable, bank) per event
-// instead of a direct array index, but memory and flush work become
-// proportional to the cells actually touched in the window rather than the
-// whole bank — on munin-scale networks (~80k cells) a dense buffer mirrors
-// tens of MB per goroutine and every flush scans it all, while a sparse
-// buffer at a small cadence holds only the few thousand rows the window
-// dirtied. A sparse flush sorts the touched cells ascending and folds them
-// through counter.Bank.MergeCell, which visits cells in exactly the order
-// the dense Bank.Merge would, so for identical flush points the two
-// representations are bit-identical (pinned by
-// TestSparseDeltaMatchesDense).
+// Memory: a buffer holds one delta slice per counter bank, J_i·K_i·k plus
+// K_i·k int64 cells for variable i — the same asymptotic footprint as the
+// banks themselves, per buffer. Buffers are pooled (getDelta/putDelta) and
+// registered with the tracker so a barrier can reach increments parked in a
+// checked-in buffer.
 
 // defaultDeltaFlushEvents is the publish cadence when Config.DeltaFlushEvents
 // is zero: small enough that queries after a barrier see near-current state,
@@ -67,71 +47,10 @@ type DeltaBuffer struct {
 	// that also take stripe locks always acquire mu first.
 	mu sync.Mutex
 	// pair[i]/par[i] mirror the tracker's banks for variable i: per-cell,
-	// per-site increment counts indexed cell*Sites + site. Nil when the
-	// buffer is sparse.
+	// per-site increment counts indexed cell*Sites + site.
 	pair, par [][]int64
-	// spPair[i]/spPar[i] are the sparse touched-cell accumulators
-	// (Config.DeltaSparse). Nil when the buffer is dense.
-	spPair, spPar []sparseCells
 	// events counts buffered, not-yet-published events.
 	events int64
-}
-
-// sparseCells accumulates per-site increment deltas for the touched cells of
-// one counter bank: rows is a compact slot-major slab (rows[slot*k+site]),
-// slot maps a cell to its slab row, and dirty lists the touched cells so a
-// flush can walk (and then zero) only what the window actually dirtied.
-type sparseCells struct {
-	slot  map[int32]int32
-	dirty []int32
-	rows  []int64
-}
-
-// add records one increment for (cell, site), claiming a zeroed slab row on
-// the cell's first touch.
-func (s *sparseCells) add(cell, site, k int) {
-	sl, ok := s.slot[int32(cell)]
-	if !ok {
-		sl = int32(len(s.dirty))
-		if s.slot == nil {
-			s.slot = make(map[int32]int32)
-		}
-		s.slot[int32(cell)] = sl
-		s.dirty = append(s.dirty, int32(cell))
-		if need := (int(sl) + 1) * k; need <= cap(s.rows) {
-			// Reclaimed slab space was zeroed by the last reset.
-			s.rows = s.rows[:need]
-		} else {
-			s.rows = append(s.rows, make([]int64, k)...)
-		}
-	}
-	s.rows[int(sl)*k+site]++
-}
-
-// mergeInto folds the touched cells into bank in ascending cell order — the
-// order the dense Bank.Merge walks. Call reset afterwards (outside the
-// stripe lock) to clear the accumulator.
-func (s *sparseCells) mergeInto(bank *counter.Bank, k int) {
-	if len(s.dirty) == 0 {
-		return
-	}
-	slices.Sort(s.dirty)
-	for _, cell := range s.dirty {
-		lo := int(s.slot[cell]) * k
-		bank.MergeCell(int(cell), s.rows[lo:lo+k])
-	}
-}
-
-// reset zeroes the used slab rows and forgets the touched cells, keeping the
-// backing storage for the next window.
-func (s *sparseCells) reset() {
-	if len(s.dirty) == 0 {
-		return
-	}
-	clear(s.rows)
-	s.rows = s.rows[:0]
-	s.dirty = s.dirty[:0]
-	clear(s.slot)
 }
 
 // NewDeltaBuffer creates an empty delta buffer and registers it with the
@@ -142,19 +61,16 @@ func (s *sparseCells) reset() {
 // but only a delta-buffered tracker barriers its query paths — against an
 // unbuffered tracker the caller owns flush timing entirely.
 func (t *Tracker) NewDeltaBuffer() *DeltaBuffer {
-	d := &DeltaBuffer{t: t}
-	if t.cfg.DeltaSparse {
-		d.spPair = make([]sparseCells, t.net.Len())
-		d.spPar = make([]sparseCells, t.net.Len())
-	} else {
-		d.pair = make([][]int64, t.net.Len())
-		d.par = make([][]int64, t.net.Len())
-		k := t.cfg.Sites
-		for i := 0; i < t.net.Len(); i++ {
-			j, kk := t.net.Card(i), t.net.ParentCard(i)
-			d.pair[i] = make([]int64, j*kk*k)
-			d.par[i] = make([]int64, kk*k)
-		}
+	d := &DeltaBuffer{
+		t:    t,
+		pair: make([][]int64, t.net.Len()),
+		par:  make([][]int64, t.net.Len()),
+	}
+	k := t.cfg.Sites
+	for i := 0; i < t.net.Len(); i++ {
+		j, kk := t.net.Card(i), t.net.ParentCard(i)
+		d.pair[i] = make([]int64, j*kk*k)
+		d.par[i] = make([]int64, kk*k)
 	}
 	t.deltaMu.Lock()
 	t.deltaBufs = append(t.deltaBufs, d)
@@ -214,18 +130,10 @@ func (d *DeltaBuffer) addLocked(site int, x []int) {
 		t.deltaPending.Add(1) // buffer transitions empty → holding events
 	}
 	k := t.cfg.Sites
-	if d.spPair != nil {
-		for i := 0; i < t.net.Len(); i++ {
-			pidx := t.net.ParentIndex(i, x)
-			d.spPair[i].add(pidx*t.net.Card(i)+x[i], site, k)
-			d.spPar[i].add(pidx, site, k)
-		}
-	} else {
-		for i := 0; i < t.net.Len(); i++ {
-			pidx := t.net.ParentIndex(i, x)
-			d.pair[i][(pidx*t.net.Card(i)+x[i])*k+site]++
-			d.par[i][pidx*k+site]++
-		}
+	for i := 0; i < t.net.Len(); i++ {
+		pidx := t.net.ParentIndex(i, x)
+		d.pair[i][(pidx*t.net.Card(i)+x[i])*k+site]++
+		d.par[i][pidx*k+site]++
 	}
 	d.events++
 }
@@ -247,30 +155,17 @@ func (d *DeltaBuffer) flushLocked() {
 		return
 	}
 	t := d.t
-	k := t.cfg.Sites
 	for s := range t.shards {
 		sh := &t.shards[s]
 		sh.mu.Lock()
-		if d.spPair != nil {
-			for _, i := range sh.vars {
-				d.spPair[i].mergeInto(t.pair[i], k)
-				d.spPar[i].mergeInto(t.par[i], k)
-			}
-		} else {
-			for _, i := range sh.vars {
-				t.pair[i].Merge(d.pair[i])
-				t.par[i].Merge(d.par[i])
-			}
+		for _, i := range sh.vars {
+			t.pair[i].Merge(d.pair[i])
+			t.par[i].Merge(d.par[i])
 		}
 		t.unlockMutated(sh)
 		for _, i := range sh.vars {
-			if d.spPair != nil {
-				d.spPair[i].reset()
-				d.spPar[i].reset()
-			} else {
-				clear(d.pair[i])
-				clear(d.par[i])
-			}
+			clear(d.pair[i])
+			clear(d.par[i])
 		}
 	}
 	t.events.Add(d.events)

@@ -179,76 +179,6 @@ func TestDeltaBufferedCustomCounters(t *testing.T) {
 	assertExactEquivalence(t, ref, tr)
 }
 
-// TestSparseDeltaMatchesDense is the sparse representation's bit-compat pin:
-// a single goroutine replaying one stream through a sparse buffered tracker
-// and a dense buffered tracker with identical flush points must produce
-// bit-identical results — same exact counts, same estimates, same message
-// tallies, same query answers — because a sparse flush walks the touched
-// cells in exactly the order the dense Bank.Merge walks all cells.
-func TestSparseDeltaMatchesDense(t *testing.T) {
-	m := testModel(t)
-	evs := genEventStream(m, 4, 9000, 41)
-	for _, st := range allStrategies {
-		st := st
-		t.Run(st.String(), func(t *testing.T) {
-			dense, err := NewTracker(m.Network(), bufferedCfg(st, 2, 200))
-			if err != nil {
-				t.Fatal(err)
-			}
-			sparseCfg := bufferedCfg(st, 2, 200)
-			sparseCfg.DeltaSparse = true
-			sparse, err := NewTracker(m.Network(), sparseCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, ev := range evs {
-				dense.Update(ev.Site, ev.X)
-				sparse.Update(ev.Site, ev.X)
-			}
-			dense.FlushDeltas()
-			sparse.FlushDeltas()
-			assertExactEquivalence(t, dense, sparse)
-			if dm, sm := dense.Messages(), sparse.Messages(); dm != sm {
-				t.Fatalf("messages: sparse %+v, dense %+v", sm, dm)
-			}
-			dq, sq := queryAll(dense), queryAll(sparse)
-			for i := range dq {
-				if dq[i] != sq[i] {
-					t.Fatalf("query %d: sparse %v, dense %v", i, sq[i], dq[i])
-				}
-			}
-		})
-	}
-}
-
-// TestSparseDeltaSlabReuse: after a flush the sparse slab is reused without
-// stale counts leaking into the next window.
-func TestSparseDeltaSlabReuse(t *testing.T) {
-	m := testModel(t)
-	cfg := bufferedCfg(ExactMLE, 1, 1<<20)
-	cfg.DeltaSparse = true
-	tr, err := NewTracker(m.Network(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := NewTracker(m.Network(), cfgFor(ExactMLE, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	evs := genEventStream(m, 4, 600, 53)
-	d := tr.NewDeltaBuffer()
-	defer d.Release()
-	for lo := 0; lo < len(evs); lo += 37 { // flush between odd-sized windows
-		hi := min(lo+37, len(evs))
-		d.AddEvents(evs[lo:hi])
-		d.Flush()
-	}
-	for _, ev := range evs {
-		ref.Update(ev.Site, ev.X)
-	}
-	assertExactEquivalence(t, ref, tr)
-}
-
 // TestDeltaBufferReleaseUnregisters: a released buffer is no longer reachable
 // by barriers and its parked events were published by the release.
 func TestDeltaBufferReleaseUnregisters(t *testing.T) {

@@ -172,13 +172,11 @@ func TestRandomScheduleEquivalence(t *testing.T) {
 		buffered bool
 		cadence  int
 		workers  int
-		sparse   bool
 	}
 	modes := []mode{
 		{name: "striped", shards: 3, workers: 4},
 		{name: "buffered", shards: 1, buffered: true, cadence: 256, workers: 4},
 		{name: "buffered-striped", shards: 3, buffered: true, cadence: 512, workers: 3},
-		{name: "buffered-sparse", shards: 3, buffered: true, cadence: 384, workers: 4, sparse: true},
 	}
 
 	variants := make([]Config, 0, len(allStrategies)+1)
@@ -213,7 +211,6 @@ func TestRandomScheduleEquivalence(t *testing.T) {
 					cfg.Shards = md.shards
 					cfg.DeltaBuffered = md.buffered
 					cfg.DeltaFlushEvents = md.cadence
-					cfg.DeltaSparse = md.sparse
 					tr, err := NewTracker(m.Network(), cfg)
 					if err != nil {
 						t.Fatal(err)

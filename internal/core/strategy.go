@@ -210,34 +210,3 @@ func (a Allocation) BudgetSpent() float64 {
 	}
 	return s
 }
-
-// IsNaiveBayes reports whether net has Naïve-Bayes structure — a single root
-// that is the sole parent of every other variable — and returns the root.
-func IsNaiveBayes(net *bn.Network) (root int, ok bool) {
-	root = -1
-	for i := 0; i < net.Len(); i++ {
-		switch len(net.Parents(i)) {
-		case 0:
-			if root >= 0 {
-				return -1, false
-			}
-			root = i
-		case 1:
-			// checked against root below
-		default:
-			return -1, false
-		}
-	}
-	if root < 0 {
-		return -1, false
-	}
-	for i := 0; i < net.Len(); i++ {
-		if i == root {
-			continue
-		}
-		if net.Parents(i)[0] != root {
-			return -1, false
-		}
-	}
-	return root, true
-}

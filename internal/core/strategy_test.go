@@ -156,67 +156,9 @@ func TestAllocateNaiveBayes(t *testing.T) {
 	}
 }
 
-func TestIsNaiveBayes(t *testing.T) {
-	if root, ok := IsNaiveBayes(naiveBayesNet([]int{2, 3, 3})); !ok || root != 0 {
-		t.Errorf("NB net: root=%d ok=%v", root, ok)
-	}
-	// Chain A->B->C is not NB.
-	chain := bn.MustNetwork([]bn.Variable{
-		{Name: "A", Card: 2},
-		{Name: "B", Card: 2, Parents: []int{0}},
-		{Name: "C", Card: 2, Parents: []int{1}},
-	})
-	if _, ok := IsNaiveBayes(chain); ok {
-		t.Error("chain accepted as NB")
-	}
-	// Two roots.
-	twoRoots := bn.MustNetwork([]bn.Variable{
-		{Name: "A", Card: 2},
-		{Name: "B", Card: 2},
-		{Name: "C", Card: 2, Parents: []int{0}},
-	})
-	if _, ok := IsNaiveBayes(twoRoots); ok {
-		t.Error("two-root net accepted as NB")
-	}
-	// Multi-parent node.
-	collider := bn.MustNetwork([]bn.Variable{
-		{Name: "A", Card: 2},
-		{Name: "B", Card: 2, Parents: []int{0}},
-		{Name: "C", Card: 2, Parents: []int{0, 1}},
-	})
-	if _, ok := IsNaiveBayes(collider); ok {
-		t.Error("collider accepted as NB")
-	}
-}
-
 func TestAllocateUnknownStrategy(t *testing.T) {
 	if _, err := Allocate(testNet(t), Strategy(99), 0.1); err == nil {
 		t.Error("unknown strategy accepted")
-	}
-}
-
-func TestSampleComplexity(t *testing.T) {
-	net := testNet(t)
-	m, err := SampleComplexity(net, 0.1, 0.1, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m <= 0 {
-		t.Errorf("sample complexity = %d", m)
-	}
-	// Monotonicity: tighter eps or smaller lambda needs more samples.
-	m2, _ := SampleComplexity(net, 0.05, 0.1, 0.05)
-	if m2 <= m {
-		t.Errorf("halving eps did not raise the bound: %d vs %d", m2, m)
-	}
-	m3, _ := SampleComplexity(net, 0.1, 0.1, 0.01)
-	if m3 <= m {
-		t.Errorf("smaller lambda did not raise the bound: %d vs %d", m3, m)
-	}
-	for _, bad := range [][3]float64{{0, 0.1, 0.1}, {0.1, 0, 0.1}, {0.1, 0.1, 0}, {2, 0.1, 0.1}} {
-		if _, err := SampleComplexity(net, bad[0], bad[1], bad[2]); err == nil {
-			t.Errorf("invalid args %v accepted", bad)
-		}
 	}
 }
 

@@ -78,16 +78,6 @@ type Config struct {
 	// a buffer that accumulates this many events publishes inline. 0 means
 	// the default (1024). Ignored unless DeltaBuffered.
 	DeltaFlushEvents int
-	// DeltaSparse switches delta buffers to a sparse touched-cell
-	// representation: a buffer costs memory proportional to the cells its
-	// window actually dirtied instead of mirroring every counter bank, and a
-	// flush folds only those cells (in ascending order, bit-identical to the
-	// dense merge for the same flush points). Choose it for large networks
-	// (munin-scale) or small flush cadences, where mirroring the full banks
-	// per goroutine dominates; the dense default accumulates faster on small
-	// networks (array index vs map lookup). Ignored unless delta buffers are
-	// in use (DeltaBuffered or explicit NewDeltaBuffer).
-	DeltaSparse bool
 }
 
 func (c Config) validate() error {

@@ -485,71 +485,6 @@ func (b *Bank) mergeDet(cell, site int, c int64) {
 	}
 }
 
-// MergeCell folds one cell's per-site increment deltas into the bank — the
-// single-cell sibling of Merge, used by the sparse delta-buffer flush path
-// (core.Config.DeltaSparse), which touches only the cells a buffer actually
-// dirtied instead of scanning the whole bank. row is indexed by site and must
-// have length k (for custom banks, whose site count is not recorded, any
-// length is accepted and replayed per increment). Merging a cell through
-// MergeCell is bit-identical to merging it through Merge with every other
-// cell's row zero: the same bulk fast paths run, the same RNG draws happen in
-// the same order, and the same messages are tallied.
-func (b *Bank) MergeCell(cell int, row []int64) {
-	if b.kind != customKind && len(row) != b.k {
-		panic(fmt.Sprintf("counter: merge row length %d, want %d sites", len(row), b.k))
-	}
-	switch b.kind {
-	case ExactKind:
-		var sum int64
-		for _, c := range row {
-			sum += c
-		}
-		b.total[cell] += sum
-		b.metrics.SiteToCoord += sum
-	case HYZKind:
-		for site, c := range row {
-			if c > 0 {
-				b.mergeHYZ(cell, site, c)
-			}
-		}
-	case DeterministicKind:
-		for site, c := range row {
-			if c > 0 {
-				b.mergeDet(cell, site, c)
-			}
-		}
-	default:
-		for site, c := range row {
-			for ; c > 0; c-- {
-				b.custom[cell].Inc(site)
-			}
-		}
-	}
-}
-
-// Cell returns a Counter view of one cell: the thin per-cell adapter that
-// keeps the historical interface working over the flat layout. For custom
-// banks it returns the underlying counter itself.
-func (b *Bank) Cell(cell int) Counter {
-	if b.kind == customKind {
-		return b.custom[cell]
-	}
-	if cell < 0 || cell >= b.cells {
-		panic(fmt.Sprintf("counter: cell %d out of range [0,%d)", cell, b.cells))
-	}
-	return cellView{b: b, cell: cell}
-}
-
-// cellView adapts one bank cell to the Counter interface.
-type cellView struct {
-	b    *Bank
-	cell int
-}
-
-func (v cellView) Inc(site int)      { v.b.Inc(v.cell, site) }
-func (v cellView) Estimate() float64 { return v.b.Estimate(v.cell) }
-func (v cellView) Exact() int64      { return v.b.Exact(v.cell) }
-
 // --- HYZ protocol on flat state (see the HYZ type comment for the math) ---
 
 func (b *Bank) incHYZ(cell, site int) {

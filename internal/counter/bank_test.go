@@ -72,10 +72,6 @@ func TestBankMatchesPerCellCounters(t *testing.T) {
 				if bank.Estimate(c) != ref[c].Estimate() {
 					t.Errorf("cell %d: estimate %v != %v", c, bank.Estimate(c), ref[c].Estimate())
 				}
-				view := bank.Cell(c)
-				if view.Exact() != bank.Exact(c) || view.Estimate() != bank.Estimate(c) {
-					t.Errorf("cell %d: view disagrees with indexed reads", c)
-				}
 			}
 			if mBank.Snapshot() != mCells.Snapshot() {
 				t.Errorf("messages: bank %+v != per-cell %+v", mBank.Snapshot(), mCells.Snapshot())

@@ -235,9 +235,6 @@ func (c *HYZ) Estimate() float64 { return c.b.Estimate(0) }
 // Exact implements Counter.
 func (c *HYZ) Exact() int64 { return c.b.total[0] }
 
-// Eps returns the error parameter the counter was configured with.
-func (c *HYZ) Eps() float64 { return c.b.eps }
-
 // Deterministic is the classical deterministic threshold counter, kept as an
 // ablation baseline against HYZ: within a round opened at exact count base,
 // each site reports once every q = max(1, ⌈ε·base/k⌉) local increments, so

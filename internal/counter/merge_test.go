@@ -143,86 +143,6 @@ func TestMergeMatchesRunOrderedReplay(t *testing.T) {
 	}
 }
 
-// TestMergeCellMatchesMerge pins the sparse flush path to the dense one:
-// walking a delta's touched cells in ascending order through MergeCell must
-// be bit-identical to one Merge of the whole delta — same estimates, same
-// exact counts, same RNG consumption, same message tallies — because Merge
-// itself visits cells ascending and skips untouched rows.
-func TestMergeCellMatchesMerge(t *testing.T) {
-	const cells, k = 5, 4
-	for _, tc := range bankKinds {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			var mDense, mSparse Metrics
-			dense, err := NewBank(tc.kind, cells, k, tc.eps, 0.25, &mDense, bn.NewRNG(29))
-			if err != nil {
-				t.Fatal(err)
-			}
-			sparse, err := NewBank(tc.kind, cells, k, tc.eps, 0.25, &mSparse, bn.NewRNG(29))
-			if err != nil {
-				t.Fatal(err)
-			}
-			sched := bn.NewRNG(31)
-			for round := 0; round < 40; round++ {
-				delta := make([]int64, cells*k)
-				// Touch only a subset of cells so the sparse walk genuinely
-				// skips some.
-				for i := 0; i < 300; i++ {
-					cell := sched.Intn(cells-1) + round%2 // leaves one cell untouched
-					delta[cell*k+sched.Intn(k)]++
-				}
-				dense.Merge(delta)
-				for cell := 0; cell < cells; cell++ {
-					row := delta[cell*k : (cell+1)*k]
-					touched := false
-					for _, c := range row {
-						if c != 0 {
-							touched = true
-							break
-						}
-					}
-					if touched {
-						sparse.MergeCell(cell, row)
-					}
-				}
-				for c := 0; c < cells; c++ {
-					if sparse.Exact(c) != dense.Exact(c) || sparse.Estimate(c) != dense.Estimate(c) {
-						t.Fatalf("round %d cell %d: sparse (%d, %v) != dense (%d, %v)",
-							round, c, sparse.Exact(c), sparse.Estimate(c), dense.Exact(c), dense.Estimate(c))
-					}
-				}
-				if mSparse.Snapshot() != mDense.Snapshot() {
-					t.Fatalf("round %d: messages %+v, want %+v", round, mSparse.Snapshot(), mDense.Snapshot())
-				}
-			}
-		})
-	}
-}
-
-// TestMergeCellCustomAndPanics: custom banks replay MergeCell per increment
-// with the stride taken from the row; flat banks panic on a wrong row length.
-func TestMergeCellCustomAndPanics(t *testing.T) {
-	var m Metrics
-	cb, err := NewCustomBank(2, func(int) (Counter, error) { return NewExact(&m), nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	cb.MergeCell(1, []int64{2, 0, 3})
-	if cb.Exact(0) != 0 || cb.Exact(1) != 5 {
-		t.Fatalf("custom MergeCell totals = %d,%d", cb.Exact(0), cb.Exact(1))
-	}
-	b, err := NewBank(ExactKind, 3, 4, 0, 0, &m, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("short MergeCell row did not panic")
-		}
-	}()
-	b.MergeCell(0, make([]int64, 2))
-}
-
 // TestMergeCustomBankReplaysInc: custom banks replay merges through the
 // cells' own Inc, deriving the site stride from the delta length.
 func TestMergeCustomBank(t *testing.T) {

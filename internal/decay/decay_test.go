@@ -165,100 +165,3 @@ func TestBankTicksAndMultipleCounters(t *testing.T) {
 		t.Errorf("c1 (%v) should exceed c2 (%v)", c1.Estimate(), c2.Estimate())
 	}
 }
-
-func TestWindowBankValidation(t *testing.T) {
-	if _, err := NewWindowBank(100, 1, 2); err == nil {
-		t.Error("blocks=1 accepted")
-	}
-	if _, err := NewWindowBank(1, 4, 2); err == nil {
-		t.Error("window smaller than blocks accepted")
-	}
-	if _, err := NewWindowBank(100, 4, 0); err == nil {
-		t.Error("sites=0 accepted")
-	}
-}
-
-func TestWindowCounterSlides(t *testing.T) {
-	// Window of 400 events in 4 blocks of 100; exact sub-counters.
-	bank, err := NewWindowBank(400, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m counter.Metrics
-	rng := bn.NewRNG(1)
-	c, err := bank.Factory()(0, &m, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Phase 1: increment on every tick for 399 events. No block has fallen
-	// off yet (3 closed blocks + 99 in the live one).
-	for i := 0; i < 399; i++ {
-		c.Inc(0)
-		if err := bank.Tick(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := c.Exact(); got != 399 {
-		t.Fatalf("pre-boundary window count = %d, want 399", got)
-	}
-	// Event 400 closes the 4th block: the window now holds the last 3 closed
-	// blocks (block granularity — coverage oscillates in [W-W/B, W]).
-	c.Inc(0)
-	if err := bank.Tick(); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Exact(); got != 300 {
-		t.Fatalf("post-boundary window count = %d, want 300", got)
-	}
-	// Idle blocks: old traffic falls off one block at a time.
-	want := []int64{200, 100, 0, 0}
-	for phase := 0; phase < 4; phase++ {
-		for i := 0; i < 100; i++ {
-			if err := bank.Tick(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if got := c.Exact(); got != want[phase] {
-			t.Fatalf("after %d idle blocks count = %d, want %d", phase+1, got, want[phase])
-		}
-		if est := c.Estimate(); est != float64(want[phase]) {
-			t.Fatalf("estimate %v, want %d", est, want[phase])
-		}
-	}
-}
-
-func TestWindowDriftAdaptation(t *testing.T) {
-	nw := bn.MustNetwork([]bn.Variable{{Name: "X", Card: 2}})
-	cptA, _ := bn.NewCPT(2, 1, []float64{0.9, 0.1})
-	cptB, _ := bn.NewCPT(2, 1, []float64{0.1, 0.9})
-	modelA := bn.MustModel(nw, []*bn.CPT{cptA})
-	modelB := bn.MustModel(nw, []*bn.CPT{cptB})
-
-	bank, err := NewWindowBank(8000, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := core.NewTracker(nw, core.Config{
-		Strategy: core.ExactMLE, Sites: 2, CounterFactory: bank.Factory(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed := func(m *bn.Model, events int, seed uint64) {
-		s := m.NewSampler(seed)
-		x := make([]int, 1)
-		for e := 0; e < events; e++ {
-			s.Sample(x)
-			tr.Update(e%2, x)
-			if err := bank.Tick(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	feed(modelA, 20000, 5)
-	feed(modelB, 20000, 6)
-	// Everything inside the final window came from model B.
-	if got := tr.QueryCPD(0, 1, 0); math.Abs(got-0.9) > 0.05 {
-		t.Errorf("window tracker P[X=1] = %v, want ~0.9", got)
-	}
-}

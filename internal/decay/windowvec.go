@@ -2,16 +2,16 @@ package decay
 
 import "fmt"
 
-// WindowVec is the dense-vector sibling of WindowBank: one block-based
-// sliding window over a whole vector of counts at once, for consumers that
-// fold externally aggregated deltas (the coordinator's windowed pairwise-MI
-// sufficient statistics in internal/cluster) rather than per-event Inc
-// calls. The window covers approximately windowEvents of history as B
-// blocks of windowEvents/B events: Add accumulates into the live block,
-// Advance moves the event clock and rotates on block boundaries, and
-// Windowed exposes the running sum of the live block plus the most recent
-// B-1 closed blocks — so stale counts age out a block at a time, exactly
-// like a WindowCounter.
+// WindowVec is one block-based sliding window over a whole vector of counts
+// at once, for consumers that fold externally aggregated deltas (the
+// coordinator's windowed pairwise-MI sufficient statistics in
+// internal/cluster) rather than per-event Inc calls. The window covers
+// approximately windowEvents of history as B blocks of windowEvents/B
+// events: Add accumulates into the live block, Advance moves the event clock
+// and rotates on block boundaries, and Windowed exposes the running sum of
+// the live block plus the most recent B-1 closed blocks — so stale counts age
+// out a block at a time (error ≤ one block's worth of events at the trailing
+// edge).
 //
 // WindowVec is not safe for concurrent use; callers serialize access (the
 // cluster coordinator uses it under its structure-engine mutex).

@@ -1,71 +1,6 @@
 package decay
 
-import (
-	"sync"
-	"testing"
-
-	"distbayes/internal/counter"
-)
-
-// TestWindowBankConcurrentTick pins the WindowBank locking fix: Tick's block
-// rotation used to race concurrent Inc/Estimate/Exact from striped ingestion
-// goroutines (and counter registration through Factory). Run under -race,
-// this drives all four paths at once; correctness of the final count is
-// checked too — every increment must land inside the window or an expired
-// block, never be lost mid-rotation.
-func TestWindowBankConcurrentTick(t *testing.T) {
-	const (
-		workers      = 4
-		perWorker    = 2000
-		windowEvents = 1 << 20 // wider than the run: nothing expires
-	)
-	b, err := NewWindowBank(windowEvents, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	factory := b.Factory()
-	var metrics counter.Metrics
-	c, err := factory(0, &metrics, nil) // eps 0: exact sub-counters
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				c.Inc(0)
-				if err := b.Tick(); err != nil {
-					t.Error(err)
-					return
-				}
-				_ = c.Estimate()
-			}
-		}()
-	}
-	// Concurrent registration through the factory must not race rotation.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 100; i++ {
-			if _, err := factory(0, &metrics, nil); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-	wg.Wait()
-
-	wc := c.(*WindowCounter)
-	if got := wc.Exact(); got != workers*perWorker {
-		t.Errorf("in-window exact = %d, want %d (increments lost across rotations)", got, workers*perWorker)
-	}
-	if got := b.Ticks(); got != workers*perWorker {
-		t.Errorf("ticks = %d, want %d", got, workers*perWorker)
-	}
-}
+import "testing"
 
 // TestWindowVec pins the dense sliding-window vector used by the cluster's
 // structure engine: per-block rotation, expiry of out-of-window counts, and

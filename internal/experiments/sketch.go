@@ -228,7 +228,7 @@ func (e *sketchEstimator) Update(x []int) {
 // CPD estimates P[X_i = v | parent config pidx] from the sketches, clamped
 // to [0, 1] (overcounts can push the raw ratio above 1). A parent
 // configuration with no observed mass falls back to the uniform
-// 1/Card(i) — the same zero-row handling as chowliu.LearnModel — so
+// 1/Card(i) — the learned-structure overlay's zero-row handling — so
 // QuerySubsetProb degrades to an uninformative factor on unseen parent
 // configs instead of multiplying the whole product to a hard 0, matching
 // the tracker's smoothed estimates in spirit.

@@ -57,16 +57,3 @@ func GenCPTs(net *bn.Network, opt CPTOptions) ([]*bn.CPT, error) {
 	}
 	return cpds, nil
 }
-
-// GenModel generates both structure and parameters for a profile.
-func GenModel(p Profile, opt CPTOptions) (*bn.Model, error) {
-	net, err := Generate(p)
-	if err != nil {
-		return nil, err
-	}
-	cpds, err := GenCPTs(net, opt)
-	if err != nil {
-		return nil, err
-	}
-	return bn.NewModel(net, cpds)
-}

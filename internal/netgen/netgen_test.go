@@ -1,10 +1,6 @@
 package netgen
 
-import (
-	"testing"
-
-	"distbayes/internal/core"
-)
+import "testing"
 
 func TestTableINetworksMatchPublishedCounts(t *testing.T) {
 	cases := []struct {
@@ -178,30 +174,19 @@ func TestTreeAndNaiveBayes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if root, ok := core.IsNaiveBayes(nb); !ok || root != 0 {
-		t.Errorf("NaiveBayesNet not recognized as NB (root=%d ok=%v)", root, ok)
+	if len(nb.Parents(0)) != 0 {
+		t.Errorf("class has parents %v", nb.Parents(0))
+	}
+	for i := 1; i < nb.Len(); i++ {
+		if p := nb.Parents(i); len(p) != 1 || p[0] != 0 {
+			t.Errorf("feature %d parents = %v, want [0]", i, p)
+		}
 	}
 	if _, err := NaiveBayesNet(1, []int{2}); err == nil {
 		t.Error("degenerate class accepted")
 	}
 	if _, err := NaiveBayesNet(2, []int{1}); err == nil {
 		t.Error("degenerate feature accepted")
-	}
-}
-
-func TestRandomDAG(t *testing.T) {
-	net, err := RandomDAG(30, []int{2, 3}, 0.15, 3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if net.Len() != 30 {
-		t.Errorf("nodes = %d", net.Len())
-	}
-	if got := net.MaxInDegree(); got > 3 {
-		t.Errorf("max in-degree = %d", got)
-	}
-	if _, err := RandomDAG(0, []int{2}, 0.5, 2, 1); err == nil {
-		t.Error("invalid args accepted")
 	}
 }
 

@@ -132,26 +132,6 @@ func NaiveBayesNet(classCard int, featureCards []int) (*bn.Network, error) {
 	return bn.NewNetwork(vars)
 }
 
-// RandomDAG generates an arbitrary random DAG network without parameter-count
-// targeting: n nodes, approximately edgeProb·n·min(window,i) edges, cards
-// drawn from the palette.
-func RandomDAG(n int, cards []int, edgeProb float64, maxInDegree int, seed uint64) (*bn.Network, error) {
-	if n < 1 || len(cards) == 0 || maxInDegree < 1 {
-		return nil, fmt.Errorf("netgen: invalid RandomDAG arguments")
-	}
-	rng := bn.NewRNG(seed)
-	vars := make([]bn.Variable, n)
-	for i := range vars {
-		vars[i] = bn.Variable{Name: fmt.Sprintf("r_%d", i), Card: cards[rng.Intn(len(cards))]}
-		for p := 0; p < i && len(vars[i].Parents) < maxInDegree; p++ {
-			if rng.Float64() < edgeProb {
-				vars[i].Parents = append(vars[i].Parents, p)
-			}
-		}
-	}
-	return bn.NewNetwork(vars)
-}
-
 // Names lists the registry of Table I network names.
 func Names() []string { return []string{"alarm", "hepar2", "link", "munin", "new-alarm"} }
 

@@ -3,7 +3,6 @@ package stream
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 
 	"distbayes/internal/bn"
 	"distbayes/internal/core"
@@ -108,116 +107,6 @@ func DriveParallel(tr *core.Tracker, streams []*Training, perSite, batchSize int
 	}
 	wg.Wait()
 	return int64(perSite) * int64(len(streams))
-}
-
-// DriveWorkStealing ingests counts[s] events from streams[s] for every s —
-// quotas that may differ wildly, e.g. proportional to a Zipf site
-// distribution — with work stealing between the site pumps: one worker per
-// stream starts on its own stream and, once that quota is drained, takes
-// batches from whichever stream has the most events left, so the tail of a
-// skewed assignment is ingested by every idle worker instead of one
-// overloaded pump. Sampling from a stolen stream serializes on that
-// stream's lock (samplers are not concurrent-safe), but tracker-side
-// ingestion — the delta-buffer accumulation or the striped increments —
-// still proceeds in parallel. Like DriveParallel, a delta-buffered tracker
-// is fully published before the driver returns. Returns the total number of
-// events ingested.
-func DriveWorkStealing(tr *core.Tracker, streams []*Training, counts []int, batchSize int) int64 {
-	if len(counts) != len(streams) {
-		panic("stream: DriveWorkStealing needs one count per stream")
-	}
-	if batchSize < 1 {
-		batchSize = 256
-	}
-	pumps := make([]sitePump, len(streams))
-	var total int64
-	for s := range pumps {
-		c := counts[s]
-		if c < 0 {
-			c = 0
-		}
-		pumps[s].remaining.Store(int64(c))
-		total += int64(c)
-	}
-	if total == 0 {
-		return 0
-	}
-	n := tr.Network().Len()
-	buffered := tr.Config().DeltaBuffered
-	var wg sync.WaitGroup
-	for w := range streams {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var buf *core.DeltaBuffer
-			if buffered {
-				buf = tr.NewDeltaBuffer()
-				defer buf.Release()
-			}
-			evs := make([]core.Event, batchSize)
-			for i := range evs {
-				evs[i].X = make([]int, n)
-			}
-			for {
-				s := pickPump(pumps, w)
-				if s < 0 {
-					return
-				}
-				m := pumps[s].take(streams[s], evs)
-				if m == 0 {
-					continue // lost the race for that pump; rescan
-				}
-				if buf != nil {
-					buf.AddEvents(evs[:m])
-				} else {
-					tr.UpdateEvents(evs[:m])
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	return total
-}
-
-// sitePump is one stream's remaining quota plus the lock serializing access
-// to its (non-concurrent-safe) sampler.
-type sitePump struct {
-	mu        sync.Mutex
-	remaining atomic.Int64
-}
-
-// take claims and samples up to cap(evs) events from st, returning how many
-// were produced (0 when the pump is drained).
-func (p *sitePump) take(st *Training, evs []core.Event) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	m := int(min(p.remaining.Load(), int64(len(evs))))
-	for j := 0; j < m; j++ {
-		site, x := st.Next()
-		evs[j].Site = site
-		copy(evs[j].X, x)
-	}
-	if m > 0 {
-		p.remaining.Add(int64(-m))
-	}
-	return m
-}
-
-// pickPump chooses the next pump for worker w: its own while work remains,
-// otherwise the pump with the most events left (racy reads are fine — a
-// stale pick just loops back through take, which re-checks under the lock).
-// Returns -1 when every pump is drained.
-func pickPump(pumps []sitePump, w int) int {
-	if pumps[w].remaining.Load() > 0 {
-		return w
-	}
-	best, bestLeft := -1, int64(0)
-	for s := range pumps {
-		if left := pumps[s].remaining.Load(); left > bestLeft {
-			best, bestLeft = s, left
-		}
-	}
-	return best
 }
 
 // Produce sends the next n events of t into out (each with its own backing

@@ -168,78 +168,6 @@ func TestDriveParallelBuffered(t *testing.T) {
 	exactCellsEqual(t, seq, buf)
 }
 
-// TestDriveWorkStealing drives a Zipf-skewed per-site quota — one pump holds
-// most of the work — through the work-stealing driver in both striped and
-// delta-buffered modes and checks the exact counts against a sequential
-// replay of the same sub-streams.
-func TestDriveWorkStealing(t *testing.T) {
-	m := smallModel(t)
-	counts := []int{4000, 500, 250, 50} // skewed quotas, one hot site
-	sites := len(counts)
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-
-	seq, err := core.NewTracker(m.Network(), core.Config{
-		Strategy: core.NonUniform, Eps: 0.1, Sites: sites, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s, st := range NewSiteTrainings(m, sites, 39) {
-		for _, ev := range st.NextEvents(nil, counts[s]) {
-			seq.Update(ev.Site, ev.X)
-		}
-	}
-
-	for _, mode := range []struct {
-		name     string
-		buffered bool
-	}{{"striped", false}, {"buffered", true}} {
-		mode := mode
-		t.Run(mode.name, func(t *testing.T) {
-			cfg := core.Config{
-				Strategy: core.NonUniform, Eps: 0.1, Sites: sites, Seed: 5,
-				Shards: 2, DeltaBuffered: mode.buffered, DeltaFlushEvents: 300,
-			}
-			tr, err := core.NewTracker(m.Network(), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := DriveWorkStealing(tr, NewSiteTrainings(m, sites, 39), counts, 64)
-			if got != int64(total) || tr.Events() != int64(total) {
-				t.Fatalf("ingested %d (tracker %d), want %d", got, tr.Events(), total)
-			}
-			exactCellsEqual(t, seq, tr)
-		})
-	}
-}
-
-// TestDriveWorkStealingEdgeCases: zero and negative quotas are skipped, and
-// a mismatched counts slice panics.
-func TestDriveWorkStealingEdgeCases(t *testing.T) {
-	m := smallModel(t)
-	tr, err := core.NewTracker(m.Network(), core.Config{
-		Strategy: core.ExactMLE, Sites: 3, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := DriveWorkStealing(tr, NewSiteTrainings(m, 3, 7), []int{0, -5, 120}, 32); n != 120 {
-		t.Fatalf("ingested %d, want 120 (zero/negative quotas skipped)", n)
-	}
-	if tr.Events() != 120 {
-		t.Fatalf("tracker events = %d, want 120", tr.Events())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched counts slice did not panic")
-		}
-	}()
-	DriveWorkStealing(tr, NewSiteTrainings(m, 3, 7), []int{1, 2}, 32)
-}
-
 // TestProduceFeedsIngest wires Produce → Tracker.Ingest with one producer
 // per site over a shared channel.
 func TestProduceFeedsIngest(t *testing.T) {
