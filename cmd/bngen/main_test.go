@@ -40,6 +40,20 @@ func TestSummary(t *testing.T) {
 	}
 }
 
+// TestSampleStreamPinned pins the forward sampler's stream at the CLI: the
+// compiled sampler must keep drawing what the historical per-variable loop
+// drew for a seed.
+func TestSampleStreamPinned(t *testing.T) {
+	want := "1,3,5,4,0,2,0,1,0,0,2,0,4,0,1,1,0,1,0,1,0,1,1,0,6,0,4,0,0,1,4,1,0,1,2,1,0\n" +
+		"2,4,5,3,0,0,1,1,3,0,2,1,3,0,1,0,0,1,0,1,0,4,0,0,5,2,4,0,0,0,4,1,0,1,1,1,0\n" +
+		"0,1,5,3,1,0,1,0,3,1,2,0,3,2,1,0,0,1,0,1,1,0,0,0,2,4,1,0,0,2,1,0,0,1,0,0,0\n" +
+		"2,4,5,4,0,2,1,1,3,0,0,0,3,1,1,0,0,1,0,1,1,0,1,0,4,0,4,0,0,1,4,0,1,1,2,1,2\n" +
+		"1,4,5,3,0,0,1,1,3,0,2,1,3,0,1,0,0,1,0,1,0,3,0,0,4,2,4,0,0,0,1,1,0,1,1,1,0\n"
+	if got := runOK(t, "-net", "alarm", "-sample", "5", "-seed", "1"); got != want {
+		t.Errorf("-sample 5 -seed 1 =\n%s\nwant\n%s", got, want)
+	}
+}
+
 // TestBIFRoundTrip: the document `bngen -bif` writes loads back (the
 // `bnquery -bif` path) into a model that answers like the built-in one
 // (`bnquery -net`).

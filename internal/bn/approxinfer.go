@@ -22,20 +22,20 @@ func (m *Model) LikelihoodWeighting(query, evidence map[int]int, samples int, se
 	if samples < 1 {
 		return 0, fmt.Errorf("bn: samples = %d, want >= 1", samples)
 	}
-	rng := NewRNG(seed)
-	n := m.net.Len()
-	x := make([]int, n)
+	sampler := m.NewSampler(seed)
+	x := make([]int, m.net.Len())
 	var wMatch, wTotal float64
 	for s := 0; s < samples; s++ {
 		w := 1.0
-		for _, i := range m.net.order {
-			pidx := m.net.ParentIndex(i, x)
+		for t := range sampler.vars {
+			v := &sampler.vars[t]
+			i, pidx := int(v.vari), sampler.parentIndex(v, x)
 			if ev, ok := evidence[i]; ok {
 				x[i] = ev
 				w *= m.cpds[i].P(ev, pidx)
 				continue
 			}
-			x[i] = sampleRow(m.cpds[i].Row(pidx), rng)
+			x[i] = sampler.draw(v, pidx)
 		}
 		wTotal += w
 		match := true
@@ -67,17 +67,19 @@ func (m *Model) GibbsMarginal(query, evidence map[int]int, iters, burnIn int, se
 	if iters < 1 || burnIn < 0 {
 		return 0, fmt.Errorf("bn: iters = %d burnIn = %d", iters, burnIn)
 	}
-	rng := NewRNG(seed)
+	sampler := m.NewSampler(seed)
+	rng := sampler.rng
 	n := m.net.Len()
 
 	// Initial state: forward sample with evidence clamped.
 	x := make([]int, n)
-	for _, i := range m.net.order {
-		if ev, ok := evidence[i]; ok {
-			x[i] = ev
+	for t := range sampler.vars {
+		v := &sampler.vars[t]
+		if ev, ok := evidence[int(v.vari)]; ok {
+			x[v.vari] = ev
 			continue
 		}
-		x[i] = sampleRow(m.cpds[i].Row(m.net.ParentIndex(i, x)), rng)
+		x[v.vari] = sampler.draw(v, sampler.parentIndex(v, x))
 	}
 	var free []int
 	for i := 0; i < n; i++ {
@@ -88,8 +90,13 @@ func (m *Model) GibbsMarginal(query, evidence map[int]int, iters, burnIn int, se
 
 	sweep := func() {
 		for _, i := range free {
+			// The posterior is a fresh slice: turn it into running sums in
+			// place and draw from those.
 			post := m.PosteriorVar(i, x)
-			x[i] = sampleDist(post, rng)
+			for j := 1; j < len(post); j++ {
+				post[j] += post[j-1]
+			}
+			x[i] = drawCum(post, rng.Float64())
 		}
 	}
 	for s := 0; s < burnIn; s++ {
@@ -141,19 +148,3 @@ func (m *Model) checkQuery(query, evidence map[int]int) error {
 	}
 	return nil
 }
-
-// sampleRow draws an index from a normalized probability row.
-func sampleRow(row []float64, rng *RNG) int {
-	u := rng.Float64()
-	acc := 0.0
-	for j, p := range row {
-		acc += p
-		if u < acc {
-			return j
-		}
-	}
-	return len(row) - 1
-}
-
-// sampleDist draws an index from an arbitrary normalized distribution slice.
-func sampleDist(dist []float64, rng *RNG) int { return sampleRow(dist, rng) }

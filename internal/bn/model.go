@@ -176,37 +176,108 @@ func (m *Model) SubsetProb(set []int, x []int) float64 {
 
 // Sampler draws full assignments from the model by forward sampling in
 // topological order. It is not safe for concurrent use.
+//
+// Bit-identity contract: a Sampler makes the draws of the historical
+// per-variable loop (one rng.Float64 per variable in topological order, the
+// first value whose running sum acc += p exceeds u, the last value when none
+// does) and returns the same values; model_test.go keeps that loop as the
+// oracle. NewSampler compiles the model into sampler-owned flat tables —
+// freed with the sampler, never cached on the Model — so one event is one
+// pass over three arrays.
 type Sampler struct {
-	m   *Model
 	rng *RNG
+	// vars is the compiled model, one entry per variable in topological order.
+	vars []samplerVar
+	// pars holds every variable's (parent, stride) pairs, CSR-indexed by
+	// samplerVar.parLo/parHi.
+	pars []samplerParent
+	// cum holds every CPT row as running sums, built with the oracle's
+	// left-to-right acc += p so each comparison sees the same doubles.
+	cum []float64
+	// pidx[i] is variable i's parent-configuration index under the latest
+	// Sample: the by-product ParentIndices hands out.
+	pidx []int
 }
+
+type samplerVar struct {
+	vari, card, parLo, parHi int32
+	row                      int // offset of the variable's table in cum
+}
+
+type samplerParent struct{ vari, stride int32 }
 
 // NewSampler creates a sampler with the given seed.
 func (m *Model) NewSampler(seed uint64) *Sampler {
-	return &Sampler{m: m, rng: NewRNG(seed)}
+	nw := m.net
+	s := &Sampler{
+		rng:  NewRNG(seed),
+		vars: make([]samplerVar, 0, nw.Len()),
+		pars: make([]samplerParent, 0, nw.NumEdges()),
+		cum:  make([]float64, 0, nw.NumCells()),
+		pidx: make([]int, nw.Len()),
+	}
+	for _, i := range nw.order {
+		s.vars = append(s.vars, samplerVar{vari: int32(i), card: int32(nw.Card(i)),
+			parLo: int32(len(s.pars)), parHi: int32(len(s.pars) + len(nw.vars[i].Parents)), row: len(s.cum)})
+		for p, parent := range nw.vars[i].Parents {
+			s.pars = append(s.pars, samplerParent{int32(parent), int32(nw.strides[i][p])})
+		}
+		for k := 0; k < nw.parentCard[i]; k++ {
+			acc := 0.0
+			for _, p := range m.cpds[i].Row(k) {
+				acc += p
+				s.cum = append(s.cum, acc)
+			}
+		}
+	}
+	return s
+}
+
+// drawCum is the one row draw: the count of running sums u has reached among
+// all but the last, i.e. the first value whose running sum exceeds u, and the
+// last value when none does (even one of probability zero). Running sums of
+// non-negative terms never decrease, so the count needs no early exit and
+// compiles without a data-dependent branch.
+func drawCum(cum []float64, u float64) int {
+	v := 0
+	for _, c := range cum[:len(cum)-1] {
+		if u >= c {
+			v++
+		}
+	}
+	return v
+}
+
+// parentIndex computes v's parent-configuration index under x.
+func (s *Sampler) parentIndex(v *samplerVar, x []int) int {
+	pidx := 0
+	for _, p := range s.pars[v.parLo:v.parHi] {
+		pidx += x[p.vari] * int(p.stride)
+	}
+	return pidx
+}
+
+// draw samples v given its parent configuration.
+func (s *Sampler) draw(v *samplerVar, pidx int) int {
+	row := v.row + pidx*int(v.card)
+	return drawCum(s.cum[row:row+int(v.card)], s.rng.Float64())
 }
 
 // Sample fills dst (length n) with one assignment drawn from the model and
 // returns it; if dst is nil a new slice is allocated.
 func (s *Sampler) Sample(dst []int) []int {
-	n := s.m.net.Len()
 	if dst == nil {
-		dst = make([]int, n)
+		dst = make([]int, len(s.vars))
 	}
-	for _, i := range s.m.net.order {
-		pidx := s.m.net.ParentIndex(i, dst)
-		row := s.m.cpds[i].Row(pidx)
-		u := s.rng.Float64()
-		acc := 0.0
-		v := len(row) - 1 // fall through to the last value on rounding
-		for j, pj := range row {
-			acc += pj
-			if u < acc {
-				v = j
-				break
-			}
-		}
-		dst[i] = v
+	for t := range s.vars {
+		v := &s.vars[t]
+		pidx := s.parentIndex(v, dst)
+		s.pidx[v.vari] = pidx
+		dst[v.vari] = s.draw(v, pidx)
 	}
 	return dst
 }
+
+// ParentIndices returns, per variable, Network.ParentIndex of the assignment
+// the latest Sample drew. The slice is reused by the next Sample.
+func (s *Sampler) ParentIndices() []int { return s.pidx }

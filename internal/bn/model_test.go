@@ -165,6 +165,135 @@ func TestSamplerDeterministicForSeed(t *testing.T) {
 	}
 }
 
+// oracleDraw is the historical inverse-CDF row scan: the first value whose
+// running sum exceeds u, the last value when none does.
+func oracleDraw(row []float64, u float64) int {
+	acc := 0.0
+	for j, pj := range row {
+		acc += pj
+		if u < acc {
+			return j
+		}
+	}
+	return len(row) - 1 // fall through to the last value on rounding
+}
+
+// OracleSample is the historical Sampler.Sample loop, kept as the reference
+// the compiled sampler must match draw for draw. Exported (from a test file,
+// so to tests only) for sampler_test.go, which lives in package bn_test
+// because it imports netgen.
+func OracleSample(m *Model, rng *RNG, dst []int) []int {
+	for _, i := range m.net.order {
+		dst[i] = oracleDraw(m.cpds[i].Row(m.net.ParentIndex(i, dst)), rng.Float64())
+	}
+	return dst
+}
+
+// CheckSamplerMatchesOracle draws events assignments from m with the compiled
+// sampler and with the oracle loop on the same seed and requires equal
+// values, parent indices equal to Network.ParentIndex, and equal generator
+// states afterwards (same number of draws).
+func CheckSamplerMatchesOracle(t *testing.T, m *Model, seed uint64, events int) {
+	t.Helper()
+	s, rng := m.NewSampler(seed), NewRNG(seed)
+	n := m.net.Len()
+	got, want := make([]int, n), make([]int, n)
+	for e := 0; e < events; e++ {
+		s.Sample(got)
+		OracleSample(m, rng, want)
+		for i := 0; i < n; i++ {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d event %d: x[%d] = %d, oracle %d", seed, e, i, got[i], want[i])
+			}
+			if pidx := s.ParentIndices()[i]; pidx != m.net.ParentIndex(i, want) {
+				t.Fatalf("seed %d event %d: parent index of %d = %d, want %d", seed, e, i, pidx, m.net.ParentIndex(i, want))
+			}
+		}
+	}
+	if s.rng.State() != rng.State() {
+		t.Fatalf("seed %d: generator states differ after %d events", seed, events)
+	}
+}
+
+// adversarialRows are valid CPT rows the branch-free scan could get wrong:
+// zero-probability entries at the start, in the middle and at the end, a
+// zero last entry behind a sum that stops short of 1, and a single value.
+var adversarialRows = [][]float64{
+	{0, 0.25, 0.75},
+	{0.5, 0, 0, 0.5},
+	{0.25, 0.75, 0},
+	{0, 0, 1},
+	{1, 0, 0},
+	{0.5, 0.5 - 1e-10, 0},
+	{0.1, 0.2, 0.3, 0.4},
+	{1},
+}
+
+// TestDrawCumMatchesOracle compares the row draw with the historical scan at
+// every u that could tell them apart: 0, each running sum and its two
+// neighbours, and the largest u below 1 — which falls through to the last
+// value even where that value has probability zero, as it always has.
+func TestDrawCumMatchesOracle(t *testing.T) {
+	for _, row := range adversarialRows {
+		us := []float64{0, math.SmallestNonzeroFloat64, math.Nextafter(1, 0)}
+		cum := make([]float64, len(row))
+		acc := 0.0
+		for j, p := range row {
+			acc += p
+			cum[j] = acc
+			us = append(us, acc, math.Nextafter(acc, 0), math.Nextafter(acc, 2))
+		}
+		for _, u := range us {
+			if u < 0 || u >= 1 {
+				continue
+			}
+			if got, want := drawCum(cum, u), oracleDraw(row, u); got != want {
+				t.Errorf("row %v u %v: drawCum = %d, oracle %d", row, u, got, want)
+			}
+		}
+	}
+}
+
+// TestSamplerMatchesOracleAdversarial runs the whole-sampler comparison on a
+// root-only network and on a network whose every row is adversarial,
+// including a card-1 variable used as a parent.
+func TestSamplerMatchesOracleAdversarial(t *testing.T) {
+	rootOnly := MustNetwork([]Variable{{Name: "A", Card: 3}, {Name: "B", Card: 1}, {Name: "C", Card: 4}})
+	var rootCPDs []*CPT
+	for _, row := range [][]float64{adversarialRows[0], adversarialRows[7], adversarialRows[1]} {
+		c, err := NewCPT(len(row), 1, row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rootCPDs = append(rootCPDs, c)
+	}
+	// D depends on (C, B, A) declared out of topological order: D first.
+	nw := MustNetwork([]Variable{
+		{Name: "D", Card: 3, Parents: []int{3, 2, 1}},
+		{Name: "A", Card: 3},
+		{Name: "B", Card: 1},
+		{Name: "C", Card: 4, Parents: []int{1}},
+	})
+	three := [][]float64{adversarialRows[0], adversarialRows[2], adversarialRows[3], adversarialRows[4], adversarialRows[5]}
+	var tblD, tblC []float64
+	for k := 0; k < nw.ParentCard(0); k++ {
+		tblD = append(tblD, three[k%len(three)]...)
+	}
+	for k := 0; k < nw.ParentCard(3); k++ {
+		tblC = append(tblC, [][]float64{adversarialRows[1], adversarialRows[6]}[k%2]...)
+	}
+	cD, errD := NewCPT(3, nw.ParentCard(0), tblD)
+	cC, errC := NewCPT(4, nw.ParentCard(3), tblC)
+	if errD != nil || errC != nil {
+		t.Fatal(errD, errC)
+	}
+	for _, m := range []*Model{MustModel(rootOnly, rootCPDs), MustModel(nw, []*CPT{cD, rootCPDs[0], rootCPDs[1], cC})} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			CheckSamplerMatchesOracle(t, m, seed, 5000)
+		}
+	}
+}
+
 func TestSubsetProb(t *testing.T) {
 	// A -> B, C independent; closure({B}) = {A,B}.
 	nw := MustNetwork([]Variable{

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math/bits"
 	"net"
 	"sync"
 )
@@ -120,29 +121,40 @@ func (f *frameFolder) fold(t byte, payload []byte) (data bool, err error) {
 	return true, nil
 }
 
-// dirtyVec is a monotone vector folded by max-merge that remembers which
-// cells moved since they were last drained — a relay's view of one site's
-// counters (or pair cells): the latest report per cell, shipped upstream a
-// dirty set at a time. Sized on first merge, so a site that never reports
-// costs nothing.
+// dirtyVec is a monotone vector that remembers which cells moved since they
+// were last drained: a site's latest decided report per counter (written by
+// set), or a relay's max-merged view of one site's counters or pair cells
+// (written by merge) — either way shipped upstream a dirty set at a time. The
+// dirty set is a bitset, so a drain scans it in word order and yields
+// ascending ids without sorting. A relay's vectors are sized on first merge,
+// so a site that never reports costs nothing.
 type dirtyVec struct {
 	vals  []int64
-	dirty []bool
+	dirty []uint64
 	// any short-circuits clean vectors; the owner may also set it to force
 	// an (empty) drain, as the struct fold does when only the stamp moved.
 	any bool
 }
 
+func newDirtyVec(size uint32) dirtyVec {
+	return dirtyVec{vals: make([]int64, size), dirty: make([]uint64, (size+63)/64)}
+}
+
+// set stores cell id's new value and marks it dirty.
+func (v *dirtyVec) set(id uint32, n int64) {
+	v.vals[id] = n
+	v.dirty[id>>6] |= 1 << (id & 63)
+	v.any = true
+}
+
 // merge max-merges ups into a vector of size cells. Ids must be < size.
 func (v *dirtyVec) merge(size uint32, ups []Update) {
 	if v.vals == nil {
-		v.vals, v.dirty = make([]int64, size), make([]bool, size)
+		*v = newDirtyVec(size)
 	}
 	for _, u := range ups {
 		if u.LocalCount > v.vals[u.Counter] {
-			v.vals[u.Counter] = u.LocalCount
-			v.dirty[u.Counter] = true
-			v.any = true
+			v.set(u.Counter, u.LocalCount)
 		}
 	}
 }
@@ -150,10 +162,14 @@ func (v *dirtyVec) merge(size uint32, ups []Update) {
 // drain appends the dirty cells to dst in ascending id order and marks the
 // vector clean.
 func (v *dirtyVec) drain(dst []Update) []Update {
-	for id, d := range v.dirty {
-		if d {
-			dst = append(dst, Update{Counter: uint32(id), LocalCount: v.vals[id]})
-			v.dirty[id] = false
+	for w, word := range v.dirty {
+		if word == 0 {
+			continue
+		}
+		v.dirty[w] = 0
+		for ; word != 0; word &= word - 1 {
+			id := uint32(w<<6 + bits.TrailingZeros64(word))
+			dst = append(dst, Update{Counter: id, LocalCount: v.vals[id]})
 		}
 	}
 	v.any = false
@@ -165,8 +181,7 @@ func (v *dirtyVec) drain(dst []Update) []Update {
 func (v *dirtyVec) markAll() {
 	for id, n := range v.vals {
 		if n != 0 {
-			v.dirty[id] = true
-			v.any = true
+			v.set(uint32(id), n)
 		}
 	}
 }

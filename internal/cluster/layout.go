@@ -137,37 +137,93 @@ func adjustmentSqrtK(k int, sqrtK, eps float64, r int64) float64 {
 	return (1 - p) / p
 }
 
-// siteCounters is the flat site-side counter state of one stream processor:
-// every local count in a single dense slice indexed by layout counter id,
-// with the report-probability constants (√k, per-id ε') hoisted out of the
-// per-increment path — the site-side mirror of the coordinator's flat
-// counter banks.
+// siteCounters is the site half of the counter protocol as one self-contained
+// type: every local count in a dense slice indexed by layout counter id, the
+// latest decided report per counter with the window of counters decided since
+// the last drain, and per-variable report constants.
+//
+// Bit-identity contract: event makes the decisions of the historical per-id
+// loop (sitekernel_test.go keeps it as the oracle) — variables ascending,
+// pair counter before parent counter, a report whenever reportProbSqrtK is 1
+// and otherwise one rng.Float64 coin against it — so the same counters report
+// at the same counts after the same draws in the same order.
 type siteCounters struct {
-	layout *Layout
 	k      int
 	sqrtK  float64
 	counts []int64
+	// reported.vals[id] is the latest local count the site decided to report
+	// for counter id (0 = never) — the crux of crash safety, see siteRun — and
+	// its dirty set is the pending window. Ids suffice there: counts are
+	// monotone, so the latest decision subsumes the window's earlier ones.
+	reported dirtyVec
+	vars     []siteVar
+}
+
+// siteVar holds one variable's id offsets and, for its pair ([0]) and parent
+// ([1]) counters, the error parameter and exactUntil: the largest local count
+// at which reportProbSqrtK is still 1. Up to it a report is decided by an
+// integer compare; the divide and the coin are paid only beyond it.
+type siteVar struct {
+	pairOff, parOff, card uint32
+	eps                   [2]float64
+	exactUntil            [2]int64
 }
 
 func newSiteCounters(layout *Layout, k int) *siteCounters {
-	return &siteCounters{
-		layout: layout,
-		k:      k,
-		sqrtK:  math.Sqrt(float64(k)),
-		counts: make([]int64, layout.NumCounters()),
+	s := &siteCounters{
+		k:        k,
+		sqrtK:    math.Sqrt(float64(k)),
+		counts:   make([]int64, layout.NumCounters()),
+		reported: newDirtyVec(layout.NumCounters()),
+		vars:     make([]siteVar, layout.net.Len()),
+	}
+	for i := range s.vars {
+		v := &s.vars[i]
+		v.pairOff, v.parOff, v.card = layout.pairOff[i], layout.parOff[i], uint32(layout.net.Card(i))
+		for j := range v.eps {
+			v.eps[j] = layout.sections[2*i+j].Eps
+			v.exactUntil[j] = exactUntil(k, s.sqrtK, v.eps[j])
+		}
+	}
+	return s
+}
+
+// exactUntil returns the largest local count n at which reportProbSqrtK(k,
+// sqrtK, eps, n) is still 1 — found by evaluating that very expression, which
+// never rises with n, around the real-valued solution √k/(ε'·k) — and
+// MaxInt64 for an exact counter (or one no run could take out of its exact
+// phase).
+func exactUntil(k int, sqrtK, eps float64) int64 {
+	if eps <= 0 || sqrtK/(eps*float64(k)) >= 1<<62 {
+		return math.MaxInt64
+	}
+	n := int64(sqrtK / (eps * float64(k)))
+	for reportProbSqrtK(k, sqrtK, eps, n+1) >= 1 {
+		n++
+	}
+	for n > 0 && reportProbSqrtK(k, sqrtK, eps, n) < 1 {
+		n--
+	}
+	return n
+}
+
+// event counts one stream event — x with its parent-configuration indices
+// over the layout's network — on the 2n counters it touches and decides each
+// one's report.
+func (s *siteCounters) event(x, pidx []int, rng *bn.RNG) {
+	for i := range s.vars {
+		v := &s.vars[i]
+		p := uint32(pidx[i])
+		s.count(v.pairOff+p*v.card+uint32(x[i]), v.eps[0], v.exactUntil[0], rng)
+		s.count(v.parOff+p, v.eps[1], v.exactUntil[1], rng)
 	}
 }
 
-// inc records one local increment for the counter and decides whether the
-// site reports it: always when the report probability is 1 (exact phase or
-// exact counters), otherwise by a coin flip from rng — drawn only in the
-// sampling regime, matching the historical draw order exactly.
-func (s *siteCounters) inc(id uint32, rng *bn.RNG) (localCount int64, report bool) {
-	s.counts[id]++
-	n := s.counts[id]
-	p := reportProbSqrtK(s.k, s.sqrtK, s.layout.Eps(id), n)
-	if p >= 1 || rng.Float64() < p {
-		return n, true
+func (s *siteCounters) count(id uint32, eps float64, exactUntil int64, rng *bn.RNG) {
+	n := s.counts[id] + 1
+	s.counts[id] = n
+	if n > exactUntil && rng.Float64() >= reportProbSqrtK(s.k, s.sqrtK, eps, n) {
+		return
 	}
-	return n, false
+	s.reported.set(id, n)
 }

@@ -113,7 +113,7 @@ func TestShipStructStatsFoldsOpenBlock(t *testing.T) {
 	rd.setReadLimit(structPayloadCap(layout.Cells()))
 	for _, position := range []uint64{1, 100, 256, 300, 700} {
 		for st.next < position {
-			x := st.nextEvent()
+			x, _ := st.nextEvent()
 			st.pairs.add(x)
 			layout.Accumulate(want, x)
 			st.next++
@@ -151,7 +151,8 @@ func BenchmarkPairAccumulate(b *testing.B) {
 	layout := st.pairs.layout
 	pool := make([][]int, 4096)
 	for i := range pool {
-		pool[i] = slices.Clone(st.nextEvent())
+		x, _ := st.nextEvent()
+		pool[i] = slices.Clone(x)
 	}
 	for _, cadence := range []int{1, 16, 256} {
 		b.Run(fmt.Sprintf("cadence=%d", cadence), func(b *testing.B) {

@@ -428,6 +428,11 @@ func TestCoordinatorCloseClosesRelayLinks(t *testing.T) {
 		NetName: "alarm", CPTSeed: 0xC0DE, Strategy: core.NonUniform,
 		Eps: 0.1, Delta: 0.25, Sites: 2, Events: 40000, StreamSeed: 5,
 		SiteBatchEvents: 50,
+		// The relay coalesces whatever its sites deliver between two flushes,
+		// so sites that outrun its flush loop could finish the run in fewer
+		// upstream frames than the kill below waits for. A site-side pause
+		// after every window keeps the ~800 window frames arriving as rounds.
+		LatencyMicros: 50,
 	}
 	co, err := NewCoordinator(cfg, "127.0.0.1:0")
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"slices"
 	"time"
 
 	"distbayes/internal/bn"
@@ -131,10 +130,10 @@ func (p retryPolicy) dialSite(id uint32, addr string, jrng *bn.RNG) (raw net.Con
 
 // siteRun is the state a site keeps across reconnects: the decoded run
 // configuration, the regenerated model and layout, the approximate-counter
-// state, the stream position, and — the crux of crash safety — lastReported,
-// the latest *decided* report per counter. Replaying lastReported on resume
-// restores the coordinator's row for this site to exactly the value an
-// uninterrupted run would have reached, because the final matrix cell only
+// state, the stream position, and — the crux of crash safety —
+// counts.reported, the latest *decided* report per counter. Replaying it
+// on resume restores the coordinator's row for this site to exactly the value
+// an uninterrupted run would have reached, because the final matrix cell only
 // ever holds the latest decided report (monotone counts, max-merge fold).
 type siteRun struct {
 	cfg      StartConfig
@@ -143,15 +142,6 @@ type siteRun struct {
 	counts   *siteCounters
 	rng      *bn.RNG
 	training *stream.Training
-	// lastReported[id] is the latest local count this site decided to
-	// report for counter id (0 = never reported).
-	lastReported []int64
-	// pending lists the counters with a report decided since the last
-	// shipped window, each once (queued[id] marks membership). Ids suffice:
-	// the values to ship are lastReported's — counts are monotone, so the
-	// latest decision subsumes the window's earlier ones.
-	pending []uint32
-	queued  []bool
 	// next is the index of the next stream event to process.
 	next uint64
 	// doneSent records that the coordinator accepted this site's Done
@@ -164,7 +154,10 @@ type siteRun struct {
 	pairs *pairAccumulator
 	// drift is the post-drift generating stream (nil without drift); events
 	// at positions ≥ cfg.DriftAtEvent are drawn from it instead of training.
-	drift *stream.Training
+	// Its DAG is not the tracked one, so its events' parent indices are
+	// recomputed over netw into driftPidx.
+	drift     *stream.Training
+	driftPidx []int
 	// ups is the window scratch reused across frames.
 	ups []Update
 }
@@ -198,10 +191,8 @@ func newSiteRun(id uint32, cfg StartConfig) (*siteRun, error) {
 		// The site's share of the stream is the same per-site sub-stream the
 		// in-process parallel engine uses — one shared constructor guards the
 		// cluster-vs-in-process equivalence.
-		training:     stream.NewSiteTraining(model, int(id), cfg.StreamSeed),
-		lastReported: make([]int64, layout.NumCounters()),
-		queued:       make([]bool, layout.NumCounters()),
-		ups:          make([]Update, 0, 2*netw.Len()),
+		training: stream.NewSiteTraining(model, int(id), cfg.StreamSeed),
+		ups:      make([]Update, 0, 2*netw.Len()),
 	}
 	if cfg.StructBatchEvents > 0 {
 		sl, err := NewStructLayout(netw)
@@ -233,22 +224,29 @@ func newSiteRun(id uint32, cfg StartConfig) (*siteRun, error) {
 		// restarts: both halves of the stream are pure functions of the
 		// StartConfig and the absolute event position.
 		st.drift = stream.NewSiteTraining(driftModel, int(id), cfg.StreamSeed^0xd21f7a3c5e9b11)
+		st.driftPidx = make([]int, netw.Len())
 	}
 	return st, nil
 }
 
-// nextEvent draws the site's next stream event: from the base generating
-// model before the drift point, from the drift model at and after it. Both
-// sub-streams advance only when consumed, and the switch is a pure function
-// of the absolute position st.next, so a restart's replay from event zero
-// regenerates the identical stream.
-func (st *siteRun) nextEvent() []int {
+// nextEvent draws the site's next stream event and its parent-configuration
+// indices over the tracked network: from the base generating model before the
+// drift point, from the drift model at and after it. Both sub-streams advance
+// only when consumed, and the switch is a pure function of the absolute
+// position st.next, so a restart's replay from event zero regenerates the
+// identical stream. The base sampler computed the indices on its way (its
+// network is the tracked one); the drift sampler's are over a different DAG —
+// the one case that must ask netw.
+func (st *siteRun) nextEvent() (x, pidx []int) {
 	if st.drift != nil && st.next >= st.cfg.DriftAtEvent {
-		_, x := st.drift.Next()
-		return x
+		_, x = st.drift.Next()
+		for i := range st.driftPidx {
+			st.driftPidx[i] = st.netw.ParentIndex(i, x)
+		}
+		return x, st.driftPidx
 	}
-	_, x := st.training.Next()
-	return x
+	_, x = st.training.Next()
+	return x, st.training.ParentIndices()
 }
 
 // reportWriter is the send half of the data plane: the one writer of
@@ -314,12 +312,12 @@ func (w *reportWriter) flush() error {
 }
 
 // stream is the site half of the counter protocol — the one stream loop,
-// whatever the topology: draw the event, increment every touched counter
-// and flip its report coin (same counters, same RNG draw order in every
-// mode), record each decided report in lastReported, and at every window
-// boundary hand the window's reports to w. Resumes from st.next; window
-// boundaries are absolute stream positions, so a reconnect does not shift
-// the frame schedule.
+// whatever the topology: draw the event, count it (siteCounters.event: every
+// touched counter incremented, its report decided and recorded — same
+// counters, same RNG draws in the same order in every mode, bit-identical to
+// the historical per-counter loop), and at every window boundary hand the
+// window's reports to w. Resumes from st.next; window boundaries are absolute
+// stream positions, so a reconnect does not shift the frame schedule.
 //
 // The window is cfg.BatchEvents events; 0 is the per-event protocol, a
 // window of one — the paper's transmission optimization (all reports one
@@ -329,7 +327,7 @@ func (w *reportWriter) flush() error {
 // probability already models. crashAt is the CrashAfterEvents chaos hook (0
 // = off).
 func (st *siteRun) stream(w *reportWriter, crashAt uint64) error {
-	cfg, netw, layout := st.cfg, st.netw, st.layout
+	cfg := st.cfg
 	window := uint64(max(cfg.BatchEvents, 1))
 	latency := time.Duration(cfg.LatencyMicros) * time.Microsecond
 	// Per-event frames without artificial latency ride the 64KB connection
@@ -344,28 +342,17 @@ func (st *siteRun) stream(w *reportWriter, crashAt uint64) error {
 		if crashAt > 0 && st.next >= crashAt {
 			return ErrSiteCrashed
 		}
-		x := st.nextEvent()
+		x, pidx := st.nextEvent()
 		if st.pairs != nil {
 			st.pairs.add(x)
 		}
-		for i := 0; i < netw.Len(); i++ {
-			pidx := netw.ParentIndex(i, x)
-			for _, id := range [2]uint32{layout.PairID(i, x[i], pidx), layout.ParID(i, pidx)} {
-				if n, report := st.counts.inc(id, st.rng); report {
-					st.lastReported[id] = n
-					if !st.queued[id] {
-						st.queued[id] = true
-						st.pending = append(st.pending, id)
-					}
-				}
-			}
-		}
+		st.counts.event(x, pidx, st.rng)
 		// The event is consumed the moment the sample is drawn and the
 		// decisions recorded; advance before any fallible write so a broken
 		// connection can never replay a consumed sample (the decisions it
-		// carried are in lastReported and covered by resume replay).
+		// carried are in counts.reported and covered by resume replay).
 		st.next++
-		if st.next%window == 0 && len(st.pending) > 0 {
+		if st.next%window == 0 && st.counts.reported.any {
 			if err := st.shipWindow(w); err != nil {
 				return err
 			}
@@ -401,18 +388,11 @@ func (st *siteRun) stream(w *reportWriter, crashAt uint64) error {
 }
 
 // shipWindow frames the pending window: the latest decided count of every
-// counter in st.pending, ascending. The window is emptied before the
-// fallible write — a frame lost with its connection is covered by replay.
+// counter with a report since the last window, ascending. The window is
+// emptied before the fallible write — a frame lost with its connection is
+// covered by replay.
 func (st *siteRun) shipWindow(w *reportWriter) error {
-	// Per-event windows arrive ascending (variable blocks ascend; within
-	// one, pair ids precede parent ids) and sort in linear time.
-	slices.Sort(st.pending)
-	st.ups = st.ups[:0]
-	for _, id := range st.pending {
-		st.queued[id] = false
-		st.ups = append(st.ups, Update{Counter: id, LocalCount: st.lastReported[id]})
-	}
-	st.pending = st.pending[:0]
+	st.ups = st.counts.reported.drain(st.ups[:0])
 	return w.writeUpdates(st.ups)
 }
 
@@ -436,12 +416,7 @@ func (st *siteRun) shipStruct(w *reportWriter) error {
 // replayed count is ≤ the count an uninterrupted run would have delivered by
 // now, and the coordinator keeps the max.
 func (st *siteRun) replay(w *reportWriter) error {
-	st.pending = st.pending[:0]
-	for id, n := range st.lastReported {
-		if n != 0 {
-			st.pending = append(st.pending, uint32(id))
-		}
-	}
+	st.counts.reported.markAll()
 	if err := st.shipWindow(w); err != nil {
 		return err
 	}

@@ -23,13 +23,19 @@ func NewFixedAssigner(site int) *FixedAssigner { return &FixedAssigner{site: sit
 // Next implements Assigner.
 func (a *FixedAssigner) Next() int { return a.site }
 
-// NextEvents appends the next n events to dst, giving each event its own
-// backing array (unlike Next, whose buffer is reused), so the result can be
-// retained, replayed against several trackers, or handed across goroutines.
+// NextEvents appends the next n events to dst. Unlike Next, whose buffer is
+// reused, the events do not alias each other or later output, so the result
+// can be retained, replayed against several trackers, or handed across
+// goroutines. The n events of one call are capacity-limited windows of one
+// slab (one allocation per call, not per event): appending to an event's X
+// reallocates instead of clobbering its neighbour, and a retained event pins
+// its call's whole slab.
 func (t *Training) NextEvents(dst []core.Event, n int) []core.Event {
+	width := len(t.buf)
+	slab := make([]int, max(n, 0)*width)
 	for j := 0; j < n; j++ {
 		site, x := t.Next()
-		cp := make([]int, len(x))
+		cp := slab[j*width : (j+1)*width : (j+1)*width]
 		copy(cp, x)
 		dst = append(dst, core.Event{Site: site, X: cp})
 	}

@@ -48,6 +48,20 @@ func TestNextEventsCopiesAndMatchesNext(t *testing.T) {
 			t.Fatal("NextEvents reused an event's backing array")
 		}
 	}
+	// The events of one call share a slab; an append to one must reallocate
+	// rather than write into its neighbour.
+	neighbour := append([]int(nil), evs[1].X...)
+	if grown := append(evs[0].X, -1); cap(evs[0].X) != len(evs[0].X) || &grown[0] == &evs[0].X[0] {
+		t.Fatal("an event's X has spare capacity inside the shared slab")
+	}
+	for i := range neighbour {
+		if evs[1].X[i] != neighbour[i] {
+			t.Fatal("appending to one event clobbered the next")
+		}
+	}
+	if got := tr.NextEvents(nil, 0); len(got) != 0 {
+		t.Fatalf("NextEvents(nil, 0) returned %d events", len(got))
+	}
 }
 
 // TestNewSiteTrainingsDeterministicAndPinned: per-site sub-streams are

@@ -120,5 +120,10 @@ func (t *Training) Next() (site int, x []int) {
 	return t.assign.Next(), t.buf
 }
 
+// ParentIndices returns, per variable, the parent-configuration index
+// (bn.Network.ParentIndex over the generating model's network) of the event
+// the latest Next returned. Like the event, it is reused by the next call.
+func (t *Training) ParentIndices() []int { return t.sampler.ParentIndices() }
+
 // Count returns the number of events produced so far.
 func (t *Training) Count() int64 { return t.count }

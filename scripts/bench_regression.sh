@@ -31,13 +31,14 @@ cd "$(dirname "$0")/.."
 BASELINE=${BENCH_BASELINE:-BENCH_BASELINE.txt}
 THRESHOLD=${BENCH_REGRESSION_PCT:-30}
 BENCH_TIME=${BENCH_TIME:-1s}
-PATTERN='BenchmarkParallelIngest|BenchmarkDeltaIngest|BenchmarkQueryProb|BenchmarkClassify$|BenchmarkEstimatedModel|BenchmarkNewTracker|BenchmarkClusterThroughput|BenchmarkStructLearnOverhead|BenchmarkPairAccumulate|BenchmarkBankIncBatch|BenchmarkFederationThroughput|BenchmarkServeQueries|BenchmarkServeOverload'
+PATTERN='BenchmarkParallelIngest|BenchmarkDeltaIngest|BenchmarkQueryProb|BenchmarkClassify$|BenchmarkEstimatedModel|BenchmarkNewTracker|BenchmarkClusterThroughput|BenchmarkStructLearnOverhead|BenchmarkPairAccumulate|BenchmarkSiteEvent|BenchmarkSample$|BenchmarkBankIncBatch|BenchmarkFederationThroughput|BenchmarkServeQueries|BenchmarkServeOverload'
 
-# BenchmarkPairAccumulate and BenchmarkBankIncBatch live beside the kernels
-# they measure, in internal/cluster and internal/counter (ns/event,
-# ns/increment and allocs: reported, not gated).
+# BenchmarkPairAccumulate, BenchmarkSiteEvent, BenchmarkSample and
+# BenchmarkBankIncBatch live beside the kernels they measure, in
+# internal/cluster, internal/bn and internal/counter (ns/event, ns/increment
+# and allocs: reported, not gated).
 run_benchmarks() {
-  go test -count=1 -run '^$' -bench "$PATTERN" -benchtime "$BENCH_TIME" . ./internal/cluster ./internal/counter
+  go test -count=1 -run '^$' -bench "$PATTERN" -benchtime "$BENCH_TIME" . ./internal/bn ./internal/cluster ./internal/counter
 }
 
 if [[ "${1:-}" == "--update-baseline" ]]; then
