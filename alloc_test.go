@@ -6,10 +6,12 @@
 package distbayes_test
 
 import (
+	"runtime"
 	"testing"
 
 	"distbayes/internal/cluster"
 	"distbayes/internal/core"
+	"distbayes/internal/counter"
 	"distbayes/internal/netgen"
 	"distbayes/internal/stream"
 )
@@ -65,7 +67,11 @@ func TestWarmQueriesDoNotAllocate(t *testing.T) {
 // pooled pass scratch exists, UpdateEvents (the benchmark's 12-event pump
 // batches and 256-event rounds) and Update allocate nothing, on the
 // sequential reference tracker and on a striped one. The pool holds the
-// scratch's box, so Put has no slice header to re-box.
+// scratch's box, so Put has no slice header to re-box. A counter gets its
+// round record when it leaves its exact phase, so ingest allocates when — and
+// only when — a touched cell opens its first round: the warm-up replays the
+// batch until every cell it touches has (each replay adds at least one to
+// each, and no counter's exact phase outlasts the largest ExactThreshold).
 func TestWarmIngestDoesNotAllocate(t *testing.T) {
 	model, err := netgen.ModelByName("alarm")
 	if err != nil {
@@ -76,6 +82,13 @@ func TestWarmIngestDoesNotAllocate(t *testing.T) {
 		tr, err := core.NewTracker(model.Network(), core.Config{Strategy: core.NonUniform, Eps: 0.1, Sites: 4, Seed: 1, Shards: shards})
 		if err != nil {
 			t.Fatal(err)
+		}
+		alloc, replays := tr.Allocation(), int64(0)
+		for i := range alloc.EpsA {
+			replays = max(replays, counter.ExactThreshold(4, alloc.EpsA[i]), counter.ExactThreshold(4, alloc.EpsB[i]))
+		}
+		for ; replays > 0; replays-- {
+			tr.UpdateEvents(events)
 		}
 		for name, ingest := range map[string]func(){
 			"UpdateEvents(12)":  func() { tr.UpdateEvents(events[:12]) },
@@ -88,4 +101,41 @@ func TestWarmIngestDoesNotAllocate(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestColdCellsAreCheap gates what a counter costs before it samples: the
+// benchmark's serve-ingest tracker (netgen munin, 123 140 counters,
+// NonUniform, 4 sites, 4 stripes) retains at most 3 MiB when built — it was
+// 14.07 MiB while every cell's round state was allocated up front — and at
+// most 8 MiB after that workload's ~125k events, when one cell in twenty has
+// opened a round.
+func TestColdCellsAreCheap(t *testing.T) {
+	model, err := netgen.ModelByName("munin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := stream.NewTraining(model, stream.NewUniformAssigner(4, 2), 3).NextEvents(nil, 1<<14)
+	heapMiB := func() float64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.GC() // the second pass empties the pass-scratch pool's victim cache
+		runtime.ReadMemStats(&m)
+		return float64(m.HeapAlloc) / (1 << 20)
+	}
+	before := heapMiB()
+	tr, err := core.NewTracker(model.Network(), core.Config{Strategy: core.NonUniform, Eps: 0.1, Sites: 4, Seed: 1, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := heapMiB() - before; got > 3 {
+		t.Errorf("NewTracker(munin) retains %.2f MiB, want <= 3", got)
+	}
+	for n := 0; n < 125_000; n += 1 << 12 {
+		tr.UpdateEvents(pool[n%len(pool):][:1<<12])
+	}
+	if got := heapMiB() - before; got > 8 {
+		t.Errorf("munin tracker retains %.2f MiB after %d events, want <= 8", got, tr.Events())
+	}
+	runtime.KeepAlive(pool)
+	runtime.KeepAlive(model) // only its network is the tracker's
 }

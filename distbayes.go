@@ -108,8 +108,8 @@
 // striped federation through the same ModelSource interface, all handing out
 // core.Snapshots. Underneath, snapshot rebuilds read whole counter
 // rows through kind-specialized counter.Bank.EstimateRange bulk loops
-// instead of a per-cell Estimate switch, so rebuilding the ~80k-cell munin
-// network stays cheap enough to refresh on a millisecond staleness bound
+// instead of a per-cell Estimate switch, so rebuilding munin's 101 866 CPT
+// cells stays cheap enough to refresh on a millisecond staleness bound
 // under live ingest (BenchmarkServeQueries: a multi-client closed-loop
 // load with a hot ingest pump, gated in BENCH_BASELINE.txt). See
 // cmd/bnserve for the standalone binary and examples/serving for an

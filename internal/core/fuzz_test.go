@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -42,7 +43,7 @@ func fuzzNet() *bn.Network {
 // than at the magic check.
 func FuzzLoadState(f *testing.F) {
 	net := fuzzNet()
-	for _, cfg := range fuzzConfigs() {
+	for i, cfg := range fuzzConfigs() {
 		tr, err := NewTracker(net, cfg)
 		if err != nil {
 			f.Fatal(err)
@@ -61,6 +62,9 @@ func FuzzLoadState(f *testing.F) {
 		flipped := append([]byte(nil), snap...)
 		flipped[len(flipped)/3] ^= 0x40 // bit flip mid-record
 		f.Add(flipped)
+		if i == 0 {
+			f.Add(exactCellWithSiteState(f, net, snap))
+		}
 	}
 	f.Add([]byte("DBAYES03"))
 	f.Add([]byte{})
@@ -72,9 +76,41 @@ func FuzzLoadState(f *testing.F) {
 				t.Fatal(err)
 			}
 			// Must not panic; errors are the expected outcome for garbage.
-			_ = tr.LoadState(bytes.NewReader(data))
+			if tr.LoadState(bytes.NewReader(data)) != nil {
+				continue
+			}
+			// Whatever was accepted must be a tracker that works: every
+			// sampling cell has its round record and nothing indexes past
+			// the records the load allocated.
+			tr.UpdateEvents(genFuzzEvents(net, cfg.Sites, 64, 5))
+			tr.AcquireSnapshot().Release()
+			if err := tr.SaveState(io.Discard); err != nil {
+				t.Fatalf("SaveState after an accepted load: %v", err)
+			}
 		}
 	})
+}
+
+// exactCellWithSiteState returns a copy of a cfg0 (randomized, 3 sites)
+// checkpoint in which the first bank's last cell — still in exact mode after
+// the corpus stream — has one in-round site delta set: the record decoders
+// reject it, because a cell that has not opened a round has no record to
+// load it into.
+func exactCellWithSiteState(t testing.TB, net *bn.Network, snap []byte) []byte {
+	// magic, fingerprint, events, two tallies, one RNG state, the first
+	// record's length; then the bank header, totals, flags and the base,
+	// estSum and nReporters planes of variable A's pair bank.
+	const sites = 3
+	cells := net.Card(0) * net.ParentCard(0)
+	bank := 8 + 8 + 8 + 16 + 32 + 8
+	flags := bank + 18 + 8*cells
+	d := flags + cells + 3*8*cells
+	if snap[flags+cells-1] != 0 {
+		t.Fatal("the corpus stream took the cell this seed edits out of exact mode")
+	}
+	bad := append([]byte(nil), snap...)
+	bad[d+8*sites*(cells-1)] = 1
+	return bad
 }
 
 // genFuzzEvents is genEventStream without the *testing.T, for fuzz setup.
@@ -132,5 +168,8 @@ func TestWriteFuzzLoadStateCorpus(t *testing.T) {
 		flipped := append([]byte(nil), snap...)
 		flipped[len(flipped)/3] ^= 0x40
 		write(prefix+"-bitflip", flipped)
+		if i == 0 {
+			write(prefix+"-exact-cell-site-state", exactCellWithSiteState(t, net, snap))
+		}
 	}
 }

@@ -430,7 +430,7 @@ type passScratch struct {
 // owned variable's whole run with two Bank.IncBatch calls.
 //
 // Bank-major order is the point: event-major application touches all 2n banks
-// (header, total[] and sampling[] lines each) per event and reuses nothing
+// (header, total[] and slot[] lines each) per event and reuses nothing
 // between two visits to a bank — on munin's 2082 banks that was most of the
 // 36 µs per event — while a run loads a bank's lines once per pass. Within a
 // stripe the randomized counters share one RNG, so the draw order, and with
@@ -672,8 +672,8 @@ func growFloats(s []float64, n int) []float64 {
 // readRowsLocked copies variable i's raw estimates into pair (len J_i·K_i)
 // and par (len K_i) with one kind-specialized bulk read per bank
 // (counter.Bank.EstimateRange) — the vectorized half of the snapshot
-// rebuild, which walks every CPT cell (munin: ~80k). Callers must hold i's
-// stripe lock.
+// rebuild, which walks every CPT cell and every parent cell (munin: 101 866
+// and 21 274). Callers must hold i's stripe lock.
 func (t *Tracker) readRowsLocked(i int, pair, par []float64) {
 	t.pair[i].EstimateRange(0, len(pair), pair)
 	t.par[i].EstimateRange(0, len(par), par)

@@ -14,23 +14,44 @@ import (
 //
 // A Bank holds the state of `cells` logical counters of one Kind that share
 // a site count k, an error parameter eps, a metrics sink and (for the
-// randomized kind) an RNG. Instead of one heap object per counter, all
-// per-cell scalars live in parallel slices indexed by cell —
+// randomized kind) an RNG. Instead of one heap object per counter, state
+// lives in a few slices, split by what each phase of a counter reads:
 //
-//	total[cell], sampling[cell], base[cell], pThresh[cell], adj[cell],
-//	estSum[cell], nReporters[cell], quantum[cell], reported[cell]
+//	every cell         total[cell] int64, slot[cell] int32               12 B
+//	a record, HYZ      hyz[slot]: pThresh, base, estSum, adj, nReporters
+//	                   (36 B of fields in a 40 B struct); per site
+//	                   d[slot·k+site] and r[slot·k+site]                  40 + 16k B
+//	a record, Det.     det[slot]: base, quantum, reported; per site
+//	                   pending[slot·k+site]                               24 + 8k B
 //
-// — and the per-site round state lives in single backing slices indexed by
-// cell*k + site:
+// A counter forwards every increment until its count reaches the point
+// where reporting less is worthwhile (√k/ε for HYZ), and only then needs
+// rounds, per-site deltas and a report probability — so a cell is given a
+// round record when its first round opens (newRecord), not when the bank is
+// built. slot[cell] is the index of that record and −1 while the cell is in
+// exact mode: it takes the place of the per-cell flag the hot loops used to
+// branch on and carries the index as well, so they load what they always
+// did. On the paper's large networks nearly all cells stay cold — 4.6 % of
+// netgen munin's 123 140 counters have a record after 125k events — which is
+// 12 B a cell against the 109 B (k = 4) of allocating every plane for every
+// cell up front. Counts only grow, so a counter never returns to its exact
+// phase: a record is never freed, and with nothing freed nothing is ever
+// compacted — a record never moves relative to its cell. The record slices
+// grow ⌈cells/8⌉ records at a time and never past `cells`, so a bank
+// reallocates at most eight times in its life and never holds more than an
+// eighth of its dense size unused.
 //
-//	d[cell*k+site]        HYZ: in-round local increments
-//	r[cell*k+site]        HYZ: last reported in-round delta
-//	pending[cell*k+site]  Deterministic: unreported local increments
+// Following slot costs an increment a dependent load the dense planes did
+// not have, and the sequential tracker, which visits every bank for every
+// event, felt it (−7 % events/s on alarm at k = 30). What won most of that
+// back is fewer cache lines per visit: the coordinator's scalars of a round
+// are one struct (a report or an estimate reads it, not one line of each of
+// five planes), the Bank header is ordered by who reads what (see the
+// struct), and Inc does the randomized increment in line.
 //
-// The Inc(cell, site) hot path is therefore a direct method call on
-// contiguous memory — no interface dispatch, no pointer chase through
-// per-cell objects — and a whole bank costs O(1) allocations instead of
-// O(cells).
+// The Inc(cell, site) hot path is a direct method call on contiguous
+// memory — no interface dispatch, no pointer chase through per-cell
+// objects — and a whole bank costs O(1) allocations instead of O(cells).
 //
 // The per-cell protocol logic is an exact port of the historical per-cell
 // counters (HYZ, Deterministic, Exact below, which are now thin one-cell
@@ -38,7 +59,8 @@ import (
 // message tallies. A sequence of Inc calls against a bank is bit-identical
 // to the same sequence against individually allocated counters sharing the
 // same RNG, which is what preserves the tracker's Shards=1 reproducibility
-// guarantee across the flat-layout refactor.
+// guarantee; bank_test.go keeps the dense-plane protocol as the oracle the
+// record layout is compared with.
 //
 // # Custom cells
 //
@@ -79,12 +101,15 @@ const (
 // Deterministic) drain after every Inc, so their sink stays a race-safe
 // shared one.
 type Bank struct {
+	// Field order is by cache line of the 64-byte-aligned struct: the first
+	// holds what every increment reads, the second what a sampling-mode
+	// increment adds, then what a report and a new round touch. The tracker
+	// visits all its banks for every event, so a bank's header lines are as
+	// much of the ingest working set as its cells.
 	kind    Kind
 	k       int
-	cells   int
-	eps     float64
-	metrics *Metrics
 	rng     *bn.RNG
+	metrics *Metrics
 
 	// exactThresh caches ExactThreshold(k, eps) for the HYZ kind so the
 	// exact-mode hot path does not recompute a sqrt per increment.
@@ -92,21 +117,20 @@ type Bank struct {
 
 	total []int64
 
-	// Round state shared by the sampling kinds (nil for ExactKind).
-	sampling []bool
-	base     []int64
+	// slot is a cell's round-record index, −1 in exact mode (nil for
+	// ExactKind). One of hyz and det holds the records, by kind, with the
+	// per-site state of record s at [s*k, (s+1)*k) of d and r, or of
+	// pending; records of them are handed out.
+	slot    []int32
+	d       []int64 // HYZ: slot*k + site
+	hyz     []hyzRound
+	r       []int64 // HYZ: slot*k + site
+	det     []detRound
+	pending []int64 // Deterministic: slot*k + site
 
-	// HYZ state.
-	pThresh    []uint64
-	adj        []float64
-	estSum     []int64
-	nReporters []int32
-	d, r       []int64 // cell*k + site
-
-	// Deterministic state.
-	quantum  []int64
-	reported []int64
-	pending  []int64 // cell*k + site
+	records int
+	cells   int
+	eps     float64
 
 	// custom is non-nil iff kind == customKind.
 	custom []Counter
@@ -120,8 +144,8 @@ type Bank struct {
 // unused (see the HYZ type comment).
 func NewBank(kind Kind, cells, k int, eps, delta float64, metrics *Metrics, rng *bn.RNG) (*Bank, error) {
 	_ = delta
-	if cells < 0 {
-		return nil, fmt.Errorf("counter: bank cells = %d, want >= 0", cells)
+	if cells < 0 || cells > math.MaxInt32 {
+		return nil, fmt.Errorf("counter: bank cells = %d, want 0..%d", cells, math.MaxInt32)
 	}
 	if metrics == nil {
 		return nil, fmt.Errorf("counter: bank needs a metrics sink")
@@ -132,7 +156,6 @@ func NewBank(kind Kind, cells, k int, eps, delta float64, metrics *Metrics, rng 
 		if k < 1 {
 			return nil, fmt.Errorf("counter: need at least one site, got %d", k)
 		}
-		b.total = make([]int64, cells)
 	case HYZKind:
 		if err := validate(k, eps); err != nil {
 			return nil, err
@@ -141,31 +164,62 @@ func NewBank(kind Kind, cells, k int, eps, delta float64, metrics *Metrics, rng 
 			return nil, fmt.Errorf("counter: randomized bank needs an RNG")
 		}
 		b.exactThresh = ExactThreshold(k, eps)
-		b.total = make([]int64, cells)
-		b.sampling = make([]bool, cells)
-		b.base = make([]int64, cells)
-		b.pThresh = make([]uint64, cells)
-		b.adj = make([]float64, cells)
-		b.estSum = make([]int64, cells)
-		b.nReporters = make([]int32, cells)
-		// One contiguous slab for both per-site planes keeps the d/r pair
-		// of a cell on adjacent cache lines.
-		slab := make([]int64, 2*cells*k)
-		b.d, b.r = slab[:cells*k:cells*k], slab[cells*k:]
 	case DeterministicKind:
 		if err := validate(k, eps); err != nil {
 			return nil, err
 		}
-		b.total = make([]int64, cells)
-		b.sampling = make([]bool, cells)
-		b.base = make([]int64, cells)
-		b.quantum = make([]int64, cells)
-		b.reported = make([]int64, cells)
-		b.pending = make([]int64, cells*k)
 	default:
 		return nil, fmt.Errorf("counter: unknown bank kind %d", kind)
 	}
+	b.total = make([]int64, cells)
+	if kind != ExactKind {
+		b.slot = make([]int32, cells)
+		b.resetRecords(0)
+	}
 	return b, nil
+}
+
+// resetRecords puts every cell in exact mode and sizes the record slices for
+// exactly n records (a restored bank knows how many it needs).
+func (b *Bank) resetRecords(n int) {
+	for i := range b.slot {
+		b.slot[i] = -1
+	}
+	b.records = 0
+	b.resizeRecords(n)
+}
+
+// newRecord hands cell, whose first round is opening, the next round record
+// and returns its index; the caller fills every field. Full slices grow by
+// ⌈cells/8⌉ records, never past cells. Growth reallocates the record slices,
+// so no loop keeps one in a local across a call that can get here.
+func (b *Bank) newRecord(cell int) int {
+	if b.records == b.room() {
+		b.resizeRecords(min(b.records+(b.cells+7)/8, b.cells))
+	}
+	s := b.records
+	b.records++
+	b.slot[cell] = int32(s)
+	return s
+}
+
+// resizeRecords reallocates the record slices to hold n records, keeping the
+// contents of those that fit.
+func (b *Bank) resizeRecords(n int) {
+	if b.kind == HYZKind {
+		b.hyz, b.d, b.r = resized(b.hyz, n), resized(b.d, n*b.k), resized(b.r, n*b.k)
+	} else {
+		b.det, b.pending = resized(b.det, n), resized(b.pending, n*b.k)
+	}
+}
+
+// room is how many records the record slices hold (one of them is empty).
+func (b *Bank) room() int { return len(b.hyz) + len(b.det) }
+
+func resized[T any](s []T, n int) []T {
+	t := make([]T, n)
+	copy(t, s)
+	return t
 }
 
 // NewCustomBank creates a bank whose cells are caller-supplied Counter
@@ -195,14 +249,29 @@ func (b *Bank) Cells() int { return b.cells }
 
 // Inc records one increment for cell observed at site. This is the
 // tracker's ingest hot path: for the built-in kinds it runs devirtualized
-// on the bank's flat state.
+// on the bank's flat state, the randomized kind's increment in line — the
+// sequential tracker makes 2n of these calls per event, and a second call
+// level under each cost it 4 %.
 func (b *Bank) Inc(cell, site int) {
 	switch b.kind {
 	case ExactKind:
 		b.total[cell]++
 		b.metrics.SiteToCoord++
 	case HYZKind:
-		b.incHYZ(cell, site)
+		b.total[cell]++
+		s := int(b.slot[cell])
+		if s < 0 {
+			// Exact mode: forward every increment.
+			b.metrics.SiteToCoord++
+			if b.total[cell] >= b.exactThresh {
+				b.openRoundHYZ(cell)
+			}
+			return
+		}
+		b.d[s*b.k+site]++
+		if b.rng.Uint64() < b.hyz[s].pThresh {
+			b.reportHYZ(cell, s, site)
+		}
 	case DeterministicKind:
 		b.incDet(cell, site)
 	default:
@@ -213,10 +282,13 @@ func (b *Bank) Inc(cell, site int) {
 // IncBatch records one increment for every (cells[j], sites[j]) pair in
 // order — the bulk write that EstimateRange is for reads. It is bit-identical
 // to calling Inc per pair (same RNG draws in the same order, same messages,
-// same state), with the kind switch, the slice headers and the exact-mode
-// message tally hoisted out of the loop; the tracker's ingestion engine hands it
-// one variable's whole run of a pass, so a bank's lines are loaded once per
-// run rather than once per event. len(sites) must be at least len(cells).
+// same state), with the kind switch, the per-cell slice headers and the
+// exact-mode message tally hoisted out of the loop (the records are reached
+// through the bank: a first round opening mid-run may reallocate them, and the
+// RNG call of every sampling-mode increment spills hoisted headers anyway);
+// the tracker's ingestion engine hands it one variable's whole run of a pass,
+// so a bank's lines are loaded once per run rather than once per event.
+// len(sites) must be at least len(cells).
 func (b *Bank) IncBatch(cells, sites []int32) {
 	sites = sites[:len(cells)]
 	switch b.kind {
@@ -227,12 +299,13 @@ func (b *Bank) IncBatch(cells, sites []int32) {
 		}
 		b.metrics.SiteToCoord += int64(len(cells))
 	case HYZKind:
-		k, total, sampling, d, pThresh := b.k, b.total, b.sampling, b.d, b.pThresh
+		k, total, slot := b.k, b.total, b.slot
 		var forwarded int64 // exact-mode increments: one message each
 		for j, c := range cells {
 			cell := int(c)
 			total[cell]++
-			if !sampling[cell] {
+			s := int(slot[cell])
+			if s < 0 {
 				forwarded++
 				if total[cell] >= b.exactThresh {
 					b.openRoundHYZ(cell)
@@ -240,9 +313,9 @@ func (b *Bank) IncBatch(cells, sites []int32) {
 				continue
 			}
 			site := int(sites[j])
-			d[cell*k+site]++
-			if b.rng.Uint64() < pThresh[cell] {
-				b.reportHYZ(cell, site)
+			b.d[s*k+site]++
+			if b.rng.Uint64() < b.hyz[s].pThresh {
+				b.reportHYZ(cell, s, site)
 			}
 		}
 		b.metrics.SiteToCoord += forwarded
@@ -263,15 +336,17 @@ func (b *Bank) Estimate(cell int) float64 {
 	case ExactKind:
 		return float64(b.total[cell])
 	case HYZKind:
-		if !b.sampling[cell] {
+		s := int(b.slot[cell])
+		if s < 0 {
 			return float64(b.total[cell])
 		}
-		return float64(b.base[cell]) + b.inRoundEstimate(cell)
+		return float64(b.hyz[s].base) + b.hyz[s].inRound()
 	case DeterministicKind:
-		if !b.sampling[cell] {
+		s := b.slot[cell]
+		if s < 0 {
 			return float64(b.total[cell])
 		}
-		return float64(b.base[cell] + b.reported[cell])
+		return float64(b.det[s].base + b.det[s].reported)
 	default:
 		return b.custom[cell].Estimate()
 	}
@@ -281,7 +356,7 @@ func (b *Bank) Estimate(cell int) float64 {
 // dst[:hi-lo]: one kind-specialized pass over the flat struct-of-arrays
 // state instead of a per-cell switch dispatch, bit-identical to calling
 // Estimate on each cell. This is the snapshot-rebuild hot path — a
-// munin-scale rebuild reads ~80k cells, and the bulk loops keep the kind
+// munin-scale rebuild reads 123 140 cells, and the bulk loops keep the kind
 // dispatch and slice-header loads out of the walk. An out-of-range [lo, hi)
 // panics, like a slice expression; dst must hold at least hi-lo values.
 func (b *Bank) EstimateRange(lo, hi int, dst []float64) {
@@ -295,26 +370,22 @@ func (b *Bank) EstimateRange(lo, hi int, dst []float64) {
 			dst[c] = float64(t)
 		}
 	case HYZKind:
-		total, sampling, base := b.total, b.sampling, b.base
-		estSum, nRep, adj := b.estSum, b.nReporters, b.adj
-		for c := lo; c < hi; c++ {
-			if !sampling[c] {
-				dst[c-lo] = float64(total[c])
+		total, hyz := b.total, b.hyz
+		for c, s := range b.slot[lo:hi] {
+			if s < 0 {
+				dst[c] = float64(total[lo+c])
 				continue
 			}
-			// Parenthesized to keep Estimate's association:
-			// base + (estSum + nReporters·adj), cf. inRoundEstimate.
-			dst[c-lo] = float64(base[c]) + (float64(estSum[c]) + float64(nRep[c])*adj[c])
+			dst[c] = float64(hyz[s].base) + hyz[s].inRound() // Estimate's expression
 		}
 	case DeterministicKind:
-		total, sampling := b.total, b.sampling
-		base, reported := b.base, b.reported
-		for c := lo; c < hi; c++ {
-			if !sampling[c] {
-				dst[c-lo] = float64(total[c])
+		total, det := b.total, b.det
+		for c, s := range b.slot[lo:hi] {
+			if s < 0 {
+				dst[c] = float64(total[lo+c])
 				continue
 			}
-			dst[c-lo] = float64(base[c] + reported[c])
+			dst[c] = float64(det[s].base + det[s].reported)
 		}
 	default:
 		for c := lo; c < hi; c++ {
@@ -413,7 +484,7 @@ func (b *Bank) Merge(delta []int64) {
 // per-increment loop); sampling-mode increments replay individually because
 // each draws the report coin.
 func (b *Bank) mergeHYZ(cell, site int, c int64) {
-	if !b.sampling[cell] {
+	if b.slot[cell] < 0 {
 		step := b.exactThresh - b.total[cell]
 		if step > c {
 			step = c
@@ -433,15 +504,16 @@ func (b *Bank) mergeHYZ(cell, site int, c int64) {
 	// Per-increment replay with the per-cell state hoisted into locals; a
 	// report can reset the round (total stays, d and pThresh change), so the
 	// locals are written back before and reloaded after each one.
-	idx := cell*b.k + site
-	tot, d, pt := b.total[cell], b.d[idx], b.pThresh[cell]
+	s := int(b.slot[cell])
+	idx := s*b.k + site
+	tot, d, pt := b.total[cell], b.d[idx], b.hyz[s].pThresh
 	for ; c > 0; c-- {
 		tot++
 		d++
 		if b.rng.Uint64() < pt {
 			b.total[cell], b.d[idx] = tot, d
-			b.reportHYZ(cell, site)
-			tot, d, pt = b.total[cell], b.d[idx], b.pThresh[cell]
+			b.reportHYZ(cell, s, site)
+			tot, d, pt = b.total[cell], b.d[idx], b.hyz[s].pThresh
 		}
 	}
 	b.total[cell], b.d[idx] = tot, d
@@ -454,7 +526,7 @@ func (b *Bank) mergeHYZ(cell, site int, c int64) {
 // folds into ⌊c/quantum⌋ reports plus a remainder, matching the
 // per-increment loop exactly.
 func (b *Bank) mergeDet(cell, site int, c int64) {
-	for !b.sampling[cell] {
+	for b.slot[cell] < 0 {
 		if c == 0 {
 			return
 		}
@@ -465,9 +537,10 @@ func (b *Bank) mergeDet(cell, site int, c int64) {
 			b.openRoundDet(cell)
 		}
 	}
-	idx := cell*b.k + site
+	s := int(b.slot[cell])
+	rd, idx := &b.det[s], s*b.k+site
 	for c > 0 {
-		need := b.quantum[cell] - b.pending[idx] // increments until a report fires
+		need := rd.quantum - b.pending[idx] // increments until a report fires
 		if need > c {
 			b.pending[idx] += c
 			b.total[cell] += c
@@ -477,9 +550,9 @@ func (b *Bank) mergeDet(cell, site int, c int64) {
 		b.total[cell] += need
 		c -= need
 		b.metrics.SiteToCoord++
-		b.reported[cell] += b.pending[idx]
+		rd.reported += b.pending[idx]
 		b.pending[idx] = 0
-		if b.reported[cell] >= b.base[cell] {
+		if rd.reported >= rd.base {
 			b.openRoundDet(cell) // resets every site's pending, new quantum
 		}
 	}
@@ -487,78 +560,75 @@ func (b *Bank) mergeDet(cell, site int, c int64) {
 
 // --- HYZ protocol on flat state (see the HYZ type comment for the math) ---
 
-func (b *Bank) incHYZ(cell, site int) {
-	b.total[cell]++
-	if !b.sampling[cell] {
-		// Exact mode: forward every increment.
-		b.metrics.SiteToCoord++
-		if b.total[cell] >= b.exactThresh {
-			b.openRoundHYZ(cell)
-		}
-		return
-	}
-	b.d[cell*b.k+site]++
-	if b.rng.Uint64() < b.pThresh[cell] {
-		b.reportHYZ(cell, site)
+// hyzRound is the coordinator's half of a randomized counter's round record.
+type hyzRound struct {
+	pThresh    uint64  // a site reports when its draw falls below p·2⁶⁴
+	base       int64   // the exact count the round opened at
+	estSum     int64   // Σ over reporting sites of their last reported delta
+	adj        float64 // (1−p)/p, the expected unreported tail of a reporter
+	nReporters int32
+}
+
+// setProb installs the derived sampling parameters of a round run at report
+// probability p.
+func (r *hyzRound) setProb(p float64) {
+	if p >= 1 {
+		r.pThresh, r.adj = math.MaxUint64, 0
+	} else {
+		r.pThresh, r.adj = uint64(p*math.MaxUint64), (1-p)/p
 	}
 }
 
+// inRound is the coordinator's estimate of the increments since the round
+// opened.
+func (r *hyzRound) inRound() float64 {
+	return float64(r.estSum) + float64(r.nReporters)*r.adj
+}
+
 // reportHYZ delivers site's current in-round delta to the coordinator and
-// advances the round if the in-round estimate shows the count has doubled.
-func (b *Bank) reportHYZ(cell, site int) {
+// advances the round if the in-round estimate shows the count has doubled;
+// s is cell's record.
+func (b *Bank) reportHYZ(cell, s, site int) {
 	b.metrics.SiteToCoord++
-	idx := cell*b.k + site
+	rd, idx := &b.hyz[s], s*b.k+site
 	if b.r[idx] == 0 {
-		b.nReporters[cell]++
+		rd.nReporters++
 	}
-	b.estSum[cell] += b.d[idx] - b.r[idx]
+	rd.estSum += b.d[idx] - b.r[idx]
 	b.r[idx] = b.d[idx]
-	if b.inRoundEstimate(cell) >= float64(b.base[cell]) {
+	if rd.inRound() >= float64(rd.base) {
 		b.openRoundHYZ(cell)
 	}
 }
 
 // openRoundHYZ synchronizes all sites (k reports + k broadcasts) and resets
-// the cell's in-round state with a new report probability.
+// the cell's in-round state with a new report probability; a cell's first
+// round is where it gets its record.
 func (b *Bank) openRoundHYZ(cell int) {
-	b.sampling[cell] = true
+	s := int(b.slot[cell])
+	if s < 0 {
+		s = b.newRecord(cell)
+	}
 	b.metrics.SiteToCoord += int64(b.k)
 	b.metrics.CoordToSite += int64(b.k)
 
-	b.base[cell] = b.total[cell]
-	b.setRoundParams(cell, ReportProb(b.k, b.eps, b.base[cell]))
-	lo := cell * b.k
-	for i := lo; i < lo+b.k; i++ {
-		b.d[i] = 0
-		b.r[i] = 0
-	}
-	b.estSum[cell] = 0
-	b.nReporters[cell] = 0
-}
-
-// setRoundParams installs the derived sampling parameters for a round run at
-// report probability p.
-func (b *Bank) setRoundParams(cell int, p float64) {
-	if p >= 1 {
-		b.pThresh[cell] = math.MaxUint64
-		b.adj[cell] = 0
-	} else {
-		b.pThresh[cell] = uint64(p * math.MaxUint64)
-		b.adj[cell] = (1 - p) / p
-	}
-}
-
-// inRoundEstimate is the coordinator's estimate of cell's increments since
-// the round opened.
-func (b *Bank) inRoundEstimate(cell int) float64 {
-	return float64(b.estSum[cell]) + float64(b.nReporters[cell])*b.adj[cell]
+	rd := &b.hyz[s]
+	*rd = hyzRound{base: b.total[cell]}
+	rd.setProb(ReportProb(b.k, b.eps, rd.base))
+	clear(b.d[s*b.k : (s+1)*b.k])
+	clear(b.r[s*b.k : (s+1)*b.k])
 }
 
 // --- deterministic threshold protocol on flat state ---
 
+// detRound is the coordinator's half of a deterministic counter's round
+// record: sites report every quantum local increments, reported sums them.
+type detRound struct{ base, quantum, reported int64 }
+
 func (b *Bank) incDet(cell, site int) {
 	b.total[cell]++
-	if !b.sampling[cell] {
+	s := int(b.slot[cell])
+	if s < 0 {
 		b.metrics.SiteToCoord++
 		// Exact until a quantum of at least 2 is worthwhile. Computed per
 		// increment (not cached) to stay bit-identical to the historical
@@ -568,31 +638,29 @@ func (b *Bank) incDet(cell, site int) {
 		}
 		return
 	}
-	idx := cell*b.k + site
+	rd, idx := &b.det[s], s*b.k+site
 	b.pending[idx]++
-	if b.pending[idx] >= b.quantum[cell] {
+	if b.pending[idx] >= rd.quantum {
 		b.metrics.SiteToCoord++
-		b.reported[cell] += b.pending[idx]
+		rd.reported += b.pending[idx]
 		b.pending[idx] = 0
-		if b.reported[cell] >= b.base[cell] {
+		if rd.reported >= rd.base {
 			b.openRoundDet(cell)
 		}
 	}
 }
 
 func (b *Bank) openRoundDet(cell int) {
-	b.sampling[cell] = true
+	s := int(b.slot[cell])
+	if s < 0 {
+		s = b.newRecord(cell)
+	}
 	b.metrics.SiteToCoord += int64(b.k)
 	b.metrics.CoordToSite += int64(b.k)
-	b.base[cell] = b.total[cell]
-	q := int64(math.Ceil(b.eps * float64(b.base[cell]) / float64(b.k)))
+	q := int64(math.Ceil(b.eps * float64(b.total[cell]) / float64(b.k)))
 	if q < 1 {
 		q = 1
 	}
-	b.quantum[cell] = q
-	lo := cell * b.k
-	for i := lo; i < lo+b.k; i++ {
-		b.pending[i] = 0
-	}
-	b.reported[cell] = 0
+	b.det[s] = detRound{base: b.total[cell], quantum: q}
+	clear(b.pending[s*b.k : (s+1)*b.k])
 }

@@ -2,10 +2,17 @@ package counter
 
 import (
 	"bytes"
+	"encoding"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"math"
+	"os"
+	"slices"
 	"testing"
 
 	"distbayes/internal/bn"
+	"distbayes/internal/netgen"
 )
 
 // bankKinds enumerates the built-in flat kinds with a representative eps.
@@ -367,5 +374,549 @@ func BenchmarkBankIncBatch(b *testing.B) {
 				bank.IncBatch(runCells[j:j+run], runSites[j:j+run])
 			}
 		})
+	}
+}
+
+// --- the dense layout, kept as the oracle of the record layout ---
+
+// denseBank is the sampling kinds' protocol on the layout banks had before
+// round records were lazy: one plane per field, every plane allocated for
+// every cell up front and indexed by cell, with a sampling flag per cell. incHYZ, reportHYZ,
+// openRoundHYZ, incDet and openRoundDet are that layout's code verbatim; it
+// has one way to apply an increment (IncBatch and Merge are documented as
+// ordered Inc replay, so the oracle replays) and writes the version-1 bank
+// record the way the dense planes were written, plane by plane.
+type denseBank struct {
+	kind        Kind
+	k, cells    int
+	eps         float64
+	metrics     *Metrics
+	rng         *bn.RNG
+	exactThresh int64
+
+	total, base       []int64
+	sampling          []bool
+	pThresh           []uint64
+	adj               []float64
+	estSum            []int64
+	nReporters        []int32
+	d, r              []int64 // cell*k + site
+	quantum, reported []int64
+	pending           []int64 // cell*k + site
+}
+
+func newDenseBank(kind Kind, cells, k int, eps float64, metrics *Metrics, rng *bn.RNG) *denseBank {
+	return &denseBank{
+		kind: kind, k: k, cells: cells, eps: eps, metrics: metrics, rng: rng,
+		exactThresh: ExactThreshold(k, eps),
+		total:       make([]int64, cells), base: make([]int64, cells), sampling: make([]bool, cells),
+		pThresh: make([]uint64, cells), adj: make([]float64, cells), estSum: make([]int64, cells),
+		nReporters: make([]int32, cells), d: make([]int64, cells*k), r: make([]int64, cells*k),
+		quantum: make([]int64, cells), reported: make([]int64, cells), pending: make([]int64, cells*k),
+	}
+}
+
+func (b *denseBank) inc(cell, site int) {
+	if b.kind == HYZKind {
+		b.incHYZ(cell, site)
+	} else {
+		b.incDet(cell, site)
+	}
+}
+
+func (b *denseBank) incHYZ(cell, site int) {
+	b.total[cell]++
+	if !b.sampling[cell] {
+		b.metrics.SiteToCoord++
+		if b.total[cell] >= b.exactThresh {
+			b.openRoundHYZ(cell)
+		}
+		return
+	}
+	b.d[cell*b.k+site]++
+	if b.rng.Uint64() < b.pThresh[cell] {
+		b.reportHYZ(cell, site)
+	}
+}
+
+func (b *denseBank) reportHYZ(cell, site int) {
+	b.metrics.SiteToCoord++
+	idx := cell*b.k + site
+	if b.r[idx] == 0 {
+		b.nReporters[cell]++
+	}
+	b.estSum[cell] += b.d[idx] - b.r[idx]
+	b.r[idx] = b.d[idx]
+	if b.inRoundEstimate(cell) >= float64(b.base[cell]) {
+		b.openRoundHYZ(cell)
+	}
+}
+
+func (b *denseBank) openRoundHYZ(cell int) {
+	b.sampling[cell] = true
+	b.metrics.SiteToCoord += int64(b.k)
+	b.metrics.CoordToSite += int64(b.k)
+
+	b.base[cell] = b.total[cell]
+	if p := ReportProb(b.k, b.eps, b.base[cell]); p >= 1 {
+		b.pThresh[cell] = math.MaxUint64
+		b.adj[cell] = 0
+	} else {
+		b.pThresh[cell] = uint64(p * math.MaxUint64)
+		b.adj[cell] = (1 - p) / p
+	}
+	lo := cell * b.k
+	for i := lo; i < lo+b.k; i++ {
+		b.d[i] = 0
+		b.r[i] = 0
+	}
+	b.estSum[cell] = 0
+	b.nReporters[cell] = 0
+}
+
+func (b *denseBank) inRoundEstimate(cell int) float64 {
+	return float64(b.estSum[cell]) + float64(b.nReporters[cell])*b.adj[cell]
+}
+
+func (b *denseBank) incDet(cell, site int) {
+	b.total[cell]++
+	if !b.sampling[cell] {
+		b.metrics.SiteToCoord++
+		if q := int64(math.Ceil(b.eps * float64(b.total[cell]) / float64(b.k))); q >= 2 {
+			b.openRoundDet(cell)
+		}
+		return
+	}
+	idx := cell*b.k + site
+	b.pending[idx]++
+	if b.pending[idx] >= b.quantum[cell] {
+		b.metrics.SiteToCoord++
+		b.reported[cell] += b.pending[idx]
+		b.pending[idx] = 0
+		if b.reported[cell] >= b.base[cell] {
+			b.openRoundDet(cell)
+		}
+	}
+}
+
+func (b *denseBank) openRoundDet(cell int) {
+	b.sampling[cell] = true
+	b.metrics.SiteToCoord += int64(b.k)
+	b.metrics.CoordToSite += int64(b.k)
+	b.base[cell] = b.total[cell]
+	q := int64(math.Ceil(b.eps * float64(b.base[cell]) / float64(b.k)))
+	if q < 1 {
+		q = 1
+	}
+	b.quantum[cell] = q
+	lo := cell * b.k
+	for i := lo; i < lo+b.k; i++ {
+		b.pending[i] = 0
+	}
+	b.reported[cell] = 0
+}
+
+func (b *denseBank) estimate(cell int) float64 {
+	switch {
+	case !b.sampling[cell]:
+		return float64(b.total[cell])
+	case b.kind == HYZKind:
+		return float64(b.base[cell]) + b.inRoundEstimate(cell)
+	default:
+		return float64(b.base[cell] + b.reported[cell])
+	}
+}
+
+func (b *denseBank) marshal() []byte {
+	buf := []byte{bankStateVersion, byte(b.kind)}
+	put := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
+	putSlice := func(s []int64) {
+		for _, v := range s {
+			put(uint64(v))
+		}
+	}
+	put(uint64(b.cells))
+	put(uint64(b.k))
+	putSlice(b.total)
+	for _, s := range b.sampling {
+		if s {
+			buf = append(buf, 1)
+		} else {
+			buf = append(buf, 0)
+		}
+	}
+	putSlice(b.base)
+	if b.kind == HYZKind {
+		putSlice(b.estSum)
+		for _, n := range b.nReporters {
+			put(uint64(n))
+		}
+		putSlice(b.d)
+		putSlice(b.r)
+	} else {
+		putSlice(b.reported)
+		putSlice(b.pending)
+	}
+	return buf
+}
+
+// TestRecordBankMatchesDenseOracle drives a bank and the dense oracle with
+// the same (cell, site) sequence and same-seed RNGs — the bank through a
+// random mix of Inc, IncBatch runs and Merge deltas, with EstimateRange
+// reads in between — for both sampling kinds, k ∈ {1, 4, 30}, and schedules
+// that leave none, one and all of the cells sampling. What the lazy records
+// put at risk is named by the cases: a cell's first round opening in the
+// middle of an IncBatch run (the record slices are reallocated under the
+// loop — 40 cells grow five records at a time), records handed out in
+// first-round order rather than cell order, a site's d and r interleaved in
+// memory but not in the checkpoint, and a record written as zeros for a cell
+// that has none. Totals, estimates bit for bit, message tallies, the RNG
+// position and the checkpoint bytes must all agree.
+func TestRecordBankMatchesDenseOracle(t *testing.T) {
+	const cells = 40
+	shapes := []struct {
+		name     string
+		n        int
+		hot      bool // nine increments in ten go to cell 7
+		sampling int  // cells that must have a record at the end
+	}{
+		{"none-sampling", 3 * cells, false, 0},
+		{"one-sampling", 2000, true, 1},
+		{"all-sampling", 800 * cells, false, cells},
+	}
+	for _, kind := range []Kind{HYZKind, DeterministicKind} {
+		for _, k := range []int{1, 4, 30} {
+			for _, shape := range shapes {
+				t.Run(fmt.Sprintf("kind=%d/k=%d/%s", kind, k, shape.name), func(t *testing.T) {
+					var mBank, mDense Metrics
+					rngBank, rngDense := bn.NewRNG(42), bn.NewRNG(42)
+					bank, err := NewBank(kind, cells, k, 0.1, 0.25, &mBank, rngBank)
+					if err != nil {
+						t.Fatal(err)
+					}
+					dense := newDenseBank(kind, cells, k, 0.1, &mDense, rngDense)
+
+					sched := bn.NewRNG(uint64(7 + k))
+					draw := func() (cell, site int) {
+						cell = sched.Intn(cells)
+						if shape.hot && sched.Intn(10) != 0 {
+							cell = 7
+						}
+						return cell, sched.Intn(k)
+					}
+					var runCells, runSites []int32
+					delta, est := make([]int64, cells*k), make([]float64, cells)
+					midRunFirstRounds := 0
+					for done := 0; done < shape.n; {
+						switch op := sched.Intn(10); {
+						case op < 4:
+							cell, site := draw()
+							bank.Inc(cell, site)
+							dense.inc(cell, site)
+							done++
+						case op < 9:
+							runCells, runSites = runCells[:0], runSites[:0]
+							for m := sched.Intn(71); m > 0; m-- {
+								cell, site := draw()
+								runCells, runSites = append(runCells, int32(cell)), append(runSites, int32(site))
+							}
+							before := bank.records
+							bank.IncBatch(runCells, runSites)
+							for i, c := range runCells {
+								dense.inc(int(c), int(runSites[i]))
+							}
+							if len(runCells) > 0 && bank.records > before && bank.slot[runCells[len(runCells)-1]] < int32(before) {
+								midRunFirstRounds++ // the run went on after a record was handed out
+							}
+							done += len(runCells)
+						default:
+							clear(delta)
+							for m := sched.Intn(40); m > 0; m-- {
+								cell, site := draw()
+								delta[cell*k+site]++
+								done++
+							}
+							bank.Merge(delta)
+							for i, c := range delta {
+								for ; c > 0; c-- {
+									dense.inc(i/k, i%k)
+								}
+							}
+						}
+						if mBank != mDense {
+							t.Fatalf("after %d increments: tallies %+v, dense %+v", done, mBank, mDense)
+						}
+						lo := sched.Intn(cells)
+						hi := lo + sched.Intn(cells-lo+1)
+						bank.EstimateRange(lo, hi, est)
+						for c := lo; c < hi; c++ {
+							if math.Float64bits(est[c-lo]) != math.Float64bits(dense.estimate(c)) {
+								t.Fatalf("after %d increments, cell %d: estimate %v, dense %v", done, c, est[c-lo], dense.estimate(c))
+							}
+						}
+					}
+					for c := 0; c < cells; c++ {
+						if bank.Exact(c) != dense.total[c] || math.Float64bits(bank.Estimate(c)) != math.Float64bits(dense.estimate(c)) {
+							t.Errorf("cell %d: %d/%v, dense %d/%v", c, bank.Exact(c), bank.Estimate(c), dense.total[c], dense.estimate(c))
+						}
+					}
+					if rngBank.State() != rngDense.State() {
+						t.Error("RNG positions differ")
+					}
+					got, err := bank.MarshalBinary()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got, dense.marshal()) {
+						t.Error("checkpoint bytes differ from the dense planes'")
+					}
+					if len(got) != bank.StateLen() {
+						t.Errorf("StateLen %d, record is %d bytes", bank.StateLen(), len(got))
+					}
+					if bank.records != shape.sampling {
+						t.Errorf("%d cells sampling at the end, schedule is built for %d", bank.records, shape.sampling)
+					}
+					if shape.sampling == cells && midRunFirstRounds == 0 {
+						t.Error("no IncBatch run continued past a first round: growth under a running loop went untested")
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestRoundRecordGrowthIsBounded runs banks shaped like a tracker's (a pair
+// and a parent bank per alarm variable, alternating the sampling kinds) over
+// a long stream and checks the promises of newRecord after every event: a
+// bank reallocates its planes at most eight times, never holds more than
+// `cells` records nor more than ⌈cells/8⌉ unused ones, and a cell keeps the
+// record index it was given, across every growth.
+func TestRoundRecordGrowthIsBounded(t *testing.T) {
+	model, err := netgen.ModelByName("alarm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := model.Network()
+	const k = 4
+	events := 1_000_000
+	if testing.Short() {
+		events = 100_000
+	}
+	type tracked struct {
+		b     *Bank
+		slot  []int32 // as of the last check
+		grown int
+	}
+	var m Metrics
+	var banks []*tracked
+	for i := 0; i < net.Len(); i++ {
+		kind := []Kind{HYZKind, DeterministicKind}[i%2]
+		for _, cells := range []int{net.Card(i) * net.ParentCard(i), net.ParentCard(i)} {
+			b, err := NewBank(kind, cells, k, 0.01, 0.25, &m, bn.NewRNG(uint64(i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			banks = append(banks, &tracked{b: b, slot: slices.Clone(b.slot)})
+		}
+	}
+	check := func(e int, tb *tracked) {
+		b, step := tb.b, (tb.b.cells+7)/8
+		if tb.grown > 8 || b.room() > b.cells || b.room()-b.records > step {
+			t.Fatalf("event %d: bank of %d cells reallocated %d times, holds %d records, %d of them unused (step %d)",
+				e, b.cells, tb.grown, b.room(), b.room()-b.records, step)
+		}
+		for cell, s := range tb.slot {
+			if s >= 0 && b.slot[cell] != s {
+				t.Fatalf("event %d: cell %d moved from record %d to %d", e, cell, s, b.slot[cell])
+			}
+		}
+		copy(tb.slot, b.slot)
+	}
+	sampler, sites := model.NewSampler(3), bn.NewRNG(5)
+	var x []int
+	for e := 0; e < events; e++ {
+		x = sampler.Sample(x)
+		site := sites.Intn(k)
+		for i, pidx := range sampler.ParentIndices() {
+			for j, cell := range []int{int(pidx)*net.Card(i) + x[i], int(pidx)} {
+				tb := banks[2*i+j]
+				planes := tb.b.room()
+				tb.b.Inc(cell, site)
+				if tb.b.room() != planes {
+					tb.grown++
+					check(e, tb)
+				}
+			}
+		}
+	}
+	sampling, cells := 0, 0
+	for _, tb := range banks {
+		check(events, tb)
+		sampling, cells = sampling+tb.b.records, cells+tb.b.cells
+	}
+	if sampling == 0 || sampling == cells {
+		t.Errorf("%d of %d cells sampling: the stream should leave some in each mode", sampling, cells)
+	}
+}
+
+// fixtureBank builds the bank whose version-1 record is committed as
+// testdata/bank_v1_{hyz,det}.bin: six cells over four sites, driven through
+// Inc, IncBatch and Merge by a fixed skewed schedule that leaves three or
+// four cells sampling, one or two in exact mode and one untouched. The two
+// files were written by this function at the last commit with dense planes
+// (5ec4b4d), which is what makes them fixtures rather than goldens.
+func fixtureBank(t testing.TB, kind Kind) (*Bank, *Metrics) {
+	const cells, k = 6, 4
+	m := new(Metrics)
+	b, err := NewBank(kind, cells, k, 0.1, 0.25, m, bn.NewRNG(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := bn.NewRNG(9)
+	draw := func() (int, int) {
+		cell := sched.Intn(3)
+		if sched.Intn(100) == 0 {
+			cell = 3 + sched.Intn(2)
+		}
+		return cell, sched.Intn(k)
+	}
+	for i := 0; i < 2000; i++ {
+		b.Inc(draw())
+	}
+	var runCells, runSites []int32
+	delta := make([]int64, cells*k)
+	for i := 0; i < 1000; i++ {
+		cell, site := draw()
+		runCells, runSites = append(runCells, int32(cell)), append(runSites, int32(site))
+		cell, site = draw()
+		delta[cell*k+site]++
+	}
+	b.IncBatch(runCells, runSites)
+	b.Merge(delta)
+	return b, m
+}
+
+// bankFixtures names the committed records with the message tallies the
+// dense-plane commit counted while producing them.
+var bankFixtures = []struct {
+	file    string
+	kind    Kind
+	tallies Metrics
+	records int
+}{
+	{"testdata/bank_v1_hyz.bin", HYZKind, Metrics{SiteToCoord: 563, CoordToSite: 84}, 4},
+	{"testdata/bank_v1_det.bin", DeterministicKind, Metrics{SiteToCoord: 689, CoordToSite: 60}, 3},
+}
+
+// TestBankV1Fixtures pins the checkpoint format across the layout change:
+// the same increments must produce the committed bytes, and decoding the
+// committed bytes must give a bank that re-encodes to them, holds exactly one
+// record per sampling cell and carries on like the bank that was saved.
+func TestBankV1Fixtures(t *testing.T) {
+	for _, fx := range bankFixtures {
+		t.Run(fx.file, func(t *testing.T) {
+			want, err := os.ReadFile(fx.file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			built, m := fixtureBank(t, fx.kind)
+			if got, _ := built.MarshalBinary(); !bytes.Equal(got, want) {
+				t.Error("the fixture's increments no longer produce the fixture's bytes")
+			}
+			if *m != fx.tallies {
+				t.Errorf("tallies %+v, the dense planes counted %+v", *m, fx.tallies)
+			}
+			var m2 Metrics
+			loaded, err := NewBank(fx.kind, built.cells, built.k, built.eps, 0.25, &m2, bn.NewRNG(5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := loaded.UnmarshalBinary(want); err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := loaded.MarshalBinary(); !bytes.Equal(got, want) {
+				t.Error("decode then re-encode changed the record")
+			}
+			if loaded.records != fx.records || loaded.room() != fx.records {
+				t.Errorf("loaded bank holds %d records with room for %d, want exactly %d", loaded.records, loaded.room(), fx.records)
+			}
+			loaded.rng.SetState(built.rng.State())
+			sched := bn.NewRNG(13)
+			for i := 0; i < 5000; i++ {
+				cell, site := sched.Intn(built.cells), sched.Intn(built.k)
+				built.Inc(cell, site)
+				loaded.Inc(cell, site)
+			}
+			a, _ := built.MarshalBinary()
+			b, _ := loaded.MarshalBinary()
+			if !bytes.Equal(a, b) {
+				t.Error("the restored bank diverged from the one that was saved")
+			}
+		})
+	}
+}
+
+// TestStateRejectsRoundDataForExactCell: a cell flagged exact-mode has no
+// record, so a checkpoint that gives it round state — in any plane — is
+// refused, by banks and by the one-cell views, and a refused load leaves the
+// receiver as it was.
+func TestStateRejectsRoundDataForExactCell(t *testing.T) {
+	for _, fx := range bankFixtures {
+		data, err := os.ReadFile(fx.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := fixtureBank(t, fx.kind)
+		const exactCell = 4 // in exact mode in both fixtures
+		widths := []int{1, 1, 1, b.k, b.k}
+		if fx.kind == DeterministicKind {
+			widths = []int{1, 1, b.k}
+		}
+		off := 18 + 9*b.cells
+		for plane, w := range widths {
+			bad := bytes.Clone(data)
+			bad[off+8*w*exactCell+8*(w-1)] = 1 // the cell's last word of the plane
+			if err := b.UnmarshalBinary(bad); !errors.Is(err, errExactCellRoundState) {
+				t.Errorf("%s: plane %d: exact-mode cell with round data: err = %v", fx.file, plane, err)
+			}
+			off += 8 * w * b.cells
+		}
+		if got, _ := b.MarshalBinary(); !bytes.Equal(got, data) {
+			t.Errorf("%s: a refused load changed the bank", fx.file)
+		}
+	}
+
+	var m Metrics
+	hyz, err := NewHYZ(4, 0.1, 0.25, &m, bn.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	det, err := NewDeterministic(4, 0.1, &m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]interface {
+		Counter
+		encoding.BinaryMarshaler
+		encoding.BinaryUnmarshaler
+	}{"hyz": hyz, "deterministic": det} {
+		c.Inc(2) // still exact
+		data, err := c.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.UnmarshalBinary(data); err != nil {
+			t.Fatalf("%s: own exact-mode record refused: %v", name, err)
+		}
+		for _, at := range []int{9, len(data) - 1} { // base; the last site word
+			bad := bytes.Clone(data)
+			bad[at] = 1
+			if err := c.UnmarshalBinary(bad); !errors.Is(err, errExactCellRoundState) {
+				t.Errorf("%s: byte %d set on an exact-mode record: err = %v", name, at, err)
+			}
+		}
+		if got, _ := c.MarshalBinary(); !bytes.Equal(got, data) {
+			t.Errorf("%s: a refused load changed the counter", name)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package counter
 import (
 	"encoding"
 	"encoding/binary"
+	"errors"
 	"fmt"
 )
 
@@ -31,28 +32,25 @@ func (c *Exact) UnmarshalBinary(data []byte) error {
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler: the historical
-// single-counter wire format, read off the view's bank cell.
+// single-counter wire format (flag byte, then total, base, estSum,
+// nReporters, k and a (d, r) pair per site as 64-bit words), read off the
+// view's bank cell. An exact-mode cell has no round record; its round words
+// stay the zeros the format has always carried for it.
 func (c *HYZ) MarshalBinary() ([]byte, error) {
 	b := c.b
-	buf := make([]byte, 0, 8*(5+2*b.k)+1)
-	var tmp [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(tmp[:], v)
-		buf = append(buf, tmp[:]...)
-	}
-	if b.sampling[0] {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	put(uint64(b.total[0]))
-	put(uint64(b.base[0]))
-	put(uint64(b.estSum[0]))
-	put(uint64(b.nReporters[0]))
-	put(uint64(b.k))
-	for i := 0; i < b.k; i++ {
-		put(uint64(b.d[i]))
-		put(uint64(b.r[i]))
+	buf := make([]byte, 1+8*(5+2*b.k))
+	put := func(word int, v int64) { binary.LittleEndian.PutUint64(buf[1+8*word:], uint64(v)) }
+	put(0, b.total[0])
+	put(4, int64(b.k))
+	if b.slot[0] >= 0 {
+		buf[0] = 1
+		put(1, b.hyz[0].base)
+		put(2, b.hyz[0].estSum)
+		put(3, int64(b.hyz[0].nReporters))
+		for i := 0; i < b.k; i++ {
+			put(5+2*i, b.d[i])
+			put(6+2*i, b.r[i])
+		}
 	}
 	return buf, nil
 }
@@ -65,59 +63,61 @@ func (c *HYZ) UnmarshalBinary(data []byte) error {
 	}
 	b := c.b
 	sampling := data[0] == 1
-	data = data[1:]
-	get := func() uint64 {
-		v := binary.LittleEndian.Uint64(data)
-		data = data[8:]
-		return v
-	}
-	total := int64(get())
-	base := int64(get())
-	estSum := int64(get())
-	nReporters := int32(get())
-	k := int(get())
-	if k != b.k {
+	get := func(word int) int64 { return int64(binary.LittleEndian.Uint64(data[1+8*word:])) }
+	if k := int(get(4)); k != b.k {
 		return fmt.Errorf("counter: hyz state has %d sites, counter has %d", k, b.k)
 	}
-	if len(data) != 16*k {
-		return fmt.Errorf("counter: hyz state site section %d bytes, want %d", len(data), 16*k)
+	if len(data) != 1+8*(5+2*b.k) {
+		return fmt.Errorf("counter: hyz state site section %d bytes, want %d", len(data)-41, 16*b.k)
 	}
-	b.sampling[0] = sampling
-	b.total[0] = total
-	b.base[0] = base
-	b.estSum[0] = estSum
-	b.nReporters[0] = nReporters
-	for i := 0; i < k; i++ {
-		b.d[i] = int64(get())
-		b.r[i] = int64(get())
+	if !sampling && !(allZero(data[9:33]) && allZero(data[41:])) {
+		return errExactCellRoundState
+	}
+	b.total[0] = get(0)
+	if !sampling {
+		b.resetRecords(0)
+		return nil
+	}
+	b.resetRecords(1)
+	b.newRecord(0)
+	b.hyz[0] = hyzRound{base: get(1), estSum: get(2), nReporters: int32(get(3))}
+	for i := 0; i < b.k; i++ {
+		b.d[i], b.r[i] = get(5+2*i), get(6+2*i)
 	}
 	// Recompute the derived round parameters from base.
-	if sampling {
-		b.setRoundParams(0, ReportProb(b.k, b.eps, b.base[0]))
-	}
+	b.hyz[0].setProb(ReportProb(b.k, b.eps, b.hyz[0].base))
 	return nil
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
+// errExactCellRoundState rejects a record that carries round state for a
+// cell it flags as exact-mode: no counter writes one, and a cell that has
+// not opened a round has no record to hold it.
+var errExactCellRoundState = errors.New("counter: state has round data for an exact-mode cell")
+
+func allZero(data []byte) bool {
+	for _, v := range data {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// MarshalBinary implements encoding.BinaryMarshaler: flag byte, then total,
+// base, reported, k and one pending word per site.
 func (c *Deterministic) MarshalBinary() ([]byte, error) {
 	b := c.b
-	buf := make([]byte, 0, 8*(4+b.k)+1)
-	var tmp [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(tmp[:], v)
-		buf = append(buf, tmp[:]...)
-	}
-	if b.sampling[0] {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	put(uint64(b.total[0]))
-	put(uint64(b.base[0]))
-	put(uint64(b.reported[0]))
-	put(uint64(b.k))
-	for i := 0; i < b.k; i++ {
-		put(uint64(b.pending[i]))
+	buf := make([]byte, 1+8*(4+b.k))
+	put := func(word int, v int64) { binary.LittleEndian.PutUint64(buf[1+8*word:], uint64(v)) }
+	put(0, b.total[0])
+	put(3, int64(b.k))
+	if b.slot[0] >= 0 {
+		buf[0] = 1
+		put(1, b.det[0].base)
+		put(2, b.det[0].reported)
+		for i, v := range b.pending {
+			put(4+i, v)
+		}
 	}
 	return buf, nil
 }
@@ -129,46 +129,42 @@ func (c *Deterministic) UnmarshalBinary(data []byte) error {
 	}
 	b := c.b
 	sampling := data[0] == 1
-	data = data[1:]
-	get := func() uint64 {
-		v := binary.LittleEndian.Uint64(data)
-		data = data[8:]
-		return v
-	}
-	total := int64(get())
-	base := int64(get())
-	reported := int64(get())
-	k := int(get())
-	if k != b.k {
+	get := func(word int) int64 { return int64(binary.LittleEndian.Uint64(data[1+8*word:])) }
+	if k := int(get(3)); k != b.k {
 		return fmt.Errorf("counter: deterministic state has %d sites, counter has %d", k, b.k)
 	}
-	if len(data) != 8*k {
-		return fmt.Errorf("counter: deterministic site section %d bytes, want %d", len(data), 8*k)
+	if len(data) != 1+8*(4+b.k) {
+		return fmt.Errorf("counter: deterministic site section %d bytes, want %d", len(data)-33, 8*b.k)
 	}
-	b.sampling[0] = sampling
-	b.total[0] = total
-	b.base[0] = base
-	b.reported[0] = reported
-	for i := 0; i < k; i++ {
-		b.pending[i] = int64(get())
+	if !sampling && !(allZero(data[9:25]) && allZero(data[33:])) {
+		return errExactCellRoundState
 	}
-	b.quantum[0] = 0
-	if sampling {
-		b.restoreQuantum(0)
+	b.total[0] = get(0)
+	if !sampling {
+		b.resetRecords(0)
+		return nil
 	}
+	b.resetRecords(1)
+	b.newRecord(0)
+	b.det[0] = detRound{base: get(1), reported: get(2)}
+	for i := range b.pending {
+		b.pending[i] = get(4 + i)
+	}
+	b.restoreQuantum(0)
 	return nil
 }
 
-// restoreQuantum recomputes the deterministic round quantum from the
+// restoreQuantum recomputes record s's deterministic round quantum from its
 // restored base, matching openRoundDet without spending messages.
-func (b *Bank) restoreQuantum(cell int) {
-	q := b.eps * float64(b.base[cell]) / float64(b.k)
-	b.quantum[cell] = int64(q)
-	if float64(b.quantum[cell]) < q {
-		b.quantum[cell]++
+func (b *Bank) restoreQuantum(s int) {
+	rd := &b.det[s]
+	q := b.eps * float64(rd.base) / float64(b.k)
+	rd.quantum = int64(q)
+	if float64(rd.quantum) < q {
+		rd.quantum++
 	}
-	if b.quantum[cell] < 1 {
-		b.quantum[cell] = 1
+	if rd.quantum < 1 {
+		rd.quantum = 1
 	}
 }
 
@@ -199,55 +195,51 @@ func (b *Bank) StateLen() int {
 
 // MarshalBinary implements encoding.BinaryMarshaler for a whole bank: one
 // record covering every cell, replacing the per-cell records of the DBAYES02
-// checkpoint format. Custom banks serialize each cell through its own
-// BinaryMarshaler (cells that do not implement it make the bank
-// uncheckpointable, as before).
+// checkpoint format. The record is dense — every plane has an entry for
+// every cell, in cell order — whatever the bank holds in memory: a cell
+// without a round record writes zeros. Custom banks serialize each cell
+// through its own BinaryMarshaler (cells that do not implement it make the
+// bank uncheckpointable, as before).
 func (b *Bank) MarshalBinary() ([]byte, error) {
-	var tmp [8]byte
-	buf := make([]byte, 0, 4+8*(2+b.cells))
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(tmp[:], v)
-		buf = append(buf, tmp[:]...)
-	}
+	buf := make([]byte, 0, max(b.StateLen(), 4+8*(2+b.cells)))
+	put := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
 	buf = append(buf, bankStateVersion, byte(b.kind))
 	put(uint64(b.cells))
 	put(uint64(b.k))
-	putSlice := func(s []int64) {
-		for _, v := range s {
-			put(uint64(v))
+	for _, v := range b.total {
+		put(uint64(v))
+	}
+	for _, s := range b.slot {
+		if s >= 0 {
+			buf = append(buf, 1)
+		} else {
+			buf = append(buf, 0)
 		}
 	}
-	switch b.kind {
-	case ExactKind:
-		putSlice(b.total)
+	// putPlane writes one plane of the record, w words per cell: word i of a
+	// cell comes from its round record s through at, or is zero without one.
+	putPlane := func(w int, at func(s, i int) int64) {
+		for _, s := range b.slot {
+			for i := 0; i < w; i++ {
+				var v int64
+				if s >= 0 {
+					v = at(int(s), i)
+				}
+				put(uint64(v))
+			}
+		}
+	}
+	switch k := b.k; b.kind {
 	case HYZKind:
-		putSlice(b.total)
-		for _, s := range b.sampling {
-			if s {
-				buf = append(buf, 1)
-			} else {
-				buf = append(buf, 0)
-			}
-		}
-		putSlice(b.base)
-		putSlice(b.estSum)
-		for _, n := range b.nReporters {
-			put(uint64(n))
-		}
-		putSlice(b.d)
-		putSlice(b.r)
+		putPlane(1, func(s, _ int) int64 { return b.hyz[s].base })
+		putPlane(1, func(s, _ int) int64 { return b.hyz[s].estSum })
+		putPlane(1, func(s, _ int) int64 { return int64(b.hyz[s].nReporters) })
+		putPlane(k, func(s, i int) int64 { return b.d[s*k+i] })
+		putPlane(k, func(s, i int) int64 { return b.r[s*k+i] })
 	case DeterministicKind:
-		putSlice(b.total)
-		for _, s := range b.sampling {
-			if s {
-				buf = append(buf, 1)
-			} else {
-				buf = append(buf, 0)
-			}
-		}
-		putSlice(b.base)
-		putSlice(b.reported)
-		putSlice(b.pending)
+		putPlane(1, func(s, _ int) int64 { return b.det[s].base })
+		putPlane(1, func(s, _ int) int64 { return b.det[s].reported })
+		putPlane(k, func(s, i int) int64 { return b.pending[s*k+i] })
 	case customKind:
 		for cell, c := range b.custom {
 			m, ok := c.(encoding.BinaryMarshaler)
@@ -266,7 +258,10 @@ func (b *Bank) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler. The receiver must
-// have been constructed with the same kind, cell count and site count.
+// have been constructed with the same kind, cell count and site count. A
+// flat bank checks the record's length and that no exact-mode cell carries
+// round state before it changes anything, then allocates exactly as many
+// round records as the record flags cells as sampling.
 func (b *Bank) UnmarshalBinary(data []byte) error {
 	if len(data) < 2+16 {
 		return fmt.Errorf("counter: bank state too short (%d bytes)", len(data))
@@ -277,93 +272,97 @@ func (b *Bank) UnmarshalBinary(data []byte) error {
 	if Kind(data[1]) != b.kind {
 		return fmt.Errorf("counter: bank state kind %d, bank has %d", data[1], b.kind)
 	}
-	data = data[2:]
-	ok := true
-	get := func() uint64 {
-		if len(data) < 8 {
-			ok = false
-			return 0
-		}
-		v := binary.LittleEndian.Uint64(data)
-		data = data[8:]
-		return v
-	}
-	if cells := int(get()); cells != b.cells {
+	if cells := int(binary.LittleEndian.Uint64(data[2:])); cells != b.cells {
 		return fmt.Errorf("counter: bank state has %d cells, bank has %d", cells, b.cells)
 	}
-	if k := int(get()); k != b.k {
+	if k := int(binary.LittleEndian.Uint64(data[10:])); k != b.k {
 		return fmt.Errorf("counter: bank state has %d sites, bank has %d", k, b.k)
 	}
-	getSlice := func(s []int64) {
-		for i := range s {
-			s[i] = int64(get())
+	if b.kind == customKind {
+		return b.unmarshalCustom(data[18:])
+	}
+	if len(data) != b.StateLen() {
+		return fmt.Errorf("counter: bank state is %d bytes, want %d", len(data), b.StateLen())
+	}
+	totals, rest := data[18:18+8*b.cells], data[18+8*b.cells:]
+	if b.kind != ExactKind {
+		if err := b.unmarshalRecords(rest[:b.cells], rest[b.cells:]); err != nil {
+			return err
 		}
 	}
-	getBools := func(s []bool) {
-		if len(data) < len(s) {
-			ok = false
-			return
-		}
-		for i := range s {
-			s[i] = data[i] == 1
-		}
-		data = data[len(s):]
+	for i := range b.total {
+		b.total[i] = int64(binary.LittleEndian.Uint64(totals[8*i:]))
 	}
-	switch b.kind {
-	case ExactKind:
-		getSlice(b.total)
-	case HYZKind:
-		getSlice(b.total)
-		getBools(b.sampling)
-		getSlice(b.base)
-		getSlice(b.estSum)
-		for i := range b.nReporters {
-			b.nReporters[i] = int32(get())
-		}
-		getSlice(b.d)
-		getSlice(b.r)
-		if ok {
-			for cell := 0; cell < b.cells; cell++ {
-				if b.sampling[cell] {
-					b.setRoundParams(cell, ReportProb(b.k, b.eps, b.base[cell]))
-				} else {
-					b.pThresh[cell] = 0
-					b.adj[cell] = 0
-				}
+	return nil
+}
+
+// unmarshalRecords restores the round records of a sampling-kind bank from
+// the per-cell mode flags and the dense planes that follow them in a
+// length-validated bank record.
+func (b *Bank) unmarshalRecords(flags, planes []byte) error {
+	cells, k := b.cells, b.k
+	// Words per cell of each plane: base, estSum, nReporters, d, r — or
+	// base, reported, pending.
+	widths := []int{1, 1, 1, k, k}
+	if b.kind == DeterministicKind {
+		widths = []int{1, 1, k}
+	}
+	p := planes
+	for _, w := range widths {
+		for cell, f := range flags {
+			if f != 1 && !allZero(p[8*w*cell:8*w*(cell+1)]) {
+				return errExactCellRoundState
 			}
 		}
-	case DeterministicKind:
-		getSlice(b.total)
-		getBools(b.sampling)
-		getSlice(b.base)
-		getSlice(b.reported)
-		getSlice(b.pending)
-		if ok {
-			for cell := 0; cell < b.cells; cell++ {
-				b.quantum[cell] = 0
-				if b.sampling[cell] {
-					b.restoreQuantum(cell)
-				}
-			}
-		}
-	case customKind:
-		for cell, c := range b.custom {
-			u, uok := c.(encoding.BinaryUnmarshaler)
-			if !uok {
-				return fmt.Errorf("counter: custom bank cell %d (%T) does not support checkpointing", cell, c)
-			}
-			n := int(get())
-			if !ok || n < 0 || n > len(data) {
-				return fmt.Errorf("counter: bank state truncated at custom cell %d", cell)
-			}
-			if err := u.UnmarshalBinary(data[:n]); err != nil {
-				return err
-			}
-			data = data[n:]
+		p = p[8*w*cells:]
+	}
+	records := 0
+	for _, f := range flags {
+		if f == 1 {
+			records++
 		}
 	}
-	if !ok {
-		return fmt.Errorf("counter: bank state truncated")
+	b.resetRecords(records)
+	word := func(i int) int64 { return int64(binary.LittleEndian.Uint64(planes[8*i:])) }
+	for cell, f := range flags {
+		if f != 1 {
+			continue
+		}
+		s := b.newRecord(cell)
+		if b.kind == HYZKind {
+			b.hyz[s] = hyzRound{base: word(cell), estSum: word(cells + cell), nReporters: int32(word(2*cells + cell))}
+			for i := 0; i < k; i++ {
+				b.d[s*k+i] = word(3*cells + cell*k + i)
+				b.r[s*k+i] = word(3*cells + (cells+cell)*k + i)
+			}
+			b.hyz[s].setProb(ReportProb(k, b.eps, b.hyz[s].base))
+		} else {
+			b.det[s] = detRound{base: word(cell), reported: word(cells + cell)}
+			for i := 0; i < k; i++ {
+				b.pending[s*k+i] = word(2*cells + cell*k + i)
+			}
+			b.restoreQuantum(s)
+		}
+	}
+	return nil
+}
+
+// unmarshalCustom restores a custom bank's cells, each through its own
+// BinaryUnmarshaler, from the length-prefixed records after the header.
+func (b *Bank) unmarshalCustom(data []byte) error {
+	for cell, c := range b.custom {
+		u, ok := c.(encoding.BinaryUnmarshaler)
+		if !ok {
+			return fmt.Errorf("counter: custom bank cell %d (%T) does not support checkpointing", cell, c)
+		}
+		if len(data) < 8 || binary.LittleEndian.Uint64(data) > uint64(len(data)-8) {
+			return fmt.Errorf("counter: bank state truncated at custom cell %d", cell)
+		}
+		n := 8 + int(binary.LittleEndian.Uint64(data))
+		if err := u.UnmarshalBinary(data[8:n]); err != nil {
+			return err
+		}
+		data = data[n:]
 	}
 	if len(data) != 0 {
 		return fmt.Errorf("counter: bank state has %d trailing bytes", len(data))

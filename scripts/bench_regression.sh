@@ -14,9 +14,10 @@
 # absolute throughput is not comparable across hardware, so on a different
 # CPU the comparison is printed as an advisory and the gate passes. ns/op
 # and allocs of the query benchmarks are reported (via benchstat when
-# installed) but never gated. Set BENCH_GATE=force to gate regardless of
-# the CPU match (e.g. on a dedicated baseline runner with an unstable cpu
-# string).
+# installed) but never gated, and so is B/op of the BenchmarkNewTracker rows
+# (what a tracker of cold counters costs). Set BENCH_GATE=force to gate
+# regardless of the CPU match (e.g. on a dedicated baseline runner with an
+# unstable cpu string).
 #
 # Refresh the baseline on a quiet machine with:
 #   scripts/bench_regression.sh --update-baseline
@@ -73,6 +74,17 @@ if [[ "${BENCH_GATE:-}" != "force" && "$base_cpu" != "$cur_cpu" ]]; then
   echo "baseline ${base_cpu:-<none>} != current ${cur_cpu:-<none>}:" \
        "different hardware, comparison is advisory only" >&2
 fi
+
+echo
+echo "=== NewTracker memory: B/op (reported, not gated) ==="
+awk '
+  FNR == 1 { file++ }
+  /^BenchmarkNewTracker/ {
+    k = $1; sub(/-[0-9]+$/, "", k)
+    for (i = 2; i <= NF; i++) if ($i == "B/op") { if (file == 1) base[k] = $(i - 1); else cur[k] = $(i - 1) }
+  }
+  END { for (k in cur) printf "%-45s %12s -> %12s B/op\n", k, (k in base ? base[k] : "n/a"), cur[k] }
+' "$BASELINE" "$CURRENT"
 
 echo
 echo "=== throughput gate: events/sec + queries/sec (threshold: -${THRESHOLD}%) ==="

@@ -24,7 +24,7 @@ import (
 
 // BenchmarkServeQueries measures the serving subsystem end to end on the
 // paper's largest network: an HTTP query server over a striped munin
-// tracker (1041 variables, ~80k CPT cells) answers a closed-loop client
+// tracker (1041 variables, 101 866 CPT cells) answers a closed-loop client
 // mix — full-joint QueryProb and small-subset QuerySubsetProb — while an
 // ingest pump keeps the tracker hot, so every snapshot refresh pays the
 // vectorized EstimateRange rebuild under live writes. Clients speak raw
