@@ -350,20 +350,19 @@ func BenchmarkSamplerAlarm(b *testing.B) {
 
 // BenchmarkClusterThroughput measures the loopback TCP cluster end to end —
 // events/sec through the coordinator plus the frame economy (frames/sec,
-// frames/event) — across the transport configurations: the sequential
-// per-event baseline, the sharded coordinator alone, and sharding plus
-// site-side delta batching (protocol v2), with and without a live mid-run
-// query mix. Site report decisions are per-site deterministic, so every
+// frames/event) — across the transport configurations: the per-event
+// baseline and site-side delta batching (protocol v2), with and without a
+// live mid-run query mix. Site report decisions are per-site deterministic, so every
 // configuration tracks the identical model: frames/event isolates what
 // batching buys at equal accuracy.
 func BenchmarkClusterThroughput(b *testing.B) {
-	run := func(b *testing.B, shards, batch int, liveMicros uint32) {
+	run := func(b *testing.B, batch int, liveMicros uint32) {
 		var frames, events int64
 		for i := 0; i < b.N; i++ {
 			res, _, err := cluster.RunLocal(cluster.Config{
 				NetName: "alarm", CPTSeed: 0xC0DE, Strategy: core.NonUniform,
 				Eps: 0.1, Sites: 4, Events: 4000, StreamSeed: uint64(i + 1),
-				Shards: shards, SiteBatchEvents: batch, LiveQueryMicros: liveMicros,
+				SiteBatchEvents: batch, LiveQueryMicros: liveMicros,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -376,15 +375,14 @@ func BenchmarkClusterThroughput(b *testing.B) {
 		b.ReportMetric(float64(frames)/sec, "frames/sec")
 		b.ReportMetric(float64(frames)/float64(events), "frames/event")
 	}
-	b.Run("per-event", func(b *testing.B) { run(b, 1, 0, 0) })
-	b.Run("sharded", func(b *testing.B) { run(b, 4, 0, 0) })
-	b.Run("sharded+batched", func(b *testing.B) { run(b, 4, 128, 0) })
-	b.Run("sharded+batched+live", func(b *testing.B) { run(b, 4, 128, 200) })
+	b.Run("per-event", func(b *testing.B) { run(b, 0, 0) })
+	b.Run("batched", func(b *testing.B) { run(b, 128, 0) })
+	b.Run("batched+live", func(b *testing.B) { run(b, 128, 200) })
 	// The same best configuration with the scheduler actually parallel:
-	// sites, shards, and the coordinator read loops get real cores.
-	b.Run("sharded+batched+procs=4", func(b *testing.B) {
+	// sites and the coordinator read loops get real cores.
+	b.Run("batched+procs=4", func(b *testing.B) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-		run(b, 4, 128, 0)
+		run(b, 128, 0)
 	})
 }
 
@@ -460,8 +458,7 @@ func BenchmarkStructLearnOverhead(b *testing.B) {
 			res, _, err := cluster.RunLocal(cluster.Config{
 				NetName: "alarm", CPTSeed: 0xC0DE, Strategy: core.NonUniform,
 				Eps: 0.1, Sites: 4, Events: 4000, StreamSeed: uint64(i + 1),
-				Shards: 4, SiteBatchEvents: 128,
-				StructBatchEvents: structBatch,
+				SiteBatchEvents: 128, StructBatchEvents: structBatch,
 			})
 			if err != nil {
 				b.Fatal(err)

@@ -27,12 +27,11 @@
 //     inside the local role, serving queries through the scatter-gather
 //     merge.
 //
-// -shards stripes the coordinator's reported-count matrix so the per-site
-// reader goroutines ingest in parallel, -batch switches the sites to
-// protocol version 2 (one coalesced frame per batching window instead of
-// one frame per triggering event), and -live drives a mid-run query mix
-// against the coordinator while the sites stream — the paper's
-// query-at-any-time model, answered from the live snapshot path.
+// -batch switches the sites to protocol version 2 (one coalesced frame per
+// batching window instead of one frame per triggering event), and -live
+// drives a mid-run query mix against the coordinator while the sites stream
+// — the paper's query-at-any-time model, answered from the live snapshot
+// path.
 //
 // The cluster is fault tolerant: a site whose connection drops reconnects
 // with the protocol-v3 resume handshake and replays its decided counts, and
@@ -80,7 +79,6 @@ func main() {
 		events   = flag.Int("events", 100000, "total training events")
 		seed     = flag.Uint64("seed", 1, "stream seed")
 		latency  = flag.Uint("latency", 0, "artificial per-frame latency at sites (microseconds)")
-		shards   = flag.Int("shards", 0, "coordinator lock stripes (0/1 = sequential)")
 		batch    = flag.Int("batch", 0, "site batching window in events (0 = one frame per triggering event)")
 		live     = flag.Uint("live", 0, "mid-run query interval in microseconds (0 = no live query mix)")
 		hot      = flag.Float64("hot", 0, "fraction of the stream routed to site 0 (skewed-routing regime)")
@@ -123,7 +121,6 @@ func main() {
 		Events:          *events,
 		StreamSeed:      *seed,
 		LatencyMicros:   uint32(*latency),
-		Shards:          *shards,
 		SiteBatchEvents: *batch,
 		LiveQueryMicros: uint32(*live),
 		HotSiteShare:    *hot,

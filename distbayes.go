@@ -150,10 +150,10 @@
 //
 // internal/cluster runs the same architecture over real TCP: k site
 // processes stream locally-generated events through the site half of the
-// counter protocol to a coordinator whose reported-count matrix is striped
-// exactly like the in-process tracker (cluster.Config.Shards) and whose
-// QueryProb/EstimatedModel answer at any time during a live run from
-// version-validated snapshots — the paper's query-at-any-time model. Sites
+// counter protocol to a coordinator — the root of an optional tree of
+// relays, which all run one receiving tier — whose QueryProb/EstimatedModel
+// answer at any time during a live run from version-validated snapshots of
+// its reported-count matrix — the paper's query-at-any-time model. Sites
 // can coalesce report decisions into delta batches
 // (cluster.Config.SiteBatchEvents, wire-protocol version 2), shipping a
 // small fraction of the frames with bit-identical final estimates. The

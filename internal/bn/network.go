@@ -168,6 +168,26 @@ func (nw *Network) Children(i int) []int { return nw.children[i] }
 // (1 for a root).
 func (nw *Network) ParentCard(i int) int { return nw.parentCard[i] }
 
+// SameVariables checks that other describes the same variables as nw — names
+// and cardinalities, in order. Structure and parameters are deliberately not
+// compared: it is the precondition for drifting a stream from one network to
+// the other and for serving their snapshots interchangeably (queries resolve
+// parent sets against each snapshot's own Network).
+func (nw *Network) SameVariables(other *Network) error {
+	if other == nil {
+		return fmt.Errorf("nil network")
+	}
+	if nw.Len() != other.Len() {
+		return fmt.Errorf("%d variables, want %d", other.Len(), nw.Len())
+	}
+	for i, v := range nw.vars {
+		if o := other.vars[i]; v.Name != o.Name || v.Card != o.Card {
+			return fmt.Errorf("variable %d is %s(card %d), want %s(card %d)", i, o.Name, o.Card, v.Name, v.Card)
+		}
+	}
+	return nil
+}
+
 // NumEdges returns the number of directed edges (conditional dependencies).
 func (nw *Network) NumEdges() int {
 	e := 0

@@ -129,7 +129,6 @@ func TestChaosSeveredConnectionsBitIdentical(t *testing.T) {
 func TestChaosDuplicatesAndDelayBitIdentical(t *testing.T) {
 	cfg := chaosConfig(t, core.Uniform)
 	cfg.SiteBatchEvents = 64 // exercise the v2 framing under faults too
-	cfg.Shards = 4
 	want, base := baselineFingerprint(t, cfg)
 	// Batched sites send ~events/window frames in total, so the sever window
 	// must sit well inside that (a batched connection is only ~25 frames

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 
 	"distbayes/internal/core"
 )
@@ -33,9 +34,7 @@ import (
 const checkpointMagic = "DBCLUS01"
 
 // checkpointFingerprint binds a checkpoint to the run parameters that shape
-// the reported matrix. Shards is deliberately excluded: stripes are a
-// process-local concurrency choice, and a restored coordinator may use a
-// different stripe count over the same matrix.
+// the reported matrix.
 func (co *Coordinator) checkpointFingerprint() uint64 {
 	h := fnv.New64a()
 	var b [8]byte
@@ -134,9 +133,9 @@ func readCheckpoint(r io.Reader, maxSites, maxCounters uint32) (*checkpointState
 }
 
 // WriteCheckpoint writes the coordinator's current run state to w in the
-// DBCLUS01 format. Safe to call while Serve is running: the membership table
-// and every matrix stripe are locked just long enough to copy the state, and
-// the encoding happens off-lock. Because reports fold with max-merge, a
+// DBCLUS01 format. Safe to call while Serve is running: the lock is held just
+// long enough to copy the membership table and the matrix, and the encoding
+// happens off-lock. Because reports fold with max-merge, a
 // checkpoint taken while frames are in flight is simply a slightly earlier
 // prefix of the run — restoring it and letting the sites replay converges to
 // the identical final state.
@@ -147,18 +146,12 @@ func (co *Coordinator) WriteCheckpoint(w io.Writer) error {
 		sites[i].Done = co.slots[i].done
 		sites[i].Events = uint64(co.slots[i].events)
 	}
-	co.mu.Unlock()
 	rows := make([][]int64, len(co.reported))
-	for s := range co.stripes {
-		co.stripes[s].mu.Lock()
-	}
-	for i, row := range co.reported {
-		rows[i] = append([]int64(nil), row...)
+	for i := range co.reported {
+		rows[i] = slices.Clone(co.reported[i].vals)
 	}
 	frames, updates := co.frames.Load(), co.updates.Load()
-	for s := len(co.stripes) - 1; s >= 0; s-- {
-		co.stripes[s].mu.Unlock()
-	}
+	co.mu.Unlock()
 
 	cw, err := core.NewCkptWriter(w, checkpointMagic)
 	if err != nil {
@@ -203,9 +196,9 @@ func (co *Coordinator) WriteCheckpoint(w io.Writer) error {
 
 // RestoreCheckpoint loads a DBCLUS01 checkpoint into a freshly constructed
 // coordinator. Must be called before Serve, with a Config matching the
-// checkpointed run (the fingerprint is checked; Shards may differ — stripes
-// are process-local). The run epoch becomes the stored epoch plus one, so
-// resuming sites can tell they are talking to a restored coordinator.
+// checkpointed run (the fingerprint is checked). The run epoch becomes the
+// stored epoch plus one, so resuming sites can tell they are talking to a
+// restored coordinator.
 func (co *Coordinator) RestoreCheckpoint(r io.Reader) error {
 	st, err := readCheckpoint(r, uint32(co.cfg.Sites), co.layout.NumCounters())
 	if err != nil {
@@ -228,14 +221,13 @@ func (co *Coordinator) RestoreCheckpoint(r io.Reader) error {
 			co.events.Add(int64(st.Sites[i].Events))
 			co.doneCount++
 		}
-		row := co.reported[i]
 		for _, u := range st.Sites[i].Row {
 			if u.Counter < co.ownLo || u.Counter >= co.ownHi {
 				return fmt.Errorf("cluster: checkpoint counter %d outside owned range [%d,%d)",
 					u.Counter, co.ownLo, co.ownHi)
 			}
-			row[u.Counter-co.ownLo] = u.LocalCount
 		}
+		co.reported[i].merge(co.ownLo, co.ownHi-co.ownLo, st.Sites[i].Row)
 	}
 	return nil
 }

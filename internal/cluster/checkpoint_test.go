@@ -194,34 +194,3 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 		t.Fatalf("restore with mismatched config: err = %v, want fingerprint mismatch", err)
 	}
 }
-
-// TestCheckpointShardsExcludedFromFingerprint: stripes are a process-local
-// concurrency choice; a checkpoint from a serial coordinator must load into
-// a striped one (and vice versa) so operators can rescale on restart.
-func TestCheckpointShardsExcludedFromFingerprint(t *testing.T) {
-	cfg := Config{
-		NetName: "alarm", CPTSeed: 0xC0DE, Strategy: core.Uniform, Eps: 0.1, Delta: 0.25,
-		Sites: 3, Events: 400, StreamSeed: 99,
-	}
-	_, co1, err := RunLocal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := co1.WriteCheckpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	striped := cfg
-	striped.Shards = 4
-	co2, err := NewCoordinator(striped, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { co2.Close() })
-	if err := co2.RestoreCheckpoint(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatalf("restore into striped coordinator: %v", err)
-	}
-	if got, want := estFingerprint(co2), estFingerprint(co1); got != want {
-		t.Errorf("striped restore estimate fingerprint %#016x != original %#016x", got, want)
-	}
-}

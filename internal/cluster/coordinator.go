@@ -34,14 +34,11 @@ type Config struct {
 	// LatencyMicros adds an artificial per-frame delay at sites, emulating
 	// WAN round-trips on a loopback deployment.
 	LatencyMicros uint32
-	// Shards is the number of lock stripes guarding the coordinator's
-	// reported-count matrix, mirroring core.Config.Shards: counter id c
-	// belongs to stripe c mod Shards, each stripe carries a version counter,
-	// and the live query paths (QueryProb, EstimatedModel) revalidate a
-	// cached estimate snapshot against the stripe versions, rebuilding only
-	// the stripes that moved. 0 and 1 both mean a single stripe — the
-	// sequential mode that, with batching off, reproduces the historical
-	// coordinator bit for bit.
+	// Shards is ignored.
+	//
+	// Deprecated: it selected a lock-striped fold of the reported-count
+	// matrix that measured no faster than one lock and is gone; the name
+	// remains because the frozen repository benchmark (benchmarks/) sets it.
 	Shards int
 	// SiteBatchEvents is the sites' report window: each site coalesces its
 	// report decisions and ships one frame every SiteBatchEvents events
@@ -267,31 +264,20 @@ type Result struct {
 	LiveQueries int64
 }
 
-// coStripe is one lock stripe of the coordinator's reported-count matrix:
-// counter id c belongs to stripe c mod len(stripes). version counts
-// mutations (bumped under mu once per applied frame batch) and is read with
-// atomic loads by the snapshot validator.
-type coStripe struct {
-	mu      sync.Mutex
-	version atomic.Uint64
-}
-
 // estSnapshot is one immutable materialization of every counter's estimate,
-// validated against the stripe versions exactly like core.Tracker's model
-// snapshots: a query reuses the cached snapshot while every stripe version
-// still matches and rebuilds only the stripes that moved. A Federation's
-// merge of its stripes' snapshots is the same type, with one version per
-// part.
+// validated against the fold version like core.Tracker's model snapshots: a
+// query reuses the cached snapshot while no batch has been folded since it
+// was built. A Federation's merge of its stripes' snapshots is the same type.
 type estSnapshot struct {
-	// versions[s] is stripes[s].version at the time stripe s's estimates
-	// were computed (or inherited from the previous snapshot).
+	// versions[i] is part i's snapshot version at merge time (Federation
+	// merges only).
 	versions []uint64
 	// est[c] is counter c's estimate: Σ_sites reported + trailing-gap
 	// adjustment.
 	est []float64
-	// version is the sum of versions — monotone non-decreasing across
-	// snapshots (every accepted update bumps one stripe version) — and
-	// builtAt is when the estimates were computed.
+	// version is the coordinator's fold version the estimates were computed
+	// at (a merge's: the sum of versions) — monotone non-decreasing across
+	// snapshots — and builtAt is when they were computed.
 	version uint64
 	builtAt time.Time
 
@@ -330,15 +316,15 @@ func (s *estSnapshot) snapshot(netw *bn.Network, layout *Layout) *core.Snapshot 
 
 // siteSlot is the coordinator's supervision record for one site id: the
 // current connection (nil while the site is disconnected), a generation
-// counter so a stale reader or grace timer can tell it has been superseded
-// by a reconnect, and the site's completion state. Guarded by Coordinator.mu.
+// counter so a stale grace timer can tell it has been superseded by a
+// reconnect, and the site's completion state. Guarded by Coordinator.mu.
 type siteSlot struct {
 	// peer is where the site's control frames go: its live direct
 	// connection, or the relay link it is routed through (whose death
 	// detaches every site it carried); nil while disconnected.
 	peer *peer
-	// gen is bumped on every (re)connect; readers and grace timers capture
-	// it and stand down when the slot has moved on.
+	// gen is bumped on every (re)connect; grace timers capture it and stand
+	// down when the slot has moved on.
 	gen uint64
 	// done records that the site's Done marker was accepted (exactly once —
 	// a replayed Done after a resume is deduplicated here).
@@ -350,12 +336,14 @@ type siteSlot struct {
 // Coordinator is the query-answering hub of the monitoring system. Unlike
 // the historical implementation, which materialized estimates once after
 // Serve returned, queries are valid at any time — during a live run they are
-// served from a version-validated snapshot of the striped reported-count
-// matrix, the paper's query-at-any-time model.
+// served from a version-validated snapshot of the reported-count matrix, the
+// paper's query-at-any-time model.
 //
-// Every connection — site or relay — is read through a frameFolder whose
-// fold target (coFold) lands reports in the striped matrix and the structure
-// engine; the per-connection loops only handle control frames.
+// The coordinator is the root of the relay tree: its connections — sites and
+// relays — are served by the tier every Relay runs (tier.serve), and it is
+// the tierNode that decides membership events and replies to them, where a
+// relay forwards them up, and that estimates from the folded rows and the
+// structure engine, where a relay ships them on.
 //
 // The connection layer is supervised and elastic: sites may connect at any
 // time after Serve starts (a late join simply starts streaming later), a
@@ -379,19 +367,20 @@ type Coordinator struct {
 	// share of the id space, not the whole layout.
 	ownLo, ownHi uint32
 
-	// stripes guard reported by counter id (id mod len(stripes)).
-	stripes []coStripe
-	// reported[site][counter-ownLo] is the site's last reported local count
-	// for an owned counter. Writes take the counter's stripe lock; per-site
-	// rows mean two sites never write the same cell, but queries read across
-	// all sites.
-	reported [][]int64
+	// mu guards slots, doneCount and reported — the one lock of the
+	// receiving side.
+	mu        sync.Mutex
+	slots     []siteSlot
+	doneCount int
+	// reported[site].vals[counter-ownLo] is the site's last reported local
+	// count for an owned counter; version counts the batches folded into it
+	// and is read without the lock by the snapshot validator.
+	reported []dirtyVec
+	version  atomic.Uint64
 
 	// snap is the last published estimate snapshot (nil until the first
-	// query); rebuildMu serializes rebuilds so concurrent queries do not
-	// duplicate the stripe walks.
-	snap      atomic.Pointer[estSnapshot]
-	rebuildMu sync.Mutex
+	// query).
+	snap atomic.Pointer[estSnapshot]
 
 	frames  atomic.Int64
 	updates atomic.Int64
@@ -403,11 +392,6 @@ type Coordinator struct {
 	// checkpoint restore. Sites learn it from the resume ack.
 	epoch uint64
 
-	// mu guards slots and doneCount.
-	mu        sync.Mutex
-	slots     []siteSlot
-	doneCount int
-
 	// finishCh closes exactly once when the run ends; finishErr (written
 	// before the close) is nil on success, ErrCoordinatorClosed on an
 	// abrupt Close, or the first fatal protocol/supervision error.
@@ -415,11 +399,9 @@ type Coordinator struct {
 	finishCh   chan struct{}
 	finishErr  error
 
-	// conns tracks every accepted connection — attached to a slot, carrying
-	// a relay, or still handshaking — and its wait group joins the accept
-	// loop and the connection readers: Close closes them all and returns
-	// only once they are gone.
-	conns connSet
+	// down is the connection tier: every accepted connection is served by
+	// down.serve, with this coordinator as its node.
+	down tier
 
 	serveOnce sync.Once
 	closeOnce sync.Once
@@ -470,29 +452,21 @@ func NewCoordinator(cfg Config, addr string) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	nStripes := cfg.Shards
-	if nStripes <= 1 {
-		nStripes = 1
-	}
-	if n := int(layout.NumCounters()); nStripes > n && n > 0 {
-		nStripes = n // more stripes than counters buys nothing
-	}
 	co := &Coordinator{
 		cfg:       cfg,
 		net:       netw,
 		layout:    layout,
 		ln:        ln,
 		sqrtK:     math.Sqrt(float64(cfg.Sites)),
-		stripes:   make([]coStripe, nStripes),
 		slots:     make([]siteSlot, cfg.Sites),
 		finishCh:  make(chan struct{}),
 		ckptEvery: cfg.CheckpointEveryFrames,
 		ckptCh:    make(chan struct{}, 1),
 	}
 	co.ownLo, co.ownHi = layout.StripeRange(uint32(cfg.StripeIndex), uint32(cfg.StripeCount))
-	co.reported = make([][]int64, cfg.Sites)
+	co.reported = make([]dirtyVec, cfg.Sites)
 	for i := range co.reported {
-		co.reported[i] = make([]int64, co.ownHi-co.ownLo)
+		co.reported[i] = newDirtyVec(co.ownHi - co.ownLo)
 	}
 	if cfg.StructBatchEvents > 0 {
 		winEvents, winBlocks := cfg.structWindow()
@@ -508,30 +482,21 @@ func NewCoordinator(cfg Config, addr string) (*Coordinator, error) {
 			ln.Close()
 			return nil, err
 		}
-		if err := sameVariables(netw, drift); err != nil {
+		if err := netw.SameVariables(drift); err != nil {
 			ln.Close()
 			return nil, fmt.Errorf("cluster: drift network %q incompatible with %q: %w",
 				cfg.DriftNetName, cfg.NetName, err)
 		}
 		co.drift = drift
 	}
+	var cells uint32
+	if co.structs != nil {
+		cells = co.structs.layout.Cells()
+	}
+	// A relay derives its fold layout from the same deterministic base config
+	// a site would get.
+	co.down.init(co, "", co.startConfigFor(0), co.ownLo, co.ownHi, layout.NumCounters(), cells)
 	return co, nil
-}
-
-// sameVariables checks that two networks describe the same variables (names
-// and cardinalities, in order); structure and parameters may differ.
-func sameVariables(a, b *bn.Network) error {
-	if a.Len() != b.Len() {
-		return fmt.Errorf("variable count %d vs %d", a.Len(), b.Len())
-	}
-	for i := 0; i < a.Len(); i++ {
-		va, vb := a.Var(i), b.Var(i)
-		if va.Name != vb.Name || va.Card != vb.Card {
-			return fmt.Errorf("variable %d is %s(card %d) vs %s(card %d)",
-				i, va.Name, va.Card, vb.Name, vb.Card)
-		}
-	}
-	return nil
 }
 
 // Addr returns the listening address.
@@ -550,7 +515,7 @@ func (co *Coordinator) Addr() string { return co.ln.Addr().String() }
 // coordinator runs, once it has returned.
 func (co *Coordinator) Close() error {
 	co.stop()
-	co.conns.wg.Wait()
+	co.down.conns.wg.Wait()
 	return nil
 }
 
@@ -560,7 +525,7 @@ func (co *Coordinator) stop() {
 	co.closeOnce.Do(func() {
 		co.closed.Store(true)
 		co.ln.Close()
-		co.conns.closeAll()
+		co.down.conns.closeAll()
 		co.finish(ErrCoordinatorClosed)
 	})
 	co.joinCheckpointer()
@@ -608,7 +573,7 @@ func (co *Coordinator) Err() error {
 
 // Serve runs the training protocol to completion: it supervises site
 // connections (accepting joins, resumes and rejoins at any time), folds
-// their reports into the striped matrix, and once every site's Done marker
+// their reports into the reported matrix, and once every site's Done marker
 // has arrived distributes closing stats and returns the run result. Queries
 // may be issued concurrently with Serve at any time.
 //
@@ -622,7 +587,7 @@ func (co *Coordinator) Err() error {
 // exited — on a clean finish the complete-run checkpoint is on disk.
 func (co *Coordinator) Serve() (Result, error) {
 	co.serveOnce.Do(func() {
-		co.conns.wg.Add(1)
+		co.down.conns.wg.Add(1)
 		go co.acceptLoop()
 		if co.ckptEvery > 0 {
 			co.ckptDone = make(chan struct{})
@@ -677,87 +642,71 @@ func (co *Coordinator) Serve() (Result, error) {
 // connection-level resumes and relay uplinks. It outlives Serve so a site
 // that missed the closing stats can still reconnect and collect them.
 func (co *Coordinator) acceptLoop() {
-	defer co.conns.wg.Done()
-	if err := co.conns.acceptLoop(co.ln, co.handleConn); !co.closed.Load() {
+	defer co.down.conns.wg.Done()
+	if err := co.down.conns.acceptLoop(co.ln, co.down.serve); !co.closed.Load() {
 		co.finish(fmt.Errorf("cluster: accept: %w", err))
 	}
 }
 
-// handleConn serves one accepted connection: the handshake and, for a live
-// run, the frames that follow. It reports whether the connection stays open
-// after it returns — only a site whose Done was accepted does, attached and
-// idle, so the closing stats can reach it.
-func (co *Coordinator) handleConn(raw net.Conn) (keep bool) {
-	p := &peer{raw: raw, c: newConn(raw)}
-	c := p.c
-	t, payload, err := c.readFrame()
-	if err != nil {
-		// The dialer vanished (or a fault cut the handshake frame): not a
-		// protocol violation, just a dead connection.
-		return false
-	}
-	var id uint32
-	switch t {
-	case frameHello:
-		id, err = decodeHello(payload)
-	case frameResume:
-		var resume resumeReq
-		resume, err = decodeResume(payload)
-		id = resume.Site
-	case frameRelayHello:
-		if id, err = decodeHello(payload); err == nil {
-			p.isRelay = true
-			co.serveRelay(p, id)
-			return false
+// badOpening fails the run: a malformed handshake or an out-of-range site id
+// is a fatal protocol error at the root (tierNode).
+func (co *Coordinator) badOpening(err error) { co.finish(err) }
+
+// errRunOver drops a site connection whose join a finished run cannot answer.
+var errRunOver = errors.New("cluster: run is over")
+
+// member decides one membership event (tierNode): a join attaches the site to
+// p and is answered through it — on the site's own connection, or wrapped in
+// frameRelayCtl down the relay link it arrived on.
+func (co *Coordinator) member(p *peer, site uint32, kind byte, inner []byte) error {
+	over, ferr := co.finished()
+	if over && (kind == relayJoinHello || kind == relayJoinResume && ferr != nil) {
+		// A join the finished run has no answer for — nothing is left to
+		// start, and only a clean run has closing stats to resume for: a
+		// site's own connection is closed (its dial loop gives up); a relay
+		// link stays up for the sites it still carries.
+		if p.isRelay {
+			return nil
 		}
-	default:
-		err = fmt.Errorf("cluster: first frame %d, want hello or resume", t)
+		return errRunOver
 	}
-	if err == nil && id >= uint32(co.cfg.Sites) {
-		err = fmt.Errorf("cluster: site id %d out of range", id)
-	}
-	if err != nil {
-		co.finish(err)
-		return false
-	}
-	if over, ferr := co.finished(); over {
-		if ferr == nil && t == frameResume {
-			// Run already complete: answer the resume with the closing stats
-			// so a site that crashed at the finish line still gets them.
-			_ = co.replyRunComplete(p, id) // best effort: the site re-resumes
-		}
-		return false
-	}
-
-	// Attach the connection: a lingering previous connection for the id is
-	// superseded (latest wins — its reader stands down via the generation).
-	gen, ack := co.attach(id, p)
-
-	// The handshake is done: widen the read limit from the control-frame
-	// bound to the largest update frame the layout admits (or the largest
-	// struct-stats frame, when structure learning is on and those are
-	// bigger).
-	c.setReadLimit(co.innerFrameCap())
-
-	var reply error
-	if t == frameHello {
+	switch kind {
+	case relayJoinHello:
 		// Fresh join or a restarted site process rejoining from scratch: it
-		// gets the same deterministic StartConfig and replays its stream
-		// from event 0. Its reported row is deliberately kept — counts are
+		// gets the same deterministic StartConfig and replays its stream from
+		// event 0. Its reported row is deliberately kept — counts are
 		// monotone and the replayed reports max-merge idempotently.
-		reply = p.writeCtl(id, frameStart, encodeStart(co.startConfigFor(id)))
-	} else {
-		reply = p.writeCtl(id, frameResumeAck, encodeResumeAck(ack))
+		co.attach(site, p)
+		return p.writeCtl(site, frameStart, encodeStart(co.startConfigFor(site)))
+	case relayJoinResume:
+		if over {
+			return co.replyRunComplete(p, site)
+		}
+		return p.writeCtl(site, frameResumeAck, encodeResumeAck(co.attach(site, p)))
+	case relayJoinReattach:
+		// The relay's upstream connection was re-established with this site
+		// still attached below it; no reply — re-routing the slot cancels
+		// the grace timer.
+		if !over {
+			co.attach(site, p)
+		}
+		return nil
+	case relayJoinDone:
+		_, events, err := decodeDone(inner)
+		if err != nil {
+			return err
+		}
+		co.handleDone(site, events)
+		return nil
+	case relayJoinDetach:
+		co.detach(site, p)
+		return nil
+	default:
+		return fmt.Errorf("cluster: join kind %d for site %d", kind, site)
 	}
-	if reply == nil && co.serveSite(c, id) == nil {
-		return true // Done accepted
-	}
-	co.detach(id, gen)
-	return false
 }
 
-// startConfigFor builds the deterministic StartConfig for one site id —
-// shared by the direct handshake and the relay-forwarded join path.
+// startConfigFor builds the deterministic StartConfig for one site id.
 func (co *Coordinator) startConfigFor(id uint32) StartConfig {
 	start := StartConfig{
 		NetName:       co.cfg.NetName,
@@ -789,32 +738,20 @@ func (co *Coordinator) startConfigFor(id uint32) StartConfig {
 	return start
 }
 
-// structCells is the structure layout's cell count, 0 with learning off.
-func (co *Coordinator) structCells() uint32 {
-	if co.structs == nil {
-		return 0
-	}
-	return co.structs.layout.Cells()
-}
-
-// innerFrameCap is the run's site-level data-frame bound (see the function).
-func (co *Coordinator) innerFrameCap() uint32 {
-	return innerFrameCap(co.layout.NumCounters(), co.structCells())
-}
-
-// detach marks a site disconnected (if gen still identifies the current
-// connection) and arms the reconnect-grace timer.
-func (co *Coordinator) detach(id uint32, gen uint64) {
+// detach marks a site disconnected — its own connection died, the relay it
+// is routed through reported it gone, or that relay link died — if p is still
+// its current peer, and arms the reconnect-grace timer.
+func (co *Coordinator) detach(site uint32, p *peer) {
 	co.mu.Lock()
-	slot := &co.slots[id]
-	if slot.gen != gen {
+	slot := &co.slots[site]
+	if slot.peer != p {
 		co.mu.Unlock()
 		return // a newer connection has already taken over
 	}
 	slot.peer = nil
-	done := slot.done
+	gen, done := slot.gen, slot.done
 	co.mu.Unlock()
-	co.armGrace(id, gen, done)
+	co.armGrace(site, gen, done)
 }
 
 // armGrace starts the reconnect-grace timer for a site that just lost its
@@ -846,66 +783,29 @@ func (co *Coordinator) siteEvents(id uint32) int64 {
 	return co.slots[id].events
 }
 
-// coFold is one connection's fold target: the coordinator plus that
-// reader's per-stripe bucketing scratch.
-type coFold struct {
-	co      *Coordinator
-	buckets [][]Update
+// foldCounts folds one site's decoded reports (ids already validated to lie
+// in the owned range) into its reported row (tierNode). Reports are monotone
+// local counts; the maximum is kept to stay robust to reordering within a
+// stream — the same property that makes resume replays and duplicated frames
+// idempotent.
+func (co *Coordinator) foldCounts(site uint32, ups []Update) {
+	co.mu.Lock()
+	co.reported[site].merge(co.ownLo, co.ownHi-co.ownLo, ups)
+	co.version.Add(1)
+	co.mu.Unlock()
+	co.updates.Add(int64(len(ups)))
 }
 
-func (f *coFold) foldCounts(site uint32, ups []Update) {
-	f.co.applyUpdates(site, ups, f.buckets)
-	f.co.updates.Add(int64(len(ups)))
-}
-
-func (f *coFold) foldStruct(site uint32, siteEvents uint64, ups []Update) {
-	f.co.structs.apply(site, siteEvents, ups)
-}
-
-// newFolder builds the data-frame reader for one connection (site =
-// relayPeer for a relay link), folding into this coordinator.
-func (co *Coordinator) newFolder(from string, site uint32) *frameFolder {
-	return &frameFolder{
-		target: &coFold{co: co, buckets: make([][]Update, len(co.stripes))},
-		from:   from, site: site,
-		sites: uint32(co.cfg.Sites), lo: co.ownLo, hi: co.ownHi, counters: co.layout.NumCounters(),
-		cells: co.structCells(), innerCap: co.innerFrameCap(),
-	}
-}
-
-// serveSite consumes one site connection's frames until its Done marker. A
-// nil return means Done; any error means the connection is dead or spoke
-// garbage — the caller detaches it and the site is expected to come back.
-func (co *Coordinator) serveSite(c *conn, site uint32) error {
-	folder := co.newFolder(fmt.Sprintf("site %d", site), site)
-	for {
-		t, payload, err := c.readFrame()
-		if err != nil {
-			return fmt.Errorf("cluster: site %d stream: %w", site, err)
-		}
-		co.noteFrame()
-		if data, err := folder.fold(t, payload); err != nil {
-			return err
-		} else if data {
-			continue
-		}
-		if t != frameDone {
-			return fmt.Errorf("cluster: site %d unexpected frame %d", site, t)
-		}
-		_, events, err := decodeDone(payload)
-		if err != nil {
-			return err
-		}
-		co.handleDone(site, events)
-		return nil
-	}
+// foldStruct folds one site's struct-stats batch into the structure engine
+// (tierNode).
+func (co *Coordinator) foldStruct(site uint32, siteEvents uint64, ups []Update) {
+	co.structs.apply(site, siteEvents, ups)
 }
 
 // noteFrame records one received frame: the run clock, the frame counter,
-// the chaos crash hook and the checkpoint cadence. Shared by the per-site
-// readers and the relay readers — a relay frame carrying a whole tier's
-// folded windows counts once, which is exactly the root-load reduction the
-// aggregation tree buys.
+// the chaos crash hook and the checkpoint cadence (tierNode). A relay frame
+// carrying a whole tier's folded windows counts once, which is exactly the
+// root-load reduction the aggregation tree buys.
 func (co *Coordinator) noteFrame() {
 	now := time.Now().UnixNano()
 	co.firstNs.CompareAndSwap(0, now)
@@ -944,72 +844,21 @@ func (co *Coordinator) handleDone(site uint32, events int64) {
 	}
 }
 
-// applyUpdates folds one site's decoded reports (ids already validated to lie
-// in the owned range) into the reported matrix: one pass buckets the updates
-// by stripe (buckets is the caller's reusable per-stripe scratch), then each
-// touched stripe is locked once, applied in ascending stripe order, and has
-// its version bumped. Reports are monotone local counts; the maximum is kept
-// to stay robust to reordering within a stream — the same property that
-// makes resume replays and duplicated frames idempotent.
-func (co *Coordinator) applyUpdates(site uint32, ups []Update, buckets [][]Update) {
-	lo := co.ownLo
-	row := co.reported[site]
-	nStripes := uint32(len(co.stripes))
-	if nStripes == 1 {
-		st := &co.stripes[0]
-		st.mu.Lock()
-		for _, u := range ups {
-			if u.LocalCount > row[u.Counter-lo] {
-				row[u.Counter-lo] = u.LocalCount
-			}
-		}
-		st.version.Add(1)
-		st.mu.Unlock()
-		return
-	}
-	for _, u := range ups {
-		s := u.Counter % nStripes
-		buckets[s] = append(buckets[s], u)
-	}
-	for s := range buckets {
-		b := buckets[s]
-		if len(b) == 0 {
-			continue
-		}
-		st := &co.stripes[s]
-		st.mu.Lock()
-		for _, u := range b {
-			if u.LocalCount > row[u.Counter-lo] {
-				row[u.Counter-lo] = u.LocalCount
-			}
-		}
-		st.version.Add(1)
-		st.mu.Unlock()
-		buckets[s] = b[:0]
-	}
-}
-
-// stripeOf returns the stripe guarding counter id.
-func (co *Coordinator) stripeOf(id uint32) *coStripe {
-	return &co.stripes[id%uint32(len(co.stripes))]
-}
-
 // estimateLocked computes counter id's estimate from the reported matrix:
 // the sum over sites of the last reported local count plus the trailing-gap
-// adjustment (see layout.go). Callers hold id's stripe lock and guarantee id
-// is owned.
+// adjustment (see layout.go). Callers hold mu and guarantee id is owned.
 func (co *Coordinator) estimateLocked(id uint32) float64 {
 	eps := co.layout.Eps(id)
 	est := 0.0
 	for site := 0; site < co.cfg.Sites; site++ {
-		r := co.reported[site][id-co.ownLo]
+		r := co.reported[site].vals[id-co.ownLo]
 		est += float64(r) + adjustmentSqrtK(co.cfg.Sites, co.sqrtK, eps, r)
 	}
 	return est
 }
 
 // Estimate returns the coordinator's current estimate of a counter's global
-// count, read live under the counter's stripe lock. Valid at any time —
+// count, read live under the lock. Valid at any time —
 // during a run it reflects the reports received so far. On a striped
 // coordinator only owned ids have state; an unowned id estimates 0 (query
 // through Federation to scatter-gather across the stripes).
@@ -1017,125 +866,53 @@ func (co *Coordinator) Estimate(id uint32) float64 {
 	if id < co.ownLo || id >= co.ownHi {
 		return 0
 	}
-	st := co.stripeOf(id)
-	st.mu.Lock()
-	defer st.mu.Unlock()
+	co.mu.Lock()
+	defer co.mu.Unlock()
 	return co.estimateLocked(id)
 }
 
-// snapFresh reports whether snap matches every stripe's live version.
-func (co *Coordinator) snapFresh(snap *estSnapshot) bool {
-	for s := range co.stripes {
-		if snap.versions[s] != co.stripes[s].version.Load() {
-			return false
-		}
-	}
-	return true
-}
-
-// estimates returns a current estimate snapshot, rebuilding only the stripes
-// whose version moved since the cached one was built. Mirrors
-// core.Tracker's snapshot machinery: repeated queries against a quiescent
-// coordinator share one snapshot with no lock traffic, and a query racing
-// ingestion rebuilds exactly the dirty stripes. Like the tracker, a
-// snapshot taken while frames are in flight may interleave stripes from
-// slightly different stream positions — the same consistency the per-cell
-// Estimate path has.
+// estimates returns a current estimate snapshot, rebuilt only when a batch
+// was folded since the cached one was built. Mirrors core.Tracker's snapshot
+// machinery: repeated queries against a quiescent coordinator share one
+// snapshot with no lock traffic, and queries racing ingestion rebuild one at
+// a time under the lock.
 func (co *Coordinator) estimates() *estSnapshot {
-	if s := co.snap.Load(); s != nil && co.snapFresh(s) {
+	if s := co.snap.Load(); s != nil && s.version == co.version.Load() {
 		return s
 	}
-	co.rebuildMu.Lock()
-	defer co.rebuildMu.Unlock()
-	old := co.snap.Load()
-	if old != nil && co.snapFresh(old) {
-		return old
+	ns := &estSnapshot{est: make([]float64, co.layout.NumCounters())}
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	if s := co.snap.Load(); s != nil && s.version == co.version.Load() {
+		return s
 	}
-	total := co.layout.NumCounters()
-	ns := &estSnapshot{
-		versions: make([]uint64, len(co.stripes)),
-		est:      make([]float64, total),
-	}
-	if old != nil {
-		copy(ns.est, old.est) // start from the previous estimates; dirty stripes overwrite
-	}
-	nStripes := uint32(len(co.stripes))
+	// Site-major walk over the layout's equal-eps sections, clipped to the
+	// owned range: one pass per site row keeps the reads contiguous, and the
+	// per-id eps load drops out of the inner loop — the coordinator-side
+	// sibling of counter.Bank.EstimateRange. Accumulation order (site 0..k-1
+	// from zero, ascending ids) matches estimateLocked's, so both paths stay
+	// bit-identical; unstriped, the clip is the identity and the walk is the
+	// historical full-space one.
 	k, sqrtK := co.cfg.Sites, co.sqrtK
-	ownLo, ownHi := co.ownLo, co.ownHi
-	for s := range co.stripes {
-		st := &co.stripes[s]
-		if old != nil {
-			if v := st.version.Load(); v == old.versions[s] {
-				ns.versions[s] = v // inherited via the bulk copy above
-				continue
+	for site := 0; site < k; site++ {
+		row := co.reported[site].vals
+		for _, sec := range co.layout.Sections() {
+			lo, hi := max(sec.Lo, co.ownLo), min(sec.Hi, co.ownHi)
+			for id := lo; id < hi; id++ {
+				r := row[id-co.ownLo]
+				ns.est[id] += float64(r) + adjustmentSqrtK(k, sqrtK, sec.Eps, r)
 			}
 		}
-		st.mu.Lock()
-		// Site-major walk: one pass per site row keeps the reads contiguous
-		// within a row instead of striding across every site's row once per
-		// counter. Accumulation order (site 0..k-1 from zero) matches
-		// estimateLocked's, so both paths stay bit-identical.
-		if nStripes == 1 {
-			// The single stripe owns every owned id: walk the layout's
-			// equal-eps sections, clipped to the owned range, so the per-id
-			// eps load and the strided index arithmetic drop out of the
-			// inner loop — the coordinator-side sibling of
-			// counter.Bank.EstimateRange. Same float operations on the same
-			// ascending ids as the strided walk below, so the two paths are
-			// bit-identical; unstriped, the clip is the identity and the
-			// walk matches the historical full-space one exactly.
-			est := ns.est
-			for id := ownLo; id < ownHi; id++ {
-				est[id] = 0
-			}
-			for site := 0; site < k; site++ {
-				row := co.reported[site]
-				for _, sec := range co.layout.Sections() {
-					lo, hi := sec.Lo, sec.Hi
-					if lo < ownLo {
-						lo = ownLo
-					}
-					if hi > ownHi {
-						hi = ownHi
-					}
-					eps := sec.Eps
-					for id := lo; id < hi; id++ {
-						r := row[id-ownLo]
-						est[id] += float64(r) + adjustmentSqrtK(k, sqrtK, eps, r)
-					}
-				}
-			}
-		} else {
-			// First owned id congruent to s mod nStripes.
-			start := uint32(s)
-			if start < ownLo {
-				start += (ownLo - start + nStripes - 1) / nStripes * nStripes
-			}
-			for id := start; id < ownHi; id += nStripes {
-				ns.est[id] = 0
-			}
-			for site := 0; site < k; site++ {
-				row := co.reported[site]
-				for id := start; id < ownHi; id += nStripes {
-					r := row[id-ownLo]
-					ns.est[id] += float64(r) + adjustmentSqrtK(k, sqrtK, co.layout.Eps(id), r)
-				}
-			}
-		}
-		ns.versions[s] = st.version.Load() // under mu: stable
-		st.mu.Unlock()
 	}
-	for _, v := range ns.versions {
-		ns.version += v
-	}
+	ns.version = co.version.Load()
 	ns.builtAt = time.Now()
 	co.snap.Store(ns)
 	return ns
 }
 
 // AcquireSnapshot returns the current estimates as the one read handle of the
-// repo (core.Snapshot), rebuilding only the stripes whose version moved since
-// the cached one was built. Valid at any time: mid-run it reflects the reports
+// repo (core.Snapshot), rebuilt only when a batch was folded since the cached
+// one was built. Valid at any time: mid-run it reflects the reports
 // received so far — the paper's query-at-any-time model — and after Serve
 // returns it is the final estimate. Estimate snapshots are garbage-collected,
 // so Release is a no-op.
@@ -1188,118 +965,12 @@ func (co *Coordinator) Network() *bn.Network { return co.net }
 // this run (Config.StructBatchEvents > 0).
 func (co *Coordinator) StructLearning() bool { return co.structs != nil }
 
-// serveRelay drives one relay connection: it answers the relay's hello with
-// the base run configuration, admits the wrapped per-site joins the relay
-// forwards, folds the relay's grouped per-site update frames — one frame
-// for a whole tier of sites, which is the point of the aggregation tree:
-// the root's frame rate divides by the relay's branching factor — and
-// routes control replies back down wrapped in frameRelayCtl. Runs on the
-// accepted connection's goroutine until the connection dies; a dead relay
-// link detaches every site it carried (grace timers arm exactly as for a
-// direct disconnect — the relay reconnecting, or its sites re-resuming
-// through a restarted relay, heals the run).
-func (co *Coordinator) serveRelay(link *peer, relayID uint32) {
-	// The relay derives its fold layout from the same deterministic base
-	// config a site would get; Site and Events are meaningless for a relay
-	// and zeroed.
-	base := co.startConfigFor(0)
-	base.Site, base.Events = 0, 0
-	if link.write(frameStart, encodeStart(base)) != nil {
-		return
-	}
-	link.c.setReadLimit(relayPayloadCap(uint32(co.cfg.Sites), co.innerFrameCap()))
-
-	// Any error — connection death or garbage — detaches the relay's sites;
-	// like a direct site connection, the peer is expected to come back.
-	_ = co.relayLoop(link, relayID)
-	co.detachRelay(link)
-}
-
-// relayLoop consumes one relay connection's frames until it dies: grouped
-// data frames fold per site, wrapped joins go through handleRelayJoin.
-func (co *Coordinator) relayLoop(link *peer, relayID uint32) error {
-	folder := co.newFolder(fmt.Sprintf("relay %d", relayID), relayPeer)
-	for {
-		t, payload, err := link.c.readFrame()
-		if err != nil {
-			return fmt.Errorf("cluster: relay %d stream: %w", relayID, err)
-		}
-		co.noteFrame()
-		if data, err := folder.fold(t, payload); err != nil {
-			return err
-		} else if data {
-			continue
-		}
-		if t != frameRelayJoin {
-			return fmt.Errorf("cluster: relay %d unexpected frame %d", relayID, t)
-		}
-		site, kind, inner, err := decodeRelayWrapped(payload)
-		if err != nil {
-			return err
-		}
-		if site >= uint32(co.cfg.Sites) {
-			return fmt.Errorf("cluster: relay %d forwarded site id %d out of range", relayID, site)
-		}
-		if err := co.handleRelayJoin(link, site, kind, inner); err != nil {
-			return err
-		}
-	}
-}
-
-// handleRelayJoin processes one wrapped site join forwarded by a relay —
-// the relay-routed mirror of the direct handshake in handleConn.
-func (co *Coordinator) handleRelayJoin(link *peer, site uint32, kind byte, inner []byte) error {
-	over, ferr := co.finished()
-	switch kind {
-	case relayJoinHello:
-		if over {
-			// Nothing left to start; a site that still wants the closing
-			// stats resumes instead.
-			return nil
-		}
-		co.attach(site, link)
-		return link.writeCtl(site, frameStart, encodeStart(co.startConfigFor(site)))
-	case relayJoinResume:
-		if _, err := decodeResume(inner); err != nil {
-			return err
-		}
-		if over {
-			if ferr != nil {
-				return nil
-			}
-			return co.replyRunComplete(link, site)
-		}
-		_, ack := co.attach(site, link)
-		return link.writeCtl(site, frameResumeAck, encodeResumeAck(ack))
-	case relayJoinReattach:
-		// The relay's upstream connection was re-established with this site
-		// still attached below it; no reply — re-routing the slot cancels
-		// the grace timer.
-		if !over {
-			co.attach(site, link)
-		}
-		return nil
-	case relayJoinDone:
-		_, events, err := decodeDone(inner)
-		if err != nil {
-			return err
-		}
-		co.handleDone(site, events)
-		return nil
-	case relayJoinDetach:
-		co.detachViaSite(link, site)
-		return nil
-	default:
-		return fmt.Errorf("cluster: relay join kind %d for site %d", kind, site)
-	}
-}
-
 // attach makes p — the site's own connection, or the relay link it arrived
 // through — the site's current peer, superseding any previous connection
 // (latest wins: a superseded direct connection is closed and its reader
-// stands down via the generation). It returns the new generation and the
-// resume ack describing the slot's completion state.
-func (co *Coordinator) attach(site uint32, p *peer) (gen uint64, ack resumeAck) {
+// stands down when its detach finds the slot moved on). It returns the resume
+// ack describing the slot's completion state.
+func (co *Coordinator) attach(site uint32, p *peer) (ack resumeAck) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	slot := &co.slots[site]
@@ -1312,7 +983,7 @@ func (co *Coordinator) attach(site uint32, p *peer) (gen uint64, ack resumeAck) 
 	if slot.done {
 		ack.Flags |= resumeSiteDone
 	}
-	return slot.gen, ack
+	return ack
 }
 
 // replyRunComplete answers a resume that arrived after the run completed:
@@ -1324,43 +995,4 @@ func (co *Coordinator) replyRunComplete(p *peer, site uint32) error {
 		return err
 	}
 	return p.writeCtl(site, frameStats, encodeStats(co.LiveStats().Stats))
-}
-
-// detachViaSite marks one relay-routed site disconnected (the relay reported
-// its downstream connection died) and arms its grace timer.
-func (co *Coordinator) detachViaSite(link *peer, site uint32) {
-	co.mu.Lock()
-	slot := &co.slots[site]
-	if slot.peer != link {
-		co.mu.Unlock()
-		return // superseded by a direct reconnect or another relay
-	}
-	slot.peer = nil
-	gen, done := slot.gen, slot.done
-	co.mu.Unlock()
-	co.armGrace(site, gen, done)
-}
-
-// detachRelay marks every site routed through a dead relay link
-// disconnected and arms their grace timers: the relay must reconnect (or
-// its sites re-resume through a restarted one) within the grace.
-func (co *Coordinator) detachRelay(link *peer) {
-	type lost struct {
-		id   uint32
-		gen  uint64
-		done bool
-	}
-	var ps []lost
-	co.mu.Lock()
-	for i := range co.slots {
-		slot := &co.slots[i]
-		if slot.peer == link {
-			slot.peer = nil
-			ps = append(ps, lost{uint32(i), slot.gen, slot.done})
-		}
-	}
-	co.mu.Unlock()
-	for _, p := range ps {
-		co.armGrace(p.id, p.gen, p.done)
-	}
 }

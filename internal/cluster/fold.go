@@ -3,22 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math/bits"
-	"net"
-	"sync"
 )
-
-// foldTarget is where decoded reports land: the coordinator's reported
-// matrix and structure engine, or a relay's per-site folded vectors. Both
-// folds are idempotent max-merges over monotone per-site counts, so a target
-// never needs to know whether a batch is fresh, duplicated or a replay. The
-// ids it receives are already validated (see frameFolder).
-type foldTarget interface {
-	// foldCounts merges one site's decided counter reports.
-	foldCounts(site uint32, ups []Update)
-	// foldStruct merges one site's cumulative pair-cell counts, stamped with
-	// the site's stream position.
-	foldStruct(site uint32, siteEvents uint64, ups []Update)
-}
 
 // relayPeer is frameFolder.site for a relay link: its frames are grouped and
 // every group names its own site.
@@ -33,7 +18,7 @@ const relayPeer = ^uint32(0)
 // frame leaves the folded state untouched. One folder serves one connection
 // (it owns the decode scratch).
 type frameFolder struct {
-	target foldTarget
+	target tierNode
 	// from names the connection in errors ("site 3", "relay 1").
 	from string
 	// site is the connection's site id, or relayPeer.
@@ -123,9 +108,10 @@ func (f *frameFolder) fold(t byte, payload []byte) (data bool, err error) {
 
 // dirtyVec is a monotone vector that remembers which cells moved since they
 // were last drained: a site's latest decided report per counter (written by
-// set), or a relay's max-merged view of one site's counters or pair cells
-// (written by merge) — either way shipped upstream a dirty set at a time. The
-// dirty set is a bitset, so a drain scans it in word order and yields
+// set), or a receiving node's max-merged view of one site's counters or pair
+// cells (written by merge). A site and a relay ship it upstream a dirty set at
+// a time; the coordinator, the root, has nowhere to ship and only reads vals.
+// The dirty set is a bitset, so a drain scans it in word order and yields
 // ascending ids without sorting. A relay's vectors are sized on first merge,
 // so a site that never reports costs nothing.
 type dirtyVec struct {
@@ -147,14 +133,17 @@ func (v *dirtyVec) set(id uint32, n int64) {
 	v.any = true
 }
 
-// merge max-merges ups into a vector of size cells. Ids must be < size.
-func (v *dirtyVec) merge(size uint32, ups []Update) {
+// merge max-merges ups into a vector of size cells whose cell 0 is id lo —
+// the receiver-side rule, written once: a relay's per-site vectors, the
+// coordinator's reported rows and a checkpoint restore all fold through it.
+// Ids must lie in [lo, lo+size).
+func (v *dirtyVec) merge(lo, size uint32, ups []Update) {
 	if v.vals == nil {
 		*v = newDirtyVec(size)
 	}
 	for _, u := range ups {
-		if u.LocalCount > v.vals[u.Counter] {
-			v.set(u.Counter, u.LocalCount)
+		if u.LocalCount > v.vals[u.Counter-lo] {
+			v.set(u.Counter-lo, u.LocalCount)
 		}
 	}
 }
@@ -184,61 +173,4 @@ func (v *dirtyVec) markAll() {
 			v.set(uint32(id), n)
 		}
 	}
-}
-
-// connSet owns the connections a listener accepted and the goroutines
-// serving them, so that Close means closed: closeAll closes every tracked
-// connection — attached, idle after a Done, or still handshaking — and wg
-// joins the accept loop and every handler.
-type connSet struct {
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
-}
-
-// acceptLoop admits connections from ln until it fails (normally: is
-// closed), serving each on its own goroutine — the one place connection
-// readers start. handle reports whether the connection must stay open after
-// it returns (a site that sent Done idles, attached, until the closing stats
-// reach it); otherwise the connection is closed and forgotten.
-func (s *connSet) acceptLoop(ln net.Listener, handle func(net.Conn) (keep bool)) error {
-	for {
-		raw, err := ln.Accept()
-		if err != nil {
-			return err
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			raw.Close()
-			continue
-		}
-		if s.conns == nil {
-			s.conns = make(map[net.Conn]struct{})
-		}
-		s.conns[raw] = struct{}{}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go func() {
-			defer s.wg.Done()
-			if !handle(raw) {
-				raw.Close()
-				s.mu.Lock()
-				delete(s.conns, raw)
-				s.mu.Unlock()
-			}
-		}()
-	}
-}
-
-// closeAll closes every tracked connection and refuses new ones.
-func (s *connSet) closeAll() {
-	s.mu.Lock()
-	s.closed = true
-	for raw := range s.conns {
-		raw.Close()
-	}
-	s.conns = nil
-	s.mu.Unlock()
 }

@@ -8,8 +8,11 @@ import (
 	"distbayes/internal/core"
 )
 
-// recordingTarget is a foldTarget that only counts what reaches it.
-type recordingTarget struct{ counts, structs int }
+// recordingTarget is a tierNode that only counts what is folded into it.
+type recordingTarget struct {
+	tierNode
+	counts, structs int
+}
 
 func (r *recordingTarget) foldCounts(uint32, []Update)         { r.counts++ }
 func (r *recordingTarget) foldStruct(uint32, uint64, []Update) { r.structs++ }
@@ -54,12 +57,9 @@ func TestFoldRejectsBeforeItFolds(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r := &Relay{
-				structCells: cells, innerCap: innerFrameCap(counters, cells),
-				sites: make([]relaySiteState, sites), flushReq: make(chan struct{}, 1),
-			}
-			r.layout = &Layout{total: counters}
-			f := r.newFolder("peer", tc.site)
+			r := &Relay{sites: make([]relaySiteState, sites), flushReq: make(chan struct{}, 1)}
+			r.down.init(r, "", StartConfig{Sites: sites}, 0, counters, counters, cells)
+			f := r.down.newFolder("peer", tc.site)
 			data, err := f.fold(tc.t, tc.payload)
 			if !data || err == nil {
 				t.Fatalf("fold = (%v, %v), want a data frame rejected", data, err)
@@ -124,7 +124,7 @@ func TestFoldRejectsBeforeItFolds(t *testing.T) {
 	}
 	defer co.Close()
 	own := []Update{{Counter: co.ownLo, LocalCount: 5}, {Counter: co.ownLo + 1, LocalCount: 6}}
-	cf := co.newFolder("site 0", 0)
+	cf := co.down.newFolder("site 0", 0)
 	for _, foreign := range []uint32{co.ownLo - 1, co.ownHi} {
 		for _, ft := range []byte{frameUpdates, frameUpdates2} {
 			ups := append(append([]Update(nil), own...), Update{Counter: foreign, LocalCount: 1})

@@ -86,7 +86,6 @@ func TestBatchedSitesBitIdenticalFewerFrames(t *testing.T) {
 	}
 	batched := base
 	batched.SiteBatchEvents = 128
-	batched.Shards = 4
 	batRes, coBat, err := RunLocal(batched)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +108,7 @@ func TestBatchedSitesBitIdenticalFewerFrames(t *testing.T) {
 // TestLiveQueriesDuringRun is the query-at-any-time test: k sites stream
 // over loopback while a query goroutine hammers QueryProb and
 // EstimatedModel against the live coordinator. Under -race this proves the
-// striped ingest path and the snapshot query path are clean against each
+// ingest fold and the snapshot query path are clean against each
 // other; the assertions prove mid-run answers are coherent probabilities
 // and that answers from late in the run stay within a tight envelope of the
 // final model (the (ε, δ) envelope plus prefix-sampling noise; the probe
@@ -120,7 +119,7 @@ func TestLiveQueriesDuringRun(t *testing.T) {
 	// live mix is covered by TestRunLocalLiveQueryMix.
 	cfg := Config{
 		NetName: "alarm", CPTSeed: 0xC0DE, Strategy: core.ExactMLE,
-		Sites: 4, Events: 16000, StreamSeed: 13, Shards: 8,
+		Sites: 4, Events: 16000, StreamSeed: 13,
 	}
 	co, err := NewCoordinator(cfg, "127.0.0.1:0")
 	if err != nil {
@@ -216,12 +215,12 @@ func TestLiveQueriesDuringRun(t *testing.T) {
 }
 
 // TestRunLocalLiveQueryMix: the RunLocal-level query mix counts its probes
-// and completes cleanly alongside batching and striping.
+// and completes cleanly alongside batching.
 func TestRunLocalLiveQueryMix(t *testing.T) {
 	cfg := Config{
 		NetName: "alarm", CPTSeed: 0xC0DE, Strategy: core.Uniform, Eps: 0.1,
 		Sites: 3, Events: 9000, StreamSeed: 21,
-		Shards: 4, SiteBatchEvents: 64, LiveQueryMicros: 100,
+		SiteBatchEvents: 64, LiveQueryMicros: 100,
 	}
 	res, co, err := RunLocal(cfg)
 	if err != nil {
@@ -257,7 +256,7 @@ func TestSkewedRoutingImprecision(t *testing.T) {
 		cfg := Config{
 			NetName: "alarm", CPTSeed: 0xC0DE, Strategy: core.Uniform, Eps: 0.1, Delta: 0.25,
 			Sites: 8, Events: eventsN, StreamSeed: 33, HotSiteShare: hotShare,
-			Shards: 4, SiteBatchEvents: 64,
+			SiteBatchEvents: 64,
 		}
 		_, co, err := RunLocal(cfg)
 		if err != nil {

@@ -32,28 +32,36 @@
 //     (TestBatchedSitesBitIdenticalFewerFrames); a report is delayed by at
 //     most one window, staleness of the same kind as the trailing gap the
 //     report probability already models.
-//   - Receive: frameFolder.fold (fold.go) is the only place the five data
-//     frames are decoded — frameUpdates, frameUpdates2 and frameStructStats
-//     from a site, frameRelayUpdates and frameRelayStruct from a relay. It
-//     decodes the whole frame, bounds-checks every id against the layout
-//     (and the owned stripe) before anything is folded, and hands each
-//     site's batch to a foldTarget: the Coordinator's striped matrix and
-//     structure engine, or a Relay's per-site dirty vectors. Both folds are
-//     the same idempotent max-merge, which is what makes relays, replays and
-//     duplicated frames invisible to the final estimates. The per-connection
-//     reader loops only handle control frames (Done, relay joins).
+//   - Receive: tier.serve (tier.go) is the only connection path of a
+//     non-leaf node — accept, opening frame (hello, resume or relayHello),
+//     join, one read loop, done, detach — and the Coordinator, the root of
+//     the relay tree, runs the same one every Relay does. Inside it,
+//     frameFolder.fold (fold.go) is the only place the five data frames are
+//     decoded — frameUpdates, frameUpdates2 and frameStructStats from a
+//     site, frameRelayUpdates and frameRelayStruct from a relay: it decodes
+//     the whole frame, bounds-checks every id against the layout (and the
+//     owned stripe range of a federation) before anything is folded, and
+//     hands each site's batch to the node. The two kinds of node differ only
+//     behind tierNode: a Relay folds into per-site dirty vectors it ships
+//     upstream and forwards membership events (join, Done, detach) up
+//     wrapped; the Coordinator folds into its reported rows and structure
+//     engine, estimates from them, and decides membership events — a site
+//     on its own connection is the one-site case of a relay link. Both
+//     folds are the same idempotent max-merge (dirtyVec.merge), which is
+//     what makes relays, replays and duplicated frames invisible to the
+//     final estimates.
 //
-// The coordinator is sharded the same way the in-process core.Tracker is:
-// one reader goroutine per connection folds into a reported-count matrix
-// guarded by lock stripes (counter id c belongs to stripe c mod
-// Config.Shards), each stripe carrying a version counter. The live query
-// paths (Coordinator.QueryProb, EstimatedModel) are served from an immutable
-// estimate snapshot revalidated against the stripe versions — repeated
-// queries against a quiescent coordinator share one snapshot with no lock
-// traffic, and a query racing ingestion rebuilds exactly the stripes that
-// moved. With Shards ≤ 1 and batching off the coordinator reproduces the
-// historical serial implementation's updates, frame count and estimates bit
-// for bit (pinned by TestSequentialClusterBitCompat's PR 3 HEAD goldens).
+// The coordinator has one lock: one reader goroutine per connection folds a
+// decoded batch into the reported-count matrix under it and bumps one version
+// counter. The live query paths (Coordinator.QueryProb, EstimatedModel) are
+// served from an immutable estimate snapshot revalidated against that version
+// — repeated queries against a quiescent coordinator share one snapshot with
+// no lock traffic, and queries racing ingestion rebuild it one at a time. (A
+// lock-striped variant of the fold measured no faster on any workload and
+// was removed; estimates never depended on it.) With batching off the
+// coordinator reproduces the historical serial implementation's updates,
+// frame count and estimates bit for bit (pinned by
+// TestSequentialClusterBitCompat's PR 3 HEAD goldens).
 //
 // The wire protocol is versioned by frame type and append-only: every frame
 // type ever shipped still decodes (the fixed-width frameUpdates of the first

@@ -80,13 +80,15 @@ type relaySiteState struct {
 // upstream it is a single connection to its parent carrying the whole
 // subtree's traffic.
 //
-// Every downstream connection — site or child relay — is read through a
-// frameFolder whose fold target is the relay itself: data frames fold into
-// per-site dirtyVecs and ship upstream coalesced, one grouped
-// frameRelayUpdates frame per flush round carrying every dirty site, so the
-// parent's frame rate divides by the relay's branching factor while every
-// final estimate stays bit-identical (monotone counts, idempotent max-merge
-// — the same invariants that make resume replays exact).
+// Every downstream connection — site or child relay — is served by the tier
+// the coordinator runs too (tier.serve), with the relay as its node: data
+// frames fold into per-site dirtyVecs and ship upstream coalesced, one
+// grouped frameRelayUpdates frame per flush round carrying every dirty site,
+// so the parent's frame rate divides by the relay's branching factor while
+// every final estimate stays bit-identical (monotone counts, idempotent
+// max-merge — the same invariants that make resume replays exact); membership
+// events are recorded and forwarded up as wrapped joins, and the parent's
+// replies route back down through deliver.
 //
 // The relay is disposable: it holds no state a site cannot regenerate. A
 // severed upstream link reconnects and replays the full folded vectors plus
@@ -98,11 +100,12 @@ type Relay struct {
 	cfg RelayConfig
 	ln  net.Listener
 
-	// Immutable after Run's first upstream handshake.
-	base        StartConfig
-	layout      *Layout
-	structCells uint32
-	innerCap    uint32
+	// down is the connection tier: every accepted downstream connection is
+	// served by down.serve, with this relay as its node. Its wait group also
+	// joins the accept and flush loops, so Close returns with every goroutine
+	// the relay started gone. Set up by Run's first upstream handshake and
+	// immutable after.
+	down tier
 
 	// mu guards sites and active.
 	mu    sync.Mutex
@@ -111,8 +114,10 @@ type Relay struct {
 	// size.
 	active int
 
-	// upMu serializes upstream writers; up is nil between a connection loss
-	// and the reconnect.
+	// upMu serializes upstream writers — a flush holds it from draining the
+	// dirty sets to writing them, so what is drained first is on the wire
+	// first; up is nil between a connection loss and the reconnect. Lock
+	// order: upMu before mu.
 	upMu  sync.Mutex
 	up    *conn
 	upRaw net.Conn
@@ -128,11 +133,6 @@ type Relay struct {
 	// federation benchmark.
 	DownFrames atomic.Int64
 	UpFrames   atomic.Int64
-
-	// downs tracks the accepted downstream connections; its wait group also
-	// joins the accept and flush loops, so Close returns with every goroutine
-	// the relay started gone.
-	downs connSet
 
 	closed    atomic.Bool
 	closeOnce sync.Once
@@ -178,9 +178,9 @@ func (r *Relay) Close() error {
 			r.upRaw.Close()
 		}
 		r.upMu.Unlock()
-		r.downs.closeAll()
+		r.down.conns.closeAll()
 	})
-	r.downs.wg.Wait()
+	r.down.conns.wg.Wait()
 	return nil
 }
 
@@ -201,13 +201,13 @@ func (r *Relay) Run() error {
 	if err := r.connectUp(jrng, true); err != nil {
 		return err
 	}
-	r.downs.wg.Add(2)
+	r.down.conns.wg.Add(2)
 	go func() {
-		defer r.downs.wg.Done()
-		_ = r.downs.acceptLoop(r.ln, r.handleDown) // ends when Close closes the listener
+		defer r.down.conns.wg.Done()
+		_ = r.down.conns.acceptLoop(r.ln, r.down.serve) // ends when Close closes the listener
 	}()
 	go func() {
-		defer r.downs.wg.Done()
+		defer r.down.conns.wg.Done()
 		r.flushLoop()
 	}()
 	return r.upReadLoop(jrng)
@@ -215,7 +215,8 @@ func (r *Relay) Run() error {
 
 // connectUp dials the parent, introduces the relay, and decodes the base run
 // configuration. On the first connection it derives the fold layout; later
-// reconnects verify the run still matches.
+// reconnects verify the run still matches and replay the subtree's state
+// before any other writer sees the new connection.
 func (r *Relay) connectUp(jrng *bn.RNG, first bool) error {
 	retry := retryPolicy{attempts: r.cfg.DialAttempts, base: r.cfg.RetryBase, cap: r.cfg.RetryCap}
 	err := retry.try(jrng, r.done, func() (terminal bool, err error) {
@@ -236,6 +237,9 @@ func (r *Relay) connectUp(jrng *bn.RNG, first bool) error {
 			r.upRaw.Close()
 		}
 		r.upRaw, r.up = raw, c
+		if !first {
+			r.replayUp()
+		}
 		r.upMu.Unlock()
 		if r.closed.Load() {
 			raw.Close()
@@ -261,9 +265,9 @@ func (r *Relay) helloUp(c *conn, first bool) (terminal bool, err error) {
 		if err := r.initFromBase(base); err != nil {
 			return true, err
 		}
-	} else if base.NetName != r.base.NetName || base.Sites != r.base.Sites {
+	} else if was := r.down.base; base.NetName != was.NetName || base.Sites != was.Sites {
 		return true, fmt.Errorf("reconnected to a different run (%s/%d sites, was %s/%d)",
-			base.NetName, base.Sites, r.base.NetName, r.base.Sites)
+			base.NetName, base.Sites, was.NetName, was.Sites)
 	}
 	// Ctl frames wrap small control payloads only; the grouped data frames
 	// travel up, never down.
@@ -282,22 +286,22 @@ func (r *Relay) initFromBase(base StartConfig) error {
 	if err != nil {
 		return err
 	}
-	r.base = base
-	r.layout = layout
+	var cells uint32
 	if base.StructBatchEvents > 0 {
 		sl, err := NewStructLayout(netw)
 		if err != nil {
 			return err
 		}
-		r.structCells = sl.Cells()
+		cells = sl.Cells()
 	}
-	r.innerCap = innerFrameCap(layout.NumCounters(), r.structCells)
+	total := layout.NumCounters()
+	r.down.init(r, fmt.Sprintf("relay %d: ", r.cfg.ID), base, 0, total, total, cells)
 	r.sites = make([]relaySiteState, base.Sites)
 	return nil
 }
 
 // upReadLoop owns the upstream read side: it routes ctl frames down to the
-// named site and reconnects (with full replay) when the link dies.
+// named site and reconnects (connectUp replays) when the link dies.
 func (r *Relay) upReadLoop(jrng *bn.RNG) error {
 	for {
 		r.upMu.Lock()
@@ -317,7 +321,6 @@ func (r *Relay) upReadLoop(jrng *bn.RNG) error {
 				}
 				return err
 			}
-			r.replayUp()
 			continue
 		}
 		switch t {
@@ -350,23 +353,30 @@ func (r *Relay) deliver(site uint32, innerType byte, inner []byte) {
 	}
 }
 
-// forwardJoin ships one wrapped join upstream. Write errors are dropped: the
-// upstream reader notices the dead link and the reconnect replay re-forwards
-// every join that still matters (pending ones, reattaches, Done markers).
+// forwardJoin ships one wrapped join upstream.
 func (r *Relay) forwardJoin(site uint32, kind byte, inner []byte) {
-	payload := encodeRelayWrapped(site, kind, inner)
 	r.upMu.Lock()
-	if r.up != nil {
-		_ = r.up.send(frameRelayJoin, payload)
-	}
+	r.sendJoin(site, kind, inner)
 	r.upMu.Unlock()
+}
+
+// sendJoin writes one wrapped join on the upstream connection; the caller
+// holds upMu. Write errors are dropped: the upstream reader notices the dead
+// link and the reconnect replay re-forwards every join that still matters
+// (pending ones, reattaches, Done markers).
+func (r *Relay) sendJoin(site uint32, kind byte, inner []byte) {
+	if r.up != nil {
+		_ = r.up.send(frameRelayJoin, encodeRelayWrapped(site, kind, inner))
+	}
 }
 
 // replayUp re-establishes the subtree's state on a fresh upstream
 // connection, in the order the coordinator relies on: membership first
 // (pending joins re-forwarded verbatim, already-admitted sites reattached),
 // then the full folded vectors, then the Done markers — so a Done can never
-// overtake the final counts it summarizes.
+// overtake the final counts it summarizes. The caller holds upMu, and has
+// since it installed the connection, so no other goroutine's flush or join
+// lands in between.
 func (r *Relay) replayUp() {
 	type j struct {
 		site  uint32
@@ -394,226 +404,65 @@ func (r *Relay) replayUp() {
 	}
 	r.mu.Unlock()
 	for _, x := range joins {
-		r.forwardJoin(x.site, x.kind, x.inner)
+		r.sendJoin(x.site, x.kind, x.inner)
 	}
-	r.flushUp()
+	r.flush()
 	for _, x := range dones {
-		r.forwardJoin(x.site, x.kind, x.inner)
+		r.sendJoin(x.site, x.kind, x.inner)
 	}
 }
 
-// handleDown serves one accepted downstream connection: sites open with
-// hello or resume (forwarded upstream as wrapped joins; the parent's reply
-// routes back through deliver), child relays open with relayHello (answered
-// locally from the cached base config). It reports whether the connection
-// stays open after it returns — only a site that sent Done does, attached and
-// idle, so the closing stats can route down to it.
-func (r *Relay) handleDown(raw net.Conn) (keep bool) {
-	c := newConn(raw)
-	t, payload, err := c.readFrame()
-	if err != nil {
-		return false
-	}
-	d := &peer{raw: raw, c: c}
-	switch t {
-	case frameHello, frameResume:
-		var site uint32
-		if t == frameHello {
-			site, err = decodeHello(payload)
-		} else {
-			var req resumeReq
-			req, err = decodeResume(payload)
-			site = req.Site
-		}
-		if err != nil || site >= uint32(len(r.sites)) {
-			return false
-		}
-		kind := relayJoinHello
-		var inner []byte
-		if t == frameResume {
-			kind = relayJoinResume
-			inner = append([]byte(nil), payload...)
-		}
-		r.attachDown(site, d, kind, inner)
-		c.setReadLimit(r.innerCap)
-		r.forwardJoin(site, kind, inner)
-		if err := r.siteLoop(d, site); err != nil {
-			r.detachDown(site, d)
-			return false
-		}
-		return true
-	case frameRelayHello:
-		// Child relay: it needs the base config we already hold.
-		d.isRelay = true
-		base := r.base
-		base.Site, base.Events = 0, 0
-		if d.write(frameStart, encodeStart(base)) != nil {
-			return false
-		}
-		c.setReadLimit(relayPayloadCap(uint32(len(r.sites)), r.innerCap))
-		r.childRelayLoop(d)
-		// The child link died: every site it carried is detached and the
-		// detach forwarded up.
-		r.mu.Lock()
-		var lostSites []uint32
-		for i := range r.sites {
-			if r.sites[i].down == d {
-				r.sites[i].down = nil
-				if !r.sites[i].done {
-					lostSites = append(lostSites, uint32(i))
-				}
-				r.siteDetachedLocked(&r.sites[i])
-			}
-		}
-		r.mu.Unlock()
-		raw.Close()
-		for _, site := range lostSites {
-			r.forwardJoin(site, relayJoinDetach, nil)
-		}
-	}
-	return false
-}
+// noteFrame and badOpening are the root's business (tierNode): a relay keeps
+// no frame clock, and a connection that opens with garbage is just dropped.
+func (r *Relay) noteFrame()       {}
+func (r *Relay) badOpening(error) {}
 
-// attachDown records a site's downstream connection and its pending join.
-func (r *Relay) attachDown(site uint32, d *peer, kind byte, inner []byte) {
-	r.mu.Lock()
-	s := &r.sites[site]
-	s.known = true
-	if s.down != nil && s.down != d && !s.down.isRelay {
-		s.down.raw.Close() // superseded; latest wins, as at the coordinator
-	}
-	if s.down == nil && !s.done {
-		r.active++
-	}
-	s.down = d
-	s.hasPending = true
-	s.pendingKind = kind
-	s.pendingInner = inner
-	r.mu.Unlock()
-}
-
-// siteDetachedLocked updates the round accounting when a site's downstream
-// connection is lost. Caller holds r.mu.
-func (r *Relay) siteDetachedLocked(s *relaySiteState) {
-	if !s.done {
-		r.active--
-	}
-}
-
-// detachDown clears a site's downstream connection (if d is still current)
-// and forwards the detach so the coordinator arms the site's grace timer.
-func (r *Relay) detachDown(site uint32, d *peer) {
-	r.mu.Lock()
-	s := &r.sites[site]
-	if s.down != d {
-		r.mu.Unlock()
-		return
-	}
-	s.down = nil
-	r.siteDetachedLocked(s)
-	done := s.done
-	r.mu.Unlock()
-	d.raw.Close()
-	if !done && !r.closed.Load() {
-		r.forwardJoin(site, relayJoinDetach, nil)
-	}
-}
-
-// newFolder builds the data-frame reader for one downstream connection (site
-// = relayPeer for a child relay), folding into this relay.
-func (r *Relay) newFolder(from string, site uint32) *frameFolder {
-	total := r.layout.NumCounters()
-	return &frameFolder{
-		target: r, from: fmt.Sprintf("relay %d: %s", r.cfg.ID, from), site: site,
-		sites: uint32(len(r.sites)), hi: total, counters: total,
-		cells: r.structCells, innerCap: r.innerCap,
-	}
-}
-
-// siteLoop consumes one site connection's frames. A nil return is the
-// site's Done (flushed and forwarded, connection kept); an error detaches
-// the connection.
-func (r *Relay) siteLoop(d *peer, site uint32) error {
-	folder := r.newFolder(fmt.Sprintf("site %d", site), site)
-	for {
-		t, payload, err := d.c.readFrame()
-		if err != nil {
-			return err
-		}
-		if data, err := folder.fold(t, payload); err != nil {
-			return err
-		} else if data {
-			continue
-		}
-		if t != frameDone {
-			return fmt.Errorf("cluster: %s unexpected frame %d", folder.from, t)
-		}
-		_, events, err := decodeDone(payload)
-		if err != nil {
-			return err
-		}
-		r.siteDone(site, events, payload)
-		return nil
-	}
-}
-
-// childRelayLoop consumes a child relay's frames until the link dies or
-// speaks garbage: grouped data frames re-fold per site (the fold composes
-// across tiers because max-merge is associative), wrapped joins are
-// bookkept locally and forwarded up.
-func (r *Relay) childRelayLoop(d *peer) {
-	folder := r.newFolder("child relay", relayPeer)
-	for {
-		t, payload, err := d.c.readFrame()
-		if err != nil {
-			return
-		}
-		if data, err := folder.fold(t, payload); err != nil {
-			return
-		} else if data {
-			continue
-		}
-		if t != frameRelayJoin {
-			return
-		}
-		site, kind, inner, err := decodeRelayWrapped(payload)
-		if err != nil || site >= uint32(len(r.sites)) {
-			return
-		}
-		r.childJoin(d, site, kind, inner)
-	}
-}
-
-// childJoin bookkeeps one join forwarded by a child relay and passes it up.
-func (r *Relay) childJoin(d *peer, site uint32, kind byte, inner []byte) {
+// member records one membership event of a site below — from its own
+// connection, or forwarded by the child relay carrying it — and passes it up
+// (tierNode); the parent's reply to a join routes back through deliver.
+func (r *Relay) member(p *peer, site uint32, kind byte, inner []byte) error {
 	switch kind {
 	case relayJoinHello, relayJoinResume, relayJoinReattach:
-		r.attachDown(site, d, kind, append([]byte(nil), inner...))
-		if kind == relayJoinReattach {
-			// Reattaches expect no reply; nothing is pending.
-			r.mu.Lock()
-			r.sites[site].hasPending = false
-			r.sites[site].pendingInner = nil
-			r.mu.Unlock()
-		}
-		r.forwardJoin(site, kind, inner)
-	case relayJoinDone:
-		if _, events, err := decodeDone(inner); err == nil {
-			r.siteDone(site, events, inner)
-		}
-	case relayJoinDetach:
 		r.mu.Lock()
 		s := &r.sites[site]
-		cur := s.down == d
-		if cur {
+		s.known = true
+		if s.down != nil && s.down != p && !s.down.isRelay {
+			s.down.raw.Close() // superseded; latest wins, as at the coordinator
+		}
+		if s.down == nil && !s.done {
+			r.active++
+		}
+		s.down = p
+		// The join stays pending until the parent's reply passes through
+		// deliver; a reattach expects none.
+		s.hasPending = kind != relayJoinReattach
+		s.pendingKind, s.pendingInner = kind, inner
+		r.mu.Unlock()
+		r.forwardJoin(site, kind, inner)
+	case relayJoinDone:
+		_, events, err := decodeDone(inner)
+		if err != nil {
+			return err
+		}
+		r.siteDone(site, events, inner)
+	case relayJoinDetach:
+		// p died, or reported the site gone: if it still carried the site,
+		// forward the detach so the coordinator arms the site's grace timer.
+		r.mu.Lock()
+		s := &r.sites[site]
+		lost := s.down == p && !s.done
+		if s.down == p {
 			s.down = nil
-			r.siteDetachedLocked(s)
+		}
+		if lost {
+			r.active--
 		}
 		r.mu.Unlock()
-		if cur {
+		if lost && !r.closed.Load() {
 			r.forwardJoin(site, relayJoinDetach, nil)
 		}
 	}
+	return nil
 }
 
 // siteDone records a site's Done, flushes the folded state so the final
@@ -636,18 +485,18 @@ func (r *Relay) siteDone(site uint32, events int64, donePayload []byte) {
 }
 
 // foldCounts max-merges one site's decoded report batch into its folded
-// vector and signals the flusher (foldTarget).
+// vector and signals the flusher (tierNode).
 func (r *Relay) foldCounts(site uint32, ups []Update) {
 	r.mu.Lock()
 	s := &r.sites[site]
 	s.known = true
-	s.counts.merge(r.layout.NumCounters(), ups)
+	s.counts.merge(0, r.down.folder.counters, ups)
 	r.mu.Unlock()
 	r.noteDownFrame()
 }
 
 // foldStruct max-merges one site's struct-stats batch into its cumulative
-// cell vector (foldTarget). A stamp that moved ships even with no cell
+// cell vector (tierNode). A stamp that moved ships even with no cell
 // changed: the coordinator's window clock runs on it.
 func (r *Relay) foldStruct(site uint32, siteEvents uint64, ups []Update) {
 	r.mu.Lock()
@@ -657,7 +506,7 @@ func (r *Relay) foldStruct(site uint32, siteEvents uint64, ups []Update) {
 		s.structEvents = siteEvents
 		s.structs.any = true
 	}
-	s.structs.merge(r.structCells, ups)
+	s.structs.merge(0, r.down.folder.cells, ups)
 	r.mu.Unlock()
 	r.noteDownFrame()
 }
@@ -711,12 +560,23 @@ func (r *Relay) flushLoop() {
 	}
 }
 
-// flushUp ships every dirty per-site folded vector upstream as one grouped
-// frame (plus one grouped struct frame when the overlay is on). Dirty flags
-// clear optimistically before the write: if the write fails the upstream
-// link is dead, and the reconnect replay re-marks every nonzero count dirty
-// — nothing is lost, at the cost of re-shipping (free under max-merge).
+// flushUp ships the folded state upstream. upMu is held from the drain to
+// the write: a racing flush that finds a site's cells already drained returns
+// only after they are on the wire, so the Done that follows it (siteDone)
+// cannot overtake them.
 func (r *Relay) flushUp() {
+	r.upMu.Lock()
+	r.flush()
+	r.upMu.Unlock()
+}
+
+// flush ships every dirty per-site folded vector upstream as one grouped
+// frame (plus one grouped struct frame when the overlay is on); the caller
+// holds upMu. Dirty flags clear optimistically before the write: if the write
+// fails the upstream link is dead, and the reconnect replay re-marks every
+// nonzero count dirty — nothing is lost, at the cost of re-shipping (free
+// under max-merge).
+func (r *Relay) flush() {
 	r.framesSinceFlush.Store(0)
 	var groups, sgroups []relayGroup
 	var ups []Update
@@ -737,8 +597,6 @@ func (r *Relay) flushUp() {
 	if len(groups)+len(sgroups) == 0 {
 		return
 	}
-	r.upMu.Lock()
-	defer r.upMu.Unlock()
 	if r.up == nil {
 		return // reconnecting; the replay will re-ship
 	}

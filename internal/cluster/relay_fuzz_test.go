@@ -112,10 +112,10 @@ func FuzzRelayGroups(f *testing.F) {
 // as counter updates, complete when allValid.
 func fuzzRelayFold(t *testing.T, data []byte, innerCap uint32, want map[uint32]map[uint32]int64, allValid bool) {
 	newRelay := func() *Relay {
-		return &Relay{
-			layout: &Layout{total: fuzzMaxCounters}, structCells: fuzzMaxCounters, innerCap: innerCap,
-			sites: make([]relaySiteState, fuzzRelaySites), flushReq: make(chan struct{}, 1),
-		}
+		r := &Relay{sites: make([]relaySiteState, fuzzRelaySites), flushReq: make(chan struct{}, 1)}
+		r.down.init(r, "", StartConfig{Sites: fuzzRelaySites}, 0, fuzzMaxCounters, fuzzMaxCounters, fuzzMaxCounters)
+		r.down.folder.innerCap = innerCap
+		return r
 	}
 	untouched := func(r *Relay, what string) {
 		for i := range r.sites {
@@ -126,7 +126,7 @@ func fuzzRelayFold(t *testing.T, data []byte, innerCap uint32, want map[uint32]m
 	}
 
 	r := newRelay()
-	_, err := r.newFolder("fuzz", relayPeer).fold(frameRelayUpdates, data)
+	_, err := r.down.newFolder("fuzz", relayPeer).fold(frameRelayUpdates, data)
 	if (err == nil) != allValid {
 		t.Fatalf("reader accepted=%v, reference decode allValid=%v (%v)", err == nil, allValid, err)
 	}
@@ -147,7 +147,7 @@ func fuzzRelayFold(t *testing.T, data []byte, innerCap uint32, want map[uint32]m
 	}
 
 	r = newRelay()
-	if _, err := r.newFolder("fuzz", relayPeer).fold(frameRelayStruct, data); err != nil {
+	if _, err := r.down.newFolder("fuzz", relayPeer).fold(frameRelayStruct, data); err != nil {
 		untouched(r, "struct")
 		return
 	}

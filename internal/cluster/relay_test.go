@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"net"
 	"slices"
 	"testing"
 	"time"
@@ -142,6 +143,107 @@ func TestTreePerEventProtocol(t *testing.T) {
 	}
 	if treeRes.Stats.Events != int64(cfg.Events) {
 		t.Errorf("events = %d, want %d", treeRes.Stats.Events, cfg.Events)
+	}
+}
+
+// TestRelayDoneFollowsFinalCounts pins the upstream frame order a relay's
+// parent relies on: the Done a relay forwards for a site follows the grouped
+// frame carrying that site's last folded count. The parent is a bare listener
+// that reads what the relay writes; the sites are bare connections that each
+// send a run of frames raising one counter and then Done, all at once, while
+// the relay's flusher — on the shortest interval, so it drains all the time —
+// races them. (A flush used to drain the dirty sets under one lock and write
+// them under another, so a site's Done could find nothing left to flush and
+// go out ahead of the flusher's drained but unwritten frame: the flake in
+// TestTreePerEventProtocol.)
+func TestRelayDoneFollowsFinalCounts(t *testing.T) {
+	const sites, frames = 32, 8
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	relay, err := NewRelay(RelayConfig{Parent: ln.Addr().String(), FlushInterval: time.Nanosecond}, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	relayDone := make(chan error, 1)
+	go func() { relayDone <- relay.Run() }()
+	raw, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	// Runs before raw is closed: a relay that lost its parent would redial.
+	defer func() {
+		relay.Close()
+		<-relayDone
+	}()
+	raw.SetDeadline(time.Now().Add(30 * time.Second))
+	up := newConn(raw)
+	if ft, _, err := up.readFrame(); err != nil || ft != frameRelayHello {
+		t.Fatalf("relay opened with frame %d (%v), want relayHello", ft, err)
+	}
+	base := StartConfig{NetName: "alarm", Strategy: uint8(core.NonUniform), Eps: 0.1, Delta: 0.25, Sites: sites}
+	if err := up.send(frameStart, encodeStart(base)); err != nil {
+		t.Fatal(err)
+	}
+	up.setReadLimit(maxFrame)
+
+	wait := startSites(sites, func(i int) (struct{}, error) {
+		c, err := net.Dial("tcp", relay.Addr())
+		if err != nil {
+			return struct{}{}, err
+		}
+		defer c.Close()
+		w := newConn(c)
+		if err := w.writeFrame(frameHello, encodeHello(uint32(i))); err != nil {
+			return struct{}{}, err
+		}
+		for n := int64(1); n <= frames; n++ {
+			if err := w.send(frameUpdates2, encodeUpdates2(nil, []Update{{Counter: 0, LocalCount: n}})); err != nil {
+				return struct{}{}, err
+			}
+		}
+		return struct{}{}, w.send(frameDone, encodeDone(uint32(i), frames))
+	})
+
+	var seen [sites]int64
+	for dones := 0; dones < sites; {
+		ft, payload, err := up.readFrame()
+		if err != nil {
+			t.Fatalf("after %d of %d Done markers: %v", dones, sites, err)
+		}
+		switch ft {
+		case frameRelayUpdates:
+			groups, err := decodeRelayGroups(nil, payload, sites, maxFrame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, g := range groups {
+				ups, err := decodeUpdates2(nil, g.Payload, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				seen[g.Site] = max(seen[g.Site], ups[0].LocalCount)
+			}
+		case frameRelayJoin:
+			site, kind, _, err := decodeRelayWrapped(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if kind != relayJoinDone {
+				continue
+			}
+			dones++
+			if seen[site] != frames {
+				t.Errorf("site %d: Done arrived with its counter at %d of %d — the marker overtook its final counts",
+					site, seen[site], frames)
+			}
+		}
+	}
+	if _, err := wait(); err != nil {
+		t.Fatal(err)
 	}
 }
 

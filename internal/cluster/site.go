@@ -206,7 +206,7 @@ func newSiteRun(id uint32, cfg StartConfig) (*siteRun, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := sameVariables(netw, driftNet); err != nil {
+		if err := netw.SameVariables(driftNet); err != nil {
 			return nil, fmt.Errorf("cluster: drift network %q incompatible with %q: %w",
 				cfg.DriftNetName, cfg.NetName, err)
 		}

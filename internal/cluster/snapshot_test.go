@@ -31,7 +31,7 @@ func snapshotProducers(t *testing.T) map[string]snapshotProducer {
 	t.Helper()
 	cfg := Config{
 		NetName: "alarm", CPTSeed: 0xC0DE, Strategy: core.NonUniform, Eps: 0.1, Delta: 0.25,
-		Sites: 3, Events: 12000, StreamSeed: 43, Shards: 2, SiteBatchEvents: 64,
+		Sites: 3, Events: 12000, StreamSeed: 43, SiteBatchEvents: 64,
 	}
 	newCo := func(cfg Config) *Coordinator {
 		co, err := NewCoordinator(cfg, "127.0.0.1:0")

@@ -40,8 +40,8 @@ import (
 // the same windowed pair statistics (for a tree, the windowed pair joint
 // counts ARE the CPT sufficient statistics). The flat base-DAG parameter
 // tracking is untouched — structure learning is a coordinator-local overlay,
-// so Shards ≤ 1 + batching + structure learning off stays bit-identical to
-// the sequential goldens, and the chaos invariants hold unchanged.
+// so batching + structure learning off stays bit-identical to the sequential
+// goldens, and the chaos invariants hold unchanged.
 //
 // Checkpoints (DBCLUS01) deliberately exclude the structure engine: a
 // restored coordinator restarts with an empty MI window and relearns from

@@ -47,12 +47,12 @@ type clusterPoint struct {
 // clusterSweep runs the live TCP cluster for every Fig. 7/8 network, site
 // count and algorithm; the two figures are the runtime and the throughput
 // view of it, so it runs on first use and is kept for the session. The sweep
-// runs the sharded coordinator with a mid-run query mix (one probe per
-// millisecond against the live snapshot path) so the measured runtime and
-// throughput reflect the paper's query-at-any-time serving model, not an
-// idle ingest loop; site batching stays off here to keep the per-event
-// frame accounting of the paper's transmission model (the batching
-// ablation is its own experiment, see runBatching).
+// runs the coordinator with a mid-run query mix (one probe per millisecond
+// against the live snapshot path) so the measured runtime and throughput
+// reflect the paper's query-at-any-time serving model, not an idle ingest
+// loop; site batching stays off here to keep the per-event frame accounting
+// of the paper's transmission model (the batching ablation is its own
+// experiment, see runBatching).
 func (s *Session) clusterSweep() (map[clusterPoint]cluster.Result, error) {
 	if s.cluster != nil {
 		return s.cluster, nil
@@ -63,7 +63,7 @@ func (s *Session) clusterSweep() (map[clusterPoint]cluster.Result, error) {
 			for _, st := range allStrategies {
 				cfg := clusterBase(s.p)
 				cfg.NetName, cfg.Strategy = name, st
-				cfg.Sites, cfg.Shards = k, k
+				cfg.Sites = k
 				cfg.LiveQueryMicros = 1000
 				res, _, err := cluster.RunLocal(cfg)
 				if err != nil {
@@ -110,8 +110,8 @@ var batchWindows = []int{0, 16, 64, 256}
 // sites and budget, swept over site-side batching windows. Report decisions
 // are per-site deterministic, so every row tracks the identical model —
 // the frames column isolates the transport cost, the paper's
-// message-efficiency lever, at equal accuracy. Runs with the sharded
-// coordinator and the mid-run query mix live, like clusterSweep.
+// message-efficiency lever, at equal accuracy. Runs with the mid-run query
+// mix live, like clusterSweep.
 func runBatching(s *Session) ([]*Table, error) {
 	p := s.p
 	t := &Table{
@@ -125,7 +125,6 @@ func runBatching(s *Session) ([]*Table, error) {
 	for _, w := range batchWindows {
 		cfg := clusterBase(p)
 		cfg.Strategy = core.Uniform
-		cfg.Shards = p.Sites
 		cfg.SiteBatchEvents = w
 		cfg.LiveQueryMicros = 1000
 		res, _, err := cluster.RunLocal(cfg)
@@ -169,7 +168,6 @@ func runChurn(s *Session) ([]*Table, error) {
 	for _, st := range allStrategies {
 		cfg := clusterBase(p)
 		cfg.Strategy = st
-		cfg.Shards = p.Sites
 		clean, coClean, err := cluster.RunLocal(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("churn clean run %v: %w", st, err)

@@ -39,7 +39,6 @@ func runDrift(s *Session) ([]*Table, error) {
 	cfg := clusterBase(p)
 	cfg.NetName = baseName
 	cfg.Strategy = core.Uniform
-	cfg.Shards = p.Sites
 	cfg.DriftNetName = driftName
 	cfg.DriftAfter = 0.5
 	cfg.DriftCPTSeed = p.Seed + 0xD21F

@@ -62,20 +62,43 @@ type ModelSource interface {
 	AcquireSnapshot() (Snapshot, error)
 }
 
-type trackerSource struct{ t *core.Tracker }
+// producerSource is the one ModelSource adapter: the tracked network, the
+// producer's health check (nil = always healthy), its acquire, and — for
+// coordinator-backed sources — the coordinator whose learning counters
+// StructLearnStats reports. name labels the errors.
+type producerSource struct {
+	name    string
+	netw    *bn.Network
+	health  func() error
+	acquire func() (*core.Snapshot, error)
+	co      *cluster.Coordinator
+}
+
+func (s *producerSource) Network() *bn.Network { return s.netw }
+
+func (s *producerSource) AcquireSnapshot() (Snapshot, error) {
+	var snap *core.Snapshot
+	var err error
+	if s.health != nil {
+		err = s.health()
+	}
+	if err == nil {
+		snap, err = s.acquire()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("serve: %s source: %w", s.name, err)
+	}
+	return snap, nil
+}
 
 // NewTrackerSource serves queries from an in-process tracker. Snapshots
 // are the tracker's refcounted model snapshots: ingestion never blocks on
 // a slow reader — an ingest burst simply retires the served snapshot,
 // whose rows are recycled when its last reader releases it.
-func NewTrackerSource(t *core.Tracker) ModelSource { return trackerSource{t} }
-
-func (s trackerSource) Network() *bn.Network { return s.t.Network() }
-func (s trackerSource) AcquireSnapshot() (Snapshot, error) {
-	return s.t.AcquireSnapshot(), nil
+func NewTrackerSource(t *core.Tracker) ModelSource {
+	return &producerSource{name: "tracker", netw: t.Network(),
+		acquire: func() (*core.Snapshot, error) { return t.AcquireSnapshot(), nil }}
 }
-
-type coordinatorSource struct{ co *cluster.Coordinator }
 
 // NewCoordinatorSource serves queries from a live cluster coordinator —
 // the distributed mirror of NewTrackerSource, valid at any time during a
@@ -83,17 +106,10 @@ type coordinatorSource struct{ co *cluster.Coordinator }
 // coordinator that was Closed or died with a protocol error fails
 // AcquireSnapshot, which flips the server into degraded mode; a run that
 // completed cleanly keeps serving its final estimates as fresh.
-func NewCoordinatorSource(co *cluster.Coordinator) ModelSource { return coordinatorSource{co} }
-
-func (s coordinatorSource) Network() *bn.Network { return s.co.Network() }
-func (s coordinatorSource) AcquireSnapshot() (Snapshot, error) {
-	if err := s.co.Err(); err != nil {
-		return nil, fmt.Errorf("serve: coordinator source: %w", err)
-	}
-	return s.co.AcquireSnapshot(), nil
+func NewCoordinatorSource(co *cluster.Coordinator) ModelSource {
+	return &producerSource{name: "coordinator", netw: co.Network(), health: co.Err, co: co,
+		acquire: func() (*core.Snapshot, error) { return co.AcquireSnapshot(), nil }}
 }
-
-type federationSource struct{ f *cluster.Federation }
 
 // NewFederatedSource serves queries from a striped coordinator federation:
 // the scatter-gather merge of the per-stripe estimates, behind the same
@@ -102,42 +118,25 @@ type federationSource struct{ f *cluster.Federation }
 // versions (monotone, like a single coordinator's). If any stripe
 // coordinator dies, AcquireSnapshot fails and the server flips into degraded
 // mode, answering from the last-good merged snapshot.
-func NewFederatedSource(f *cluster.Federation) ModelSource { return federationSource{f} }
-
-func (s federationSource) Network() *bn.Network { return s.f.Network() }
-func (s federationSource) AcquireSnapshot() (Snapshot, error) {
-	if err := s.f.Err(); err != nil {
-		return nil, fmt.Errorf("serve: federated source: %w", err)
-	}
-	return s.f.AcquireSnapshot(), nil
+func NewFederatedSource(f *cluster.Federation) ModelSource {
+	return &producerSource{name: "federated", netw: f.Network(), health: f.Err,
+		acquire: func() (*core.Snapshot, error) { return f.AcquireSnapshot(), nil }}
 }
-
-// learnedSource is coordinatorSource (same network, same health check, same
-// learning counters) handing out the learned-structure snapshot instead.
-type learnedSource struct{ coordinatorSource }
 
 // NewLearnedCoordinatorSource serves queries from a coordinator's *learned*
 // structure — the online distributed Chow–Liu tree — instead of the fixed
-// base DAG. Snapshots carry the learned tree itself (Network differs across
-// structure swaps) with parameters seeded from the same windowed pair
-// statistics, and StructureEpoch bumps at every swap; Version stays
-// monotone across swaps, so the per-client consistency contract is
-// unchanged. Before the first learned tree lands (or if the run was started
-// without structure learning) AcquireSnapshot fails, which the server
-// surfaces as unavailable/degraded — the documented cold-start behavior.
+// base DAG: NewCoordinatorSource (same network, same health check, same
+// learning counters) handing out the learned-structure snapshot. Snapshots
+// carry the learned tree itself (Network differs across structure swaps)
+// with parameters seeded from the same windowed pair statistics, and
+// StructureEpoch bumps at every swap; Version stays monotone across swaps, so
+// the per-client consistency contract is unchanged. Before the first learned
+// tree lands (or if the run was started without structure learning)
+// AcquireSnapshot fails, which the server surfaces as unavailable/degraded —
+// the documented cold-start behavior.
 func NewLearnedCoordinatorSource(co *cluster.Coordinator) ModelSource {
-	return learnedSource{coordinatorSource{co}}
-}
-
-func (s learnedSource) AcquireSnapshot() (Snapshot, error) {
-	if err := s.co.Err(); err != nil {
-		return nil, fmt.Errorf("serve: learned source: %w", err)
-	}
-	snap, err := s.co.AcquireLearnedSnapshot()
-	if err != nil {
-		return nil, fmt.Errorf("serve: learned source: %w", err)
-	}
-	return snap, nil
+	return &producerSource{name: "learned", netw: co.Network(), health: co.Err, co: co,
+		acquire: co.AcquireLearnedSnapshot}
 }
 
 // SwappableSource is a ModelSource whose back end can be replaced while
@@ -148,8 +147,8 @@ func (s learnedSource) AcquireSnapshot() (Snapshot, error) {
 // no restart and no client-visible discontinuity.
 //
 // Versions stay monotone across swaps. A restored coordinator restarts
-// its per-stripe version clocks below the dead one's, so raw versions
-// would jump backwards at failover; SwappableSource offsets every
+// its version clock below the dead one's, so raw versions would jump
+// backwards at failover; SwappableSource offsets every
 // snapshot version by the highest version it has handed out, bumping the
 // offset at each Swap, so the consistency contract ("version monotone
 // non-decreasing") holds across the entire failover sequence.
@@ -202,7 +201,7 @@ func (s *SwappableSource) Swap(next ModelSource) error {
 	if next == nil {
 		return fmt.Errorf("serve: Swap(nil)")
 	}
-	if err := sameShape(s.netw, next.Network()); err != nil {
+	if err := s.netw.SameVariables(next.Network()); err != nil {
 		return fmt.Errorf("serve: swapped source incompatible: %w", err)
 	}
 	s.mu.Lock()
@@ -221,8 +220,8 @@ type StructStatsReporter interface {
 	StructLearnStats() (cluster.StructStats, bool)
 }
 
-func (s coordinatorSource) StructLearnStats() (cluster.StructStats, bool) {
-	if !s.co.StructLearning() {
+func (s *producerSource) StructLearnStats() (cluster.StructStats, bool) {
+	if s.co == nil || !s.co.StructLearning() {
 		return cluster.StructStats{}, false
 	}
 	return s.co.StructLearnStats(), true
@@ -238,28 +237,6 @@ func (s *SwappableSource) StructLearnStats() (cluster.StructStats, bool) {
 		return r.StructLearnStats()
 	}
 	return cluster.StructStats{}, false
-}
-
-// sameShape checks two networks describe the same variables (names and
-// cardinalities) — the precondition for serving their snapshots
-// interchangeably. Structure is deliberately not compared: queries resolve
-// parent sets against each snapshot's own Network, so sources whose
-// structure differs (or changes over time, as with learned structure) swap
-// safely as long as the variables match.
-func sameShape(a, b *bn.Network) error {
-	if b == nil {
-		return fmt.Errorf("nil network")
-	}
-	if a.Len() != b.Len() {
-		return fmt.Errorf("%d variables, want %d", b.Len(), a.Len())
-	}
-	for i := 0; i < a.Len(); i++ {
-		if a.Var(i).Name != b.Var(i).Name || a.Card(i) != b.Card(i) {
-			return fmt.Errorf("variable %d is %s(card %d), want %s(card %d)",
-				i, b.Var(i).Name, b.Card(i), a.Var(i).Name, a.Card(i))
-		}
-	}
-	return nil
 }
 
 // offsetSnapshot shifts the wrapped snapshot's version by the swap offset;
