@@ -23,7 +23,8 @@
 //	internal/serve       HTTP query front end over core.Snapshots
 //	internal/chowliu     Chow–Liu structure learning (offline and the MI
 //	                     primitives of the online distributed path)
-//	internal/decay       time-decayed counters (future-work extension)
+//	internal/decay       time-decayed tracking beside a Tracker (future-work
+//	                     extension): decayed rows, served as a core.Snapshot
 //	internal/experiments one driver per paper table/figure
 //
 // Quickstart (see examples/quickstart for the runnable version):
@@ -65,9 +66,9 @@
 // and the (ε, δ) guarantee are preserved; Events and Messages lag until a
 // publish. See the core.Tracker documentation for the full three-mode
 // contract. SaveState/LoadState require ingestion to be quiesced for a
-// meaningful stream position, as does any out-of-band mutation of
-// Config.CounterFactory counters (e.g. the decay banks' Tick), whose
-// mutation the stripe locks only cover inside Inc.
+// meaningful stream position. Nothing else does: the time-decayed view
+// (internal/decay) rotates its blocks under the tracker's own locks
+// (Tracker.Rotate), so ingestion may race a block boundary.
 //
 // # Storage and query performance
 //
@@ -82,8 +83,8 @@
 // snapshot without taking any locks. Retired snapshots recycle their factor
 // rows through a per-variable pool, so a steady-state ingest+query mix
 // rebuilds dirty rows from recycled storage instead of allocating one row
-// per variable per rebuild. Trackers with a CounterFactory skip the caching
-// (factory counters may change out of band) but keep the batched reads.
+// per variable per rebuild. Every tracker caches: its banks are only ever
+// the three built-in counter kinds, mutated under the stripe locks.
 //
 // There is one snapshot type and one query kernel. core.Snapshot is an
 // immutable set of per-variable factor rows with its network, version, build

@@ -227,16 +227,25 @@ func (r *Relay) connectUp(jrng *bn.RNG, first bool) error {
 		if err != nil {
 			return false, err
 		}
+		// Publish raw before the handshake, so a Close that runs while the
+		// parent has not answered yet closes it and unblocks helloUp.
+		r.upMu.Lock()
+		if r.upRaw != nil {
+			r.upRaw.Close()
+		}
+		r.upRaw = raw
+		r.upMu.Unlock()
+		if r.closed.Load() {
+			raw.Close()
+			return true, ErrRelayClosed
+		}
 		c := newConn(raw)
 		if terminal, err = r.helloUp(c, first); err != nil {
 			raw.Close()
 			return terminal, err
 		}
 		r.upMu.Lock()
-		if r.upRaw != nil {
-			r.upRaw.Close()
-		}
-		r.upRaw, r.up = raw, c
+		r.up = c
 		if !first {
 			r.replayUp()
 		}

@@ -247,6 +247,58 @@ func TestRelayDoneFollowsFinalCounts(t *testing.T) {
 	}
 }
 
+// TestRelayCloseInterruptsUpstreamHandshake: a parent that accepts and reads
+// the relay's hello but never answers must not keep Run alive past Close, on
+// the first dial or on a reconnect. (The connection being handshaken used to
+// be invisible to Close until the handshake finished.)
+func TestRelayCloseInterruptsUpstreamHandshake(t *testing.T) {
+	for _, reconnect := range []bool{false, true} {
+		t.Run(fmt.Sprintf("reconnect=%v", reconnect), func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			relay, err := NewRelay(RelayConfig{Parent: ln.Addr().String()}, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			runDone := make(chan error, 1)
+			go func() { runDone <- relay.Run() }()
+			// acceptHello takes the relay's next upstream connection and reads
+			// its opening frame. Its cleanup closes the parent's end last, so
+			// only the relay's Close can unblock Run before the deadline.
+			acceptHello := func() (net.Conn, *conn) {
+				raw, err := ln.Accept()
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { raw.Close() })
+				c := newConn(raw)
+				if ft, _, err := c.readFrame(); err != nil || ft != frameRelayHello {
+					t.Fatalf("relay opened with frame %d (%v), want relayHello", ft, err)
+				}
+				return raw, c
+			}
+			raw, up := acceptHello()
+			if reconnect {
+				base := StartConfig{NetName: "alarm", Strategy: uint8(core.NonUniform), Eps: 0.1, Delta: 0.25, Sites: 2}
+				if err := up.send(frameStart, encodeStart(base)); err != nil {
+					t.Fatal(err)
+				}
+				raw.Close() // the relay redials
+				acceptHello()
+			}
+			relay.Close()
+			select {
+			case <-runDone:
+			case <-time.After(10 * time.Second):
+				t.Fatal("Run still blocked 10 s after Close: the handshake in progress was not interrupted")
+			}
+		})
+	}
+}
+
 // TestTreeDepth3 chains a relay through a mid-tier relay (sites → leaf relay
 // → mid relay → coordinator), exercising the child-relay path: grouped
 // frames re-folded mid-tier and control frames re-wrapped downstream. The

@@ -4,9 +4,6 @@ import (
 	"bytes"
 	"context"
 	"testing"
-
-	"distbayes/internal/bn"
-	"distbayes/internal/counter"
 )
 
 func bufferedCfg(st Strategy, shards, cadence int) Config {
@@ -152,31 +149,6 @@ func TestDeltaBufferedCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertExactEquivalence(t, tr, restored)
-}
-
-// TestDeltaBufferedCustomCounters: the CounterFactory extension point works
-// under buffering — merges replay Inc per increment on the custom cells.
-func TestDeltaBufferedCustomCounters(t *testing.T) {
-	m := testModel(t)
-	cfg := bufferedCfg(NonUniform, 1, 128)
-	cfg.CounterFactory = func(eps float64, metrics *counter.Metrics, rng *bn.RNG) (counter.Counter, error) {
-		return counter.NewExact(metrics), nil
-	}
-	tr, err := NewTracker(m.Network(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := NewTracker(m.Network(), cfgFor(ExactMLE, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	evs := genEventStream(m, 4, 700, 31)
-	tr.UpdateEvents(evs)
-	for _, ev := range evs {
-		ref.Update(ev.Site, ev.X)
-	}
-	tr.FlushDeltas()
-	assertExactEquivalence(t, ref, tr)
 }
 
 // TestDeltaBufferReleaseUnregisters: a released buffer is no longer reachable

@@ -8,7 +8,6 @@ import (
 
 	"distbayes/internal/bn"
 	"distbayes/internal/counter"
-	"distbayes/internal/decay"
 	"distbayes/internal/netgen"
 )
 
@@ -95,9 +94,7 @@ func TestStripedSingleWriterSchedule(t *testing.T) {
 // backwards, and once the writers have returned it is complete (for ExactMLE
 // exactly 2·n messages per event; no stripe is left holding an unpublished
 // tally). Under -race this is also the proof that stripe-local tallies are
-// only touched under their stripe lock, and that CounterFactory counters —
-// decay's exact and randomized sub-counters, which share the tracker's live
-// sink across stripes — still tally race-free.
+// only touched under their stripe lock.
 func TestMessagesWhileIngesting(t *testing.T) {
 	m := testModel(t)
 	const sites, events = 4, 8000
@@ -105,25 +102,14 @@ func TestMessagesWhileIngesting(t *testing.T) {
 	n := int64(m.Network().Len())
 
 	for _, tc := range []struct {
-		name    string
-		st      Strategy
-		factory bool
+		name string
+		st   Strategy
 	}{
-		{"flat-exact", ExactMLE, false},
-		{"flat-nonuniform", NonUniform, false},
-		{"decay-exact", ExactMLE, true},
-		{"decay-nonuniform", NonUniform, true},
+		{"flat-exact", ExactMLE},
+		{"flat-nonuniform", NonUniform},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := cfgFor(tc.st, 4)
-			if tc.factory {
-				bank, err := decay.NewBank(decay.Options{Gamma: 0.9, BlockEvents: 1 << 30, Sites: sites})
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg.CounterFactory = bank.Factory()
-			}
-			tr, err := NewTracker(m.Network(), cfg)
+			tr, err := NewTracker(m.Network(), cfgFor(tc.st, 4))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -10,10 +10,12 @@ import (
 // Checkpoint record plumbing, shared by every DBAYES-family snapshot format:
 // a checkpoint is an 8-byte magic, a sequence of little-endian u64 fields,
 // and length-prefixed records (u64 length, then the record bytes). The
-// tracker's DBAYES02/03 state files (state.go) and the cluster coordinator's
-// DBCLUS01 checkpoints (internal/cluster) are both written through these
-// helpers, so the framing — and the length-validate-before-allocating
-// discipline on the read side — is implemented once.
+// tracker's DBAYES03 state files (state.go) and the cluster coordinator's
+// DBCLUS01 checkpoints (internal/cluster) are both written and read through
+// these helpers, so the framing — and the length-validate-before-allocating
+// discipline on the read side — is implemented once. Those two are the
+// formats that decode; the tracker's per-cell DBAYES02 format has had no
+// reader since DBAYES03 replaced it.
 
 // CkptWriter writes a DBAYES-family checkpoint stream.
 type CkptWriter struct {

@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"distbayes/internal/bn"
-	"distbayes/internal/counter"
 )
 
 // perCellQueryProb recomputes QueryProb through the per-cell reference path
@@ -246,37 +246,48 @@ func TestSnapshotStripeGranularity(t *testing.T) {
 	}
 }
 
-// TestFactorySnapshotNeverCached: CounterFactory counters can be mutated out
-// of band (decay rotation), so their trackers must re-read live state on
-// every query.
-func TestFactorySnapshotNeverCached(t *testing.T) {
+// TestRotateFoldsRowsAndResets: Rotate hands fold exactly what ReadCPDRows
+// reads, leaves every bank just-built (all counts 0), keeps Events and
+// Messages, and invalidates the cached snapshot.
+func TestRotateFoldsRowsAndResets(t *testing.T) {
 	m := testModel(t)
-	var made []*counter.Exact
-	cfg := cfgFor(ExactMLE, 1)
-	cfg.CounterFactory = func(eps float64, metrics *counter.Metrics, rng *bn.RNG) (counter.Counter, error) {
-		c := counter.NewExact(metrics)
-		made = append(made, c)
-		return c, nil
-	}
-	tr, err := NewTracker(m.Network(), cfg)
+	net := m.Network()
+	tr, err := NewTracker(net, cfgFor(NonUniform, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	evs := genEventStream(m, 4, 2000, 3)
-	tr.UpdateEvents(evs)
-	q := []int{0, 0, 0}
-	p1 := tr.QueryProb(q)
-	if tr.snap.Load() != nil {
-		t.Fatal("factory tracker cached a snapshot")
+	tr.UpdateEvents(genEventStream(m, 4, 3000, 3))
+	before := tr.AcquireSnapshot()
+	defer before.Release()
+	want := make([]CPDRows, net.Len())
+	for i := range want {
+		tr.ReadCPDRows(i, &want[i])
 	}
-	// Mutate every factory counter out of band (no version bump) and verify
-	// the next query reflects it.
-	for _, c := range made {
-		c.Inc(0)
+	events, msgs := tr.Events(), tr.Messages()
+	folded := 0
+	tr.Rotate(func(i int, rows *CPDRows) {
+		folded++
+		if !slices.Equal(rows.Pair, want[i].Pair) || !slices.Equal(rows.Par, want[i].Par) {
+			t.Errorf("variable %d: Rotate handed rows that ReadCPDRows does not read", i)
+		}
+	})
+	if folded != net.Len() {
+		t.Fatalf("fold called %d times, want %d", folded, net.Len())
 	}
-	p2 := tr.QueryProb(q)
-	if p1 == p2 {
-		t.Error("factory tracker served stale estimates after out-of-band mutation")
+	for i := 0; i < net.Len(); i++ {
+		for pidx := 0; pidx < net.ParentCard(i); pidx++ {
+			if pc, qc := tr.ExactCount(i, 0, pidx); pc != 0 || qc != 0 {
+				t.Fatalf("variable %d pidx %d: counts %d/%d after Rotate", i, pidx, pc, qc)
+			}
+		}
+	}
+	if tr.Events() != events || tr.Messages() != msgs {
+		t.Errorf("Events/Messages %d/%+v after Rotate, want %d/%+v", tr.Events(), tr.Messages(), events, msgs)
+	}
+	after := tr.AcquireSnapshot()
+	defer after.Release()
+	if after.Version() <= before.Version() || after.Factor(0, 0, 0) == before.Factor(0, 0, 0) {
+		t.Error("Rotate left the cached snapshot in place")
 	}
 }
 

@@ -20,9 +20,8 @@ import (
 // Format DBAYES03: counter state is written as one length-prefixed record
 // per bank (two banks per variable — pair then parent), matching the flat
 // struct-of-arrays storage, instead of DBAYES02's one record per CPT cell.
-// Custom (CounterFactory) banks serialize their cells through the cells' own
-// BinaryMarshaler, so factory counters remain checkpointable iff they
-// implement it.
+// DBAYES03 is the only format LoadState decodes: a DBAYES02 file is rejected
+// by its magic, and there is no DBAYES02 decoder.
 
 const stateMagic = "DBAYES03"
 
@@ -152,16 +151,9 @@ func (t *Tracker) LoadState(r io.Reader) error {
 	}
 
 	readBank := func(b *counter.Bank) error {
-		// Reject a corrupt record length before allocating for it: built-in
-		// banks have a statically known state size, so anything else is
-		// garbage; custom banks (unknown size) keep a coarse cap.
-		var data []byte
-		var err error
-		if want := b.StateLen(); want >= 0 {
-			data, err = cr.RecordExact(uint64(want))
-		} else {
-			data, err = cr.RecordCapped(1 << 30)
-		}
+		// Reject a corrupt record length before allocating for it: a bank's
+		// state size is statically known, so anything else is garbage.
+		data, err := cr.RecordExact(uint64(b.StateLen()))
 		if err != nil {
 			return err
 		}

@@ -33,20 +33,6 @@ type Config struct {
 	// classification: each CPD cell behaves as (A+s)/(Apar+s·J_i). Zero (the
 	// default) reproduces the paper's unsmoothed estimator.
 	Smoothing float64
-	// CounterFactory, if non-nil, overrides counter construction for every
-	// strategy (the time-decay extension plugs in here). eps is the
-	// allocated error parameter of the counter; it is 0 for ExactMLE. The
-	// rng argument is the lock stripe's generator: counters built from it
-	// are only ever driven under that stripe's lock. The tracker's
-	// concurrent-use guarantee extends to factory counters only if all
-	// their mutation happens inside Inc; a factory whose counters are also
-	// mutated out of band (e.g. the decay banks' Tick/rotate) requires
-	// ingestion to be quiesced around those external mutations. Factory
-	// counters live in custom banks with per-cell interface dispatch, and
-	// the tracker disables model-snapshot caching for them (out-of-band
-	// mutation cannot bump the stripe versions), so every query re-reads
-	// the live counters — decayed estimates are always current.
-	CounterFactory func(eps float64, metrics *counter.Metrics, rng *bn.RNG) (counter.Counter, error)
 	// Shards is the number of lock stripes of the concurrent ingestion
 	// engine. Variable i's counter banks belong to stripe i mod Shards, and
 	// every stripe owns an independent RNG. 0 and 1 both mean a single
@@ -165,7 +151,7 @@ type Event struct {
 // not one LOCK XADD per message. While ingestion is in flight Messages
 // therefore trails the counters by at most one locked section per stripe (a
 // pass, or a delta flush); once the ingesting calls have returned it is
-// exact. CounterFactory counters tally straight into the atomic sink.
+// exact.
 //
 // Concurrent queries must not share mutable arguments — Classify scratches
 // x[target] in the caller's slice, so each goroutine needs its own x.
@@ -186,9 +172,7 @@ type Event struct {
 //
 // External quiescence is required only for SaveState/LoadState (stripe
 // locking excludes torn counter reads, but a mid-flight multi-stripe update
-// can be captured half-applied — see SaveState) and for out-of-band
-// mutation of CounterFactory counters such as the decay banks' Tick (see
-// Config.CounterFactory).
+// can be captured half-applied — see SaveState).
 type Tracker struct {
 	// metrics is first so its int64 tallies are 64-bit aligned for the
 	// atomic ops even on 32-bit platforms (the first word of an allocated
@@ -227,7 +211,7 @@ type Tracker struct {
 	deltaPending atomic.Int32
 
 	// snap is the last published model snapshot (nil until the first
-	// structured query; never cached for CounterFactory trackers).
+	// structured query).
 	snap atomic.Pointer[modelSnapshot]
 	// rebuildMu serializes snapshot rebuilds and cache replacement: a rebuild
 	// shares the rows of the cached snapshot, which its cache reference keeps
@@ -253,9 +237,8 @@ type Tracker struct {
 type shard struct {
 	mu  sync.Mutex
 	rng *bn.RNG
-	// tally is where this stripe's flat banks count messages, with plain adds
-	// under mu; unlockMutated publishes it to Tracker.metrics. CounterFactory
-	// counters are handed the atomic Tracker.metrics itself instead.
+	// tally is where this stripe's banks count messages, with plain adds
+	// under mu; unlockMutated publishes it to Tracker.metrics.
 	tally counter.Metrics
 	// version counts mutations of this stripe's banks. It is incremented
 	// under mu at the end of every locked mutation section (a pass or a
@@ -324,17 +307,8 @@ func NewTracker(net *bn.Network, cfg Config) (*Tracker, error) {
 	return t, nil
 }
 
-// newBank builds one variable's counter bank: a flat bank for the built-in
-// protocols, or a custom bank of factory counters when Config.CounterFactory
-// is set. Custom-bank cells are created in ascending cell order, preserving
-// the historical per-cell construction order (and hence any factory-side
-// registration order, e.g. the decay banks').
+// newBank builds one variable's counter bank of the configured protocol.
 func (t *Tracker) newBank(cells int, eps float64, sh *shard) (*counter.Bank, error) {
-	if t.cfg.CounterFactory != nil {
-		return counter.NewCustomBank(cells, func(int) (counter.Counter, error) {
-			return t.cfg.CounterFactory(eps, &t.metrics, sh.rng)
-		})
-	}
 	if t.cfg.Strategy == ExactMLE {
 		return counter.NewBank(counter.ExactKind, cells, t.cfg.Sites, 0, 0, &sh.tally, nil)
 	}
@@ -624,8 +598,7 @@ func (t *Tracker) cpdFactor(i, v, pidx int) float64 {
 }
 
 // smoothedFactor is the single definition of the smoothed CPD ratio, shared
-// by the per-cell reference path and the snapshot builder so the two are
-// bit-identical.
+// by the per-cell reference path and SmoothRows so the two are bit-identical.
 func smoothedFactor(num, den, smoothing float64, ji int) float64 {
 	num += smoothing
 	den += smoothing * float64(ji)
@@ -633,6 +606,20 @@ func smoothedFactor(num, den, smoothing float64, ji int) float64 {
 		return 0
 	}
 	return num / den
+}
+
+// SmoothRows turns one variable's raw rows (the CPDRows layout, J_i = j
+// values per parent configuration) into its factor row in place:
+// pair[pidx*j+v] becomes (pair[pidx*j+v]+s)/(par[pidx]+s·j). It is the
+// snapshot builder's step, and what a producer of raw rows outside the
+// tracker (internal/decay) builds a core.Snapshot with.
+func SmoothRows(pair, par []float64, smoothing float64, j int) {
+	for pidx, den := range par {
+		row := pair[pidx*j : (pidx+1)*j]
+		for v := range row {
+			row[v] = smoothedFactor(row[v], den, smoothing, j)
+		}
+	}
 }
 
 // CPDRows is caller-owned scratch for ReadCPDRows: one variable's raw
@@ -793,17 +780,11 @@ const staleQueryRebuildThreshold = 3
 // pointSnapshot returns the snapshot a point query (QueryProb,
 // QuerySubsetProb, Classify) should read — with a reference held, which the
 // caller must drop with releaseSnap — or nil when the query should fall
-// back to per-cell cpdFactor reads: always for CounterFactory trackers
-// (their counters can change out of band, so a cache would go stale
-// silently and a per-query rebuild would read far more cells than the query
-// touches), and for the first few queries after the cached snapshot goes
-// stale (see staleQueryRebuildThreshold). Both paths produce bit-identical
-// answers.
+// back to per-cell cpdFactor reads: for the first few queries after the
+// cached snapshot goes stale (see staleQueryRebuildThreshold). Both paths
+// produce bit-identical answers.
 func (t *Tracker) pointSnapshot() *modelSnapshot {
 	t.FlushDeltas() // barrier first, so a "fresh" cache can't hide parked deltas
-	if t.cfg.CounterFactory != nil {
-		return nil
-	}
 	if s := t.acquireSnap(); s != nil {
 		if t.snapFresh(s) {
 			return s
@@ -820,14 +801,9 @@ func (t *Tracker) pointSnapshot() *modelSnapshot {
 // with releaseSnap), rebuilding only stripes whose version moved since the
 // cached one was built. Rebuilds are serialized under rebuildMu — which also
 // makes the row ownership hand-off to the successor snapshot safe — while
-// the fresh-cache fast path stays lock-free. CounterFactory trackers always
-// rebuild in full and never cache: factory counters may be mutated out of
-// band (decay rotation), which the stripe versions cannot see.
+// the fresh-cache fast path stays lock-free.
 func (t *Tracker) snapshot() *modelSnapshot {
 	t.FlushDeltas()
-	if t.cfg.CounterFactory != nil {
-		return t.buildSnapshot(nil, false)
-	}
 	if s := t.acquireSnap(); s != nil {
 		if t.snapFresh(s) {
 			return s
@@ -843,7 +819,7 @@ func (t *Tracker) snapshot() *modelSnapshot {
 		old.refs.Add(1)
 		return old
 	}
-	return t.buildSnapshot(t.snap.Load(), true)
+	return t.buildSnapshot(t.snap.Load())
 }
 
 // AcquireSnapshot returns the current model snapshot with a read reference
@@ -856,10 +832,10 @@ func (t *Tracker) snapshot() *modelSnapshot {
 func (t *Tracker) AcquireSnapshot() *Snapshot { return &t.snapshot().Snapshot }
 
 // buildSnapshot reads every stripe (reusing old's rows for unchanged
-// stripes) and returns the new snapshot with the caller's reference held.
-// When cacheable it also publishes the snapshot and retires old's cache
-// reference; callers then hold rebuildMu.
-func (t *Tracker) buildSnapshot(old *modelSnapshot, cacheable bool) *modelSnapshot {
+// stripes), publishes the new snapshot, retires old's cache reference and
+// returns the new one with the caller's reference held. Callers hold
+// rebuildMu.
+func (t *Tracker) buildSnapshot(old *modelSnapshot) *modelSnapshot {
 	ns := &modelSnapshot{
 		Snapshot: Snapshot{net: t.net, factors: make([][]float64, t.net.Len())},
 		versions: make([]uint64, len(t.shards)),
@@ -889,13 +865,7 @@ func (t *Tracker) buildSnapshot(old *modelSnapshot, cacheable bool) *modelSnapsh
 			row := shared.cells
 			par = growFloats(par, k)
 			t.readRowsLocked(i, row, par)
-			for pidx := 0; pidx < k; pidx++ {
-				den := par[pidx]
-				for v := 0; v < j; v++ {
-					c := pidx*j + v
-					row[c] = smoothedFactor(row[c], den, t.cfg.Smoothing, j)
-				}
-			}
+			SmoothRows(row, par, t.cfg.Smoothing, j)
 			ns.factors[i] = row
 			ns.rows[i] = shared
 		}
@@ -906,24 +876,20 @@ func (t *Tracker) buildSnapshot(old *modelSnapshot, cacheable bool) *modelSnapsh
 		ns.version += v
 	}
 	ns.builtAt = time.Now()
-	if cacheable {
-		ns.refs.Store(2) // the cache slot plus the returning caller
-		t.snap.Store(ns)
-		if old != nil {
-			t.releaseSnap(old) // drop the cache slot's reference
-		}
-		t.staleQueries.Store(0)
-	} else {
-		ns.refs.Store(1)
+	ns.refs.Store(2) // the cache slot plus the returning caller
+	t.snap.Store(ns)
+	if old != nil {
+		t.releaseSnap(old) // drop the cache slot's reference
 	}
+	t.staleQueries.Store(0)
 	return ns
 }
 
 // invalidateSnapshotLocked drops the cached snapshot and bumps every stripe
-// version so in-flight revalidations miss (used by LoadState). Callers hold
-// rebuildMu — and must acquire it BEFORE any stripe lock: snapshot rebuilds
-// take rebuildMu first and then the stripe locks, so the reverse order
-// deadlocks against a concurrent query.
+// version so in-flight revalidations miss (used by LoadState and Rotate).
+// Callers hold rebuildMu — and must acquire it BEFORE any stripe lock:
+// snapshot rebuilds take rebuildMu first and then the stripe locks, so the
+// reverse order deadlocks against a concurrent query.
 func (t *Tracker) invalidateSnapshotLocked() {
 	for s := range t.shards {
 		t.shards[s].version.Add(1)
@@ -931,6 +897,33 @@ func (t *Tracker) invalidateSnapshotLocked() {
 	if old := t.snap.Swap(nil); old != nil {
 		t.releaseSnap(old)
 	}
+}
+
+// Rotate is the block boundary of a time-decayed view (internal/decay).
+// After the FlushDeltas barrier it takes rebuildMu and then every stripe
+// lock; under them it hands fold each variable's raw rows (what ReadCPDRows
+// reads; fold must not keep rows, and must not call back into the tracker,
+// whose locks it runs under) and returns both of the variable's banks to
+// their just-built state (counter.Bank.Reset). RNG states, Messages and
+// Events carry on, and the cached snapshot is invalidated. Ingestion may
+// race a rotation: each stripe's increments land wholly before it or wholly
+// after it.
+func (t *Tracker) Rotate(fold func(i int, rows *CPDRows)) {
+	t.FlushDeltas()
+	t.rebuildMu.Lock()
+	defer t.rebuildMu.Unlock()
+	t.lockAll()
+	defer t.unlockAll()
+	var rows CPDRows
+	for i := range t.pair {
+		rows.Pair = growFloats(rows.Pair, t.pair[i].Cells())
+		rows.Par = growFloats(rows.Par, t.par[i].Cells())
+		t.readRowsLocked(i, rows.Pair, rows.Par)
+		fold(i, &rows)
+		t.pair[i].Reset()
+		t.par[i].Reset()
+	}
+	t.invalidateSnapshotLocked()
 }
 
 // QueryProb answers a joint-probability query for the full assignment x

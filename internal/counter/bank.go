@@ -62,14 +62,14 @@ import (
 // guarantee; bank_test.go keeps the dense-plane protocol as the oracle the
 // record layout is compared with.
 //
-// # Custom cells
+// # Three kinds
 //
-// A bank built with NewCustomBank stores one Counter interface value per
-// cell instead of flat state. This is the extension point used by
-// core.Config.CounterFactory (e.g. the time-decayed counters of
-// internal/decay): the tracker drives every bank through the same
-// Inc/Estimate/Exact indexed API, and custom banks forward to the per-cell
-// objects.
+// Every bank is one of the three kinds below. A counter that needs state no
+// kind has is built beside the tracker: the time-decayed counters of
+// internal/decay keep their decayed rows themselves, folding a bank's
+// estimates into them at a block boundary (core.Tracker.Rotate reads them
+// with EstimateRange) and returning the bank to its just-built state
+// (Reset).
 
 // Kind selects the distributed-counter protocol of a Bank's cells.
 type Kind uint8
@@ -81,9 +81,6 @@ const (
 	HYZKind
 	// DeterministicKind is the classical O(k/ε·log T) threshold counter.
 	DeterministicKind
-	// customKind marks a bank whose cells are caller-supplied Counter
-	// values (NewCustomBank).
-	customKind
 )
 
 // Bank is a flat struct-of-arrays bank of `cells` distributed counters that
@@ -132,8 +129,10 @@ type Bank struct {
 	cells   int
 	eps     float64
 
-	// custom is non-nil iff kind == customKind.
-	custom []Counter
+	// _ pads the struct to 256 bytes. The allocator's 256-byte size class is
+	// what makes every Bank 64-byte aligned; at 232 bytes a bank lands in the
+	// 240-byte class and its first line straddles two.
+	_ [24]byte
 }
 
 // NewBank creates a bank of cells counters of the given kind over k sites
@@ -222,36 +221,23 @@ func resized[T any](s []T, n int) []T {
 	return t
 }
 
-// NewCustomBank creates a bank whose cells are caller-supplied Counter
-// values, built by calling newCell once per cell in ascending order. It is
-// the Config.CounterFactory extension point: custom banks keep per-cell
-// interface dispatch but present the same indexed API as flat banks.
-func NewCustomBank(cells int, newCell func(cell int) (Counter, error)) (*Bank, error) {
-	if cells < 0 {
-		return nil, fmt.Errorf("counter: bank cells = %d, want >= 0", cells)
+// Reset returns the bank to its just-built state: every total 0, every cell
+// in exact mode, no round records. The metrics sink and the RNG carry on, and
+// nothing is tallied — a fresh counter costs no messages.
+func (b *Bank) Reset() {
+	clear(b.total)
+	if b.kind != ExactKind {
+		b.resetRecords(0)
 	}
-	b := &Bank{kind: customKind, cells: cells, custom: make([]Counter, cells)}
-	for c := 0; c < cells; c++ {
-		cc, err := newCell(c)
-		if err != nil {
-			return nil, err
-		}
-		if cc == nil {
-			return nil, fmt.Errorf("counter: nil custom counter for cell %d", c)
-		}
-		b.custom[c] = cc
-	}
-	return b, nil
 }
 
 // Cells returns the number of counters in the bank.
 func (b *Bank) Cells() int { return b.cells }
 
 // Inc records one increment for cell observed at site. This is the
-// tracker's ingest hot path: for the built-in kinds it runs devirtualized
-// on the bank's flat state, the randomized kind's increment in line — the
-// sequential tracker makes 2n of these calls per event, and a second call
-// level under each cost it 4 %.
+// tracker's ingest hot path: it runs on the bank's flat state, the
+// randomized kind's increment in line — the sequential tracker makes 2n of
+// these calls per event, and a second call level under each cost it 4 %.
 func (b *Bank) Inc(cell, site int) {
 	switch b.kind {
 	case ExactKind:
@@ -274,8 +260,6 @@ func (b *Bank) Inc(cell, site int) {
 		}
 	case DeterministicKind:
 		b.incDet(cell, site)
-	default:
-		b.custom[cell].Inc(site)
 	}
 }
 
@@ -323,10 +307,6 @@ func (b *Bank) IncBatch(cells, sites []int32) {
 		for j, c := range cells {
 			b.incDet(int(c), int(sites[j]))
 		}
-	default:
-		for j, c := range cells {
-			b.custom[c].Inc(int(sites[j]))
-		}
 	}
 }
 
@@ -341,14 +321,12 @@ func (b *Bank) Estimate(cell int) float64 {
 			return float64(b.total[cell])
 		}
 		return float64(b.hyz[s].base) + b.hyz[s].inRound()
-	case DeterministicKind:
+	default: // DeterministicKind
 		s := b.slot[cell]
 		if s < 0 {
 			return float64(b.total[cell])
 		}
 		return float64(b.det[s].base + b.det[s].reported)
-	default:
-		return b.custom[cell].Estimate()
 	}
 }
 
@@ -387,26 +365,16 @@ func (b *Bank) EstimateRange(lo, hi int, dst []float64) {
 			}
 			dst[c] = float64(det[s].base + det[s].reported)
 		}
-	default:
-		for c := lo; c < hi; c++ {
-			dst[c-lo] = b.custom[c].Estimate()
-		}
 	}
 }
 
 // Exact returns cell's true count (evaluation only).
-func (b *Bank) Exact(cell int) int64 {
-	if b.kind == customKind {
-		return b.custom[cell].Exact()
-	}
-	return b.total[cell]
-}
+func (b *Bank) Exact(cell int) int64 { return b.total[cell] }
 
 // Merge folds a delta of per-(cell, site) increment counts into the bank,
 // replaying each cell's counter protocol on the merged totals. delta is
-// indexed cell*k + site and must have length Cells()·k; for custom banks,
-// whose site count is not recorded, the stride k is derived as
-// len(delta)/Cells(). A mismatched length panics, like a slice misuse.
+// indexed cell*k + site and must have length Cells()·k; a mismatched length
+// panics, like a slice misuse.
 //
 // Merging is equivalent to calling Inc once per recorded increment with the
 // increments of one (cell, site) run applied back to back: exact totals are
@@ -422,18 +390,7 @@ func (b *Bank) Exact(cell int) int64 {
 // tracker's delta-buffered ingestion mode (core.Config.DeltaBuffered).
 func (b *Bank) Merge(delta []int64) {
 	k := b.k
-	if b.kind == customKind {
-		if b.cells == 0 {
-			if len(delta) != 0 {
-				panic(fmt.Sprintf("counter: merge delta of %d cells into empty bank", len(delta)))
-			}
-			return
-		}
-		if len(delta)%b.cells != 0 {
-			panic(fmt.Sprintf("counter: merge delta length %d not a multiple of %d cells", len(delta), b.cells))
-		}
-		k = len(delta) / b.cells
-	} else if len(delta) != b.cells*k {
+	if len(delta) != b.cells*k {
 		panic(fmt.Sprintf("counter: merge delta length %d, want %d (%d cells x %d sites)", len(delta), b.cells*k, b.cells, k))
 	}
 	switch b.kind {
@@ -463,15 +420,6 @@ func (b *Bank) Merge(delta []int64) {
 			for site, c := range row {
 				if c > 0 {
 					b.mergeDet(cell, site, c)
-				}
-			}
-		}
-	default:
-		for cell := 0; cell < b.cells; cell++ {
-			row := delta[cell*k : (cell+1)*k]
-			for site, c := range row {
-				for ; c > 0; c-- {
-					b.custom[cell].Inc(site)
 				}
 			}
 		}

@@ -198,67 +198,64 @@ func TestBankValidation(t *testing.T) {
 	}
 }
 
-// TestCustomBank exercises the CounterFactory extension path: cells are
-// interface counters, and checkpointing round-trips through the cells' own
-// marshalers.
-func TestCustomBank(t *testing.T) {
-	var m Metrics
-	b, err := NewCustomBank(3, func(int) (Counter, error) { return NewExact(&m), nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Cells() != 3 {
-		t.Fatalf("cells = %d", b.Cells())
-	}
-	for i := 0; i < 100; i++ {
-		b.Inc(i%3, 0)
-	}
-	if b.Exact(0) != 34 || b.Exact(1) != 33 || b.Exact(2) != 33 {
-		t.Errorf("custom counts = %d/%d/%d", b.Exact(0), b.Exact(1), b.Exact(2))
-	}
-	if b.Estimate(1) != 33 {
-		t.Errorf("custom estimate = %v", b.Estimate(1))
-	}
-	data, err := b.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := NewCustomBank(3, func(int) (Counter, error) { return NewExact(&m), nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b2.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	for c := 0; c < 3; c++ {
-		if b2.Exact(c) != b.Exact(c) {
-			t.Errorf("cell %d restored %d, want %d", c, b2.Exact(c), b.Exact(c))
-		}
-	}
-	// A custom cell without marshal support makes the bank uncheckpointable.
-	type bare struct{ Counter }
-	nb, err := NewCustomBank(1, func(int) (Counter, error) { return bare{NewExact(&m)}, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nb.MarshalBinary(); err == nil {
-		t.Error("unmarshalable custom cell accepted")
+// TestBankReset: a reset bank is indistinguishable from a just-built one —
+// driven from the same RNG position through the same increments it reaches
+// the same state bytes and tallies — and the reset itself tallies nothing.
+func TestBankReset(t *testing.T) {
+	const cells, k, n = 4, 3, 20000
+	for _, tc := range bankKinds {
+		t.Run(tc.name, func(t *testing.T) {
+			var used, fresh Metrics
+			rng := bn.NewRNG(5)
+			drive := func(b *Bank) {
+				for i := 0; i < n; i++ {
+					b.Inc(i%cells, i%k)
+				}
+			}
+			b, err := NewBank(tc.kind, cells, k, tc.eps, 0.25, &used, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			drive(b)
+			before := used
+			b.Reset()
+			if used != before {
+				t.Fatalf("Reset tallied messages: %+v -> %+v", before, used)
+			}
+			for c := 0; c < cells; c++ {
+				if b.Exact(c) != 0 || b.Estimate(c) != 0 {
+					t.Fatalf("cell %d after Reset: exact %d, estimate %v", c, b.Exact(c), b.Estimate(c))
+				}
+			}
+			twinRNG := bn.NewRNG(0)
+			twinRNG.SetState(rng.State())
+			twin, err := NewBank(tc.kind, cells, k, tc.eps, 0.25, &fresh, twinRNG)
+			if err != nil {
+				t.Fatal(err)
+			}
+			used = Metrics{}
+			drive(b)
+			drive(twin)
+			got, _ := b.MarshalBinary()
+			want, _ := twin.MarshalBinary()
+			if !bytes.Equal(got, want) || used != fresh {
+				t.Errorf("reset bank diverged from a just-built one (tallies %+v vs %+v)", used, fresh)
+			}
+			if tc.kind != ExactKind && fresh.CoordToSite == 0 {
+				t.Error("schedule never left exact mode; Reset dropped no round records")
+			}
+		})
 	}
 }
 
 // TestIncBatchMatchesInc drives twin banks that share a seed — one through
 // Inc per pair, one through IncBatch over runs of mixed lengths — and asserts
 // bit-identical state bytes, estimates, RNG position and message tallies for
-// the three flat kinds and a custom bank of randomized cells: IncBatch is a
-// faster spelling of the same increments in the same order, nothing else.
+// the three kinds: IncBatch is a faster spelling of the same increments in
+// the same order, nothing else.
 func TestIncBatchMatchesInc(t *testing.T) {
 	const cells, k, n = 5, 6, 60000
-	custom := struct {
-		name string
-		kind Kind
-		eps  float64
-	}{"custom", customKind, 0.1}
-	for _, tc := range append(bankKinds[:len(bankKinds):len(bankKinds)], custom) {
+	for _, tc := range bankKinds {
 		t.Run(tc.name, func(t *testing.T) {
 			var tallies [2]Metrics
 			var rngs [2]*bn.RNG
@@ -266,14 +263,7 @@ func TestIncBatchMatchesInc(t *testing.T) {
 			for j := range banks {
 				var err error
 				rngs[j] = bn.NewRNG(42)
-				if tc.kind == customKind {
-					banks[j], err = NewCustomBank(cells, func(int) (Counter, error) {
-						return NewHYZ(k, tc.eps, 0.25, &tallies[j], rngs[j])
-					})
-				} else {
-					banks[j], err = NewBank(tc.kind, cells, k, tc.eps, 0.25, &tallies[j], rngs[j])
-				}
-				if err != nil {
+				if banks[j], err = NewBank(tc.kind, cells, k, tc.eps, 0.25, &tallies[j], rngs[j]); err != nil {
 					t.Fatal(err)
 				}
 			}

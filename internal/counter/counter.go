@@ -13,15 +13,18 @@
 //
 // The package simulates the protocol in-process: site-side and
 // coordinator-side state live in one struct and "messages" are tallied in a
-// shared Metrics sink. The live TCP implementation in internal/cluster uses
-// the same schedule helpers (ReportProb, ExactThreshold) with real messages.
+// shared Metrics sink. The live TCP implementation in internal/cluster shares
+// no code with it: its sites run a coordinator-free one-way variant of HYZ
+// (no rounds, no broadcasts; reportProbSqrtK and exactUntil in
+// cluster/layout.go, "deviation #1" in the cluster package comment).
 //
 // Storage comes in two shapes: Bank is a flat struct-of-arrays bank of many
 // counters sharing one configuration (the tracker's hot path — see bank.go
 // for the layout), and the standalone types above are thin one-cell views
-// over a Bank kept for single-counter uses (decay sub-counters, tests,
-// benchmarks) and as the Counter interface implementation behind the
-// CounterFactory extension point.
+// over a Bank. No product code builds one: they are the per-cell reference
+// the bank tests compare against, the subjects of the single-counter
+// protocol tests and benchmarks, and the owners of the historical per-cell
+// wire formats (state.go).
 package counter
 
 import (

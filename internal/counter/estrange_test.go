@@ -7,9 +7,8 @@ import (
 	"distbayes/internal/bn"
 )
 
-// TestEstimateRangeMatchesEstimate drives banks of every kind — the three
-// built-in flat kinds plus a custom bank — through a random increment
-// schedule and asserts EstimateRange bit-identical (math.Float64bits) to
+// TestEstimateRangeMatchesEstimate drives a bank of every kind through a
+// random increment schedule and asserts EstimateRange bit-identical (math.Float64bits) to
 // per-cell Estimate over random [lo, hi) windows. This pins the vectorized
 // snapshot-rebuild read path to the scalar one the goldens were recorded
 // against.
@@ -29,14 +28,6 @@ func TestEstimateRangeMatchesEstimate(t *testing.T) {
 		}
 		banks[tc.name] = b
 	}
-	var mc Metrics
-	custom, err := NewCustomBank(cells, func(int) (Counter, error) {
-		return NewExact(&mc), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	banks["custom"] = custom
 
 	check := func(t *testing.T, b *Bank, step int) {
 		t.Helper()

@@ -143,27 +143,6 @@ func TestMergeMatchesRunOrderedReplay(t *testing.T) {
 	}
 }
 
-// TestMergeCustomBankReplaysInc: custom banks replay merges through the
-// cells' own Inc, deriving the site stride from the delta length.
-func TestMergeCustomBank(t *testing.T) {
-	const cells, k = 3, 4
-	var m Metrics
-	b, err := NewCustomBank(cells, func(int) (Counter, error) { return NewExact(&m), nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	delta := make([]int64, cells*k)
-	delta[0*k+1] = 5
-	delta[2*k+3] = 7
-	b.Merge(delta)
-	if b.Exact(0) != 5 || b.Exact(1) != 0 || b.Exact(2) != 7 {
-		t.Fatalf("custom merge totals = %d,%d,%d", b.Exact(0), b.Exact(1), b.Exact(2))
-	}
-	if got := m.Snapshot().SiteToCoord; got != 12 {
-		t.Fatalf("custom merge messages = %d, want 12", got)
-	}
-}
-
 // TestMergeLengthPanics: a delta of the wrong shape must panic like a slice
 // misuse rather than corrupt counts.
 func TestMergeLengthPanics(t *testing.T) {

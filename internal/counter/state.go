@@ -1,19 +1,21 @@
 package counter
 
 import (
-	"encoding"
 	"encoding/binary"
 	"errors"
 	"fmt"
 )
 
 // This file implements binary state snapshots for the counters and counter
-// banks, used by core.Tracker.SaveState/LoadState to checkpoint and restore
-// a coordinator without replaying the stream. Only dynamic state is
-// serialized; the configuration (k, ε, metrics sink, RNG) stays with the
-// receiving object, which must have been constructed identically. Derived
-// round parameters (pThresh/adj, quantum) are recomputed from the restored
-// round base, exactly as the constructors would.
+// banks. The whole-bank record is the unit core.Tracker.SaveState/LoadState
+// checkpoint a coordinator with, without replaying the stream; the per-cell
+// records of the one-cell views below sit inside no checkpoint container
+// (DBAYES02, which held them, no longer decodes) and are kept as the
+// historical single-counter wire formats. Only dynamic state is serialized;
+// the configuration (k, ε, metrics sink, RNG) stays with the receiving
+// object, which must have been constructed identically. Derived round
+// parameters (pThresh/adj, quantum) are recomputed from the restored round
+// base, exactly as the constructors would.
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (c *Exact) MarshalBinary() ([]byte, error) {
@@ -174,9 +176,8 @@ func (b *Bank) restoreQuantum(s int) {
 const bankStateVersion = 1
 
 // StateLen returns the exact length in bytes of the bank's MarshalBinary
-// output, or -1 when it is not statically known (custom banks, whose cells
-// serialize through their own marshalers). Checkpoint readers use it to
-// reject corrupt record lengths before allocating (core.Tracker.LoadState).
+// output. Checkpoint readers use it to reject corrupt record lengths before
+// allocating (core.Tracker.LoadState).
 func (b *Bank) StateLen() int {
 	const header = 2 + 8 + 8 // version+kind, cells, k
 	switch b.kind {
@@ -185,11 +186,9 @@ func (b *Bank) StateLen() int {
 	case HYZKind:
 		// total, sampling (1 byte/cell), base, estSum, nReporters, d, r.
 		return header + b.cells*(8+1+8+8+8) + 16*b.cells*b.k
-	case DeterministicKind:
+	default: // DeterministicKind
 		// total, sampling (1 byte/cell), base, reported, pending.
 		return header + b.cells*(8+1+8+8) + 8*b.cells*b.k
-	default:
-		return -1
 	}
 }
 
@@ -197,11 +196,9 @@ func (b *Bank) StateLen() int {
 // record covering every cell, replacing the per-cell records of the DBAYES02
 // checkpoint format. The record is dense — every plane has an entry for
 // every cell, in cell order — whatever the bank holds in memory: a cell
-// without a round record writes zeros. Custom banks serialize each cell
-// through its own BinaryMarshaler (cells that do not implement it make the
-// bank uncheckpointable, as before).
+// without a round record writes zeros.
 func (b *Bank) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 0, max(b.StateLen(), 4+8*(2+b.cells)))
+	buf := make([]byte, 0, b.StateLen())
 	put := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
 	buf = append(buf, bankStateVersion, byte(b.kind))
 	put(uint64(b.cells))
@@ -240,28 +237,15 @@ func (b *Bank) MarshalBinary() ([]byte, error) {
 		putPlane(1, func(s, _ int) int64 { return b.det[s].base })
 		putPlane(1, func(s, _ int) int64 { return b.det[s].reported })
 		putPlane(k, func(s, i int) int64 { return b.pending[s*k+i] })
-	case customKind:
-		for cell, c := range b.custom {
-			m, ok := c.(encoding.BinaryMarshaler)
-			if !ok {
-				return nil, fmt.Errorf("counter: custom bank cell %d (%T) does not support checkpointing", cell, c)
-			}
-			data, err := m.MarshalBinary()
-			if err != nil {
-				return nil, err
-			}
-			put(uint64(len(data)))
-			buf = append(buf, data...)
-		}
 	}
 	return buf, nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler. The receiver must
-// have been constructed with the same kind, cell count and site count. A
-// flat bank checks the record's length and that no exact-mode cell carries
-// round state before it changes anything, then allocates exactly as many
-// round records as the record flags cells as sampling.
+// have been constructed with the same kind, cell count and site count. The
+// bank checks the record's length and that no exact-mode cell carries round
+// state before it changes anything, then allocates exactly as many round
+// records as the record flags cells as sampling.
 func (b *Bank) UnmarshalBinary(data []byte) error {
 	if len(data) < 2+16 {
 		return fmt.Errorf("counter: bank state too short (%d bytes)", len(data))
@@ -277,9 +261,6 @@ func (b *Bank) UnmarshalBinary(data []byte) error {
 	}
 	if k := int(binary.LittleEndian.Uint64(data[10:])); k != b.k {
 		return fmt.Errorf("counter: bank state has %d sites, bank has %d", k, b.k)
-	}
-	if b.kind == customKind {
-		return b.unmarshalCustom(data[18:])
 	}
 	if len(data) != b.StateLen() {
 		return fmt.Errorf("counter: bank state is %d bytes, want %d", len(data), b.StateLen())
@@ -343,29 +324,6 @@ func (b *Bank) unmarshalRecords(flags, planes []byte) error {
 			}
 			b.restoreQuantum(s)
 		}
-	}
-	return nil
-}
-
-// unmarshalCustom restores a custom bank's cells, each through its own
-// BinaryUnmarshaler, from the length-prefixed records after the header.
-func (b *Bank) unmarshalCustom(data []byte) error {
-	for cell, c := range b.custom {
-		u, ok := c.(encoding.BinaryUnmarshaler)
-		if !ok {
-			return fmt.Errorf("counter: custom bank cell %d (%T) does not support checkpointing", cell, c)
-		}
-		if len(data) < 8 || binary.LittleEndian.Uint64(data) > uint64(len(data)-8) {
-			return fmt.Errorf("counter: bank state truncated at custom cell %d", cell)
-		}
-		n := 8 + int(binary.LittleEndian.Uint64(data))
-		if err := u.UnmarshalBinary(data[8:n]); err != nil {
-			return err
-		}
-		data = data[n:]
-	}
-	if len(data) != 0 {
-		return fmt.Errorf("counter: bank state has %d trailing bytes", len(data))
 	}
 	return nil
 }

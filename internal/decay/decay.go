@@ -1,48 +1,45 @@
-// Package decay implements time-decayed distributed counters — the paper's
-// future-work item (2): "consider time-decay models which give higher weight
-// to more recent stream instances".
+// Package decay implements time-decayed tracking — the paper's future-work
+// item (2): "consider time-decay models which give higher weight to more
+// recent stream instances".
 //
-// The design is block-based exponential decay. A global event clock (Bank,
-// advanced by Tick once per training event) divides the stream into blocks
-// of BlockEvents events. Each decayed counter maintains one live distributed
-// sub-counter for the current block plus the decayed weight of all closed
-// blocks, folded into a single scalar: on block rotation every counter's
-// accumulated weight is multiplied by Gamma and the closing block's estimate
-// is added. A decayed counter therefore estimates
+// The design is block-based exponential decay beside an unchanged
+// core.Tracker. The stream is divided into blocks of BlockEvents events; the
+// tracker's counters count the current block only, and a Tracker here keeps,
+// for every CPD cell, the decayed weight of all closed blocks. At each block
+// boundary core.Tracker.Rotate hands it every variable's raw rows under the
+// tracker's locks, it folds them in as d = γ·(d + live), and the tracker's
+// banks start the next block just-built. A decayed count therefore estimates
 //
 //	C_γ(t) = Σ_blocks γ^{age(block)} · count(block)
 //
-// with O(1) state per counter beyond the live sub-counter, and communication
-// inherited from the underlying counter protocol.
+// with the current block at full weight and O(1) state per cell beyond the
+// tracker's. Allocation, stripe RNGs, message protocol and tally are the
+// tracker's own (a new block's counters start in exact mode, as fresh
+// counters do). Queries read a core.Snapshot built from d + live through
+// core.SmoothRows, so every query kernel reads it as it reads the tracker's.
 //
-// Plugged into core.Tracker through Config.CounterFactory, this yields a
-// tracker whose CPD estimates follow distribution drift, demonstrated by the
-// drift test in this package.
-//
-// Decayed counters live in the tracker's custom counter banks (per-cell
-// interface dispatch rather than the flat built-in banks), and because Tick
-// mutates them outside the tracker's stripe locks, the tracker disables its
-// model-snapshot cache for CounterFactory trackers: every query re-reads the
-// live counters, so rotation is always visible. Quiesce ingestion around
-// Tick as before — the stripe locks only cover mutation through Inc.
+// Rotation runs under the tracker's stripe locks, so ingestion may race it:
+// each stripe's share of a racing batch lands wholly in the closing block or
+// wholly in the next one.
 package decay
 
 import (
 	"fmt"
-	"math"
+	"sync"
+	"sync/atomic"
+	"time"
 
 	"distbayes/internal/bn"
+	"distbayes/internal/core"
 	"distbayes/internal/counter"
 )
 
-// Options configures a Bank of decayed counters.
+// Options configures a decayed Tracker.
 type Options struct {
 	// Gamma is the per-block decay factor in (0, 1].
 	Gamma float64
-	// BlockEvents is the number of global events per block.
+	// BlockEvents is the number of events per block.
 	BlockEvents int64
-	// Sites is k, the number of distributed sites.
-	Sites int
 }
 
 func (o Options) validate() error {
@@ -52,105 +49,109 @@ func (o Options) validate() error {
 	if o.BlockEvents < 1 {
 		return fmt.Errorf("decay: block events = %d, want >= 1", o.BlockEvents)
 	}
-	if o.Sites < 1 {
-		return fmt.Errorf("decay: sites = %d, want >= 1", o.Sites)
-	}
 	return nil
 }
 
-// Bank owns a set of decayed counters sharing one global block clock.
-type Bank struct {
-	opt      Options
-	counters []*Counter
-	ticks    int64
+// Tracker is a time-decayed view of a core.Tracker. It wraps the tracker
+// rather than embedding it: the tracker's own query methods would answer for
+// the current block alone.
+type Tracker struct {
+	tr  *core.Tracker
+	opt Options
+	// ticks counts the events handed to tr; each multiple of BlockEvents it
+	// passes is one rotation.
+	ticks atomic.Int64
+	// mu guards decayed and orders rotations against Snapshot.
+	mu sync.Mutex
+	// decayed[i] holds variable i's Σ γ^age · block estimate over the closed
+	// blocks, in the CPDRows layout.
+	decayed []core.CPDRows
 }
 
-// NewBank creates an empty bank.
-func NewBank(opt Options) (*Bank, error) {
+// New builds a core.Tracker for net with cfg and wraps it.
+func New(net *bn.Network, cfg core.Config, opt Options) (*Tracker, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-	return &Bank{opt: opt}, nil
-}
-
-// Factory returns a core.Config.CounterFactory that creates decayed counters
-// registered with the bank. Each decayed counter uses a fresh HYZ sub-counter
-// per block with the allocated eps (exact sub-counters when eps is 0,
-// matching the ExactMLE strategy).
-func (b *Bank) Factory() func(eps float64, metrics *counter.Metrics, rng *bn.RNG) (counter.Counter, error) {
-	return func(eps float64, metrics *counter.Metrics, rng *bn.RNG) (counter.Counter, error) {
-		c := &Counter{bank: b, eps: eps, metrics: metrics, rng: rng}
-		if err := c.rotate(); err != nil {
-			return nil, err
-		}
-		b.counters = append(b.counters, c)
-		return c, nil
-	}
-}
-
-// Tick advances the global event clock by one event; when a block boundary
-// is crossed every counter rotates.
-func (b *Bank) Tick() error {
-	b.ticks++
-	if b.ticks%b.opt.BlockEvents != 0 {
-		return nil
-	}
-	for _, c := range b.counters {
-		if err := c.rotate(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Ticks returns the number of events seen.
-func (b *Bank) Ticks() int64 { return b.ticks }
-
-// Counter is one time-decayed distributed counter. It implements
-// counter.Counter; Exact reports the decayed true value rounded to int64.
-type Counter struct {
-	bank    *Bank
-	eps     float64
-	metrics *counter.Metrics
-	rng     *bn.RNG
-
-	live       counter.Counter // current block's sub-counter
-	decayedEst float64         // Σ γ^age · estimate over closed blocks
-	decayedTru float64         // same with true counts (evaluation only)
-}
-
-// rotate folds the live block into the decayed accumulators and opens a new
-// block.
-func (c *Counter) rotate() error {
-	g := c.bank.opt.Gamma
-	if c.live != nil {
-		c.decayedEst = g * (c.decayedEst + c.live.Estimate())
-		c.decayedTru = g * (c.decayedTru + float64(c.live.Exact()))
-	}
-	if c.eps <= 0 {
-		c.live = counter.NewExact(c.metrics)
-		return nil
-	}
-	h, err := counter.NewHYZ(c.bank.opt.Sites, c.eps, 0.25, c.metrics, c.rng)
+	tr, err := core.NewTracker(net, cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	c.live = h
-	return nil
+	t := &Tracker{tr: tr, opt: opt, decayed: make([]core.CPDRows, net.Len())}
+	for i := range t.decayed {
+		k := net.ParentCard(i)
+		t.decayed[i] = core.CPDRows{Pair: make([]float64, net.Card(i)*k), Par: make([]float64, k)}
+	}
+	return t, nil
 }
 
-// Inc implements counter.Counter.
-func (c *Counter) Inc(site int) { c.live.Inc(site) }
-
-// Estimate implements counter.Counter: the decayed estimate with the live
-// block at full weight.
-func (c *Counter) Estimate() float64 { return c.decayedEst + c.live.Estimate() }
-
-// Exact implements counter.Counter, reporting the decayed true value rounded
-// to the nearest integer (the decayed "truth" is fractional by nature).
-func (c *Counter) Exact() int64 {
-	return int64(math.Round(c.decayedTru + float64(c.live.Exact())))
+// Update records one observation (core.Tracker.Update), then advances the
+// block clock.
+func (t *Tracker) Update(site int, x []int) {
+	t.tr.Update(site, x)
+	t.tick(1)
 }
 
-// DecayedTrue returns the unrounded decayed true value (evaluation only).
-func (c *Counter) DecayedTrue() float64 { return c.decayedTru + float64(c.live.Exact()) }
+// UpdateEvents records a batch (core.Tracker.UpdateEvents) cut at block
+// boundaries, so a single writer's blocks are exactly BlockEvents events.
+// Concurrent writers share one clock.
+func (t *Tracker) UpdateEvents(events []core.Event) {
+	for len(events) > 0 {
+		n := min(int64(len(events)), t.opt.BlockEvents-t.ticks.Load()%t.opt.BlockEvents)
+		t.tr.UpdateEvents(events[:n])
+		t.tick(n)
+		events = events[n:]
+	}
+}
+
+// tick advances the clock by n events, rotating once per boundary passed.
+func (t *Tracker) tick(n int64) {
+	now := t.ticks.Add(n)
+	for b := (now - n) / t.opt.BlockEvents; b < now/t.opt.BlockEvents; b++ {
+		t.mu.Lock()
+		t.tr.Rotate(func(i int, live *core.CPDRows) {
+			fold(t.decayed[i].Pair, live.Pair, t.opt.Gamma)
+			fold(t.decayed[i].Par, live.Par, t.opt.Gamma)
+		})
+		t.mu.Unlock()
+	}
+}
+
+func fold(d, live []float64, gamma float64) {
+	for c, v := range live {
+		d[c] = gamma * (d[c] + v)
+	}
+}
+
+// rowsLocked reads variable i's decayed raw rows, d + live, into rows.
+// Callers hold mu.
+func (t *Tracker) rowsLocked(i int, rows *core.CPDRows) {
+	t.tr.ReadCPDRows(i, rows)
+	for c, d := range t.decayed[i].Pair {
+		rows.Pair[c] += d
+	}
+	for c, d := range t.decayed[i].Par {
+		rows.Par[c] += d
+	}
+}
+
+// Snapshot returns the decayed model: every factor smoothed (with the
+// tracker's Config.Smoothing) from d + live. It is garbage-collected —
+// Release is a no-op — and its version is the event clock.
+func (t *Tracker) Snapshot() *core.Snapshot {
+	net, smoothing := t.tr.Network(), t.tr.Config().Smoothing
+	factors := make([][]float64, net.Len())
+	var par []float64
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i := range factors {
+		rows := core.CPDRows{Par: par} // a fresh Pair: it becomes the factor row
+		t.rowsLocked(i, &rows)
+		core.SmoothRows(rows.Pair, rows.Par, smoothing, net.Card(i))
+		factors[i], par = rows.Pair, rows.Par
+	}
+	return core.NewSnapshot(net, factors, uint64(t.ticks.Load()), time.Now(), 0)
+}
+
+// Messages returns the wrapped tracker's message tally; rotations send none.
+func (t *Tracker) Messages() counter.Metrics { return t.tr.Messages() }

@@ -118,43 +118,26 @@ func runAblationDecay(s *Session) ([]*Table, error) {
 	}
 
 	half := max(p.Events/2, 1)
-	bank, err := decay.NewBank(decay.Options{
-		Gamma:       0.5,
-		BlockEvents: int64(max(half/8, 1)),
-		Sites:       p.Sites,
-	})
-	if err != nil {
-		return nil, err
-	}
 	cfg := core.Config{Strategy: core.NonUniform, Eps: p.Eps, Delta: p.Delta, Sites: p.Sites, Seed: p.Seed}
 	plain, err := core.NewTracker(net, cfg)
 	if err != nil {
 		return nil, err
 	}
-	cfg.CounterFactory = bank.Factory()
-	decayed, err := core.NewTracker(net, cfg)
+	decayed, err := decay.New(net, cfg, decay.Options{Gamma: 0.5, BlockEvents: int64(max(half/8, 1))})
 	if err != nil {
 		return nil, err
 	}
 
-	feed := func(m *bn.Model, events int, seed uint64) error {
+	feed := func(m *bn.Model, events int, seed uint64) {
 		training := stream.NewTraining(m, stream.NewUniformAssigner(p.Sites, seed), seed+1)
 		for e := 0; e < events; e++ {
 			site, x := training.Next()
 			decayed.Update(site, x)
 			plain.Update(site, x)
-			if err := bank.Tick(); err != nil {
-				return err
-			}
 		}
-		return nil
 	}
-	if err := feed(modelA, half, p.Seed+11); err != nil {
-		return nil, err
-	}
-	if err := feed(modelB, p.Events-half, p.Seed+13); err != nil {
-		return nil, err
-	}
+	feed(modelA, half, p.Seed+11)
+	feed(modelB, p.Events-half, p.Seed+13)
 
 	// Evaluate against the *current* (post-drift) truth.
 	queries, err := stream.GenQueries(modelB, stream.QueryOptions{
@@ -169,7 +152,7 @@ func runAblationDecay(s *Session) ([]*Table, error) {
 		Title:  "Extension: time-decayed counters under distribution drift (ALARM, drift at m/2)",
 		Header: []string{"tracker", "m", "mean-err-to-current-truth", "messages"},
 		Rows: [][]string{
-			{"decayed(γ=0.5/block)", fmtInt(int64(p.Events)), fmtF(meanErrToTruth(queries, decayed.QuerySubsetProb)), fmtF(float64(decayed.Messages().Total()))},
+			{"decayed(γ=0.5/block)", fmtInt(int64(p.Events)), fmtF(meanErrToTruth(queries, decayed.Snapshot().QuerySubsetProb)), fmtF(float64(decayed.Messages().Total()))},
 			{"plain", fmtInt(int64(p.Events)), fmtF(meanErrToTruth(queries, plain.QuerySubsetProb)), fmtF(float64(plain.Messages().Total()))},
 		},
 		Notes: []string{"the decayed tracker forgets the pre-drift half of the stream and tracks the current distribution"},
