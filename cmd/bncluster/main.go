@@ -11,21 +11,14 @@
 // exhausted — the measurements behind Figures 7 and 8 of the paper. The
 // "local" role runs everything in one process over loopback for convenience.
 //
-// Hierarchical federation (see the README's Federation section):
-//
-//   - A relay (-role relay) is a mid-tier node of the aggregation tree:
-//     sites dial it exactly as they would the coordinator, it folds their
-//     frames locally, and it ships one coalesced frame per cadence to
-//     -parent — dividing the root coordinator's frame rate by the branching
-//     factor with bit-identical final estimates. Relays stack: a relay's
-//     -parent may be another relay. -tree N runs a depth-2 tree with
-//     branching N inside the local role.
-//   - A striped coordinator (-stripe k/of on the coord role) owns only its
-//     share of the counter-id space; start "of" coordinators with stripes
-//     0/of .. (of-1)/of and give every site the comma-separated list of all
-//     stripe addresses in -addr. -stripes K runs a K-stripe federation
-//     inside the local role, serving queries through the scatter-gather
-//     merge.
+// Aggregation tree (see the README's Aggregation tree section): a relay
+// (-role relay) is a mid-tier node between the sites and the coordinator.
+// Sites dial it exactly as they would the coordinator, it folds their frames
+// locally, and it ships one coalesced frame per cadence to -parent —
+// dividing the root coordinator's frame rate by the branching factor with
+// bit-identical final estimates. Relays stack: a relay's -parent may be
+// another relay. -tree N runs a depth-2 tree with branching N inside the
+// local role.
 //
 // -batch switches the sites to protocol version 2 (one coalesced frame per
 // batching window instead of one frame per triggering event), and -live
@@ -69,7 +62,7 @@ import (
 func main() {
 	var (
 		role     = flag.String("role", "local", "coord | site | relay | local")
-		addr     = flag.String("addr", "127.0.0.1:7070", "coordinator address (listen or dial); role=site accepts a comma-separated stripe list")
+		addr     = flag.String("addr", "127.0.0.1:7070", "listen address (coord, relay), or the coordinator or relay a site dials")
 		id       = flag.Uint("id", 0, "site id (role=site)")
 		netName  = flag.String("net", "alarm", "network name (see bngen -list)")
 		strategy = flag.String("strategy", "nonuniform", "exact | baseline | uniform | nonuniform")
@@ -101,9 +94,7 @@ func main() {
 		relayID = flag.Uint("relay", 0, "relay id (role=relay)")
 		parent  = flag.String("parent", "", "relay upstream address: the coordinator or another relay (role=relay)")
 		flush   = flag.Duration("flush", 0, "relay upstream flush staleness bound (role=relay; 0 = default)")
-		stripe  = flag.String("stripe", "", "stripe spec k/of: this coordinator owns stripe k of a federation of `of` (role=coord)")
 		tree    = flag.Int("tree", 0, "run a depth-2 aggregation tree with this branching factor (role=local; 0 = flat)")
-		stripes = flag.Int("stripes", 0, "run a striped coordinator federation with this many stripes (role=local; 0 = flat)")
 	)
 	flag.Parse()
 
@@ -138,13 +129,6 @@ func main() {
 	if *ckpt != "" {
 		cfg.CheckpointPath = *ckpt
 		cfg.CheckpointEveryFrames = *ckptN
-	}
-	if *stripe != "" {
-		var k, of int
-		if n, err := fmt.Sscanf(*stripe, "%d/%d", &k, &of); err != nil || n != 2 {
-			fatal(fmt.Errorf("bad -stripe %q, want k/of (e.g. 0/4)", *stripe))
-		}
-		cfg.StripeIndex, cfg.StripeCount = k, of
 	}
 
 	switch *role {
@@ -187,18 +171,6 @@ func main() {
 		reportStruct(co)
 		finishServer(srv, *probe, *probeTO)
 	case "site":
-		if addrs := strings.Split(*addr, ","); len(addrs) > 1 {
-			// A comma-separated address list is a striped federation: one
-			// stream, reports routed to the owning stripe coordinators.
-			sts, err := cluster.NewFederatedSite(uint32(*id), addrs).Run()
-			if err != nil {
-				fatal(err)
-			}
-			for s, st := range sts {
-				fmt.Printf("site %d done: stripe %d stats %+v\n", *id, s, st)
-			}
-			return
-		}
 		st, err := cluster.NewSite(uint32(*id), *addr).Run()
 		if err != nil {
 			fatal(err)
@@ -224,9 +196,6 @@ func main() {
 		fmt.Printf("relay %d: folded %d downstream frames into %d upstream frames\n",
 			*relayID, r.DownFrames.Load(), r.UpFrames.Load())
 	case "local":
-		if *tree > 0 && *stripes > 0 {
-			fatal(fmt.Errorf("-tree and -stripes are mutually exclusive (stack them with separate processes)"))
-		}
 		if *tree > 0 {
 			res, co, relays, err := cluster.RunLocalTree(cfg, *tree, *flush)
 			if err != nil {
@@ -242,18 +211,6 @@ func main() {
 			fmt.Printf("tree        %d relays folded %d site frames into %d root frames\n",
 				len(relays), down, up)
 			finishServer(attachServer(co, *serveOn, *serveCC, *serveDeg, *serveLearned), *probe, *probeTO)
-			return
-		}
-		if *stripes > 0 {
-			res, fed, err := cluster.RunLocalFederation(cfg, *stripes)
-			if err != nil {
-				fatal(err)
-			}
-			report(res)
-			fmt.Printf("stripes     %d coordinators, scatter-gather query plane\n", *stripes)
-			// The federation stays queryable after the run; the server
-			// fronts it through the scatter-gather merged source.
-			finishServer(attachFederatedServer(fed, *serveOn, *serveCC, *serveDeg), *probe, *probeTO)
 			return
 		}
 		res, co, err := cluster.RunLocal(cfg)
@@ -287,27 +244,6 @@ func attachServer(co *cluster.Coordinator, addr string, maxConcurrent int, degra
 	}
 	srv, err := serve.New(serve.Config{
 		Source:         src,
-		MaxConcurrent:  maxConcurrent,
-		MaxDegradedAge: degradedAge,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	if err := srv.Start(addr); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "bncluster: query server on %s\n", srv.Addr())
-	return srv
-}
-
-// attachFederatedServer starts the HTTP query front end over a striped
-// federation's scatter-gather merge — same server, different source.
-func attachFederatedServer(fed *cluster.Federation, addr string, maxConcurrent int, degradedAge time.Duration) *serve.Server {
-	if addr == "" {
-		return nil
-	}
-	srv, err := serve.New(serve.Config{
-		Source:         serve.NewFederatedSource(fed),
 		MaxConcurrent:  maxConcurrent,
 		MaxDegradedAge: degradedAge,
 	})

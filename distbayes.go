@@ -88,10 +88,10 @@
 //
 // There is one snapshot type and one query kernel. core.Snapshot is an
 // immutable set of per-variable factor rows with its network, version, build
-// time and structure epoch; the tracker, the cluster coordinator, a striped
-// federation and the coordinator's learned-structure overlay each only build
-// one, and Algorithm 3, the Markov-blanket argmax, partial-evidence
-// classification and the normalized model are each written once against it
+// time and structure epoch; the tracker, the cluster coordinator and the
+// coordinator's learned-structure overlay each only build one, and Algorithm
+// 3, the Markov-blanket argmax, partial-evidence classification and the
+// normalized model are each written once against it
 // (core.QueryProb, core.Classify, ... — also what the tracker's per-cell
 // fallback and the HTTP handlers call). Any number of goroutines may read one
 // snapshot; each acquisition is released exactly once.
@@ -105,9 +105,8 @@
 // that snapshot's version and age (the snapshot-consistency contract; see
 // the serve package documentation). A server fronts an in-process Tracker
 // (serve.NewTrackerSource), a live cluster coordinator
-// (serve.NewCoordinatorSource, cmd/bncluster -serve), its learned tree or a
-// striped federation through the same ModelSource interface, all handing out
-// core.Snapshots. Underneath, snapshot rebuilds read whole counter
+// (serve.NewCoordinatorSource, cmd/bncluster -serve) or its learned tree
+// through the same ModelSource interface, all handing out core.Snapshots. Underneath, snapshot rebuilds read whole counter
 // rows through kind-specialized counter.Bank.EstimateRange bulk loops
 // instead of a per-cell Estimate switch, so rebuilding munin's 101 866 CPT
 // cells stays cheap enough to refresh on a millisecond staleness bound
@@ -167,20 +166,15 @@
 // duplicated frames and process kills. See the cluster package
 // documentation and cmd/bncluster.
 //
-// Past one coordinator's capacity the cluster federates, exactly, in two
-// composable directions. An aggregation tree (cluster.Relay, cmd/bncluster
-// -role relay) places relays between sites and the root: each relay folds
-// its children's frames into per-site monotone vectors with the same
-// idempotent max-merge the coordinator uses and ships one coalesced grouped
-// frame upstream per cadence, dividing root frame load by roughly the
-// branching factor at bit-identical estimates; relays hold no durable
-// state, so site resume-replay heals severed uplinks and relay restarts.
-// Striped federation (cluster.Config.StripeIndex/StripeCount,
-// cluster.FederatedSite, cluster.Federation) partitions the flat counter-id
-// space across K coordinator processes; sites route each report to the
-// owning stripe and queries scatter-gather the per-stripe snapshots into
-// one merged model behind the unchanged serving interfaces. The federation
-// experiment (cmd/bnmle -exp federation) quantifies both against the flat
+// Past one coordinator's capacity the cluster scales out, exactly, along one
+// axis: an aggregation tree (cluster.Relay, cmd/bncluster -role relay)
+// places relays between sites and the root. Each relay folds its children's
+// frames into per-site monotone vectors with the same idempotent max-merge
+// the coordinator uses and ships one coalesced grouped frame upstream per
+// cadence, dividing root frame load by roughly the branching factor at
+// bit-identical estimates; relays hold no durable state, so site
+// resume-replay heals severed uplinks and relay restarts. The federation
+// experiment (cmd/bnmle -exp federation) quantifies it against the flat
 // topology.
 package distbayes
 

@@ -51,13 +51,6 @@ func (co *Coordinator) checkpointFingerprint() uint64 {
 	w(math.Float64bits(co.cfg.Delta))
 	w(uint64(co.cfg.Sites))
 	w(uint64(co.layout.NumCounters()))
-	if co.cfg.StripeCount > 0 {
-		// A striped coordinator's matrix covers only its owned range; bind
-		// the checkpoint to the stripe. Unstriped runs hash exactly the
-		// historical fields, so pre-federation checkpoints keep restoring.
-		w(uint64(co.cfg.StripeIndex))
-		w(uint64(co.cfg.StripeCount))
-	}
 	return h.Sum64()
 }
 
@@ -179,11 +172,9 @@ func (co *Coordinator) WriteCheckpoint(w io.Writer) error {
 			return err
 		}
 		ups = ups[:0]
-		// Rows are compact (indexed by id − ownLo); the checkpoint stores
-		// absolute counter ids so it is self-describing.
-		for idx, n := range rows[i] {
+		for id, n := range rows[i] {
 			if n != 0 {
-				ups = append(ups, Update{Counter: uint32(idx) + co.ownLo, LocalCount: n})
+				ups = append(ups, Update{Counter: uint32(id), LocalCount: n})
 			}
 		}
 		buf = encodeUpdates2(buf, ups)
@@ -221,13 +212,8 @@ func (co *Coordinator) RestoreCheckpoint(r io.Reader) error {
 			co.events.Add(int64(st.Sites[i].Events))
 			co.doneCount++
 		}
-		for _, u := range st.Sites[i].Row {
-			if u.Counter < co.ownLo || u.Counter >= co.ownHi {
-				return fmt.Errorf("cluster: checkpoint counter %d outside owned range [%d,%d)",
-					u.Counter, co.ownLo, co.ownHi)
-			}
-		}
-		co.reported[i].merge(co.ownLo, co.ownHi-co.ownLo, st.Sites[i].Row)
+		// readCheckpoint bounded every row id by the layout.
+		co.reported[i].merge(co.layout.NumCounters(), st.Sites[i].Row)
 	}
 	return nil
 }

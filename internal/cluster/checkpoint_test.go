@@ -194,3 +194,46 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 		t.Fatalf("restore with mismatched config: err = %v, want fingerprint mismatch", err)
 	}
 }
+
+// TestCheckpointRejectsRowOutsideLayout: a DBCLUS01 file whose row names
+// counter NumCounters() — one past the layout — fails RestoreCheckpoint, and
+// the same file naming the last counter restores it.
+func TestCheckpointRejectsRowOutsideLayout(t *testing.T) {
+	cfg := Config{
+		NetName: "alarm", CPTSeed: 0xC0DE, Strategy: core.Uniform, Eps: 0.1, Delta: 0.25,
+		Sites: 2, Events: 400, StreamSeed: 99,
+	}
+	// restore builds a checkpoint whose every row holds the one counter id
+	// NumCounters()-1+past and restores it into a fresh coordinator.
+	restore := func(past uint32) (co *Coordinator, id uint32, err error) {
+		co, err = NewCoordinator(cfg, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { co.Close() })
+		id = co.layout.NumCounters() - 1 + past
+		// Writes to a bytes.Buffer cannot fail.
+		var buf bytes.Buffer
+		cw, _ := core.NewCkptWriter(&buf, checkpointMagic)
+		for _, v := range []uint64{co.checkpointFingerprint(), 0, 0, 0, uint64(cfg.Sites)} {
+			cw.PutU64(v)
+		}
+		for site := 0; site < cfg.Sites; site++ {
+			cw.PutU64(0) // not done
+			cw.PutU64(0) // events
+			cw.PutRecord(encodeUpdates2(nil, []Update{{Counter: id, LocalCount: 7}}))
+		}
+		cw.Flush()
+		return co, id, co.RestoreCheckpoint(&buf)
+	}
+	co, last, err := restore(0)
+	if err != nil {
+		t.Fatalf("row naming the last counter %d: %v", last, err)
+	}
+	if got := co.reported[1].vals[last]; got != 7 {
+		t.Errorf("restored row holds %d at counter %d, want 7", got, last)
+	}
+	if _, id, err := restore(1); err == nil {
+		t.Fatalf("row naming counter %d, past the layout, restored", id)
+	}
+}

@@ -112,16 +112,6 @@ type Config struct {
 	DriftAfter float64
 	// DriftCPTSeed seeds the drift model's ground-truth parameters.
 	DriftCPTSeed uint64
-	// StripeIndex, StripeCount configure striped coordinator federation:
-	// when StripeCount > 0 this coordinator owns only the contiguous
-	// counter-id range Layout.StripeRange(StripeIndex, StripeCount) — it
-	// folds, stores and estimates owned ids exclusively (the reported matrix
-	// shrinks to the owned range) and rejects updates outside it. Sites of a
-	// striped run (FederatedSite) route each window's updates to the owning
-	// coordinator; queries scatter-gather across the stripes via Federation.
-	// StripeCount = 0 (the default) means unstriped: the coordinator owns
-	// the whole id space and behaves exactly as before.
-	StripeIndex, StripeCount int
 }
 
 // DefaultReconnectGrace is the reconnect window applied when
@@ -177,23 +167,6 @@ func (c Config) validate() error {
 	}
 	if c.DriftNetName == "" && (c.DriftAfter != 0 || c.DriftCPTSeed != 0) {
 		return fmt.Errorf("cluster: drift parameters set without a drift network name")
-	}
-	if c.StripeCount < 0 || c.StripeIndex < 0 {
-		return fmt.Errorf("cluster: stripe %d/%d, want non-negative", c.StripeIndex, c.StripeCount)
-	}
-	if c.StripeCount == 0 && c.StripeIndex != 0 {
-		return fmt.Errorf("cluster: stripe index %d set without a stripe count", c.StripeIndex)
-	}
-	if c.StripeCount > 0 {
-		if c.StripeIndex >= c.StripeCount {
-			return fmt.Errorf("cluster: stripe index %d out of range [0, %d)", c.StripeIndex, c.StripeCount)
-		}
-		if c.StructBatchEvents > 0 {
-			// The structure-learning statistics live in their own cell-id
-			// space and feed a single Chow-Liu fold; splitting them across
-			// stripes has no owner for the learned tree.
-			return fmt.Errorf("cluster: structure learning and striped federation are mutually exclusive")
-		}
 	}
 	return nil
 }
@@ -267,22 +240,18 @@ type Result struct {
 // estSnapshot is one immutable materialization of every counter's estimate,
 // validated against the fold version like core.Tracker's model snapshots: a
 // query reuses the cached snapshot while no batch has been folded since it
-// was built. A Federation's merge of its stripes' snapshots is the same type.
+// was built.
 type estSnapshot struct {
-	// versions[i] is part i's snapshot version at merge time (Federation
-	// merges only).
-	versions []uint64
 	// est[c] is counter c's estimate: Σ_sites reported + trailing-gap
 	// adjustment.
 	est []float64
 	// version is the coordinator's fold version the estimates were computed
-	// at (a merge's: the sum of versions) — monotone non-decreasing across
-	// snapshots — and builtAt is when they were computed.
+	// at — monotone non-decreasing across snapshots — and builtAt is when
+	// they were computed.
 	version uint64
 	builtAt time.Time
 
-	// view is the read handle over est, derived on first use: the stripe
-	// coordinators of a federation are only ever read through the merge.
+	// view is the read handle over est, derived on first use.
 	viewOnce sync.Once
 	view     *core.Snapshot
 }
@@ -360,21 +329,14 @@ type Coordinator struct {
 	ln     net.Listener
 	sqrtK  float64
 
-	// ownLo, ownHi bound the counter-id range this coordinator owns:
-	// [0, NumCounters()) unstriped, Layout.StripeRange(StripeIndex,
-	// StripeCount) under striped federation. Reported rows are compact —
-	// indexed by id − ownLo — so a stripe's matrix memory scales with its
-	// share of the id space, not the whole layout.
-	ownLo, ownHi uint32
-
 	// mu guards slots, doneCount and reported — the one lock of the
 	// receiving side.
 	mu        sync.Mutex
 	slots     []siteSlot
 	doneCount int
-	// reported[site].vals[counter-ownLo] is the site's last reported local
-	// count for an owned counter; version counts the batches folded into it
-	// and is read without the lock by the snapshot validator.
+	// reported[site].vals[counter] is the site's last reported local count;
+	// version counts the batches folded into it and is read without the lock
+	// by the snapshot validator.
 	reported []dirtyVec
 	version  atomic.Uint64
 
@@ -463,10 +425,9 @@ func NewCoordinator(cfg Config, addr string) (*Coordinator, error) {
 		ckptEvery: cfg.CheckpointEveryFrames,
 		ckptCh:    make(chan struct{}, 1),
 	}
-	co.ownLo, co.ownHi = layout.StripeRange(uint32(cfg.StripeIndex), uint32(cfg.StripeCount))
 	co.reported = make([]dirtyVec, cfg.Sites)
 	for i := range co.reported {
-		co.reported[i] = newDirtyVec(co.ownHi - co.ownLo)
+		co.reported[i] = newDirtyVec(layout.NumCounters())
 	}
 	if cfg.StructBatchEvents > 0 {
 		winEvents, winBlocks := cfg.structWindow()
@@ -495,7 +456,7 @@ func NewCoordinator(cfg Config, addr string) (*Coordinator, error) {
 	}
 	// A relay derives its fold layout from the same deterministic base config
 	// a site would get.
-	co.down.init(co, "", co.startConfigFor(0), co.ownLo, co.ownHi, layout.NumCounters(), cells)
+	co.down.init(co, "", co.startConfigFor(0), layout.NumCounters(), cells)
 	return co, nil
 }
 
@@ -731,10 +692,6 @@ func (co *Coordinator) startConfigFor(id uint32) StartConfig {
 		start.DriftCPTSeed = co.cfg.DriftCPTSeed
 		start.DriftAtEvent = uint64(frac * float64(co.cfg.eventsFor(id)))
 	}
-	if co.cfg.StripeCount > 0 {
-		start.StripeIndex = uint32(co.cfg.StripeIndex)
-		start.StripeCount = uint32(co.cfg.StripeCount)
-	}
 	return start
 }
 
@@ -783,14 +740,14 @@ func (co *Coordinator) siteEvents(id uint32) int64 {
 	return co.slots[id].events
 }
 
-// foldCounts folds one site's decoded reports (ids already validated to lie
-// in the owned range) into its reported row (tierNode). Reports are monotone
-// local counts; the maximum is kept to stay robust to reordering within a
-// stream — the same property that makes resume replays and duplicated frames
+// foldCounts folds one site's decoded reports (ids already validated against
+// the layout) into its reported row (tierNode). Reports are monotone local
+// counts; the maximum is kept to stay robust to reordering within a stream —
+// the same property that makes resume replays and duplicated frames
 // idempotent.
 func (co *Coordinator) foldCounts(site uint32, ups []Update) {
 	co.mu.Lock()
-	co.reported[site].merge(co.ownLo, co.ownHi-co.ownLo, ups)
+	co.reported[site].merge(co.layout.NumCounters(), ups)
 	co.version.Add(1)
 	co.mu.Unlock()
 	co.updates.Add(int64(len(ups)))
@@ -846,24 +803,22 @@ func (co *Coordinator) handleDone(site uint32, events int64) {
 
 // estimateLocked computes counter id's estimate from the reported matrix:
 // the sum over sites of the last reported local count plus the trailing-gap
-// adjustment (see layout.go). Callers hold mu and guarantee id is owned.
+// adjustment (see layout.go). Callers hold mu and guarantee id is in range.
 func (co *Coordinator) estimateLocked(id uint32) float64 {
 	eps := co.layout.Eps(id)
 	est := 0.0
 	for site := 0; site < co.cfg.Sites; site++ {
-		r := co.reported[site].vals[id-co.ownLo]
+		r := co.reported[site].vals[id]
 		est += float64(r) + adjustmentSqrtK(co.cfg.Sites, co.sqrtK, eps, r)
 	}
 	return est
 }
 
 // Estimate returns the coordinator's current estimate of a counter's global
-// count, read live under the lock. Valid at any time —
-// during a run it reflects the reports received so far. On a striped
-// coordinator only owned ids have state; an unowned id estimates 0 (query
-// through Federation to scatter-gather across the stripes).
+// count, read live under the lock (0 for an id outside the layout). Valid at
+// any time — during a run it reflects the reports received so far.
 func (co *Coordinator) Estimate(id uint32) float64 {
-	if id < co.ownLo || id >= co.ownHi {
+	if id >= co.layout.NumCounters() {
 		return 0
 	}
 	co.mu.Lock()
@@ -886,20 +841,17 @@ func (co *Coordinator) estimates() *estSnapshot {
 	if s := co.snap.Load(); s != nil && s.version == co.version.Load() {
 		return s
 	}
-	// Site-major walk over the layout's equal-eps sections, clipped to the
-	// owned range: one pass per site row keeps the reads contiguous, and the
-	// per-id eps load drops out of the inner loop — the coordinator-side
-	// sibling of counter.Bank.EstimateRange. Accumulation order (site 0..k-1
-	// from zero, ascending ids) matches estimateLocked's, so both paths stay
-	// bit-identical; unstriped, the clip is the identity and the walk is the
-	// historical full-space one.
+	// Site-major walk over the layout's equal-eps sections: one pass per site
+	// row keeps the reads contiguous, and the per-id eps load drops out of the
+	// inner loop — the coordinator-side sibling of counter.Bank.EstimateRange.
+	// Accumulation order (site 0..k-1 from zero, ascending ids) matches
+	// estimateLocked's, so both paths stay bit-identical.
 	k, sqrtK := co.cfg.Sites, co.sqrtK
 	for site := 0; site < k; site++ {
 		row := co.reported[site].vals
 		for _, sec := range co.layout.Sections() {
-			lo, hi := max(sec.Lo, co.ownLo), min(sec.Hi, co.ownHi)
-			for id := lo; id < hi; id++ {
-				r := row[id-co.ownLo]
+			for id := sec.Lo; id < sec.Hi; id++ {
+				r := row[id]
 				ns.est[id] += float64(r) + adjustmentSqrtK(k, sqrtK, sec.Eps, r)
 			}
 		}

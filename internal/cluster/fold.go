@@ -24,11 +24,9 @@ type frameFolder struct {
 	// site is the connection's site id, or relayPeer.
 	site uint32
 	// sites is the run's site count and counters the layout's counter count
-	// (what the decoders validate against); [lo, hi) is the id range this
-	// receiver owns — the whole layout unless it is a stripe coordinator;
-	// cells is the structure layout's cell count (0 = learning off);
-	// innerCap bounds one group's payload.
-	sites, lo, hi, counters, cells, innerCap uint32
+	// (what the decoders validate against); cells is the structure layout's
+	// cell count (0 = learning off); innerCap bounds one group's payload.
+	sites, counters, cells, innerCap uint32
 
 	groups []relayGroup
 	ups    []Update
@@ -83,9 +81,9 @@ func (f *frameFolder) fold(t byte, payload []byte) (data bool, err error) {
 		}
 		if !isStruct {
 			for _, u := range f.ups[sp.from:] {
-				if u.Counter < f.lo || u.Counter >= f.hi {
-					return true, fmt.Errorf("cluster: %s: site %d frame %d: counter %d outside [%d,%d)",
-						f.from, g.Site, t, u.Counter, f.lo, f.hi)
+				if u.Counter >= f.counters {
+					return true, fmt.Errorf("cluster: %s: site %d frame %d: counter %d outside [0,%d)",
+						f.from, g.Site, t, u.Counter, f.counters)
 				}
 			}
 		}
@@ -133,17 +131,16 @@ func (v *dirtyVec) set(id uint32, n int64) {
 	v.any = true
 }
 
-// merge max-merges ups into a vector of size cells whose cell 0 is id lo —
-// the receiver-side rule, written once: a relay's per-site vectors, the
-// coordinator's reported rows and a checkpoint restore all fold through it.
-// Ids must lie in [lo, lo+size).
-func (v *dirtyVec) merge(lo, size uint32, ups []Update) {
+// merge max-merges ups into a vector of size cells — the receiver-side rule,
+// written once: a relay's per-site vectors, the coordinator's reported rows
+// and a checkpoint restore all fold through it. Ids must lie in [0, size).
+func (v *dirtyVec) merge(size uint32, ups []Update) {
 	if v.vals == nil {
 		*v = newDirtyVec(size)
 	}
 	for _, u := range ups {
-		if u.LocalCount > v.vals[u.Counter-lo] {
-			v.set(u.Counter-lo, u.LocalCount)
+		if u.LocalCount > v.vals[u.Counter] {
+			v.set(u.Counter, u.LocalCount)
 		}
 	}
 }

@@ -22,9 +22,8 @@ func (r *recordingTarget) foldStruct(uint32, uint64, []Update) { r.structs++ }
 // last group) is out of range is rejected with nothing folded — the valid
 // prefix, which a decode-as-you-fold reader would already have applied, must
 // not reach the target — and the error names the site and the frame type.
-// The relay rows fold into a real Relay and check its vectors; the striped
-// row checks the owned-range bound (ids valid for the layout, owned by
-// another stripe) against a real coordinator's matrix.
+// The relay rows fold into a real Relay and check its vectors; the last block
+// checks the layout bound against a real coordinator's matrix.
 func TestFoldRejectsBeforeItFolds(t *testing.T) {
 	const counters, cells, sites = 100, 50, 4
 	good := []Update{{Counter: 3, LocalCount: 7}, {Counter: 9, LocalCount: 2}}
@@ -58,7 +57,7 @@ func TestFoldRejectsBeforeItFolds(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			r := &Relay{sites: make([]relaySiteState, sites), flushReq: make(chan struct{}, 1)}
-			r.down.init(r, "", StartConfig{Sites: sites}, 0, counters, counters, cells)
+			r.down.init(r, "", StartConfig{Sites: sites}, counters, cells)
 			f := r.down.newFolder("peer", tc.site)
 			data, err := f.fold(tc.t, tc.payload)
 			if !data || err == nil {
@@ -94,7 +93,7 @@ func TestFoldRejectsBeforeItFolds(t *testing.T) {
 	// A control frame is not data, and a frame on the wrong kind of
 	// connection is rejected, not folded.
 	rec := &recordingTarget{}
-	f := &frameFolder{target: rec, from: "peer", site: 1, sites: sites, hi: counters, counters: counters, cells: cells,
+	f := &frameFolder{target: rec, from: "peer", site: 1, sites: sites, counters: counters, cells: cells,
 		innerCap: innerFrameCap(counters, cells)}
 	if data, err := f.fold(frameDone, encodeDone(1, 10)); data || err != nil {
 		t.Errorf("frameDone: fold = (%v, %v), want not data", data, err)
@@ -114,33 +113,27 @@ func TestFoldRejectsBeforeItFolds(t *testing.T) {
 		t.Errorf("rejected frames reached the target: %+v", rec)
 	}
 
-	// Striped coordinator: ids inside the layout but outside the owned range.
+	// Coordinator: ids just past the layout, in the fixed-width frame (whose
+	// decoder does not bound ids) and in frameUpdates2.
 	co, err := NewCoordinator(Config{
-		NetName: "alarm", Strategy: core.NonUniform, Eps: 0.1, Delta: 0.25,
-		Sites: 2, Events: 10, StripeIndex: 1, StripeCount: 2,
+		NetName: "alarm", Strategy: core.NonUniform, Eps: 0.1, Delta: 0.25, Sites: 2, Events: 10,
 	}, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer co.Close()
-	own := []Update{{Counter: co.ownLo, LocalCount: 5}, {Counter: co.ownLo + 1, LocalCount: 6}}
+	n := co.layout.NumCounters()
+	valid := []Update{{Counter: 0, LocalCount: 5}, {Counter: n - 1, LocalCount: 6}}
 	cf := co.down.newFolder("site 0", 0)
-	for _, foreign := range []uint32{co.ownLo - 1, co.ownHi} {
-		for _, ft := range []byte{frameUpdates, frameUpdates2} {
-			ups := append(append([]Update(nil), own...), Update{Counter: foreign, LocalCount: 1})
-			payload := v2(ups)
-			if ft == frameUpdates {
-				payload = encodeUpdates(nil, ups)
-			} else if foreign < co.ownLo {
-				ups = append([]Update{{Counter: foreign, LocalCount: 1}}, own...) // v2 ids ascend
-				payload = v2(ups)
-			}
+	for _, bad := range []uint32{n, n + 7} {
+		ups := append(append([]Update(nil), valid...), Update{Counter: bad, LocalCount: 1})
+		for ft, payload := range map[byte][]byte{frameUpdates: encodeUpdates(nil, ups), frameUpdates2: v2(ups)} {
 			if _, err := cf.fold(ft, payload); err == nil {
-				t.Errorf("frame %d with counter %d outside [%d,%d) accepted", ft, foreign, co.ownLo, co.ownHi)
+				t.Errorf("frame %d with counter %d outside [0,%d) accepted", ft, bad, n)
 			}
 		}
 	}
-	for id := co.ownLo; id < co.ownHi; id++ {
+	for id := uint32(0); id < n; id++ {
 		if co.Estimate(id) != 0 {
 			t.Fatalf("counter %d folded from a rejected frame", id)
 		}
@@ -148,10 +141,10 @@ func TestFoldRejectsBeforeItFolds(t *testing.T) {
 	if co.updates.Load() != 0 {
 		t.Errorf("%d updates counted from rejected frames", co.updates.Load())
 	}
-	if _, err := cf.fold(frameUpdates2, v2(own)); err != nil {
+	if _, err := cf.fold(frameUpdates2, v2(valid)); err != nil {
 		t.Fatal(err)
 	}
-	if co.Estimate(co.ownLo) == 0 || co.updates.Load() != 2 {
-		t.Error("valid owned-range frame did not fold")
+	if co.Estimate(n-1) == 0 || co.updates.Load() != 2 {
+		t.Error("valid frame did not fold")
 	}
 }

@@ -78,21 +78,6 @@ func (l *Layout) Sections() []Section { return l.sections }
 // NumCounters returns the total number of counters.
 func (l *Layout) NumCounters() uint32 { return l.total }
 
-// StripeRange returns the contiguous counter-id range [lo, hi) owned by
-// stripe index of count under striped coordinator federation. The ranges
-// partition [0, NumCounters()) exactly: lo = total·index/count rounded down,
-// so every id belongs to exactly one stripe and adjacent stripes differ in
-// size by at most one id. Both sides of a striped run compute the range from
-// the same regenerated layout, so stripe bounds never travel on the wire.
-func (l *Layout) StripeRange(index, count uint32) (lo, hi uint32) {
-	if count <= 1 {
-		return 0, l.total
-	}
-	lo = uint32(uint64(l.total) * uint64(index) / uint64(count))
-	hi = uint32(uint64(l.total) * uint64(index+1) / uint64(count))
-	return lo, hi
-}
-
 // PairID returns the id of A_i(value, pidx).
 func (l *Layout) PairID(i, value, pidx int) uint32 {
 	return l.pairOff[i] + uint32(pidx*l.net.Card(i)+value)

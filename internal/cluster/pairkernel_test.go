@@ -108,7 +108,7 @@ func TestShipStructStatsFoldsOpenBlock(t *testing.T) {
 	layout := st.pairs.layout
 	want := make([]int64, layout.Cells())
 	var wire bytes.Buffer
-	w := newReportWriter(st.layout, newConn(&wire))
+	w := newConn(&wire)
 	rd := newConn(&wire)
 	rd.setReadLimit(structPayloadCap(layout.Cells()))
 	for _, position := range []uint64{1, 100, 256, 300, 700} {

@@ -4,34 +4,33 @@
 // any reachable network, see README, Reproducing the paper).
 //
 // Architecture: one coordinator process listens; k site processes connect,
-// directly, through a tree of relays (relay.go), or to K stripe coordinators
-// at once (federation.go). Each site generates its share of the training
-// stream locally (the stream is horizontally partitioned), runs the
-// site-side half of the approximate counters, and sends counter updates. The
-// coordinator maintains the tracked model and answers queries *at any time*
-// — the paper's query model — not just after the stream ends.
+// directly or through a tree of relays (relay.go). Each site generates its
+// share of the training stream locally (the stream is horizontally
+// partitioned), runs the site-side half of the approximate counters, and
+// sends counter updates. The coordinator maintains the tracked model and
+// answers queries *at any time* — the paper's query model — not just after
+// the stream ends.
 //
 // # One data plane
 //
 // The paper's protocol has one site-side rule (increment the local counter,
 // flip the coin, ship the local count) and one receiver-side rule (keep each
-// site's latest count, add the trailing-gap adjustment); flat, batched, tree
-// and striped runs differ only in where a decided report travels. The code
-// has one implementation of each side:
+// site's latest count, add the trailing-gap adjustment); flat, batched and
+// tree runs differ only in where a decided report travels. The code has one
+// implementation of each side:
 //
 //   - Send: siteRun.stream (site.go) is the only stream loop. It draws the
 //     event, increments and decides, and at every window boundary
 //     (StartConfig.BatchEvents events; 0 means a window of one — the
 //     per-event protocol) hands the window's decided reports, ascending, to
-//     a reportWriter, the only writer of counter reports: one frameUpdates2
-//     frame per window to the connection owning the ids (one connection for
-//     a Site, one per stripe for a FederatedSite). Report decisions are made
-//     per increment by the same seeded site RNG in every mode and counts are
-//     monotone, so the window size changes how many frames carry the
-//     reports, never a final estimate
-//     (TestBatchedSitesBitIdenticalFewerFrames); a report is delayed by at
-//     most one window, staleness of the same kind as the trailing gap the
-//     report probability already models.
+//     siteRun.shipWindow, the only writer of counter reports: one
+//     frameUpdates2 frame per non-empty window on the site's one
+//     connection. Report decisions are made per increment by the same
+//     seeded site RNG in every mode and counts are monotone, so the window
+//     size changes how many frames carry the reports, never a final
+//     estimate (TestBatchedSitesBitIdenticalFewerFrames); a report is
+//     delayed by at most one window, staleness of the same kind as the
+//     trailing gap the report probability already models.
 //   - Receive: tier.serve (tier.go) is the only connection path of a
 //     non-leaf node — accept, opening frame (hello, resume or relayHello),
 //     join, one read loop, done, detach — and the Coordinator, the root of
@@ -39,17 +38,16 @@
 //     frameFolder.fold (fold.go) is the only place the five data frames are
 //     decoded — frameUpdates, frameUpdates2 and frameStructStats from a
 //     site, frameRelayUpdates and frameRelayStruct from a relay: it decodes
-//     the whole frame, bounds-checks every id against the layout (and the
-//     owned stripe range of a federation) before anything is folded, and
-//     hands each site's batch to the node. The two kinds of node differ only
-//     behind tierNode: a Relay folds into per-site dirty vectors it ships
-//     upstream and forwards membership events (join, Done, detach) up
-//     wrapped; the Coordinator folds into its reported rows and structure
-//     engine, estimates from them, and decides membership events — a site
-//     on its own connection is the one-site case of a relay link. Both
-//     folds are the same idempotent max-merge (dirtyVec.merge), which is
-//     what makes relays, replays and duplicated frames invisible to the
-//     final estimates.
+//     the whole frame, bounds-checks every id against the layout before
+//     anything is folded, and hands each site's batch to the node. The two
+//     kinds of node differ only behind tierNode: a Relay folds into
+//     per-site dirty vectors it ships upstream and forwards membership
+//     events (join, Done, detach) up wrapped; the Coordinator folds into
+//     its reported rows and structure engine, estimates from them, and
+//     decides membership events — a site on its own connection is the
+//     one-site case of a relay link. Both folds are the same idempotent
+//     max-merge (dirtyVec.merge), which is what makes relays, replays and
+//     duplicated frames invisible to the final estimates.
 //
 // The coordinator has one lock: one reader goroutine per connection folds a
 // decoded batch into the reported-count matrix under it and bumps one version
@@ -365,14 +363,6 @@ type StartConfig struct {
 	// must describe the same variables (names and cardinalities) as NetName;
 	// only the structure and parameters may differ. Empty = no drift.
 	DriftNetName string
-	// StripeIndex, StripeCount describe striped coordinator federation
-	// (protocol version 5): the flat counter-id space is split into
-	// StripeCount contiguous ranges (Layout.StripeRange) and the coordinator
-	// sending this config owns stripe StripeIndex — it folds and estimates
-	// only ids in its range and a site drops updates outside it before
-	// framing. StripeCount = 0 (the default) means unstriped: the
-	// coordinator owns the whole id space and the v5 tail is not emitted.
-	StripeIndex, StripeCount uint32
 }
 
 // Stats is the coordinator's closing summary sent to each site and returned
@@ -519,8 +509,7 @@ func encodeStart(cfg StartConfig) []byte {
 	put64(cfg.Events)
 	put64(cfg.StreamSeed)
 	put32(cfg.LatencyMicros)
-	v5 := cfg.StripeCount != 0
-	v4 := v5 || cfg.StructBatchEvents != 0 || cfg.DriftNetName != "" || cfg.DriftAtEvent != 0 || cfg.DriftCPTSeed != 0
+	v4 := cfg.StructBatchEvents != 0 || cfg.DriftNetName != "" || cfg.DriftAtEvent != 0 || cfg.DriftCPTSeed != 0
 	if cfg.BatchEvents != 0 || v4 {
 		put32(cfg.BatchEvents)
 	}
@@ -531,10 +520,6 @@ func encodeStart(cfg StartConfig) []byte {
 		put32(uint32(len(driftName)))
 		buf = append(buf, driftName...)
 	}
-	if v5 {
-		put32(cfg.StripeIndex)
-		put32(cfg.StripeCount)
-	}
 	return buf
 }
 
@@ -543,7 +528,10 @@ func encodeStart(cfg StartConfig) []byte {
 // BatchEvents = 0, so an old coordinator can drive a new site; version-2
 // frames decode with the structure-learning and drift fields zero; the
 // version-4 tail is length-validated exactly (fixed fields plus the drift
-// name it declares).
+// name it declares). A version-5 frame carries 8 more bytes — a stripe index
+// and count from a coordinator of the striped federation this build no
+// longer has: it still length-validates, decodes when the count is 0 and is
+// refused by name otherwise.
 func decodeStart(b []byte) (StartConfig, error) {
 	var cfg StartConfig
 	if len(b) < 4 {
@@ -600,18 +588,17 @@ func decodeStart(b []byte) (StartConfig, error) {
 		b = b[8:]
 		dn := binary.LittleEndian.Uint32(b)
 		b = b[4:]
-		// The version-5 stripe tail (StripeIndex, StripeCount) follows the
-		// drift name and is emitted only when striping is configured, so the
-		// length switch stays exact: drift-name bytes alone is version 4,
+		// The version-5 stripe tail (index, count) follows the drift name, so
+		// the length switch stays exact: drift-name bytes alone is version 4,
 		// drift-name bytes + 8 is version 5.
 		switch uint64(len(b)) {
 		case uint64(dn):
 		case uint64(dn) + 8:
-			cfg.DriftNetName = string(b[:dn])
-			b = b[dn:]
-			cfg.StripeIndex = binary.LittleEndian.Uint32(b)
-			cfg.StripeCount = binary.LittleEndian.Uint32(b[4:])
-			return cfg, nil
+			if stripes := binary.LittleEndian.Uint32(b[dn+4:]); stripes > 0 {
+				return cfg, fmt.Errorf("cluster: start frame names stripe %d of %d, but striped coordinator federation was removed (scale out with relays)",
+					binary.LittleEndian.Uint32(b[dn:]), stripes)
+			}
+			b = b[:dn]
 		default:
 			return cfg, fmt.Errorf("cluster: start frame drift name declares %d bytes, has %d", dn, len(b))
 		}

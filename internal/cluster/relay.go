@@ -130,7 +130,7 @@ type Relay struct {
 
 	// DownFrames / UpFrames count data frames folded from below and shipped
 	// above — the branching-factor reduction, surfaced for tests and the
-	// federation benchmark.
+	// aggregation-tree benchmark.
 	DownFrames atomic.Int64
 	UpFrames   atomic.Int64
 
@@ -303,8 +303,7 @@ func (r *Relay) initFromBase(base StartConfig) error {
 		}
 		cells = sl.Cells()
 	}
-	total := layout.NumCounters()
-	r.down.init(r, fmt.Sprintf("relay %d: ", r.cfg.ID), base, 0, total, total, cells)
+	r.down.init(r, fmt.Sprintf("relay %d: ", r.cfg.ID), base, layout.NumCounters(), cells)
 	r.sites = make([]relaySiteState, base.Sites)
 	return nil
 }
@@ -499,7 +498,7 @@ func (r *Relay) foldCounts(site uint32, ups []Update) {
 	r.mu.Lock()
 	s := &r.sites[site]
 	s.known = true
-	s.counts.merge(0, r.down.folder.counters, ups)
+	s.counts.merge(r.down.folder.counters, ups)
 	r.mu.Unlock()
 	r.noteDownFrame()
 }
@@ -515,7 +514,7 @@ func (r *Relay) foldStruct(site uint32, siteEvents uint64, ups []Update) {
 		s.structEvents = siteEvents
 		s.structs.any = true
 	}
-	s.structs.merge(0, r.down.folder.cells, ups)
+	s.structs.merge(r.down.folder.cells, ups)
 	r.mu.Unlock()
 	r.noteDownFrame()
 }

@@ -113,7 +113,7 @@ func FuzzRelayGroups(f *testing.F) {
 func fuzzRelayFold(t *testing.T, data []byte, innerCap uint32, want map[uint32]map[uint32]int64, allValid bool) {
 	newRelay := func() *Relay {
 		r := &Relay{sites: make([]relaySiteState, fuzzRelaySites), flushReq: make(chan struct{}, 1)}
-		r.down.init(r, "", StartConfig{Sites: fuzzRelaySites}, 0, fuzzMaxCounters, fuzzMaxCounters, fuzzMaxCounters)
+		r.down.init(r, "", StartConfig{Sites: fuzzRelaySites}, fuzzMaxCounters, fuzzMaxCounters)
 		r.down.folder.innerCap = innerCap
 		return r
 	}

@@ -25,7 +25,7 @@ var ErrSiteCrashed = errors.New("cluster: site crashed (chaos hook)")
 // connects to the coordinator (or to a relay — the handshake is the same),
 // receives its StartConfig, generates its share of the training stream
 // locally, and runs the site half of the counter protocol: siteRun.stream,
-// the one stream loop, writing through a reportWriter over its connection.
+// the one stream loop, writing its reports to its connection.
 //
 // The connection is supervised: a transient dial failure retries with
 // exponential backoff and deterministic jitter (retryPolicy), and a
@@ -65,8 +65,8 @@ type Site struct {
 // address.
 func NewSite(id uint32, addr string) *Site { return &Site{id: id, addr: addr} }
 
-// retryPolicy is the dial/backoff policy Site, FederatedSite and Relay
-// share; zero fields select the defaults (8 attempts, 20ms base, 1s cap).
+// retryPolicy is the dial/backoff policy Site and Relay share; zero fields
+// select the defaults (8 attempts, 20ms base, 1s cap).
 type retryPolicy struct {
 	attempts  int
 	base, cap time.Duration
@@ -158,8 +158,9 @@ type siteRun struct {
 	// recomputed over netw into driftPidx.
 	drift     *stream.Training
 	driftPidx []int
-	// ups is the window scratch reused across frames.
+	// ups and buf are the window and frame scratch reused across frames.
 	ups []Update
+	buf []byte
 }
 
 // newSiteRun regenerates the deterministic run state from a StartConfig.
@@ -249,74 +250,12 @@ func (st *siteRun) nextEvent() (x, pidx []int) {
 	return x, st.training.ParentIndices()
 }
 
-// reportWriter is the send half of the data plane: the one writer of
-// decided reports. It owns one connection per stripe coordinator (a flat
-// Site is the one-stripe case) and frames an ascending report batch to the
-// connections owning its ids, always as frameUpdates2.
-type reportWriter struct {
-	conns []*conn
-	// los[i] is stripe i's first counter id: stripe i owns [los[i], los[i+1]).
-	los []uint32
-	buf []byte
-}
-
-// newReportWriter routes over conns[i] = the owner of stripe i of len(conns).
-func newReportWriter(layout *Layout, conns ...*conn) *reportWriter {
-	k := uint32(len(conns))
-	w := &reportWriter{conns: conns, los: make([]uint32, k+1)}
-	for i := uint32(0); i < k; i++ {
-		w.los[i], w.los[i+1] = layout.StripeRange(i, k)
-	}
-	return w
-}
-
-// writeUpdates frames one batch of reports sorted by strictly ascending
-// counter id: ascending ids make each stripe's share one contiguous run, and
-// every non-empty run becomes one frame to its owner.
-func (w *reportWriter) writeUpdates(ups []Update) error {
-	stripe := 0
-	for lo := 0; lo < len(ups); {
-		for ups[lo].Counter >= w.los[stripe+1] {
-			stripe++
-		}
-		hi := lo
-		for hi < len(ups) && ups[hi].Counter < w.los[stripe+1] {
-			hi++
-		}
-		w.buf = encodeUpdates2(w.buf, ups[lo:hi])
-		if err := w.conns[stripe].writeFrame(frameUpdates2, w.buf); err != nil {
-			return err
-		}
-		lo = hi
-	}
-	return nil
-}
-
-// writeAll sends one control frame to every stripe and flushes.
-func (w *reportWriter) writeAll(t byte, payload []byte) error {
-	for _, c := range w.conns {
-		if err := c.writeFrame(t, payload); err != nil {
-			return err
-		}
-	}
-	return w.flush()
-}
-
-func (w *reportWriter) flush() error {
-	for _, c := range w.conns {
-		if err := c.flush(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // stream is the site half of the counter protocol — the one stream loop,
 // whatever the topology: draw the event, count it (siteCounters.event: every
 // touched counter incremented, its report decided and recorded — same
 // counters, same RNG draws in the same order in every mode, bit-identical to
-// the historical per-counter loop), and at every window boundary hand the
-// window's reports to w. Resumes from st.next; window boundaries are absolute
+// the historical per-counter loop), and at every window boundary ship the
+// window's reports on c. Resumes from st.next; window boundaries are absolute
 // stream positions, so a reconnect does not shift the frame schedule.
 //
 // The window is cfg.BatchEvents events; 0 is the per-event protocol, a
@@ -326,7 +265,7 @@ func (w *reportWriter) flush() error {
 // window, staleness of the same kind as the trailing gap the report
 // probability already models. crashAt is the CrashAfterEvents chaos hook (0
 // = off).
-func (st *siteRun) stream(w *reportWriter, crashAt uint64) error {
+func (st *siteRun) stream(c *conn, crashAt uint64) error {
 	cfg := st.cfg
 	window := uint64(max(cfg.BatchEvents, 1))
 	latency := time.Duration(cfg.LatencyMicros) * time.Microsecond
@@ -353,18 +292,18 @@ func (st *siteRun) stream(w *reportWriter, crashAt uint64) error {
 		// carried are in counts.reported and covered by resume replay).
 		st.next++
 		if st.next%window == 0 && st.counts.reported.any {
-			if err := st.shipWindow(w); err != nil {
+			if err := st.shipWindow(c); err != nil {
 				return err
 			}
 			if !buffered {
-				if err := w.flush(); err != nil {
+				if err := c.flush(); err != nil {
 					return err
 				}
 				time.Sleep(latency)
 			}
 		}
 		if st.pairs != nil && st.next%uint64(cfg.StructBatchEvents) == 0 {
-			if err := st.shipStruct(w); err != nil {
+			if err := st.shipStruct(c); err != nil {
 				return err
 			}
 		}
@@ -372,42 +311,46 @@ func (st *siteRun) stream(w *reportWriter, crashAt uint64) error {
 		// buffered during a long quiet stretch still reaches the coordinator
 		// promptly.
 		if buffered && st.next%flushEvery == 0 {
-			if err := w.flush(); err != nil {
+			if err := c.flush(); err != nil {
 				return err
 			}
 		}
 	}
 	// The tails shorter than one window / one struct cadence.
-	if err := st.shipWindow(w); err != nil {
+	if err := st.shipWindow(c); err != nil {
 		return err
 	}
-	if err := st.shipStruct(w); err != nil {
+	if err := st.shipStruct(c); err != nil {
 		return err
 	}
-	return w.flush()
+	return c.flush()
 }
 
-// shipWindow frames the pending window: the latest decided count of every
-// counter with a report since the last window, ascending. The window is
-// emptied before the fallible write — a frame lost with its connection is
-// covered by replay.
-func (st *siteRun) shipWindow(w *reportWriter) error {
+// shipWindow is the one writer of decided reports: it frames the pending
+// window — the latest decided count of every counter with a report since the
+// last window, ascending — as one frameUpdates2 frame, and an empty window as
+// none. The window is emptied before the fallible write — a frame lost with
+// its connection is covered by replay.
+func (st *siteRun) shipWindow(c *conn) error {
 	st.ups = st.counts.reported.drain(st.ups[:0])
-	return w.writeUpdates(st.ups)
+	if len(st.ups) == 0 {
+		return nil
+	}
+	st.buf = encodeUpdates2(st.buf, st.ups)
+	return c.writeFrame(frameUpdates2, st.buf)
 }
 
 // shipStruct sends the site's full cumulative pairwise co-occurrence vector
 // and stream position as one frameStructStats frame (a no-op with structure
 // learning off or before the first event) and flushes. Cumulative counts
 // make the frame self-contained: the coordinator max-merges it, so
-// duplicates and replays are absorbed. Structure learning and striping are
-// mutually exclusive, so the frame has exactly one destination.
-func (st *siteRun) shipStruct(w *reportWriter) error {
+// duplicates and replays are absorbed.
+func (st *siteRun) shipStruct(c *conn) error {
 	if st.pairs == nil || st.next == 0 {
 		return nil
 	}
-	w.buf = encodeStructStats(w.buf, st.next, st.pairs.cumulative())
-	return w.conns[0].send(frameStructStats, w.buf)
+	st.buf = encodeStructStats(st.buf, st.next, st.pairs.cumulative())
+	return c.send(frameStructStats, st.buf)
 }
 
 // replay ships the site's latest decided report for every counter it ever
@@ -415,19 +358,19 @@ func (st *siteRun) shipStruct(w *reportWriter) error {
 // pending when the connection died. Idempotent by construction: every
 // replayed count is ≤ the count an uninterrupted run would have delivered by
 // now, and the coordinator keeps the max.
-func (st *siteRun) replay(w *reportWriter) error {
+func (st *siteRun) replay(c *conn) error {
 	st.counts.reported.markAll()
-	if err := st.shipWindow(w); err != nil {
+	if err := st.shipWindow(c); err != nil {
 		return err
 	}
 	// Re-ship the cumulative structure statistics too: a coordinator
 	// restored from a checkpoint restarts with an empty MI window, and the
 	// replayed cumulative counts (max-merged, so a no-op when nothing was
 	// lost) put the per-site statistics back.
-	if err := st.shipStruct(w); err != nil {
+	if err := st.shipStruct(c); err != nil {
 		return err
 	}
-	return w.flush()
+	return c.flush()
 }
 
 // hello opens the handshake on a fresh connection — with frameHello for a
@@ -524,13 +467,12 @@ func (s *Site) runConn(raw net.Conn, pst **siteRun) (Stats, bool, error) {
 		}
 		*pst = st
 	}
-	w := newReportWriter(st.layout, c)
 	if resuming {
 		// Reconnect: resume with our stream position, then replay the
 		// decided counts so the coordinator's row catches up to our state
 		// regardless of what the dead connection actually delivered (or what
 		// a restored-from-checkpoint coordinator remembers).
-		if err := w.writeAll(frameResume, encodeResume(resumeReq{Site: s.id, Events: st.next})); err != nil {
+		if err := c.send(frameResume, encodeResume(resumeReq{Site: s.id, Events: st.next})); err != nil {
 			return Stats{}, false, err
 		}
 		t, payload, err := c.readFrame()
@@ -554,7 +496,7 @@ func (s *Site) runConn(raw net.Conn, pst **siteRun) (Stats, bool, error) {
 			st.doneSent = true
 		}
 		if !st.doneSent {
-			if err := st.replay(w); err != nil {
+			if err := st.replay(c); err != nil {
 				return Stats{}, false, err
 			}
 		}
@@ -562,13 +504,13 @@ func (s *Site) runConn(raw net.Conn, pst **siteRun) (Stats, bool, error) {
 
 	if !st.doneSent {
 		if st.next < st.cfg.Events {
-			if err := st.stream(w, s.CrashAfterEvents); err != nil {
+			if err := st.stream(c, s.CrashAfterEvents); err != nil {
 				return Stats{}, errors.Is(err, ErrSiteCrashed), err
 			}
 		}
 		// The Done marker carries the site's full event count; the
 		// coordinator deduplicates, so re-sending after a resume is safe.
-		if err := w.writeAll(frameDone, encodeDone(s.id, int64(st.cfg.Events))); err != nil {
+		if err := c.send(frameDone, encodeDone(s.id, int64(st.cfg.Events))); err != nil {
 			return Stats{}, false, err
 		}
 	}

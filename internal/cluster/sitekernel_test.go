@@ -175,7 +175,7 @@ func TestDriftRunFlatCountersMatchReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		var wire bytes.Buffer
-		if err := st.stream(newReportWriter(st.layout, newConn(&wire)), 0); err != nil {
+		if err := st.stream(newConn(&wire), 0); err != nil {
 			t.Fatal(err)
 		}
 		var got, want []Update
@@ -270,71 +270,63 @@ func TestSiteEventMatchesPerIDOracle(t *testing.T) {
 
 // TestBitsetWindowShipsSortedListFrames: the site's wire bytes — window of
 // one, window of 128, and a resume replay in the middle of a window — equal
-// the frames of the historical sorted id list, on a flat and on a striped
-// writer.
+// the frames of the historical sorted id list.
 func TestBitsetWindowShipsSortedListFrames(t *testing.T) {
 	for _, batch := range []uint32{0, 128} {
-		for _, stripes := range []int{1, 3} {
-			t.Run(fmt.Sprintf("window=%d/stripes=%d", batch, stripes), func(t *testing.T) {
-				cfg := StartConfig{
-					NetName: "alarm", CPTSeed: 0xC0DE, Strategy: uint8(core.NonUniform), Eps: 0.1, Delta: 0.25,
-					Sites: 2, Events: 3000, StreamSeed: 5, BatchEvents: batch,
-				}
-				const replayAt = 1000 // not a multiple of 128: replay lands mid-window
-				st, err := newSiteRun(1, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				writer := func() (*reportWriter, []*bytes.Buffer) {
-					bufs, conns := make([]*bytes.Buffer, stripes), make([]*conn, stripes)
-					for i := range bufs {
-						bufs[i] = new(bytes.Buffer)
-						conns[i] = newConn(bufs[i])
-					}
-					return newReportWriter(st.layout, conns...), bufs
-				}
-				w, got := writer()
-				if err := st.stream(w, replayAt); !errors.Is(err, ErrSiteCrashed) {
-					t.Fatalf("stream stopped with %v, want the crash hook", err)
-				}
-				if err := st.replay(w); err != nil {
-					t.Fatal(err)
-				}
-				if err := st.stream(w, 0); err != nil {
-					t.Fatal(err)
-				}
+		t.Run(fmt.Sprintf("window=%d", batch), func(t *testing.T) {
+			cfg := StartConfig{
+				NetName: "alarm", CPTSeed: 0xC0DE, Strategy: uint8(core.NonUniform), Eps: 0.1, Delta: 0.25,
+				Sites: 2, Events: 3000, StreamSeed: 5, BatchEvents: batch,
+			}
+			const replayAt = 1000 // not a multiple of 128: replay lands mid-window
+			st, err := newSiteRun(1, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			w := newConn(&got)
+			if err := st.stream(w, replayAt); !errors.Is(err, ErrSiteCrashed) {
+				t.Fatalf("stream stopped with %v, want the crash hook", err)
+			}
+			if err := st.replay(w); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.stream(w, 0); err != nil {
+				t.Fatal(err)
+			}
 
-				ow, want := writer()
-				o, next := siteReference(t, 1, cfg)
-				ship := func(ups []Update) {
-					if err := ow.writeUpdates(ups); err != nil {
-						t.Fatal(err)
-					}
+			var want bytes.Buffer
+			ow := newConn(&want)
+			o, next := siteReference(t, 1, cfg)
+			ship := func(ups []Update) {
+				if len(ups) == 0 {
+					return // an empty window sends no frame
 				}
-				window := uint64(max(batch, 1))
-				for e := uint64(1); e <= cfg.Events; e++ {
-					o.event(next())
-					if e%window == 0 && len(o.pending) > 0 {
-						ship(o.window())
-					}
-					if e == replayAt {
-						ship(o.replay())
-					}
-				}
-				ship(o.window())
-				if err := ow.flush(); err != nil {
+				if err := ow.writeFrame(frameUpdates2, encodeUpdates2(nil, ups)); err != nil {
 					t.Fatal(err)
 				}
-				for i := range want {
-					if !bytes.Equal(got[i].Bytes(), want[i].Bytes()) {
-						t.Fatalf("stripe %d: %d wire bytes differ from the sorted-list reference's %d", i, got[i].Len(), want[i].Len())
-					}
-					if want[i].Len() == 0 {
-						t.Fatalf("stripe %d shipped nothing", i)
-					}
+			}
+			window := uint64(max(batch, 1))
+			for e := uint64(1); e <= cfg.Events; e++ {
+				o.event(next())
+				if e%window == 0 && len(o.pending) > 0 {
+					ship(o.window())
 				}
-			})
-		}
+				if e == replayAt {
+					ship(o.replay())
+				}
+			}
+			ship(o.window())
+			if err := ow.flush(); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("%d wire bytes differ from the sorted-list reference's %d", got.Len(), want.Len())
+			}
+			if want.Len() == 0 {
+				t.Fatal("shipped nothing")
+			}
+		})
 	}
 }
 

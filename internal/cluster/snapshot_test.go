@@ -26,7 +26,7 @@ type snapshotProducer struct {
 	learned bool
 }
 
-// snapshotProducers builds the four producers over alarm, none started.
+// snapshotProducers builds the three producers over alarm, none started.
 func snapshotProducers(t *testing.T) map[string]snapshotProducer {
 	t.Helper()
 	cfg := Config{
@@ -77,33 +77,6 @@ func snapshotProducers(t *testing.T) map[string]snapshotProducer {
 		acquire: func() (*core.Snapshot, error) { return co.AcquireSnapshot(), nil },
 		ingest:  run(co),
 		query:   co.QueryProb,
-	}
-
-	parts, addrs := make([]*Coordinator, 2), make([]string, 2)
-	for i := range parts {
-		pcfg := cfg
-		pcfg.StripeIndex, pcfg.StripeCount = i, len(parts)
-		parts[i] = newCo(pcfg)
-		addrs[i] = parts[i].Addr()
-	}
-	fed, err := NewFederation(parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["federation"] = snapshotProducer{
-		acquire: func() (*core.Snapshot, error) { return fed.AcquireSnapshot(), nil },
-		ingest: func() error {
-			wait := startSites(cfg.Sites, func(i int) ([]Stats, error) {
-				return NewFederatedSite(uint32(i), addrs).Run()
-			})
-			serve := startSites(len(parts), func(i int) (Result, error) { return parts[i].Serve() })
-			if _, err := serve(); err != nil {
-				return err
-			}
-			_, err := wait()
-			return err
-		},
-		query: fed.QueryProb,
 	}
 
 	lcfg := cfg

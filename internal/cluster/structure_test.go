@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/binary"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -68,7 +69,8 @@ func denseCounts(cells int, ups []Update) []int64 {
 
 // TestStartConfigV4RoundTrip pins the version-4 StartConfig tail: the
 // structure-learning cadence and the drift scenario fields survive the wire,
-// including an empty drift name alongside a nonzero struct cadence.
+// including an empty drift name alongside a nonzero struct cadence — and the
+// version-5 tail after it still parses.
 func TestStartConfigV4RoundTrip(t *testing.T) {
 	cfgs := []StartConfig{
 		{
@@ -90,6 +92,24 @@ func TestStartConfigV4RoundTrip(t *testing.T) {
 		}
 		if got != cfg {
 			t.Errorf("v4 start round trip: %+v != %+v", got, cfg)
+		}
+	}
+
+	// Wire formats are append-only: the version-5 tail (a stripe index and
+	// count after the drift name) still length-validates. With a count of 0
+	// the frame decodes as its version-4 prefix; with a count > 0 it is
+	// refused, naming the removed mode.
+	for _, tc := range []struct {
+		count uint32
+		err   string
+	}{{0, ""}, {3, "striped coordinator federation"}} {
+		v5 := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(encodeStart(cfgs[0]), 1), tc.count)
+		got, err := decodeStart(v5)
+		if tc.err == "" && (err != nil || got != cfgs[0]) {
+			t.Errorf("v5 frame with %d stripes: %+v, %v; want %+v", tc.count, got, err, cfgs[0])
+		}
+		if tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)) {
+			t.Errorf("v5 frame with %d stripes: err = %v, want one naming %q", tc.count, err, tc.err)
 		}
 	}
 }

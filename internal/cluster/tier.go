@@ -57,13 +57,13 @@ type tier struct {
 	conns connSet
 }
 
-// init sets the tier up for node, a node of the run base describes that owns
-// counter ids [lo, hi) of a layout of counters ids and cells pair cells (0 =
-// structure learning off); prefix names the node in error texts.
-func (t *tier) init(node tierNode, prefix string, base StartConfig, lo, hi, counters, cells uint32) {
+// init sets the tier up for node, a node of the run base describes over a
+// layout of counters ids and cells pair cells (0 = structure learning off);
+// prefix names the node in error texts.
+func (t *tier) init(node tierNode, prefix string, base StartConfig, counters, cells uint32) {
 	t.folder = frameFolder{
 		target: node, from: prefix,
-		sites: base.Sites, lo: lo, hi: hi, counters: counters,
+		sites: base.Sites, counters: counters,
 		cells: cells, innerCap: innerFrameCap(counters, cells),
 	}
 	// Site and Events are meaningless for a relay.

@@ -99,9 +99,8 @@ func ClassifyPartial(m *bn.Model, target int, evidence map[int]int) (int, error)
 // Snapshot is the one read handle on tracked parameters: an immutable
 // materialization of every CPD estimate of one network, with the version of
 // the counter state it was built from. Every producer — Tracker, the cluster
-// coordinator and federation, the coordinator's learned-structure overlay —
-// only builds one; every query is answered by the kernel above reading its
-// rows.
+// coordinator, the coordinator's learned-structure overlay — only builds one;
+// every query is answered by the kernel above reading its rows.
 //
 // A Snapshot never changes after it is published, so any number of goroutines
 // may read one handle concurrently (the serving layer shares one across every

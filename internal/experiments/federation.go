@@ -17,31 +17,23 @@ func init() {
 // upstream frame per cadence.
 const federationBranching = 4
 
-// federationStripes is the coordinator count of the striped topology row:
-// the flat counter-id space is partitioned into this many contiguous stripes,
-// each owned by its own coordinator.
-const federationStripes = 3
-
-// runFederation compares the hierarchical topologies against the flat
-// cluster on the same stream: a depth-2 aggregation tree (relays folding
-// site frames before the root) and a striped multi-coordinator federation
-// (counters partitioned across owners, sites scatter-gathering). Report
-// decisions are per-site deterministic and the relay fold is an idempotent
-// max-merge of per-site monotone vectors, so both topologies must track the
-// flat run bit-identically: the divergence column is an exactness check like
-// runChurn's, expected to be exactly 0 and dwarfed by the paper's ε·m slack
-// (the deviation each counter is allowed against the exact count, which the
-// flat protocol itself already spends). The frame columns show what each
-// topology costs or saves at the root at that equal accuracy.
+// runFederation compares the aggregation tree against the flat cluster on
+// the same stream: a depth-2 tree of relays folding site frames before the
+// root. Report decisions are per-site deterministic and the relay fold is an
+// idempotent max-merge of per-site monotone vectors, so the tree must track
+// the flat run bit-identically: the divergence column is an exactness check
+// like runChurn's, expected to be exactly 0 and dwarfed by the paper's ε·m
+// slack (the deviation each counter is allowed against the exact count, which
+// the flat protocol itself already spends). The frame columns show what the
+// tree saves at the root at that equal accuracy.
 func runFederation(s *Session) ([]*Table, error) {
 	p := s.p
 	t := &Table{
-		ID: "federation", Title: "Hierarchical federation: aggregation tree and striped coordinators vs flat (live TCP)",
+		ID: "federation", Title: "Hierarchical federation: aggregation tree vs flat (live TCP)",
 		Header: []string{"topology", "sites", "m", "root-frames", "frames/event", "site-frames/root-frame", "max-divergence-vs-flat", "eps*m-slack"},
 		Notes: []string{
 			"relay folding is an idempotent max-merge of monotone per-site vectors: any tree depth is exact, divergence must be 0",
-			"striping partitions counter ids across coordinators but never splits a counter's per-site reports: also exact",
-			fmt.Sprintf("eps*m-slack is max_i eps_i*m, the per-counter deviation the paper's protocol may spend vs the exact count; topology adds none of it (tree branching %d, %d stripes)", federationBranching, federationStripes),
+			fmt.Sprintf("eps*m-slack is max_i eps_i*m, the per-counter deviation the paper's protocol may spend vs the exact count; topology adds none of it (tree branching %d)", federationBranching),
 		},
 	}
 	cfg := clusterBase(p)
@@ -58,9 +50,6 @@ func runFederation(s *Session) ([]*Table, error) {
 	slack := 0.0
 	for id := uint32(0); id < layout.NumCounters(); id++ {
 		slack = max(slack, layout.Eps(id)*float64(p.Events))
-	}
-	divergence := func(est func(uint32) float64) float64 {
-		return maxDivergence(layout.NumCounters(), est, coFlat.Estimate)
 	}
 	row := func(name string, rootFrames, siteFrames, events int64, div float64) {
 		t.Rows = append(t.Rows, []string{
@@ -83,14 +72,6 @@ func runFederation(s *Session) ([]*Table, error) {
 		down += r.DownFrames.Load()
 	}
 	row(fmt.Sprintf("tree-b%d", federationBranching), tree.Stats.Frames, down, tree.Stats.Events,
-		divergence(coTree.Estimate))
-
-	striped, fed, err := cluster.RunLocalFederation(cfg, federationStripes)
-	if err != nil {
-		return nil, fmt.Errorf("federation striped run: %w", err)
-	}
-	row(fmt.Sprintf("striped-%d", federationStripes), striped.Stats.Frames, striped.Stats.Frames,
-		striped.Stats.Events, divergence(fed.Estimate))
-
+		maxDivergence(layout.NumCounters(), coTree.Estimate, coFlat.Estimate))
 	return []*Table{t}, nil
 }

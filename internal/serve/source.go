@@ -45,11 +45,10 @@ type Snapshot interface {
 }
 
 // ModelSource is the serving back end — an in-process tracker
-// (NewTrackerSource), a live cluster coordinator (NewCoordinatorSource), its
-// learned-structure overlay (NewLearnedCoordinatorSource) or a striped
-// federation (NewFederatedSource) — behind one interface so the server
-// neither knows nor cares where the model is trained: each is a health check
-// plus the producer's AcquireSnapshot.
+// (NewTrackerSource), a live cluster coordinator (NewCoordinatorSource) or
+// its learned-structure overlay (NewLearnedCoordinatorSource) — behind one
+// interface so the server neither knows nor cares where the model is
+// trained: each is a health check plus the producer's AcquireSnapshot.
 type ModelSource interface {
 	Network() *bn.Network
 	// AcquireSnapshot returns the current model snapshot with a read
@@ -109,18 +108,6 @@ func NewTrackerSource(t *core.Tracker) ModelSource {
 func NewCoordinatorSource(co *cluster.Coordinator) ModelSource {
 	return &producerSource{name: "coordinator", netw: co.Network(), health: co.Err, co: co,
 		acquire: func() (*core.Snapshot, error) { return co.AcquireSnapshot(), nil }}
-}
-
-// NewFederatedSource serves queries from a striped coordinator federation:
-// the scatter-gather merge of the per-stripe estimates, behind the same
-// ModelSource interface as a single coordinator — so cmd/bnserve fronts a
-// federation unchanged. Snapshot versions are the sum of the per-stripe
-// versions (monotone, like a single coordinator's). If any stripe
-// coordinator dies, AcquireSnapshot fails and the server flips into degraded
-// mode, answering from the last-good merged snapshot.
-func NewFederatedSource(f *cluster.Federation) ModelSource {
-	return &producerSource{name: "federated", netw: f.Network(), health: f.Err,
-		acquire: func() (*core.Snapshot, error) { return f.AcquireSnapshot(), nil }}
 }
 
 // NewLearnedCoordinatorSource serves queries from a coordinator's *learned*

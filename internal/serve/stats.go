@@ -123,7 +123,7 @@ type Stats struct {
 	Latency    LatencyStats     `json:"latency"`
 	// Struct reports the back end's structure-learning counters; nil when
 	// the source does not run the overlay (fixed-structure runs, tracker
-	// sources, federations).
+	// sources).
 	Struct *StructLearnStats `json:"struct,omitempty"`
 }
 
