@@ -35,7 +35,13 @@ import (
 const maxFrame = 1 << 22
 
 // Update frame types (duplication targets): the idempotent max-merge fold
-// makes these — and only these — safe to deliver twice.
+// makes these — and only these — safe to deliver twice. A struct frame is
+// not a target. In particular a frameStructDelta (type 15) carries the
+// increments since the previous struct frame on its connection, so it is
+// not idempotent on its own: a second copy is based on a position the
+// receiver has already moved past, which the receiver rejects as a protocol
+// error by closing the connection — a sever, which SeverMinFrames and
+// MidFrameCutProb already inject, not a duplicate.
 const (
 	frameUpdates  byte = 3
 	frameUpdates2 byte = 6
@@ -56,7 +62,8 @@ type Config struct {
 	// receiver sees a truncated frame (the partial-write fault).
 	MidFrameCutProb float64
 	// DupProb is the per-frame probability of delivering an update frame
-	// (types 3 and 6) twice. Non-update frames are never duplicated.
+	// (types 3 and 6) twice. Other frames, struct frames included, are never
+	// duplicated.
 	DupProb float64
 	// HoldEvery/HoldFrames, when both > 0, model delay: every HoldEvery
 	// frames the proxy buffers the next HoldFrames frames and releases them

@@ -82,9 +82,10 @@ type Config struct {
 	// StructBatchEvents, when positive, turns on online distributed
 	// structure learning: every site additionally accumulates cumulative
 	// pairwise co-occurrence counts over all variable pairs and ships them
-	// as one frameStructStats frame every StructBatchEvents events (an
-	// append-only protocol-v4 extension; coordinators and sites that predate
-	// it interoperate with it off). The coordinator windows the aggregated
+	// as one struct frame every StructBatchEvents events — cumulative first
+	// on each connection, increments after (append-only protocol-v4 and v6
+	// extensions; coordinators and sites that predate them interoperate with
+	// learning off). The coordinator windows the aggregated
 	// statistics, re-runs Chow–Liu on the windowed MI matrix at every
 	// window-block rotation, and hot-swaps the published learned structure
 	// when the tree changes (see AcquireLearnedSnapshot). 0 keeps structure
@@ -683,6 +684,8 @@ func (co *Coordinator) startConfigFor(id uint32) StartConfig {
 		BatchEvents:   uint32(co.cfg.SiteBatchEvents),
 	}
 	start.StructBatchEvents = uint32(co.cfg.StructBatchEvents)
+	// Every connection reader of this build decodes frameStructDelta.
+	start.StructDelta = co.structs != nil
 	if co.drift != nil {
 		frac := co.cfg.DriftAfter
 		if frac == 0 {

@@ -9,14 +9,16 @@ import (
 // every group names its own site.
 const relayPeer = ^uint32(0)
 
-// frameFolder is the receive half of the data plane: the one place the five
-// data frames (frameUpdates, frameUpdates2, frameStructStats from a site;
-// frameRelayUpdates, frameRelayStruct from a relay) are decoded. A site frame
-// is handled as a grouped frame of one group, so every topology runs the same
-// decode → validate → fold sequence. The whole frame is decoded and every id
-// bounds-checked before the first entry reaches the target: a malformed
-// frame leaves the folded state untouched. One folder serves one connection
-// (it owns the decode scratch).
+// frameFolder is the receive half of the data plane: the one place the six
+// data frames (frameUpdates, frameUpdates2, frameStructStats,
+// frameStructDelta from a site; frameRelayUpdates, frameRelayStruct from a
+// relay) are decoded. A site frame is handled as a grouped frame of one
+// group, so every topology runs the same decode → validate → fold sequence.
+// The whole frame is decoded and every id bounds-checked before the first
+// entry reaches the target: a malformed frame leaves the folded state
+// untouched. One folder serves one connection: it owns the decode scratch
+// and the connection's struct reference, from which a frameStructDelta is
+// rebuilt into the cumulative counts the target folds.
 type frameFolder struct {
 	target tierNode
 	// from names the connection in errors ("site 3", "relay 1").
@@ -31,6 +33,12 @@ type frameFolder struct {
 	groups []relayGroup
 	ups    []Update
 	spans  []foldSpan
+
+	// ref is the cumulative cell vector of the last struct frame this site
+	// connection delivered, at stream position refAt — what the next
+	// frameStructDelta is based on; nil before the connection's first one.
+	ref   []int64
+	refAt uint64
 }
 
 // foldSpan is one decoded group: ups[from:] up to the next span's from.
@@ -45,7 +53,7 @@ type foldSpan struct {
 // caller handles itself.
 func (f *frameFolder) fold(t byte, payload []byte) (data bool, err error) {
 	switch t {
-	case frameUpdates, frameUpdates2, frameStructStats:
+	case frameUpdates, frameUpdates2, frameStructStats, frameStructDelta:
 		if f.site == relayPeer {
 			return true, fmt.Errorf("cluster: %s sent site frame %d on a relay link", f.from, t)
 		}
@@ -60,7 +68,7 @@ func (f *frameFolder) fold(t byte, payload []byte) (data bool, err error) {
 	default:
 		return false, nil
 	}
-	isStruct := t == frameStructStats || t == frameRelayStruct
+	isStruct := t == frameStructStats || t == frameStructDelta || t == frameRelayStruct
 	if isStruct && f.cells == 0 {
 		return true, fmt.Errorf("cluster: %s sent struct stats (frame %d) but structure learning is off", f.from, t)
 	}
@@ -69,6 +77,10 @@ func (f *frameFolder) fold(t byte, payload []byte) (data bool, err error) {
 	for _, g := range f.groups {
 		sp := foldSpan{site: g.Site, from: len(f.ups)}
 		switch {
+		case t == frameStructDelta && f.ref == nil:
+			err = fmt.Errorf("struct-delta frame before any cumulative struct frame on the connection")
+		case t == frameStructDelta:
+			sp.events, f.ups, err = decodeStructDelta(f.ups, g.Payload, f.ref, f.refAt)
 		case isStruct:
 			sp.events, f.ups, err = decodeStructStats(f.ups, g.Payload, f.cells)
 		case t == frameUpdates:
@@ -88,6 +100,21 @@ func (f *frameFolder) fold(t byte, payload []byte) (data bool, err error) {
 			}
 		}
 		f.spans = append(f.spans, sp)
+	}
+
+	if t == frameStructStats || t == frameStructDelta {
+		// The frame is valid: it becomes the connection's reference. Its
+		// entries overwrite the cells they name; every other cell already
+		// holds the frame's value, since a cumulative frame lists every
+		// nonzero cell and a delta frame every cell that moved, and counts
+		// never fall.
+		if f.ref == nil {
+			f.ref = make([]int64, f.cells)
+		}
+		for _, u := range f.ups {
+			f.ref[u.Counter] = u.LocalCount
+		}
+		f.refAt = f.spans[0].events
 	}
 
 	for i, sp := range f.spans {

@@ -1,21 +1,108 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"distbayes/internal/core"
 )
 
-// recordingTarget is a tierNode that only counts what is folded into it.
+// recordingTarget is a tierNode that only counts what is folded into it and
+// keeps the last struct batch.
 type recordingTarget struct {
 	tierNode
 	counts, structs int
+	lastStruct      []Update
 }
 
-func (r *recordingTarget) foldCounts(uint32, []Update)         { r.counts++ }
-func (r *recordingTarget) foldStruct(uint32, uint64, []Update) { r.structs++ }
+func (r *recordingTarget) foldCounts(uint32, []Update) { r.counts++ }
+func (r *recordingTarget) foldStruct(_ uint32, _ uint64, ups []Update) {
+	r.structs++
+	r.lastStruct = slices.Clone(ups)
+}
+
+// TestFoldRejectsBadStructDelta pins the struct-delta reader: a
+// frameStructDelta frame that does not follow the connection's last struct
+// frame, or does not hold exactly one plausible increment per cell, is a
+// protocol error naming the site and the frame type — and neither the
+// target nor the connection's reference moves, so the next good frame still
+// rebuilds the right counts.
+func TestFoldRejectsBadStructDelta(t *testing.T) {
+	const cells = 6
+	delta := func(base, events uint64, incs ...uint64) []byte {
+		b := binary.AppendUvarint(binary.AppendUvarint(nil, base), events)
+		for _, inc := range incs {
+			b = binary.AppendUvarint(b, inc)
+		}
+		return b
+	}
+	newFolder := func(rec *recordingTarget) *frameFolder {
+		return &frameFolder{target: rec, from: "peer", site: 1, sites: 2, counters: 10, cells: cells,
+			innerCap: innerFrameCap(10, cells)}
+	}
+	// The connection's history: a cumulative frame at position 10, then
+	// increments to position 14.
+	first := encodeStructStats(nil, 10, []int64{3, 0, 5, 0, 2, 1})
+	second := delta(10, 14, 1, 0, 4, 0, 0, 2)
+
+	for _, tc := range []struct {
+		name    string
+		history [][]byte
+		payload []byte
+	}{
+		// Based at 0 and carrying no cells: what an empty reference would take.
+		{"no reference yet", nil, delta(0, 4)},
+		{"wrong base", [][]byte{first, second}, delta(12, 18, 0, 0, 0, 0, 0, 0)},
+		{"duplicate of the last frame", [][]byte{first, second}, second},
+		{"behind its base", [][]byte{first, second}, delta(14, 13, 0, 0, 0, 0, 0, 0)},
+		{"short", [][]byte{first, second}, delta(14, 18, 1, 1, 1, 1, 1)},
+		{"truncated increment", [][]byte{first, second}, append(delta(14, 18, 1, 1, 1, 1, 1), 0x81)},
+		{"trailing bytes", [][]byte{first, second}, delta(14, 18, 1, 1, 1, 1, 1, 1, 0)},
+		{"increment above the span", [][]byte{first, second}, delta(14, 18, 0, 0, 5, 0, 0, 0)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := &recordingTarget{}
+			f := newFolder(rec)
+			for i, frame := range tc.history {
+				ft := frameStructDelta
+				if i == 0 {
+					ft = frameStructStats
+				}
+				if _, err := f.fold(ft, frame); err != nil {
+					t.Fatalf("history frame %d: %v", i, err)
+				}
+			}
+			ref, refAt, folded := slices.Clone(f.ref), f.refAt, rec.structs
+			data, err := f.fold(frameStructDelta, tc.payload)
+			if !data || err == nil {
+				t.Fatalf("fold = (%v, %v), want the frame rejected", data, err)
+			}
+			if !strings.Contains(err.Error(), "site 1") || !strings.Contains(err.Error(), fmt.Sprintf("frame %d", frameStructDelta)) {
+				t.Errorf("error %q does not name site 1 and frame %d", err, frameStructDelta)
+			}
+			if rec.structs != folded {
+				t.Error("the target saw the rejected frame")
+			}
+			if !slices.Equal(f.ref, ref) || f.refAt != refAt {
+				t.Errorf("reference moved: %v at %d, was %v at %d", f.ref, f.refAt, ref, refAt)
+			}
+			if tc.history == nil {
+				return
+			}
+			// The connection still takes the frame that does follow.
+			if _, err := f.fold(frameStructDelta, delta(14, 18, 0, 4, 1, 0, 0, 0)); err != nil {
+				t.Fatalf("next frame after the rejection: %v", err)
+			}
+			want := []Update{{Counter: 1, LocalCount: 4}, {Counter: 2, LocalCount: 10}}
+			if !slices.Equal(rec.lastStruct, want) || f.refAt != 18 {
+				t.Errorf("next frame folded %v (reference at %d), want %v at 18", rec.lastStruct, f.refAt, want)
+			}
+		})
+	}
+}
 
 // TestFoldRejectsBeforeItFolds pins the shared reader's all-or-nothing
 // contract on each of the five data frames: a frame whose LAST entry (of its

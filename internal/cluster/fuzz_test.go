@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
@@ -183,6 +184,96 @@ func fuzzStructFrameSeeds() [][]byte {
 	// Max-varint event count, huge declared entry count.
 	seeds = append(seeds, append(maxUvarint(), 1, 1, 1))
 	seeds = append(seeds, []byte{7, 0xff, 0xff, 0xff, 0xff, 0x0f, 1, 1})
+	return seeds
+}
+
+// fuzzDeltaCells and fuzzDeltaAt are the structure layout size and the
+// reference position FuzzDecodeStructDelta decodes against.
+const (
+	fuzzDeltaCells = 64
+	fuzzDeltaAt    = 300
+)
+
+// fuzzDeltaRef is the reference vector FuzzDecodeStructDelta decodes
+// against: counts of several varint widths, some cells zero.
+func fuzzDeltaRef() []int64 {
+	ref := make([]int64, fuzzDeltaCells)
+	for c := range ref {
+		ref[c] = int64(c*c%7) << (7 * (c % 4))
+	}
+	return ref
+}
+
+// FuzzDecodeStructDelta drives the frameStructDelta codec both ways. Read as
+// a payload, the input must be rejected or rebuild well-formed cumulative
+// counts against the reference (ascending in-range cells, each above the
+// reference by at most the frame's span) that re-encode to a payload
+// decoding to the same entries. Read as one increment per cell, it must
+// survive the cumulative → increments → cumulative round trip exactly.
+func FuzzDecodeStructDelta(f *testing.F) {
+	ref := fuzzDeltaRef()
+	for _, seed := range fuzzStructDeltaSeeds(ref) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if events, ups, err := decodeStructDelta(nil, data, ref, fuzzDeltaAt); err == nil {
+			cum := slices.Clone(ref)
+			for i, u := range ups {
+				if u.Counter >= fuzzDeltaCells || i > 0 && ups[i-1].Counter >= u.Counter {
+					t.Fatalf("decodeStructDelta produced invalid or non-ascending cell at entry %d: %+v", i, u)
+				}
+				if inc := u.LocalCount - ref[u.Counter]; inc <= 0 || uint64(inc) > events-fuzzDeltaAt {
+					t.Fatalf("decodeStructDelta accepted increment %d over %d events", inc, events-fuzzDeltaAt)
+				}
+				cum[u.Counter] = u.LocalCount
+			}
+			events2, again, err := decodeStructDelta(nil, encodeStructDelta(nil, fuzzDeltaAt, events, cum, ref), ref, fuzzDeltaAt)
+			if err != nil || events2 != events || !slices.Equal(again, ups) {
+				t.Fatalf("re-encoded delta frame decodes to (%d, %v, %v), want (%d, %v)", events2, again, err, events, ups)
+			}
+		}
+
+		next := slices.Clone(ref)
+		var span uint64
+		for c := range min(len(data), fuzzDeltaCells) {
+			inc := uint64(data[c]) << (7 * (c % 3))
+			next[c] += int64(inc)
+			span = max(span, inc)
+		}
+		events, ups, err := decodeStructDelta(nil, encodeStructDelta(nil, fuzzDeltaAt, fuzzDeltaAt+span, next, ref), ref, fuzzDeltaAt)
+		if err != nil {
+			t.Fatalf("increments of a monotone vector rejected: %v", err)
+		}
+		got := slices.Clone(ref)
+		for _, u := range ups {
+			got[u.Counter] = u.LocalCount
+		}
+		if events != fuzzDeltaAt+span || !slices.Equal(got, next) {
+			t.Fatalf("cumulative → increments → cumulative changed the vector at position %d", events)
+		}
+	})
+}
+
+// fuzzStructDeltaSeeds builds valid delta payloads against ref plus
+// truncated and bit-flipped mutants and adversarial headers.
+func fuzzStructDeltaSeeds(ref []int64) [][]byte {
+	var seeds [][]byte
+	add := func(payload []byte) {
+		seeds = append(seeds, payload, payload[:len(payload)/2])
+		flipped := append([]byte(nil), payload...)
+		flipped[len(payload)/3] ^= 0x40
+		seeds = append(seeds, flipped)
+	}
+	next := slices.Clone(ref)
+	for c := range next {
+		next[c] += int64(c % 3 * 100)
+	}
+	add(encodeStructDelta(nil, fuzzDeltaAt, fuzzDeltaAt+256, next, ref))
+	add(encodeStructDelta(nil, fuzzDeltaAt, fuzzDeltaAt, ref, ref)) // a repeat at the same position
+	// Another base, a position behind the base, a max-varint position.
+	seeds = append(seeds, encodeStructDelta(nil, fuzzDeltaAt+1, fuzzDeltaAt+256, next, ref))
+	seeds = append(seeds, encodeStructDelta(nil, fuzzDeltaAt, fuzzDeltaAt-1, ref, ref))
+	seeds = append(seeds, append(binary.AppendUvarint(nil, fuzzDeltaAt), maxUvarint()...))
 	return seeds
 }
 

@@ -96,11 +96,13 @@ func TestEncodeStructStatsMatchesReference(t *testing.T) {
 // TestShipStructStatsFoldsOpenBlock pins the ship path's ordering: whatever
 // the stream position — here in the middle of a kernel block, as a resume
 // replay lands — the shipped vector is the exact cumulative count at that
-// position, not the count at the last block boundary.
+// position, not the count at the last block boundary. The first frame is
+// cumulative and the later ones increments, rebuilt here on the previous
+// frame's vector as a receiver does.
 func TestShipStructStatsFoldsOpenBlock(t *testing.T) {
 	st, err := newSiteRun(0, StartConfig{
 		NetName: "alarm", CPTSeed: 0xC0DE, Strategy: 3, Eps: 0.1, Delta: 0.25,
-		Sites: 1, Events: 1000, StreamSeed: 7, StructBatchEvents: 256,
+		Sites: 1, Events: 1000, StreamSeed: 7, StructBatchEvents: 256, StructDelta: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +113,9 @@ func TestShipStructStatsFoldsOpenBlock(t *testing.T) {
 	w := newConn(&wire)
 	rd := newConn(&wire)
 	rd.setReadLimit(structPayloadCap(layout.Cells()))
-	for _, position := range []uint64{1, 100, 256, 300, 700} {
+	got := make([]int64, layout.Cells())
+	var at uint64
+	for i, position := range []uint64{1, 100, 256, 300, 700} {
 		for st.next < position {
 			x, _ := st.nextEvent()
 			st.pairs.add(x)
@@ -121,17 +125,103 @@ func TestShipStructStatsFoldsOpenBlock(t *testing.T) {
 		if err := st.shipStruct(w); err != nil {
 			t.Fatal(err)
 		}
-		ft, payload, err := rd.readFrame()
-		if err != nil || ft != frameStructStats {
-			t.Fatalf("position %d: read frame type %d: %v", position, ft, err)
+		wantType := frameStructDelta
+		if i == 0 {
+			wantType = frameStructStats
 		}
-		events, ups, err := decodeStructStats(nil, payload, layout.Cells())
+		ft, payload, err := rd.readFrame()
+		if err != nil || ft != wantType {
+			t.Fatalf("position %d: read frame type %d, want %d: %v", position, ft, wantType, err)
+		}
+		var events uint64
+		var ups []Update
+		if ft == frameStructStats {
+			events, ups, err = decodeStructStats(nil, payload, layout.Cells())
+		} else {
+			events, ups, err = decodeStructDelta(nil, payload, got, at)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if events != position || !slices.Equal(denseCounts(len(want), ups), want) {
+		for _, u := range ups {
+			got[u.Counter] = u.LocalCount
+		}
+		at = events
+		if events != position || !slices.Equal(got, want) {
 			t.Fatalf("position %d: shipped vector (stamped %d) is not the exact cumulative count", position, events)
 		}
+	}
+}
+
+// BenchmarkStructFrame measures one alarm struct frame at the 256-event
+// cadence, 64k events into the stream: the site's encode and the receiver's
+// decode, shipped whole (frameStructStats) and as increments
+// (frameStructDelta). The increment rows include the reference upkeep each
+// side pays per frame (the site copies the vector it shipped, the receiver
+// writes the rebuilt counts back). One op is one frame; ns/cell divides by
+// the layout's 6 854 cells and B/frame is the payload size.
+func BenchmarkStructFrame(b *testing.B) {
+	st, err := newSiteRun(0, StartConfig{
+		NetName: "alarm", CPTSeed: 0xC0DE, Strategy: 3, Eps: 0.1, Delta: 0.25,
+		Sites: 1, Events: 1 << 20, StreamSeed: 1, StructBatchEvents: 256,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	advance := func(to uint64) {
+		for ; st.next < to; st.next++ {
+			x, _ := st.nextEvent()
+			st.pairs.add(x)
+		}
+	}
+	advance(1 << 16)
+	base := st.next
+	ref := slices.Clone(st.pairs.cumulative())
+	advance(base + 256)
+	cum := st.pairs.cumulative()
+	cells := st.pairs.layout.Cells()
+	full := encodeStructStats(nil, st.next, cum)
+	delta := encodeStructDelta(nil, base, st.next, cum, ref)
+	scratch := make([]int64, cells)
+
+	var buf []byte
+	var ups []Update
+	for _, row := range []struct {
+		name    string
+		payload []byte
+		op      func() error
+	}{
+		{"cumulative/encode", full, func() error {
+			buf = encodeStructStats(buf, st.next, cum)
+			return nil
+		}},
+		{"cumulative/decode", full, func() (err error) {
+			_, ups, err = decodeStructStats(ups[:0], full, cells)
+			return err
+		}},
+		{"increment/encode", delta, func() error {
+			buf = encodeStructDelta(buf, base, st.next, cum, ref)
+			copy(scratch, cum)
+			return nil
+		}},
+		{"increment/decode", delta, func() (err error) {
+			_, ups, err = decodeStructDelta(ups[:0], delta, ref, base)
+			for _, u := range ups {
+				scratch[u.Counter] = u.LocalCount
+			}
+			return err
+		}},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := row.op(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")
+			b.ReportMetric(float64(len(row.payload)), "B/frame")
+		})
 	}
 }
 

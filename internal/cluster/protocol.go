@@ -35,11 +35,12 @@
 //     non-leaf node — accept, opening frame (hello, resume or relayHello),
 //     join, one read loop, done, detach — and the Coordinator, the root of
 //     the relay tree, runs the same one every Relay does. Inside it,
-//     frameFolder.fold (fold.go) is the only place the five data frames are
-//     decoded — frameUpdates, frameUpdates2 and frameStructStats from a
-//     site, frameRelayUpdates and frameRelayStruct from a relay: it decodes
-//     the whole frame, bounds-checks every id against the layout before
-//     anything is folded, and hands each site's batch to the node. The two
+//     frameFolder.fold (fold.go) is the only place the six data frames are
+//     decoded — frameUpdates, frameUpdates2, frameStructStats and
+//     frameStructDelta from a site, frameRelayUpdates and frameRelayStruct
+//     from a relay: it decodes the whole frame, bounds-checks every id
+//     against the layout before anything is folded, and hands each site's
+//     batch to the node. The two
 //     kinds of node differ only behind tierNode: a Relay folds into
 //     per-site dirty vectors it ships upstream and forwards membership
 //     events (join, Done, detach) up wrapped; the Coordinator folds into
@@ -67,6 +68,19 @@
 // emit exactly one format per kind of traffic. Every decoder
 // length-validates a frame against the layout before allocating
 // (updatesPayloadCap, fuzzed by FuzzDecodeFrame).
+//
+// Structure statistics are the one stateful data frame. Every struct frame
+// still means a cumulative count per pair cell, but after the first struct
+// frame of a connection a site ships only the increments since the previous
+// one (frameStructDelta), and the connection's frameFolder — the receiver's
+// state for exactly that connection — adds them back onto the vector the
+// previous frame left. Everything past the reader (the structure engine,
+// a relay's fold and uplink, checkpoints) folds the same cumulative counts
+// as before. A delta that does not follow the connection's last struct frame
+// is a protocol error that closes the connection; the site's resume opens a
+// new one with a cumulative frame. A site ships deltas only to a receiver
+// that advertises them in its StartConfig; a tree that mixes relays from
+// before frameStructDelta with newer coordinators is not supported.
 //
 // Two deliberate deviations from the in-process simulation
 // (internal/counter) are documented here:
@@ -191,7 +205,9 @@ const (
 	// the coordinator's max-merge fold absorbs replays and duplicates
 	// exactly like counter updates; the frame is append-only over versions
 	// 1-3 (a coordinator not running structure learning never requests it
-	// and old coordinators never see it).
+	// and old coordinators never see it). A site whose receiver decodes
+	// frameStructDelta sends it only as the first struct frame of each
+	// connection.
 	frameStructStats byte = 9
 	// frameRelayHello introduces an aggregation-tree relay to its parent
 	// (protocol version 5, relay → coordinator or relay → relay): payload =
@@ -227,7 +243,21 @@ const (
 	// uvarint byte length, and that site's cumulative statistics as a
 	// frameStructStats payload.
 	frameRelayStruct byte = 14
+	// frameStructDelta carries a site's structure statistics as increments
+	// (protocol version 6, site → coordinator or relay): uvarint base
+	// position — the site event count of the previous struct frame on this
+	// connection — then the uvarint site event count, then exactly one
+	// uvarint per StructLayout cell, in cell order, giving the cell's
+	// increment since the base. The frame is not self-contained: the
+	// receiver rebuilds the cumulative counts from the vector the
+	// connection's previous struct frame left, so it is never the first
+	// struct frame of a connection, and a site sends it only when its
+	// StartConfig has StructDelta set.
+	frameStructDelta byte = 15
 )
+
+// startStructDelta is the StartConfig flags bit behind StartConfig.StructDelta.
+const startStructDelta uint32 = 1 << 0
 
 // frameRelayJoin kinds.
 const (
@@ -294,7 +324,8 @@ func clampFrame(cap uint64) uint32 {
 // structPayloadCap is the largest well-formed frameStructStats payload for a
 // structure layout of numCells pair cells — the struct-stats mirror of
 // updatesPayloadCap, used to widen a connection's read limit when structure
-// learning is on.
+// learning is on. A frameStructDelta payload (two uvarint positions and one
+// uvarint per cell) is never larger.
 func structPayloadCap(numCells uint32) uint32 {
 	return clampFrame(uint64(binary.MaxVarintLen64) + uint64(binary.MaxVarintLen32) +
 		uint64(numCells)*(binary.MaxVarintLen32+binary.MaxVarintLen64))
@@ -363,6 +394,11 @@ type StartConfig struct {
 	// must describe the same variables (names and cardinalities) as NetName;
 	// only the structure and parameters may differ. Empty = no drift.
 	DriftNetName string
+	// StructDelta is set by a receiver that decodes frameStructDelta
+	// (protocol version 6: a flags word after the drift name). With it the
+	// site ships each connection's first struct frame cumulative and every
+	// later one as increments; without it, frameStructStats only.
+	StructDelta bool
 }
 
 // Stats is the coordinator's closing summary sent to each site and returned
@@ -484,7 +520,8 @@ func (p *peer) writeCtl(site uint32, t byte, payload []byte) error {
 // interoperate. (A batching coordinator genuinely needs version-2 sites.)
 // The version-4 tail (StructBatchEvents, the drift fields) is likewise
 // emitted only when structure learning or drift is configured, and always
-// includes BatchEvents so the decoder's length switch stays unambiguous.
+// includes BatchEvents so the decoder's length switch stays unambiguous. The
+// version-6 flags word follows the drift name only when a flag is set.
 func encodeStart(cfg StartConfig) []byte {
 	name := []byte(cfg.NetName)
 	driftName := []byte(cfg.DriftNetName)
@@ -509,7 +546,7 @@ func encodeStart(cfg StartConfig) []byte {
 	put64(cfg.Events)
 	put64(cfg.StreamSeed)
 	put32(cfg.LatencyMicros)
-	v4 := cfg.StructBatchEvents != 0 || cfg.DriftNetName != "" || cfg.DriftAtEvent != 0 || cfg.DriftCPTSeed != 0
+	v4 := cfg.StructBatchEvents != 0 || cfg.DriftNetName != "" || cfg.DriftAtEvent != 0 || cfg.DriftCPTSeed != 0 || cfg.StructDelta
 	if cfg.BatchEvents != 0 || v4 {
 		put32(cfg.BatchEvents)
 	}
@@ -519,6 +556,9 @@ func encodeStart(cfg StartConfig) []byte {
 		put64(cfg.DriftCPTSeed)
 		put32(uint32(len(driftName)))
 		buf = append(buf, driftName...)
+	}
+	if cfg.StructDelta {
+		put32(startStructDelta)
 	}
 	return buf
 }
@@ -531,7 +571,8 @@ func encodeStart(cfg StartConfig) []byte {
 // name it declares). A version-5 frame carries 8 more bytes — a stripe index
 // and count from a coordinator of the striped federation this build no
 // longer has: it still length-validates, decodes when the count is 0 and is
-// refused by name otherwise.
+// refused by name otherwise. A version-6 frame carries 4 bytes instead — the
+// flags word; bits this build does not know are ignored.
 func decodeStart(b []byte) (StartConfig, error) {
 	var cfg StartConfig
 	if len(b) < 4 {
@@ -588,11 +629,14 @@ func decodeStart(b []byte) (StartConfig, error) {
 		b = b[8:]
 		dn := binary.LittleEndian.Uint32(b)
 		b = b[4:]
-		// The version-5 stripe tail (index, count) follows the drift name, so
-		// the length switch stays exact: drift-name bytes alone is version 4,
-		// drift-name bytes + 8 is version 5.
+		// The version-5 stripe tail (index, count) and the version-6 flags
+		// follow the drift name, so the length switch stays exact: drift-name
+		// bytes alone is version 4, + 8 is version 5, + 4 is version 6.
 		switch uint64(len(b)) {
 		case uint64(dn):
+		case uint64(dn) + 4:
+			cfg.StructDelta = binary.LittleEndian.Uint32(b[dn:])&startStructDelta != 0
+			b = b[:dn]
 		case uint64(dn) + 8:
 			if stripes := binary.LittleEndian.Uint32(b[dn+4:]); stripes > 0 {
 				return cfg, fmt.Errorf("cluster: start frame names stripe %d of %d, but striped coordinator federation was removed (scale out with relays)",
@@ -744,6 +788,69 @@ func decodeStructStats(dst []Update, b []byte, maxCells uint32) (uint64, []Updat
 		return 0, nil, err
 	}
 	return siteEvents, ups, nil
+}
+
+// encodeStructDelta serializes a frameStructDelta payload into dst (reused):
+// the base position, the site's stream position, then cum[c] − ref[c] for
+// every cell c. ref is the vector the connection's previous struct frame
+// carried, at position base; counts are monotone, so no increment is
+// negative.
+func encodeStructDelta(dst []byte, base, siteEvents uint64, cum, ref []int64) []byte {
+	dst = binary.AppendUvarint(dst[:0], base)
+	dst = binary.AppendUvarint(dst, siteEvents)
+	for c, n := range cum {
+		dst = binary.AppendUvarint(dst, uint64(n-ref[c]))
+	}
+	return dst
+}
+
+// decodeStructDelta parses a frameStructDelta payload against the
+// connection's reference — ref, the cumulative vector its previous struct
+// frame left, at stream position refAt — and returns the site's event count
+// and dst with the rebuilt cumulative count ref[c] + increment appended for
+// every cell c whose increment is nonzero. It validates the whole payload
+// before returning and never writes ref: the base must be refAt, the stream
+// position must not be behind it, the payload must hold exactly one
+// increment per cell, and no increment may exceed the events between the two
+// positions (an event adds one to one cell of every pair).
+func decodeStructDelta(dst []Update, b []byte, ref []int64, refAt uint64) (uint64, []Update, error) {
+	base, used := binary.Uvarint(b)
+	if used <= 0 {
+		return 0, nil, fmt.Errorf("cluster: struct-delta frame missing base position")
+	}
+	b = b[used:]
+	siteEvents, used := binary.Uvarint(b)
+	if used <= 0 {
+		return 0, nil, fmt.Errorf("cluster: struct-delta frame missing event count")
+	}
+	b = b[used:]
+	if base != refAt {
+		return 0, nil, fmt.Errorf("cluster: struct-delta frame based at position %d, the connection's last struct frame is at %d", base, refAt)
+	}
+	if siteEvents < base {
+		return 0, nil, fmt.Errorf("cluster: struct-delta frame moves back from position %d to %d", base, siteEvents)
+	}
+	span := siteEvents - base
+	for c, r := range ref {
+		// Increments are at most one cadence of events: almost always one byte.
+		inc, n := uint64(0), 0
+		if len(b) > 0 && b[0] < 0x80 {
+			inc, n = uint64(b[0]), 1
+		} else if inc, n = binary.Uvarint(b); n <= 0 {
+			return 0, nil, fmt.Errorf("cluster: struct-delta frame truncated at cell %d of %d", c, len(ref))
+		}
+		b = b[n:]
+		if inc > span || inc > uint64(math.MaxInt64-r) {
+			return 0, nil, fmt.Errorf("cluster: struct-delta frame cell %d grows by %d over %d events", c, inc, span)
+		}
+		if inc != 0 {
+			dst = append(dst, Update{Counter: uint32(c), LocalCount: r + int64(inc)})
+		}
+	}
+	if len(b) != 0 {
+		return 0, nil, fmt.Errorf("cluster: struct-delta frame has %d trailing bytes", len(b))
+	}
+	return siteEvents, dst, nil
 }
 
 func encodeDone(site uint32, events int64) []byte {

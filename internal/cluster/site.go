@@ -148,10 +148,16 @@ type siteRun struct {
 	// marker (learned from a resume ack's resumeSiteDone flag).
 	doneSent bool
 	// pairs holds the structure-learning overlay's cumulative pairwise
-	// co-occurrence counts (nil with learning off). Counts are monotone and
-	// shipped whole, so a replayed frame max-merges to a no-op on the
-	// coordinator.
+	// co-occurrence counts (nil with learning off). Counts are monotone, so a
+	// replayed frame max-merges to a no-op on the coordinator.
 	pairs *pairAccumulator
+	// shipped is the cumulative vector the last struct frame on connection
+	// shippedOn carried, at stream position shippedAt: the base of the next
+	// frameStructDelta on that connection. nil when the receiver takes
+	// cumulative frames only (StartConfig.StructDelta unset).
+	shipped   []int64
+	shippedAt uint64
+	shippedOn *conn
 	// drift is the post-drift generating stream (nil without drift); events
 	// at positions ≥ cfg.DriftAtEvent are drawn from it instead of training.
 	// Its DAG is not the tracked one, so its events' parent indices are
@@ -201,6 +207,9 @@ func newSiteRun(id uint32, cfg StartConfig) (*siteRun, error) {
 			return nil, err
 		}
 		st.pairs = newPairAccumulator(sl)
+		if cfg.StructDelta {
+			st.shipped = make([]int64, sl.Cells())
+		}
 	}
 	if cfg.DriftNetName != "" {
 		driftNet, err := netgen.ByName(cfg.DriftNetName)
@@ -340,17 +349,30 @@ func (st *siteRun) shipWindow(c *conn) error {
 	return c.writeFrame(frameUpdates2, st.buf)
 }
 
-// shipStruct sends the site's full cumulative pairwise co-occurrence vector
-// and stream position as one frameStructStats frame (a no-op with structure
-// learning off or before the first event) and flushes. Cumulative counts
-// make the frame self-contained: the coordinator max-merges it, so
-// duplicates and replays are absorbed.
+// shipStruct sends the site's pairwise co-occurrence counts at its stream
+// position as one struct frame (a no-op with structure learning off or
+// before the first event) and flushes. The first struct frame on c is the
+// full cumulative vector (frameStructStats), self-contained so that a new
+// connection — a resume replay included — needs nothing from the old one;
+// after it, when the receiver decodes them, each frame carries only the
+// increments since the previous one (frameStructDelta).
 func (st *siteRun) shipStruct(c *conn) error {
 	if st.pairs == nil || st.next == 0 {
 		return nil
 	}
-	st.buf = encodeStructStats(st.buf, st.next, st.pairs.cumulative())
-	return c.send(frameStructStats, st.buf)
+	cum := st.pairs.cumulative()
+	t := frameStructStats
+	if st.shipped != nil && st.shippedOn == c {
+		t = frameStructDelta
+		st.buf = encodeStructDelta(st.buf, st.shippedAt, st.next, cum, st.shipped)
+	} else {
+		st.buf = encodeStructStats(st.buf, st.next, cum)
+	}
+	if st.shipped != nil {
+		copy(st.shipped, cum)
+		st.shippedAt, st.shippedOn = st.next, c
+	}
+	return c.send(t, st.buf)
 }
 
 // replay ships the site's latest decided report for every counter it ever

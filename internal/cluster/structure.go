@@ -19,20 +19,24 @@ import (
 //
 // Site side. Each site keeps exact cumulative co-occurrence counts for every
 // (variable pair, value pair) cell — the sufficient statistics of a Chow–Liu
-// tree — and ships the whole monotone vector as one frameStructStats frame
-// every StructBatchEvents events, at the end of its stream and in every
-// resume replay. The counts are not computed one scatter at a time: an event
-// only sets one bit per variable in a 256-event bit-sliced block
+// tree — and ships them every StructBatchEvents events and at the end of its
+// stream: the whole monotone vector (frameStructStats) as the first struct
+// frame of each connection, resume replays included, and each cell's
+// increment since the previous frame (frameStructDelta) after it. On alarm
+// at the 256-event cadence that is ~27.7 B/event against ~89 for the whole
+// vector (README). The counts are not computed one scatter at a time: an
+// event only sets one bit per variable in a 256-event bit-sliced block
 // (pairAccumulator), and the O(n²) cells are brought up to date once per
 // block, and before every ship, by popcounting ANDed bit-planes — on alarm
 // (37 variables, 666 pairs, 6 854 cells) ~190 ns/event at the 256-event
 // cadence against ~1 250 for the per-event scatter it replaced, about equal
 // at a 16-event cadence and ~2.5× the scatter when shipping after every
-// event (BenchmarkPairAccumulate). What is left on the site's struct path is
-// the frame itself: ~6.8k cells ≈ 27 KB per 256 events.
+// event (BenchmarkPairAccumulate).
 //
-// Coordinator side. Frames are max-merged per site (idempotent, like counter
-// reports); the deltas land in a per-site decay.WindowVec so stale
+// Coordinator side. The connection reader rebuilds a delta frame into
+// cumulative counts (fold.go), so the engine only ever folds cumulative
+// counts. They are max-merged per site (idempotent, like counter reports);
+// each cell's growth lands in a per-site decay.WindowVec so stale
 // statistics age out, and Chow–Liu re-runs on the windowed MI matrix at every
 // window-block rotation. When the learned tree's undirected edge set changes,
 // the coordinator hot-swaps the published structure: a new structState with
@@ -240,8 +244,10 @@ type structState struct {
 // learning activity — the numbers the drift experiment quotes against the
 // flat fixed-structure run.
 type StructStats struct {
-	// Frames and Entries count received frameStructStats frames and their
-	// cell entries (Frames is also included in Stats.Frames).
+	// Frames counts folded struct frames (also included in Stats.Frames)
+	// and Entries the cell entries they carried: every nonzero cell of a
+	// cumulative frame, and of an increment frame only the cells that
+	// changed.
 	Frames, Entries int64
 	// Relearns counts Chow–Liu re-runs; Swaps counts the subset that
 	// changed the undirected edge set after the first learned tree.
@@ -316,7 +322,7 @@ func newStructEngine(netw *bn.Network, sites int, windowEvents int64, blocks int
 	return e, nil
 }
 
-// apply folds one decoded frameStructStats frame: max-merge the site's
+// apply folds one decoded struct frame: max-merge the site's
 // cumulative cell counts (deltas land in the site window's live block),
 // advance that window's clock by the site's stream progress, and relearn on
 // every block rotation. Replayed or duplicated frames contribute zero

@@ -84,6 +84,9 @@ func TestStartConfigV4RoundTrip(t *testing.T) {
 		// Drift without struct learning (the flat comparison run).
 		{NetName: "tree:4:2:1", Sites: 1, Events: 10, DriftAtEvent: 5,
 			DriftCPTSeed: 9, DriftNetName: "tree:4:2:2"},
+		// The version-6 flags word: a receiver that decodes increments.
+		{NetName: "alarm", Sites: 2, Events: 10, StructBatchEvents: 64, StructDelta: true,
+			DriftNetName: "alarm"},
 	}
 	for _, cfg := range cfgs {
 		got, err := decodeStart(encodeStart(cfg))
@@ -112,17 +115,28 @@ func TestStartConfigV4RoundTrip(t *testing.T) {
 			t.Errorf("v5 frame with %d stripes: err = %v, want one naming %q", tc.count, err, tc.err)
 		}
 	}
+
+	// The version-6 flags word: bits this build does not know are ignored,
+	// and without bit 0 the site ships cumulative frames only.
+	for _, flags := range []uint32{startStructDelta | 1<<7, 1 << 7} {
+		got, err := decodeStart(binary.LittleEndian.AppendUint32(encodeStart(cfgs[0]), flags))
+		want := cfgs[0]
+		want.StructDelta = flags&startStructDelta != 0
+		if err != nil || got != want {
+			t.Errorf("v6 frame with flags %#x: %+v, %v; want %+v", flags, got, err, want)
+		}
+	}
 }
 
 // TestStartConfigV4QuickRoundTrip drives the v4 codec with arbitrary field
 // values (StartConfig stays ==-comparable, so quick.Check pins every field).
 func TestStartConfigV4QuickRoundTrip(t *testing.T) {
-	f := func(structBatch uint32, driftAt, driftSeed uint64, driftName string) bool {
+	f := func(structBatch uint32, driftAt, driftSeed uint64, driftName string, structDelta bool) bool {
 		cfg := StartConfig{
 			NetName: "hepar2", CPTSeed: 1, Strategy: 2, Eps: 0.25, Delta: 0.1,
 			Sites: 4, Site: 2, Events: 777, StreamSeed: 5, BatchEvents: 32,
 			StructBatchEvents: structBatch, DriftAtEvent: driftAt,
-			DriftCPTSeed: driftSeed, DriftNetName: driftName,
+			DriftCPTSeed: driftSeed, DriftNetName: driftName, StructDelta: structDelta,
 		}
 		got, err := decodeStart(encodeStart(cfg))
 		return err == nil && got == cfg

@@ -88,7 +88,7 @@ func runDrift(s *Session) ([]*Table, error) {
 		},
 		Notes: []string{
 			fmt.Sprintf("generating tree switches %s -> %s at m/2; the MI window (m/4) ages the old structure out", baseName, driftName),
-			fmt.Sprintf("communication overhead of learning: %d extra frames (%.4f/event) carrying %d cumulative pair-count entries",
+			fmt.Sprintf("communication overhead of learning: %d extra frames (%.4f/event) carrying %d changed pair-count entries",
 				learned.Stats.Frames-flat.Stats.Frames,
 				float64(learned.Stats.Frames-flat.Stats.Frames)/float64(p.Events), ss.Entries),
 			"recovered edges compare the final learned tree with the post-drift generating tree (undirected)",
