@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"os"
 	"path/filepath"
@@ -64,6 +65,8 @@ func FuzzLoadState(f *testing.F) {
 		f.Add(flipped)
 		if i == 0 {
 			f.Add(exactCellWithSiteState(f, net, snap))
+			f.Add(countEdited(f, snap, false, func(int64) int64 { return -1 }))
+			f.Add(countEdited(f, snap, true, func(n int64) int64 { return n + 1 }))
 		}
 	}
 	f.Add([]byte("DBAYES03"))
@@ -111,6 +114,33 @@ func exactCellWithSiteState(t testing.TB, net *bn.Network, snap []byte) []byte {
 	bad := append([]byte(nil), snap...)
 	bad[d+8*sites*(cells-1)] = 1
 	return bad
+}
+
+// countEdited returns a copy of a cfg0 (randomized, 3 sites) checkpoint in
+// which the count of the first cell in the given mode, bank by bank, is edit
+// of itself. A negative count, or a sampling cell's count that is not its
+// round record's base + Σ d, is rejected by the record decoders: a bank word
+// holds a count or a record index, and a sampling cell's count is its
+// record's.
+func countEdited(t testing.TB, snap []byte, sampling bool, edit func(int64) int64) []byte {
+	// magic, fingerprint, events, two tallies, one RNG state; then
+	// length-prefixed bank records: a version and kind byte, the cell and
+	// site counts, a count per cell, a mode flag per cell, the planes.
+	for rec := 8 + 8 + 8 + 16 + 32; rec+8 <= len(snap); {
+		bank := snap[rec+8 : rec+8+int(binary.LittleEndian.Uint64(snap[rec:]))]
+		cells := int(binary.LittleEndian.Uint64(bank[2:]))
+		for cell := 0; cell < cells; cell++ {
+			if (bank[18+8*cells+cell] == 1) == sampling {
+				bad := append([]byte(nil), snap...)
+				at := bad[rec+8+18+8*cell:]
+				binary.LittleEndian.PutUint64(at, uint64(edit(int64(binary.LittleEndian.Uint64(at)))))
+				return bad
+			}
+		}
+		rec += 8 + len(bank)
+	}
+	t.Fatalf("the corpus stream left no cell with sampling = %v", sampling)
+	return nil
 }
 
 // genFuzzEvents is genEventStream without the *testing.T, for fuzz setup.

@@ -404,7 +404,7 @@ type passScratch struct {
 // owned variable's whole run with two Bank.IncBatch calls.
 //
 // Bank-major order is the point: event-major application touches all 2n banks
-// (header, total[] and slot[] lines each) per event and reuses nothing
+// (header and word[] lines each) per event and reuses nothing
 // between two visits to a bank — on munin's 2082 banks that was most of the
 // 36 µs per event — while a run loads a bank's lines once per pass. Within a
 // stripe the randomized counters share one RNG, so the draw order, and with

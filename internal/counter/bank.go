@@ -17,36 +17,42 @@ import (
 // randomized kind) an RNG. Instead of one heap object per counter, state
 // lives in a few slices, split by what each phase of a counter reads:
 //
-//	every cell         total[cell] int64, slot[cell] int32               12 B
-//	a record, HYZ      hyz[slot]: pThresh, base, estSum, adj, nReporters
+//	every cell         word[cell] int64: the count, or ^record            8 B
+//	a record, HYZ      hyz[s]: pThresh, base, estSum, adj, nReporters
 //	                   (36 B of fields in a 40 B struct); per site
-//	                   d[slot·k+site] and r[slot·k+site]                  40 + 16k B
-//	a record, Det.     det[slot]: base, quantum, reported; per site
-//	                   pending[slot·k+site]                               24 + 8k B
+//	                   sites[s·k+site]: d and r side by side              40 + 16k B
+//	a record, Det.     det.rounds[s]: base, quantum, reported; per site
+//	                   det.pending[s·k+site]                              24 + 8k B
 //
 // A counter forwards every increment until its count reaches the point
 // where reporting less is worthwhile (√k/ε for HYZ), and only then needs
 // rounds, per-site deltas and a report probability — so a cell is given a
 // round record when its first round opens (newRecord), not when the bank is
-// built. slot[cell] is the index of that record and −1 while the cell is in
-// exact mode: it takes the place of the per-cell flag the hot loops used to
-// branch on and carries the index as well, so they load what they always
-// did. On the paper's large networks nearly all cells stay cold — 4.6 % of
+// built. Until then word[cell] is the cell's exact count (≥ 0); from then on
+// it is ^s (< 0), s being the index of the cell's record. A sampling cell
+// needs no count of its own, because its kind's protocol keeps one in the
+// record: a HYZ count is base + Σ_site d, a deterministic one base +
+// reported + Σ_site pending (a round opens at base and every increment since
+// sits in one site's d or pending, or, reported, in reported). Exact, a new
+// round and the checkpoint writer derive it in O(k); a sampling-mode
+// increment writes no count at all, and an exact-mode one touches one array.
+// On the paper's large networks nearly all cells stay cold — 4.6 % of
 // netgen munin's 123 140 counters have a record after 125k events — which is
-// 12 B a cell against the 109 B (k = 4) of allocating every plane for every
+// 8 B a cell against the 109 B (k = 4) of allocating every plane for every
 // cell up front. Counts only grow, so a counter never returns to its exact
 // phase: a record is never freed, and with nothing freed nothing is ever
 // compacted — a record never moves relative to its cell. The record slices
-// grow ⌈cells/8⌉ records at a time and never past `cells`, so a bank
-// reallocates at most eight times in its life and never holds more than an
-// eighth of its dense size unused.
+// double from one record and never grow past `cells`, so a bank reallocates
+// at most ⌈log₂ cells⌉ + 1 times in its life and never holds as many unused
+// records as used ones.
 //
-// Following slot costs an increment a dependent load the dense planes did
-// not have, and the sequential tracker, which visits every bank for every
-// event, felt it (−7 % events/s on alarm at k = 30). What won most of that
-// back is fewer cache lines per visit: the coordinator's scalars of a round
-// are one struct (a report or an estimate reads it, not one line of each of
-// five planes), the Bank header is ordered by who reads what (see the
+// Following the word to its record costs a sampling-mode increment a
+// dependent load the dense planes did not have, and the sequential tracker,
+// which visits every bank for every event, felt it (−7 % events/s on alarm
+// at k = 30). What won most of that back is fewer cache lines per visit: the
+// coordinator's scalars of a round are one struct (a report or an estimate
+// reads it, not one line of each of five planes), a site's d and r share a
+// line, the Bank header is two lines ordered by who reads what (see the
 // struct), and Inc does the randomized increment in line.
 //
 // The Inc(cell, site) hot path is a direct method call on contiguous
@@ -99,40 +105,43 @@ const (
 // shared one.
 type Bank struct {
 	// Field order is by cache line of the 64-byte-aligned struct: the first
-	// holds what every increment reads, the second what a sampling-mode
-	// increment adds, then what a report and a new round touch. The tracker
-	// visits all its banks for every event, so a bank's header lines are as
-	// much of the ingest working set as its cells.
-	kind    Kind
-	k       int
-	rng     *bn.RNG
+	// holds everything an exact-mode increment reads, of every kind, the
+	// second what a sampling-mode increment, a report and a new round add.
+	// The tracker visits all its banks for every event, so a bank's header
+	// lines are as much of the ingest working set as its cells.
+
+	// word is a cell's exact count (≥ 0) in exact mode and ^s once it holds
+	// round record s; len(word) is the bank's cell count.
+	word    []int64
 	metrics *Metrics
 
 	// exactThresh caches ExactThreshold(k, eps) for the HYZ kind so the
 	// exact-mode hot path does not recompute a sqrt per increment.
 	exactThresh int64
+	eps         float64
+	k           int
+	kind        Kind
+	records     int32 // records handed out, a prefix of the record slices
 
-	total []int64
+	rng *bn.RNG
 
-	// slot is a cell's round-record index, −1 in exact mode (nil for
-	// ExactKind). One of hyz and det holds the records, by kind, with the
-	// per-site state of record s at [s*k, (s+1)*k) of d and r, or of
-	// pending; records of them are handed out.
-	slot    []int32
-	d       []int64 // HYZ: slot*k + site
-	hyz     []hyzRound
-	r       []int64 // HYZ: slot*k + site
-	det     []detRound
-	pending []int64 // Deterministic: slot*k + site
+	// One of hyz and det holds the records, by kind, with the per-site state
+	// of record s at [s*k, (s+1)*k) of sites or of det.pending. det is nil
+	// for the other kinds: the deterministic kind's two slices sit behind one
+	// pointer, so the randomized kind's stay in the header's second line.
+	hyz   []hyzRound
+	sites []hyzSite
+	det   *detRecords
 
-	records int
-	cells   int
-	eps     float64
+	// The struct is 128 bytes, a size class of its own: the allocator's
+	// 128-byte class is what makes every Bank 64-byte aligned, so each half
+	// is one cache line (TestBankHeaderLines holds both).
+}
 
-	// _ pads the struct to 256 bytes. The allocator's 256-byte size class is
-	// what makes every Bank 64-byte aligned; at 232 bytes a bank lands in the
-	// 240-byte class and its first line straddles two.
-	_ [24]byte
+// detRecords holds a deterministic bank's round records.
+type detRecords struct {
+	rounds  []detRound
+	pending []int64 // s*k + site
 }
 
 // NewBank creates a bank of cells counters of the given kind over k sites
@@ -149,7 +158,7 @@ func NewBank(kind Kind, cells, k int, eps, delta float64, metrics *Metrics, rng 
 	if metrics == nil {
 		return nil, fmt.Errorf("counter: bank needs a metrics sink")
 	}
-	b := &Bank{kind: kind, k: k, cells: cells, eps: eps, metrics: metrics, rng: rng}
+	b := &Bank{kind: kind, k: k, eps: eps, metrics: metrics, rng: rng}
 	switch kind {
 	case ExactKind:
 		if k < 1 {
@@ -167,38 +176,34 @@ func NewBank(kind Kind, cells, k int, eps, delta float64, metrics *Metrics, rng 
 		if err := validate(k, eps); err != nil {
 			return nil, err
 		}
+		b.det = new(detRecords)
 	default:
 		return nil, fmt.Errorf("counter: unknown bank kind %d", kind)
 	}
-	b.total = make([]int64, cells)
-	if kind != ExactKind {
-		b.slot = make([]int32, cells)
-		b.resetRecords(0)
-	}
+	b.word = make([]int64, cells)
 	return b, nil
 }
 
-// resetRecords puts every cell in exact mode and sizes the record slices for
-// exactly n records (a restored bank knows how many it needs).
+// resetRecords drops every round record and sizes the record slices for
+// exactly n (a restored bank knows how many it needs). The caller rewrites
+// every word that named a record.
 func (b *Bank) resetRecords(n int) {
-	for i := range b.slot {
-		b.slot[i] = -1
-	}
 	b.records = 0
 	b.resizeRecords(n)
 }
 
 // newRecord hands cell, whose first round is opening, the next round record
-// and returns its index; the caller fills every field. Full slices grow by
-// ⌈cells/8⌉ records, never past cells. Growth reallocates the record slices,
-// so no loop keeps one in a local across a call that can get here.
+// and returns its index; the caller fills every field. Full slices double,
+// from one record and never past the cell count. Growth reallocates the
+// record slices, so no loop keeps one in a local across a call that can get
+// here.
 func (b *Bank) newRecord(cell int) int {
-	if b.records == b.room() {
-		b.resizeRecords(min(b.records+(b.cells+7)/8, b.cells))
+	if int(b.records) == b.room() {
+		b.resizeRecords(min(max(2*b.room(), 1), len(b.word)))
 	}
-	s := b.records
+	s := int(b.records)
 	b.records++
-	b.slot[cell] = int32(s)
+	b.word[cell] = ^int64(s)
 	return s
 }
 
@@ -206,14 +211,19 @@ func (b *Bank) newRecord(cell int) int {
 // contents of those that fit.
 func (b *Bank) resizeRecords(n int) {
 	if b.kind == HYZKind {
-		b.hyz, b.d, b.r = resized(b.hyz, n), resized(b.d, n*b.k), resized(b.r, n*b.k)
+		b.hyz, b.sites = resized(b.hyz, n), resized(b.sites, n*b.k)
 	} else {
-		b.det, b.pending = resized(b.det, n), resized(b.pending, n*b.k)
+		b.det.rounds, b.det.pending = resized(b.det.rounds, n), resized(b.det.pending, n*b.k)
 	}
 }
 
-// room is how many records the record slices hold (one of them is empty).
-func (b *Bank) room() int { return len(b.hyz) + len(b.det) }
+// room is how many records the record slices hold.
+func (b *Bank) room() int {
+	if b.det != nil {
+		return len(b.det.rounds)
+	}
+	return len(b.hyz)
+}
 
 func resized[T any](s []T, n int) []T {
 	t := make([]T, n)
@@ -221,18 +231,18 @@ func resized[T any](s []T, n int) []T {
 	return t
 }
 
-// Reset returns the bank to its just-built state: every total 0, every cell
+// Reset returns the bank to its just-built state: every count 0, every cell
 // in exact mode, no round records. The metrics sink and the RNG carry on, and
 // nothing is tallied — a fresh counter costs no messages.
 func (b *Bank) Reset() {
-	clear(b.total)
+	clear(b.word)
 	if b.kind != ExactKind {
 		b.resetRecords(0)
 	}
 }
 
 // Cells returns the number of counters in the bank.
-func (b *Bank) Cells() int { return b.cells }
+func (b *Bank) Cells() int { return len(b.word) }
 
 // Inc records one increment for cell observed at site. This is the
 // tracker's ingest hot path: it runs on the bank's flat state, the
@@ -241,20 +251,22 @@ func (b *Bank) Cells() int { return b.cells }
 func (b *Bank) Inc(cell, site int) {
 	switch b.kind {
 	case ExactKind:
-		b.total[cell]++
+		b.word[cell]++
 		b.metrics.SiteToCoord++
 	case HYZKind:
-		b.total[cell]++
-		s := int(b.slot[cell])
-		if s < 0 {
+		v := b.word[cell]
+		if v >= 0 {
 			// Exact mode: forward every increment.
+			v++
+			b.word[cell] = v
 			b.metrics.SiteToCoord++
-			if b.total[cell] >= b.exactThresh {
+			if v >= b.exactThresh {
 				b.openRoundHYZ(cell)
 			}
 			return
 		}
-		b.d[s*b.k+site]++
+		s := int(^v)
+		b.sites[s*b.k+site].d++
 		if b.rng.Uint64() < b.hyz[s].pThresh {
 			b.reportHYZ(cell, s, site)
 		}
@@ -266,7 +278,7 @@ func (b *Bank) Inc(cell, site int) {
 // IncBatch records one increment for every (cells[j], sites[j]) pair in
 // order — the bulk write that EstimateRange is for reads. It is bit-identical
 // to calling Inc per pair (same RNG draws in the same order, same messages,
-// same state), with the kind switch, the per-cell slice headers and the
+// same state), with the kind switch, the word slice header and the
 // exact-mode message tally hoisted out of the loop (the records are reached
 // through the bank: a first round opening mid-run may reallocate them, and the
 // RNG call of every sampling-mode increment spills hoisted headers anyway);
@@ -277,29 +289,29 @@ func (b *Bank) IncBatch(cells, sites []int32) {
 	sites = sites[:len(cells)]
 	switch b.kind {
 	case ExactKind:
-		total := b.total
+		word := b.word
 		for _, c := range cells {
-			total[c]++
+			word[c]++
 		}
 		b.metrics.SiteToCoord += int64(len(cells))
 	case HYZKind:
-		k, total, slot := b.k, b.total, b.slot
+		k, word := b.k, b.word
 		var forwarded int64 // exact-mode increments: one message each
 		for j, c := range cells {
-			cell := int(c)
-			total[cell]++
-			s := int(slot[cell])
-			if s < 0 {
+			v := word[c]
+			if v >= 0 {
 				forwarded++
-				if total[cell] >= b.exactThresh {
-					b.openRoundHYZ(cell)
+				v++
+				word[c] = v
+				if v >= b.exactThresh {
+					b.openRoundHYZ(int(c))
 				}
 				continue
 			}
-			site := int(sites[j])
-			b.d[s*k+site]++
+			s, site := int(^v), int(sites[j])
+			b.sites[s*k+site].d++
 			if b.rng.Uint64() < b.hyz[s].pThresh {
-				b.reportHYZ(cell, s, site)
+				b.reportHYZ(int(c), s, site)
 			}
 		}
 		b.metrics.SiteToCoord += forwarded
@@ -312,21 +324,16 @@ func (b *Bank) IncBatch(cells, sites []int32) {
 
 // Estimate returns the coordinator's current estimate of cell's count.
 func (b *Bank) Estimate(cell int) float64 {
-	switch b.kind {
-	case ExactKind:
-		return float64(b.total[cell])
-	case HYZKind:
-		s := int(b.slot[cell])
-		if s < 0 {
-			return float64(b.total[cell])
-		}
-		return float64(b.hyz[s].base) + b.hyz[s].inRound()
+	v := b.word[cell]
+	switch {
+	case v >= 0:
+		return float64(v)
+	case b.kind == HYZKind:
+		rd := &b.hyz[^v]
+		return float64(rd.base) + rd.inRound()
 	default: // DeterministicKind
-		s := b.slot[cell]
-		if s < 0 {
-			return float64(b.total[cell])
-		}
-		return float64(b.det[s].base + b.det[s].reported)
+		rd := &b.det.rounds[^v]
+		return float64(rd.base + rd.reported)
 	}
 }
 
@@ -338,38 +345,63 @@ func (b *Bank) Estimate(cell int) float64 {
 // dispatch and slice-header loads out of the walk. An out-of-range [lo, hi)
 // panics, like a slice expression; dst must hold at least hi-lo values.
 func (b *Bank) EstimateRange(lo, hi int, dst []float64) {
-	if lo < 0 || hi < lo || hi > b.cells {
-		panic(fmt.Sprintf("counter: estimate range [%d,%d) outside [0,%d]", lo, hi, b.cells))
+	if lo < 0 || hi < lo || hi > len(b.word) {
+		panic(fmt.Sprintf("counter: estimate range [%d,%d) outside [0,%d]", lo, hi, len(b.word)))
 	}
 	dst = dst[:hi-lo]
 	switch b.kind {
 	case ExactKind:
-		for c, t := range b.total[lo:hi] {
-			dst[c] = float64(t)
+		for c, v := range b.word[lo:hi] {
+			dst[c] = float64(v)
 		}
 	case HYZKind:
-		total, hyz := b.total, b.hyz
-		for c, s := range b.slot[lo:hi] {
-			if s < 0 {
-				dst[c] = float64(total[lo+c])
+		hyz := b.hyz
+		for c, v := range b.word[lo:hi] {
+			if v >= 0 {
+				dst[c] = float64(v)
 				continue
 			}
-			dst[c] = float64(hyz[s].base) + hyz[s].inRound() // Estimate's expression
+			rd := &hyz[^v]
+			dst[c] = float64(rd.base) + rd.inRound() // Estimate's expression
 		}
 	case DeterministicKind:
-		total, det := b.total, b.det
-		for c, s := range b.slot[lo:hi] {
-			if s < 0 {
-				dst[c] = float64(total[lo+c])
+		rounds := b.det.rounds
+		for c, v := range b.word[lo:hi] {
+			if v >= 0 {
+				dst[c] = float64(v)
 				continue
 			}
-			dst[c] = float64(det[s].base + det[s].reported)
+			dst[c] = float64(rounds[^v].base + rounds[^v].reported)
 		}
 	}
 }
 
 // Exact returns cell's true count (evaluation only).
-func (b *Bank) Exact(cell int) int64 { return b.total[cell] }
+func (b *Bank) Exact(cell int) int64 {
+	v := b.word[cell]
+	if v < 0 {
+		return b.recordCount(int(^v))
+	}
+	return v
+}
+
+// recordCount derives the exact count of the cell holding record s from the
+// record, by its kind's invariant (see "Memory layout").
+func (b *Bank) recordCount(s int) int64 {
+	lo, hi := s*b.k, (s+1)*b.k
+	if b.kind == HYZKind {
+		n := b.hyz[s].base
+		for _, st := range b.sites[lo:hi] {
+			n += st.d
+		}
+		return n
+	}
+	n := b.det.rounds[s].base + b.det.rounds[s].reported
+	for _, p := range b.det.pending[lo:hi] {
+		n += p
+	}
+	return n
+}
 
 // Merge folds a delta of per-(cell, site) increment counts into the bank,
 // replaying each cell's counter protocol on the merged totals. delta is
@@ -389,36 +421,28 @@ func (b *Bank) Exact(cell int) int64 { return b.total[cell] }
 // or a threshold crossing requires it. This is the merge half of the
 // tracker's delta-buffered ingestion mode (core.Config.DeltaBuffered).
 func (b *Bank) Merge(delta []int64) {
-	k := b.k
-	if len(delta) != b.cells*k {
-		panic(fmt.Sprintf("counter: merge delta length %d, want %d (%d cells x %d sites)", len(delta), b.cells*k, b.cells, k))
+	k, cells := b.k, len(b.word)
+	if len(delta) != cells*k {
+		panic(fmt.Sprintf("counter: merge delta length %d, want %d (%d cells x %d sites)", len(delta), cells*k, cells, k))
 	}
 	switch b.kind {
 	case ExactKind:
 		var msgs int64
-		for cell := 0; cell < b.cells; cell++ {
+		for cell := range b.word {
 			var sum int64
 			for _, c := range delta[cell*k : (cell+1)*k] {
 				sum += c
 			}
-			b.total[cell] += sum
+			b.word[cell] += sum
 			msgs += sum
 		}
 		b.metrics.SiteToCoord += msgs
-	case HYZKind:
-		for cell := 0; cell < b.cells; cell++ {
-			row := delta[cell*k : (cell+1)*k]
-			for site, c := range row {
-				if c > 0 {
+	default:
+		for cell := range b.word {
+			for site, c := range delta[cell*k : (cell+1)*k] {
+				if c > 0 && b.kind == HYZKind {
 					b.mergeHYZ(cell, site, c)
-				}
-			}
-		}
-	case DeterministicKind:
-		for cell := 0; cell < b.cells; cell++ {
-			row := delta[cell*k : (cell+1)*k]
-			for site, c := range row {
-				if c > 0 {
+				} else if c > 0 {
 					b.mergeDet(cell, site, c)
 				}
 			}
@@ -428,82 +452,89 @@ func (b *Bank) Merge(delta []int64) {
 
 // mergeHYZ replays c increments of cell at site. The exact-mode prefix is
 // bulk-added (each increment forwards one message and the round opens exactly
-// when the total reaches the threshold, so the fold is bit-identical to the
+// when the count reaches the threshold, so the fold is bit-identical to the
 // per-increment loop); sampling-mode increments replay individually because
 // each draws the report coin.
 func (b *Bank) mergeHYZ(cell, site int, c int64) {
-	if b.slot[cell] < 0 {
-		step := b.exactThresh - b.total[cell]
-		if step > c {
-			step = c
-		}
-		if step > 0 {
-			b.total[cell] += step
+	if v := b.word[cell]; v >= 0 {
+		if step := min(b.exactThresh-v, c); step > 0 {
+			v += step
+			b.word[cell] = v
 			b.metrics.SiteToCoord += step
 			c -= step
 		}
-		if b.total[cell] >= b.exactThresh {
+		if v >= b.exactThresh {
 			b.openRoundHYZ(cell)
 		}
 		if c == 0 {
 			return
 		}
 	}
-	// Per-increment replay with the per-cell state hoisted into locals; a
-	// report can reset the round (total stays, d and pThresh change), so the
-	// locals are written back before and reloaded after each one.
-	s := int(b.slot[cell])
-	idx := s*b.k + site
-	tot, d, pt := b.total[cell], b.d[idx], b.hyz[s].pThresh
+	// Per-increment replay with the site's delta and the round's threshold
+	// hoisted into locals; a report can reset the round (d and pThresh
+	// change), so d is written back before and both are reloaded after each
+	// one. The record is the cell's already, so nothing reallocates under st.
+	s := int(^b.word[cell])
+	st := &b.sites[s*b.k+site]
+	d, pt := st.d, b.hyz[s].pThresh
 	for ; c > 0; c-- {
-		tot++
 		d++
 		if b.rng.Uint64() < pt {
-			b.total[cell], b.d[idx] = tot, d
+			st.d = d
 			b.reportHYZ(cell, s, site)
-			tot, d, pt = b.total[cell], b.d[idx], b.hyz[s].pThresh
+			d, pt = st.d, b.hyz[s].pThresh
 		}
 	}
-	b.total[cell], b.d[idx] = tot, d
+	st.d = d
 }
 
 // mergeDet replays c increments of cell at site. Exact mode replays per
-// increment (the round-opening threshold is a ceil of the running total);
+// increment (the round-opening threshold is a ceil of the running count);
 // sampling mode advances whole report quanta at a time — a report fires on
 // the increment that lifts the site's pending delta to the quantum, so a run
 // folds into ⌊c/quantum⌋ reports plus a remainder, matching the
 // per-increment loop exactly.
 func (b *Bank) mergeDet(cell, site int, c int64) {
-	for b.slot[cell] < 0 {
+	for v := b.word[cell]; v >= 0; v = b.word[cell] {
 		if c == 0 {
 			return
 		}
-		b.total[cell]++
+		v++
+		b.word[cell] = v
 		b.metrics.SiteToCoord++
 		c--
-		if q := int64(math.Ceil(b.eps * float64(b.total[cell]) / float64(b.k))); q >= 2 {
+		if q := int64(math.Ceil(b.eps * float64(v) / float64(b.k))); q >= 2 {
 			b.openRoundDet(cell)
 		}
 	}
-	s := int(b.slot[cell])
-	rd, idx := &b.det[s], s*b.k+site
+	s := int(^b.word[cell])
+	rd, p := &b.det.rounds[s], &b.det.pending[s*b.k+site]
 	for c > 0 {
-		need := rd.quantum - b.pending[idx] // increments until a report fires
+		need := rd.quantum - *p // increments until a report fires
 		if need > c {
-			b.pending[idx] += c
-			b.total[cell] += c
+			*p += c
 			return
 		}
-		b.pending[idx] += need
-		b.total[cell] += need
+		*p += need
 		c -= need
 		b.metrics.SiteToCoord++
-		rd.reported += b.pending[idx]
-		b.pending[idx] = 0
+		rd.reported += *p
+		*p = 0
 		if rd.reported >= rd.base {
 			b.openRoundDet(cell) // resets every site's pending, new quantum
 		}
 	}
+}
+
+// openRecord returns the record and exact count of cell as one of its rounds
+// opens, handing the cell its record if this is its first.
+func (b *Bank) openRecord(cell int) (s int, count int64) {
+	v := b.word[cell]
+	if v >= 0 {
+		return b.newRecord(cell), v
+	}
+	s = int(^v)
+	return s, b.recordCount(s)
 }
 
 // --- HYZ protocol on flat state (see the HYZ type comment for the math) ---
@@ -516,6 +547,11 @@ type hyzRound struct {
 	adj        float64 // (1−p)/p, the expected unreported tail of a reporter
 	nReporters int32
 }
+
+// hyzSite is one site's half of a randomized counter's round record: its
+// in-round delta d and the delta r it last reported, side by side so a
+// report reads and writes one line.
+type hyzSite struct{ d, r int64 }
 
 // setProb installs the derived sampling parameters of a round run at report
 // probability p.
@@ -538,12 +574,12 @@ func (r *hyzRound) inRound() float64 {
 // s is cell's record.
 func (b *Bank) reportHYZ(cell, s, site int) {
 	b.metrics.SiteToCoord++
-	rd, idx := &b.hyz[s], s*b.k+site
-	if b.r[idx] == 0 {
+	rd, st := &b.hyz[s], &b.sites[s*b.k+site]
+	if st.r == 0 {
 		rd.nReporters++
 	}
-	rd.estSum += b.d[idx] - b.r[idx]
-	b.r[idx] = b.d[idx]
+	rd.estSum += st.d - st.r
+	st.r = st.d
 	if rd.inRound() >= float64(rd.base) {
 		b.openRoundHYZ(cell)
 	}
@@ -553,18 +589,14 @@ func (b *Bank) reportHYZ(cell, s, site int) {
 // the cell's in-round state with a new report probability; a cell's first
 // round is where it gets its record.
 func (b *Bank) openRoundHYZ(cell int) {
-	s := int(b.slot[cell])
-	if s < 0 {
-		s = b.newRecord(cell)
-	}
+	s, count := b.openRecord(cell)
 	b.metrics.SiteToCoord += int64(b.k)
 	b.metrics.CoordToSite += int64(b.k)
 
 	rd := &b.hyz[s]
-	*rd = hyzRound{base: b.total[cell]}
+	*rd = hyzRound{base: count}
 	rd.setProb(ReportProb(b.k, b.eps, rd.base))
-	clear(b.d[s*b.k : (s+1)*b.k])
-	clear(b.r[s*b.k : (s+1)*b.k])
+	clear(b.sites[s*b.k : (s+1)*b.k])
 }
 
 // --- deterministic threshold protocol on flat state ---
@@ -574,24 +606,26 @@ func (b *Bank) openRoundHYZ(cell int) {
 type detRound struct{ base, quantum, reported int64 }
 
 func (b *Bank) incDet(cell, site int) {
-	b.total[cell]++
-	s := int(b.slot[cell])
-	if s < 0 {
+	v := b.word[cell]
+	if v >= 0 {
+		v++
+		b.word[cell] = v
 		b.metrics.SiteToCoord++
 		// Exact until a quantum of at least 2 is worthwhile. Computed per
 		// increment (not cached) to stay bit-identical to the historical
-		// per-cell counter, whose threshold depends on the running total.
-		if q := int64(math.Ceil(b.eps * float64(b.total[cell]) / float64(b.k))); q >= 2 {
+		// per-cell counter, whose threshold depends on the running count.
+		if q := int64(math.Ceil(b.eps * float64(v) / float64(b.k))); q >= 2 {
 			b.openRoundDet(cell)
 		}
 		return
 	}
-	rd, idx := &b.det[s], s*b.k+site
-	b.pending[idx]++
-	if b.pending[idx] >= rd.quantum {
+	s := int(^v)
+	rd, p := &b.det.rounds[s], &b.det.pending[s*b.k+site]
+	*p++
+	if *p >= rd.quantum {
 		b.metrics.SiteToCoord++
-		rd.reported += b.pending[idx]
-		b.pending[idx] = 0
+		rd.reported += *p
+		*p = 0
 		if rd.reported >= rd.base {
 			b.openRoundDet(cell)
 		}
@@ -599,16 +633,13 @@ func (b *Bank) incDet(cell, site int) {
 }
 
 func (b *Bank) openRoundDet(cell int) {
-	s := int(b.slot[cell])
-	if s < 0 {
-		s = b.newRecord(cell)
-	}
+	s, count := b.openRecord(cell)
 	b.metrics.SiteToCoord += int64(b.k)
 	b.metrics.CoordToSite += int64(b.k)
-	q := int64(math.Ceil(b.eps * float64(b.total[cell]) / float64(b.k)))
+	q := int64(math.Ceil(b.eps * float64(count) / float64(b.k)))
 	if q < 1 {
 		q = 1
 	}
-	b.det[s] = detRound{base: b.total[cell], quantum: q}
-	clear(b.pending[s*b.k : (s+1)*b.k])
+	b.det.rounds[s] = detRound{base: count, quantum: q}
+	clear(b.det.pending[s*b.k : (s+1)*b.k])
 }

@@ -7,9 +7,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"os"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"distbayes/internal/bn"
 	"distbayes/internal/netgen"
@@ -557,7 +559,7 @@ func (b *denseBank) marshal() []byte {
 // that leave none, one and all of the cells sampling. What the lazy records
 // put at risk is named by the cases: a cell's first round opening in the
 // middle of an IncBatch run (the record slices are reallocated under the
-// loop — 40 cells grow five records at a time), records handed out in
+// loop — 40 cells' records double from one), records handed out in
 // first-round order rather than cell order, a site's d and r interleaved in
 // memory but not in the checkpoint, and a record written as zeros for a cell
 // that has none. Totals, estimates bit for bit, message tallies, the RNG
@@ -615,7 +617,7 @@ func TestRecordBankMatchesDenseOracle(t *testing.T) {
 							for i, c := range runCells {
 								dense.inc(int(c), int(runSites[i]))
 							}
-							if len(runCells) > 0 && bank.records > before && bank.slot[runCells[len(runCells)-1]] < int32(before) {
+							if len(runCells) > 0 && bank.records > before && ^bank.word[runCells[len(runCells)-1]] < int64(before) {
 								midRunFirstRounds++ // the run went on after a record was handed out
 							}
 							done += len(runCells)
@@ -663,7 +665,7 @@ func TestRecordBankMatchesDenseOracle(t *testing.T) {
 					if len(got) != bank.StateLen() {
 						t.Errorf("StateLen %d, record is %d bytes", bank.StateLen(), len(got))
 					}
-					if bank.records != shape.sampling {
+					if int(bank.records) != shape.sampling {
 						t.Errorf("%d cells sampling at the end, schedule is built for %d", bank.records, shape.sampling)
 					}
 					if shape.sampling == cells && midRunFirstRounds == 0 {
@@ -677,10 +679,11 @@ func TestRecordBankMatchesDenseOracle(t *testing.T) {
 
 // TestRoundRecordGrowthIsBounded runs banks shaped like a tracker's (a pair
 // and a parent bank per alarm variable, alternating the sampling kinds) over
-// a long stream and checks the promises of newRecord after every event: a
-// bank reallocates its planes at most eight times, never holds more than
-// `cells` records nor more than ⌈cells/8⌉ unused ones, and a cell keeps the
-// record index it was given, across every growth.
+// a long stream and checks the promises of newRecord after every growth: the
+// record slices double from one record, so a bank reallocates them at most
+// ⌈log₂ cells⌉ + 1 times and never holds more than 2·records + 1 records nor
+// more than `cells`, and a cell keeps the record index it was given, across
+// every growth.
 func TestRoundRecordGrowthIsBounded(t *testing.T) {
 	model, err := netgen.ModelByName("alarm")
 	if err != nil {
@@ -694,7 +697,7 @@ func TestRoundRecordGrowthIsBounded(t *testing.T) {
 	}
 	type tracked struct {
 		b     *Bank
-		slot  []int32 // as of the last check
+		word  []int64 // as of the last check
 		grown int
 	}
 	var m Metrics
@@ -706,21 +709,22 @@ func TestRoundRecordGrowthIsBounded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			banks = append(banks, &tracked{b: b, slot: slices.Clone(b.slot)})
+			banks = append(banks, &tracked{b: b, word: slices.Clone(b.word)})
 		}
 	}
 	check := func(e int, tb *tracked) {
-		b, step := tb.b, (tb.b.cells+7)/8
-		if tb.grown > 8 || b.room() > b.cells || b.room()-b.records > step {
-			t.Fatalf("event %d: bank of %d cells reallocated %d times, holds %d records, %d of them unused (step %d)",
-				e, b.cells, tb.grown, b.room(), b.room()-b.records, step)
+		b, cells := tb.b, tb.b.Cells()
+		growths := bits.Len(uint(cells-1)) + 1 // ⌈log₂ cells⌉ + 1
+		if tb.grown > growths || b.room() > cells || b.room() > 2*int(b.records)+1 {
+			t.Fatalf("event %d: bank of %d cells reallocated %d times (at most %d), has room for %d records, uses %d",
+				e, cells, tb.grown, growths, b.room(), b.records)
 		}
-		for cell, s := range tb.slot {
-			if s >= 0 && b.slot[cell] != s {
-				t.Fatalf("event %d: cell %d moved from record %d to %d", e, cell, s, b.slot[cell])
+		for cell, v := range tb.word {
+			if v < 0 && b.word[cell] != v {
+				t.Fatalf("event %d: cell %d moved from record %d to %d", e, cell, ^v, ^b.word[cell])
 			}
 		}
-		copy(tb.slot, b.slot)
+		copy(tb.word, b.word)
 	}
 	sampler, sites := model.NewSampler(3), bn.NewRNG(5)
 	var x []int
@@ -730,22 +734,62 @@ func TestRoundRecordGrowthIsBounded(t *testing.T) {
 		for i, pidx := range sampler.ParentIndices() {
 			for j, cell := range []int{int(pidx)*net.Card(i) + x[i], int(pidx)} {
 				tb := banks[2*i+j]
-				planes := tb.b.room()
+				room := tb.b.room()
 				tb.b.Inc(cell, site)
-				if tb.b.room() != planes {
+				if tb.b.room() != room {
 					tb.grown++
 					check(e, tb)
 				}
 			}
 		}
 	}
-	sampling, cells := 0, 0
+	sampling, cells, growths := 0, 0, 0
 	for _, tb := range banks {
 		check(events, tb)
-		sampling, cells = sampling+tb.b.records, cells+tb.b.cells
+		sampling, cells, growths = sampling+int(tb.b.records), cells+tb.b.Cells(), growths+tb.grown
 	}
 	if sampling == 0 || sampling == cells {
 		t.Errorf("%d of %d cells sampling: the stream should leave some in each mode", sampling, cells)
+	}
+	if growths <= len(banks) {
+		t.Errorf("%d growths over %d banks: no bank doubled its records", growths, len(banks))
+	}
+}
+
+// TestBankHeaderLines pins the Bank header to two cache lines and everything
+// an exact-mode Inc or IncBatch reads, of every kind, to the first: the
+// tracker visits every bank for every event, so the header is as much of the
+// ingest working set as the cells. The 128-byte size class is what aligns a
+// bank to a line, which the banks NewBank hands out show.
+func TestBankHeaderLines(t *testing.T) {
+	var b Bank
+	if size := unsafe.Sizeof(b); size > 128 {
+		t.Errorf("Bank is %d bytes, want at most 128", size)
+	}
+	for _, f := range []struct {
+		name       string
+		off, bytes uintptr
+	}{
+		{"word", unsafe.Offsetof(b.word), unsafe.Sizeof(b.word)},
+		{"metrics", unsafe.Offsetof(b.metrics), unsafe.Sizeof(b.metrics)},
+		{"exactThresh", unsafe.Offsetof(b.exactThresh), unsafe.Sizeof(b.exactThresh)},
+		{"eps", unsafe.Offsetof(b.eps), unsafe.Sizeof(b.eps)},
+		{"k", unsafe.Offsetof(b.k), unsafe.Sizeof(b.k)},
+		{"kind", unsafe.Offsetof(b.kind), unsafe.Sizeof(b.kind)},
+	} {
+		if f.off+f.bytes > 64 {
+			t.Errorf("field %s at bytes [%d,%d) of the header, want it in the first line", f.name, f.off, f.off+f.bytes)
+		}
+	}
+	var m Metrics
+	for i := 0; i < 16; i++ {
+		bank, err := NewBank(HYZKind, 8, 4, 0.1, 0.25, &m, bn.NewRNG(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := uintptr(unsafe.Pointer(bank)); p%64 != 0 {
+			t.Fatalf("bank at %#x is not 64-byte aligned", p)
+		}
 	}
 }
 
@@ -817,7 +861,7 @@ func TestBankV1Fixtures(t *testing.T) {
 				t.Errorf("tallies %+v, the dense planes counted %+v", *m, fx.tallies)
 			}
 			var m2 Metrics
-			loaded, err := NewBank(fx.kind, built.cells, built.k, built.eps, 0.25, &m2, bn.NewRNG(5))
+			loaded, err := NewBank(fx.kind, built.Cells(), built.k, built.eps, 0.25, &m2, bn.NewRNG(5))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -827,13 +871,13 @@ func TestBankV1Fixtures(t *testing.T) {
 			if got, _ := loaded.MarshalBinary(); !bytes.Equal(got, want) {
 				t.Error("decode then re-encode changed the record")
 			}
-			if loaded.records != fx.records || loaded.room() != fx.records {
+			if int(loaded.records) != fx.records || loaded.room() != fx.records {
 				t.Errorf("loaded bank holds %d records with room for %d, want exactly %d", loaded.records, loaded.room(), fx.records)
 			}
 			loaded.rng.SetState(built.rng.State())
 			sched := bn.NewRNG(13)
 			for i := 0; i < 5000; i++ {
-				cell, site := sched.Intn(built.cells), sched.Intn(built.k)
+				cell, site := sched.Intn(built.Cells()), sched.Intn(built.k)
 				built.Inc(cell, site)
 				loaded.Inc(cell, site)
 			}
@@ -862,14 +906,14 @@ func TestStateRejectsRoundDataForExactCell(t *testing.T) {
 		if fx.kind == DeterministicKind {
 			widths = []int{1, 1, b.k}
 		}
-		off := 18 + 9*b.cells
+		off := 18 + 9*b.Cells()
 		for plane, w := range widths {
 			bad := bytes.Clone(data)
 			bad[off+8*w*exactCell+8*(w-1)] = 1 // the cell's last word of the plane
 			if err := b.UnmarshalBinary(bad); !errors.Is(err, errExactCellRoundState) {
 				t.Errorf("%s: plane %d: exact-mode cell with round data: err = %v", fx.file, plane, err)
 			}
-			off += 8 * w * b.cells
+			off += 8 * w * b.Cells()
 		}
 		if got, _ := b.MarshalBinary(); !bytes.Equal(got, data) {
 			t.Errorf("%s: a refused load changed the bank", fx.file)
@@ -907,6 +951,129 @@ func TestStateRejectsRoundDataForExactCell(t *testing.T) {
 		}
 		if got, _ := c.MarshalBinary(); !bytes.Equal(got, data) {
 			t.Errorf("%s: a refused load changed the counter", name)
+		}
+	}
+}
+
+// TestStateRejectsCountsARecordCannotHold: a bank word holds a count or a
+// record index, not both, so a record with a negative count, or with a
+// sampling cell whose count is not the one its round state implies (base +
+// Σ d, or base + reported + Σ pending), is refused — by banks of every kind
+// and by the one-cell views — and a refused load leaves the receiver as it
+// was.
+func TestStateRejectsCountsARecordCannotHold(t *testing.T) {
+	type edit struct {
+		name string
+		off  int // of the little-endian word the edit changes
+		f    func(int64) int64
+		want error
+	}
+	negative := func(int64) int64 { return -1 }
+	plusOne := func(v int64) int64 { return v + 1 }
+	refuse := func(t *testing.T, c encoding.BinaryUnmarshaler, data func() []byte, edits []edit) {
+		t.Helper()
+		before := data()
+		for _, e := range edits {
+			bad := bytes.Clone(before)
+			binary.LittleEndian.PutUint64(bad[e.off:], uint64(e.f(int64(binary.LittleEndian.Uint64(bad[e.off:])))))
+			if err := c.UnmarshalBinary(bad); !errors.Is(err, e.want) {
+				t.Errorf("%s: err = %v, want %v", e.name, err, e.want)
+			}
+		}
+		if !bytes.Equal(data(), before) {
+			t.Error("a refused load changed the receiver")
+		}
+	}
+	marshal := func(c encoding.BinaryMarshaler) func() []byte {
+		return func() []byte { data, _ := c.MarshalBinary(); return data }
+	}
+
+	// Banks: the fixtures' cell 0 samples, cell 4 is in exact mode and cell
+	// 5 was never touched; a record's planes start after 9 bytes a cell.
+	const sampling, exactCell, untouched = 0, 4, 5
+	for _, fx := range bankFixtures {
+		t.Run("bank/"+fx.file, func(t *testing.T) {
+			b, _ := fixtureBank(t, fx.kind)
+			cells, k := b.Cells(), b.k
+			if b.word[sampling] >= 0 || b.word[exactCell] < 0 {
+				t.Fatal("the fixture schedule no longer leaves cell 0 sampling and cell 4 exact")
+			}
+			count := func(cell int) int { return 18 + 8*cell }
+			planes := 18 + 9*cells
+			siteWords := planes + 3*8*cells // HYZ: d
+			edits := []edit{
+				{"negative count, exact-mode cell", count(exactCell), negative, errNegativeCount},
+				{"negative count, untouched cell", count(untouched), negative, errNegativeCount},
+				{"negative count, sampling cell", count(sampling), negative, errNegativeCount},
+				{"sampling count above its record's", count(sampling), plusOne, errCountOffRecord},
+				{"sampling base above its count's share", planes + 8*sampling, plusOne, errCountOffRecord},
+			}
+			if fx.kind == DeterministicKind {
+				siteWords = planes + 2*8*cells // pending
+				edits = append(edits, edit{"sampling reported above its count's share", planes + 8*cells + 8*sampling, plusOne, errCountOffRecord})
+			}
+			edits = append(edits, edit{"sampling site delta above its count's share", siteWords + 8*(sampling*k+k-1), plusOne, errCountOffRecord})
+			refuse(t, b, marshal(b), edits)
+		})
+	}
+	t.Run("bank/exact", func(t *testing.T) {
+		var m Metrics
+		b, err := NewBank(ExactKind, 3, 4, 0, 0, &m, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Inc(1, 2)
+		refuse(t, b, marshal(b), []edit{{"negative count", 18 + 8*2, negative, errNegativeCount}})
+	})
+
+	// One-cell views: flag byte, then words — HYZ total, base, estSum,
+	// nReporters, k, (d, r) per site; deterministic total, base, reported,
+	// k, pending per site.
+	const k = 4
+	word := func(w int) int { return 1 + 8*w }
+	type view interface {
+		Counter
+		encoding.BinaryMarshaler
+		encoding.BinaryUnmarshaler
+	}
+	for _, v := range []struct {
+		name          string
+		build         func(*Metrics) (view, error)
+		lastSiteDelta int
+		extra         []edit
+	}{
+		{"hyz", func(m *Metrics) (view, error) { return NewHYZ(k, 0.1, 0.25, m, bn.NewRNG(1)) }, 5 + 2*(k-1), nil},
+		{"deterministic", func(m *Metrics) (view, error) { return NewDeterministic(k, 0.1, m) }, 4 + k - 1,
+			[]edit{{"reported above its count's share", word(2), plusOne, errCountOffRecord}}},
+	} {
+		for _, sampling := range []bool{false, true} {
+			name := "view/" + v.name + "/exact-mode"
+			incs := 3
+			if sampling {
+				name, incs = "view/"+v.name+"/sampling", 5000
+			}
+			t.Run(name, func(t *testing.T) {
+				var m Metrics
+				c, err := v.build(&m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < incs; i++ {
+					c.Inc(i % k)
+				}
+				if data := marshal(c)(); (data[0] == 1) != sampling {
+					t.Fatalf("after %d increments the view's sampling flag is %d", incs, data[0])
+				}
+				edits := []edit{{"negative count", word(0), negative, errNegativeCount}}
+				if sampling {
+					edits = append(edits,
+						edit{"count above its record's", word(0), plusOne, errCountOffRecord},
+						edit{"base above its count's share", word(1), plusOne, errCountOffRecord},
+						edit{"last site delta above its count's share", word(v.lastSiteDelta), plusOne, errCountOffRecord})
+					edits = append(edits, v.extra...)
+				}
+				refuse(t, c, marshal(c), edits)
+			})
 		}
 	}
 }

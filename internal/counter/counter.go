@@ -236,7 +236,7 @@ func NewHYZ(k int, eps, delta float64, metrics *Metrics, rng *bn.RNG) (*HYZ, err
 func (c *HYZ) Estimate() float64 { return c.b.Estimate(0) }
 
 // Exact implements Counter.
-func (c *HYZ) Exact() int64 { return c.b.total[0] }
+func (c *HYZ) Exact() int64 { return c.b.Exact(0) }
 
 // Deterministic is the classical deterministic threshold counter, kept as an
 // ablation baseline against HYZ: within a round opened at exact count base,
@@ -260,4 +260,4 @@ func NewDeterministic(k int, eps float64, metrics *Metrics) (*Deterministic, err
 func (c *Deterministic) Estimate() float64 { return c.b.Estimate(0) }
 
 // Exact implements Counter.
-func (c *Deterministic) Exact() int64 { return c.b.total[0] }
+func (c *Deterministic) Exact() int64 { return c.b.Exact(0) }
