@@ -7,7 +7,6 @@ package distbayes_test
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -141,73 +140,6 @@ func BenchmarkParallelIngest(b *testing.B) {
 			report(b, total)
 		})
 	}
-}
-
-// BenchmarkDeltaIngest isolates tracker-side ingestion cost — events are
-// pre-generated outside the timer, unlike BenchmarkParallelIngest, which
-// also measures sampling — and compares striped ingestion (8 goroutines
-// through UpdateEvents on 8 lock stripes) against delta-buffered ingestion
-// (the same goroutines accumulating into private DeltaBuffers that publish
-// on the flush cadence). events/sec is the headline metric; the buffered
-// mode's win is contention-free accumulation plus the batched protocol
-// replay of Bank.Merge running cell-ordered over contiguous memory.
-func BenchmarkDeltaIngest(b *testing.B) {
-	model, err := netgen.ModelByName("alarm")
-	if err != nil {
-		b.Fatal(err)
-	}
-	const sites = 8
-	const poolEvents = 4096
-	pools := make([][]core.Event, sites)
-	for g, st := range stream.NewSiteTrainings(model, sites, 3) {
-		pools[g] = st.NextEvents(nil, poolEvents)
-	}
-	report := func(b *testing.B, total int64) {
-		b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "events/sec")
-		b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-	}
-	run := func(b *testing.B, buffered bool) {
-		cfg := core.Config{
-			Strategy: core.NonUniform, Eps: 0.1, Sites: sites, Seed: 1,
-			Shards: 8, DeltaBuffered: buffered, DeltaFlushEvents: poolEvents,
-		}
-		tr, err := core.NewTracker(model.Network(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		perSite := (b.N + sites - 1) / sites
-		b.ResetTimer()
-		var wg sync.WaitGroup
-		for g := 0; g < sites; g++ {
-			wg.Add(1)
-			go func(pool []core.Event) {
-				defer wg.Done()
-				var buf *core.DeltaBuffer
-				if buffered {
-					buf = tr.NewDeltaBuffer()
-					defer buf.Release()
-				}
-				const batch = 256
-				for remaining, off := perSite, 0; remaining > 0; {
-					m := min(batch, remaining, len(pool)-off)
-					if buf != nil {
-						buf.AddEvents(pool[off : off+m])
-					} else {
-						tr.UpdateEvents(pool[off : off+m])
-					}
-					remaining -= m
-					if off += m; off == len(pool) {
-						off = 0
-					}
-				}
-			}(pools[g])
-		}
-		wg.Wait()
-		b.StopTimer()
-		report(b, int64(perSite)*sites)
-	}
-	b.Run("striped", func(b *testing.B) { run(b, false) })
-	b.Run("buffered", func(b *testing.B) { run(b, true) })
 }
 
 // loadedTracker builds a tracker over the named network and feeds it events

@@ -58,17 +58,12 @@
 // computation outside the locks, so producers share almost no serialized
 // work beyond the counter increments themselves.
 //
-// Config.DeltaBuffered goes one step further: ingestion becomes lock-free —
-// each goroutine accumulates exact increment counts into a private
-// DeltaBuffer and publishes on a cadence (Config.DeltaFlushEvents, an
-// explicit Flush, or the barrier every query and checkpoint path runs), with
-// the counter message protocol replayed on the merged totals. Exact counts
-// and the (ε, δ) guarantee are preserved; Events and Messages lag until a
-// publish. See the core.Tracker documentation for the full three-mode
-// contract. SaveState/LoadState require ingestion to be quiesced for a
-// meaningful stream position. Nothing else does: the time-decayed view
-// (internal/decay) rotates its blocks under the tracker's own locks
-// (Tracker.Rotate), so ingestion may race a block boundary.
+// These are the two ingestion engines, sequential and striped; see the
+// core.Tracker documentation for their full contract. SaveState/LoadState
+// require ingestion to be quiesced for a meaningful stream position.
+// Nothing else does: the time-decayed view (internal/decay) rotates its
+// blocks under the tracker's own locks (Tracker.Rotate), so ingestion may
+// race a block boundary.
 //
 // # Storage and query performance
 //

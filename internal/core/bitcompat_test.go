@@ -20,12 +20,12 @@ import (
 // FNV-64a hash over every exact cell count, every raw counter estimate
 // (ReadCPDRows) and every full-joint query answer bit pattern.
 //
-// The guarantee under test: a tracker with Shards ≤ 1 and DeltaBuffered =
-// false replays the historical sequential tracker bit-for-bit — same counts,
-// same message schedule, same query answers — for a fixed seed and event
-// order. Any change that shifts an RNG draw, reorders increments, or touches
-// the estimate arithmetic of the reference mode breaks this test and must
-// either be fixed or be an explicit, documented format/protocol bump.
+// The guarantee under test: a tracker with Shards ≤ 1 (the sequential
+// engine) replays the historical sequential tracker bit-for-bit — same
+// counts, same message schedule, same query answers — for a fixed seed and
+// event order. Any change that shifts an RNG draw, reorders increments, or
+// touches the estimate arithmetic of the reference mode breaks this test and
+// must either be fixed or be an explicit, documented format/protocol bump.
 func TestSequentialModeBitCompat(t *testing.T) {
 	m := testModel(t)
 	const sites, events = 4, 6000
@@ -71,7 +71,7 @@ func TestSequentialModeBitCompat(t *testing.T) {
 			}
 			if want := golden[v.name]; got != want {
 				t.Errorf("sequential-mode fingerprint drifted:\n got  %s\n want %s\n"+
-					"(Shards<=1, DeltaBuffered=false must stay bit-identical to PR 2 HEAD)", got, want)
+					"(Shards<=1 must stay bit-identical to PR 2 HEAD)", got, want)
 			}
 		})
 	}

@@ -12,13 +12,13 @@ import (
 
 // This file is the randomized-interleaving equivalence harness: it replays
 // one fixed event sequence through the sequential reference tracker and
-// through concurrent trackers (striped and delta-buffered) under seeded
-// random goroutine schedules, then asserts that exact counts are identical
-// and that every randomized counter estimate stays within its protocol
-// bound. The schedules are deterministic in their seed, so a failure
-// reproduces; the goroutine interleavings underneath are not, which is the
-// point — under `go test -race` this doubles as the data-race probe for
-// every ingestion mode x strategy combination.
+// through striped trackers under seeded random goroutine schedules, then
+// asserts that exact counts are identical and that every randomized counter
+// estimate stays within its protocol bound. The schedules are deterministic
+// in their seed, so a failure reproduces; the goroutine interleavings
+// underneath are not, which is the point — under `go test -race` this
+// doubles as the data-race probe for every stripe count x strategy
+// combination.
 //
 // The helpers (replayRandomSchedule, assertExactEquivalence,
 // assertEstimatesWithinBound) are reusable: any test that adds a new
@@ -28,12 +28,10 @@ import (
 // schedule derived from seed: the stream is cut into randomly sized chunks
 // dealt to random workers, and each worker replays its chunks in order
 // through a randomly chosen entry point per chunk — per-event Update,
-// UpdateEvents, UpdateBatch when the chunk is single-site, or an explicit
-// DeltaBuffer on delta-buffered trackers — with scheduling-point yields
-// sprinkled in. A FlushDeltas barrier runs before returning, so the tracker
-// is fully caught up. Exact counts are schedule-independent; randomized
-// estimates and message tallies are not, which is exactly what the
-// assertions below distinguish.
+// UpdateEvents, or UpdateBatch when the chunk is single-site — with
+// scheduling-point yields sprinkled in. Exact counts are
+// schedule-independent; randomized estimates and message tallies are not,
+// which is exactly what the assertions below distinguish.
 func replayRandomSchedule(tb testing.TB, tr *Tracker, evs []Event, workers int, seed uint64) {
 	tb.Helper()
 	rng := bn.NewRNG(seed)
@@ -44,28 +42,20 @@ func replayRandomSchedule(tb testing.TB, tr *Tracker, evs []Event, workers int, 
 		chunks[w] = append(chunks[w], evs[lo:hi])
 		lo = hi
 	}
-	buffered := tr.Config().DeltaBuffered
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int, wseed uint64) {
 			defer wg.Done()
 			wrng := bn.NewRNG(wseed)
-			var buf *DeltaBuffer
-			if buffered {
-				buf = tr.NewDeltaBuffer()
-				defer buf.Release()
-			}
 			for _, chunk := range chunks[w] {
-				choice := wrng.Intn(4)
+				choice := wrng.Intn(3)
 				switch {
 				case choice == 0:
 					for _, ev := range chunk {
 						tr.Update(ev.Site, ev.X)
 					}
-				case choice == 1 && buf != nil:
-					buf.AddEvents(chunk)
-				case choice == 2 && singleSite(chunk):
+				case choice == 1 && singleSite(chunk):
 					xs := make([][]int, len(chunk))
 					for i := range chunk {
 						xs[i] = chunk[i].X
@@ -81,7 +71,6 @@ func replayRandomSchedule(tb testing.TB, tr *Tracker, evs []Event, workers int, 
 		}(w, seed^(uint64(w)*0x9e3779b97f4a7c15+1))
 	}
 	wg.Wait()
-	tr.FlushDeltas()
 }
 
 func singleSite(evs []Event) bool {
@@ -155,8 +144,8 @@ func assertEstimatesWithinBound(t *testing.T, tr *Tracker) {
 
 // TestRandomScheduleEquivalence is the harness entry point: for every
 // strategy (and the deterministic-counter ablation), the same event stream
-// is replayed sequentially and then through striped and delta-buffered
-// trackers under several seeded random schedules.
+// is replayed sequentially and then through striped trackers of two stripe
+// counts under seeded random schedules.
 func TestRandomScheduleEquivalence(t *testing.T) {
 	m := testModel(t)
 	const sites = 4
@@ -166,17 +155,12 @@ func TestRandomScheduleEquivalence(t *testing.T) {
 	}
 	evs := genEventStream(m, sites, events, 23)
 
-	type mode struct {
-		name     string
-		shards   int
-		buffered bool
-		cadence  int
-		workers  int
-	}
-	modes := []mode{
+	modes := []struct {
+		name            string
+		shards, workers int
+	}{
 		{name: "striped", shards: 3, workers: 4},
-		{name: "buffered", shards: 1, buffered: true, cadence: 256, workers: 4},
-		{name: "buffered-striped", shards: 3, buffered: true, cadence: 512, workers: 3},
+		{name: "striped-2", shards: 2, workers: 3},
 	}
 
 	variants := make([]Config, 0, len(allStrategies)+1)
@@ -209,8 +193,6 @@ func TestRandomScheduleEquivalence(t *testing.T) {
 				t.Run(md.name, func(t *testing.T) {
 					cfg := base
 					cfg.Shards = md.shards
-					cfg.DeltaBuffered = md.buffered
-					cfg.DeltaFlushEvents = md.cadence
 					tr, err := NewTracker(m.Network(), cfg)
 					if err != nil {
 						t.Fatal(err)
@@ -224,9 +206,10 @@ func TestRandomScheduleEquivalence(t *testing.T) {
 	}
 }
 
-// TestRandomScheduleEquivalenceSeeds re-runs one configuration under many
-// schedule seeds — cheap extra interleaving coverage for the buffered mode
-// on top of the full strategy sweep above.
+// TestRandomScheduleEquivalenceSeeds re-runs one strategy under many
+// schedule seeds, stripe counts (2, 3, 5) and writer counts (3–5) — cheap
+// extra interleaving coverage for the striped engine on top of the full
+// strategy sweep above.
 func TestRandomScheduleEquivalenceSeeds(t *testing.T) {
 	m := testModel(t)
 	const sites = 4
@@ -245,14 +228,12 @@ func TestRandomScheduleEquivalenceSeeds(t *testing.T) {
 	for seed := uint64(0); seed < 6; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			cfg := cfgFor(NonUniform, 2)
-			cfg.DeltaBuffered = true
-			cfg.DeltaFlushEvents = 128 << seed // vary the publish cadence too
-			tr, err := NewTracker(m.Network(), cfg)
+			shards := []int{2, 3, 5}[seed%3]
+			tr, err := NewTracker(m.Network(), cfgFor(NonUniform, shards))
 			if err != nil {
 				t.Fatal(err)
 			}
-			replayRandomSchedule(t, tr, evs, 3+int(seed%3), seed*131+5)
+			replayRandomSchedule(t, tr, evs, 3+int(seed/2%3), seed*131+5)
 			assertExactEquivalence(t, ref, tr)
 			assertEstimatesWithinBound(t, tr)
 		})

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -89,8 +91,8 @@ func TestStripedSingleWriterSchedule(t *testing.T) {
 }
 
 // TestMessagesWhileIngesting runs two writers against a striped tracker —
-// one through UpdateEvents, one through Update, then a delta-buffer flush —
-// while a third goroutine polls Messages: the published tally never goes
+// one through UpdateEvents, one through Update, then a third through
+// UpdateEvents alone — while another goroutine polls Messages: the published tally never goes
 // backwards, and once the writers have returned it is complete (for ExactMLE
 // exactly 2·n messages per event; no stripe is left holding an unpublished
 // tally). Under -race this is also the proof that stripe-local tallies are
@@ -146,11 +148,10 @@ func TestMessagesWhileIngesting(t *testing.T) {
 				}
 			}()
 			writers.Wait()
-			// The last quarter arrives through a delta buffer, alone, so that
-			// its flush is the final locked section on every stripe.
-			buf := tr.NewDeltaBuffer()
-			buf.AddEvents(evs[3*events/4:])
-			buf.Release()
+			// The last quarter arrives through one UpdateEvents writer, alone,
+			// so that its last pass is the final locked section on every
+			// stripe.
+			tr.UpdateEvents(evs[3*events/4:])
 			stop.Store(true)
 			poller.Wait()
 
@@ -171,5 +172,77 @@ func TestMessagesWhileIngesting(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDeprecatedDeltaKnobsAreAliases: DeltaBuffered and DeltaFlushEvents
+// change nothing. With them set, a single writer feeding fixed batches gets
+// the tracker Shards selects — the same Events, Messages, estimates and
+// checkpoint bytes as without them — and a DeltaBuffer's AddEvents has
+// ingested before any Flush.
+func TestDeprecatedDeltaKnobsAreAliases(t *testing.T) {
+	m := testModel(t)
+	net := m.Network()
+	evs := genEventStream(m, 4, 3000, 31)
+	det := cfgFor(NonUniform, 0)
+	det.Counter, det.Delta = DeterministicCounter, 0
+	for _, shards := range []int{1, 3} {
+		for _, base := range []Config{cfgFor(NonUniform, 0), cfgFor(ExactMLE, 0), det} {
+			base.Shards = shards
+			t.Run(fmt.Sprintf("%s-counter%d-shards=%d", base.Strategy, base.Counter, shards), func(t *testing.T) {
+				run := func(cfg Config) *Tracker {
+					tr, err := NewTracker(net, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for lo := 0; lo < len(evs); lo += 64 {
+						tr.UpdateEvents(evs[lo:min(lo+64, len(evs))])
+					}
+					return tr
+				}
+				aliased := base
+				aliased.DeltaBuffered, aliased.DeltaFlushEvents = true, 7
+				want, got := run(base), run(aliased)
+				if got.Events() != want.Events() || got.Messages() != want.Messages() {
+					t.Fatalf("events %d messages %+v, want %d %+v", got.Events(), got.Messages(), want.Events(), want.Messages())
+				}
+				var wr, gr CPDRows
+				for i := 0; i < net.Len(); i++ {
+					want.ReadCPDRows(i, &wr)
+					got.ReadCPDRows(i, &gr)
+					for c := range wr.Pair {
+						if math.Float64bits(gr.Pair[c]) != math.Float64bits(wr.Pair[c]) {
+							t.Fatalf("var %d pair cell %d: %v, want %v", i, c, gr.Pair[c], wr.Pair[c])
+						}
+					}
+					for c := range wr.Par {
+						if math.Float64bits(gr.Par[c]) != math.Float64bits(wr.Par[c]) {
+							t.Fatalf("var %d parent cell %d: %v, want %v", i, c, gr.Par[c], wr.Par[c])
+						}
+					}
+				}
+				if !bytes.Equal(stateBytes(t, got), stateBytes(t, want)) {
+					t.Error("SaveState bytes differ")
+				}
+
+				buf := got.NewDeltaBuffer()
+				buf.AddEvents(evs[:64])
+				if got.Events() != want.Events()+64 {
+					t.Errorf("events after AddEvents = %d, want %d before any Flush", got.Events(), want.Events()+64)
+				}
+				buf.Flush()
+				buf.Release()
+			})
+		}
+	}
+}
+
+// TestDeltaFlushEventsValidation rejects a negative cadence.
+func TestDeltaFlushEventsValidation(t *testing.T) {
+	m := testModel(t)
+	cfg := cfgFor(Uniform, 1)
+	cfg.DeltaFlushEvents = -1
+	if _, err := NewTracker(m.Network(), cfg); err == nil {
+		t.Error("negative DeltaFlushEvents accepted")
 	}
 }

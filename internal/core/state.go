@@ -57,7 +57,6 @@ func (t *Tracker) fingerprint() uint64 {
 // the event, later ones not yet): quiesce ingestion first for a consistent
 // snapshot, not just for a specific stream position.
 func (t *Tracker) SaveState(w io.Writer) error {
-	t.FlushDeltas() // quiescence is required anyway; publish parked deltas
 	t.lockAll()
 	defer t.unlockAll()
 	cw, err := NewCkptWriter(w, stateMagic)
@@ -107,10 +106,6 @@ func (t *Tracker) SaveState(w io.Writer) error {
 // (including the same Shards); a fingerprint mismatch is rejected. Any
 // cached model snapshot is invalidated.
 func (t *Tracker) LoadState(r io.Reader) error {
-	// Publish (and thereby empty) any parked delta buffers so they cannot
-	// fold pre-restore increments into the restored state at a later flush.
-	// As with SaveState, callers must quiesce ingestion around the call.
-	t.FlushDeltas()
 	// rebuildMu before the stripe locks — the same order snapshot rebuilds
 	// use — so a query racing LoadState blocks instead of deadlocking; it
 	// also lets invalidateSnapshotLocked run under the stripe locks below.

@@ -14,10 +14,9 @@
 //	NONUNIFORM  ν_i, µ_i from the Lagrange allocation, eqs. (7)-(8) (IV-E)
 //	NAIVEBAYES  the Naïve-Bayes specialization, eq. (9) (Section V)
 //
-// Ingestion runs in one of three concurrency modes — sequential (the
-// bit-reproducible reference), striped (Config.Shards lock stripes) and
-// delta-buffered (Config.DeltaBuffered, per-goroutine buffers merged on a
-// cadence) — documented on the Tracker type in tracker.go.
+// Ingestion runs in one of two engines, chosen by Config.Shards — sequential
+// (the bit-reproducible reference) and striped (Shards > 1 lock stripes) —
+// documented on the Tracker type in tracker.go.
 package core
 
 import (

@@ -33,36 +33,31 @@ type Config struct {
 	// classification: each CPD cell behaves as (A+s)/(Apar+s·J_i). Zero (the
 	// default) reproduces the paper's unsmoothed estimator.
 	Smoothing float64
-	// Shards is the number of lock stripes of the concurrent ingestion
-	// engine. Variable i's counter banks belong to stripe i mod Shards, and
-	// every stripe owns an independent RNG. 0 and 1 both mean a single
-	// stripe, which keeps one global event-major update order and one RNG
-	// and therefore reproduces the historical sequential tracker exactly
-	// (same counts, same message tallies, same query answers for a fixed
-	// seed and event order, however the caller batches). Shards > 1 lets
-	// concurrent updates proceed on different stripes in parallel and applies
-	// each batch bank by bank (see applyIndexed); exact counts stay exact,
-	// but randomized-counter message schedules then depend on the
-	// interleaving of writers and on how each writer batches its events — a
-	// single writer is reproducible for a fixed seed, event order and
-	// batching.
+	// Shards selects the ingestion engine and is the number of its lock
+	// stripes. 0 and 1 both mean the sequential reference engine: one
+	// stripe, one RNG, one global event-major update order, which
+	// reproduces the historical sequential tracker exactly (same counts,
+	// same message tallies, same query answers for a fixed seed and event
+	// order, however the caller batches). Shards > 1 is the striped engine:
+	// variable i's counter banks belong to stripe i mod Shards, every stripe
+	// owns an independent RNG, concurrent updates proceed on different
+	// stripes in parallel and each batch is applied bank by bank (see
+	// applyIndexed). Exact counts stay exact, but randomized-counter message
+	// schedules then depend on the interleaving of writers and on how each
+	// writer batches its events — a single writer is reproducible for a
+	// fixed seed, event order and batching.
 	Shards int
-	// DeltaBuffered selects the lock-free ingestion mode: every ingestion
-	// entry point accumulates exact increment counts into a per-goroutine
-	// DeltaBuffer and publishes on a cadence (DeltaFlushEvents, an explicit
-	// Flush, or a query barrier) by folding the buffer into the shared banks
-	// with one stripe acquisition per stripe and replaying the counter
-	// message protocol on the merged totals (counter.Bank.Merge). Exact
-	// counts are preserved under any interleaving and the randomized
-	// counters keep their (ε, δ) guarantee, but estimates, message tallies
-	// and Events lag until a publish, and message schedules correspond to a
-	// batched interleaving — like Shards > 1, this mode trades the
-	// sequential tracker's bit-reproducibility for throughput. See
-	// deltabuf.go for the lifecycle and memory footprint.
+	// DeltaBuffered is ignored: a tracker built with it is the sequential
+	// or striped tracker Shards selects.
+	//
+	// Deprecated: it selected a delta-buffered ingestion mode that is gone;
+	// the name remains because the frozen repository benchmark (benchmarks/)
+	// sets it.
 	DeltaBuffered bool
-	// DeltaFlushEvents is the publish cadence of delta-buffered ingestion:
-	// a buffer that accumulates this many events publishes inline. 0 means
-	// the default (1024). Ignored unless DeltaBuffered.
+	// DeltaFlushEvents is ignored, like DeltaBuffered; a negative value is
+	// still rejected.
+	//
+	// Deprecated: see DeltaBuffered.
 	DeltaFlushEvents int
 }
 
@@ -116,14 +111,13 @@ type Event struct {
 // Concurrency model: all ingestion entry points (Update, UpdateBatch,
 // UpdateEvents, Ingest) and all query entry points (QueryProb, QueryCPD,
 // Classify, ExactCount, EstimatedModel, ...) are safe to call from multiple
-// goroutines, in any of three ingestion modes:
+// goroutines, in either of two ingestion engines:
 //
-//   - Sequential (Shards ≤ 1, DeltaBuffered false): one lock stripe, one
-//     RNG, one global update order. Bit-identical to the historical
-//     sequential tracker for a fixed seed and event order — same counts,
-//     same message tallies, same query answers (the reference mode, pinned
-//     by TestSequentialModeBitCompat).
-//   - Striped (Shards > 1, DeltaBuffered false): counter banks are
+//   - Sequential (Shards ≤ 1): one lock stripe, one RNG, one global update
+//     order. Bit-identical to the historical sequential tracker for a fixed
+//     seed and event order — same counts, same message tallies, same query
+//     answers (the reference mode, pinned by TestSequentialModeBitCompat).
+//   - Striped (Shards > 1): counter banks are
 //     partitioned into Config.Shards lock stripes by variable index; an
 //     update walks the stripes in ascending order, so two concurrent
 //     updates pipeline across stripes instead of serializing, and under
@@ -134,24 +128,13 @@ type Event struct {
 //     schedules depend on the interleaving and on the batching (a single
 //     writer is deterministic for a fixed seed and batching) but keep the
 //     (ε, δ) guarantee. Reads are immediate, as in sequential mode.
-//   - Delta-buffered (DeltaBuffered true, any Shards): ingestion
-//     accumulates exact increment counts into per-goroutine DeltaBuffers
-//     with no shared-state access at all, publishing on a cadence by
-//     folding each buffer into the banks under one stripe acquisition per
-//     stripe (counter.Bank.Merge replays the message protocol on the
-//     merged totals). Exact counts stay exact and the (ε, δ) guarantee
-//     holds, but Events/Messages lag until a publish and message schedules
-//     correspond to a batched interleaving; the query, checkpoint and
-//     snapshot paths all start with a FlushDeltas barrier so reads always
-//     see every increment published before the barrier.
 //
 // Message accounting: the flat banks of a stripe tally messages with plain
 // adds into the stripe's private tally, published to the atomic sink behind
 // Messages at the end of every locked mutation section (unlockMutated) —
 // not one LOCK XADD per message. While ingestion is in flight Messages
-// therefore trails the counters by at most one locked section per stripe (a
-// pass, or a delta flush); once the ingesting calls have returned it is
-// exact.
+// therefore trails the counters by at most one locked section (a pass) per
+// stripe; once the ingesting calls have returned it is exact.
 //
 // Concurrent queries must not share mutable arguments — Classify scratches
 // x[target] in the caller's slice, so each goroutine needs its own x.
@@ -196,20 +179,6 @@ type Tracker struct {
 
 	scratch sync.Pool // *passScratch of the ingestion engine (applyIndexed)
 
-	// deltaFlushEvery is the normalized publish cadence of delta-buffered
-	// ingestion (Config.DeltaFlushEvents, defaulted).
-	deltaFlushEvery int64
-	// deltaMu guards the delta-buffer registry and free list. deltaBufs
-	// holds every live buffer (FlushDeltas barriers walk it); deltaFree are
-	// the checked-in buffers recycled by the implicit entry points.
-	deltaMu   sync.Mutex
-	deltaBufs []*DeltaBuffer
-	deltaFree []*DeltaBuffer
-	// deltaPending counts buffers currently holding unpublished events, so
-	// the FlushDeltas barrier is one atomic load when there is nothing to
-	// publish.
-	deltaPending atomic.Int32
-
 	// snap is the last published model snapshot (nil until the first
 	// structured query).
 	snap atomic.Pointer[modelSnapshot]
@@ -241,9 +210,9 @@ type shard struct {
 	// under mu; unlockMutated publishes it to Tracker.metrics.
 	tally counter.Metrics
 	// version counts mutations of this stripe's banks. It is incremented
-	// under mu at the end of every locked mutation section (a pass or a
-	// delta flush) and read with atomic loads by the snapshot validator: a
-	// snapshot built when every stripe version matched is current.
+	// under mu at the end of every locked mutation section and read with
+	// atomic loads by the snapshot validator: a snapshot built when every
+	// stripe version matched is current.
 	version atomic.Uint64
 	vars    []int
 }
@@ -272,11 +241,7 @@ func NewTracker(net *bn.Network, cfg Config) (*Tracker, error) {
 		pair:  make([]*counter.Bank, net.Len()),
 		par:   make([]*counter.Bank, net.Len()),
 
-		rowPools:        make([]sync.Pool, net.Len()),
-		deltaFlushEvery: int64(cfg.DeltaFlushEvents),
-	}
-	if t.deltaFlushEvery == 0 {
-		t.deltaFlushEvery = defaultDeltaFlushEvents
+		rowPools: make([]sync.Pool, net.Len()),
 	}
 	nShards := cfg.numShards()
 	if nShards > net.Len() && net.Len() > 0 {
@@ -347,16 +312,13 @@ func (t *Tracker) Config() Config { return t.cfg }
 // Allocation returns the per-variable counter error parameters in use.
 func (t *Tracker) Allocation() Allocation { return t.alloc }
 
-// Events returns the number of training observations processed. In
-// delta-buffered mode this counts published events only — increments parked
-// in unflushed buffers appear after the next publish or FlushDeltas barrier.
+// Events returns the number of training observations processed; an
+// ingesting call's events count once all of them have reached the counters.
 func (t *Tracker) Events() int64 { return t.events.Load() }
 
 // Messages returns a snapshot of the protocol messages exchanged so far;
 // safe to call while ingestion is in flight, when it may lag the counters by
-// the locked section in flight on each stripe (see the type comment). Like
-// Events, in delta-buffered mode the tallies reflect published increments
-// only.
+// the locked section in flight on each stripe (see the type comment).
 func (t *Tracker) Messages() counter.Metrics { return t.metrics.Snapshot() }
 
 func (t *Tracker) checkSite(site int) {
@@ -368,9 +330,7 @@ func (t *Tracker) checkSite(site int) {
 // Update records one training observation x received at the given site
 // (Algorithm 2): for every variable the pair counter and the parent counter
 // of the observed configuration are incremented. Safe for concurrent use;
-// with a single stripe, concurrent callers serialize in arrival order. In
-// delta-buffered mode the observation is parked in a pooled buffer and
-// published on the flush cadence rather than immediately.
+// with a single stripe, concurrent callers serialize in arrival order.
 func (t *Tracker) Update(site int, x []int) {
 	t.checkSite(site)
 	t.applyIndexed(1, func(int) []int { return x }, func(int) int { return site })
@@ -395,8 +355,7 @@ type passScratch struct {
 }
 
 // applyIndexed is the ingestion engine behind Update (m = 1), UpdateBatch,
-// UpdateEvents and Ingest. A delta-buffered tracker accumulates into a pooled
-// buffer. Otherwise the m events are cut into passes; for each pass the
+// UpdateEvents and Ingest. The m events are cut into passes; for each pass the
 // goroutine-local phase computes every event's pair and parent cell with no
 // lock held (the bulk of the per-event CPU work, and perfectly parallel
 // across producers) into a variable-major scratch, and the merge phase walks
@@ -421,16 +380,6 @@ type passScratch struct {
 // coincide there and Inc beats a one-pair IncBatch.
 func (t *Tracker) applyIndexed(m int, xAt func(int) []int, siteAt func(int) int) {
 	if m == 0 {
-		return
-	}
-	if t.cfg.DeltaBuffered {
-		// Sites are already validated by the callers. The free-list checkout
-		// costs two deltaMu acquisitions per call — amortized by batching
-		// here; per-event hot loops should hold an explicit NewDeltaBuffer
-		// instead (as the parallel drivers do).
-		d := t.getDelta()
-		d.addIndexedChecked(m, xAt, siteAt)
-		t.putDelta(d)
 		return
 	}
 	n := t.net.Len()
@@ -521,10 +470,8 @@ func (t *Tracker) UpdateEvents(events []Event) {
 // returned count always matches what reached the counters — every receive
 // is followed by a flush before the cancellation check, and the exit paths
 // flush defensively so the invariant survives future restructuring of the
-// drain loop. In delta-buffered mode the pump owns one buffer for its
-// lifetime and publishes it before returning, so the invariant holds at
-// return there too. Multiple Ingest pumps may run concurrently on one
-// tracker; the count of events this pump ingested is returned either way.
+// drain loop. Multiple Ingest pumps may run concurrently on one tracker;
+// each returns the count of events it ingested.
 func (t *Tracker) Ingest(ctx context.Context, events <-chan Event) (int64, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -533,23 +480,11 @@ func (t *Tracker) Ingest(ctx context.Context, events <-chan Event) (int64, error
 	done := ctx.Done()
 	batch := make([]Event, 0, maxBatch)
 	var ingested int64
-	var buf *DeltaBuffer
-	if t.cfg.DeltaBuffered {
-		buf = t.getDelta()
-		defer func() {
-			buf.Flush()
-			t.putDelta(buf)
-		}()
-	}
 	flush := func() {
 		if len(batch) == 0 {
 			return
 		}
-		if buf != nil {
-			buf.AddEvents(batch)
-		} else {
-			t.UpdateEvents(batch)
-		}
+		t.UpdateEvents(batch)
 		ingested += int64(len(batch))
 		batch = batch[:0]
 	}
@@ -638,7 +573,6 @@ type CPDRows struct {
 // in-flight updates. Estimates are raw; apply Config.Smoothing downstream
 // as (Pair[c]+s)/(Par[pidx]+s·J_i).
 func (t *Tracker) ReadCPDRows(i int, rows *CPDRows) {
-	t.FlushDeltas()
 	j, k := t.net.Card(i), t.net.ParentCard(i)
 	rows.Pair = growFloats(rows.Pair, j*k)
 	rows.Par = growFloats(rows.Par, k)
@@ -784,7 +718,6 @@ const staleQueryRebuildThreshold = 3
 // cached snapshot goes stale (see staleQueryRebuildThreshold). Both paths
 // produce bit-identical answers.
 func (t *Tracker) pointSnapshot() *modelSnapshot {
-	t.FlushDeltas() // barrier first, so a "fresh" cache can't hide parked deltas
 	if s := t.acquireSnap(); s != nil {
 		if t.snapFresh(s) {
 			return s
@@ -803,7 +736,6 @@ func (t *Tracker) pointSnapshot() *modelSnapshot {
 // makes the row ownership hand-off to the successor snapshot safe — while
 // the fresh-cache fast path stays lock-free.
 func (t *Tracker) snapshot() *modelSnapshot {
-	t.FlushDeltas()
 	if s := t.acquireSnap(); s != nil {
 		if t.snapFresh(s) {
 			return s
@@ -899,17 +831,15 @@ func (t *Tracker) invalidateSnapshotLocked() {
 	}
 }
 
-// Rotate is the block boundary of a time-decayed view (internal/decay).
-// After the FlushDeltas barrier it takes rebuildMu and then every stripe
-// lock; under them it hands fold each variable's raw rows (what ReadCPDRows
-// reads; fold must not keep rows, and must not call back into the tracker,
-// whose locks it runs under) and returns both of the variable's banks to
-// their just-built state (counter.Bank.Reset). RNG states, Messages and
-// Events carry on, and the cached snapshot is invalidated. Ingestion may
-// race a rotation: each stripe's increments land wholly before it or wholly
-// after it.
+// Rotate is the block boundary of a time-decayed view (internal/decay). It
+// takes rebuildMu and then every stripe lock; under them it hands fold each
+// variable's raw rows (what ReadCPDRows reads; fold must not keep rows, and
+// must not call back into the tracker, whose locks it runs under) and
+// returns both of the variable's banks to their just-built state
+// (counter.Bank.Reset). RNG states, Messages and Events carry on, and the
+// cached snapshot is invalidated. Ingestion may race a rotation: each
+// stripe's increments land wholly before it or wholly after it.
 func (t *Tracker) Rotate(fold func(i int, rows *CPDRows)) {
-	t.FlushDeltas()
 	t.rebuildMu.Lock()
 	defer t.rebuildMu.Unlock()
 	t.lockAll()
@@ -954,7 +884,6 @@ func (t *Tracker) QuerySubsetProb(set []int, x []int) float64 {
 // QueryCPD estimates the single CPD entry P[X_i = v | parent config pidx]
 // with a live per-cell read (no snapshot involved).
 func (t *Tracker) QueryCPD(i, v, pidx int) float64 {
-	t.FlushDeltas()
 	return t.cpdFactor(i, v, pidx)
 }
 
@@ -984,7 +913,6 @@ func (t *Tracker) EstimatedModel() (*bn.Model, error) {
 // cell; used by evaluation code to compute the exact-MLE reference from the
 // same tracker run. Both counts are read under the variable's stripe lock.
 func (t *Tracker) ExactCount(i, v, pidx int) (pairCount, parCount int64) {
-	t.FlushDeltas()
 	sh := t.stripeOf(i)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()

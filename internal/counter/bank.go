@@ -403,125 +403,25 @@ func (b *Bank) recordCount(s int) int64 {
 	return n
 }
 
-// Merge folds a delta of per-(cell, site) increment counts into the bank,
-// replaying each cell's counter protocol on the merged totals. delta is
-// indexed cell*k + site and must have length Cells()·k; a mismatched length
-// panics, like a slice misuse.
+// Merge folds a delta of per-(cell, site) increment counts into the bank by
+// replay: cells ascending, then sites, each (cell, site) run applied back to
+// back through Inc. delta is indexed cell*k + site and must have length
+// Cells()·k; a mismatched length panics, like a slice misuse. Exact totals
+// equal those of any other order of the same increments; message schedules
+// and randomized estimates are those of this one.
 //
-// Merging is equivalent to calling Inc once per recorded increment with the
-// increments of one (cell, site) run applied back to back: exact totals are
-// identical to any other interleaving of the same multiset (Inc totals are
-// commutative), while message schedules and randomized estimates correspond
-// to that batched interleaving — the same interleaving-dependence already
-// accepted for sharded ingestion, so the per-counter (ε, δ) guarantee is
-// preserved. The built-in kinds take bulk fast paths where the protocol
-// allows: ExactKind folds a whole cell in O(1), the sampling kinds bulk-add
-// the exact-mode prefix of a run and (for the deterministic counter) whole
-// report quanta, falling back to per-increment replay only where an RNG draw
-// or a threshold crossing requires it. This is the merge half of the
-// tracker's delta-buffered ingestion mode (core.Config.DeltaBuffered).
+// Nothing in the module calls Merge. It stays because the frozen repository
+// benchmark (benchmarks/) times it as its counter.merge_ns_per_cell probe.
 func (b *Bank) Merge(delta []int64) {
 	k, cells := b.k, len(b.word)
 	if len(delta) != cells*k {
 		panic(fmt.Sprintf("counter: merge delta length %d, want %d (%d cells x %d sites)", len(delta), cells*k, cells, k))
 	}
-	switch b.kind {
-	case ExactKind:
-		var msgs int64
-		for cell := range b.word {
-			var sum int64
-			for _, c := range delta[cell*k : (cell+1)*k] {
-				sum += c
+	for cell := range cells {
+		for site, c := range delta[cell*k : (cell+1)*k] {
+			for ; c > 0; c-- {
+				b.Inc(cell, site)
 			}
-			b.word[cell] += sum
-			msgs += sum
-		}
-		b.metrics.SiteToCoord += msgs
-	default:
-		for cell := range b.word {
-			for site, c := range delta[cell*k : (cell+1)*k] {
-				if c > 0 && b.kind == HYZKind {
-					b.mergeHYZ(cell, site, c)
-				} else if c > 0 {
-					b.mergeDet(cell, site, c)
-				}
-			}
-		}
-	}
-}
-
-// mergeHYZ replays c increments of cell at site. The exact-mode prefix is
-// bulk-added (each increment forwards one message and the round opens exactly
-// when the count reaches the threshold, so the fold is bit-identical to the
-// per-increment loop); sampling-mode increments replay individually because
-// each draws the report coin.
-func (b *Bank) mergeHYZ(cell, site int, c int64) {
-	if v := b.word[cell]; v >= 0 {
-		if step := min(b.exactThresh-v, c); step > 0 {
-			v += step
-			b.word[cell] = v
-			b.metrics.SiteToCoord += step
-			c -= step
-		}
-		if v >= b.exactThresh {
-			b.openRoundHYZ(cell)
-		}
-		if c == 0 {
-			return
-		}
-	}
-	// Per-increment replay with the site's delta and the round's threshold
-	// hoisted into locals; a report can reset the round (d and pThresh
-	// change), so d is written back before and both are reloaded after each
-	// one. The record is the cell's already, so nothing reallocates under st.
-	s := int(^b.word[cell])
-	st := &b.sites[s*b.k+site]
-	d, pt := st.d, b.hyz[s].pThresh
-	for ; c > 0; c-- {
-		d++
-		if b.rng.Uint64() < pt {
-			st.d = d
-			b.reportHYZ(cell, s, site)
-			d, pt = st.d, b.hyz[s].pThresh
-		}
-	}
-	st.d = d
-}
-
-// mergeDet replays c increments of cell at site. Exact mode replays per
-// increment (the round-opening threshold is a ceil of the running count);
-// sampling mode advances whole report quanta at a time — a report fires on
-// the increment that lifts the site's pending delta to the quantum, so a run
-// folds into ⌊c/quantum⌋ reports plus a remainder, matching the
-// per-increment loop exactly.
-func (b *Bank) mergeDet(cell, site int, c int64) {
-	for v := b.word[cell]; v >= 0; v = b.word[cell] {
-		if c == 0 {
-			return
-		}
-		v++
-		b.word[cell] = v
-		b.metrics.SiteToCoord++
-		c--
-		if q := int64(math.Ceil(b.eps * float64(v) / float64(b.k))); q >= 2 {
-			b.openRoundDet(cell)
-		}
-	}
-	s := int(^b.word[cell])
-	rd, p := &b.det.rounds[s], &b.det.pending[s*b.k+site]
-	for c > 0 {
-		need := rd.quantum - *p // increments until a report fires
-		if need > c {
-			*p += c
-			return
-		}
-		*p += need
-		c -= need
-		b.metrics.SiteToCoord++
-		rd.reported += *p
-		*p = 0
-		if rd.reported >= rd.base {
-			b.openRoundDet(cell) // resets every site's pending, new quantum
 		}
 	}
 }

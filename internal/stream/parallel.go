@@ -67,11 +67,8 @@ func NewSiteTrainings(model *bn.Model, sites int, seed uint64) []*Training {
 // goroutine per stream, in batches of batchSize events whose buffers are
 // reused across batches. Sampling and parent-index computation run fully in
 // parallel; only the counter increments serialize on the tracker's lock
-// stripes. On a delta-buffered tracker each goroutine instead accumulates
-// into its own DeltaBuffer — contention-free ingestion — and publishes it
-// before the driver returns, so the tracker is fully caught up afterwards.
-// Each goroutine's event sequence is deterministic in its stream's seed.
-// Returns the total number of events ingested.
+// stripes. Each goroutine's event sequence is deterministic in its stream's
+// seed. Returns the total number of events ingested.
 func DriveParallel(tr *core.Tracker, streams []*Training, perSite, batchSize int) int64 {
 	if perSite <= 0 {
 		return 0
@@ -80,17 +77,11 @@ func DriveParallel(tr *core.Tracker, streams []*Training, perSite, batchSize int
 		batchSize = 256
 	}
 	n := tr.Network().Len()
-	buffered := tr.Config().DeltaBuffered
 	var wg sync.WaitGroup
 	for s := range streams {
 		wg.Add(1)
 		go func(st *Training) {
 			defer wg.Done()
-			var buf *core.DeltaBuffer
-			if buffered {
-				buf = tr.NewDeltaBuffer()
-				defer buf.Release()
-			}
 			evs := make([]core.Event, batchSize)
 			for i := range evs {
 				evs[i].X = make([]int, n)
@@ -102,11 +93,7 @@ func DriveParallel(tr *core.Tracker, streams []*Training, perSite, batchSize int
 					evs[j].Site = site
 					copy(evs[j].X, x)
 				}
-				if buf != nil {
-					buf.AddEvents(evs[:m])
-				} else {
-					tr.UpdateEvents(evs[:m])
-				}
+				tr.UpdateEvents(evs[:m])
 				remaining -= m
 			}
 		}(streams[s])

@@ -131,57 +131,6 @@ func TestDriveParallelMatchesSequentialReplay(t *testing.T) {
 	}
 }
 
-// exactCellsEqual compares every exact (pair, parent) cell count of two
-// trackers over the same network.
-func exactCellsEqual(t *testing.T, want, got *core.Tracker) {
-	t.Helper()
-	net := want.Network()
-	for i := 0; i < net.Len(); i++ {
-		for pidx := 0; pidx < net.ParentCard(i); pidx++ {
-			for v := 0; v < net.Card(i); v++ {
-				gp, gq := got.ExactCount(i, v, pidx)
-				wp, wq := want.ExactCount(i, v, pidx)
-				if gp != wp || gq != wq {
-					t.Fatalf("cell (%d,%d,%d) = (%d,%d), want (%d,%d)", i, v, pidx, gp, gq, wp, wq)
-				}
-			}
-		}
-	}
-}
-
-// TestDriveParallelBuffered: the delta-buffered wiring of DriveParallel must
-// produce the same exact counts as a sequential replay of the same
-// sub-streams, with the tracker fully published when the driver returns.
-func TestDriveParallelBuffered(t *testing.T) {
-	m := smallModel(t)
-	const sites, perSite = 4, 1500
-	seq, err := core.NewTracker(m.Network(), core.Config{
-		Strategy: core.NonUniform, Eps: 0.1, Sites: sites, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, st := range NewSiteTrainings(m, sites, 27) {
-		for _, ev := range st.NextEvents(nil, perSite) {
-			seq.Update(ev.Site, ev.X)
-		}
-	}
-
-	buf, err := core.NewTracker(m.Network(), core.Config{
-		Strategy: core.NonUniform, Eps: 0.1, Sites: sites, Seed: 5,
-		Shards: 2, DeltaBuffered: true, DeltaFlushEvents: 200,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := DriveParallel(buf, NewSiteTrainings(m, sites, 27), perSite, 128)
-	if total != sites*perSite || buf.Events() != sites*perSite {
-		t.Fatalf("ingested %d (tracker %d), want %d — buffered drive must publish before returning",
-			total, buf.Events(), sites*perSite)
-	}
-	exactCellsEqual(t, seq, buf)
-}
-
 // TestProduceFeedsIngest wires Produce → Tracker.Ingest with one producer
 // per site over a shared channel.
 func TestProduceFeedsIngest(t *testing.T) {

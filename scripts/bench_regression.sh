@@ -3,8 +3,7 @@
 # throughput regressions against the committed BENCH_BASELINE.txt.
 #
 # The gate is intentionally narrow: it fails only when a throughput
-# benchmark (BenchmarkParallelIngest, BenchmarkDeltaIngest,
-# BenchmarkClusterThroughput, BenchmarkFederationThroughput,
+# benchmark (BenchmarkParallelIngest, BenchmarkClusterThroughput, BenchmarkFederationThroughput,
 # BenchmarkServeQueries,
 # BenchmarkServeOverload — anything reporting events/sec or queries/sec;
 # for the overload benchmark queries/sec is the admitted-request
@@ -32,7 +31,7 @@ cd "$(dirname "$0")/.."
 BASELINE=${BENCH_BASELINE:-BENCH_BASELINE.txt}
 THRESHOLD=${BENCH_REGRESSION_PCT:-30}
 BENCH_TIME=${BENCH_TIME:-1s}
-PATTERN='BenchmarkParallelIngest|BenchmarkDeltaIngest|BenchmarkQueryProb|BenchmarkClassify$|BenchmarkEstimatedModel|BenchmarkNewTracker|BenchmarkClusterThroughput|BenchmarkStructLearnOverhead|BenchmarkPairAccumulate|BenchmarkStructFrame|BenchmarkSiteEvent|BenchmarkSample$|BenchmarkBankIncBatch|BenchmarkFederationThroughput|BenchmarkServeQueries|BenchmarkServeOverload'
+PATTERN='BenchmarkParallelIngest|BenchmarkQueryProb|BenchmarkClassify$|BenchmarkEstimatedModel|BenchmarkNewTracker|BenchmarkClusterThroughput|BenchmarkStructLearnOverhead|BenchmarkPairAccumulate|BenchmarkStructFrame|BenchmarkSiteEvent|BenchmarkSample$|BenchmarkBankIncBatch|BenchmarkFederationThroughput|BenchmarkServeQueries|BenchmarkServeOverload'
 
 # BenchmarkPairAccumulate, BenchmarkStructFrame, BenchmarkSiteEvent,
 # BenchmarkSample and BenchmarkBankIncBatch live beside the kernels they
