@@ -10,37 +10,13 @@ import (
 	"testing"
 	"time"
 
-	"distbayes/internal/bn"
 	"distbayes/internal/cluster"
 	"distbayes/internal/core"
-	"distbayes/internal/counter"
 	"distbayes/internal/netgen"
 	"distbayes/internal/stream"
 )
 
 // --- micro-benchmarks of the hot paths ---
-
-func BenchmarkCounterExactInc(b *testing.B) {
-	var m counter.Metrics
-	c := counter.NewExact(&m)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Inc(i & 7)
-	}
-}
-
-func BenchmarkCounterHYZInc(b *testing.B) {
-	var m counter.Metrics
-	rng := bn.NewRNG(1)
-	c, err := counter.NewHYZ(30, 0.01, 0.25, &m, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Inc(i % 30)
-	}
-}
 
 func benchTrackerUpdate(b *testing.B, strategy core.Strategy) {
 	b.Helper()

@@ -12,7 +12,7 @@
 // The package is a thin facade over the implementation packages:
 //
 //	internal/bn          Bayesian-network substrate (DAG, CPTs, sampling)
-//	internal/counter     distributed counters (exact, HYZ randomized, deterministic)
+//	internal/counter     distributed counters (exact and HYZ randomized banks)
 //	internal/core        the tracking algorithms (EXACTMLE, BASELINE, UNIFORM,
 //	                     NONUNIFORM, Naïve-Bayes specialization) with their
 //	                     Lagrange error-budget allocator (eqs. 5-9), and the
@@ -79,7 +79,7 @@
 // rows through a per-variable pool, so a steady-state ingest+query mix
 // rebuilds dirty rows from recycled storage instead of allocating one row
 // per variable per rebuild. Every tracker caches: its banks are only ever
-// the three built-in counter kinds, mutated under the stripe locks.
+// the two built-in counter kinds, mutated under the stripe locks.
 //
 // There is one snapshot type and one query kernel. core.Snapshot is an
 // immutable set of per-variable factor rows with its network, version, build

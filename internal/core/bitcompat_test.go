@@ -15,8 +15,7 @@ import (
 //
 //	DISTBAYES_GEN_BITCOMPAT=1 go test ./internal/core -run TestSequentialModeBitCompat -v
 //
-// and they cover, per strategy (plus the deterministic-counter ablation):
-// the event count, the exact site→coord / coord→site message tallies, and an
+// and they cover, per strategy: the event count, the exact site→coord / coord→site message tallies, and an
 // FNV-64a hash over every exact cell count, every raw counter estimate
 // (ReadCPDRows) and every full-joint query answer bit pattern.
 //
@@ -42,15 +41,13 @@ func TestSequentialModeBitCompat(t *testing.T) {
 		{name: "Uniform", cfg: Config{Strategy: Uniform, Eps: 0.15, Delta: 0.25, Sites: sites, Seed: 42}},
 		{name: "NonUniform", cfg: Config{Strategy: NonUniform, Eps: 0.15, Delta: 0.25, Sites: sites, Seed: 42}},
 		{name: "NaiveBayes", cfg: Config{Strategy: NaiveBayes, Eps: 0.15, Delta: 0.25, Sites: sites, Seed: 42}},
-		{name: "NonUniform-deterministic", cfg: Config{Strategy: NonUniform, Eps: 0.15, Sites: sites, Seed: 42, Counter: DeterministicCounter}},
 	}
 	golden := map[string]string{
-		"ExactMLE":                 "6000 36000 0 0228541afda8fb3d",
-		"Baseline":                 "6000 10836 304 7d58ce9552c2a7d8",
-		"Uniform":                  "6000 20889 196 c97a069f69e3b16d",
-		"NonUniform":               "6000 21063 192 1b4d45b8cfa8ce38",
-		"NaiveBayes":               "6000 21158 196 9cb67466b4f7cc6c",
-		"NonUniform-deterministic": "6000 21988 120 56c7ff5c69d1e7bb",
+		"ExactMLE":   "6000 36000 0 0228541afda8fb3d",
+		"Baseline":   "6000 10836 304 7d58ce9552c2a7d8",
+		"Uniform":    "6000 20889 196 c97a069f69e3b16d",
+		"NonUniform": "6000 21063 192 1b4d45b8cfa8ce38",
+		"NaiveBayes": "6000 21158 196 9cb67466b4f7cc6c",
 	}
 
 	gen := os.Getenv("DISTBAYES_GEN_BITCOMPAT") != ""

@@ -99,20 +99,15 @@ func assertExactEquivalence(t *testing.T, ref, got *Tracker) {
 
 // estimateBound returns the allowed |estimate - exact| slack for a counter
 // with error parameter eps tracking an exact count of n. ExactMLE (and any
-// eps = 0 allocation) must be exact. The deterministic counter's bound is a
-// theorem — unreported site deltas total at most ε·base + k — while the
-// randomized counter's is its ε·C guarantee with headroom for the
-// expectation-corrected tail (the harness seeds are fixed, so this is a
-// deterministic regression check, not a flaky statistical one).
+// eps = 0 allocation) must be exact; the randomized counter's bound is its
+// ε·C guarantee with headroom for the expectation-corrected tail (the harness
+// seeds are fixed, so this is a deterministic regression check, not a flaky
+// statistical one).
 func estimateBound(cfg Config, eps float64, n int64) float64 {
 	if eps == 0 {
 		return 0
 	}
-	k := float64(cfg.Sites)
-	if cfg.Counter == DeterministicCounter {
-		return eps*float64(n) + k + 1
-	}
-	return 3*eps*float64(n) + math.Sqrt(k)/eps + 1
+	return 3*eps*float64(n) + math.Sqrt(float64(cfg.Sites))/eps + 1
 }
 
 // assertEstimatesWithinBound walks every bank cell and fails where the
@@ -143,8 +138,7 @@ func assertEstimatesWithinBound(t *testing.T, tr *Tracker) {
 }
 
 // TestRandomScheduleEquivalence is the harness entry point: for every
-// strategy (and the deterministic-counter ablation), the same event stream
-// is replayed sequentially and then through striped trackers of two stripe
+// strategy, the same event stream is replayed sequentially and then through striped trackers of two stripe
 // counts under seeded random schedules.
 func TestRandomScheduleEquivalence(t *testing.T) {
 	m := testModel(t)
@@ -163,22 +157,9 @@ func TestRandomScheduleEquivalence(t *testing.T) {
 		{name: "striped-2", shards: 2, workers: 3},
 	}
 
-	variants := make([]Config, 0, len(allStrategies)+1)
-	for _, st := range allStrategies {
-		variants = append(variants, cfgFor(st, 0))
-	}
-	detCfg := cfgFor(NonUniform, 0)
-	detCfg.Counter = DeterministicCounter
-	detCfg.Delta = 0
-	variants = append(variants, detCfg)
-
-	for vi, base := range variants {
-		base := base
-		name := base.Strategy.String()
-		if base.Counter == DeterministicCounter {
-			name += "-deterministic"
-		}
-		t.Run(name, func(t *testing.T) {
+	for vi, st := range allStrategies {
+		base := cfgFor(st, 0)
+		t.Run(st.String(), func(t *testing.T) {
 			ref, err := NewTracker(m.Network(), base)
 			if err != nil {
 				t.Fatal(err)

@@ -3,22 +3,27 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 
 	"distbayes/internal/bn"
 )
 
 // fuzzConfigs are the tracker shapes FuzzLoadState decodes into — one per
-// bank kind (randomized, deterministic, exact), plus a multi-stripe variant
-// whose checkpoint carries several RNG states.
+// bank kind (randomized, exact), plus a multi-stripe variant whose
+// checkpoint carries several RNG states. Slot 1 held the removed
+// deterministic counter; it stays, empty and skipped, so the committed
+// corpus files keep their cfg<slot> names, and its files are now
+// checkpoints every tracker refuses (TestLoadStateRefusesDeterministicCounter).
 func fuzzConfigs() []Config {
 	return []Config{
 		{Strategy: NonUniform, Eps: 0.15, Delta: 0.25, Sites: 3, Seed: 7},
-		{Strategy: NonUniform, Eps: 0.15, Sites: 3, Seed: 7, Counter: DeterministicCounter},
+		{},
 		{Strategy: ExactMLE, Sites: 3, Seed: 7},
 		{Strategy: Uniform, Eps: 0.2, Delta: 0.25, Sites: 3, Seed: 7, Shards: 2},
 	}
@@ -45,6 +50,9 @@ func fuzzNet() *bn.Network {
 func FuzzLoadState(f *testing.F) {
 	net := fuzzNet()
 	for i, cfg := range fuzzConfigs() {
+		if cfg == (Config{}) {
+			continue
+		}
 		tr, err := NewTracker(net, cfg)
 		if err != nil {
 			f.Fatal(err)
@@ -65,8 +73,14 @@ func FuzzLoadState(f *testing.F) {
 		f.Add(flipped)
 		if i == 0 {
 			f.Add(exactCellWithSiteState(f, net, snap))
-			f.Add(countEdited(f, snap, false, func(int64) int64 { return -1 }))
-			f.Add(countEdited(f, snap, true, func(n int64) int64 { return n + 1 }))
+			f.Add(cellWordEdited(f, snap, false, countWord, func(int64) int64 { return -1 }))
+			f.Add(cellWordEdited(f, snap, true, countWord, func(n int64) int64 { return n + 1 }))
+			f.Add(cellWordEdited(f, snap, true, estSumWord, func(n int64) int64 { return n + 1_000_000 }))
+			f.Add(cellWordEdited(f, snap, true, nReportersWord, func(int64) int64 { return 1<<40 + 3 }))
+			// The same checkpoint claiming the removed deterministic counter.
+			renamed := append([]byte(nil), snap...)
+			binary.LittleEndian.PutUint64(renamed[len(stateMagic):], tr.fingerprint(deterministicCounterWord))
+			f.Add(renamed)
 		}
 	}
 	f.Add([]byte("DBAYES03"))
@@ -74,6 +88,9 @@ func FuzzLoadState(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, cfg := range fuzzConfigs() {
+			if cfg == (Config{}) {
+				continue
+			}
 			tr, err := NewTracker(net, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -116,13 +133,21 @@ func exactCellWithSiteState(t testing.TB, net *bn.Network, snap []byte) []byte {
 	return bad
 }
 
-// countEdited returns a copy of a cfg0 (randomized, 3 sites) checkpoint in
-// which the count of the first cell in the given mode, bank by bank, is edit
-// of itself. A negative count, or a sampling cell's count that is not its
-// round record's base + Σ d, is rejected by the record decoders: a bank word
-// holds a count or a record index, and a sampling cell's count is its
-// record's.
-func countEdited(t testing.TB, snap []byte, sampling bool, edit func(int64) int64) []byte {
+// Offsets, in a HYZ bank record of the given cell count, of a cell's count
+// and of its estSum and nReporters words (a record's planes follow 9 bytes a
+// cell: the counts and the mode flags).
+func countWord(cells, cell int) int      { return 18 + 8*cell }
+func estSumWord(cells, cell int) int     { return 18 + 9*cells + 8*(cells+cell) }
+func nReportersWord(cells, cell int) int { return 18 + 9*cells + 8*(2*cells+cell) }
+
+// cellWordEdited returns a copy of a cfg0 (randomized, 3 sites) checkpoint
+// in which the word at `at` of the first cell in the given mode, bank by
+// bank, is edit of itself. The record decoders reject a negative count, a
+// sampling cell's count that is not its round record's base + Σ d (a bank
+// word holds a count or a record index, and a sampling cell's count is its
+// record's), and an estSum or nReporters that is not the sum or number of
+// the sites' reported deltas.
+func cellWordEdited(t testing.TB, snap []byte, sampling bool, at func(cells, cell int) int, edit func(int64) int64) []byte {
 	// magic, fingerprint, events, two tallies, one RNG state; then
 	// length-prefixed bank records: a version and kind byte, the cell and
 	// site counts, a count per cell, a mode flag per cell, the planes.
@@ -132,8 +157,8 @@ func countEdited(t testing.TB, snap []byte, sampling bool, edit func(int64) int6
 		for cell := 0; cell < cells; cell++ {
 			if (bank[18+8*cells+cell] == 1) == sampling {
 				bad := append([]byte(nil), snap...)
-				at := bad[rec+8+18+8*cell:]
-				binary.LittleEndian.PutUint64(at, uint64(edit(int64(binary.LittleEndian.Uint64(at)))))
+				w := bad[rec+8+at(cells, cell):]
+				binary.LittleEndian.PutUint64(w, uint64(edit(int64(binary.LittleEndian.Uint64(w)))))
 				return bad
 			}
 		}
@@ -173,6 +198,9 @@ func TestWriteFuzzLoadStateCorpus(t *testing.T) {
 	}
 	net := fuzzNet()
 	for i, cfg := range fuzzConfigs() {
+		if cfg == (Config{}) {
+			continue // slot 1's files are refusal cases no build rewrites
+		}
 		tr, err := NewTracker(net, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -201,5 +229,34 @@ func TestWriteFuzzLoadStateCorpus(t *testing.T) {
 		if i == 0 {
 			write(prefix+"-exact-cell-site-state", exactCellWithSiteState(t, net, snap))
 		}
+	}
+}
+
+// TestLoadStateRefusesDeterministicCounter loads the committed checkpoints of
+// fuzz slot 1 — written by a NonUniform tracker (ε 0.15, 3 sites, seed 7)
+// running the removed deterministic counter — into the HYZ tracker of that
+// configuration: each is refused by name, before the tracker changes.
+func TestLoadStateRefusesDeterministicCounter(t *testing.T) {
+	tr, err := NewTracker(fuzzNet(), Config{Strategy: NonUniform, Eps: 0.15, Sites: 3, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := stateBytes(t, tr)
+	for _, name := range []string{"cfg1-valid", "cfg1-truncated", "cfg1-bitflip"} {
+		file, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzLoadState", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		quoted, ok := strings.CutPrefix(string(file), "go test fuzz v1\n[]byte(")
+		data, err := strconv.Unquote(strings.TrimSuffix(quoted, ")\n"))
+		if !ok || err != nil {
+			t.Fatalf("%s: not a []byte corpus file (%v)", name, err)
+		}
+		if err := tr.LoadState(strings.NewReader(data)); !errors.Is(err, errDeterministicCounter) {
+			t.Errorf("%s: err = %v, want %v", name, err, errDeterministicCounter)
+		}
+	}
+	if !bytes.Equal(stateBytes(t, tr), before) {
+		t.Error("a refused load changed the tracker")
 	}
 }

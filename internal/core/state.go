@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -25,10 +26,24 @@ import (
 
 const stateMagic = "DBAYES03"
 
+// Counter words of the fingerprint: the protocol a tracker's approximate
+// banks ran while Config chose one. Every tracker is HYZ now and hashes
+// hyzCounterWord; the deterministic threshold counter that was the other
+// choice is gone, and a checkpoint hashed with its word is refused by name.
+const (
+	hyzCounterWord           = 0
+	deterministicCounterWord = 1
+)
+
+// errDeterministicCounter refuses a checkpoint of a tracker that ran the
+// removed deterministic counter: its banks hold round state no bank decodes.
+var errDeterministicCounter = errors.New("core: snapshot is of a tracker running the deterministic counter, which was removed (only HYZ and exact trackers load)")
+
 // fingerprint binds a snapshot to the network shape and the configuration
 // knobs that affect counter state layout (including the stripe count, which
-// fixes which RNG each randomized counter draws from).
-func (t *Tracker) fingerprint() uint64 {
+// fixes which RNG each randomized counter draws from), hashing counterWord
+// where the tracker's counter protocol goes.
+func (t *Tracker) fingerprint(counterWord uint64) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
 	w := func(v uint64) {
@@ -45,7 +60,7 @@ func (t *Tracker) fingerprint() uint64 {
 	}
 	w(uint64(t.cfg.Strategy))
 	w(uint64(t.cfg.Sites))
-	w(uint64(t.cfg.Counter))
+	w(counterWord)
 	w(math.Float64bits(t.cfg.Eps))
 	w(uint64(len(t.shards)))
 	return h.Sum64()
@@ -63,7 +78,7 @@ func (t *Tracker) SaveState(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := cw.PutU64(t.fingerprint()); err != nil {
+	if err := cw.PutU64(t.fingerprint(hyzCounterWord)); err != nil {
 		return err
 	}
 	if err := cw.PutU64(uint64(t.Events())); err != nil {
@@ -121,8 +136,11 @@ func (t *Tracker) LoadState(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	if fp != t.fingerprint() {
-		return fmt.Errorf("core: snapshot fingerprint %x does not match tracker %x (different network or config)", fp, t.fingerprint())
+	if want := t.fingerprint(hyzCounterWord); fp != want {
+		if fp == t.fingerprint(deterministicCounterWord) {
+			return errDeterministicCounter
+		}
+		return fmt.Errorf("core: snapshot fingerprint %x does not match tracker %x (different network or config)", fp, want)
 	}
 	events, err := cr.U64()
 	if err != nil {

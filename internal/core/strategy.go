@@ -76,18 +76,6 @@ func ParseStrategy(name string) (Strategy, error) {
 	return 0, fmt.Errorf("core: unknown strategy %q", name)
 }
 
-// CounterKind selects the underlying distributed-counter protocol for the
-// approximate strategies; HYZCounter is the paper's choice, the deterministic
-// counter is kept for ablation experiments.
-type CounterKind int
-
-const (
-	// HYZCounter is the randomized counter of Lemma 4 (default).
-	HYZCounter CounterKind = iota
-	// DeterministicCounter is the classical O(k/ε·log T) threshold counter.
-	DeterministicCounter
-)
-
 // Allocation holds the per-variable counter error parameters chosen by a
 // strategy: EpsA[i] parameterizes the pair counters A_i(x_i, x_i^par) and
 // EpsB[i] the parent counters A_i(x_i^par). For ExactMLE both are zero.

@@ -27,8 +27,6 @@ type Config struct {
 	Sites int
 	// Seed makes the randomized counters reproducible.
 	Seed uint64
-	// Counter selects the distributed-counter protocol (default HYZCounter).
-	Counter CounterKind
 	// Smoothing is a Laplace pseudo-count applied in queries and
 	// classification: each CPD cell behaves as (A+s)/(Apar+s·J_i). Zero (the
 	// default) reproduces the paper's unsmoothed estimator.
@@ -272,19 +270,13 @@ func NewTracker(net *bn.Network, cfg Config) (*Tracker, error) {
 	return t, nil
 }
 
-// newBank builds one variable's counter bank of the configured protocol.
+// newBank builds one variable's counter bank: exact for ExactMLE, the HYZ
+// counter of Lemma 4 for the approximate strategies.
 func (t *Tracker) newBank(cells int, eps float64, sh *shard) (*counter.Bank, error) {
 	if t.cfg.Strategy == ExactMLE {
 		return counter.NewBank(counter.ExactKind, cells, t.cfg.Sites, 0, 0, &sh.tally, nil)
 	}
-	switch t.cfg.Counter {
-	case HYZCounter:
-		return counter.NewBank(counter.HYZKind, cells, t.cfg.Sites, eps, t.cfg.Delta, &sh.tally, sh.rng)
-	case DeterministicCounter:
-		return counter.NewBank(counter.DeterministicKind, cells, t.cfg.Sites, eps, 0, &sh.tally, nil)
-	default:
-		return nil, fmt.Errorf("core: unknown counter kind %d", t.cfg.Counter)
-	}
+	return counter.NewBank(counter.HYZKind, cells, t.cfg.Sites, eps, t.cfg.Delta, &sh.tally, sh.rng)
 }
 
 // stripeOf returns the lock stripe owning variable i's counter banks.

@@ -30,7 +30,6 @@ func TestConfigValidation(t *testing.T) {
 		{Strategy: Uniform, Eps: 0.1, Sites: 0},
 		{Strategy: Uniform, Eps: 0.1, Sites: 3, Smoothing: -1},
 		{Strategy: Uniform, Eps: 0.1, Sites: 3, Delta: 1.5},
-		{Strategy: Uniform, Eps: 0.1, Sites: 3, Counter: CounterKind(9)},
 	}
 	for i, cfg := range bad {
 		if _, err := NewTracker(net, cfg); err == nil {
@@ -364,36 +363,6 @@ func TestEstimatedModelEmptyTrackerUniform(t *testing.T) {
 	}
 	if got := est.CPD(1).P(0, 0); math.Abs(got-1.0/3) > 1e-12 {
 		t.Errorf("empty CPD cell = %v, want 1/3", got)
-	}
-}
-
-func TestDeterministicCounterKind(t *testing.T) {
-	m := testModel(t)
-	net := m.Network()
-	tr, err := NewTracker(net, Config{
-		Strategy: Uniform, Eps: 0.1, Sites: 8, Seed: 4, Counter: DeterministicCounter,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, _ := NewTracker(net, Config{Strategy: ExactMLE, Sites: 8})
-	s := m.NewSampler(61)
-	route := bn.NewRNG(62)
-	x := make([]int, net.Len())
-	for e := 0; e < 40000; e++ {
-		s.Sample(x)
-		site := route.Intn(8)
-		tr.Update(site, x)
-		exact.Update(site, x)
-	}
-	if tr.Messages().Total() >= exact.Messages().Total() {
-		t.Errorf("deterministic-counter tracker no cheaper than exact: %d vs %d",
-			tr.Messages().Total(), exact.Messages().Total())
-	}
-	q := []int{0, 0, 0}
-	ratio := tr.QueryProb(q) / exact.QueryProb(q)
-	if ratio < 0.8 || ratio > 1.25 {
-		t.Errorf("deterministic tracker ratio to MLE = %v", ratio)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // # Memory layout
 //
 // A Bank holds the state of `cells` logical counters of one Kind that share
-// a site count k, an error parameter eps, a metrics sink and (for the
+// a site count k, an error parameter eps, a metrics tally and (for the
 // randomized kind) an RNG. Instead of one heap object per counter, state
 // lives in a few slices, split by what each phase of a counter reads:
 //
@@ -21,8 +21,6 @@ import (
 //	a record, HYZ      hyz[s]: pThresh, base, estSum, adj, nReporters
 //	                   (36 B of fields in a 40 B struct); per site
 //	                   sites[s·k+site]: d and r side by side              40 + 16k B
-//	a record, Det.     det.rounds[s]: base, quantum, reported; per site
-//	                   det.pending[s·k+site]                              24 + 8k B
 //
 // A counter forwards every increment until its count reaches the point
 // where reporting less is worthwhile (√k/ε for HYZ), and only then needs
@@ -30,12 +28,11 @@ import (
 // round record when its first round opens (newRecord), not when the bank is
 // built. Until then word[cell] is the cell's exact count (≥ 0); from then on
 // it is ^s (< 0), s being the index of the cell's record. A sampling cell
-// needs no count of its own, because its kind's protocol keeps one in the
-// record: a HYZ count is base + Σ_site d, a deterministic one base +
-// reported + Σ_site pending (a round opens at base and every increment since
-// sits in one site's d or pending, or, reported, in reported). Exact, a new
-// round and the checkpoint writer derive it in O(k); a sampling-mode
-// increment writes no count at all, and an exact-mode one touches one array.
+// needs no count of its own, because the protocol keeps one in the record:
+// its count is base + Σ_site d (a round opens at base and every increment
+// since sits in one site's d). Exact, a new round and the checkpoint writer
+// derive it in O(k); a sampling-mode increment writes no count at all, and an
+// exact-mode one touches one array.
 // On the paper's large networks nearly all cells stay cold — 4.6 % of
 // netgen munin's 123 140 counters have a record after 125k events — which is
 // 8 B a cell against the 109 B (k = 4) of allocating every plane for every
@@ -60,17 +57,16 @@ import (
 // objects — and a whole bank costs O(1) allocations instead of O(cells).
 //
 // The per-cell protocol logic is an exact port of the historical per-cell
-// counters (HYZ, Deterministic, Exact below, which are now thin one-cell
-// views over a Bank): same branch structure, same RNG draw order, same
-// message tallies. A sequence of Inc calls against a bank is bit-identical
-// to the same sequence against individually allocated counters sharing the
-// same RNG, which is what preserves the tracker's Shards=1 reproducibility
-// guarantee; bank_test.go keeps the dense-plane protocol as the oracle the
-// record layout is compared with.
+// counters: same branch structure, same RNG draw order, same message
+// tallies. A sequence of Inc calls against a bank is bit-identical to the
+// same sequence against one-cell banks sharing the same RNG, which is what
+// preserves the tracker's Shards=1 reproducibility guarantee; bank_test.go
+// keeps the dense-plane protocol as the oracle the record layout is compared
+// with.
 //
-// # Three kinds
+// # Two kinds
 //
-// Every bank is one of the three kinds below. A counter that needs state no
+// Every bank is one of the two kinds below. A counter that needs state no
 // kind has is built beside the tracker: the time-decayed counters of
 // internal/decay keep their decayed rows themselves, folding a bank's
 // estimates into them at a block boundary (core.Tracker.Rotate reads them
@@ -80,13 +76,14 @@ import (
 // Kind selects the distributed-counter protocol of a Bank's cells.
 type Kind uint8
 
+// The values are the kind byte of a bank record. 2 is retired: it named a
+// deterministic threshold counter that was removed, so a record carrying it
+// is refused, and no new kind may take it.
 const (
 	// ExactKind forwards every increment to the coordinator (Lemma 5).
 	ExactKind Kind = iota
 	// HYZKind is the randomized counter of Lemma 4 (the paper's choice).
 	HYZKind
-	// DeterministicKind is the classical O(k/ε·log T) threshold counter.
-	DeterministicKind
 )
 
 // Bank is a flat struct-of-arrays bank of `cells` distributed counters that
@@ -100,9 +97,7 @@ const (
 // to exactly one lock stripe and tallies into that stripe's private Metrics,
 // which the stripe publishes to the tracker's live sink (Metrics.DrainTo)
 // before each unlock — the LOCK XADD per message this replaces was 29% of
-// munin ingest while counters run in exact mode. The one-cell views (HYZ,
-// Deterministic) drain after every Inc, so their sink stays a race-safe
-// shared one.
+// munin ingest while counters run in exact mode.
 type Bank struct {
 	// Field order is by cache line of the 64-byte-aligned struct: the first
 	// holds everything an exact-mode increment reads, of every kind, the
@@ -125,31 +120,22 @@ type Bank struct {
 
 	rng *bn.RNG
 
-	// One of hyz and det holds the records, by kind, with the per-site state
-	// of record s at [s*k, (s+1)*k) of sites or of det.pending. det is nil
-	// for the other kinds: the deterministic kind's two slices sit behind one
-	// pointer, so the randomized kind's stay in the header's second line.
+	// The round records of a HYZ bank: record s is hyz[s], with its per-site
+	// state at sites[s*k : (s+1)*k].
 	hyz   []hyzRound
 	sites []hyzSite
-	det   *detRecords
 
-	// The struct is 128 bytes, a size class of its own: the allocator's
-	// 128-byte class is what makes every Bank 64-byte aligned, so each half
-	// is one cache line (TestBankHeaderLines holds both).
-}
-
-// detRecords holds a deterministic bank's round records.
-type detRecords struct {
-	rounds  []detRound
-	pending []int64 // s*k + site
+	// The struct is 120 bytes, in the allocator's 128-byte size class, which
+	// is what makes every Bank 64-byte aligned, so each half is one cache
+	// line (TestBankHeaderLines holds both).
 }
 
 // NewBank creates a bank of cells counters of the given kind over k sites
 // with error parameter eps, tallying messages into metrics with plain
 // (non-atomic) adds. metrics and rng (which feeds the randomized kind and is
-// ignored by the others) may be shared with other banks driven under the same
+// ignored by the exact one) may be shared with other banks driven under the same
 // lock. delta is accepted for interface fidelity with DistCounter(ε, δ) and
-// unused (see the HYZ type comment).
+// unused (see the package comment).
 func NewBank(kind Kind, cells, k int, eps, delta float64, metrics *Metrics, rng *bn.RNG) (*Bank, error) {
 	_ = delta
 	if cells < 0 || cells > math.MaxInt32 {
@@ -172,11 +158,6 @@ func NewBank(kind Kind, cells, k int, eps, delta float64, metrics *Metrics, rng 
 			return nil, fmt.Errorf("counter: randomized bank needs an RNG")
 		}
 		b.exactThresh = ExactThreshold(k, eps)
-	case DeterministicKind:
-		if err := validate(k, eps); err != nil {
-			return nil, err
-		}
-		b.det = new(detRecords)
 	default:
 		return nil, fmt.Errorf("counter: unknown bank kind %d", kind)
 	}
@@ -210,20 +191,11 @@ func (b *Bank) newRecord(cell int) int {
 // resizeRecords reallocates the record slices to hold n records, keeping the
 // contents of those that fit.
 func (b *Bank) resizeRecords(n int) {
-	if b.kind == HYZKind {
-		b.hyz, b.sites = resized(b.hyz, n), resized(b.sites, n*b.k)
-	} else {
-		b.det.rounds, b.det.pending = resized(b.det.rounds, n), resized(b.det.pending, n*b.k)
-	}
+	b.hyz, b.sites = resized(b.hyz, n), resized(b.sites, n*b.k)
 }
 
 // room is how many records the record slices hold.
-func (b *Bank) room() int {
-	if b.det != nil {
-		return len(b.det.rounds)
-	}
-	return len(b.hyz)
-}
+func (b *Bank) room() int { return len(b.hyz) }
 
 func resized[T any](s []T, n int) []T {
 	t := make([]T, n)
@@ -270,8 +242,6 @@ func (b *Bank) Inc(cell, site int) {
 		if b.rng.Uint64() < b.hyz[s].pThresh {
 			b.reportHYZ(cell, s, site)
 		}
-	case DeterministicKind:
-		b.incDet(cell, site)
 	}
 }
 
@@ -315,26 +285,17 @@ func (b *Bank) IncBatch(cells, sites []int32) {
 			}
 		}
 		b.metrics.SiteToCoord += forwarded
-	case DeterministicKind:
-		for j, c := range cells {
-			b.incDet(int(c), int(sites[j]))
-		}
 	}
 }
 
 // Estimate returns the coordinator's current estimate of cell's count.
 func (b *Bank) Estimate(cell int) float64 {
 	v := b.word[cell]
-	switch {
-	case v >= 0:
+	if v >= 0 {
 		return float64(v)
-	case b.kind == HYZKind:
-		rd := &b.hyz[^v]
-		return float64(rd.base) + rd.inRound()
-	default: // DeterministicKind
-		rd := &b.det.rounds[^v]
-		return float64(rd.base + rd.reported)
 	}
+	rd := &b.hyz[^v]
+	return float64(rd.base) + rd.inRound()
 }
 
 // EstimateRange bulk-reads the estimates of cells [lo, hi) into
@@ -364,15 +325,6 @@ func (b *Bank) EstimateRange(lo, hi int, dst []float64) {
 			rd := &hyz[^v]
 			dst[c] = float64(rd.base) + rd.inRound() // Estimate's expression
 		}
-	case DeterministicKind:
-		rounds := b.det.rounds
-		for c, v := range b.word[lo:hi] {
-			if v >= 0 {
-				dst[c] = float64(v)
-				continue
-			}
-			dst[c] = float64(rounds[^v].base + rounds[^v].reported)
-		}
 	}
 }
 
@@ -386,19 +338,11 @@ func (b *Bank) Exact(cell int) int64 {
 }
 
 // recordCount derives the exact count of the cell holding record s from the
-// record, by its kind's invariant (see "Memory layout").
+// record: base + Σ_site d (see "Memory layout").
 func (b *Bank) recordCount(s int) int64 {
-	lo, hi := s*b.k, (s+1)*b.k
-	if b.kind == HYZKind {
-		n := b.hyz[s].base
-		for _, st := range b.sites[lo:hi] {
-			n += st.d
-		}
-		return n
-	}
-	n := b.det.rounds[s].base + b.det.rounds[s].reported
-	for _, p := range b.det.pending[lo:hi] {
-		n += p
+	n := b.hyz[s].base
+	for _, st := range b.sites[s*b.k : (s+1)*b.k] {
+		n += st.d
 	}
 	return n
 }
@@ -437,7 +381,7 @@ func (b *Bank) openRecord(cell int) (s int, count int64) {
 	return s, b.recordCount(s)
 }
 
-// --- HYZ protocol on flat state (see the HYZ type comment for the math) ---
+// --- HYZ protocol on flat state (see the package comment for the math) ---
 
 // hyzRound is the coordinator's half of a randomized counter's round record.
 type hyzRound struct {
@@ -497,49 +441,4 @@ func (b *Bank) openRoundHYZ(cell int) {
 	*rd = hyzRound{base: count}
 	rd.setProb(ReportProb(b.k, b.eps, rd.base))
 	clear(b.sites[s*b.k : (s+1)*b.k])
-}
-
-// --- deterministic threshold protocol on flat state ---
-
-// detRound is the coordinator's half of a deterministic counter's round
-// record: sites report every quantum local increments, reported sums them.
-type detRound struct{ base, quantum, reported int64 }
-
-func (b *Bank) incDet(cell, site int) {
-	v := b.word[cell]
-	if v >= 0 {
-		v++
-		b.word[cell] = v
-		b.metrics.SiteToCoord++
-		// Exact until a quantum of at least 2 is worthwhile. Computed per
-		// increment (not cached) to stay bit-identical to the historical
-		// per-cell counter, whose threshold depends on the running count.
-		if q := int64(math.Ceil(b.eps * float64(v) / float64(b.k))); q >= 2 {
-			b.openRoundDet(cell)
-		}
-		return
-	}
-	s := int(^v)
-	rd, p := &b.det.rounds[s], &b.det.pending[s*b.k+site]
-	*p++
-	if *p >= rd.quantum {
-		b.metrics.SiteToCoord++
-		rd.reported += *p
-		*p = 0
-		if rd.reported >= rd.base {
-			b.openRoundDet(cell)
-		}
-	}
-}
-
-func (b *Bank) openRoundDet(cell int) {
-	s, count := b.openRecord(cell)
-	b.metrics.SiteToCoord += int64(b.k)
-	b.metrics.CoordToSite += int64(b.k)
-	q := int64(math.Ceil(b.eps * float64(count) / float64(b.k)))
-	if q < 1 {
-		q = 1
-	}
-	b.det.rounds[s] = detRound{base: count, quantum: q}
-	clear(b.det.pending[s*b.k : (s+1)*b.k])
 }

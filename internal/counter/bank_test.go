@@ -2,7 +2,6 @@ package counter
 
 import (
 	"bytes"
-	"encoding"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -17,7 +16,7 @@ import (
 	"distbayes/internal/netgen"
 )
 
-// bankKinds enumerates the built-in flat kinds with a representative eps.
+// bankKinds enumerates the built-in kinds with a representative eps.
 var bankKinds = []struct {
 	name string
 	kind Kind
@@ -25,14 +24,13 @@ var bankKinds = []struct {
 }{
 	{"exact", ExactKind, 0},
 	{"hyz", HYZKind, 0.1},
-	{"deterministic", DeterministicKind, 0.1},
 }
 
-// TestBankMatchesPerCellCounters drives an N-cell bank and N individually
-// allocated counters sharing one RNG through the same interleaved schedule
-// and asserts bit-identical estimates, exact counts and message tallies —
-// the invariant behind the tracker's Shards=1 reproducibility guarantee
-// across the flat-layout refactor.
+// TestBankMatchesPerCellCounters drives an N-cell bank and N one-cell banks
+// sharing one RNG through the same interleaved schedule and asserts
+// bit-identical estimates, exact counts and message tallies — the invariant
+// behind the tracker's Shards=1 reproducibility guarantee across the
+// flat-layout refactor.
 func TestBankMatchesPerCellCounters(t *testing.T) {
 	const cells, k, n = 5, 6, 60000
 	for _, tc := range bankKinds {
@@ -45,45 +43,32 @@ func TestBankMatchesPerCellCounters(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref := make([]Counter, cells)
+			ref := make([]*Bank, cells)
 			for c := range ref {
-				switch tc.kind {
-				case ExactKind:
-					ref[c] = NewExact(&mCells)
-				case HYZKind:
-					ref[c], err = NewHYZ(k, tc.eps, 0.25, &mCells, rngCells)
-				case DeterministicKind:
-					ref[c], err = NewDeterministic(k, tc.eps, &mCells)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
+				ref[c] = newCell(t, tc.kind, k, tc.eps, &mCells, rngCells)
 			}
 
 			sched := bn.NewRNG(7)
 			for i := 0; i < n; i++ {
 				cell, site := sched.Intn(cells), sched.Intn(k)
 				bank.Inc(cell, site)
-				ref[cell].Inc(site)
+				ref[cell].Inc(0, site)
 				if i%997 == 0 {
 					for c := 0; c < cells; c++ {
-						if bank.Estimate(c) != ref[c].Estimate() {
-							t.Fatalf("step %d cell %d: bank estimate %v != per-cell %v",
-								i, c, bank.Estimate(c), ref[c].Estimate())
+						if bank.Estimate(c) != ref[c].Estimate(0) {
+							t.Fatalf("step %d cell %d: bank estimate %v != one-cell %v",
+								i, c, bank.Estimate(c), ref[c].Estimate(0))
 						}
 					}
 				}
 			}
 			for c := 0; c < cells; c++ {
-				if bank.Exact(c) != ref[c].Exact() {
-					t.Errorf("cell %d: exact %d != %d", c, bank.Exact(c), ref[c].Exact())
-				}
-				if bank.Estimate(c) != ref[c].Estimate() {
-					t.Errorf("cell %d: estimate %v != %v", c, bank.Estimate(c), ref[c].Estimate())
+				if bank.Exact(c) != ref[c].Exact(0) || bank.Estimate(c) != ref[c].Estimate(0) {
+					t.Errorf("cell %d: exact/estimate %d/%v, one-cell %d/%v", c, bank.Exact(c), bank.Estimate(c), ref[c].Exact(0), ref[c].Estimate(0))
 				}
 			}
 			if mBank.Snapshot() != mCells.Snapshot() {
-				t.Errorf("messages: bank %+v != per-cell %+v", mBank.Snapshot(), mCells.Snapshot())
+				t.Errorf("messages: bank %+v != one-cell %+v", mBank, mCells)
 			}
 		})
 	}
@@ -156,7 +141,7 @@ func TestBankStateRejectsMismatch(t *testing.T) {
 	if b, err := NewBank(HYZKind, 3, 5, 0.1, 0.25, &m, bn.NewRNG(1)); err == nil {
 		cases["site-count"] = b
 	}
-	if b, err := NewBank(DeterministicKind, 3, 4, 0.1, 0, &m, nil); err == nil {
+	if b, err := NewBank(ExactKind, 3, 4, 0, 0, &m, nil); err == nil {
 		cases["kind"] = b
 	}
 	for name, b := range cases {
@@ -172,8 +157,7 @@ func TestBankStateRejectsMismatch(t *testing.T) {
 	}
 }
 
-// TestBankValidation mirrors the constructor validation of the standalone
-// counters.
+// TestBankValidation covers the constructor's validation.
 func TestBankValidation(t *testing.T) {
 	var m Metrics
 	rng := bn.NewRNG(1)
@@ -253,7 +237,7 @@ func TestBankReset(t *testing.T) {
 // TestIncBatchMatchesInc drives twin banks that share a seed — one through
 // Inc per pair, one through IncBatch over runs of mixed lengths — and asserts
 // bit-identical state bytes, estimates, RNG position and message tallies for
-// the three kinds: IncBatch is a faster spelling of the same increments in
+// both kinds: IncBatch is a faster spelling of the same increments in
 // the same order, nothing else.
 func TestIncBatchMatchesInc(t *testing.T) {
 	const cells, k, n = 5, 6, 60000
@@ -371,52 +355,40 @@ func BenchmarkBankIncBatch(b *testing.B) {
 
 // --- the dense layout, kept as the oracle of the record layout ---
 
-// denseBank is the sampling kinds' protocol on the layout banks had before
-// round records were lazy: one plane per field, every plane allocated for
-// every cell up front and indexed by cell, with a sampling flag per cell. incHYZ, reportHYZ,
-// openRoundHYZ, incDet and openRoundDet are that layout's code verbatim; it
-// has one way to apply an increment (IncBatch and Merge are documented as
-// ordered Inc replay, so the oracle replays) and writes the version-1 bank
-// record the way the dense planes were written, plane by plane.
+// denseBank is the HYZ protocol on the layout banks had before round records
+// were lazy: one plane per field, every plane allocated for every cell up
+// front and indexed by cell, with a sampling flag per cell. inc, reportHYZ
+// and openRoundHYZ are that layout's code verbatim; it has one way to apply
+// an increment (IncBatch and Merge are documented as ordered Inc replay, so
+// the oracle replays) and writes the version-1 bank record the way the dense
+// planes were written, plane by plane.
 type denseBank struct {
-	kind        Kind
 	k, cells    int
 	eps         float64
 	metrics     *Metrics
 	rng         *bn.RNG
 	exactThresh int64
 
-	total, base       []int64
-	sampling          []bool
-	pThresh           []uint64
-	adj               []float64
-	estSum            []int64
-	nReporters        []int32
-	d, r              []int64 // cell*k + site
-	quantum, reported []int64
-	pending           []int64 // cell*k + site
+	total, base []int64
+	sampling    []bool
+	pThresh     []uint64
+	adj         []float64
+	estSum      []int64
+	nReporters  []int32
+	d, r        []int64 // cell*k + site
 }
 
-func newDenseBank(kind Kind, cells, k int, eps float64, metrics *Metrics, rng *bn.RNG) *denseBank {
+func newDenseBank(cells, k int, eps float64, metrics *Metrics, rng *bn.RNG) *denseBank {
 	return &denseBank{
-		kind: kind, k: k, cells: cells, eps: eps, metrics: metrics, rng: rng,
+		k: k, cells: cells, eps: eps, metrics: metrics, rng: rng,
 		exactThresh: ExactThreshold(k, eps),
 		total:       make([]int64, cells), base: make([]int64, cells), sampling: make([]bool, cells),
 		pThresh: make([]uint64, cells), adj: make([]float64, cells), estSum: make([]int64, cells),
 		nReporters: make([]int32, cells), d: make([]int64, cells*k), r: make([]int64, cells*k),
-		quantum: make([]int64, cells), reported: make([]int64, cells), pending: make([]int64, cells*k),
 	}
 }
 
 func (b *denseBank) inc(cell, site int) {
-	if b.kind == HYZKind {
-		b.incHYZ(cell, site)
-	} else {
-		b.incDet(cell, site)
-	}
-}
-
-func (b *denseBank) incHYZ(cell, site int) {
 	b.total[cell]++
 	if !b.sampling[cell] {
 		b.metrics.SiteToCoord++
@@ -470,57 +442,15 @@ func (b *denseBank) inRoundEstimate(cell int) float64 {
 	return float64(b.estSum[cell]) + float64(b.nReporters[cell])*b.adj[cell]
 }
 
-func (b *denseBank) incDet(cell, site int) {
-	b.total[cell]++
-	if !b.sampling[cell] {
-		b.metrics.SiteToCoord++
-		if q := int64(math.Ceil(b.eps * float64(b.total[cell]) / float64(b.k))); q >= 2 {
-			b.openRoundDet(cell)
-		}
-		return
-	}
-	idx := cell*b.k + site
-	b.pending[idx]++
-	if b.pending[idx] >= b.quantum[cell] {
-		b.metrics.SiteToCoord++
-		b.reported[cell] += b.pending[idx]
-		b.pending[idx] = 0
-		if b.reported[cell] >= b.base[cell] {
-			b.openRoundDet(cell)
-		}
-	}
-}
-
-func (b *denseBank) openRoundDet(cell int) {
-	b.sampling[cell] = true
-	b.metrics.SiteToCoord += int64(b.k)
-	b.metrics.CoordToSite += int64(b.k)
-	b.base[cell] = b.total[cell]
-	q := int64(math.Ceil(b.eps * float64(b.base[cell]) / float64(b.k)))
-	if q < 1 {
-		q = 1
-	}
-	b.quantum[cell] = q
-	lo := cell * b.k
-	for i := lo; i < lo+b.k; i++ {
-		b.pending[i] = 0
-	}
-	b.reported[cell] = 0
-}
-
 func (b *denseBank) estimate(cell int) float64 {
-	switch {
-	case !b.sampling[cell]:
+	if !b.sampling[cell] {
 		return float64(b.total[cell])
-	case b.kind == HYZKind:
-		return float64(b.base[cell]) + b.inRoundEstimate(cell)
-	default:
-		return float64(b.base[cell] + b.reported[cell])
 	}
+	return float64(b.base[cell]) + b.inRoundEstimate(cell)
 }
 
 func (b *denseBank) marshal() []byte {
-	buf := []byte{bankStateVersion, byte(b.kind)}
+	buf := []byte{bankStateVersion, byte(HYZKind)}
 	put := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
 	putSlice := func(s []int64) {
 		for _, v := range s {
@@ -538,24 +468,19 @@ func (b *denseBank) marshal() []byte {
 		}
 	}
 	putSlice(b.base)
-	if b.kind == HYZKind {
-		putSlice(b.estSum)
-		for _, n := range b.nReporters {
-			put(uint64(n))
-		}
-		putSlice(b.d)
-		putSlice(b.r)
-	} else {
-		putSlice(b.reported)
-		putSlice(b.pending)
+	putSlice(b.estSum)
+	for _, n := range b.nReporters {
+		put(uint64(n))
 	}
+	putSlice(b.d)
+	putSlice(b.r)
 	return buf
 }
 
 // TestRecordBankMatchesDenseOracle drives a bank and the dense oracle with
 // the same (cell, site) sequence and same-seed RNGs — the bank through a
 // random mix of Inc, IncBatch runs and Merge deltas, with EstimateRange
-// reads in between — for both sampling kinds, k ∈ {1, 4, 30}, and schedules
+// reads in between — for k ∈ {1, 4, 30} and schedules
 // that leave none, one and all of the cells sampling. What the lazy records
 // put at risk is named by the cases: a cell's first round opening in the
 // middle of an IncBatch run (the record slices are reallocated under the
@@ -576,109 +501,107 @@ func TestRecordBankMatchesDenseOracle(t *testing.T) {
 		{"one-sampling", 2000, true, 1},
 		{"all-sampling", 800 * cells, false, cells},
 	}
-	for _, kind := range []Kind{HYZKind, DeterministicKind} {
-		for _, k := range []int{1, 4, 30} {
-			for _, shape := range shapes {
-				t.Run(fmt.Sprintf("kind=%d/k=%d/%s", kind, k, shape.name), func(t *testing.T) {
-					var mBank, mDense Metrics
-					rngBank, rngDense := bn.NewRNG(42), bn.NewRNG(42)
-					bank, err := NewBank(kind, cells, k, 0.1, 0.25, &mBank, rngBank)
-					if err != nil {
-						t.Fatal(err)
-					}
-					dense := newDenseBank(kind, cells, k, 0.1, &mDense, rngDense)
+	for _, k := range []int{1, 4, 30} {
+		for _, shape := range shapes {
+			t.Run(fmt.Sprintf("kind=%d/k=%d/%s", HYZKind, k, shape.name), func(t *testing.T) {
+				var mBank, mDense Metrics
+				rngBank, rngDense := bn.NewRNG(42), bn.NewRNG(42)
+				bank, err := NewBank(HYZKind, cells, k, 0.1, 0.25, &mBank, rngBank)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dense := newDenseBank(cells, k, 0.1, &mDense, rngDense)
 
-					sched := bn.NewRNG(uint64(7 + k))
-					draw := func() (cell, site int) {
-						cell = sched.Intn(cells)
-						if shape.hot && sched.Intn(10) != 0 {
-							cell = 7
-						}
-						return cell, sched.Intn(k)
+				sched := bn.NewRNG(uint64(7 + k))
+				draw := func() (cell, site int) {
+					cell = sched.Intn(cells)
+					if shape.hot && sched.Intn(10) != 0 {
+						cell = 7
 					}
-					var runCells, runSites []int32
-					delta, est := make([]int64, cells*k), make([]float64, cells)
-					midRunFirstRounds := 0
-					for done := 0; done < shape.n; {
-						switch op := sched.Intn(10); {
-						case op < 4:
+					return cell, sched.Intn(k)
+				}
+				var runCells, runSites []int32
+				delta, est := make([]int64, cells*k), make([]float64, cells)
+				midRunFirstRounds := 0
+				for done := 0; done < shape.n; {
+					switch op := sched.Intn(10); {
+					case op < 4:
+						cell, site := draw()
+						bank.Inc(cell, site)
+						dense.inc(cell, site)
+						done++
+					case op < 9:
+						runCells, runSites = runCells[:0], runSites[:0]
+						for m := sched.Intn(71); m > 0; m-- {
 							cell, site := draw()
-							bank.Inc(cell, site)
-							dense.inc(cell, site)
+							runCells, runSites = append(runCells, int32(cell)), append(runSites, int32(site))
+						}
+						before := bank.records
+						bank.IncBatch(runCells, runSites)
+						for i, c := range runCells {
+							dense.inc(int(c), int(runSites[i]))
+						}
+						if len(runCells) > 0 && bank.records > before && ^bank.word[runCells[len(runCells)-1]] < int64(before) {
+							midRunFirstRounds++ // the run went on after a record was handed out
+						}
+						done += len(runCells)
+					default:
+						clear(delta)
+						for m := sched.Intn(40); m > 0; m-- {
+							cell, site := draw()
+							delta[cell*k+site]++
 							done++
-						case op < 9:
-							runCells, runSites = runCells[:0], runSites[:0]
-							for m := sched.Intn(71); m > 0; m-- {
-								cell, site := draw()
-								runCells, runSites = append(runCells, int32(cell)), append(runSites, int32(site))
-							}
-							before := bank.records
-							bank.IncBatch(runCells, runSites)
-							for i, c := range runCells {
-								dense.inc(int(c), int(runSites[i]))
-							}
-							if len(runCells) > 0 && bank.records > before && ^bank.word[runCells[len(runCells)-1]] < int64(before) {
-								midRunFirstRounds++ // the run went on after a record was handed out
-							}
-							done += len(runCells)
-						default:
-							clear(delta)
-							for m := sched.Intn(40); m > 0; m-- {
-								cell, site := draw()
-								delta[cell*k+site]++
-								done++
-							}
-							bank.Merge(delta)
-							for i, c := range delta {
-								for ; c > 0; c-- {
-									dense.inc(i/k, i%k)
-								}
-							}
 						}
-						if mBank != mDense {
-							t.Fatalf("after %d increments: tallies %+v, dense %+v", done, mBank, mDense)
-						}
-						lo := sched.Intn(cells)
-						hi := lo + sched.Intn(cells-lo+1)
-						bank.EstimateRange(lo, hi, est)
-						for c := lo; c < hi; c++ {
-							if math.Float64bits(est[c-lo]) != math.Float64bits(dense.estimate(c)) {
-								t.Fatalf("after %d increments, cell %d: estimate %v, dense %v", done, c, est[c-lo], dense.estimate(c))
+						bank.Merge(delta)
+						for i, c := range delta {
+							for ; c > 0; c-- {
+								dense.inc(i/k, i%k)
 							}
 						}
 					}
-					for c := 0; c < cells; c++ {
-						if bank.Exact(c) != dense.total[c] || math.Float64bits(bank.Estimate(c)) != math.Float64bits(dense.estimate(c)) {
-							t.Errorf("cell %d: %d/%v, dense %d/%v", c, bank.Exact(c), bank.Estimate(c), dense.total[c], dense.estimate(c))
+					if mBank != mDense {
+						t.Fatalf("after %d increments: tallies %+v, dense %+v", done, mBank, mDense)
+					}
+					lo := sched.Intn(cells)
+					hi := lo + sched.Intn(cells-lo+1)
+					bank.EstimateRange(lo, hi, est)
+					for c := lo; c < hi; c++ {
+						if math.Float64bits(est[c-lo]) != math.Float64bits(dense.estimate(c)) {
+							t.Fatalf("after %d increments, cell %d: estimate %v, dense %v", done, c, est[c-lo], dense.estimate(c))
 						}
 					}
-					if rngBank.State() != rngDense.State() {
-						t.Error("RNG positions differ")
+				}
+				for c := 0; c < cells; c++ {
+					if bank.Exact(c) != dense.total[c] || math.Float64bits(bank.Estimate(c)) != math.Float64bits(dense.estimate(c)) {
+						t.Errorf("cell %d: %d/%v, dense %d/%v", c, bank.Exact(c), bank.Estimate(c), dense.total[c], dense.estimate(c))
 					}
-					got, err := bank.MarshalBinary()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(got, dense.marshal()) {
-						t.Error("checkpoint bytes differ from the dense planes'")
-					}
-					if len(got) != bank.StateLen() {
-						t.Errorf("StateLen %d, record is %d bytes", bank.StateLen(), len(got))
-					}
-					if int(bank.records) != shape.sampling {
-						t.Errorf("%d cells sampling at the end, schedule is built for %d", bank.records, shape.sampling)
-					}
-					if shape.sampling == cells && midRunFirstRounds == 0 {
-						t.Error("no IncBatch run continued past a first round: growth under a running loop went untested")
-					}
-				})
-			}
+				}
+				if rngBank.State() != rngDense.State() {
+					t.Error("RNG positions differ")
+				}
+				got, err := bank.MarshalBinary()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, dense.marshal()) {
+					t.Error("checkpoint bytes differ from the dense planes'")
+				}
+				if len(got) != bank.StateLen() {
+					t.Errorf("StateLen %d, record is %d bytes", bank.StateLen(), len(got))
+				}
+				if int(bank.records) != shape.sampling {
+					t.Errorf("%d cells sampling at the end, schedule is built for %d", bank.records, shape.sampling)
+				}
+				if shape.sampling == cells && midRunFirstRounds == 0 {
+					t.Error("no IncBatch run continued past a first round: growth under a running loop went untested")
+				}
+			})
 		}
 	}
 }
 
-// TestRoundRecordGrowthIsBounded runs banks shaped like a tracker's (a pair
-// and a parent bank per alarm variable, alternating the sampling kinds) over
+// TestRoundRecordGrowthIsBounded runs HYZ banks shaped like a tracker's (a
+// pair and a parent bank per alarm variable) over
 // a long stream and checks the promises of newRecord after every growth: the
 // record slices double from one record, so a bank reallocates them at most
 // ⌈log₂ cells⌉ + 1 times and never holds more than 2·records + 1 records nor
@@ -703,9 +626,8 @@ func TestRoundRecordGrowthIsBounded(t *testing.T) {
 	var m Metrics
 	var banks []*tracked
 	for i := 0; i < net.Len(); i++ {
-		kind := []Kind{HYZKind, DeterministicKind}[i%2]
 		for _, cells := range []int{net.Card(i) * net.ParentCard(i), net.ParentCard(i)} {
-			b, err := NewBank(kind, cells, k, 0.01, 0.25, &m, bn.NewRNG(uint64(i)))
+			b, err := NewBank(HYZKind, cells, k, 0.01, 0.25, &m, bn.NewRNG(uint64(i)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -793,16 +715,17 @@ func TestBankHeaderLines(t *testing.T) {
 	}
 }
 
-// fixtureBank builds the bank whose version-1 record is committed as
-// testdata/bank_v1_{hyz,det}.bin: six cells over four sites, driven through
-// Inc, IncBatch and Merge by a fixed skewed schedule that leaves three or
-// four cells sampling, one or two in exact mode and one untouched. The two
-// files were written by this function at the last commit with dense planes
-// (5ec4b4d), which is what makes them fixtures rather than goldens.
-func fixtureBank(t testing.TB, kind Kind) (*Bank, *Metrics) {
+// fixtureBank builds the HYZ bank whose version-1 record is committed as
+// testdata/bank_v1_hyz.bin: six cells over four sites, driven through Inc,
+// IncBatch and Merge by a fixed skewed schedule that leaves four cells
+// sampling, one in exact mode and one untouched. The file was written by
+// this function at the last commit with dense planes (5ec4b4d), which is
+// what makes it a fixture rather than a golden; it counted the tallies in
+// fixtureTallies while producing it.
+func fixtureBank(t testing.TB) (*Bank, *Metrics) {
 	const cells, k = 6, 4
 	m := new(Metrics)
-	b, err := NewBank(kind, cells, k, 0.1, 0.25, m, bn.NewRNG(5))
+	b, err := NewBank(HYZKind, cells, k, 0.1, 0.25, m, bn.NewRNG(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -830,137 +753,109 @@ func fixtureBank(t testing.TB, kind Kind) (*Bank, *Metrics) {
 	return b, m
 }
 
-// bankFixtures names the committed records with the message tallies the
-// dense-plane commit counted while producing them.
-var bankFixtures = []struct {
-	file    string
-	kind    Kind
-	tallies Metrics
-	records int
-}{
-	{"testdata/bank_v1_hyz.bin", HYZKind, Metrics{SiteToCoord: 563, CoordToSite: 84}, 4},
-	{"testdata/bank_v1_det.bin", DeterministicKind, Metrics{SiteToCoord: 689, CoordToSite: 60}, 3},
-}
+const (
+	hyzFixture = "testdata/bank_v1_hyz.bin"
+	// detFixture is the same schedule's record from a deterministic
+	// threshold counter, a kind that is gone: it stays as a record a bank
+	// must refuse.
+	detFixture     = "testdata/bank_v1_det.bin"
+	fixtureRecords = 4
+)
+
+var fixtureTallies = Metrics{SiteToCoord: 563, CoordToSite: 84}
 
 // TestBankV1Fixtures pins the checkpoint format across the layout change:
 // the same increments must produce the committed bytes, and decoding the
 // committed bytes must give a bank that re-encodes to them, holds exactly one
-// record per sampling cell and carries on like the bank that was saved.
+// record per sampling cell and carries on like the bank that was saved. The
+// deterministic fixture is refused by a bank of its shape, which is left as
+// it was.
 func TestBankV1Fixtures(t *testing.T) {
-	for _, fx := range bankFixtures {
-		t.Run(fx.file, func(t *testing.T) {
-			want, err := os.ReadFile(fx.file)
-			if err != nil {
-				t.Fatal(err)
-			}
-			built, m := fixtureBank(t, fx.kind)
-			if got, _ := built.MarshalBinary(); !bytes.Equal(got, want) {
-				t.Error("the fixture's increments no longer produce the fixture's bytes")
-			}
-			if *m != fx.tallies {
-				t.Errorf("tallies %+v, the dense planes counted %+v", *m, fx.tallies)
-			}
-			var m2 Metrics
-			loaded, err := NewBank(fx.kind, built.Cells(), built.k, built.eps, 0.25, &m2, bn.NewRNG(5))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := loaded.UnmarshalBinary(want); err != nil {
-				t.Fatal(err)
-			}
-			if got, _ := loaded.MarshalBinary(); !bytes.Equal(got, want) {
-				t.Error("decode then re-encode changed the record")
-			}
-			if int(loaded.records) != fx.records || loaded.room() != fx.records {
-				t.Errorf("loaded bank holds %d records with room for %d, want exactly %d", loaded.records, loaded.room(), fx.records)
-			}
-			loaded.rng.SetState(built.rng.State())
-			sched := bn.NewRNG(13)
-			for i := 0; i < 5000; i++ {
-				cell, site := sched.Intn(built.Cells()), sched.Intn(built.k)
-				built.Inc(cell, site)
-				loaded.Inc(cell, site)
-			}
-			a, _ := built.MarshalBinary()
-			b, _ := loaded.MarshalBinary()
-			if !bytes.Equal(a, b) {
-				t.Error("the restored bank diverged from the one that was saved")
-			}
-		})
-	}
+	t.Run(hyzFixture, func(t *testing.T) {
+		want, err := os.ReadFile(hyzFixture)
+		if err != nil {
+			t.Fatal(err)
+		}
+		built, m := fixtureBank(t)
+		if got, _ := built.MarshalBinary(); !bytes.Equal(got, want) {
+			t.Error("the fixture's increments no longer produce the fixture's bytes")
+		}
+		if *m != fixtureTallies {
+			t.Errorf("tallies %+v, the dense planes counted %+v", *m, fixtureTallies)
+		}
+		var m2 Metrics
+		loaded, err := NewBank(HYZKind, built.Cells(), built.k, built.eps, 0.25, &m2, bn.NewRNG(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := loaded.UnmarshalBinary(want); err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := loaded.MarshalBinary(); !bytes.Equal(got, want) {
+			t.Error("decode then re-encode changed the record")
+		}
+		if int(loaded.records) != fixtureRecords || loaded.room() != fixtureRecords {
+			t.Errorf("loaded bank holds %d records with room for %d, want exactly %d", loaded.records, loaded.room(), fixtureRecords)
+		}
+		loaded.rng.SetState(built.rng.State())
+		sched := bn.NewRNG(13)
+		for i := 0; i < 5000; i++ {
+			cell, site := sched.Intn(built.Cells()), sched.Intn(built.k)
+			built.Inc(cell, site)
+			loaded.Inc(cell, site)
+		}
+		a, _ := built.MarshalBinary()
+		b, _ := loaded.MarshalBinary()
+		if !bytes.Equal(a, b) {
+			t.Error("the restored bank diverged from the one that was saved")
+		}
+	})
+	t.Run(detFixture, func(t *testing.T) {
+		data, err := os.ReadFile(detFixture)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := fixtureBank(t)
+		before, _ := b.MarshalBinary()
+		if err := b.UnmarshalBinary(data); err == nil {
+			t.Error("a deterministic-kind record loaded into a HYZ bank")
+		}
+		if after, _ := b.MarshalBinary(); !bytes.Equal(after, before) {
+			t.Error("a refused load changed the bank")
+		}
+	})
 }
 
 // TestStateRejectsRoundDataForExactCell: a cell flagged exact-mode has no
 // record, so a checkpoint that gives it round state — in any plane — is
-// refused, by banks and by the one-cell views, and a refused load leaves the
-// receiver as it was.
+// refused, and a refused load leaves the bank as it was.
 func TestStateRejectsRoundDataForExactCell(t *testing.T) {
-	for _, fx := range bankFixtures {
-		data, err := os.ReadFile(fx.file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, _ := fixtureBank(t, fx.kind)
-		const exactCell = 4 // in exact mode in both fixtures
-		widths := []int{1, 1, 1, b.k, b.k}
-		if fx.kind == DeterministicKind {
-			widths = []int{1, 1, b.k}
-		}
-		off := 18 + 9*b.Cells()
-		for plane, w := range widths {
-			bad := bytes.Clone(data)
-			bad[off+8*w*exactCell+8*(w-1)] = 1 // the cell's last word of the plane
-			if err := b.UnmarshalBinary(bad); !errors.Is(err, errExactCellRoundState) {
-				t.Errorf("%s: plane %d: exact-mode cell with round data: err = %v", fx.file, plane, err)
-			}
-			off += 8 * w * b.Cells()
-		}
-		if got, _ := b.MarshalBinary(); !bytes.Equal(got, data) {
-			t.Errorf("%s: a refused load changed the bank", fx.file)
-		}
-	}
-
-	var m Metrics
-	hyz, err := NewHYZ(4, 0.1, 0.25, &m, bn.NewRNG(1))
+	data, err := os.ReadFile(hyzFixture)
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := NewDeterministic(4, 0.1, &m)
-	if err != nil {
-		t.Fatal(err)
+	b, _ := fixtureBank(t)
+	const exactCell = 4 // in exact mode in the fixture
+	off := 18 + 9*b.Cells()
+	for plane, w := range []int{1, 1, 1, b.k, b.k} {
+		bad := bytes.Clone(data)
+		bad[off+8*w*exactCell+8*(w-1)] = 1 // the cell's last word of the plane
+		if err := b.UnmarshalBinary(bad); !errors.Is(err, errExactCellRoundState) {
+			t.Errorf("plane %d: exact-mode cell with round data: err = %v", plane, err)
+		}
+		off += 8 * w * b.Cells()
 	}
-	for name, c := range map[string]interface {
-		Counter
-		encoding.BinaryMarshaler
-		encoding.BinaryUnmarshaler
-	}{"hyz": hyz, "deterministic": det} {
-		c.Inc(2) // still exact
-		data, err := c.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.UnmarshalBinary(data); err != nil {
-			t.Fatalf("%s: own exact-mode record refused: %v", name, err)
-		}
-		for _, at := range []int{9, len(data) - 1} { // base; the last site word
-			bad := bytes.Clone(data)
-			bad[at] = 1
-			if err := c.UnmarshalBinary(bad); !errors.Is(err, errExactCellRoundState) {
-				t.Errorf("%s: byte %d set on an exact-mode record: err = %v", name, at, err)
-			}
-		}
-		if got, _ := c.MarshalBinary(); !bytes.Equal(got, data) {
-			t.Errorf("%s: a refused load changed the counter", name)
-		}
+	if got, _ := b.MarshalBinary(); !bytes.Equal(got, data) {
+		t.Error("a refused load changed the bank")
 	}
 }
 
 // TestStateRejectsCountsARecordCannotHold: a bank word holds a count or a
-// record index, not both, so a record with a negative count, or with a
-// sampling cell whose count is not the one its round state implies (base +
-// Σ d, or base + reported + Σ pending), is refused — by banks of every kind
-// and by the one-cell views — and a refused load leaves the receiver as it
-// was.
+// record index, not both, so a record with a negative count, with a sampling
+// cell whose count is not the one its round state implies (base + Σ d), or
+// whose round record is not the one its sites' reports imply (0 ≤ r ≤ d,
+// estSum = Σ r, nReporters = #{r > 0}), is refused — by banks of both kinds
+// — and a refused load leaves the bank as it was.
 func TestStateRejectsCountsARecordCannotHold(t *testing.T) {
 	type edit struct {
 		name string
@@ -970,52 +865,52 @@ func TestStateRejectsCountsARecordCannotHold(t *testing.T) {
 	}
 	negative := func(int64) int64 { return -1 }
 	plusOne := func(v int64) int64 { return v + 1 }
-	refuse := func(t *testing.T, c encoding.BinaryUnmarshaler, data func() []byte, edits []edit) {
+	refuse := func(t *testing.T, b *Bank, edits []edit) {
 		t.Helper()
-		before := data()
+		before, _ := b.MarshalBinary()
 		for _, e := range edits {
 			bad := bytes.Clone(before)
 			binary.LittleEndian.PutUint64(bad[e.off:], uint64(e.f(int64(binary.LittleEndian.Uint64(bad[e.off:])))))
-			if err := c.UnmarshalBinary(bad); !errors.Is(err, e.want) {
+			if err := b.UnmarshalBinary(bad); !errors.Is(err, e.want) {
 				t.Errorf("%s: err = %v, want %v", e.name, err, e.want)
 			}
 		}
-		if !bytes.Equal(data(), before) {
-			t.Error("a refused load changed the receiver")
+		if after, _ := b.MarshalBinary(); !bytes.Equal(after, before) {
+			t.Error("a refused load changed the bank")
 		}
 	}
-	marshal := func(c encoding.BinaryMarshaler) func() []byte {
-		return func() []byte { data, _ := c.MarshalBinary(); return data }
-	}
 
-	// Banks: the fixtures' cell 0 samples, cell 4 is in exact mode and cell
-	// 5 was never touched; a record's planes start after 9 bytes a cell.
-	const sampling, exactCell, untouched = 0, 4, 5
-	for _, fx := range bankFixtures {
-		t.Run("bank/"+fx.file, func(t *testing.T) {
-			b, _ := fixtureBank(t, fx.kind)
-			cells, k := b.Cells(), b.k
-			if b.word[sampling] >= 0 || b.word[exactCell] < 0 {
-				t.Fatal("the fixture schedule no longer leaves cell 0 sampling and cell 4 exact")
-			}
-			count := func(cell int) int { return 18 + 8*cell }
-			planes := 18 + 9*cells
-			siteWords := planes + 3*8*cells // HYZ: d
-			edits := []edit{
-				{"negative count, exact-mode cell", count(exactCell), negative, errNegativeCount},
-				{"negative count, untouched cell", count(untouched), negative, errNegativeCount},
-				{"negative count, sampling cell", count(sampling), negative, errNegativeCount},
-				{"sampling count above its record's", count(sampling), plusOne, errCountOffRecord},
-				{"sampling base above its count's share", planes + 8*sampling, plusOne, errCountOffRecord},
-			}
-			if fx.kind == DeterministicKind {
-				siteWords = planes + 2*8*cells // pending
-				edits = append(edits, edit{"sampling reported above its count's share", planes + 8*cells + 8*sampling, plusOne, errCountOffRecord})
-			}
-			edits = append(edits, edit{"sampling site delta above its count's share", siteWords + 8*(sampling*k+k-1), plusOne, errCountOffRecord})
-			refuse(t, b, marshal(b), edits)
+	// The fixture's cell 0 samples, cell 4 is in exact mode and cell 5 was
+	// never touched; a record's planes start after 9 bytes a cell.
+	t.Run("bank/"+hyzFixture, func(t *testing.T) {
+		const sampling, exactCell, untouched = 0, 4, 5
+		b, _ := fixtureBank(t)
+		cells, k := b.Cells(), b.k
+		if b.word[sampling] >= 0 || b.word[exactCell] < 0 {
+			t.Fatal("the fixture schedule no longer leaves cell 0 sampling and cell 4 exact")
+		}
+		count := func(cell int) int { return 18 + 8*cell }
+		planes := 18 + 9*cells
+		plane := func(p, cell int) int { return planes + 8*(p*cells+cell) } // base, estSum, nReporters
+		siteWord := func(r, site int) int { return planes + 8*(3*cells+(r*cells+sampling)*k+site) }
+		st := b.sites[int(^b.word[sampling])*k+k-1]
+		if st.r == 0 || st.r == st.d {
+			t.Fatalf("the fixture's cell 0, last site has d = %d, r = %d: the r edits below need 0 < r < d", st.d, st.r)
+		}
+		refuse(t, b, []edit{
+			{"negative count, exact-mode cell", count(exactCell), negative, errNegativeCount},
+			{"negative count, untouched cell", count(untouched), negative, errNegativeCount},
+			{"negative count, sampling cell", count(sampling), negative, errNegativeCount},
+			{"sampling count above its record's", count(sampling), plusOne, errCountOffRecord},
+			{"sampling base above its count's share", plane(0, sampling), plusOne, errCountOffRecord},
+			{"sampling site delta above its count's share", siteWord(0, k-1), plusOne, errCountOffRecord},
+			{"estSum off Σ r", plane(1, sampling), func(v int64) int64 { return v + 1_000_000 }, errReportsOffRecord},
+			{"nReporters past int32", plane(2, sampling), func(int64) int64 { return 1<<40 + 3 }, errReportsOffRecord},
+			{"nReporters off the reporting sites", plane(2, sampling), plusOne, errReportsOffRecord},
+			{"reported delta above its site's delta", siteWord(1, k-1), func(int64) int64 { return st.d + 1 }, errReportsOffRecord},
+			{"negative reported delta", siteWord(1, k-1), negative, errReportsOffRecord},
 		})
-	}
+	})
 	t.Run("bank/exact", func(t *testing.T) {
 		var m Metrics
 		b, err := NewBank(ExactKind, 3, 4, 0, 0, &m, nil)
@@ -1023,57 +918,6 @@ func TestStateRejectsCountsARecordCannotHold(t *testing.T) {
 			t.Fatal(err)
 		}
 		b.Inc(1, 2)
-		refuse(t, b, marshal(b), []edit{{"negative count", 18 + 8*2, negative, errNegativeCount}})
+		refuse(t, b, []edit{{"negative count", 18 + 8*2, negative, errNegativeCount}})
 	})
-
-	// One-cell views: flag byte, then words — HYZ total, base, estSum,
-	// nReporters, k, (d, r) per site; deterministic total, base, reported,
-	// k, pending per site.
-	const k = 4
-	word := func(w int) int { return 1 + 8*w }
-	type view interface {
-		Counter
-		encoding.BinaryMarshaler
-		encoding.BinaryUnmarshaler
-	}
-	for _, v := range []struct {
-		name          string
-		build         func(*Metrics) (view, error)
-		lastSiteDelta int
-		extra         []edit
-	}{
-		{"hyz", func(m *Metrics) (view, error) { return NewHYZ(k, 0.1, 0.25, m, bn.NewRNG(1)) }, 5 + 2*(k-1), nil},
-		{"deterministic", func(m *Metrics) (view, error) { return NewDeterministic(k, 0.1, m) }, 4 + k - 1,
-			[]edit{{"reported above its count's share", word(2), plusOne, errCountOffRecord}}},
-	} {
-		for _, sampling := range []bool{false, true} {
-			name := "view/" + v.name + "/exact-mode"
-			incs := 3
-			if sampling {
-				name, incs = "view/"+v.name+"/sampling", 5000
-			}
-			t.Run(name, func(t *testing.T) {
-				var m Metrics
-				c, err := v.build(&m)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := 0; i < incs; i++ {
-					c.Inc(i % k)
-				}
-				if data := marshal(c)(); (data[0] == 1) != sampling {
-					t.Fatalf("after %d increments the view's sampling flag is %d", incs, data[0])
-				}
-				edits := []edit{{"negative count", word(0), negative, errNegativeCount}}
-				if sampling {
-					edits = append(edits,
-						edit{"count above its record's", word(0), plusOne, errCountOffRecord},
-						edit{"base above its count's share", word(1), plusOne, errCountOffRecord},
-						edit{"last site delta above its count's share", word(v.lastSiteDelta), plusOne, errCountOffRecord})
-					edits = append(edits, v.extra...)
-				}
-				refuse(t, c, marshal(c), edits)
-			})
-		}
-	}
 }

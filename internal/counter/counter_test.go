@@ -10,41 +10,15 @@ import (
 	"distbayes/internal/bn"
 )
 
-func TestExactCounter(t *testing.T) {
-	var m Metrics
-	c := NewExact(&m)
-	for i := 0; i < 1000; i++ {
-		c.Inc(i % 7)
+// newCell builds a one-cell bank of the given kind tallying into m: a
+// single distributed counter.
+func newCell(t testing.TB, kind Kind, k int, eps float64, m *Metrics, rng *bn.RNG) *Bank {
+	t.Helper()
+	b, err := NewBank(kind, 1, k, eps, 0.25, m, rng)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if c.Exact() != 1000 {
-		t.Errorf("Exact = %d, want 1000", c.Exact())
-	}
-	if c.Estimate() != 1000 {
-		t.Errorf("Estimate = %v, want 1000", c.Estimate())
-	}
-	if m.SiteToCoord != 1000 || m.CoordToSite != 0 {
-		t.Errorf("metrics = %+v, want 1000 up / 0 down", m)
-	}
-}
-
-func TestValidation(t *testing.T) {
-	var m Metrics
-	rng := bn.NewRNG(1)
-	if _, err := NewHYZ(0, 0.1, 0.1, &m, rng); err == nil {
-		t.Error("k=0 accepted")
-	}
-	if _, err := NewHYZ(4, 0, 0.1, &m, rng); err == nil {
-		t.Error("eps=0 accepted")
-	}
-	if _, err := NewHYZ(4, math.NaN(), 0.1, &m, rng); err == nil {
-		t.Error("eps=NaN accepted")
-	}
-	if _, err := NewDeterministic(0, 0.1, &m); err == nil {
-		t.Error("deterministic k=0 accepted")
-	}
-	if _, err := NewDeterministic(4, -1, &m); err == nil {
-		t.Error("deterministic eps<0 accepted")
-	}
+	return b
 }
 
 func TestScheduleHelpers(t *testing.T) {
@@ -68,16 +42,12 @@ func TestScheduleHelpers(t *testing.T) {
 
 func TestHYZExactWhileSmall(t *testing.T) {
 	var m Metrics
-	rng := bn.NewRNG(2)
-	c, err := NewHYZ(9, 0.5, 0.1, &m, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newCell(t, HYZKind, 9, 0.5, &m, bn.NewRNG(2))
 	th := ExactThreshold(9, 0.5) // 6
 	for i := int64(0); i < th-1; i++ {
-		c.Inc(int(i % 9))
-		if c.Estimate() != float64(c.Exact()) {
-			t.Fatalf("estimate %v != exact %d during exact mode", c.Estimate(), c.Exact())
+		c.Inc(0, int(i%9))
+		if c.Estimate(0) != float64(c.Exact(0)) {
+			t.Fatalf("estimate %v != exact %d during exact mode", c.Estimate(0), c.Exact(0))
 		}
 	}
 	if m.CoordToSite != 0 {
@@ -91,15 +61,12 @@ func TestHYZEstimateAccuracy(t *testing.T) {
 	const k, eps, n = 25, 0.05, 200000
 	var m Metrics
 	rng := bn.NewRNG(3)
-	c, err := NewHYZ(k, eps, 0.1, &m, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newCell(t, HYZKind, k, eps, &m, rng)
 	worst := 0.0
 	for i := 0; i < n; i++ {
-		c.Inc(rng.Intn(k))
+		c.Inc(0, rng.Intn(k))
 		if i%1000 == 999 {
-			rel := math.Abs(c.Estimate()-float64(c.Exact())) / float64(c.Exact())
+			rel := math.Abs(c.Estimate(0)-float64(c.Exact(0))) / float64(c.Exact(0))
 			if rel > worst {
 				worst = rel
 			}
@@ -124,15 +91,11 @@ func TestHYZUnbiasedAndVarianceBound(t *testing.T) {
 	sum, sumSq := 0.0, 0.0
 	for rep := 0; rep < reps; rep++ {
 		var m Metrics
-		rng := bn.NewRNG(uint64(1000 + rep))
-		c, err := NewHYZ(k, eps, 0.1, &m, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := newCell(t, HYZKind, k, eps, &m, bn.NewRNG(uint64(1000+rep)))
 		for i := 0; i < C; i++ {
-			c.Inc(i % k)
+			c.Inc(0, i%k)
 		}
-		e := c.Estimate()
+		e := c.Estimate(0)
 		sum += e
 		sumSq += e * e
 	}
@@ -153,10 +116,9 @@ func TestHYZMessageGrowthLogarithmic(t *testing.T) {
 	const k, eps = 16, 0.1
 	run := func(n int) int64 {
 		var m Metrics
-		rng := bn.NewRNG(77)
-		c, _ := NewHYZ(k, eps, 0.1, &m, rng)
+		c := newCell(t, HYZKind, k, eps, &m, bn.NewRNG(77))
 		for i := 0; i < n; i++ {
-			c.Inc(i % k)
+			c.Inc(0, i%k)
 		}
 		return m.Total()
 	}
@@ -172,89 +134,17 @@ func TestHYZMessageGrowthLogarithmic(t *testing.T) {
 
 func TestHYZSingleSite(t *testing.T) {
 	var m Metrics
-	rng := bn.NewRNG(5)
-	c, err := NewHYZ(1, 0.1, 0.1, &m, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newCell(t, HYZKind, 1, 0.1, &m, bn.NewRNG(5))
 	const n = 100000
 	for i := 0; i < n; i++ {
-		c.Inc(0)
+		c.Inc(0, 0)
 	}
-	rel := math.Abs(c.Estimate()-n) / n
+	rel := math.Abs(c.Estimate(0)-n) / n
 	if rel > 0.3 {
 		t.Errorf("single-site relative error %v", rel)
 	}
 	if m.Total() >= n {
 		t.Errorf("no message saving on single site: %d", m.Total())
-	}
-}
-
-func TestHYZEstimateMonotoneEnough(t *testing.T) {
-	// The estimate must never go negative and must be within a factor of the
-	// truth at every point after the exact phase (coarse sanity property).
-	f := func(seed uint64) bool {
-		var m Metrics
-		rng := bn.NewRNG(seed)
-		c, err := NewHYZ(8, 0.2, 0.1, &m, rng)
-		if err != nil {
-			return false
-		}
-		for i := 0; i < 20000; i++ {
-			c.Inc(rng.Intn(8))
-			e := c.Estimate()
-			if e < 0 {
-				return false
-			}
-			if i > 1000 {
-				if e < 0.3*float64(c.Exact()) || e > 3*float64(c.Exact()) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDeterministicCounter(t *testing.T) {
-	const k, eps, n = 10, 0.1, 100000
-	var m Metrics
-	c, err := NewDeterministic(k, eps, &m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := bn.NewRNG(6)
-	for i := 0; i < n; i++ {
-		c.Inc(rng.Intn(k))
-		// Deterministic bound: estimate within eps*C + k*quantum of truth;
-		// conservative check at 3 eps.
-		if diff := math.Abs(c.Estimate() - float64(c.Exact())); diff > 3*eps*float64(c.Exact())+float64(k) {
-			t.Fatalf("estimate off by %v at count %d", diff, c.Exact())
-		}
-	}
-	if m.Total() >= n {
-		t.Errorf("deterministic counter used %d messages for %d increments", m.Total(), n)
-	}
-}
-
-func TestDeterministicVsHYZMessageCost(t *testing.T) {
-	// With enough sites, HYZ (O(√k/ε)) should beat deterministic (O(k/ε))
-	// per round. Use k=64 so √k=8 gives an 8x headroom.
-	const k, eps, n = 64, 0.05, 400000
-	var mh, md Metrics
-	rng := bn.NewRNG(7)
-	h, _ := NewHYZ(k, eps, 0.1, &mh, rng)
-	d, _ := NewDeterministic(k, eps, &md)
-	for i := 0; i < n; i++ {
-		s := i % k
-		h.Inc(s)
-		d.Inc(s)
-	}
-	if mh.Total() >= md.Total() {
-		t.Errorf("HYZ %d messages >= deterministic %d", mh.Total(), md.Total())
 	}
 }
 
@@ -272,124 +162,16 @@ func TestHYZSmallEpsilonStaysExactLonger(t *testing.T) {
 	// tracking algorithms), the counter should remain exact over a short
 	// stream: identical estimate, one message per increment.
 	var m Metrics
-	rng := bn.NewRNG(8)
-	c, err := NewHYZ(30, 0.001, 0.1, &m, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newCell(t, HYZKind, 30, 0.001, &m, bn.NewRNG(8))
 	n := int64(1000) // far below √30/0.001 ≈ 5477
 	for i := int64(0); i < n; i++ {
-		c.Inc(int(i % 30))
+		c.Inc(0, int(i%30))
 	}
-	if c.Estimate() != float64(n) {
-		t.Errorf("estimate %v, want exact %d", c.Estimate(), n)
+	if c.Estimate(0) != float64(n) {
+		t.Errorf("estimate %v, want exact %d", c.Estimate(0), n)
 	}
 	if m.SiteToCoord != n {
 		t.Errorf("messages %d, want %d (exact mode)", m.SiteToCoord, n)
-	}
-}
-
-func TestHYZStateRoundTrip(t *testing.T) {
-	// Drive a counter into its sampling phase, snapshot, restore into a
-	// fresh counter, and verify both continue identically.
-	const k, eps = 8, 0.05
-	var m1 Metrics
-	rng1 := bn.NewRNG(4242)
-	a, err := NewHYZ(k, eps, 0.1, &m1, rng1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 30000; i++ {
-		a.Inc(i % k)
-	}
-	data, err := a.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m2 Metrics
-	rng2 := bn.NewRNG(1)
-	b, err := NewHYZ(k, eps, 0.1, &m2, rng2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	if b.Estimate() != a.Estimate() || b.Exact() != a.Exact() {
-		t.Fatalf("restored estimate %v/%d, want %v/%d", b.Estimate(), b.Exact(), a.Estimate(), a.Exact())
-	}
-	// Continue both with the same RNG sequence; they must stay identical.
-	rng2.SetState(rng1.State())
-	for i := 0; i < 10000; i++ {
-		a.Inc(i % k)
-		b.Inc(i % k)
-		if a.Estimate() != b.Estimate() {
-			t.Fatalf("estimates diverged at step %d", i)
-		}
-	}
-}
-
-func TestHYZStateRejectsMismatch(t *testing.T) {
-	var m Metrics
-	rng := bn.NewRNG(1)
-	a, _ := NewHYZ(4, 0.1, 0.1, &m, rng)
-	data, _ := a.MarshalBinary()
-	wrongK, _ := NewHYZ(5, 0.1, 0.1, &m, rng)
-	if err := wrongK.UnmarshalBinary(data); err == nil {
-		t.Error("site-count mismatch accepted")
-	}
-	if err := a.UnmarshalBinary(data[:3]); err == nil {
-		t.Error("truncated state accepted")
-	}
-}
-
-func TestExactAndDeterministicStateRoundTrip(t *testing.T) {
-	var m Metrics
-	e := NewExact(&m)
-	for i := 0; i < 1234; i++ {
-		e.Inc(0)
-	}
-	data, err := e.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2 := NewExact(&m)
-	if err := e2.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	if e2.Exact() != 1234 {
-		t.Errorf("exact restore = %d", e2.Exact())
-	}
-	if err := e2.UnmarshalBinary([]byte{1}); err == nil {
-		t.Error("short exact state accepted")
-	}
-
-	d, _ := NewDeterministic(6, 0.1, &m)
-	for i := 0; i < 50000; i++ {
-		d.Inc(i % 6)
-	}
-	dd, err := d.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, _ := NewDeterministic(6, 0.1, &m)
-	if err := d2.UnmarshalBinary(dd); err != nil {
-		t.Fatal(err)
-	}
-	if d2.Estimate() != d.Estimate() || d2.Exact() != d.Exact() {
-		t.Errorf("deterministic restore mismatch")
-	}
-	// Continue both identically (deterministic protocol, no RNG).
-	for i := 0; i < 10000; i++ {
-		d.Inc(i % 6)
-		d2.Inc(i % 6)
-		if d.Estimate() != d2.Estimate() {
-			t.Fatalf("deterministic diverged at %d", i)
-		}
-	}
-	wrongK, _ := NewDeterministic(3, 0.1, &m)
-	if err := wrongK.UnmarshalBinary(dd); err == nil {
-		t.Error("deterministic site mismatch accepted")
 	}
 }
 
@@ -425,62 +207,24 @@ func quickCfg(maxCount int) *quick.Config {
 	return &quick.Config{MaxCount: maxCount, Rand: rand.New(rand.NewSource(20260729))}
 }
 
-// TestQuickExactMatchesReferenceSum drives all three counter kinds with the
-// same random increment sequence and checks every Exact() against a plain
+// TestQuickExactMatchesReferenceSum drives both counter kinds with the same
+// random increment sequence and checks every Exact() against a plain
 // reference sum — the paper's invariant that approximation never loses
 // increments, only delays their reporting.
 func TestQuickExactMatchesReferenceSum(t *testing.T) {
 	f := func(raw incSpec) bool {
 		s := raw.normalize()
 		var m Metrics
-		rng := bn.NewRNG(s.Seed)
-		h, err := NewHYZ(s.K, s.Eps, 0.25, &m, rng)
-		if err != nil {
-			return false
-		}
-		d, err := NewDeterministic(s.K, s.Eps, &m)
-		if err != nil {
-			return false
-		}
-		e := NewExact(&m)
+		h := newCell(t, HYZKind, s.K, s.Eps, &m, bn.NewRNG(s.Seed))
+		e := newCell(t, ExactKind, s.K, 0, &m, nil)
 		sites := bn.NewRNG(s.Seed ^ 0xabcdef)
-		var ref int64
 		for i := 0; i < s.N; i++ {
 			site := sites.Intn(s.K)
-			h.Inc(site)
-			d.Inc(site)
-			e.Inc(site)
-			ref++
+			h.Inc(0, site)
+			e.Inc(0, site)
 		}
-		return h.Exact() == ref && d.Exact() == ref && e.Exact() == ref &&
-			e.Estimate() == float64(ref)
-	}
-	if err := quick.Check(f, quickCfg(25)); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestQuickDeterministicWithinBound checks the deterministic counter's hard
-// error bound on random workloads: within a round opened at exact count
-// `base`, each of the k sites holds back fewer than quantum ≤ ε·base/k + 1
-// unreported increments, so |Estimate - C| ≤ ε·C + k always.
-func TestQuickDeterministicWithinBound(t *testing.T) {
-	f := func(raw incSpec) bool {
-		s := raw.normalize()
-		var m Metrics
-		c, err := NewDeterministic(s.K, s.Eps, &m)
-		if err != nil {
-			return false
-		}
-		sites := bn.NewRNG(s.Seed)
-		for i := 0; i < s.N; i++ {
-			c.Inc(sites.Intn(s.K))
-			diff := math.Abs(c.Estimate() - float64(c.Exact()))
-			if diff > s.Eps*float64(c.Exact())+float64(s.K) {
-				return false
-			}
-		}
-		return true
+		ref := int64(s.N)
+		return h.Exact(0) == ref && e.Exact(0) == ref && e.Estimate(0) == float64(ref)
 	}
 	if err := quick.Check(f, quickCfg(25)); err != nil {
 		t.Error(err)
@@ -496,77 +240,74 @@ func TestQuickHYZWithinChebyshevBound(t *testing.T) {
 	f := func(raw incSpec) bool {
 		s := raw.normalize()
 		var m Metrics
-		rng := bn.NewRNG(s.Seed)
-		c, err := NewHYZ(s.K, s.Eps, 0.25, &m, rng)
-		if err != nil {
-			return false
-		}
+		c := newCell(t, HYZKind, s.K, s.Eps, &m, bn.NewRNG(s.Seed))
 		sites := bn.NewRNG(s.Seed ^ 0x5ca1ab1e)
 		for i := 0; i < s.N; i++ {
-			c.Inc(sites.Intn(s.K))
+			c.Inc(0, sites.Intn(s.K))
 		}
-		C := float64(c.Exact())
-		return math.Abs(c.Estimate()-C) <= 6*s.Eps*C+float64(2*s.K)
+		C := float64(c.Exact(0))
+		return math.Abs(c.Estimate(0)-C) <= 6*s.Eps*C+float64(2*s.K)
 	}
 	if err := quick.Check(f, quickCfg(25)); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestQuickMessageSavings: once past the exact phase, any counter kind must
-// use asymptotically fewer messages than the exact strawman on the same
-// workload (the point of the paper).
+// TestQuickMessageSavings: once past the exact phase, the randomized counter
+// must use fewer messages than the exact kind, which forwards every
+// increment, on the same workload (the point of the paper).
 func TestQuickMessageSavings(t *testing.T) {
 	f := func(raw incSpec) bool {
 		s := raw.normalize()
 		s.N = 50000 + s.N // long enough that sampling always kicks in
-		var mh, md Metrics
-		rng := bn.NewRNG(s.Seed)
-		h, err := NewHYZ(s.K, s.Eps, 0.25, &mh, rng)
-		if err != nil {
-			return false
-		}
-		d, err := NewDeterministic(s.K, s.Eps, &md)
-		if err != nil {
-			return false
-		}
+		var mh, me Metrics
+		h := newCell(t, HYZKind, s.K, s.Eps, &mh, bn.NewRNG(s.Seed))
+		e := newCell(t, ExactKind, s.K, 0, &me, nil)
 		sites := bn.NewRNG(s.Seed ^ 0xfeed)
 		for i := 0; i < s.N; i++ {
 			site := sites.Intn(s.K)
-			h.Inc(site)
-			d.Inc(site)
+			h.Inc(0, site)
+			e.Inc(0, site)
 		}
-		return mh.Total() < int64(s.N) && md.Total() < int64(s.N)
+		return me.Total() == int64(s.N) && mh.Total() < me.Total()
 	}
 	if err := quick.Check(f, quickCfg(10)); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestMetricsSinkConcurrent drives counters that live in different lock
-// stripes but share one Metrics sink from multiple goroutines — the sharded
-// tracker's configuration — and checks no tally is lost. Run under -race
-// this also proves the sink's atomicity.
+// TestMetricsSinkConcurrent drives banks that live in different lock
+// stripes, each tallying privately and publishing into one shared sink with
+// DrainTo — what the sharded tracker's stripes do — from multiple
+// goroutines, and checks no tally is lost. Run under -race this also proves
+// the sink's atomicity.
 func TestMetricsSinkConcurrent(t *testing.T) {
 	const workers, perWorker = 8, 5000
-	var m Metrics
+	var sink Metrics
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c := NewExact(&m) // each worker owns its counter; the sink is shared
+			// Each worker owns its bank and tally; the sink is shared. NewBank
+			// cannot fail: an exact bank needs only k ≥ 1 and a tally.
+			var tally Metrics
+			b, _ := NewBank(ExactKind, 4, workers, 0, 0, &tally, nil)
 			for i := 0; i < perWorker; i++ {
-				c.Inc(w)
+				b.Inc(i%4, w)
+				if i%64 == 0 {
+					tally.DrainTo(&sink)
+				}
 			}
-			m.AddCoordToSite(1)
+			tally.CoordToSite++
+			tally.DrainTo(&sink)
 		}(w)
 	}
 	for i := 0; i < 1000; i++ {
-		_ = m.Snapshot() // concurrent reads must be race-clean
+		_ = sink.Snapshot() // concurrent reads must be race-clean
 	}
 	wg.Wait()
-	got := m.Snapshot()
+	got := sink.Snapshot()
 	if got.SiteToCoord != workers*perWorker || got.CoordToSite != workers {
 		t.Errorf("metrics = %+v, want %d up / %d down", got, workers*perWorker, workers)
 	}

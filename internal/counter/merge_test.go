@@ -92,11 +92,11 @@ func TestQuickMergePartitionEquivalence(t *testing.T) {
 	}
 }
 
-// TestMergeMatchesRunOrderedReplay pins Merge's bulk fast paths to the
-// per-increment protocol: a merge applies each (cell, site) run back to
-// back, in ascending cell then site order, so Inc-ing the same runs in that
-// order against a twin bank sharing the RNG seed must be bit-identical —
-// estimates, exact counts, round state and message tallies.
+// TestMergeMatchesRunOrderedReplay pins Merge to its documented order: a
+// merge applies each (cell, site) run back to back, in ascending cell then
+// site order, so Inc-ing the same runs in that order against a twin bank
+// sharing the RNG seed must be bit-identical — estimates, exact counts, round
+// state and message tallies.
 func TestMergeMatchesRunOrderedReplay(t *testing.T) {
 	const cells, k = 4, 5
 	for _, tc := range bankKinds {
@@ -131,7 +131,7 @@ func TestMergeMatchesRunOrderedReplay(t *testing.T) {
 						t.Fatalf("round %d cell %d: exact %d, want %d", round, c, bank.Exact(c), ref.Exact(c))
 					}
 					if bank.Estimate(c) != ref.Estimate(c) {
-						t.Fatalf("round %d cell %d: estimate %v, want %v (bulk fast path diverged from per-increment replay)",
+						t.Fatalf("round %d cell %d: estimate %v, want %v (Merge diverged from run-ordered replay)",
 							round, c, bank.Estimate(c), ref.Estimate(c))
 					}
 				}

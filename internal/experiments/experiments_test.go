@@ -39,7 +39,7 @@ func TestRunUnknownExperiment(t *testing.T) {
 
 func TestIDsRegistered(t *testing.T) {
 	ids := IDs()
-	want := []string{"ablation-counter", "ablation-nb", "ablation-skew", "churn", "fig1", "fig10",
+	want := []string{"ablation-nb", "ablation-skew", "churn", "fig1", "fig10",
 		"fig11", "fig2", "fig3", "fig4", "fig5", "fig6", "fig9", "newalarm", "table1", "table2", "table3"}
 	got := map[string]bool{}
 	for _, id := range ids {
@@ -233,7 +233,7 @@ func TestAblations(t *testing.T) {
 	p := tinyParams()
 	p.Events = 5000
 	p.Queries = 20
-	for _, id := range []string{"ablation-counter", "ablation-skew", "ablation-nb"} {
+	for _, id := range []string{"ablation-skew", "ablation-nb"} {
 		tabs, err := Run(id, p)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)

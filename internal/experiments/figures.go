@@ -21,7 +21,6 @@ func init() {
 	registry["table2"] = classTable(0)
 	registry["table3"] = classTable(1)
 	registry["newalarm"] = runNewAlarm
-	registry["ablation-counter"] = runAblationCounter
 	registry["ablation-skew"] = runAblationSkew
 	registry["ablation-nb"] = runAblationNB
 }
@@ -425,20 +424,6 @@ func (s *Session) ablationTable(id, title, labelHeader string, variants []varian
 		t.Rows = append(t.Rows, []string{v.label, fmtInt(int64(s.p.Events)), fmtF(msgs(st)), fmtF(errToMLE(st))})
 	}
 	return []*Table{t}, nil
-}
-
-// runAblationCounter compares the HYZ randomized counter against the
-// deterministic threshold counter inside the UNIFORM tracker.
-func runAblationCounter(s *Session) ([]*Table, error) {
-	m, err := netgen.ModelByName("alarm")
-	if err != nil {
-		return nil, err
-	}
-	hyz, det := s.spec(m, core.Uniform), s.spec(m, core.Uniform)
-	hyz.counter, det.counter = core.HYZCounter, core.DeterministicCounter
-	return s.ablationTable("ablation-counter",
-		"Ablation: randomized (HYZ) vs deterministic distributed counters, UNIFORM on ALARM",
-		"counter", []variant{{"hyz", hyz}, {"deterministic", det}})
 }
 
 // runAblationSkew exercises the future-work extension of skewed site

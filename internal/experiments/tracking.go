@@ -25,7 +25,6 @@ type trackingSpec struct {
 	minProb     float64
 	runs        int
 	seed        uint64
-	counter     core.CounterKind
 	// assigner, if set, overrides the default uniform router (run index is
 	// passed for seeding).
 	assigner func(run int) (stream.Assigner, error)
@@ -87,7 +86,7 @@ func runTracking(s trackingSpec) (*trackingResult, error) {
 		for _, st := range all {
 			cfg := core.Config{
 				Strategy: st, Eps: s.eps, Delta: s.delta, Sites: s.sites,
-				Seed: s.seed + uint64(run)*1001 + uint64(st), Counter: s.counter,
+				Seed: s.seed + uint64(run)*1001 + uint64(st),
 			}
 			tr, err := core.NewTracker(net, cfg)
 			if err != nil {
