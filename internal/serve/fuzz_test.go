@@ -1,11 +1,18 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
+	"distbayes/internal/bn"
 	"distbayes/internal/netgen"
 )
 
@@ -15,7 +22,10 @@ import (
 // fully validated result: in-range values, known variables, ancestrally
 // closed subsets. This is the serving-layer edge of the repo's
 // length-validate-before-allocating hardening standard (FuzzDecodeFrame,
-// FuzzLoadState).
+// FuzzLoadState). encoding/json is the JSON scanner's oracle: a body the
+// scanner accepts decodes to the same jsonQuery under json.Unmarshal. The
+// previous CSV parser, kept below, is the CSV parser's: both accept and
+// refuse the same bodies, with the same values.
 func FuzzServeRequest(f *testing.F) {
 	nw, err := netgen.ByName("alarm")
 	if err != nil {
@@ -31,6 +41,20 @@ func FuzzServeRequest(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if q, err := decodeJSON(data, nw.Len()); err == nil {
+			var want jsonQuery
+			if err := json.Unmarshal(data, &want); err != nil {
+				t.Fatalf("scanner accepted a body encoding/json refuses: %v", err)
+			}
+			if !reflect.DeepEqual(q, want) {
+				t.Fatalf("scanner read %#v, encoding/json %#v", q, want)
+			}
+		}
+		got, err := parseCSVAssignment(nw, data)
+		want, wantErr := csvOracle(nw, data)
+		if (err == nil) != (wantErr == nil) || !slices.Equal(got, want) {
+			t.Fatalf("CSV parser: %v, %v; previous parser: %v, %v", got, err, want, wantErr)
+		}
 		if x, err := decodeFullAssignment(nw, names, data); err == nil {
 			if len(x) != nw.Len() {
 				t.Fatalf("full assignment has %d values, want %d", len(x), nw.Len())
@@ -121,28 +145,96 @@ func fuzzServeSeeds() []string {
 		`{"x": notjson`,
 		"{\"assign\":{\"alarm_0\":-1}}",
 		" \t\n{\"x\":[]}",
+		`{"x":[0],"x":[1]}`,
+		`{"assign":{"alarm_0":0,"alarm_0":1}}`,
+		`{"X":[0]}`,
+		`{"Target":"alarm_0","x":[0]}`,
+		`{"x":[0,null,1]}`,
+		`{"assign":{"alarm_0":null}}`,
+		`{"x":[1e0]}`,
+		`{"x":[1.0]}`,
+		`{"x":[-0]}`,
+		`{"x":[9999999999999999999]}`,
+		`{"x":[0]}x`,
+		"\ufeff{\"x\":[0]}",
+		`{"u":` + strings.Repeat("[", maxSkipDepth) + strings.Repeat("]", maxSkipDepth) + `}`,
+		`{"u":` + strings.Repeat("[", maxSkipDepth+1) + strings.Repeat("]", maxSkipDepth+1) + `}`,
+		`"alarm_0"`,
+		"\u00a00\u3000, 1\v" + csv[3:],
 	}
 }
 
+// csvOracle is the CSV parser the one-pass parseCSVAssignment replaced,
+// unchanged: it counts the separators, then splits, trims and parses each
+// value.
+func csvOracle(nw *bn.Network, body []byte) ([]int, error) {
+	n := nw.Len()
+	if c := bytes.Count(body, []byte{','}) + 1; c != n {
+		return nil, fmt.Errorf("serve: %d values, want %d (one per variable)", c, n)
+	}
+	x := make([]int, n)
+	for i := 0; i < n; i++ {
+		var tok []byte
+		if j := bytes.IndexByte(body, ','); j >= 0 {
+			tok, body = body[:j], body[j+1:]
+		} else {
+			tok, body = body, nil
+		}
+		v, err := oracleParseUint(bytes.TrimSpace(tok))
+		if err != nil {
+			return nil, fmt.Errorf("serve: value %d: %v", i, err)
+		}
+		if v >= nw.Card(i) {
+			return nil, fmt.Errorf("serve: value %d = %d out of range (card %d)", i, v, nw.Card(i))
+		}
+		x[i] = v
+	}
+	return x, nil
+}
+
+// oracleParseUint parses a small decimal. The length cap keeps any accepted
+// value far from overflow (cardinalities are tiny).
+func oracleParseUint(tok []byte) (int, error) {
+	if len(tok) == 0 {
+		return 0, fmt.Errorf("empty value")
+	}
+	if len(tok) > 9 {
+		return 0, fmt.Errorf("value too long")
+	}
+	v := 0
+	for _, c := range tok {
+		if c < '0' || c > '9' {
+			return 0, fmt.Errorf("not a number")
+		}
+		v = v*10 + int(c-'0')
+	}
+	return v, nil
+}
+
 // TestWriteFuzzServeCorpus regenerates the committed seed corpus under
-// testdata/fuzz when DISTBAYES_WRITE_FUZZ_CORPUS is set; normally it only
-// verifies the corpus directory exists.
+// testdata/fuzz when DISTBAYES_WRITE_FUZZ_CORPUS is set; otherwise it checks
+// the corpus holds exactly the seeds of fuzzServeSeeds, byte for byte.
 func TestWriteFuzzServeCorpus(t *testing.T) {
 	dir := filepath.Join("testdata", "fuzz", "FuzzServeRequest")
-	if os.Getenv("DISTBAYES_WRITE_FUZZ_CORPUS") == "" {
-		if _, err := os.Stat(dir); err != nil {
-			t.Fatalf("seed corpus missing: %v (regenerate with DISTBAYES_WRITE_FUZZ_CORPUS=1)", err)
-		}
-		return
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for i, seed := range fuzzServeSeeds() {
-		path := filepath.Join(dir, "seed"+strconv.Itoa(i))
-		data := []byte("go test fuzz v1\n[]byte(" + strconv.Quote(seed) + ")\n")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
+	write := os.Getenv("DISTBAYES_WRITE_FUZZ_CORPUS") != ""
+	if write {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
+	}
+	seeds := fuzzServeSeeds()
+	for i, seed := range seeds {
+		path := filepath.Join(dir, "seed"+strconv.Itoa(i))
+		data := []byte("go test fuzz v1\n[]byte(" + strconv.Quote(seed) + ")\n")
+		if write {
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		} else if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, data) {
+			t.Errorf("%s is not seed %d (%v); regenerate with DISTBAYES_WRITE_FUZZ_CORPUS=1", path, i, err)
+		}
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != len(seeds) {
+		t.Errorf("%s holds %d files, want the %d seeds (%v)", dir, len(entries), len(seeds), err)
 	}
 }

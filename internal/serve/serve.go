@@ -69,8 +69,11 @@
 // Request bodies are bounded by Config.MaxBodyBytes with the declared
 // length checked before any read and a MaxBytesReader backstopping
 // undeclared (chunked) bodies — the same length-validate-before-allocating
-// standard as the cluster's frame decoders (the decoders themselves are
-// fuzzed: FuzzServeRequest). Every decoded name and value is validated
+// standard as the cluster's frame decoders. The request decoders read a body
+// in one pass and refuse a positional assignment (CSV or "x") at its
+// (n+1)-th value on an n-variable network, so what they allocate for one is
+// bounded by the network, not by the body (they are fuzzed against
+// encoding/json: FuzzServeRequest). Every decoded name and value is validated
 // against the network, subset queries must be ancestrally closed, and
 // Shutdown drains in-flight requests before releasing the cached
 // snapshot. The HTTP server's read-header/read/write/idle timeouts are

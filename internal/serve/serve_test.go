@@ -293,6 +293,9 @@ func TestServeRequestValidation(t *testing.T) {
 		{"/v1/classify", `{"x":[0]}`},                                            // missing target
 		{"/v1/classifypartial", `{"target":"alarm_0","evidence":{"alarm_0":0}}`}, // target in evidence
 		{"/v1/marginal", `{"assign":{"alarm_0":99}}`},                            // value out of range
+		{"/v1/marginal", `{"assign":{"alarm_0":0},"assign":{"alarm_1":0}}`},      // duplicate key
+		{"/v1/marginal", `{"Assign":{"alarm_0":0}}`},                             // key matches only up to case
+		{"/v1/marginal", `{"assign":{"alarm_0":null}}`},                          // null value
 	} {
 		code, b := post(t, addr, tc.endpoint, tc.body)
 		if code != http.StatusBadRequest {
