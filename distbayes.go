@@ -23,8 +23,8 @@
 //	internal/serve       HTTP query front end over core.Snapshots
 //	internal/chowliu     Chow–Liu structure learning (offline and the MI
 //	                     primitives of the online distributed path)
-//	internal/decay       time-decayed tracking beside a Tracker (future-work
-//	                     extension): decayed rows, served as a core.Snapshot
+//	internal/decay       the sliding window (WindowVec) the structure overlay
+//	                     ages its pairwise statistics with
 //	internal/experiments one driver per paper table/figure
 //
 // Quickstart (see examples/quickstart for the runnable version):
@@ -60,10 +60,8 @@
 //
 // These are the two ingestion engines, sequential and striped; see the
 // core.Tracker documentation for their full contract. SaveState/LoadState
-// require ingestion to be quiesced for a meaningful stream position.
-// Nothing else does: the time-decayed view (internal/decay) rotates its
-// blocks under the tracker's own locks (Tracker.Rotate), so ingestion may
-// race a block boundary.
+// require ingestion to be quiesced for a meaningful stream position;
+// nothing else does.
 //
 // # Storage and query performance
 //

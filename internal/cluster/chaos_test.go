@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -154,25 +156,75 @@ func TestChaosDuplicatesAndDelayBitIdentical(t *testing.T) {
 	}
 }
 
+// runLocalChurn is RunLocal under site churn: each site goroutine is killed
+// (the Site.CrashAfterEvents hook — the site stops dead at a stream position
+// without sending Done) and restarted as a fresh process-equivalent Site, at
+// crashesPerSite seeded points of its stream. A restarted site rejoins with
+// a plain hello and replays its stream from event zero. crashes[i] is the
+// number of times site i's Run returned ErrSiteCrashed.
+func runLocalChurn(cfg Config, seed uint64, crashesPerSite int) (res Result, co *Coordinator, crashes []int, err error) {
+	co, err = NewCoordinator(cfg, "127.0.0.1:0")
+	if err != nil {
+		return Result{}, nil, nil, err
+	}
+	defer co.Close()
+	crashes = make([]int, cfg.Sites)
+	res, err = runLocal(co, func(i int) (Stats, error) {
+		rng := bn.NewRNG(seed ^ (uint64(i)+1)*0x9e3779b97f4a7c15)
+		ev := cfg.eventsFor(uint32(i))
+		// Crash points ascend, so each incarnation outlives the previous
+		// crash, and lie in (last, ev): the hook fires before an event, so a
+		// point at ev would not fire. Each draw leaves room for the rest.
+		last := 0
+		for n := range crashesPerSite {
+			room := ev - 1 - last - (crashesPerSite - 1 - n)
+			if room < 1 {
+				return Stats{}, fmt.Errorf("%d events leave no room for %d crashes", ev, crashesPerSite)
+			}
+			last += 1 + rng.Intn(room)
+			s := NewSite(uint32(i), co.Addr())
+			s.CrashAfterEvents = uint64(last)
+			if _, err := s.Run(); !errors.Is(err, ErrSiteCrashed) {
+				return Stats{}, fmt.Errorf("crash hook at %d returned %v, want ErrSiteCrashed", last, err)
+			}
+			crashes[i]++
+		}
+		return NewSite(uint32(i), co.Addr()).Run()
+	})
+	if err != nil {
+		return Result{}, nil, nil, err
+	}
+	return res, co, crashes, nil
+}
+
 // TestChaosSiteKillRestartBitIdentical kills every site process at seeded
 // stream positions (no Done, no goodbye — the CrashAfterEvents hook) and
 // restarts it from scratch; the rejoin replays the deterministic stream, the
 // fold dedups, and the estimates must match the uninterrupted run bit for
-// bit.
+// bit on every strategy. Churn costs retransmitted frames, never accuracy.
 func TestChaosSiteKillRestartBitIdentical(t *testing.T) {
-	for _, strategy := range []core.Strategy{core.Uniform, core.ExactMLE} {
+	const crashesPerSite = 2
+	for _, strategy := range allStrategies {
 		t.Run(strategy.String(), func(t *testing.T) {
 			cfg := chaosConfig(t, strategy)
 			want, base := baselineFingerprint(t, cfg)
-			res, co, err := RunLocalChurn(cfg, ChurnConfig{Seed: 0xFEE1DEAD, CrashesPerSite: 2})
+			res, co, crashes, err := runLocalChurn(cfg, 0xFEE1DEAD, crashesPerSite)
 			if err != nil {
 				t.Fatal(err)
+			}
+			for i, n := range crashes {
+				if n != crashesPerSite {
+					t.Errorf("site %d crashed %d times, want %d", i, n, crashesPerSite)
+				}
 			}
 			if got := estFingerprint(co); got != want {
 				t.Errorf("estimate fingerprint %#016x != uninterrupted %#016x", got, want)
 			}
 			if res.Stats.Events != base.Events {
 				t.Errorf("events = %d, want %d", res.Stats.Events, base.Events)
+			}
+			if res.Stats.Frames < base.Frames {
+				t.Errorf("frames = %d, fewer than the uninterrupted %d (replays only add frames)", res.Stats.Frames, base.Frames)
 			}
 		})
 	}

@@ -129,9 +129,9 @@
 //     (TestChaosCoordinatorKillRestartConverges, and
 //     TestCheckpointGoldenBitCompat against the PR 3 HEAD goldens).
 //
-// Under site churn — every site killed twice mid-stream and restarted, the
-// `churn` experiment — the maximum estimate divergence from the
-// uninterrupted run is exactly 0 on every strategy, to set against the
+// Under site churn — every site killed twice mid-stream and restarted
+// (TestChaosSiteKillRestartBitIdentical) — the estimates match the
+// uninterrupted run bit for bit on every strategy, to set against the
 // skewed-routing imprecision above: process failure costs retransmitted
 // frames, never accuracy. Connection supervision is retry-with-backoff on
 // the site side (Site.MaxResumes bounds consecutive no-progress resumes)

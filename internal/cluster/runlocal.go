@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -100,58 +99,6 @@ func RunLocal(cfg Config) (Result, *Coordinator, error) {
 	}
 	defer co.Close()
 	res, err := runLocal(co, func(i int) (Stats, error) {
-		return NewSite(uint32(i), co.Addr()).Run()
-	})
-	if err != nil {
-		return Result{}, nil, err
-	}
-	return res, co, nil
-}
-
-// ChurnConfig parameterizes RunLocalChurn's deterministic site churn.
-type ChurnConfig struct {
-	// Seed derives every site's crash schedule.
-	Seed uint64
-	// CrashesPerSite is how many times each site process is killed and
-	// restarted over its stream (crash points are seeded ascending stream
-	// positions, so the schedule is reproducible and timing-independent).
-	CrashesPerSite int
-}
-
-// RunLocalChurn is RunLocal under site churn: each site goroutine is killed
-// (via the Site.CrashAfterEvents chaos hook — the site stops dead at a
-// deterministic stream position without sending Done) and restarted as a
-// fresh process-equivalent Site at CrashesPerSite seeded points of its
-// stream. A restarted site rejoins with a plain hello and replays its stream
-// from event zero; per-site determinism reproduces the identical report
-// decisions and the coordinator's max-merge fold absorbs the duplicates, so
-// the final estimates are bit-identical to an uninterrupted RunLocal of the
-// same Config (asserted by the chaos suite).
-func RunLocalChurn(cfg Config, churn ChurnConfig) (Result, *Coordinator, error) {
-	co, err := NewCoordinator(cfg, "127.0.0.1:0")
-	if err != nil {
-		return Result{}, nil, err
-	}
-	defer co.Close()
-	res, err := runLocal(co, func(i int) (Stats, error) {
-		rng := bn.NewRNG(churn.Seed ^ (uint64(i)+1)*0x9e3779b97f4a7c15)
-		ev := uint64(cfg.eventsFor(uint32(i)))
-		// Ascending crash points: each incarnation must outlive the previous
-		// crash position or the schedule would livelock; a draw that does
-		// not ascend ends the schedule (fewer crashes, still valid).
-		var last uint64
-		for n := 0; ev > 0 && n < churn.CrashesPerSite; n++ {
-			p := 1 + uint64(rng.Intn(int(ev)))
-			if p <= last {
-				break
-			}
-			last = p
-			s := NewSite(uint32(i), co.Addr())
-			s.CrashAfterEvents = p
-			if _, err := s.Run(); !errors.Is(err, ErrSiteCrashed) {
-				return Stats{}, fmt.Errorf("churn crash hook returned %v, want ErrSiteCrashed", err)
-			}
-		}
 		return NewSite(uint32(i), co.Addr()).Run()
 	})
 	if err != nil {

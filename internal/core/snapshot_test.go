@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"math"
-	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -243,51 +242,6 @@ func TestSnapshotStripeGranularity(t *testing.T) {
 	}
 	if &s2.factors[1][0] == &s1.factors[1][0] {
 		t.Error("dirty stripe row was not rebuilt")
-	}
-}
-
-// TestRotateFoldsRowsAndResets: Rotate hands fold exactly what ReadCPDRows
-// reads, leaves every bank just-built (all counts 0), keeps Events and
-// Messages, and invalidates the cached snapshot.
-func TestRotateFoldsRowsAndResets(t *testing.T) {
-	m := testModel(t)
-	net := m.Network()
-	tr, err := NewTracker(net, cfgFor(NonUniform, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.UpdateEvents(genEventStream(m, 4, 3000, 3))
-	before := tr.AcquireSnapshot()
-	defer before.Release()
-	want := make([]CPDRows, net.Len())
-	for i := range want {
-		tr.ReadCPDRows(i, &want[i])
-	}
-	events, msgs := tr.Events(), tr.Messages()
-	folded := 0
-	tr.Rotate(func(i int, rows *CPDRows) {
-		folded++
-		if !slices.Equal(rows.Pair, want[i].Pair) || !slices.Equal(rows.Par, want[i].Par) {
-			t.Errorf("variable %d: Rotate handed rows that ReadCPDRows does not read", i)
-		}
-	})
-	if folded != net.Len() {
-		t.Fatalf("fold called %d times, want %d", folded, net.Len())
-	}
-	for i := 0; i < net.Len(); i++ {
-		for pidx := 0; pidx < net.ParentCard(i); pidx++ {
-			if pc, qc := tr.ExactCount(i, 0, pidx); pc != 0 || qc != 0 {
-				t.Fatalf("variable %d pidx %d: counts %d/%d after Rotate", i, pidx, pc, qc)
-			}
-		}
-	}
-	if tr.Events() != events || tr.Messages() != msgs {
-		t.Errorf("Events/Messages %d/%+v after Rotate, want %d/%+v", tr.Events(), tr.Messages(), events, msgs)
-	}
-	after := tr.AcquireSnapshot()
-	defer after.Release()
-	if after.Version() <= before.Version() || after.Factor(0, 0, 0) == before.Factor(0, 0, 0) {
-		t.Error("Rotate left the cached snapshot in place")
 	}
 }
 

@@ -525,7 +525,7 @@ func (t *Tracker) cpdFactor(i, v, pidx int) float64 {
 }
 
 // smoothedFactor is the single definition of the smoothed CPD ratio, shared
-// by the per-cell reference path and SmoothRows so the two are bit-identical.
+// by the per-cell reference path and smoothRows so the two are bit-identical.
 func smoothedFactor(num, den, smoothing float64, ji int) float64 {
 	num += smoothing
 	den += smoothing * float64(ji)
@@ -535,12 +535,11 @@ func smoothedFactor(num, den, smoothing float64, ji int) float64 {
 	return num / den
 }
 
-// SmoothRows turns one variable's raw rows (the CPDRows layout, J_i = j
+// smoothRows turns one variable's raw rows (the CPDRows layout, J_i = j
 // values per parent configuration) into its factor row in place:
 // pair[pidx*j+v] becomes (pair[pidx*j+v]+s)/(par[pidx]+s·j). It is the
-// snapshot builder's step, and what a producer of raw rows outside the
-// tracker (internal/decay) builds a core.Snapshot with.
-func SmoothRows(pair, par []float64, smoothing float64, j int) {
+// snapshot builder's step.
+func smoothRows(pair, par []float64, smoothing float64, j int) {
 	for pidx, den := range par {
 		row := pair[pidx*j : (pidx+1)*j]
 		for v := range row {
@@ -789,7 +788,7 @@ func (t *Tracker) buildSnapshot(old *modelSnapshot) *modelSnapshot {
 			row := shared.cells
 			par = growFloats(par, k)
 			t.readRowsLocked(i, row, par)
-			SmoothRows(row, par, t.cfg.Smoothing, j)
+			smoothRows(row, par, t.cfg.Smoothing, j)
 			ns.factors[i] = row
 			ns.rows[i] = shared
 		}
@@ -810,7 +809,7 @@ func (t *Tracker) buildSnapshot(old *modelSnapshot) *modelSnapshot {
 }
 
 // invalidateSnapshotLocked drops the cached snapshot and bumps every stripe
-// version so in-flight revalidations miss (used by LoadState and Rotate).
+// version so in-flight revalidations miss (used by LoadState).
 // Callers hold rebuildMu — and must acquire it BEFORE any stripe lock:
 // snapshot rebuilds take rebuildMu first and then the stripe locks, so the
 // reverse order deadlocks against a concurrent query.
@@ -821,31 +820,6 @@ func (t *Tracker) invalidateSnapshotLocked() {
 	if old := t.snap.Swap(nil); old != nil {
 		t.releaseSnap(old)
 	}
-}
-
-// Rotate is the block boundary of a time-decayed view (internal/decay). It
-// takes rebuildMu and then every stripe lock; under them it hands fold each
-// variable's raw rows (what ReadCPDRows reads; fold must not keep rows, and
-// must not call back into the tracker, whose locks it runs under) and
-// returns both of the variable's banks to their just-built state
-// (counter.Bank.Reset). RNG states, Messages and Events carry on, and the
-// cached snapshot is invalidated. Ingestion may race a rotation: each
-// stripe's increments land wholly before it or wholly after it.
-func (t *Tracker) Rotate(fold func(i int, rows *CPDRows)) {
-	t.rebuildMu.Lock()
-	defer t.rebuildMu.Unlock()
-	t.lockAll()
-	defer t.unlockAll()
-	var rows CPDRows
-	for i := range t.pair {
-		rows.Pair = growFloats(rows.Pair, t.pair[i].Cells())
-		rows.Par = growFloats(rows.Par, t.par[i].Cells())
-		t.readRowsLocked(i, rows.Pair, rows.Par)
-		fold(i, &rows)
-		t.pair[i].Reset()
-		t.par[i].Reset()
-	}
-	t.invalidateSnapshotLocked()
 }
 
 // QueryProb answers a joint-probability query for the full assignment x

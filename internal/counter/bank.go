@@ -66,12 +66,7 @@ import (
 //
 // # Two kinds
 //
-// Every bank is one of the two kinds below. A counter that needs state no
-// kind has is built beside the tracker: the time-decayed counters of
-// internal/decay keep their decayed rows themselves, folding a bank's
-// estimates into them at a block boundary (core.Tracker.Rotate reads them
-// with EstimateRange) and returning the bank to its just-built state
-// (Reset).
+// Every bank is one of the two kinds below.
 
 // Kind selects the distributed-counter protocol of a Bank's cells.
 type Kind uint8
@@ -201,16 +196,6 @@ func resized[T any](s []T, n int) []T {
 	t := make([]T, n)
 	copy(t, s)
 	return t
-}
-
-// Reset returns the bank to its just-built state: every count 0, every cell
-// in exact mode, no round records. The metrics sink and the RNG carry on, and
-// nothing is tallied — a fresh counter costs no messages.
-func (b *Bank) Reset() {
-	clear(b.word)
-	if b.kind != ExactKind {
-		b.resetRecords(0)
-	}
 }
 
 // Cells returns the number of counters in the bank.

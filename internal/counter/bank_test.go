@@ -184,56 +184,6 @@ func TestBankValidation(t *testing.T) {
 	}
 }
 
-// TestBankReset: a reset bank is indistinguishable from a just-built one —
-// driven from the same RNG position through the same increments it reaches
-// the same state bytes and tallies — and the reset itself tallies nothing.
-func TestBankReset(t *testing.T) {
-	const cells, k, n = 4, 3, 20000
-	for _, tc := range bankKinds {
-		t.Run(tc.name, func(t *testing.T) {
-			var used, fresh Metrics
-			rng := bn.NewRNG(5)
-			drive := func(b *Bank) {
-				for i := 0; i < n; i++ {
-					b.Inc(i%cells, i%k)
-				}
-			}
-			b, err := NewBank(tc.kind, cells, k, tc.eps, 0.25, &used, rng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			drive(b)
-			before := used
-			b.Reset()
-			if used != before {
-				t.Fatalf("Reset tallied messages: %+v -> %+v", before, used)
-			}
-			for c := 0; c < cells; c++ {
-				if b.Exact(c) != 0 || b.Estimate(c) != 0 {
-					t.Fatalf("cell %d after Reset: exact %d, estimate %v", c, b.Exact(c), b.Estimate(c))
-				}
-			}
-			twinRNG := bn.NewRNG(0)
-			twinRNG.SetState(rng.State())
-			twin, err := NewBank(tc.kind, cells, k, tc.eps, 0.25, &fresh, twinRNG)
-			if err != nil {
-				t.Fatal(err)
-			}
-			used = Metrics{}
-			drive(b)
-			drive(twin)
-			got, _ := b.MarshalBinary()
-			want, _ := twin.MarshalBinary()
-			if !bytes.Equal(got, want) || used != fresh {
-				t.Errorf("reset bank diverged from a just-built one (tallies %+v vs %+v)", used, fresh)
-			}
-			if tc.kind != ExactKind && fresh.CoordToSite == 0 {
-				t.Error("schedule never left exact mode; Reset dropped no round records")
-			}
-		})
-	}
-}
-
 // TestIncBatchMatchesInc drives twin banks that share a seed — one through
 // Inc per pair, one through IncBatch over runs of mixed lengths — and asserts
 // bit-identical state bytes, estimates, RNG position and message tallies for

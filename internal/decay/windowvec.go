@@ -1,3 +1,8 @@
+// Package decay forgets old stream history — the paper's future-work item
+// (2): "consider time-decay models which give higher weight to more recent
+// stream instances". Its one form is WindowVec, a block-based sliding window
+// over a vector of counts, which the cluster's structure-learning overlay
+// keeps its pairwise statistics in so that a drifted structure ages out.
 package decay
 
 import "fmt"

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"distbayes/internal/cluster"
 	"distbayes/internal/core"
@@ -15,7 +14,6 @@ func init() {
 	registry["fig8"] = clusterFigure("fig8", "Fig. 8: throughput (live TCP cluster, events/sec) vs number of sites", "",
 		nil, func(r cluster.Result) float64 { return r.Throughput })
 	registry["batching"] = runBatching
-	registry["churn"] = runChurn
 }
 
 // clusterBase is the live-cluster run every TCP experiment starts from:
@@ -141,63 +139,4 @@ func runBatching(s *Session) ([]*Table, error) {
 		})
 	}
 	return []*Table{t}, nil
-}
-
-// churnCrashes is the kill count per site in the churn experiment: every
-// site process dies twice mid-stream (no goodbye) and rejoins.
-const churnCrashes = 2
-
-// runChurn measures accuracy under site churn: the same live TCP run is
-// executed uninterrupted and with every site killed and restarted at seeded
-// stream positions (cluster.RunLocalChurn). Because report decisions are
-// per-site deterministic and the coordinator folds reports with an
-// idempotent max-merge, the restarted sites' replayed streams restore every
-// matrix cell exactly — the divergence column is an exact-replay reference
-// like the skewed-routing ablation's error-to-MLE, and it must be 0 across
-// every strategy: churn costs retransmitted frames, never accuracy.
-func runChurn(s *Session) ([]*Table, error) {
-	p := s.p
-	t := &Table{
-		ID: "churn", Title: "Fault tolerance: site kill/restart churn vs uninterrupted run (live TCP cluster)",
-		Header: []string{"network", "algorithm", "sites", "m", "crashes/site", "frames-clean", "frames-churn", "max-estimate-divergence"},
-		Notes: []string{
-			"every site is killed at seeded stream positions and restarted; replays are absorbed by the coordinator's max-merge",
-			"divergence is max |estimate_churn - estimate_clean| over all counters; determinism makes it exactly 0",
-		},
-	}
-	for _, st := range allStrategies {
-		cfg := clusterBase(p)
-		cfg.Strategy = st
-		clean, coClean, err := cluster.RunLocal(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("churn clean run %v: %w", st, err)
-		}
-		churned, coChurn, err := cluster.RunLocalChurn(cfg, cluster.ChurnConfig{
-			Seed: p.Seed ^ 0xFEE1DEAD, CrashesPerSite: churnCrashes,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("churn run %v: %w", st, err)
-		}
-		layout, err := cluster.NewLayout(coClean.Network(), st, p.Eps)
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{
-			p.Network, st.String(), fmtInt(int64(p.Sites)), fmtInt(int64(p.Events)),
-			fmtInt(churnCrashes),
-			fmtInt(clean.Stats.Frames), fmtInt(churned.Stats.Frames),
-			fmtF(maxDivergence(layout.NumCounters(), coChurn.Estimate, coClean.Estimate)),
-		})
-	}
-	return []*Table{t}, nil
-}
-
-// maxDivergence is max |a(id) - b(id)| over the first n counter ids: the
-// exactness check of the churn and federation experiments.
-func maxDivergence(n uint32, a, b func(uint32) float64) float64 {
-	div := 0.0
-	for id := uint32(0); id < n; id++ {
-		div = max(div, math.Abs(a(id)-b(id)))
-	}
-	return div
 }

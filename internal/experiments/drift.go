@@ -3,17 +3,13 @@ package experiments
 import (
 	"fmt"
 
-	"distbayes/internal/bn"
 	"distbayes/internal/chowliu"
 	"distbayes/internal/cluster"
 	"distbayes/internal/core"
-	"distbayes/internal/decay"
 	"distbayes/internal/netgen"
-	"distbayes/internal/stream"
 )
 
 func init() {
-	registry["ablation-decay"] = runAblationDecay
 	registry["drift"] = runDrift
 }
 
@@ -94,68 +90,6 @@ func runDrift(s *Session) ([]*Table, error) {
 			"recovered edges compare the final learned tree with the post-drift generating tree (undirected)",
 			"swaps peak while the window straddles the drift point (mixture statistics), then the tree settles",
 		},
-	}
-	return []*Table{t}, nil
-}
-
-// runAblationDecay exercises the time-decay extension (the paper's
-// future-work item 2): the stream's generating distribution is switched
-// halfway, and the decayed tracker's error against the *current* truth is
-// compared with the plain (all-history) tracker's.
-func runAblationDecay(s *Session) ([]*Table, error) {
-	p := s.p
-	net, err := netgen.ByName("alarm")
-	if err != nil {
-		return nil, err
-	}
-	modelA, err := modelOf(net, p.Seed+100)
-	if err != nil {
-		return nil, err
-	}
-	modelB, err := modelOf(net, p.Seed+200) // independent parameters = a drifted world
-	if err != nil {
-		return nil, err
-	}
-
-	half := max(p.Events/2, 1)
-	cfg := core.Config{Strategy: core.NonUniform, Eps: p.Eps, Delta: p.Delta, Sites: p.Sites, Seed: p.Seed}
-	plain, err := core.NewTracker(net, cfg)
-	if err != nil {
-		return nil, err
-	}
-	decayed, err := decay.New(net, cfg, decay.Options{Gamma: 0.5, BlockEvents: int64(max(half/8, 1))})
-	if err != nil {
-		return nil, err
-	}
-
-	feed := func(m *bn.Model, events int, seed uint64) {
-		training := stream.NewTraining(m, stream.NewUniformAssigner(p.Sites, seed), seed+1)
-		for e := 0; e < events; e++ {
-			site, x := training.Next()
-			decayed.Update(site, x)
-			plain.Update(site, x)
-		}
-	}
-	feed(modelA, half, p.Seed+11)
-	feed(modelB, p.Events-half, p.Seed+13)
-
-	// Evaluate against the *current* (post-drift) truth.
-	queries, err := stream.GenQueries(modelB, stream.QueryOptions{
-		Count: p.Queries, MinProb: p.MinProb, Seed: p.Seed + 17,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	t := &Table{
-		ID:     "ablation-decay",
-		Title:  "Extension: time-decayed counters under distribution drift (ALARM, drift at m/2)",
-		Header: []string{"tracker", "m", "mean-err-to-current-truth", "messages"},
-		Rows: [][]string{
-			{"decayed(γ=0.5/block)", fmtInt(int64(p.Events)), fmtF(meanErrToTruth(queries, decayed.Snapshot().QuerySubsetProb)), fmtF(float64(decayed.Messages().Total()))},
-			{"plain", fmtInt(int64(p.Events)), fmtF(meanErrToTruth(queries, plain.QuerySubsetProb)), fmtF(float64(plain.Messages().Total()))},
-		},
-		Notes: []string{"the decayed tracker forgets the pre-drift half of the stream and tracks the current distribution"},
 	}
 	return []*Table{t}, nil
 }

@@ -25,8 +25,8 @@ import (
 type Params struct {
 	// Networks are Table I network names for multi-network experiments.
 	Networks []string
-	// Network is the single network of fig10, batching, churn and federation
-	// (fig1, fig2 and fig11 fix theirs as the paper does).
+	// Network is the single network of fig10 and batching (fig1, fig2 and
+	// fig11 fix theirs as the paper does).
 	Network string
 	// Sizes are training-instance checkpoints (paper: 5K, 50K, 500K, 5M).
 	Sizes []int

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -37,24 +38,15 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
+// TestIDsRegistered pins the registry in sorted order: the paper's figures
+// and tables, NEW-ALARM, and the ablation-nb, ablation-skew, batching and
+// drift extensions.
 func TestIDsRegistered(t *testing.T) {
-	ids := IDs()
-	want := []string{"ablation-nb", "ablation-skew", "churn", "fig1", "fig10",
-		"fig11", "fig2", "fig3", "fig4", "fig5", "fig6", "fig9", "newalarm", "table1", "table2", "table3"}
-	got := map[string]bool{}
-	for _, id := range ids {
-		got[id] = true
-	}
-	for _, w := range want {
-		if !got[w] {
-			t.Errorf("experiment %q not registered", w)
-		}
-	}
-	// Stable sorted order.
-	for i := 1; i < len(ids); i++ {
-		if ids[i] < ids[i-1] {
-			t.Errorf("IDs not sorted: %v", ids)
-		}
+	want := []string{"ablation-nb", "ablation-skew", "batching", "drift", "fig1", "fig10",
+		"fig11", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "newalarm",
+		"table1", "table2", "table3"}
+	if got := IDs(); !slices.Equal(got, want) {
+		t.Errorf("IDs() = %v, want %v", got, want)
 	}
 }
 
@@ -343,31 +335,6 @@ func TestBatchingAblation(t *testing.T) {
 	}
 }
 
-func TestChurnExperiment(t *testing.T) {
-	p := tinyParams()
-	p.Events = 1200
-	p.Sites = 3
-	tabs, err := Run("churn", p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := tabs[0].Rows
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d, want 4 (one per strategy)", len(rows))
-	}
-	for _, row := range rows {
-		// Determinism makes the churned run's estimates exactly the clean
-		// run's: the divergence column is the accuracy claim of the
-		// fault-tolerance layer, pinned to zero.
-		if d := mustF(t, row[7]); d != 0 {
-			t.Errorf("%s max estimate divergence = %v, want exactly 0", row[1], d)
-		}
-		if f := mustF(t, row[6]); f < mustF(t, row[5]) {
-			t.Errorf("%s churn frames %v < clean frames %v (replays must add frames)", row[1], f, mustF(t, row[5]))
-		}
-	}
-}
-
 func TestFig4Fig5Smoke(t *testing.T) {
 	p := tinyParams()
 	p.Queries = 30
@@ -383,25 +350,6 @@ func TestFig4Fig5Smoke(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestAblationDecayAdaptsToDrift(t *testing.T) {
-	p := tinyParams()
-	p.Events = 30000
-	p.Queries = 100
-	tabs, err := Run("ablation-decay", p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := tabs[0].Rows
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	decayedErr := mustF(t, rows[0][2])
-	plainErr := mustF(t, rows[1][2])
-	if decayedErr >= plainErr {
-		t.Errorf("decayed tracker error %v not below plain %v under drift", decayedErr, plainErr)
 	}
 }
 
@@ -456,32 +404,5 @@ func TestChartLinearScaleAndConstantSeries(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "o=y") {
 		t.Errorf("legend missing: %s", buf.String())
-	}
-}
-
-func TestAblationSketch(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sketch ablation skipped in -short mode (slowest experiments test under -race)")
-	}
-	p := tinyParams()
-	p.Events = 4000
-	p.Queries = 40
-	tabs, err := Run("ablation-sketch", p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := tabs[0].Rows
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	// The small sketch must use far less memory than the exact tables.
-	exactCells := mustF(t, rows[0][3])
-	smallCells := mustF(t, rows[1][3])
-	if smallCells >= exactCells {
-		t.Errorf("small sketch cells %v >= exact %v", smallCells, exactCells)
-	}
-	// And the large sketch should be at least as accurate as the small one.
-	if mustF(t, rows[2][2]) > mustF(t, rows[1][2])*1.5 {
-		t.Errorf("larger sketch much worse than smaller one: %v vs %v", rows[2][2], rows[1][2])
 	}
 }

@@ -172,16 +172,6 @@ func runTracking(s trackingSpec) (*trackingResult, error) {
 // events the EXACTMLE reference gives probability 0.
 func relErr(est, ref float64) float64 { return math.Abs(est-ref) / ref }
 
-// meanErrToTruth is the mean relative error of estimate against the
-// ground-truth probability of every test event.
-func meanErrToTruth(queries []stream.Query, estimate func(set, x []int) float64) float64 {
-	errs := make([]float64, len(queries))
-	for i, q := range queries {
-		errs[i] = relErr(estimate(q.Set, q.X), q.Truth)
-	}
-	return mean(errs)
-}
-
 // spec is the paper's tracking setup at the session's parameters: the sweep
 // Figs. 1–6 share. The other tracking experiments vary one or two fields of it.
 func (s *Session) spec(m *bn.Model, strategies ...core.Strategy) trackingSpec {
