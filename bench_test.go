@@ -143,9 +143,7 @@ func loadedTracker(b *testing.B, name string, events int) (*core.Tracker, *strea
 // BenchmarkQueryProb measures the snapshot-served joint-probability path.
 // "warm" queries a quiesced tracker (cached snapshot, zero lock traffic);
 // "cold" interleaves one update per query — the alternating workload — so
-// it measures the stale-cache mix the tracker actually serves there:
-// per-cell fallback reads for the first staleQueryRebuildThreshold queries
-// after each invalidation, a per-stripe snapshot rebuild on the next.
+// every query pays one whole snapshot rebuild.
 func BenchmarkQueryProb(b *testing.B) {
 	b.Run("warm", func(b *testing.B) {
 		tr, _ := loadedTracker(b, "alarm", 20000)

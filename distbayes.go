@@ -67,17 +67,15 @@
 //
 // Counter state is stored in flat per-variable banks (one contiguous
 // struct-of-arrays per variable and counter kind), so ingestion increments
-// contiguous memory with no per-cell interface dispatch. The structured
-// query paths (QueryProb, QuerySubsetProb, Classify, EstimatedModel,
-// InferMarginal, ClassifyPartial) are served from a cached model snapshot
-// guarded by per-stripe version counters: a query locks each stripe at most
-// once to read whole variable rows (see Tracker.ReadCPDRows and the CPDRows
-// scratch type), and repeated queries between ingest flushes reuse the
-// snapshot without taking any locks. Retired snapshots recycle their factor
-// rows through a per-variable pool, so a steady-state ingest+query mix
-// rebuilds dirty rows from recycled storage instead of allocating one row
-// per variable per rebuild. Every tracker caches: its banks are only ever
-// the two built-in counter kinds, mutated under the stripe locks.
+// contiguous memory with no per-cell interface dispatch. Every query path
+// (QueryProb, QuerySubsetProb, QueryCPD, Classify, EstimatedModel,
+// InferMarginal, ClassifyPartial) is served from a cached model snapshot
+// guarded by per-stripe version counters: a rebuild locks each stripe once
+// and bulk-reads every variable's rows, and repeated queries between ingest
+// flushes reuse the snapshot without taking any locks. A retired snapshot
+// returns its one backing array of factor rows to a pool, so a steady-state
+// ingest+query mix rebuilds into recycled storage instead of allocating the
+// rows per rebuild.
 //
 // There is one snapshot type and one query kernel. core.Snapshot is an
 // immutable set of per-variable factor rows with its network, version, build
@@ -85,8 +83,7 @@
 // coordinator's learned-structure overlay each only build one, and Algorithm
 // 3, the Markov-blanket argmax, partial-evidence classification and the
 // normalized model are each written once against it
-// (core.QueryProb, core.Classify, ... — also what the tracker's per-cell
-// fallback and the HTTP handlers call). Any number of goroutines may read one
+// (core.QueryProb, core.Classify, ... — also what the HTTP handlers call). Any number of goroutines may read one
 // snapshot; each acquisition is released exactly once.
 //
 // # Query serving

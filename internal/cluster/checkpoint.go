@@ -215,6 +215,7 @@ func (co *Coordinator) RestoreCheckpoint(r io.Reader) error {
 		// readCheckpoint bounded every row id by the layout.
 		co.reported[i].merge(co.layout.NumCounters(), st.Sites[i].Row)
 	}
+	co.version.Add(1) // a snapshot acquired before the restore is stale
 	return nil
 }
 

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -163,6 +164,44 @@ func TestCheckpointRoundTripCompleteRun(t *testing.T) {
 	}
 	if got, want := estFingerprint(co2), estFingerprint(co1); got != want {
 		t.Errorf("restored estimate fingerprint %#016x != original %#016x", got, want)
+	}
+}
+
+// TestRestoreInvalidatesSnapshot: a snapshot acquired before a restore must
+// not be served after it. A restored completed run receives no frame that
+// would invalidate it later, so a stale one would be served forever.
+func TestRestoreInvalidatesSnapshot(t *testing.T) {
+	cfg := Config{
+		NetName: "alarm", CPTSeed: 0xC0DE, Strategy: core.NonUniform, Eps: 0.1, Delta: 0.25,
+		Sites: 3, Events: 4000, StreamSeed: 7,
+	}
+	_, co1, err := RunLocal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := co1.WriteCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	co2, err := NewCoordinator(cfg, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { co2.Close() })
+	co2.AcquireSnapshot().Release() // cache the empty state's snapshot
+	if err := co2.RestoreCheckpoint(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	got, want := co2.AcquireSnapshot(), co1.AcquireSnapshot()
+	netw := co1.Network()
+	for i := 0; i < netw.Len(); i++ {
+		for pidx := 0; pidx < netw.ParentCard(i); pidx++ {
+			for v := 0; v < netw.Card(i); v++ {
+				if g, w := got.Factor(i, v, pidx), want.Factor(i, v, pidx); math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("factor(%d,%d,%d) = %v after restore, checkpointed run %v", i, v, pidx, g, w)
+				}
+			}
+		}
 	}
 }
 

@@ -215,8 +215,8 @@ func TestClusterMatchesSequentialCounts(t *testing.T) {
 			}
 		}
 	}
-	for id := uint32(0); id < layout.NumCounters(); id++ {
-		if got := co.Estimate(id); got != float64(counts[id]) {
+	for id, got := range allEstimates(co) {
+		if got != float64(counts[id]) {
 			t.Fatalf("counter %d: coordinator %v, sequential %d", id, got, counts[id])
 		}
 	}
@@ -269,15 +269,15 @@ func TestClusterApproximateAccuracyAndSavings(t *testing.T) {
 // subsetProb evaluates an ancestrally closed event on a coordinator.
 func subsetProb(co *Coordinator, set []int, x []int) float64 {
 	netw := co.Network()
-	layout := co.layout
+	layout, est := co.layout, allEstimates(co)
 	p := 1.0
 	for _, i := range set {
 		pidx := netw.ParentIndex(i, x)
-		den := co.Estimate(layout.ParID(i, pidx))
+		den := est[layout.ParID(i, pidx)]
 		if den <= 0 {
 			return 0
 		}
-		p *= co.Estimate(layout.PairID(i, x[i], pidx)) / den
+		p *= est[layout.PairID(i, x[i], pidx)] / den
 	}
 	return p
 }

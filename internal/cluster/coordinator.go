@@ -60,14 +60,6 @@ type Config struct {
 	// EstimatedModel), for as long as the sites stream. The answers come
 	// from the live snapshot path — the paper's query-at-any-time model.
 	LiveQueryMicros uint32
-	// ReconnectGrace bounds how long a mid-run site may stay disconnected
-	// before the coordinator fails the run: a dropped connection starts a
-	// grace timer, a reconnect (protocol-v3 resume or a fresh hello from a
-	// restarted site process) cancels it. 0 selects the default
-	// (DefaultReconnectGrace). Connection loss within the grace window is
-	// invisible to the run result — the site replays its decided counts on
-	// resume and the max-merge fold makes the replay idempotent.
-	ReconnectGrace time.Duration
 	// CheckpointPath, when set together with CheckpointEveryFrames, makes
 	// the coordinator write a crash-consistent checkpoint of its run state
 	// (reported-count matrix, stats, site membership — the DBCLUS01 format,
@@ -115,8 +107,12 @@ type Config struct {
 	DriftCPTSeed uint64
 }
 
-// DefaultReconnectGrace is the reconnect window applied when
-// Config.ReconnectGrace is zero.
+// DefaultReconnectGrace bounds how long a mid-run site may stay disconnected
+// before the coordinator fails the run: a dropped connection starts a grace
+// timer, a reconnect (protocol-v3 resume or a fresh hello from a restarted
+// site process) cancels it. Connection loss within the grace window is
+// invisible to the run result — the site replays its decided counts on
+// resume and the max-merge fold makes the replay idempotent.
 const DefaultReconnectGrace = 5 * time.Second
 
 // ErrCoordinatorClosed is returned by Serve when Close is called before the
@@ -144,9 +140,6 @@ func (c Config) validate() error {
 	}
 	if c.HotSiteShare < 0 || c.HotSiteShare >= 1 {
 		return fmt.Errorf("cluster: hot-site share = %v, want [0, 1)", c.HotSiteShare)
-	}
-	if c.ReconnectGrace < 0 {
-		return fmt.Errorf("cluster: reconnect grace = %v, want >= 0", c.ReconnectGrace)
 	}
 	if c.CheckpointEveryFrames < 0 {
 		return fmt.Errorf("cluster: checkpoint cadence = %d, want >= 0", c.CheckpointEveryFrames)
@@ -185,14 +178,6 @@ func (c Config) structWindow() (events int64, blocks int) {
 		events = int64(blocks)
 	}
 	return events, blocks
-}
-
-// grace returns the effective reconnect window.
-func (c Config) grace() time.Duration {
-	if c.ReconnectGrace > 0 {
-		return c.ReconnectGrace
-	}
-	return DefaultReconnectGrace
 }
 
 // eventsFor returns the number of stream events site id generates. With
@@ -238,52 +223,6 @@ type Result struct {
 	LiveQueries int64
 }
 
-// estSnapshot is one immutable materialization of every counter's estimate,
-// validated against the fold version like core.Tracker's model snapshots: a
-// query reuses the cached snapshot while no batch has been folded since it
-// was built.
-type estSnapshot struct {
-	// est[c] is counter c's estimate: Σ_sites reported + trailing-gap
-	// adjustment.
-	est []float64
-	// version is the coordinator's fold version the estimates were computed
-	// at — monotone non-decreasing across snapshots — and builtAt is when
-	// they were computed.
-	version uint64
-	builtAt time.Time
-
-	// view is the read handle over est, derived on first use.
-	viewOnce sync.Once
-	view     *core.Snapshot
-}
-
-// snapshot returns the read handle every query goes through: the factor rows
-// est[pair]/est[par] of every CPD cell (0 where the parent configuration has
-// no mass, so a joint query over it is 0 and its model row normalizes to
-// uniform), at this snapshot's version. est/den computed here is the same
-// float as est/den computed per query.
-func (s *estSnapshot) snapshot(netw *bn.Network, layout *Layout) *core.Snapshot {
-	s.viewOnce.Do(func() {
-		rows := make([][]float64, netw.Len())
-		cells := make([]float64, netw.NumCells()) // one backing array for every row
-		for i := range rows {
-			j, k := netw.Card(i), netw.ParentCard(i)
-			row := cells[: j*k : j*k]
-			cells = cells[j*k:]
-			for pidx := 0; pidx < k; pidx++ {
-				if den := s.est[layout.ParID(i, pidx)]; den > 0 {
-					for v := 0; v < j; v++ {
-						row[pidx*j+v] = s.est[layout.PairID(i, v, pidx)] / den
-					}
-				}
-			}
-			rows[i] = row
-		}
-		s.view = core.NewSnapshot(netw, rows, s.version, s.builtAt, 0)
-	})
-	return s.view
-}
-
 // siteSlot is the coordinator's supervision record for one site id: the
 // current connection (nil while the site is disconnected), a generation
 // counter so a stale grace timer can tell it has been superseded by a
@@ -317,12 +256,12 @@ type siteSlot struct {
 //
 // The connection layer is supervised and elastic: sites may connect at any
 // time after Serve starts (a late join simply starts streaming later), a
-// dropped connection does not fail the run — the site has Config.grace() to
-// reconnect with a protocol-v3 resume (or a fresh hello after a process
-// restart), replaying its decided counts into the idempotent max-merge fold
-// — and a coordinator killed mid-run restarts from its last periodic
-// checkpoint (RestoreCheckpointFile) with the sites re-resuming against the
-// restored state.
+// dropped connection does not fail the run — the site has
+// DefaultReconnectGrace to reconnect with a protocol-v3 resume (or a fresh
+// hello after a process restart), replaying its decided counts into the
+// idempotent max-merge fold — and a coordinator killed mid-run restarts from
+// its last periodic checkpoint (RestoreCheckpointFile) with the sites
+// re-resuming against the restored state.
 type Coordinator struct {
 	cfg    Config
 	net    *bn.Network
@@ -343,7 +282,7 @@ type Coordinator struct {
 
 	// snap is the last published estimate snapshot (nil until the first
 	// query).
-	snap atomic.Pointer[estSnapshot]
+	snap atomic.Pointer[core.Snapshot]
 
 	frames  atomic.Int64
 	updates atomic.Int64
@@ -540,13 +479,13 @@ func (co *Coordinator) Err() error {
 // may be issued concurrently with Serve at any time.
 //
 // Serve does not fail on connection loss: a disconnected site has
-// Config.grace() to come back (resume or restart) before the run is failed.
-// Fatal errors remain fatal: a malformed handshake, an out-of-range site id,
-// a listener failure, or Close. Serve may be called once per Coordinator;
-// a coordinator restored from a checkpoint resumes the run where the
-// checkpoint left it (sites already recorded done stay done). With periodic
-// checkpointing on, Serve returns only after the checkpoint writer has
-// exited — on a clean finish the complete-run checkpoint is on disk.
+// DefaultReconnectGrace to come back (resume or restart) before the run is
+// failed. Fatal errors remain fatal: a malformed handshake, an out-of-range
+// site id, a listener failure, or Close. Serve may be called once per
+// Coordinator; a coordinator restored from a checkpoint resumes the run
+// where the checkpoint left it (sites already recorded done stay done). With
+// periodic checkpointing on, Serve returns only after the checkpoint writer
+// has exited — on a clean finish the complete-run checkpoint is on disk.
 func (co *Coordinator) Serve() (Result, error) {
 	co.serveOnce.Do(func() {
 		co.down.conns.wg.Add(1)
@@ -724,14 +663,13 @@ func (co *Coordinator) armGrace(id uint32, gen uint64, done bool) {
 	if over, _ := co.finished(); over {
 		return
 	}
-	grace := co.cfg.grace()
-	time.AfterFunc(grace, func() {
+	time.AfterFunc(DefaultReconnectGrace, func() {
 		co.mu.Lock()
 		slot := &co.slots[id]
 		expired := slot.gen == gen && slot.peer == nil && !slot.done
 		co.mu.Unlock()
 		if expired {
-			co.finish(fmt.Errorf("cluster: site %d disconnected and did not reconnect within %v", id, grace))
+			co.finish(fmt.Errorf("cluster: site %d disconnected and did not reconnect within %v", id, DefaultReconnectGrace))
 		}
 	})
 }
@@ -804,75 +742,63 @@ func (co *Coordinator) handleDone(site uint32, events int64) {
 	}
 }
 
-// estimateLocked computes counter id's estimate from the reported matrix:
-// the sum over sites of the last reported local count plus the trailing-gap
-// adjustment (see layout.go). Callers hold mu and guarantee id is in range.
-func (co *Coordinator) estimateLocked(id uint32) float64 {
-	eps := co.layout.Eps(id)
-	est := 0.0
-	for site := 0; site < co.cfg.Sites; site++ {
-		r := co.reported[site].vals[id]
-		est += float64(r) + adjustmentSqrtK(co.cfg.Sites, co.sqrtK, eps, r)
-	}
-	return est
-}
-
-// Estimate returns the coordinator's current estimate of a counter's global
-// count, read live under the lock (0 for an id outside the layout). Valid at
-// any time — during a run it reflects the reports received so far.
-func (co *Coordinator) Estimate(id uint32) float64 {
-	if id >= co.layout.NumCounters() {
-		return 0
-	}
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	return co.estimateLocked(id)
-}
-
-// estimates returns a current estimate snapshot, rebuilt only when a batch
-// was folded since the cached one was built. Mirrors core.Tracker's snapshot
-// machinery: repeated queries against a quiescent coordinator share one
-// snapshot with no lock traffic, and queries racing ingestion rebuild one at
-// a time under the lock.
-func (co *Coordinator) estimates() *estSnapshot {
-	if s := co.snap.Load(); s != nil && s.version == co.version.Load() {
+// AcquireSnapshot returns the current estimates as the one read handle of the
+// repo (core.Snapshot): the factor rows est[pair]/est[par] of every CPD cell
+// (0 where the parent configuration has no mass, so a joint query over it is
+// 0 and its model row normalizes to uniform), at the fold version they were
+// computed at. It is rebuilt only when a batch was folded since the cached one
+// was built, so repeated queries against a quiescent coordinator share one
+// snapshot with no lock traffic, and queries racing ingestion rebuild one at a
+// time under the lock. Valid at any time: mid-run it reflects the reports
+// received so far — the paper's query-at-any-time model — and after Serve
+// returns it is the final estimate. Estimate snapshots are garbage-collected,
+// so Release is a no-op.
+func (co *Coordinator) AcquireSnapshot() *core.Snapshot {
+	if s := co.snap.Load(); s != nil && s.Version() == co.version.Load() {
 		return s
 	}
-	ns := &estSnapshot{est: make([]float64, co.layout.NumCounters())}
+	est := make([]float64, co.layout.NumCounters())
+	rows := make([][]float64, co.net.Len())
+	cells := make([]float64, co.net.NumCells()) // one backing array for every row
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	if s := co.snap.Load(); s != nil && s.version == co.version.Load() {
+	if s := co.snap.Load(); s != nil && s.Version() == co.version.Load() {
 		return s
 	}
-	// Site-major walk over the layout's equal-eps sections: one pass per site
-	// row keeps the reads contiguous, and the per-id eps load drops out of the
-	// inner loop — the coordinator-side sibling of counter.Bank.EstimateRange.
-	// Accumulation order (site 0..k-1 from zero, ascending ids) matches
-	// estimateLocked's, so both paths stay bit-identical.
+	co.estimatesLocked(est)
+	for i := range rows {
+		j, k := co.net.Card(i), co.net.ParentCard(i)
+		rows[i], cells = cells[:j*k:j*k], cells[j*k:]
+		for pidx := 0; pidx < k; pidx++ {
+			if den := est[co.layout.ParID(i, pidx)]; den > 0 {
+				for v := 0; v < j; v++ {
+					rows[i][pidx*j+v] = est[co.layout.PairID(i, v, pidx)] / den
+				}
+			}
+		}
+	}
+	s := core.NewSnapshot(co.net, rows, co.version.Load(), time.Now(), 0)
+	co.snap.Store(s)
+	return s
+}
+
+// estimatesLocked adds every counter's estimate into est (zeroed, one cell
+// per counter id): the sum over sites, 0..k-1 from zero, of the last reported
+// local count plus the trailing-gap adjustment (layout.go). It walks
+// site-major over the layout's equal-eps sections: one pass per site row keeps
+// the reads contiguous, and the per-id eps load drops out of the inner loop —
+// the coordinator-side sibling of counter.Bank.EstimateRange. Callers hold mu.
+func (co *Coordinator) estimatesLocked(est []float64) {
 	k, sqrtK := co.cfg.Sites, co.sqrtK
 	for site := 0; site < k; site++ {
 		row := co.reported[site].vals
 		for _, sec := range co.layout.Sections() {
 			for id := sec.Lo; id < sec.Hi; id++ {
 				r := row[id]
-				ns.est[id] += float64(r) + adjustmentSqrtK(k, sqrtK, sec.Eps, r)
+				est[id] += float64(r) + adjustmentSqrtK(k, sqrtK, sec.Eps, r)
 			}
 		}
 	}
-	ns.version = co.version.Load()
-	ns.builtAt = time.Now()
-	co.snap.Store(ns)
-	return ns
-}
-
-// AcquireSnapshot returns the current estimates as the one read handle of the
-// repo (core.Snapshot), rebuilt only when a batch was folded since the cached
-// one was built. Valid at any time: mid-run it reflects the reports
-// received so far — the paper's query-at-any-time model — and after Serve
-// returns it is the final estimate. Estimate snapshots are garbage-collected,
-// so Release is a no-op.
-func (co *Coordinator) AcquireSnapshot() *core.Snapshot {
-	return co.estimates().snapshot(co.net, co.layout)
 }
 
 // QueryProb answers a joint-probability query from the tracked counters

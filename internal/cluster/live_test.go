@@ -16,8 +16,8 @@ import (
 // so two runs agree iff every estimate is bit-identical.
 func estFingerprint(co *Coordinator) uint64 {
 	h := uint64(1469598103934665603)
-	for id := uint32(0); id < co.layout.NumCounters(); id++ {
-		bits := math.Float64bits(co.Estimate(id))
+	for _, e := range allEstimates(co) {
+		bits := math.Float64bits(e)
 		for s := 0; s < 64; s += 8 {
 			h ^= (bits >> s) & 0xff
 			h *= 1099511628211
@@ -297,12 +297,12 @@ func TestSkewedRoutingImprecision(t *testing.T) {
 		if totalEvents != eventsN {
 			t.Fatalf("eventsFor split sums to %d, want %d", totalEvents, eventsN)
 		}
-		for id := uint32(0); id < layout.NumCounters(); id++ {
+		for id, e := range allEstimates(co) {
 			exact := counts[id]
 			if exact < 500 { // only well-populated counters carry signal
 				continue
 			}
-			rel := math.Abs(co.Estimate(id)-float64(exact)) / float64(exact)
+			rel := math.Abs(e-float64(exact)) / float64(exact)
 			if rel > maxRel {
 				maxRel = rel
 			}

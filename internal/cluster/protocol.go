@@ -136,7 +136,7 @@
 // frames, never accuracy. Connection supervision is retry-with-backoff on
 // the site side (Site.MaxResumes bounds consecutive no-progress resumes)
 // and a reconnect grace window on the coordinator side
-// (Config.ReconnectGrace): a run only fails once a site stays gone past the
+// (DefaultReconnectGrace): a run only fails once a site stays gone past the
 // grace or stops making progress entirely.
 package cluster
 

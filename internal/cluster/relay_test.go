@@ -11,14 +11,14 @@ import (
 	"distbayes/internal/core"
 )
 
-// allEstimates reads every counter's final estimate from the coordinator.
+// allEstimates reads every counter's estimate from the walk the
+// coordinator's snapshots are built from.
 func allEstimates(co *Coordinator) []float64 {
-	total := co.layout.NumCounters()
-	out := make([]float64, total)
-	for id := uint32(0); id < total; id++ {
-		out[id] = co.Estimate(id)
-	}
-	return out
+	est := make([]float64, co.layout.NumCounters())
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	co.estimatesLocked(est)
+	return est
 }
 
 // structRows copies each site's cumulative struct row and stamped stream

@@ -19,9 +19,6 @@ type snapshotProducer struct {
 	ingest  func() error
 	// query is the producer's own QueryProb, where it has one.
 	query func(x []int) float64
-	// cell is an independent live read of one factor, where the producer has
-	// one (the tracker's per-cell path).
-	cell func(i, v, pidx int) float64
 	// learned producers publish a structure epoch; everyone else reports 0.
 	learned bool
 }
@@ -69,7 +66,6 @@ func snapshotProducers(t *testing.T) map[string]snapshotProducer {
 			return nil
 		},
 		query: tr.QueryProb,
-		cell:  tr.QueryCPD,
 	}
 
 	co := newCo(cfg)
@@ -178,9 +174,6 @@ func TestSnapshotContract(t *testing.T) {
 						f := snap.Factor(i, v, pidx)
 						if f < 0 || f > 1+eps {
 							t.Fatalf("factor(%d,%d,%d) = %v out of range", i, v, pidx, f)
-						}
-						if p.cell != nil && f != p.cell(i, v, pidx) {
-							t.Fatalf("factor(%d,%d,%d) = %v, live cell %v", i, v, pidx, f, p.cell(i, v, pidx))
 						}
 						sum += f
 					}

@@ -286,12 +286,12 @@ func TestStructOverlayLeavesFlatEstimatesIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	layout, err := NewLayout(off.Network(), core.ExactMLE, 0.1)
-	if err != nil {
-		t.Fatal(err)
+	offEst, onEst := allEstimates(off), allEstimates(on)
+	if len(offEst) != len(onEst) {
+		t.Fatalf("%d counters struct-off, %d struct-on", len(offEst), len(onEst))
 	}
-	for id := uint32(0); id < layout.NumCounters(); id++ {
-		if a, b := off.Estimate(id), on.Estimate(id); a != b {
+	for id, a := range offEst {
+		if b := onEst[id]; a != b {
 			t.Fatalf("counter %d: struct-off %v != struct-on %v", id, a, b)
 		}
 	}

@@ -17,7 +17,7 @@ import (
 //
 // and they cover, per strategy: the event count, the exact site→coord / coord→site message tallies, and an
 // FNV-64a hash over every exact cell count, every raw counter estimate
-// (ReadCPDRows) and every full-joint query answer bit pattern.
+// (rawRows) and every full-joint query answer bit pattern.
 //
 // The guarantee under test: a tracker with Shards ≤ 1 (the sequential
 // engine) replays the historical sequential tracker bit-for-bit — same
@@ -85,7 +85,6 @@ func bitCompatFingerprint(tr *Tracker) string {
 		h.Write(b[:])
 	}
 	net := tr.Network()
-	var rows CPDRows
 	for i := 0; i < net.Len(); i++ {
 		for pidx := 0; pidx < net.ParentCard(i); pidx++ {
 			for v := 0; v < net.Card(i); v++ {
@@ -94,11 +93,11 @@ func bitCompatFingerprint(tr *Tracker) string {
 				w64(uint64(qc))
 			}
 		}
-		tr.ReadCPDRows(i, &rows)
-		for _, e := range rows.Pair {
+		pair, par := rawRows(tr, i)
+		for _, e := range pair {
 			w64(math.Float64bits(e))
 		}
-		for _, e := range rows.Par {
+		for _, e := range par {
 			w64(math.Float64bits(e))
 		}
 	}

@@ -116,21 +116,20 @@ func estimateBound(cfg Config, eps float64, n int64) float64 {
 func assertEstimatesWithinBound(t *testing.T, tr *Tracker) {
 	t.Helper()
 	net, alloc, cfg := tr.Network(), tr.Allocation(), tr.Config()
-	var rows CPDRows
 	for i := 0; i < net.Len(); i++ {
-		tr.ReadCPDRows(i, &rows)
+		pair, par := rawRows(tr, i)
 		j := net.Card(i)
 		for pidx := 0; pidx < net.ParentCard(i); pidx++ {
 			for v := 0; v < j; v++ {
 				pc, qc := tr.ExactCount(i, v, pidx)
-				pairEst := rows.Pair[pidx*j+v]
+				pairEst := pair[pidx*j+v]
 				if d, bound := math.Abs(pairEst-float64(pc)), estimateBound(cfg, alloc.EpsA[i], pc); d > bound {
 					t.Errorf("var %d pair cell (%d,%d): |%.3f - %d| = %.3f exceeds bound %.3f",
 						i, v, pidx, pairEst, pc, d, bound)
 				}
-				if d, bound := math.Abs(rows.Par[pidx]-float64(qc)), estimateBound(cfg, alloc.EpsB[i], qc); d > bound {
+				if d, bound := math.Abs(par[pidx]-float64(qc)), estimateBound(cfg, alloc.EpsB[i], qc); d > bound {
 					t.Errorf("var %d parent cell %d: |%.3f - %d| = %.3f exceeds bound %.3f",
-						i, pidx, rows.Par[pidx], qc, d, bound)
+						i, pidx, par[pidx], qc, d, bound)
 				}
 			}
 		}

@@ -206,18 +206,17 @@ func TestDeprecatedDeltaKnobsAreAliases(t *testing.T) {
 				if got.Events() != want.Events() || got.Messages() != want.Messages() {
 					t.Fatalf("events %d messages %+v, want %d %+v", got.Events(), got.Messages(), want.Events(), want.Messages())
 				}
-				var wr, gr CPDRows
 				for i := 0; i < net.Len(); i++ {
-					want.ReadCPDRows(i, &wr)
-					got.ReadCPDRows(i, &gr)
-					for c := range wr.Pair {
-						if math.Float64bits(gr.Pair[c]) != math.Float64bits(wr.Pair[c]) {
-							t.Fatalf("var %d pair cell %d: %v, want %v", i, c, gr.Pair[c], wr.Pair[c])
+					wPair, wPar := rawRows(want, i)
+					gPair, gPar := rawRows(got, i)
+					for c := range wPair {
+						if math.Float64bits(gPair[c]) != math.Float64bits(wPair[c]) {
+							t.Fatalf("var %d pair cell %d: %v, want %v", i, c, gPair[c], wPair[c])
 						}
 					}
-					for c := range wr.Par {
-						if math.Float64bits(gr.Par[c]) != math.Float64bits(wr.Par[c]) {
-							t.Fatalf("var %d parent cell %d: %v, want %v", i, c, gr.Par[c], wr.Par[c])
+					for c := range wPar {
+						if math.Float64bits(gPar[c]) != math.Float64bits(wPar[c]) {
+							t.Fatalf("var %d parent cell %d: %v, want %v", i, c, gPar[c], wPar[c])
 						}
 					}
 				}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -11,119 +12,149 @@ import (
 	"distbayes/internal/bn"
 )
 
-// perCellQueryProb recomputes QueryProb through the per-cell reference path
-// (cpdFactor), bypassing the snapshot.
+// refFactor is the per-cell reference the snapshot is checked against: cell
+// (i, v, pidx)'s pair and parent estimates read live under i's stripe lock
+// and smoothed as (A+s)/(Apar+s·J_i), 0 where that denominator is not
+// positive. It reads no snapshot.
+func refFactor(t *Tracker, i, v, pidx int) float64 {
+	j, s := t.net.Card(i), t.cfg.Smoothing
+	sh := t.stripeOf(i)
+	sh.mu.Lock()
+	num, den := t.pair[i].Estimate(pidx*j+v), t.par[i].Estimate(pidx)
+	sh.mu.Unlock()
+	num += s
+	den += s * float64(j)
+	if den <= 0 {
+		return 0
+	}
+	return num / den
+}
+
+// rawRows copies variable i's raw pair (pidx*J_i+v) and parent (pidx)
+// estimates under i's stripe lock, one bulk read per bank.
+func rawRows(t *Tracker, i int) (pair, par []float64) {
+	j, k := t.net.Card(i), t.net.ParentCard(i)
+	pair, par = make([]float64, j*k), make([]float64, k)
+	sh := t.stripeOf(i)
+	sh.mu.Lock()
+	t.pair[i].EstimateRange(0, j*k, pair)
+	t.par[i].EstimateRange(0, k, par)
+	sh.mu.Unlock()
+	return pair, par
+}
+
+// perCellQueryProb recomputes QueryProb from refFactor, bypassing the
+// snapshot.
 func perCellQueryProb(t *Tracker, x []int) float64 {
 	p := 1.0
 	for i := 0; i < t.net.Len(); i++ {
-		p *= t.cpdFactor(i, x[i], t.net.ParentIndex(i, x))
+		p *= refFactor(t, i, x[i], t.net.ParentIndex(i, x))
 	}
 	return p
 }
 
 // TestSnapshotMatchesPerCellReference is the bit-equivalence guarantee of
-// the batched read path: under Shards=1, every answer served from
-// ReadCPDRows / the model snapshot must be bit-identical to the historical
-// per-cell cpdFactor reads, for every strategy and with and without
-// smoothing.
+// the snapshot read path: once ingestion has returned, every answer served
+// from the model snapshot must be bit-identical to per-cell live reads
+// (refFactor), for every strategy, on the sequential and the striped engine,
+// and with and without smoothing.
 func TestSnapshotMatchesPerCellReference(t *testing.T) {
 	m := testModel(t)
 	net := m.Network()
 	evs := genEventStream(m, 4, 15000, 21)
-	for _, smoothing := range []float64{0, 0.5} {
-		for _, st := range allStrategies {
-			cfg := cfgFor(st, 1)
-			cfg.Smoothing = smoothing
-			tr, err := NewTracker(net, cfg)
-			if err != nil {
-				t.Fatal(err)
+	for _, shards := range []int{1, 4} {
+		for _, smoothing := range []float64{0, 0.5} {
+			for _, st := range allStrategies {
+				cfg := cfgFor(st, shards)
+				cfg.Smoothing = smoothing
+				tr, err := NewTracker(net, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for lo := 0; lo < len(evs); lo += 100 {
+					tr.UpdateEvents(evs[lo:min(lo+100, len(evs))])
+				}
+				checkSnapshotMatchesReference(t, tr)
 			}
-			for _, ev := range evs {
-				tr.Update(ev.Site, ev.X)
-			}
+		}
+	}
+}
 
-			// ReadCPDRows vs per-cell raw reads (ExactCount gives the raw
-			// exact path; compare estimates through QueryCPD's smoothing).
-			var rows CPDRows
-			for i := 0; i < net.Len(); i++ {
-				tr.ReadCPDRows(i, &rows)
-				j := net.Card(i)
-				for pidx := 0; pidx < net.ParentCard(i); pidx++ {
-					for v := 0; v < j; v++ {
-						want := tr.cpdFactor(i, v, pidx)
-						got := smoothedFactor(rows.Pair[pidx*j+v], rows.Par[pidx], smoothing, j)
-						if got != want {
-							t.Fatalf("%v s=%v: rows factor (%d,%d,%d) = %v, per-cell %v",
-								st, smoothing, i, v, pidx, got, want)
-						}
-					}
+// checkSnapshotMatchesReference compares every snapshot-served answer of a
+// quiesced tracker with refFactor, bit for bit.
+func checkSnapshotMatchesReference(t *testing.T, tr *Tracker) {
+	t.Helper()
+	net, cfg := tr.Network(), tr.Config()
+	name := fmt.Sprintf("%v shards=%d s=%v", cfg.Strategy, cfg.Shards, cfg.Smoothing)
+	for i := 0; i < net.Len(); i++ {
+		for pidx := 0; pidx < net.ParentCard(i); pidx++ {
+			for v := 0; v < net.Card(i); v++ {
+				if got, want := tr.QueryCPD(i, v, pidx), refFactor(tr, i, v, pidx); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s: QueryCPD(%d,%d,%d) = %v, per-cell %v", name, i, v, pidx, got, want)
 				}
 			}
+		}
+	}
 
-			// Snapshot-served entry points vs per-cell recomputation.
-			x := make([]int, net.Len())
-			var rec func(int)
-			rec = func(i int) {
-				if i == net.Len() {
-					if got, want := tr.QueryProb(x), perCellQueryProb(tr, x); got != want {
-						t.Fatalf("%v s=%v: QueryProb(%v) = %v, per-cell %v", st, smoothing, x, got, want)
-					}
-					return
+	x := make([]int, net.Len())
+	var rec func(int)
+	rec = func(i int) {
+		if i == net.Len() {
+			if got, want := tr.QueryProb(x), perCellQueryProb(tr, x); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: QueryProb(%v) = %v, per-cell %v", name, x, got, want)
+			}
+			return
+		}
+		for v := 0; v < net.Card(i); v++ {
+			x[i] = v
+			rec(i + 1)
+		}
+	}
+	rec(0)
+
+	set := net.AncestralClosure([]int{1})
+	q := []int{1, 2, 0}
+	want := 1.0
+	for _, i := range set {
+		want *= refFactor(tr, i, q[i], net.ParentIndex(i, q))
+	}
+	if got := tr.QuerySubsetProb(set, q); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("%s: QuerySubsetProb = %v, per-cell %v", name, got, want)
+	}
+
+	// EstimatedModel vs normalizing the per-cell factors by hand.
+	est, err := tr.EstimatedModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < net.Len(); i++ {
+		j := net.Card(i)
+		for pidx := 0; pidx < net.ParentCard(i); pidx++ {
+			sum := 0.0
+			f := make([]float64, j)
+			for v := 0; v < j; v++ {
+				f[v] = refFactor(tr, i, v, pidx)
+				if f[v] < 0 {
+					f[v] = 0
 				}
-				for v := 0; v < net.Card(i); v++ {
-					x[i] = v
-					rec(i + 1)
+				sum += f[v]
+			}
+			for v := 0; v < j; v++ {
+				want := 1 / float64(j)
+				if sum > 0 {
+					want = f[v] / sum
 				}
-			}
-			rec(0)
-
-			set := net.AncestralClosure([]int{1})
-			q := []int{1, 2, 0}
-			snap := tr.snapshot()
-			want := 1.0
-			for _, i := range set {
-				want *= tr.cpdFactor(i, q[i], net.ParentIndex(i, q))
-			}
-			if got := tr.QuerySubsetProb(set, q); got != want {
-				t.Fatalf("%v: QuerySubsetProb = %v, per-cell %v", st, got, want)
-			}
-			_ = snap
-
-			// EstimatedModel vs normalizing the per-cell factors by hand.
-			est, err := tr.EstimatedModel()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < net.Len(); i++ {
-				j := net.Card(i)
-				for pidx := 0; pidx < net.ParentCard(i); pidx++ {
-					sum := 0.0
-					f := make([]float64, j)
-					for v := 0; v < j; v++ {
-						f[v] = tr.cpdFactor(i, v, pidx)
-						if f[v] < 0 {
-							f[v] = 0
-						}
-						sum += f[v]
-					}
-					for v := 0; v < j; v++ {
-						want := 1 / float64(j)
-						if sum > 0 {
-							want = f[v] / sum
-						}
-						if got := est.CPD(i).P(v, pidx); got != want {
-							t.Fatalf("%v: model CPD(%d,%d,%d) = %v, per-cell %v", st, i, v, pidx, got, want)
-						}
-					}
+				if got := est.CPD(i).P(v, pidx); got != want {
+					t.Fatalf("%s: model CPD(%d,%d,%d) = %v, per-cell %v", name, i, v, pidx, got, want)
 				}
 			}
 		}
 	}
 }
 
-// TestSnapshotCachingAndInvalidation checks the version-counter protocol:
-// repeated queries reuse one snapshot, any ingestion path invalidates it,
-// and LoadState drops it.
+// TestSnapshotCachingAndInvalidation checks the version protocol: repeated
+// queries reuse one snapshot, any ingestion path invalidates it, and
+// LoadState drops it.
 func TestSnapshotCachingAndInvalidation(t *testing.T) {
 	m := testModel(t)
 	tr, err := NewTracker(m.Network(), cfgFor(NonUniform, 1))
@@ -133,26 +164,16 @@ func TestSnapshotCachingAndInvalidation(t *testing.T) {
 	evs := genEventStream(m, 4, 5000, 5)
 	tr.UpdateEvents(evs[:4000])
 
-	// forceQueries issues enough point queries to pass the stale-query
-	// threshold and trigger a rebuild.
 	q := []int{0, 0, 0}
-	forceQueries := func() {
-		for i := 0; i <= staleQueryRebuildThreshold+1; i++ {
-			_ = tr.QueryProb(q)
-		}
-	}
-	forceQueries()
+	_ = tr.QueryProb(q)
 	s1 := tr.snap.Load()
 	if s1 == nil {
-		t.Fatal("no snapshot cached after query burst")
+		t.Fatal("no snapshot cached after a query")
 	}
 	_ = tr.Classify(1, []int{0, 0, 0})
 	_ = tr.QueryProb(q)
 	if tr.snap.Load() != s1 {
 		t.Error("idle queries rebuilt the snapshot")
-	}
-	if _, err := tr.EstimatedModel(); err != nil {
-		t.Fatal(err)
 	}
 	m1, _ := tr.EstimatedModel()
 	m2, _ := tr.EstimatedModel()
@@ -160,24 +181,20 @@ func TestSnapshotCachingAndInvalidation(t *testing.T) {
 		t.Error("EstimatedModel rebuilt between ingest flushes")
 	}
 
-	// Ingestion invalidates: after an update, the first few point queries
-	// serve per-cell (the cached pointer survives but is ignored), and a
-	// burst rebuilds. Answers must reflect the new state immediately.
+	// Ingestion invalidates: the first query after an update rebuilds, and
+	// its answer reflects the new state.
 	tr.Update(evs[4000].Site, evs[4000].X)
-	first := tr.QueryProb(q)
-	want := perCellQueryProb(tr, q)
-	if first != want {
-		t.Errorf("first post-update query = %v, per-cell %v (stale snapshot served)", first, want)
-	}
-	forceQueries()
-	if tr.snap.Load() == s1 {
-		t.Error("query burst after Update did not rebuild the snapshot")
+	if got, want := tr.QueryProb(q), perCellQueryProb(tr, q); got != want {
+		t.Errorf("first post-update query = %v, per-cell %v (stale snapshot served)", got, want)
 	}
 	s2 := tr.snap.Load()
+	if s2 == s1 {
+		t.Error("query after Update did not rebuild the snapshot")
+	}
 	tr.UpdateBatch(1, [][]int{evs[4001].X})
-	forceQueries()
+	_ = tr.QueryProb(q)
 	if tr.snap.Load() == s2 {
-		t.Error("query burst after UpdateBatch did not rebuild the snapshot")
+		t.Error("query after UpdateBatch did not rebuild the snapshot")
 	}
 
 	// LoadState invalidates: the post-restore query must see restored state.
@@ -189,9 +206,7 @@ func TestSnapshotCachingAndInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i <= staleQueryRebuildThreshold+1; i++ {
-		_ = tr2.QueryProb(q) // cache an empty-state snapshot
-	}
+	_ = tr2.QueryProb(q) // cache an empty-state snapshot
 	if tr2.snap.Load() == nil {
 		t.Fatal("no pre-restore snapshot cached")
 	}
@@ -203,45 +218,56 @@ func TestSnapshotCachingAndInvalidation(t *testing.T) {
 	}
 }
 
-// TestSnapshotStripeGranularity: with several stripes, mutating one stripe's
-// variables must leave the other stripes' cached rows shared with the
-// previous snapshot (pointer equality on the untouched rows).
-func TestSnapshotStripeGranularity(t *testing.T) {
-	m := testModel(t) // 3 variables
-	tr, err := NewTracker(m.Network(), cfgFor(ExactMLE, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	evs := genEventStream(m, 4, 1000, 9)
-	tr.UpdateEvents(evs)
-	for i := 0; i <= staleQueryRebuildThreshold+1; i++ {
-		_ = tr.QueryProb([]int{0, 0, 0})
-	}
-	s1 := tr.snap.Load()
-	if s1 == nil {
-		t.Fatal("no snapshot cached")
-	}
-	// Bump only stripe 1 (variable 1) by hand-incrementing its bank under
-	// its lock, as an out-of-band single-stripe mutation would.
-	sh := tr.stripeOf(1)
-	sh.mu.Lock()
-	tr.pair[1].Inc(0, 0)
-	tr.par[1].Inc(0, 0)
-	sh.version.Add(1)
-	sh.mu.Unlock()
-
-	for i := 0; i <= staleQueryRebuildThreshold+1; i++ {
-		_ = tr.QueryProb([]int{0, 0, 0})
-	}
-	s2 := tr.snap.Load()
-	if s2 == s1 {
-		t.Fatal("snapshot not rebuilt")
-	}
-	if &s2.factors[0][0] != &s1.factors[0][0] || &s2.factors[2][0] != &s1.factors[2][0] {
-		t.Error("untouched stripes were rebuilt instead of shared")
-	}
-	if &s2.factors[1][0] == &s1.factors[1][0] {
-		t.Error("dirty stripe row was not rebuilt")
+// TestEveryMutationBumpsEveryStripe pins the invariant that makes a whole
+// rebuild the only rebuild worth having: every ingestion entry point and
+// LoadState moves every stripe's version, so no snapshot ever has an
+// unchanged stripe whose rows it could share with its predecessor.
+func TestEveryMutationBumpsEveryStripe(t *testing.T) {
+	m := testModel(t)
+	net := m.Network()
+	evs := genEventStream(m, 4, 200, 13)
+	for _, shards := range []int{1, 4} {
+		tr, err := NewTracker(net, cfgFor(NonUniform, shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.UpdateEvents(evs[:100])
+		var state bytes.Buffer
+		if err := tr.SaveState(&state); err != nil {
+			t.Fatal(err)
+		}
+		mutations := []struct {
+			name string
+			do   func() error
+		}{
+			{"Update", func() error { tr.Update(evs[100].Site, evs[100].X); return nil }},
+			{"UpdateBatch", func() error { tr.UpdateBatch(2, [][]int{evs[101].X, evs[102].X}); return nil }},
+			{"UpdateEvents", func() error { tr.UpdateEvents(evs[103:180]); return nil }},
+			{"Ingest", func() error {
+				ch := make(chan Event, 20)
+				for _, ev := range evs[180:] {
+					ch <- ev
+				}
+				close(ch)
+				_, err := tr.Ingest(context.Background(), ch)
+				return err
+			}},
+			{"LoadState", func() error { return tr.LoadState(bytes.NewReader(state.Bytes())) }},
+		}
+		for _, mu := range mutations {
+			before := make([]uint64, len(tr.shards))
+			for s := range tr.shards {
+				before[s] = tr.shards[s].version.Load()
+			}
+			if err := mu.do(); err != nil {
+				t.Fatal(err)
+			}
+			for s := range tr.shards {
+				if tr.shards[s].version.Load() == before[s] {
+					t.Errorf("shards=%d: %s left stripe %d's version at %d", shards, mu.name, s, before[s])
+				}
+			}
+		}
 	}
 }
 
@@ -266,9 +292,8 @@ func poolTestNet(t *testing.T) *bn.Network {
 
 // TestSnapshotRowPooling is the snapshot-pooling allocation contract:
 // warm queries against a cached snapshot allocate nothing, and once the pool
-// is primed, a steady-state update→query-burst cycle rebuilds its dirty rows
-// from recycled storage instead of allocating one row per variable per
-// rebuild.
+// is primed, a steady-state update→query cycle rebuilds into a recycled row
+// set instead of allocating one row per variable per rebuild.
 func TestSnapshotRowPooling(t *testing.T) {
 	net := poolTestNet(t)
 	tr, err := NewTracker(net, Config{Strategy: NonUniform, Eps: 0.1, Sites: 4, Seed: 3})
@@ -301,14 +326,14 @@ func TestSnapshotRowPooling(t *testing.T) {
 	x := sample()
 	run := func() {
 		tr.Update(1, x)
-		for i := 0; i <= staleQueryRebuildThreshold+1; i++ {
-			_ = tr.QueryProb(q)
-		}
+		_ = tr.QueryProb(q)
 	}
 	run() // prime the pool with the first retirement
-	if a := testing.AllocsPerRun(100, run); a >= float64(net.Len()) {
+	a := testing.AllocsPerRun(100, run)
+	if a >= float64(net.Len()) {
 		t.Errorf("steady-state rebuild allocates %v/op, want < %d (rows not recycled?)", a, net.Len())
 	}
+	t.Logf("steady-state update+rebuild: %v allocs/op", a)
 }
 
 // TestSnapshotRetirementSafety hammers queries from several goroutines while
@@ -489,39 +514,29 @@ func TestConcurrentSnapshotQueries(t *testing.T) {
 }
 
 // TestHeldSnapshotOutlivesSuccessors: a reader may hold a snapshot while any
-// number of successors are built and retired. A successor shares the rows of
-// the stripes that did not change; retiring it must not recycle rows an older,
-// still-held snapshot reads — a row goes back to the pool only when the last
-// snapshot that references it is gone.
+// number of successors are built and retired. Retiring a successor recycles
+// its row set, never the one the held snapshot still reads — a row set goes
+// back to the pool only when its own snapshot's last reference is gone.
 func TestHeldSnapshotOutlivesSuccessors(t *testing.T) {
-	m := testModel(t) // 3 variables, one per stripe
+	m := testModel(t)
 	net := m.Network()
 	tr, err := NewTracker(net, cfgFor(ExactMLE, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.UpdateEvents(genEventStream(m, 4, 1000, 9))
+	evs := genEventStream(m, 4, 1010, 9)
+	tr.UpdateEvents(evs[:1000])
 	held := tr.AcquireSnapshot()
 	var want [][]float64
 	for i := 0; i < net.Len(); i++ {
 		want = append(want, append([]float64(nil), held.factors[i]...))
 	}
-	// bump dirties one stripe by hand, as an out-of-band single-stripe
-	// mutation would, and rebuilds.
-	bump := func(i int) {
-		sh := tr.stripeOf(i)
-		sh.mu.Lock()
-		tr.pair[i].Inc(0, 0)
-		tr.par[i].Inc(0, 0)
-		sh.version.Add(1)
-		sh.mu.Unlock()
+	// Each round rebuilds and retires the previous successor, whose row set
+	// the next rebuild draws from the pool.
+	for _, ev := range evs[1000:] {
+		tr.Update(ev.Site, ev.X)
 		tr.AcquireSnapshot().Release()
 	}
-	bump(1) // the successor shares held's rows 0 and 2
-	bump(0) // retires that successor, the only other user of held's row 0
-	bump(0) // a rebuild of row 0 draws from the pool
-	bump(2)
-	bump(2)
 	for i := range want {
 		for c, w := range want[i] {
 			if got := held.factors[i][c]; got != w {

@@ -118,8 +118,10 @@ func (t *Tracker) SaveState(w io.Writer) error {
 
 // LoadState restores a snapshot produced by SaveState. The receiver must
 // have been constructed with NewTracker over the same network and Config
-// (including the same Shards); a fingerprint mismatch is rejected. Any
-// cached model snapshot is invalidated.
+// (including the same Shards); a fingerprint mismatch is rejected. Every
+// record is decoded into fresh banks before anything changes, so a refused
+// snapshot leaves the tracker as it was. Any cached model snapshot is
+// invalidated.
 func (t *Tracker) LoadState(r io.Reader) error {
 	// rebuildMu before the stripe locks — the same order snapshot rebuilds
 	// use — so a query racing LoadState blocks instead of deadlocking; it
@@ -172,14 +174,20 @@ func (t *Tracker) LoadState(r io.Reader) error {
 		}
 		return b.UnmarshalBinary(data)
 	}
-	for i := range t.pair {
-		if err := readBank(t.pair[i]); err != nil {
+	pair, par := make([]*counter.Bank, len(t.pair)), make([]*counter.Bank, len(t.par))
+	for i := range pair {
+		if pair[i], par[i], err = t.newBanks(i); err != nil {
 			return err
 		}
-		if err := readBank(t.par[i]); err != nil {
+		if err := readBank(pair[i]); err != nil {
+			return err
+		}
+		if err := readBank(par[i]); err != nil {
 			return err
 		}
 	}
+	copy(t.pair, pair)
+	copy(t.par, par)
 	t.events.Store(int64(events))
 	t.metrics.Store(counter.Metrics{SiteToCoord: int64(up), CoordToSite: int64(down)})
 	for s := range t.shards {

@@ -140,3 +140,50 @@ func TestCheckpointRejectsMismatch(t *testing.T) {
 		t.Error("garbage accepted")
 	}
 }
+
+// TestRefusedLoadStateLeavesTrackerIntact: a checkpoint whose last bank
+// record is refused must change nothing — not the banks before it, not the
+// event count, tallies or RNG states, and not the cached snapshot — so the
+// tracker keeps answering from its own state.
+func TestRefusedLoadStateLeavesTrackerIntact(t *testing.T) {
+	m := testModel(t)
+	net := m.Network()
+	evs := genEventStream(m, 4, 3000, 71)
+	for _, shards := range []int{1, 3} {
+		cfg := cfgFor(NonUniform, shards)
+		tr, err := NewTracker(net, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := NewTracker(net, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.UpdateEvents(evs[:1000])
+		ckpt := stateBytes(t, tr) // a valid checkpoint of an older state
+		tr.UpdateEvents(evs[1000:2999])
+		ref.UpdateEvents(evs[:1000])
+		ref.UpdateEvents(evs[1000:2999])
+		q := make([]int, net.Len())
+		_ = tr.QueryProb(q) // cache a snapshot of the current state
+		before := stateBytes(t, tr)
+
+		// The last record is the parent bank of the last variable: flip its
+		// state-version byte so the bank refuses it.
+		bad := append([]byte(nil), ckpt...)
+		bad[len(bad)-tr.par[net.Len()-1].StateLen()] ^= 0xff
+		if err := tr.LoadState(bytes.NewReader(bad)); err == nil {
+			t.Fatalf("shards=%d: corrupt last bank record accepted", shards)
+		}
+		if !bytes.Equal(stateBytes(t, tr), before) {
+			t.Errorf("shards=%d: refused LoadState changed the tracker's state", shards)
+		}
+		tr.Update(evs[2999].Site, evs[2999].X)
+		ref.Update(evs[2999].Site, evs[2999].X)
+		for _, ev := range evs[:50] {
+			if got, want := tr.QueryProb(ev.X), ref.QueryProb(ev.X); got != want {
+				t.Fatalf("shards=%d: QueryProb(%v) = %v after a refused load, want %v", shards, ev.X, got, want)
+			}
+		}
+	}
+}

@@ -137,19 +137,15 @@ type Event struct {
 // Concurrent queries must not share mutable arguments — Classify scratches
 // x[target] in the caller's slice, so each goroutine needs its own x.
 //
-// Query model: the structured query paths (QueryProb, QuerySubsetProb,
-// Classify, EstimatedModel, InferMarginal, ClassifyPartial) are served from
-// a cached model snapshot. Every stripe carries a version counter that is
-// bumped under its lock on each mutation; a query revalidates the cached
-// snapshot against the stripe versions and rebuilds only the stripes that
-// changed, locking each such stripe once and reading whole variable rows
-// (ReadCPDRows) instead of taking two lock round-trips per CPT cell.
-// Repeated queries between ingest flushes therefore share one snapshot and
-// acquire no locks at all, while point queries against a stale cache fall
-// back to per-cell reads for a few calls before paying for a rebuild
-// (pointSnapshot), so alternating update/query workloads keep the
-// historical per-cell cost. QueryCPD and ExactCount bypass the snapshot
-// and read single live cells.
+// Query model: every query entry point (QueryProb, QuerySubsetProb,
+// QueryCPD, Classify, EstimatedModel, InferMarginal, ClassifyPartial) answers
+// from one cached model snapshot, the one AcquireSnapshot hands out. Every
+// stripe carries a version counter bumped under its lock on each mutation;
+// a snapshot records the sum of the versions it read, and a query that finds
+// the live sum moved rebuilds the whole snapshot, locking each stripe once
+// and bulk-reading its banks into one pooled row set. Repeated queries
+// between ingest passes therefore share one snapshot and take no locks.
+// ExactCount alone reads live cells: it is the evaluation oracle.
 //
 // External quiescence is required only for SaveState/LoadState (stripe
 // locking excludes torn counter reads, but a mid-flight multi-stripe update
@@ -178,23 +174,17 @@ type Tracker struct {
 	scratch sync.Pool // *passScratch of the ingestion engine (applyIndexed)
 
 	// snap is the last published model snapshot (nil until the first
-	// structured query).
+	// query).
 	snap atomic.Pointer[modelSnapshot]
-	// rebuildMu serializes snapshot rebuilds and cache replacement: a rebuild
-	// shares the rows of the cached snapshot, which its cache reference keeps
-	// alive for as long as rebuildMu is held. The query fast path never takes
-	// it.
+	// rebuildMu serializes snapshot rebuilds and cache replacement and
+	// guards parRow, the rebuilds' parent-row scratch. The query fast path
+	// never takes it.
 	rebuildMu sync.Mutex
-	// rowPools[i] recycles variable i's factor rows (*factorRow of exactly
-	// J_i·K_i cells) once no snapshot references them, so steady-state
-	// ingest+query mixes stop allocating one row per dirty variable per
-	// rebuild. One pool per variable keeps every recycled row exactly the
-	// right size.
-	rowPools []sync.Pool
-	// staleQueries counts point queries served per-cell since the cached
-	// snapshot went stale; once it passes staleQueryRebuildThreshold the
-	// next point query rebuilds (see pointSnapshot).
-	staleQueries atomic.Int32
+	parRow    []float64
+	// rows recycles snapshot row sets (*snapRows) once no snapshot
+	// references them, so a steady ingest+query mix stops allocating
+	// NumCells floats per rebuild.
+	rows sync.Pool
 }
 
 // shard is one lock stripe: a mutex, the stripe-local RNG feeding the
@@ -208,9 +198,9 @@ type shard struct {
 	// under mu; unlockMutated publishes it to Tracker.metrics.
 	tally counter.Metrics
 	// version counts mutations of this stripe's banks. It is incremented
-	// under mu at the end of every locked mutation section and read with
-	// atomic loads by the snapshot validator: a snapshot built when every
-	// stripe version matched is current.
+	// under mu at the end of every locked mutation section (and by
+	// LoadState) and never falls; the snapshot validator sums it over the
+	// stripes with atomic loads (Tracker.version).
 	version atomic.Uint64
 	vars    []int
 }
@@ -238,8 +228,6 @@ func NewTracker(net *bn.Network, cfg Config) (*Tracker, error) {
 		alloc: alloc,
 		pair:  make([]*counter.Bank, net.Len()),
 		par:   make([]*counter.Bank, net.Len()),
-
-		rowPools: make([]sync.Pool, net.Len()),
 	}
 	nShards := cfg.numShards()
 	if nShards > net.Len() && net.Len() > 0 {
@@ -255,28 +243,32 @@ func NewTracker(net *bn.Network, cfg Config) (*Tracker, error) {
 		t.shards[s].rng = bn.NewRNG(cfg.Seed + uint64(s)*0x9e3779b97f4a7c15)
 	}
 	for i := 0; i < net.Len(); i++ {
-		sh := &t.shards[i%nShards]
+		sh := t.stripeOf(i)
 		sh.vars = append(sh.vars, i)
-		j, k := net.Card(i), net.ParentCard(i)
-		t.pair[i], err = t.newBank(j*k, alloc.EpsA[i], sh)
-		if err != nil {
-			return nil, err
-		}
-		t.par[i], err = t.newBank(k, alloc.EpsB[i], sh)
-		if err != nil {
+		if t.pair[i], t.par[i], err = t.newBanks(i); err != nil {
 			return nil, err
 		}
 	}
 	return t, nil
 }
 
-// newBank builds one variable's counter bank: exact for ExactMLE, the HYZ
-// counter of Lemma 4 for the approximate strategies.
-func (t *Tracker) newBank(cells int, eps float64, sh *shard) (*counter.Bank, error) {
-	if t.cfg.Strategy == ExactMLE {
-		return counter.NewBank(counter.ExactKind, cells, t.cfg.Sites, 0, 0, &sh.tally, nil)
+// newBanks builds variable i's empty pair and parent banks on i's stripe:
+// exact for ExactMLE, the HYZ counter of Lemma 4 for the approximate
+// strategies.
+func (t *Tracker) newBanks(i int) (pair, par *counter.Bank, err error) {
+	sh := t.stripeOf(i)
+	bank := func(cells int, eps float64) (*counter.Bank, error) {
+		if t.cfg.Strategy == ExactMLE {
+			return counter.NewBank(counter.ExactKind, cells, t.cfg.Sites, 0, 0, &sh.tally, nil)
+		}
+		return counter.NewBank(counter.HYZKind, cells, t.cfg.Sites, eps, t.cfg.Delta, &sh.tally, sh.rng)
 	}
-	return counter.NewBank(counter.HYZKind, cells, t.cfg.Sites, eps, t.cfg.Delta, &sh.tally, sh.rng)
+	k := t.net.ParentCard(i)
+	if pair, err = bank(t.net.Card(i)*k, t.alloc.EpsA[i]); err != nil {
+		return nil, nil, err
+	}
+	par, err = bank(k, t.alloc.EpsB[i])
+	return pair, par, err
 }
 
 // stripeOf returns the lock stripe owning variable i's counter banks.
@@ -341,7 +333,7 @@ const (
 // passScratch is the pooled scratch of one pass: the pair-bank and
 // parent-bank cell of every (variable, event) of the pass and the events'
 // sites. The box is pooled, not the slices, so Put does not re-box a slice
-// header on every call (cf. factorRow).
+// header on every call (cf. snapRows).
 type passScratch struct {
 	cells, sites []int32
 }
@@ -509,68 +501,22 @@ func (t *Tracker) Ingest(ctx context.Context, events <-chan Event) (int64, error
 	}
 }
 
-// cpdFactor returns the tracked estimate of P[x_i = v | parent config pidx],
-// with the configured smoothing. The pair and parent counters are read under
-// their stripe's lock so the ratio is consistent against in-flight updates.
-// It is the per-cell reference path; the structured query entry points go
-// through the batched snapshot instead (see Tracker's type comment).
-func (t *Tracker) cpdFactor(i, v, pidx int) float64 {
-	ji := t.net.Card(i)
-	sh := t.stripeOf(i)
-	sh.mu.Lock()
-	num := t.pair[i].Estimate(pidx*ji + v)
-	den := t.par[i].Estimate(pidx)
-	sh.mu.Unlock()
-	return smoothedFactor(num, den, t.cfg.Smoothing, ji)
-}
-
-// smoothedFactor is the single definition of the smoothed CPD ratio, shared
-// by the per-cell reference path and smoothRows so the two are bit-identical.
-func smoothedFactor(num, den, smoothing float64, ji int) float64 {
-	num += smoothing
-	den += smoothing * float64(ji)
-	if den <= 0 {
-		return 0
-	}
-	return num / den
-}
-
-// smoothRows turns one variable's raw rows (the CPDRows layout, J_i = j
-// values per parent configuration) into its factor row in place:
-// pair[pidx*j+v] becomes (pair[pidx*j+v]+s)/(par[pidx]+s·j). It is the
-// snapshot builder's step.
-func smoothRows(pair, par []float64, smoothing float64, j int) {
+// smoothRows turns one variable's raw rows (J_i = j values per parent
+// configuration) into its factor row in place: pair[pidx*j+v] becomes
+// (pair[pidx*j+v]+s)/(par[pidx]+s·j), or 0 where that denominator is not
+// positive. It is the snapshot builder's step.
+func smoothRows(pair, par []float64, s float64, j int) {
 	for pidx, den := range par {
+		den += s * float64(j)
 		row := pair[pidx*j : (pidx+1)*j]
 		for v := range row {
-			row[v] = smoothedFactor(row[v], den, smoothing, j)
+			if den <= 0 {
+				row[v] = 0
+			} else {
+				row[v] = (row[v] + s) / den
+			}
 		}
 	}
-}
-
-// CPDRows is caller-owned scratch for ReadCPDRows: one variable's raw
-// (unsmoothed) tracked estimates. Pair is laid out pidx*J_i + v to match
-// bn.CPT; Par is indexed by pidx. Buffers are grown as needed and reused
-// across calls.
-type CPDRows struct {
-	Pair []float64
-	Par  []float64
-}
-
-// ReadCPDRows copies variable i's entire counter state — all J_i·K_i pair
-// estimates and K_i parent estimates — into rows under a single acquisition
-// of i's stripe lock, replacing the 2·J_i·K_i per-cell lock round-trips of
-// the historical query path. The copies are mutually consistent against
-// in-flight updates. Estimates are raw; apply Config.Smoothing downstream
-// as (Pair[c]+s)/(Par[pidx]+s·J_i).
-func (t *Tracker) ReadCPDRows(i int, rows *CPDRows) {
-	j, k := t.net.Card(i), t.net.ParentCard(i)
-	rows.Pair = growFloats(rows.Pair, j*k)
-	rows.Par = growFloats(rows.Par, k)
-	sh := t.stripeOf(i)
-	sh.mu.Lock()
-	t.readRowsLocked(i, rows.Pair, rows.Par)
-	sh.mu.Unlock()
 }
 
 // growFloats returns s resized to n cells, reallocating only when needed.
@@ -581,62 +527,49 @@ func growFloats(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// readRowsLocked copies variable i's raw estimates into pair (len J_i·K_i)
-// and par (len K_i) with one kind-specialized bulk read per bank
-// (counter.Bank.EstimateRange) — the vectorized half of the snapshot
-// rebuild, which walks every CPT cell and every parent cell (munin: 101 866
-// and 21 274). Callers must hold i's stripe lock.
-func (t *Tracker) readRowsLocked(i int, pair, par []float64) {
-	t.pair[i].EstimateRange(0, len(pair), pair)
-	t.par[i].EstimateRange(0, len(par), par)
-}
-
-// modelSnapshot is the tracker's cache entry: one Snapshot — a
-// consistent-enough view of every CPD factor, built by batched per-stripe
-// reads and shared by the structured query paths — plus the bookkeeping that
-// validates, shares and recycles it.
+// modelSnapshot is the tracker's cache entry: one Snapshot — every CPD
+// factor, read stripe by stripe under each stripe's lock — plus the
+// bookkeeping that shares and recycles it.
 //
-// Invalidation rules: factors[i] holds the smoothed factor of every cell of
-// variable i, read under i's stripe lock together with that stripe's
-// version. A snapshot is current while every stripe's live version equals
-// the recorded one; any mutation bumps its stripe's version (under the
-// stripe lock), so the next query rebuilds exactly the stripes that
-// changed, reusing the rows of unchanged stripes. Published snapshots are
-// immutable. Like the historical per-cell query path, a snapshot taken
-// while a multi-stripe update is mid-flight may see earlier stripes
-// post-event and later stripes pre-event; quiesce ingestion for a
-// stream-position-exact view.
+// Invalidation rule: the Snapshot's version is the sum of the stripe versions
+// the rebuild read, each under its stripe's lock together with that stripe's
+// rows. Stripe versions never fall, so the snapshot is current exactly while
+// the live sum (Tracker.version) equals the recorded one. Published snapshots
+// are immutable. A snapshot taken while a multi-stripe update is mid-flight
+// may see earlier stripes post-event and later stripes pre-event; quiesce
+// ingestion for a stream-position-exact view.
 type modelSnapshot struct {
 	// Snapshot holds the rows (factors[i][pidx*J_i+v] is the smoothed
-	// cpdFactor value), the lazily normalized model, when the rows were read,
-	// and the version: the sum of the per-stripe versions, monotone
-	// non-decreasing across snapshots because every mutation bumps exactly
-	// one stripe version. Its Release drops one reference (releaseSnap).
+	// factor), the lazily normalized model, when the rows were read and the
+	// version. Its Release drops one reference (releaseSnap).
 	Snapshot
-	// versions[s] is shards[s].version at the time stripe s's rows were
-	// read (or inherited from the previous snapshot).
-	versions []uint64
-
 	// refs counts live references: one held by the tracker's cache slot
 	// while this is the published snapshot, plus one per in-flight query.
-	// When it drops to zero the snapshot is retired and the rows no other
-	// snapshot shares are recycled through the tracker's rowPools. Readers take references with
-	// Tracker.acquireSnap (a CAS loop that refuses retired snapshots) and
-	// drop them with Tracker.releaseSnap.
+	// When it drops to zero the snapshot is retired and its rows go back to
+	// the tracker's pool. Readers take references with acquireSnap (a CAS
+	// loop that refuses retired snapshots) and drop them with releaseSnap.
 	refs atomic.Int32
-	// rows[i] is the pooled, shared row backing factors[i].
-	rows []*factorRow
+	rows *snapRows
 }
 
-// factorRow is one variable's pooled factor row. A rebuild shares the rows of
-// unchanged stripes with its predecessor, and either snapshot may outlive the
-// other (a reader can hold an old one across any number of rebuilds), so a
-// row counts the snapshots that reference it and returns to the pool when the
-// last of them retires. Pooling the box rather than the slice keeps Put from
-// re-boxing a slice header (that allocation would cost what pooling saves).
-type factorRow struct {
-	cells []float64
-	snaps atomic.Int32
+// snapRows is one snapshot's pooled row set: one backing array of NumCells
+// floats sliced into factors[i] of J_i·K_i cells. Pooling the box rather than
+// the slice keeps Put from re-boxing a slice header.
+type snapRows struct{ factors [][]float64 }
+
+// getRows returns a pooled row set (contents unspecified — the rebuild
+// overwrites every cell).
+func (t *Tracker) getRows() *snapRows {
+	if r, ok := t.rows.Get().(*snapRows); ok {
+		return r
+	}
+	r := &snapRows{factors: make([][]float64, t.net.Len())}
+	cells := make([]float64, t.net.NumCells())
+	for i := range r.factors {
+		n := t.net.Card(i) * t.net.ParentCard(i)
+		r.factors[i], cells = cells[:n:n], cells[n:]
+	}
+	return r
 }
 
 // acquireSnap takes a read reference on the cached snapshot, or returns nil
@@ -660,75 +593,29 @@ func (t *Tracker) acquireSnap() *modelSnapshot {
 }
 
 // releaseSnap drops a reference taken by acquireSnap (or returned by
-// snapshot/pointSnapshot); the final drop retires the snapshot and recycles
-// the rows no other snapshot shares into the row pool.
+// snapshot); the final drop retires the snapshot and recycles its rows.
 func (t *Tracker) releaseSnap(s *modelSnapshot) {
-	if s.refs.Add(-1) != 0 {
-		return
-	}
-	for i, row := range s.rows {
-		if row.snaps.Add(-1) == 0 {
-			t.rowPools[i].Put(row)
-		}
+	if s.refs.Add(-1) == 0 {
+		t.rows.Put(s.rows)
 	}
 }
 
-// getRow returns a pooled factor row for variable i with n cells (contents
-// unspecified — snapshot building overwrites every cell).
-func (t *Tracker) getRow(i, n int) *factorRow {
-	row, ok := t.rowPools[i].Get().(*factorRow)
-	if !ok {
-		row = &factorRow{cells: make([]float64, n)}
-	}
-	row.snaps.Store(1)
-	return row
-}
-
-// snapFresh reports whether snap matches every stripe's live version.
-func (t *Tracker) snapFresh(snap *modelSnapshot) bool {
+// version sums the live stripe versions (see modelSnapshot).
+func (t *Tracker) version() uint64 {
+	var v uint64
 	for s := range t.shards {
-		if snap.versions[s] != t.shards[s].version.Load() {
-			return false
-		}
+		v += t.shards[s].version.Load()
 	}
-	return true
-}
-
-// staleQueryRebuildThreshold is how many point queries are served through
-// the per-cell path after the cached snapshot goes stale before the next
-// one pays for a rebuild. A rebuild reads every CPT cell while a point
-// query reads ~2n, so alternating update/query workloads should keep the
-// cheap per-cell cost, while a burst of queries against one training state
-// quickly converges to the zero-lock cached snapshot.
-const staleQueryRebuildThreshold = 3
-
-// pointSnapshot returns the snapshot a point query (QueryProb,
-// QuerySubsetProb, Classify) should read — with a reference held, which the
-// caller must drop with releaseSnap — or nil when the query should fall
-// back to per-cell cpdFactor reads: for the first few queries after the
-// cached snapshot goes stale (see staleQueryRebuildThreshold). Both paths
-// produce bit-identical answers.
-func (t *Tracker) pointSnapshot() *modelSnapshot {
-	if s := t.acquireSnap(); s != nil {
-		if t.snapFresh(s) {
-			return s
-		}
-		t.releaseSnap(s)
-	}
-	if t.staleQueries.Add(1) <= staleQueryRebuildThreshold {
-		return nil
-	}
-	return t.snapshot()
+	return v
 }
 
 // snapshot returns a current model snapshot with a reference held (drop it
-// with releaseSnap), rebuilding only stripes whose version moved since the
-// cached one was built. Rebuilds are serialized under rebuildMu — which also
-// makes the row ownership hand-off to the successor snapshot safe — while
-// the fresh-cache fast path stays lock-free.
+// with releaseSnap), rebuilding it whole when any stripe moved since the
+// cached one was built. Rebuilds are serialized under rebuildMu while the
+// fresh-cache fast path stays lock-free.
 func (t *Tracker) snapshot() *modelSnapshot {
 	if s := t.acquireSnap(); s != nil {
-		if t.snapFresh(s) {
+		if s.version == t.version() {
 			return s
 		}
 		t.releaseSnap(s)
@@ -736,75 +623,53 @@ func (t *Tracker) snapshot() *modelSnapshot {
 	t.rebuildMu.Lock()
 	defer t.rebuildMu.Unlock()
 	// Re-check under the rebuild lock: a concurrent query may have already
-	// rebuilt. The cache slot's reference cannot be dropped while we hold
-	// rebuildMu, so a plain increment is safe here.
-	if old := t.snap.Load(); old != nil && t.snapFresh(old) {
+	// rebuilt. Only a rebuild drops the cache slot's reference, so a plain
+	// increment is safe here.
+	old := t.snap.Load()
+	if old != nil && old.version == t.version() {
 		old.refs.Add(1)
 		return old
 	}
-	return t.buildSnapshot(t.snap.Load())
+	ns := t.buildSnapshot()
+	t.snap.Store(ns)
+	if old != nil {
+		t.releaseSnap(old) // drop the cache slot's reference
+	}
+	return ns
 }
 
 // AcquireSnapshot returns the current model snapshot with a read reference
 // held — the tracker's refcounted snapshot machinery surfaced as a
 // read-replica primitive for the serving layer (internal/serve) — rebuilding
-// only the stripes whose version moved since the cached snapshot was built (a
-// full rebuild bulk-reads every CPT cell via counter.Bank.EstimateRange).
-// Ingestion proceeding underneath retires the snapshot without waiting for
-// readers. The caller owns one reference and must call Release exactly once.
+// it when any stripe moved since the cached snapshot was built (a rebuild
+// bulk-reads every CPT cell via counter.Bank.EstimateRange). Ingestion
+// proceeding underneath retires the snapshot without waiting for readers.
+// The caller owns one reference and must call Release exactly once.
 func (t *Tracker) AcquireSnapshot() *Snapshot { return &t.snapshot().Snapshot }
 
-// buildSnapshot reads every stripe (reusing old's rows for unchanged
-// stripes), publishes the new snapshot, retires old's cache reference and
-// returns the new one with the caller's reference held. Callers hold
-// rebuildMu.
-func (t *Tracker) buildSnapshot(old *modelSnapshot) *modelSnapshot {
-	ns := &modelSnapshot{
-		Snapshot: Snapshot{net: t.net, factors: make([][]float64, t.net.Len())},
-		versions: make([]uint64, len(t.shards)),
-		rows:     make([]*factorRow, t.net.Len()),
-	}
+// buildSnapshot reads every stripe into a pooled row set — per variable one
+// kind-specialized bulk read per bank (counter.Bank.EstimateRange) and the
+// smoothing — and returns the new snapshot with two references held: the
+// cache slot's and the caller's. Callers hold rebuildMu.
+func (t *Tracker) buildSnapshot() *modelSnapshot {
+	rows := t.getRows()
+	ns := &modelSnapshot{Snapshot: Snapshot{net: t.net, factors: rows.factors}, rows: rows}
 	ns.release = func() { t.releaseSnap(ns) }
-	var par []float64 // parent-row scratch shared across variables
 	for s := range t.shards {
 		sh := &t.shards[s]
-		if old != nil {
-			if v := sh.version.Load(); v == old.versions[s] {
-				// Stripe unchanged since the cached snapshot: share its
-				// immutable rows. (A concurrent mutation after the load is
-				// caught by the next query's revalidation.)
-				for _, i := range sh.vars {
-					old.rows[i].snaps.Add(1)
-					ns.factors[i], ns.rows[i] = old.factors[i], old.rows[i]
-				}
-				ns.versions[s] = v
-				continue
-			}
-		}
 		sh.mu.Lock()
 		for _, i := range sh.vars {
 			j, k := t.net.Card(i), t.net.ParentCard(i)
-			shared := t.getRow(i, j*k)
-			row := shared.cells
-			par = growFloats(par, k)
-			t.readRowsLocked(i, row, par)
-			smoothRows(row, par, t.cfg.Smoothing, j)
-			ns.factors[i] = row
-			ns.rows[i] = shared
+			t.parRow = growFloats(t.parRow, k)
+			t.pair[i].EstimateRange(0, j*k, rows.factors[i])
+			t.par[i].EstimateRange(0, k, t.parRow)
+			smoothRows(rows.factors[i], t.parRow, t.cfg.Smoothing, j)
 		}
-		ns.versions[s] = sh.version.Load() // under mu: stable
+		ns.version += sh.version.Load() // under mu: stable
 		sh.mu.Unlock()
 	}
-	for _, v := range ns.versions {
-		ns.version += v
-	}
 	ns.builtAt = time.Now()
-	ns.refs.Store(2) // the cache slot plus the returning caller
-	t.snap.Store(ns)
-	if old != nil {
-		t.releaseSnap(old) // drop the cache slot's reference
-	}
-	t.staleQueries.Store(0)
+	ns.refs.Store(2)
 	return ns
 }
 
@@ -824,33 +689,28 @@ func (t *Tracker) invalidateSnapshotLocked() {
 
 // QueryProb answers a joint-probability query for the full assignment x
 // (Algorithm 3): Π_i A_i(x_i, x_i^par) / A_i(x_i^par). With no smoothing and
-// an unseen parent configuration the result is 0. Served from the cached
-// model snapshot when one is current, per-cell otherwise (see Tracker's
-// type comment and pointSnapshot); both feed the same kernel and are
-// bit-identical.
+// an unseen parent configuration the result is 0.
 func (t *Tracker) QueryProb(x []int) float64 {
-	if snap := t.pointSnapshot(); snap != nil {
-		defer t.releaseSnap(snap)
-		return snap.QueryProb(x)
-	}
-	return QueryProb(t.net, t.cpdFactor, x)
+	snap := t.snapshot()
+	defer t.releaseSnap(snap)
+	return snap.QueryProb(x)
 }
 
 // QuerySubsetProb estimates the marginal probability of x restricted to an
 // ancestrally closed variable set (see bn.Network.AncestralClosure), which
 // factorizes exactly over the member CPDs.
 func (t *Tracker) QuerySubsetProb(set []int, x []int) float64 {
-	if snap := t.pointSnapshot(); snap != nil {
-		defer t.releaseSnap(snap)
-		return snap.QuerySubsetProb(set, x)
-	}
-	return QuerySubsetProb(t.net, t.cpdFactor, set, x)
+	snap := t.snapshot()
+	defer t.releaseSnap(snap)
+	return snap.QuerySubsetProb(set, x)
 }
 
-// QueryCPD estimates the single CPD entry P[X_i = v | parent config pidx]
-// with a live per-cell read (no snapshot involved).
+// QueryCPD estimates the single CPD entry P[X_i = v | parent config pidx],
+// with the configured smoothing.
 func (t *Tracker) QueryCPD(i, v, pidx int) float64 {
-	return t.cpdFactor(i, v, pidx)
+	snap := t.snapshot()
+	defer t.releaseSnap(snap)
+	return snap.Factor(i, v, pidx)
 }
 
 // Classify returns argmax_y of the tracked P[X_target = y | x_{-target}]
@@ -858,11 +718,9 @@ func (t *Tracker) QueryCPD(i, v, pidx int) float64 {
 // function). x[target] is scratch, restored before returning, so concurrent
 // callers must each pass their own x slice.
 func (t *Tracker) Classify(target int, x []int) int {
-	if snap := t.pointSnapshot(); snap != nil {
-		defer t.releaseSnap(snap)
-		return snap.Classify(target, x)
-	}
-	return Classify(t.net, t.cpdFactor, target, x)
+	snap := t.snapshot()
+	defer t.releaseSnap(snap)
+	return snap.Classify(target, x)
 }
 
 // EstimatedModel snapshots the tracked parameters into a bn.Model (see

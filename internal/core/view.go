@@ -11,8 +11,7 @@ import (
 
 // Factors reads one CPD estimate, P̃[X_i = v | parent config pidx] — the only
 // thing the query kernel below needs from wherever the counters live: a
-// Snapshot's rows, the tracker's live per-cell reads (Tracker.cpdFactor), or
-// the serving layer's Snapshot interface.
+// Snapshot's rows or the serving layer's Snapshot interface.
 type Factors func(i, v, pidx int) float64
 
 // QueryProb is Algorithm 3: the joint probability of the full assignment x,
