@@ -29,7 +29,7 @@ func main() {
 		list    = flag.Bool("list", false, "list experiment ids and exit")
 		exp     = flag.String("exp", "", "experiment id (see -list), or 'all'")
 		nets    = flag.String("nets", "", "comma-separated network names (default: alarm,hepar2,link,munin)")
-		network = flag.String("net", "", "single network of fig10 and batching (default hepar2)")
+		network = flag.String("net", "", "single network of fig10 (default hepar2)")
 		sizes   = flag.String("sizes", "", "comma-separated training checkpoints (default 5000,50000)")
 		events  = flag.Int("events", 0, "stream length for fixed-size experiments (default 50000)")
 		eps     = flag.Float64("eps", 0, "approximation budget epsilon (default 0.1)")

@@ -117,20 +117,20 @@ func TestSplitHelpers(t *testing.T) {
 // parameters (no wall clock, no TCP interleaving), in the order the golden
 // file concatenates them.
 var goldenIDs = []string{"table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig9", "fig10", "fig11",
-	"table2", "table3", "newalarm", "ablation-skew", "ablation-nb"}
+	"table2", "table3", "newalarm", "ablation-nb"}
 
 // TestFiguresGolden compares one `-exp <id>` run per deterministic id against
 // testdata/figures_small.golden, recorded with the binary of the commit
 // before the figures became projections of shared sweeps (since then only the
 // two note lines that cited files the repository never had were edited and
-// the blocks of the removed ablation-counter, ablation-decay and
-// ablation-sketch experiments deleted). The
+// the blocks of the removed ablation-counter, ablation-decay,
+// ablation-sketch and ablation-skew experiments deleted). The
 // scale is the smallest at which BASELINE, UNIFORM and NONUNIFORM leave exact
 // mode and print three different columns. `-exp table2` and `-exp table3` on
 // their own each print both tables.
 func TestFiguresGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("15 experiments at 20K events: ~15 s")
+		t.Skip("14 experiments at 20K events: ~15 s")
 	}
 	want, err := os.ReadFile("testdata/figures_small.golden")
 	if err != nil {

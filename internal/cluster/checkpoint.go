@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"slices"
 
 	"distbayes/internal/core"
@@ -28,8 +29,9 @@ import (
 // point converges to the uninterrupted run's exact final state once the
 // sites re-resume and replay their decided counts. Periodic checkpoints are
 // cadenced on received frames (deterministic, unlike wall clock) and written
-// atomically (temp file + rename), so a crash mid-write leaves the previous
-// checkpoint intact.
+// atomically and durably (WriteCheckpointFile), so neither a crash nor a
+// power cut mid-write leaves anything but the previous checkpoint or the new
+// one.
 
 const checkpointMagic = "DBCLUS01"
 
@@ -219,25 +221,36 @@ func (co *Coordinator) RestoreCheckpoint(r io.Reader) error {
 	return nil
 }
 
-// WriteCheckpointFile writes a checkpoint atomically: the state goes to a
-// temporary sibling of path and replaces it with a rename, so a crash
-// mid-write never corrupts the previous checkpoint.
+// WriteCheckpointFile writes a checkpoint atomically and durably: the state
+// goes to a temporary sibling of path, which is synced to stable storage and
+// renamed over path, and then the directory is synced so the rename is too.
+// Neither a crash nor a power cut mid-write leaves path torn: it holds the
+// previous checkpoint or this one. A failure removes the temporary file.
 func (co *Coordinator) WriteCheckpointFile(path string) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := co.WriteCheckpoint(f); err != nil {
-		f.Close()
+	if err = co.WriteCheckpoint(f); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	defer dir.Close()
+	return dir.Sync()
 }
 
 // RestoreCheckpointFile restores the checkpoint stored at path; see

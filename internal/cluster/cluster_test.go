@@ -88,7 +88,7 @@ func TestLayoutDisjointAndComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := NewLayout(net, core.Uniform, 0.1)
+	l, err := newCounterLayout(net, core.Uniform, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,24 +118,6 @@ func TestLayoutDisjointAndComplete(t *testing.T) {
 	}
 	if len(seen) != int(want) {
 		t.Errorf("layout covered %d ids, want %d", len(seen), want)
-	}
-}
-
-func TestReportProbLocal(t *testing.T) {
-	const k = 4
-	sqrtK := math.Sqrt(k)
-	if p := reportProbSqrtK(k, sqrtK, 0, 100); p != 1 {
-		t.Errorf("eps=0 (exact) p = %v, want 1", p)
-	}
-	if p := reportProbSqrtK(k, sqrtK, 0.1, 0); p != 1 {
-		t.Errorf("zero count p = %v, want 1", p)
-	}
-	// Global proxy = k*n = 4000: p = 2/(0.1*4000) = 0.005.
-	if p := reportProbSqrtK(k, sqrtK, 0.1, 1000); math.Abs(p-0.005) > 1e-12 {
-		t.Errorf("p = %v, want 0.005", p)
-	}
-	if a := adjustmentSqrtK(k, sqrtK, 0.1, 0); a != 0 {
-		t.Errorf("adjustment at r=0 = %v", a)
 	}
 }
 
@@ -193,7 +175,7 @@ func TestClusterMatchesSequentialCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	layout, err := NewLayout(netw, core.ExactMLE, 0.1)
+	layout, err := newCounterLayout(netw, core.ExactMLE, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 
 	"distbayes/internal/bn"
 	"distbayes/internal/core"
+	"distbayes/internal/counter"
 	"distbayes/internal/netgen"
 )
 
@@ -50,9 +51,10 @@ type Config struct {
 	SiteBatchEvents int
 	// HotSiteShare, when positive, routes that fraction of the stream to
 	// site 0 and splits the rest evenly — the skewed-routing regime of
-	// deviation #1 (sites estimate global counts as k·local, which a hot
-	// site breaks). 0 routes evenly. See the package comment for the
-	// measured imprecision under skew.
+	// deviation #1: the one-way counter (counter.OneWayKind) estimates
+	// global counts as k·local, which a hot site breaks. 0 routes evenly.
+	// See the counter package comment for what the kind assumes and the
+	// package comment for the measured imprecision under skew.
 	HotSiteShare float64
 	// LiveQueryMicros, when positive, makes RunLocal drive a mid-run query
 	// mix against the coordinator: one QueryProb on a random assignment
@@ -64,9 +66,9 @@ type Config struct {
 	// the coordinator write a crash-consistent checkpoint of its run state
 	// (reported-count matrix, stats, site membership — the DBCLUS01 format,
 	// see WriteCheckpoint) to this file every CheckpointEveryFrames frames,
-	// atomically via rename. A restarted coordinator restores it with
-	// RestoreCheckpointFile and the sites re-resume against the restored
-	// state.
+	// atomically and durably (see WriteCheckpointFile). A restarted
+	// coordinator restores it with RestoreCheckpointFile and the sites
+	// re-resume against the restored state.
 	CheckpointPath string
 	// CheckpointEveryFrames is the checkpoint cadence in received frames
 	// (deterministic, unlike wall clock). 0 disables periodic checkpoints.
@@ -184,29 +186,18 @@ func (c Config) structWindow() (events int64, blocks int) {
 // HotSiteShare = 0 the stream splits as evenly as possible; otherwise site 0
 // takes ⌈share·Events⌉ and the rest splits evenly across the other sites.
 func (c Config) eventsFor(id uint32) int {
-	k := c.Sites
+	events, k, i := c.Events, c.Sites, int(id)
 	if c.HotSiteShare > 0 && k > 1 {
-		hot := int(math.Ceil(c.HotSiteShare * float64(c.Events)))
-		if hot > c.Events {
-			hot = c.Events
-		}
-		if id == 0 {
+		hot := min(int(math.Ceil(c.HotSiteShare*float64(events))), events)
+		if i == 0 {
 			return hot
 		}
-		rest := c.Events - hot
-		per, rem := rest/(k-1), rest%(k-1)
-		ev := per
-		if int(id-1) < rem {
-			ev++
-		}
-		return ev
+		events, k, i = events-hot, k-1, i-1
 	}
-	per, rem := c.Events/k, c.Events%k
-	ev := per
-	if int(id) < rem {
-		ev++
+	if i < events%k {
+		return events/k + 1
 	}
-	return ev
+	return events / k
 }
 
 // Result summarizes a completed cluster run.
@@ -265,9 +256,8 @@ type siteSlot struct {
 type Coordinator struct {
 	cfg    Config
 	net    *bn.Network
-	layout *Layout
+	layout *counterLayout
 	ln     net.Listener
-	sqrtK  float64
 
 	// mu guards slots, doneCount and reported — the one lock of the
 	// receiving side.
@@ -346,7 +336,7 @@ func NewCoordinator(cfg Config, addr string) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	layout, err := NewLayout(netw, cfg.Strategy, cfg.Eps)
+	layout, err := newCounterLayout(netw, cfg.Strategy, cfg.Eps)
 	if err != nil {
 		return nil, err
 	}
@@ -359,7 +349,6 @@ func NewCoordinator(cfg Config, addr string) (*Coordinator, error) {
 		net:       netw,
 		layout:    layout,
 		ln:        ln,
-		sqrtK:     math.Sqrt(float64(cfg.Sites)),
 		slots:     make([]siteSlot, cfg.Sites),
 		finishCh:  make(chan struct{}),
 		ckptEvery: cfg.CheckpointEveryFrames,
@@ -783,19 +772,18 @@ func (co *Coordinator) AcquireSnapshot() *core.Snapshot {
 }
 
 // estimatesLocked adds every counter's estimate into est (zeroed, one cell
-// per counter id): the sum over sites, 0..k-1 from zero, of the last reported
-// local count plus the trailing-gap adjustment (layout.go). It walks
+// per counter id): the sum over sites, 0..k-1 from zero, of
+// counter.OneWayEstimate of the last reported local count. It walks
 // site-major over the layout's equal-eps sections: one pass per site row keeps
 // the reads contiguous, and the per-id eps load drops out of the inner loop —
 // the coordinator-side sibling of counter.Bank.EstimateRange. Callers hold mu.
 func (co *Coordinator) estimatesLocked(est []float64) {
-	k, sqrtK := co.cfg.Sites, co.sqrtK
+	k, sqrtK := co.cfg.Sites, math.Sqrt(float64(co.cfg.Sites))
 	for site := 0; site < k; site++ {
 		row := co.reported[site].vals
-		for _, sec := range co.layout.Sections() {
-			for id := sec.Lo; id < sec.Hi; id++ {
-				r := row[id]
-				est[id] += float64(r) + adjustmentSqrtK(k, sqrtK, sec.Eps, r)
+		for _, sec := range co.layout.sections {
+			for id := sec.lo; id < sec.hi; id++ {
+				est[id] += counter.OneWayEstimate(k, sqrtK, sec.eps, row[id])
 			}
 		}
 	}

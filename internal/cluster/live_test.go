@@ -274,7 +274,7 @@ func TestSkewedRoutingImprecision(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		layout, err := NewLayout(netw, cfg.Strategy, cfg.Eps)
+		layout, err := newCounterLayout(netw, cfg.Strategy, cfg.Eps)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -82,15 +82,22 @@
 // that advertises them in its StartConfig; a tree that mixes relays from
 // before frameStructDelta with newer coordinators is not supported.
 //
-// Two deliberate deviations from the in-process simulation
-// (internal/counter) are documented here:
+// Two deliberate deviations from the paper's protocol are documented here:
 //
-//  1. Round advancement is coordinator-free: a site estimates the global
-//     count of a counter as k times its own local count (events are routed
-//     uniformly, the paper's setup) and derives the report probability
-//     p = min(1, √k/(ε'·k·n_local)) from it. This removes the
-//     synchronization round-trips without changing the asymptotic message
-//     cost; the trade-off is imprecision under skewed routing, measured by
+//  1. The counters are coordinator-free: the sites and the coordinator run
+//     counter.OneWayKind, not the HYZ counter of the in-process tracker. A
+//     site estimates the global count of a counter as k times its own local
+//     count (events are routed uniformly, the paper's setup) and derives
+//     the report probability p = min(1, √k/(ε'·k·n_local)) from it
+//     (counter.OneWayReportProb, decided in siteCounters.count); the
+//     coordinator sums counter.OneWayEstimate over the sites' last reports
+//     (Coordinator.estimatesLocked). Both functions live in internal/counter,
+//     so a core.Tracker running the kind reproduces a cluster run bit for
+//     bit (TestOneWayTrackerReproducesClusterRun in internal/core), and the
+//     counter package doc sets its message cost beside HYZ's. This removes
+//     the synchronization round-trips and every coordinator → site message;
+//     no theorem of the paper covers it, and the trade-off is imprecision
+//     under skewed routing, measured by
 //     TestSkewedRoutingImprecision: on ALARM with ε = 0.1, k = 8 and 40K
 //     events, the worst relative error over well-populated counters was
 //     ≈0.003 (0.03·ε) under even routing and ≈0.011 (0.11·ε) with 90% of
@@ -122,7 +129,8 @@
 //     and a connection error can never re-draw a consumed sample.
 //  3. Checkpoints are a consistent lower bound of the run: the DBCLUS01
 //     file (checkpoint.go) is cadenced on received frames (deterministic,
-//     not wall clock), written atomically (temp file + rename), and the
+//     not wall clock), written atomically and durably (temp file, fsync,
+//     rename, fsync of the directory), and the
 //     restored matrix is raised to the exact uninterrupted state by resume
 //     replays. A coordinator killed at any frame therefore converges after
 //     restore, and the estimates match the uninterrupted run bit for bit
@@ -343,7 +351,7 @@ func innerFrameCap(numCounters, numCells uint32) uint32 {
 
 // Update is one counter update entry inside a frameUpdates frame.
 type Update struct {
-	// Counter is the global counter id (see Layout).
+	// Counter is the global counter id (see counterLayout).
 	Counter uint32
 	// LocalCount is the site's current local count for the counter.
 	LocalCount int64

@@ -291,7 +291,7 @@ func (r *Relay) initFromBase(base StartConfig) error {
 	if err != nil {
 		return err
 	}
-	layout, err := NewLayout(netw, core.Strategy(base.Strategy), base.Eps)
+	layout, err := newCounterLayout(netw, core.Strategy(base.Strategy), base.Eps)
 	if err != nil {
 		return err
 	}

@@ -138,7 +138,7 @@ func (p retryPolicy) dialSite(id uint32, addr string, jrng *bn.RNG) (raw net.Con
 type siteRun struct {
 	cfg      StartConfig
 	netw     *bn.Network
-	layout   *Layout
+	layout   *counterLayout
 	counts   *siteCounters
 	rng      *bn.RNG
 	training *stream.Training
@@ -185,7 +185,7 @@ func newSiteRun(id uint32, cfg StartConfig) (*siteRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	layout, err := NewLayout(netw, core.Strategy(cfg.Strategy), cfg.Eps)
+	layout, err := newCounterLayout(netw, core.Strategy(cfg.Strategy), cfg.Eps)
 	if err != nil {
 		return nil, err
 	}

@@ -11,6 +11,7 @@ import (
 
 	"distbayes/internal/bn"
 	"distbayes/internal/core"
+	"distbayes/internal/counter"
 	"distbayes/internal/netgen"
 	"distbayes/internal/stream"
 )
@@ -20,11 +21,12 @@ var allStrategies = []core.Strategy{core.ExactMLE, core.Baseline, core.Uniform, 
 // oracleSite is the historical site loop, kept as the reference the site
 // event kernel must match decision for decision: parent indices from
 // netw.ParentIndex whatever model generated the event, a per-id inc that
-// loads layout.Eps(id) and evaluates reportProbSqrtK on every increment, and
+// looks up the id's eps and evaluates counter.OneWayReportProb on every
+// increment, and
 // a window kept as an id list with a membership mark, sorted when shipped.
 type oracleSite struct {
 	netw         *bn.Network
-	layout       *Layout
+	layout       *counterLayout
 	k            int
 	sqrtK        float64
 	rng          *bn.RNG
@@ -34,7 +36,7 @@ type oracleSite struct {
 	queued       []bool
 }
 
-func newOracleSite(netw *bn.Network, layout *Layout, k int, rng *bn.RNG) *oracleSite {
+func newOracleSite(netw *bn.Network, layout *counterLayout, k int, rng *bn.RNG) *oracleSite {
 	n := layout.NumCounters()
 	return &oracleSite{netw: netw, layout: layout, k: k, sqrtK: math.Sqrt(float64(k)), rng: rng,
 		counts: make([]int64, n), lastReported: make([]int64, n), queued: make([]bool, n)}
@@ -44,11 +46,22 @@ func newOracleSite(netw *bn.Network, layout *Layout, k int, rng *bn.RNG) *oracle
 func (o *oracleSite) inc(id uint32) (localCount int64, report bool) {
 	o.counts[id]++
 	n := o.counts[id]
-	p := reportProbSqrtK(o.k, o.sqrtK, o.layout.Eps(id), n)
+	p := counter.OneWayReportProb(o.k, o.sqrtK, o.eps(id), n)
 	if p >= 1 || o.rng.Float64() < p {
 		return n, true
 	}
 	return n, false
+}
+
+// eps is the error parameter of counter id: that of the layout section
+// holding it.
+func (o *oracleSite) eps(id uint32) float64 {
+	for _, sec := range o.layout.sections {
+		if id < sec.hi {
+			return sec.eps
+		}
+	}
+	panic("counter id outside the layout")
 }
 
 // event is the historical body of siteRun.stream's loop; it also returns the
@@ -113,7 +126,7 @@ func testModel(t testing.TB, name string, cptSeed uint64) *bn.Model {
 func siteReference(t testing.TB, id uint32, cfg StartConfig) (o *oracleSite, next func() []int) {
 	t.Helper()
 	model := testModel(t, cfg.NetName, cfg.CPTSeed)
-	layout, err := NewLayout(model.Network(), core.Strategy(cfg.Strategy), cfg.Eps)
+	layout, err := newCounterLayout(model.Network(), core.Strategy(cfg.Strategy), cfg.Eps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,52 +210,13 @@ func TestDriftRunFlatCountersMatchReference(t *testing.T) {
 	}
 }
 
-// TestExactUntilMatchesBruteForce: the integer bound that replaces the
-// exact-phase divide is the last count at which the float expression itself
-// still says "report with probability 1".
-func TestExactUntilMatchesBruteForce(t *testing.T) {
-	netw := testModel(t, "alarm", 0xC0DE).Network()
-	for _, strategy := range allStrategies {
-		layout, err := NewLayout(netw, strategy, 0.1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, k := range []int{1, 2, 4, 30, 64} {
-			sqrtK := math.Sqrt(float64(k))
-			seen := map[float64]bool{}
-			for _, sec := range layout.Sections() {
-				if seen[sec.Eps] {
-					continue
-				}
-				seen[sec.Eps] = true
-				want := int64(math.MaxInt64)
-				if strategy != core.ExactMLE {
-					for want = 0; reportProbSqrtK(k, sqrtK, sec.Eps, want+1) >= 1; want++ {
-					}
-				}
-				if got := exactUntil(k, sqrtK, sec.Eps); got != want {
-					t.Errorf("%v k=%d eps=%v: exactUntil = %d, brute force %d", strategy, k, sec.Eps, got, want)
-				}
-			}
-		}
-	}
-	// An error parameter so large that even the first increment is sampled,
-	// and one so small that no run leaves the exact phase.
-	if got := exactUntil(4, 2, 10); got != 0 {
-		t.Errorf("exactUntil(eps=10) = %d, want 0", got)
-	}
-	if got := exactUntil(4, 2, 1e-300); got != math.MaxInt64 {
-		t.Errorf("exactUntil(eps=1e-300) = %d, want MaxInt64", got)
-	}
-}
-
 // TestSiteEventMatchesPerIDOracle: over 10k events the whole-event kernel
 // decides the reports of the historical per-id loop — same sequence, same
 // local counts, same generator state — for every strategy.
 func TestSiteEventMatchesPerIDOracle(t *testing.T) {
 	model := testModel(t, "alarm", 0xC0DE)
 	for _, strategy := range allStrategies {
-		layout, err := NewLayout(model.Network(), strategy, 0.1)
+		layout, err := newCounterLayout(model.Network(), strategy, 0.1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -55,7 +55,7 @@ import (
 // StructLayout assigns a flat cell id to every (variable pair, value pair)
 // co-occurrence cell: all unordered pairs i < j over the network's
 // variables, each pair owning Card(i)·Card(j) contiguous cells in value
-// row-major order. It is the structure-learning counterpart of Layout and
+// row-major order. It is the structure-learning counterpart of counterLayout and
 // is derived deterministically from the network on both sides, so only
 // cell ids travel on the wire.
 type StructLayout struct {

@@ -160,6 +160,10 @@ type Tracker struct {
 	net   *bn.Network
 	cfg   Config
 	alloc Allocation
+	// oneWay makes newBanks build the live cluster's one-way banks
+	// (counter.OneWayKind) where it would build HYZ ones. Only tests set it,
+	// to run the cluster's protocol in a tracker.
+	oneWay bool
 
 	// shards[s] guards the counter banks of the variables in shards[s].vars
 	// (those with i % len(shards) == s). Stripes are always acquired in
@@ -253,13 +257,16 @@ func NewTracker(net *bn.Network, cfg Config) (*Tracker, error) {
 }
 
 // newBanks builds variable i's empty pair and parent banks on i's stripe:
-// exact for ExactMLE, the HYZ counter of Lemma 4 for the approximate
-// strategies.
+// exact for ExactMLE, the HYZ counter of Lemma 4 (or the one-way kind, see
+// oneWay) for the approximate strategies.
 func (t *Tracker) newBanks(i int) (pair, par *counter.Bank, err error) {
 	sh := t.stripeOf(i)
 	bank := func(cells int, eps float64) (*counter.Bank, error) {
-		if t.cfg.Strategy == ExactMLE {
+		switch {
+		case t.cfg.Strategy == ExactMLE:
 			return counter.NewBank(counter.ExactKind, cells, t.cfg.Sites, 0, 0, &sh.tally, nil)
+		case t.oneWay:
+			return counter.NewBank(counter.OneWayKind, cells, t.cfg.Sites, eps, t.cfg.Delta, &sh.tally, sh.rng)
 		}
 		return counter.NewBank(counter.HYZKind, cells, t.cfg.Sites, eps, t.cfg.Delta, &sh.tally, sh.rng)
 	}

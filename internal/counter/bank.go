@@ -21,6 +21,7 @@ import (
 //	a record, HYZ      hyz[s]: pThresh, base, estSum, adj, nReporters
 //	                   (36 B of fields in a 40 B struct); per site
 //	                   sites[s·k+site]: d and r side by side              40 + 16k B
+//	every cell, one-way sites[cell·k+site]: d and r (oneway.go)          16k B
 //
 // A counter forwards every increment until its count reaches the point
 // where reporting less is worthwhile (√k/ε for HYZ), and only then needs
@@ -64,9 +65,11 @@ import (
 // keeps the dense-plane protocol as the oracle the record layout is compared
 // with.
 //
-// # Two kinds
+// # Three kinds
 //
-// Every bank is one of the two kinds below.
+// Every bank is one of the three kinds below. The one-way kind has no
+// rounds: its word is always the cell's count, and it gives every cell its
+// per-site state when the bank is built.
 
 // Kind selects the distributed-counter protocol of a Bank's cells.
 type Kind uint8
@@ -76,9 +79,13 @@ type Kind uint8
 // is refused, and no new kind may take it.
 const (
 	// ExactKind forwards every increment to the coordinator (Lemma 5).
-	ExactKind Kind = iota
+	ExactKind Kind = 0
 	// HYZKind is the randomized counter of Lemma 4 (the paper's choice).
-	HYZKind
+	HYZKind Kind = 1
+	// OneWayKind is the live cluster's coordinator-free counter (oneway.go).
+	// It has no state record: MarshalBinary refuses it, and UnmarshalBinary
+	// refuses its kind byte.
+	OneWayKind Kind = 3
 )
 
 // Bank is a flat struct-of-arrays bank of `cells` distributed counters that
@@ -101,12 +108,14 @@ type Bank struct {
 	// lines are as much of the ingest working set as its cells.
 
 	// word is a cell's exact count (≥ 0) in exact mode and ^s once it holds
-	// round record s; len(word) is the bank's cell count.
+	// round record s (a one-way cell holds no record: its word is always its
+	// count); len(word) is the bank's cell count.
 	word    []int64
 	metrics *Metrics
 
-	// exactThresh caches ExactThreshold(k, eps) for the HYZ kind so the
-	// exact-mode hot path does not recompute a sqrt per increment.
+	// exactThresh caches ExactThreshold(k, eps) for the HYZ kind, and
+	// OneWayExactUntil for the one-way kind, so the exact-mode hot path does
+	// not recompute a sqrt per increment.
 	exactThresh int64
 	eps         float64
 	k           int
@@ -116,7 +125,8 @@ type Bank struct {
 	rng *bn.RNG
 
 	// The round records of a HYZ bank: record s is hyz[s], with its per-site
-	// state at sites[s*k : (s+1)*k].
+	// state at sites[s*k : (s+1)*k]. A one-way bank keeps cell c's per-site
+	// state at sites[c*k : (c+1)*k] and has no hyz.
 	hyz   []hyzRound
 	sites []hyzSite
 
@@ -145,7 +155,7 @@ func NewBank(kind Kind, cells, k int, eps, delta float64, metrics *Metrics, rng 
 		if k < 1 {
 			return nil, fmt.Errorf("counter: need at least one site, got %d", k)
 		}
-	case HYZKind:
+	case HYZKind, OneWayKind:
 		if err := validate(k, eps); err != nil {
 			return nil, err
 		}
@@ -153,6 +163,10 @@ func NewBank(kind Kind, cells, k int, eps, delta float64, metrics *Metrics, rng 
 			return nil, fmt.Errorf("counter: randomized bank needs an RNG")
 		}
 		b.exactThresh = ExactThreshold(k, eps)
+		if kind == OneWayKind {
+			b.exactThresh = OneWayExactUntil(k, math.Sqrt(float64(k)), eps)
+			b.sites = make([]hyzSite, cells*k)
+		}
 	default:
 		return nil, fmt.Errorf("counter: unknown bank kind %d", kind)
 	}
@@ -227,6 +241,8 @@ func (b *Bank) Inc(cell, site int) {
 		if b.rng.Uint64() < b.hyz[s].pThresh {
 			b.reportHYZ(cell, s, site)
 		}
+	case OneWayKind:
+		b.incOneWay(cell, site)
 	}
 }
 
@@ -270,11 +286,18 @@ func (b *Bank) IncBatch(cells, sites []int32) {
 			}
 		}
 		b.metrics.SiteToCoord += forwarded
+	case OneWayKind:
+		for j, c := range cells {
+			b.incOneWay(int(c), int(sites[j]))
+		}
 	}
 }
 
 // Estimate returns the coordinator's current estimate of cell's count.
 func (b *Bank) Estimate(cell int) float64 {
+	if b.kind == OneWayKind {
+		return b.estimateOneWay(cell)
+	}
 	v := b.word[cell]
 	if v >= 0 {
 		return float64(v)
@@ -309,6 +332,10 @@ func (b *Bank) EstimateRange(lo, hi int, dst []float64) {
 			}
 			rd := &hyz[^v]
 			dst[c] = float64(rd.base) + rd.inRound() // Estimate's expression
+		}
+	case OneWayKind:
+		for c := range dst {
+			dst[c] = b.estimateOneWay(lo + c)
 		}
 	}
 }

@@ -187,11 +187,17 @@ func TestBankValidation(t *testing.T) {
 // TestIncBatchMatchesInc drives twin banks that share a seed — one through
 // Inc per pair, one through IncBatch over runs of mixed lengths — and asserts
 // bit-identical state bytes, estimates, RNG position and message tallies for
-// both kinds: IncBatch is a faster spelling of the same increments in
-// the same order, nothing else.
+// every kind: IncBatch is a faster spelling of the same increments in the
+// same order, nothing else. The one-way kind has no state record, so its
+// twins' per-site state is compared in memory.
 func TestIncBatchMatchesInc(t *testing.T) {
 	const cells, k, n = 5, 6, 60000
-	for _, tc := range bankKinds {
+	kinds := append(slices.Clone(bankKinds), struct {
+		name string
+		kind Kind
+		eps  float64
+	}{"oneway", OneWayKind, 0.1})
+	for _, tc := range kinds {
 		t.Run(tc.name, func(t *testing.T) {
 			var tallies [2]Metrics
 			var rngs [2]*bn.RNG
@@ -239,6 +245,15 @@ func TestIncBatchMatchesInc(t *testing.T) {
 			}
 			if rngs[0].State() != rngs[1].State() {
 				t.Error("RNG positions differ: IncBatch drew a different number of coins")
+			}
+			if tc.kind == OneWayKind {
+				if !slices.Equal(one.sites, bulk.sites) {
+					t.Error("per-site state differs between Inc and IncBatch twins")
+				}
+				if tallies[0].SiteToCoord == n {
+					t.Error("every increment reported; the sampling path went untested")
+				}
+				return
 			}
 			a, err := one.MarshalBinary()
 			if err != nil {

@@ -5,27 +5,29 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
 
 	"distbayes/internal/bn"
 )
 
-// FuzzBankIncEstimate drives both bank kinds with an arbitrary Inc(cell,
+// FuzzBankIncEstimate drives every bank kind with an arbitrary Inc(cell,
 // site) schedule decoded from the fuzz input — each byte pair is one
 // increment — against a naive map-based reference, checking after every
 // increment batch that
 //
-//   - Exact() matches the reference count in every cell for both kinds
+//   - Exact() matches the reference count in every cell for every kind
 //     (approximation may delay reporting but never lose increments),
 //   - the exact kind's Estimate equals the reference exactly,
-//   - the randomized kind's Estimate is finite and non-negative,
+//   - the randomized kinds' Estimates are finite and non-negative,
 //
 // and, at the end of the schedule, that folding the same increments through
 // Merge (a run-ordered Inc replay) reproduces the same exact counts, and that
 // feeding them through IncBatch in runs (the tracker's ingestion path; run
-// lengths are taken from the input too) leaves a twin bank in exactly the
-// state, RNG position and message tally of the per-pair Inc bank.
+// lengths are taken from the input too) leaves a twin bank of the HYZ and of
+// the one-way kind in exactly the state, RNG position and message tally of
+// its per-pair Inc bank.
 func FuzzBankIncEstimate(f *testing.F) {
 	f.Add([]byte{0, 0})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
@@ -53,6 +55,16 @@ func FuzzBankIncEstimate(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var mo, mob Metrics
+		oneRNG, oneBatchRNG := bn.NewRNG(1), bn.NewRNG(1)
+		oneWay, err := NewBank(OneWayKind, cells, k, eps, 0.25, &mo, oneRNG)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oneBatched, err := NewBank(OneWayKind, cells, k, eps, 0.25, &mob, oneBatchRNG)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var runCells, runSites []int32
 
 		ref := map[int]int64{}
@@ -60,14 +72,16 @@ func FuzzBankIncEstimate(f *testing.F) {
 		check := func() {
 			for c := 0; c < cells; c++ {
 				n := ref[c]
-				if hyz.Exact(c) != n || exact.Exact(c) != n {
-					t.Fatalf("cell %d: exact %d/%d, want %d", c, hyz.Exact(c), exact.Exact(c), n)
+				if hyz.Exact(c) != n || exact.Exact(c) != n || oneWay.Exact(c) != n {
+					t.Fatalf("cell %d: exact %d/%d/%d, want %d", c, hyz.Exact(c), exact.Exact(c), oneWay.Exact(c), n)
 				}
 				if e := exact.Estimate(c); e != float64(n) {
 					t.Fatalf("cell %d: exact-kind estimate %v, want %d", c, e, n)
 				}
-				if e := hyz.Estimate(c); math.IsNaN(e) || math.IsInf(e, 0) || e < 0 {
-					t.Fatalf("cell %d: randomized estimate %v", c, e)
+				for _, b := range []*Bank{hyz, oneWay} {
+					if e := b.Estimate(c); math.IsNaN(e) || math.IsInf(e, 0) || e < 0 {
+						t.Fatalf("cell %d: kind-%d estimate %v", c, b.kind, e)
+					}
 				}
 			}
 		}
@@ -75,11 +89,13 @@ func FuzzBankIncEstimate(f *testing.F) {
 			cell, site := int(data[i])%cells, int(data[i+1])%k
 			hyz.Inc(cell, site)
 			exact.Inc(cell, site)
+			oneWay.Inc(cell, site)
 			ref[cell]++
 			delta[cell*k+site]++
 			runCells, runSites = append(runCells, int32(cell)), append(runSites, int32(site))
 			if len(runCells) > int(data[i])/3 { // run lengths 1..86
 				batched.IncBatch(runCells, runSites)
+				oneBatched.IncBatch(runCells, runSites)
 				runCells, runSites = runCells[:0], runSites[:0]
 			}
 			if i%64 == 0 {
@@ -88,6 +104,10 @@ func FuzzBankIncEstimate(f *testing.F) {
 		}
 		check()
 		batched.IncBatch(runCells, runSites)
+		oneBatched.IncBatch(runCells, runSites)
+		if !slices.Equal(oneWay.sites, oneBatched.sites) || mo != mob || oneRNG.State() != oneBatchRNG.State() {
+			t.Fatalf("one-way IncBatch twin diverged from Inc: tallies %+v vs %+v", mob, mo)
+		}
 		want, _ := hyz.MarshalBinary()
 		got, _ := batched.MarshalBinary()
 		if !bytes.Equal(want, got) || mh != mb || hyzRNG.State() != batchRNG.State() {

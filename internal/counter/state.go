@@ -33,6 +33,9 @@ var (
 	// and nReporters, so a record that breaks them would load a wrong
 	// estimate.
 	errReportsOffRecord = errors.New("counter: state round record disagrees with its sites' reports")
+	// errOneWayState refuses to write or read a record of the one-way kind,
+	// which has no record format.
+	errOneWayState = errors.New("counter: the one-way kind has no state record")
 )
 
 func allZero(data []byte) bool {
@@ -51,11 +54,14 @@ const bankStateVersion = 1
 
 // StateLen returns the exact length in bytes of the bank's MarshalBinary
 // output. Checkpoint readers use it to reject corrupt record lengths before
-// allocating (core.Tracker.LoadState).
+// allocating (core.Tracker.LoadState). A one-way bank has no record: 0.
 func (b *Bank) StateLen() int {
 	const header = 2 + 8 + 8 // version+kind, cells, k
 	cells := len(b.word)
-	if b.kind == ExactKind {
+	switch b.kind {
+	case OneWayKind:
+		return 0
+	case ExactKind:
 		return header + 8*cells
 	}
 	// total, sampling (1 byte/cell), base, estSum, nReporters, d, r.
@@ -67,8 +73,12 @@ func (b *Bank) StateLen() int {
 // checkpoint format. The record is dense — every plane has an entry for
 // every cell, in cell order — whatever the bank holds in memory: each cell
 // writes its count (derived from its record once it has one), and a cell
-// without a round record writes zeros for the record's planes.
+// without a round record writes zeros for the record's planes. A one-way
+// bank is refused.
 func (b *Bank) MarshalBinary() ([]byte, error) {
+	if b.kind == OneWayKind {
+		return nil, errOneWayState
+	}
 	buf := make([]byte, 0, b.StateLen())
 	put := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
 	buf = append(buf, bankStateVersion, byte(b.kind))
@@ -122,6 +132,9 @@ func (b *Bank) UnmarshalBinary(data []byte) error {
 	}
 	if data[0] != bankStateVersion {
 		return fmt.Errorf("counter: bank state version %d, want %d", data[0], bankStateVersion)
+	}
+	if Kind(data[1]) == OneWayKind {
+		return errOneWayState
 	}
 	if Kind(data[1]) != b.kind {
 		return fmt.Errorf("counter: bank state kind %d, bank has %d", data[1], b.kind)

@@ -13,7 +13,6 @@ func init() {
 		func(r cluster.Result) float64 { return r.Runtime.Seconds() })
 	registry["fig8"] = clusterFigure("fig8", "Fig. 8: throughput (live TCP cluster, events/sec) vs number of sites", "",
 		nil, func(r cluster.Result) float64 { return r.Throughput })
-	registry["batching"] = runBatching
 }
 
 // clusterBase is the live-cluster run every TCP experiment starts from:
@@ -49,8 +48,7 @@ type clusterPoint struct {
 // against the live snapshot path) so the measured runtime and throughput
 // reflect the paper's query-at-any-time serving model, not an idle ingest
 // loop; site batching stays off here to keep the per-event frame accounting
-// of the paper's transmission model (the batching ablation is its own
-// experiment, see runBatching).
+// of the paper's transmission model.
 func (s *Session) clusterSweep() (map[clusterPoint]cluster.Result, error) {
 	if s.cluster != nil {
 		return s.cluster, nil
@@ -97,46 +95,4 @@ func clusterFigure(id, title, suffix string, notes []string, of func(cluster.Res
 		}
 		return []*Table{t}, nil
 	}
-}
-
-// batchWindows are the site-side batching cadences of the batching
-// ablation: 0 is the per-event baseline (one frame per triggering event, a
-// window of one), the rest are coalescing windows in events.
-var batchWindows = []int{0, 16, 64, 256}
-
-// runBatching is the communication-batching ablation: the same stream, k
-// sites and budget, swept over site-side batching windows. Report decisions
-// are per-site deterministic, so every row tracks the identical model —
-// the frames column isolates the transport cost, the paper's
-// message-efficiency lever, at equal accuracy. Runs with the mid-run query
-// mix live, like clusterSweep.
-func runBatching(s *Session) ([]*Table, error) {
-	p := s.p
-	t := &Table{
-		ID: "batching", Title: "Site delta-batching ablation: frames vs window (equal accuracy)",
-		Header: []string{"network", "sites", "m", "window", "frames", "frames/event", "updates", "live-queries", "throughput"},
-		Notes: []string{
-			"window 0 = per-event (one frame per triggering event); windows > 0 coalesce a window's reports into one frame",
-			"report decisions are per-site deterministic: every row's final estimates are bit-identical",
-		},
-	}
-	for _, w := range batchWindows {
-		cfg := clusterBase(p)
-		cfg.Strategy = core.Uniform
-		cfg.SiteBatchEvents = w
-		cfg.LiveQueryMicros = 1000
-		res, _, err := cluster.RunLocal(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("batching window %d: %w", w, err)
-		}
-		t.Rows = append(t.Rows, []string{
-			p.Network, fmtInt(int64(p.Sites)), fmtInt(int64(p.Events)), fmtInt(int64(w)),
-			fmtInt(res.Stats.Frames),
-			fmtF(float64(res.Stats.Frames) / float64(res.Stats.Events)),
-			fmtInt(res.Stats.Updates),
-			fmtInt(res.LiveQueries),
-			fmtF(res.Throughput),
-		})
-	}
-	return []*Table{t}, nil
 }

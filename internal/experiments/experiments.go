@@ -25,7 +25,7 @@ import (
 type Params struct {
 	// Networks are Table I network names for multi-network experiments.
 	Networks []string
-	// Network is the single network of fig10 and batching (fig1, fig2 and
+	// Network is the single network of fig10 (fig1, fig2 and
 	// fig11 fix theirs as the paper does).
 	Network string
 	// Sizes are training-instance checkpoints (paper: 5K, 50K, 500K, 5M).
@@ -58,8 +58,6 @@ type Params struct {
 	Runs int
 	// Seed drives all randomness.
 	Seed uint64
-	// ZipfS values for the skewed-routing ablation.
-	ZipfS []float64
 }
 
 // Defaults returns the scaled-down default parameters. Checkpoints stop at
@@ -83,7 +81,6 @@ func Defaults() Params {
 		Smoothing:   0.5,
 		Runs:        3,
 		Seed:        1,
-		ZipfS:       []float64{0, 0.5, 1, 1.5, 2},
 	}
 }
 
@@ -137,9 +134,6 @@ func merge(p Params) Params {
 	}
 	if p.Seed == 0 {
 		p.Seed = d.Seed
-	}
-	if len(p.ZipfS) == 0 {
-		p.ZipfS = d.ZipfS
 	}
 	return p
 }

@@ -21,7 +21,6 @@ func init() {
 	registry["table2"] = classTable(0)
 	registry["table3"] = classTable(1)
 	registry["newalarm"] = runNewAlarm
-	registry["ablation-skew"] = runAblationSkew
 	registry["ablation-nb"] = runAblationNB
 }
 
@@ -424,26 +423,6 @@ func (s *Session) ablationTable(id, title, labelHeader string, variants []varian
 		t.Rows = append(t.Rows, []string{v.label, fmtInt(int64(s.p.Events)), fmtF(msgs(st)), fmtF(errToMLE(st))})
 	}
 	return []*Table{t}, nil
-}
-
-// runAblationSkew exercises the future-work extension of skewed site
-// distributions: Zipf(s) routing, NONUNIFORM on ALARM.
-func runAblationSkew(s *Session) ([]*Table, error) {
-	p := s.p
-	m, err := netgen.ModelByName("alarm")
-	if err != nil {
-		return nil, err
-	}
-	var variants []variant
-	for _, z := range p.ZipfS {
-		spec := s.spec(m, core.NonUniform)
-		spec.assigner = func(run int) (stream.Assigner, error) {
-			return stream.NewZipfAssigner(p.Sites, z, p.Seed+917*uint64(run))
-		}
-		variants = append(variants, variant{fmtF(z), spec})
-	}
-	return s.ablationTable("ablation-skew",
-		"Extension: skewed site distribution (Zipf routing), NONUNIFORM on ALARM", "zipf-s", variants)
 }
 
 // runAblationNB compares the Naïve-Bayes specialization (eq. 9) against the

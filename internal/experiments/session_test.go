@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -77,15 +76,5 @@ func TestPaperSweepRunsOncePerNetwork(t *testing.T) {
 	t2 := run("table2")
 	if t3 := run("table3"); t2 != s.classes[0] || t3 != s.classes[1] || t3.ID != "table3" {
 		t.Error("table2 and table3 did not come from one classification pass")
-	}
-}
-
-// TestAblationSkewRejectsBadExponent: an invalid Zipf exponent is a
-// parameter error, not a panic.
-func TestAblationSkewRejectsBadExponent(t *testing.T) {
-	p := tinyParams()
-	p.ZipfS = []float64{-1}
-	if _, err := Run("ablation-skew", p); err == nil || !strings.Contains(err.Error(), "zipf") {
-		t.Errorf("negative exponent: err = %v, want a zipf parameter error", err)
 	}
 }

@@ -25,9 +25,6 @@ type trackingSpec struct {
 	minProb     float64
 	runs        int
 	seed        uint64
-	// assigner, if set, overrides the default uniform router (run index is
-	// passed for seeding).
-	assigner func(run int) (stream.Assigner, error)
 }
 
 // trackingResult pools per-query errors across runs and reports the median
@@ -100,14 +97,7 @@ func runTracking(s trackingSpec) (*trackingResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		var assign stream.Assigner
-		if s.assigner != nil {
-			if assign, err = s.assigner(run); err != nil {
-				return nil, err
-			}
-		} else {
-			assign = stream.NewUniformAssigner(s.sites, s.seed+77*uint64(run))
-		}
+		assign := stream.NewUniformAssigner(s.sites, s.seed+77*uint64(run))
 		training := stream.NewTraining(s.model, assign, s.seed+131*uint64(run))
 
 		exact := trackers[core.ExactMLE]

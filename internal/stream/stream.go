@@ -6,12 +6,7 @@
 // classification tests hide one variable of a sampled assignment.
 package stream
 
-import (
-	"fmt"
-	"math"
-
-	"distbayes/internal/bn"
-)
+import "distbayes/internal/bn"
 
 // Assigner routes each arriving event to a site in [0, k).
 type Assigner interface {
@@ -47,50 +42,6 @@ func (a *RoundRobinAssigner) Next() int {
 	s := a.next
 	a.next = (a.next + 1) % a.k
 	return s
-}
-
-// ZipfAssigner routes events with a Zipf(s) site distribution — the "more
-// skewed distribution across different sites" named as future work in the
-// paper's conclusion, kept here as an extension experiment.
-type ZipfAssigner struct {
-	cdf []float64
-	rng *bn.RNG
-}
-
-// NewZipfAssigner creates a skewed router: site i receives traffic
-// proportional to 1/(i+1)^s. s=0 reduces to uniform.
-func NewZipfAssigner(k int, s float64, seed uint64) (*ZipfAssigner, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("stream: k = %d, want >= 1", k)
-	}
-	if s < 0 {
-		return nil, fmt.Errorf("stream: zipf exponent %v, want >= 0", s)
-	}
-	cdf := make([]float64, k)
-	total := 0.0
-	for i := 0; i < k; i++ {
-		total += 1 / math.Pow(float64(i+1), s)
-		cdf[i] = total
-	}
-	for i := range cdf {
-		cdf[i] /= total
-	}
-	return &ZipfAssigner{cdf: cdf, rng: bn.NewRNG(seed)}, nil
-}
-
-// Next implements Assigner.
-func (a *ZipfAssigner) Next() int {
-	u := a.rng.Float64()
-	lo, hi := 0, len(a.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if a.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // Training couples a ground-truth sampler with a site assigner; each call to

@@ -46,38 +46,6 @@ func TestRoundRobinAssigner(t *testing.T) {
 	}
 }
 
-func TestZipfAssigner(t *testing.T) {
-	if _, err := NewZipfAssigner(0, 1, 1); err == nil {
-		t.Error("k=0 accepted")
-	}
-	if _, err := NewZipfAssigner(4, -1, 1); err == nil {
-		t.Error("negative exponent accepted")
-	}
-	a, err := NewZipfAssigner(8, 1.2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := make([]int, 8)
-	const n = 80000
-	for i := 0; i < n; i++ {
-		counts[a.Next()]++
-	}
-	if counts[0] <= counts[7]*3 {
-		t.Errorf("zipf not skewed: first site %d, last site %d", counts[0], counts[7])
-	}
-	// s=0 behaves uniformly.
-	u, _ := NewZipfAssigner(4, 0, 6)
-	c := make([]int, 4)
-	for i := 0; i < 40000; i++ {
-		c[u.Next()]++
-	}
-	for s, got := range c {
-		if math.Abs(float64(got)-10000) > 1000 {
-			t.Errorf("zipf s=0 site %d got %d", s, got)
-		}
-	}
-}
-
 func TestTrainingStream(t *testing.T) {
 	m := smallModel(t)
 	tr := NewTraining(m, NewRoundRobinAssigner(4), 9)
