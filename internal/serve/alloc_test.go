@@ -6,6 +6,7 @@
 package serve
 
 import (
+	"net/http"
 	"runtime"
 	"strings"
 	"testing"
@@ -41,6 +42,32 @@ func TestOverlongXAllocatesLittle(t *testing.T) {
 		}
 		if d := after.TotalAlloc - before.TotalAlloc; d >= 64<<10 {
 			t.Errorf("%s allocated %d bytes to refuse an over-long x (%v)", name, d, err)
+		}
+	}
+}
+
+// TestQueryHandlerAllocs drives Handler with a reusable writer, a resettable
+// body and a shared snapshot on alarm: what a query allocates past routing is
+// its decoded request and nothing per request besides.
+func TestQueryHandlerAllocs(t *testing.T) {
+	rig := newHandlerRig(t)
+	bodies := handlerBodies(t)
+	for _, tc := range []struct {
+		endpoint string
+		max      float64
+	}{
+		{"queryprob", 4},
+		{"subsetprob", 9},
+		{"classify", 4},
+	} {
+		path, body := "/v1/"+tc.endpoint, bodies[tc.endpoint][0]
+		if code := rig.do(path, body); code != http.StatusOK {
+			t.Fatalf("%s: %d %s", tc.endpoint, code, rig.w.buf.Bytes())
+		}
+		got := testing.AllocsPerRun(200, func() { rig.do(path, body) })
+		t.Logf("%s: %.1f allocs per request", tc.endpoint, got)
+		if got > tc.max {
+			t.Errorf("%s: %.1f allocs per request, want at most %.0f", tc.endpoint, got, tc.max)
 		}
 	}
 }

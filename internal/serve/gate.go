@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"sync/atomic"
+	"time"
 )
 
 // errShed is returned by gate.enter when both the concurrency limit and
@@ -34,9 +35,9 @@ func newGate(maxConcurrent, maxQueue int) *gate {
 }
 
 // enter admits the request (nil), sheds it (errShed), or abandons the
-// wait when ctx expires while queued (ctx.Err()). Pair every nil return
-// with leave.
-func (g *gate) enter(ctx context.Context) error {
+// wait when the request's deadline passes while queued. Pair every nil
+// return with leave.
+func (g *gate) enter(dl *deadline) error {
 	if g == nil {
 		return nil
 	}
@@ -50,12 +51,7 @@ func (g *gate) enter(ctx context.Context) error {
 		return errShed
 	}
 	defer g.queued.Add(-1)
-	select {
-	case g.sem <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return dl.wait(g.sem)
 }
 
 func (g *gate) leave() {
@@ -77,4 +73,40 @@ func (g *gate) waiting() int {
 		return 0
 	}
 	return int(g.queued.Load())
+}
+
+// deadline is one request's RequestTimeout, counted from its arrival and
+// derived from the request's own context. Its context, and the runtime
+// timer behind it, is made only when the request has to wait for a slot —
+// queued at the gate or for the snapshot refresh — so a request that finds
+// a free slot and a fresh snapshot makes neither.
+type deadline struct {
+	parent context.Context // the request's own
+	at     time.Time       // zero: no timeout, only the parent
+	ctx    context.Context
+	cancel context.CancelFunc
+}
+
+// wait blocks until it can send on slot, or returns the context's error
+// once the deadline passes or the client goes away.
+func (d *deadline) wait(slot chan<- struct{}) error {
+	if d.ctx == nil {
+		d.ctx = d.parent
+		if !d.at.IsZero() {
+			d.ctx, d.cancel = context.WithDeadline(d.parent, d.at)
+		}
+	}
+	select {
+	case slot <- struct{}{}:
+		return nil
+	case <-d.ctx.Done():
+		return d.ctx.Err()
+	}
+}
+
+// stop releases the timer, if wait made one.
+func (d *deadline) stop() {
+	if d.cancel != nil {
+		d.cancel()
+	}
 }

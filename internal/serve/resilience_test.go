@@ -590,7 +590,9 @@ func TestServerShutdownStalledClient(t *testing.T) {
 	if _, err := fmt.Fprintf(conn, "POST /v1/queryprob HTTP/1.1\r\nHost: x\r\nContent-Length: 64\r\n\r\n"); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(30 * time.Millisecond) // let the server accept and enter the handler
+	waitFor(t, "the handler to admit the stalled request", func() bool {
+		return srv.Stats().Admission.InFlight == 1
+	})
 
 	started := time.Now()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

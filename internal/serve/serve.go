@@ -58,22 +58,25 @@
 // 429 + Retry-After — under overload the server sheds the excess to keep
 // latency bounded for what it admits instead of collapsing for everyone
 // (BenchmarkServeOverload measures exactly this). Each request carries a
-// Config.RequestTimeout context deadline that is honored while queued at
-// the gate and while waiting on a snapshot refresh; deadline expiry
-// yields 503. /statsz and /healthz bypass the gate so the server stays
-// observable under overload, and a panic-recovery middleware turns a
-// panicking handler into a 500 without taking the process down.
+// Config.RequestTimeout deadline, counted from its arrival and derived from
+// its own context, that is honored while queued at the gate and while
+// waiting on a snapshot refresh; deadline expiry yields 503. The deadline's
+// context and timer are created only when a request waits: one that finds a
+// free slot and a fresh snapshot creates neither. /statsz and /healthz
+// bypass the gate so the server stays observable under overload, and a
+// panic-recovery middleware turns a panicking handler into a 500 without
+// taking the process down.
 //
 // # Hardening
 //
-// Request bodies are bounded by Config.MaxBodyBytes with the declared
-// length checked before any read and a MaxBytesReader backstopping
-// undeclared (chunked) bodies — the same length-validate-before-allocating
-// standard as the cluster's frame decoders. The request decoders read a body
-// in one pass and refuse a positional assignment (CSV or "x") at its
-// (n+1)-th value on an n-variable network, so what they allocate for one is
-// bounded by the network, not by the body (they are fuzzed against
-// encoding/json: FuzzServeRequest). Every decoded name and value is validated
+// Request bodies are read into pooled buffers, bounded by
+// Config.MaxBodyBytes with the declared length checked before any read and a
+// MaxBytesReader backstopping undeclared (chunked) bodies — the same
+// length-validate-before-allocating standard as the cluster's frame
+// decoders. The request decoders read a body in one pass and refuse a
+// positional assignment (CSV or "x") at its (n+1)-th value on an n-variable
+// network, so what they allocate for one is bounded by the network, not by
+// the body (they are fuzzed against encoding/json: FuzzServeRequest). Every decoded name and value is validated
 // against the network, subset queries must be ancestrally closed, and
 // Shutdown drains in-flight requests before releasing the cached
 // snapshot. The HTTP server's read-header/read/write/idle timeouts are
@@ -85,14 +88,17 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -390,10 +396,10 @@ func (s *Server) withRecovery(next http.Handler) http.Handler {
 // path shares the cached acquisition while it is younger than maxAge and
 // the server is healthy; the slow path funnels through the 1-slot refresh
 // channel — one source probe no matter how many requests found the cache
-// stale — abandoning the wait if ctx expires first. On refresh failure
-// the last-good cache keeps serving (degraded) until it is older than
-// maxDegraded.
-func (s *Server) acquireRef(ctx context.Context) (*cachedSnap, bool, error) {
+// stale — abandoning the wait if the request's deadline passes first. On
+// refresh failure the last-good cache keeps serving (degraded) until it is
+// older than maxDegraded.
+func (s *Server) acquireRef(dl *deadline) (*cachedSnap, bool, error) {
 	for {
 		if s.maxAge >= 0 && !s.degraded.Load() {
 			c := s.cache.Load()
@@ -406,8 +412,10 @@ func (s *Server) acquireRef(ctx context.Context) (*cachedSnap, bool, error) {
 		}
 		select {
 		case s.refreshMu <- struct{}{}:
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
+		default:
+			if err := dl.wait(s.refreshMu); err != nil {
+				return nil, false, err
+			}
 		}
 		var (
 			c        *cachedSnap
@@ -520,10 +528,77 @@ type classifyResult struct {
 	Value int `json:"value"`
 }
 
-// readBody enforces the endpoint's method and the body cap: an over-declared
-// Content-Length is rejected before any read, and a MaxBytesReader
-// backstops bodies with no declared length.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request, method string) ([]byte, int, error) {
+// appendEnvelope appends envelope{Result: result, Snapshot: info} exactly as
+// json.Encoder writes it, trailing newline included. A probability
+// ({"p":…}) or a class value ({"value":…}) is written in one pass; any other
+// result (the /v1/model dump) goes through encoding/json. A result JSON
+// cannot carry, such as a NaN or infinite probability, is an error.
+func appendEnvelope(b []byte, result any, info snapInfo) ([]byte, error) {
+	switch r := result.(type) {
+	case probResult:
+		if math.IsNaN(r.P) || math.IsInf(r.P, 0) {
+			return b, fmt.Errorf("serve: answer %v has no JSON encoding", r.P)
+		}
+		b = appendFloat(append(b, `{"result":{"p":`...), r.P)
+	case classifyResult:
+		b = strconv.AppendInt(append(b, `{"result":{"value":`...), int64(r.Value), 10)
+	default:
+		return appendJSON(b, envelope{Result: result, Snapshot: info})
+	}
+	b = strconv.AppendUint(append(b, `},"snapshot":{"version":`...), info.Version, 10)
+	b = strconv.AppendInt(append(b, `,"age_us":`...), info.AgeMicros, 10)
+	if info.StructureEpoch != 0 {
+		b = strconv.AppendUint(append(b, `,"structure_epoch":`...), info.StructureEpoch, 10)
+	}
+	if info.Degraded {
+		b = append(b, `,"degraded":true`...)
+	}
+	return append(b, "}}\n"...), nil
+}
+
+// appendFloat formats a finite f as encoding/json does: the shortest
+// representation, in exponent form below 1e-6 and from 1e21 up, with a
+// one-digit negative exponent not zero-padded.
+func appendFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
+}
+
+// appendJSON appends v as json.Encoder writes it, trailing newline included.
+func appendJSON(b []byte, v any) ([]byte, error) {
+	buf := bytes.NewBuffer(b)
+	err := json.NewEncoder(buf).Encode(v)
+	return buf.Bytes(), err
+}
+
+// bodies recycles the buffers query bodies are read into and answers are
+// written from. A buffer a large body grew past maxPooledBody is left to the
+// collector rather than kept.
+var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 64 << 10
+
+func recycleBody(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBody {
+		buf.Reset()
+		bodies.Put(buf)
+	}
+}
+
+// readBody enforces the endpoint's method and the body cap, and reads the
+// body into buf: an over-declared Content-Length is rejected before any read,
+// and a MaxBytesReader backstops bodies with no declared length. The decoders
+// copy every name and value out of the body, so buf can be reused once the
+// answer is computed.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request, method string, buf *bytes.Buffer) ([]byte, int, error) {
 	if r.Method != method {
 		return nil, http.StatusMethodNotAllowed, fmt.Errorf("serve: %s wants %s", r.URL.Path, method)
 	}
@@ -531,8 +606,7 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, method string)
 		return nil, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("serve: body of %d bytes over the %d-byte limit", r.ContentLength, s.maxBody)
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
-	if err != nil {
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.maxBody)); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			return nil, http.StatusRequestEntityTooLarge,
@@ -540,15 +614,7 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, method string)
 		}
 		return nil, http.StatusBadRequest, fmt.Errorf("serve: reading body: %w", err)
 	}
-	return body, 0, nil
-}
-
-// requestCtx applies the per-request deadline.
-func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFunc) {
-	if s.reqTimeout <= 0 {
-		return r.Context(), func() {}
-	}
-	return context.WithTimeout(r.Context(), s.reqTimeout)
+	return buf.Bytes(), 0, nil
 }
 
 // reject maps admission and snapshot-acquisition failures onto the
@@ -584,26 +650,30 @@ func (s *Server) handle(ctr *atomic.Int64, method string, fn func(body []byte, s
 		s.requests.Add(1)
 		s.qps.record(started.Unix())
 		ctr.Add(1)
-		ctx, cancel := s.requestCtx(r)
-		defer cancel()
-		if err := s.gate.enter(ctx); err != nil {
+		dl := deadline{parent: r.Context()}
+		if s.reqTimeout > 0 {
+			dl.at = started.Add(s.reqTimeout)
+		}
+		defer dl.stop()
+		if err := s.gate.enter(&dl); err != nil {
 			s.reject(w, err)
 			return
 		}
 		defer s.gate.leave()
-		body, code, err := s.readBody(w, r, method)
+		buf := bodies.Get().(*bytes.Buffer)
+		defer recycleBody(buf)
+		body, code, err := s.readBody(w, r, method, buf)
 		if err != nil {
 			s.fail(w, code, err)
 			return
 		}
-		c, degraded, err := s.acquireRef(ctx)
+		c, degraded, err := s.acquireRef(&dl)
 		if err != nil {
 			s.reject(w, err)
 			return
 		}
 		defer s.releaseRef(c)
 		result, err := fn(body, c.snap)
-		info := s.snapInfoFor(c, degraded)
 		if err != nil {
 			code := http.StatusBadRequest
 			if errors.As(err, new(snapshotError)) {
@@ -612,21 +682,33 @@ func (s *Server) handle(ctr *atomic.Int64, method string, fn func(body []byte, s
 			s.fail(w, code, err)
 			return
 		}
-		s.writeJSON(w, envelope{Result: result, Snapshot: info})
+		out, err := appendEnvelope(body[:0], result, s.snapInfoFor(c, degraded))
+		if err != nil {
+			s.fail(w, http.StatusInternalServerError, err)
+			return
+		}
+		s.write(w, http.StatusOK, out)
 		s.lat.observe(time.Since(started))
 	}
 }
 
-func (s *Server) writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
+// jsonContentType is the Content-Type of every JSON reply, one shared slice
+// so that setting it allocates nothing.
+var jsonContentType = []string{"application/json"}
+
+// write sends one JSON reply. A failed write means the client has gone, and
+// there is no one left to tell.
+func (s *Server) write(w http.ResponseWriter, code int, body []byte) {
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(code)
+	w.Write(body)
 }
 
 func (s *Server) fail(w http.ResponseWriter, code int, err error) {
 	s.errors.Add(1)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
+	// A map of strings always encodes: encoding/json replaces invalid UTF-8.
+	body, _ := appendJSON(nil, map[string]string{"error": err.Error()})
+	s.write(w, code, body)
 }
 
 // The five query handlers below decode a request against the snapshot's own
@@ -752,7 +834,12 @@ func (s *Server) model(_ []byte, snap Snapshot) (any, error) {
 }
 
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, s.Stats())
+	body, err := appendJSON(nil, s.Stats())
+	if err != nil {
+		s.fail(w, http.StatusInternalServerError, fmt.Errorf("serve: encoding stats: %w", err))
+		return
+	}
+	s.write(w, http.StatusOK, body)
 }
 
 // health classifies the server state for /healthz and Stats. It is a
