@@ -1,11 +1,20 @@
 package bn
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a small, fast, deterministic pseudo-random generator
 // (splitmix64-seeded xoshiro256**). The repository uses it instead of
 // math/rand so that streams, network generators and counters are reproducible
 // from explicit seeds and cheap to advance on the per-counter hot path.
+//
+// Uint64 and Float64 must stay within the compiler's inlining budget: every
+// draw on the hot paths (the forward sampler, a site's one-way coin, a bank's
+// sampling-mode coin) is then a few instructions in its caller rather than a
+// call. scripts/inline_check.sh fails when either stops inlining or one of
+// those call sites stops inlining it.
 type RNG struct {
 	s [4]uint64
 }
@@ -25,20 +34,13 @@ func NewRNG(seed uint64) *RNG {
 	return r
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
-// Uint64 returns the next 64 random bits.
+// Uint64 returns the next 64 random bits: one xoshiro256** step, written on
+// locals so that it inlines (rng_test.go keeps the reference formulation as
+// its oracle).
 func (r *RNG) Uint64() uint64 {
-	s := &r.s
-	result := rotl(s[1]*5, 7) * 9
-	t := s[1] << 17
-	s[2] ^= s[0]
-	s[3] ^= s[1]
-	s[1] ^= s[2]
-	s[0] ^= s[3]
-	s[2] ^= t
-	s[3] = rotl(s[3], 45)
-	return result
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2]^r.s[0], r.s[3]^r.s[1]
+	r.s = [4]uint64{s0 ^ s3, s1 ^ s2, s2 ^ s1<<17, bits.RotateLeft64(s3, 45)}
+	return bits.RotateLeft64(s1*5, 7) * 9
 }
 
 // Float64 returns a uniform float in [0, 1).

@@ -81,10 +81,10 @@ func (l *counterLayout) ParID(i, pidx int) uint32 {
 //
 // Bit-identity contract: event makes the decisions of the historical per-id
 // loop (sitekernel_test.go keeps it as the oracle) — variables ascending,
-// pair counter before parent counter, a report whenever
-// counter.OneWayReportProb is 1 and otherwise one rng.Float64 coin against it
-// — so the same counters report at the same counts after the same draws in
-// the same order. A one-way counter.Bank decides the same way, which is what
+// pair counter before parent counter, a report whenever the count is within
+// counter.OneWayExactUntil and otherwise one rng.Float64 coin decided by
+// counter.OneWayReports — so the same counters report at the same counts
+// after the same draws in the same order. A one-way counter.Bank decides the same way, which is what
 // lets a core.Tracker reproduce a cluster run bit for bit.
 type siteCounters struct {
 	k      int
@@ -140,7 +140,7 @@ func (s *siteCounters) event(x, pidx []int, rng *bn.RNG) {
 func (s *siteCounters) count(id uint32, eps float64, exactUntil int64, rng *bn.RNG) {
 	n := s.counts[id] + 1
 	s.counts[id] = n
-	if n > exactUntil && rng.Float64() >= counter.OneWayReportProb(s.k, s.sqrtK, eps, n) {
+	if n > exactUntil && !counter.OneWayReports(rng.Float64(), s.k, s.sqrtK, eps, n) {
 		return
 	}
 	s.reported.set(id, n)

@@ -71,6 +71,7 @@ func FuzzLoadState(f *testing.F) {
 		flipped := append([]byte(nil), snap...)
 		flipped[len(flipped)/3] ^= 0x40 // bit flip mid-record
 		f.Add(flipped)
+		f.Add(rngZeroed(snap, 0)) // xoshiro256**'s fixed point
 		if i == 0 {
 			f.Add(exactCellWithSiteState(f, net, snap))
 			f.Add(cellWordEdited(f, snap, false, countWord, func(int64) int64 { return -1 }))
@@ -102,6 +103,11 @@ func FuzzLoadState(f *testing.F) {
 			// Whatever was accepted must be a tracker that works: every
 			// sampling cell has its round record and nothing indexes past
 			// the records the load allocated.
+			for s := range tr.shards {
+				if tr.shards[s].rng.State() == ([4]uint64{}) {
+					t.Fatalf("accepted the all-zero RNG state for stripe %d", s)
+				}
+			}
 			tr.UpdateEvents(genFuzzEvents(net, cfg.Sites, 64, 5))
 			tr.AcquireSnapshot().Release()
 			if err := tr.SaveState(io.Discard); err != nil {
@@ -226,6 +232,7 @@ func TestWriteFuzzLoadStateCorpus(t *testing.T) {
 		flipped := append([]byte(nil), snap...)
 		flipped[len(flipped)/3] ^= 0x40
 		write(prefix+"-bitflip", flipped)
+		write(prefix+"-zero-rng", rngZeroed(snap, 0))
 		if i == 0 {
 			write(prefix+"-exact-cell-site-state", exactCellWithSiteState(t, net, snap))
 		}

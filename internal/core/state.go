@@ -118,9 +118,9 @@ func (t *Tracker) SaveState(w io.Writer) error {
 
 // LoadState restores a snapshot produced by SaveState. The receiver must
 // have been constructed with NewTracker over the same network and Config
-// (including the same Shards); a fingerprint mismatch is rejected. Every
-// record is decoded into fresh banks before anything changes, so a refused
-// snapshot leaves the tracker as it was. Any cached model snapshot is
+// (including the same Shards); a fingerprint mismatch is rejected, and so is
+// an all-zero RNG state. Every record is decoded into fresh banks before
+// anything changes, so a refused snapshot leaves the tracker as it was. Any cached model snapshot is
 // invalidated.
 func (t *Tracker) LoadState(r io.Reader) error {
 	// rebuildMu before the stripe locks — the same order snapshot rebuilds
@@ -162,6 +162,11 @@ func (t *Tracker) LoadState(r io.Reader) error {
 			if rngStates[s][i], err = cr.U64(); err != nil {
 				return err
 			}
+		}
+		// The all-zero state is xoshiro256**'s fixed point: it draws 0 for
+		// ever, so every sampling-mode coin of the stripe would report.
+		if rngStates[s] == ([4]uint64{}) {
+			return fmt.Errorf("core: snapshot's RNG state of stripe %d is all zero", s)
 		}
 	}
 

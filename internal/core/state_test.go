@@ -187,3 +187,41 @@ func TestRefusedLoadStateLeavesTrackerIntact(t *testing.T) {
 		}
 	}
 }
+
+// rngZeroed returns snap with stripe s's RNG state words zeroed (they follow
+// the magic, the fingerprint, the event count and the two tallies).
+func rngZeroed(snap []byte, s int) []byte {
+	bad := append([]byte(nil), snap...)
+	clear(bad[8+8+8+16+32*s:][:32])
+	return bad
+}
+
+// TestLoadStateRefusesZeroRNGState: the all-zero RNG state is xoshiro256**'s
+// fixed point — it draws 0 for ever, so every sampling-mode coin of its
+// stripe reports — and a checkpoint carrying it for any stripe is refused
+// before anything changes.
+func TestLoadStateRefusesZeroRNGState(t *testing.T) {
+	m := testModel(t)
+	evs := genEventStream(m, 4, 2000, 73)
+	for _, shards := range []int{1, 3} {
+		tr, err := NewTracker(m.Network(), cfgFor(NonUniform, shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.UpdateEvents(evs[:1000])
+		ckpt := stateBytes(t, tr)
+		tr.UpdateEvents(evs[1000:])
+		before := stateBytes(t, tr)
+		for s := 0; s < shards; s++ {
+			if err := tr.LoadState(bytes.NewReader(rngZeroed(ckpt, s))); err == nil {
+				t.Fatalf("shards=%d: all-zero RNG state of stripe %d accepted", shards, s)
+			}
+			if !bytes.Equal(stateBytes(t, tr), before) {
+				t.Fatalf("shards=%d: refused LoadState (stripe %d) changed the tracker's state", shards, s)
+			}
+		}
+		if err := tr.LoadState(bytes.NewReader(ckpt)); err != nil {
+			t.Fatalf("shards=%d: intact checkpoint refused: %v", shards, err)
+		}
+	}
+}

@@ -251,8 +251,7 @@ func (b *Bank) Inc(cell, site int) {
 // to calling Inc per pair (same RNG draws in the same order, same messages,
 // same state), with the kind switch, the word slice header and the
 // exact-mode message tally hoisted out of the loop (the records are reached
-// through the bank: a first round opening mid-run may reallocate them, and the
-// RNG call of every sampling-mode increment spills hoisted headers anyway);
+// through the bank: a first round opening mid-run may reallocate them);
 // the tracker's ingestion engine hands it one variable's whole run of a pass,
 // so a bank's lines are loaded once per run rather than once per event.
 // len(sites) must be at least len(cells).

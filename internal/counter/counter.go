@@ -45,7 +45,7 @@
 // The package simulates every protocol in-process: site-side and
 // coordinator-side state live in one struct and "messages" are tallied in a
 // Metrics value. The one-way kind's decision and estimate are also the live
-// cluster's: its sites decide with OneWayReportProb and OneWayExactUntil and
+// cluster's: its sites decide with OneWayExactUntil and OneWayReports and
 // its coordinator estimates with OneWayEstimate, so a tracker running the
 // kind reproduces a cluster run bit for bit.
 //

@@ -3,12 +3,13 @@ package counter
 import "math"
 
 // This file holds the one-way kind: the coordinator-free counter the live
-// cluster runs (internal/cluster's site kernel decides with OneWayReportProb
-// and OneWayExactUntil, its coordinator estimates with OneWayEstimate). A
-// site reports its local count n with probability p = min(1, √k/(ε·k·n)),
-// reading k·n as the global count (uniform routing); the coordinator adds,
-// per site, the last reported count r and the expected unreported tail
-// (1−p)/p at r. There are no rounds and no coordinator → site messages.
+// cluster runs (internal/cluster's site kernel decides with OneWayExactUntil
+// and, past it, OneWayReports; its coordinator estimates with
+// OneWayEstimate). A site reports its local count n with probability
+// p = min(1, √k/(ε·k·n)), reading k·n as the global count (uniform routing);
+// the coordinator adds, per site, the last reported count r and the expected
+// unreported tail (1−p)/p at r. There are no rounds and no coordinator → site
+// messages.
 //
 // A one-way bank keeps per (cell, site) the local count d and the last
 // reported count r in sites[cell·k+site], sized at NewBank, and the cell's
@@ -32,6 +33,36 @@ func OneWayReportProb(k int, sqrtK, eps float64, localCount int64) float64 {
 		return 1
 	}
 	return p
+}
+
+// OneWayReports decides a drawn coin u: it is u < OneWayReportProb(k, sqrtK,
+// eps, n) — equal for every u in [0, 1) (every value bn.RNG.Float64 draws),
+// every finite sqrtK ≥ 1, every k ≥ 1, every n ≥ 0 and every finite eps —
+// without the divide outside a narrow band. It forms d = eps·(k·n) exactly as
+// OneWayReportProb does and compares u·d with √k:
+//
+//   - u·d < √k·(1−2⁻⁴⁰): report;
+//   - u·d > √k·(1+2⁻⁴⁰): no report;
+//   - in between: u < OneWayReportProb(...), with the divide.
+//
+// Why the two outer answers are exact: u·d, the band edge √k·(1∓2⁻⁴⁰) and
+// OneWayReportProb's p = √k/d are three roundings of relative error at most
+// 2⁻⁵³ each (with d the same float on both sides). So below the band the
+// exact u·d is under √k·(1−2⁻⁴⁰)(1+2⁻⁵³)/(1−2⁻⁵³) < √k·(1−2⁻⁵³), which puts u
+// under (√k/d)(1−2⁻⁵³) ≤ p; above it, u is over (√k/d)(1+2⁻⁵³) ≥ p. The
+// clamp p ≤ 1 changes neither answer, since u < 1. d ≤ 0 (eps ≤ 0, or a
+// count of 0) falls below the band, as OneWayReportProb's p = 1 says;
+// a u·d too small to be a normal float is below it too, because √k ≥ 1; and a
+// NaN (0·∞) falls through both compares to the divide.
+func OneWayReports(u float64, k int, sqrtK, eps float64, n int64) bool {
+	ud := u * (eps * (float64(k) * float64(n)))
+	if ud < sqrtK*(1-0x1p-40) {
+		return true
+	}
+	if ud > sqrtK*(1+0x1p-40) {
+		return false
+	}
+	return u < OneWayReportProb(k, sqrtK, eps, n)
 }
 
 // OneWayExactUntil returns the largest local count n at which
@@ -69,13 +100,13 @@ func OneWayEstimate(k int, sqrtK, eps float64, r int64) float64 {
 
 // incOneWay counts one increment of cell at site and decides the site's
 // report as the cluster's site kernel does: always within the exact phase
-// (exactThresh holds OneWayExactUntil), beyond it when one rng.Float64 coin
-// falls below OneWayReportProb.
+// (exactThresh holds OneWayExactUntil), beyond it when OneWayReports says one
+// rng.Float64 coin reports.
 func (b *Bank) incOneWay(cell, site int) {
 	b.word[cell]++
 	st := &b.sites[cell*b.k+site]
 	st.d++
-	if st.d > b.exactThresh && b.rng.Float64() >= OneWayReportProb(b.k, math.Sqrt(float64(b.k)), b.eps, st.d) {
+	if st.d > b.exactThresh && !OneWayReports(b.rng.Float64(), b.k, math.Sqrt(float64(b.k)), b.eps, st.d) {
 		return
 	}
 	st.r = st.d

@@ -95,3 +95,57 @@ func TestOneWayKindHasNoStateRecord(t *testing.T) {
 		}
 	}
 }
+
+// FuzzOneWayReports holds the divide-free decision to its definition: for a
+// coin u on bn.RNG.Float64's grid (a 53-bit integer over 2⁵³), k in 1…64, ε′
+// in (0, 1) and a local count n ≥ 1, OneWayReports says exactly
+// u < OneWayReportProb. The seeds put u on p and one grid step either side
+// (inside the 2⁻⁴⁰ band, where the divide decides), just outside the band
+// on both sides, and at the exact-phase boundary n = OneWayExactUntil+1.
+func FuzzOneWayReports(f *testing.F) {
+	const grid = 1 << 53
+	for _, k := range []int{1, 2, 5, 64} {
+		sqrtK := math.Sqrt(float64(k))
+		for _, eps := range []float64{3.2e-5, 0.013, 0.1, 0.5, 0.999} {
+			until := OneWayExactUntil(k, sqrtK, eps)
+			for _, n := range []int64{until + 1, until + 7, 1_000_003, 1 << 40} {
+				i := uint64(OneWayReportProb(k, sqrtK, eps, n) * grid) // exact: a power-of-two scale
+				band := i>>39 + 2
+				for _, u := range []uint64{i - 1, i, i + 1, i - band, i + band} {
+					f.Add(u, uint8(k-1), eps, n)
+				}
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, ui uint64, kb uint8, eps float64, n int64) {
+		if !(eps > 0 && eps < 1) || n < 1 {
+			return
+		}
+		u, k := float64(ui%grid)/grid, 1+int(kb%64)
+		sqrtK := math.Sqrt(float64(k))
+		if got, want := OneWayReports(u, k, sqrtK, eps, n), u < OneWayReportProb(k, sqrtK, eps, n); got != want {
+			t.Fatalf("OneWayReports(%v, %d, %v, %v, %d) = %v, u < OneWayReportProb = %v", u, k, sqrtK, eps, n, got, want)
+		}
+	})
+}
+
+// TestOneWayReportsEdges checks the rest of the domain OneWayReports states
+// beyond the fuzz target's: error parameters ≤ 0, subnormal and huge (d
+// underflowing, d overflowing), a count of 0, and coins off the 2⁻⁵³ grid,
+// subnormal among them.
+func TestOneWayReportsEdges(t *testing.T) {
+	us := []float64{0, 5e-324, 1e-310, 1e-200, 0.3, 0.5, 1 - 0x1p-53, math.Nextafter(0.5, 0)}
+	epss := []float64{-0.1, 0, 5e-324, 1e-310, 1e-300, 0.1, 1, 1e300, math.MaxFloat64}
+	for _, k := range []int{1, 3, 64} {
+		sqrtK := math.Sqrt(float64(k))
+		for _, eps := range epss {
+			for _, n := range []int64{0, 1, 2, 1 << 40, math.MaxInt64} {
+				for _, u := range us {
+					if got, want := OneWayReports(u, k, sqrtK, eps, n), u < OneWayReportProb(k, sqrtK, eps, n); got != want {
+						t.Errorf("OneWayReports(%v, %d, %v, %v, %d) = %v, u < OneWayReportProb = %v", u, k, sqrtK, eps, n, got, want)
+					}
+				}
+			}
+		}
+	}
+}

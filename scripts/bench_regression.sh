@@ -31,13 +31,13 @@ cd "$(dirname "$0")/.."
 BASELINE=${BENCH_BASELINE:-BENCH_BASELINE.txt}
 THRESHOLD=${BENCH_REGRESSION_PCT:-30}
 BENCH_TIME=${BENCH_TIME:-1s}
-PATTERN='BenchmarkParallelIngest|BenchmarkQueryProb|BenchmarkClassify$|BenchmarkEstimatedModel|BenchmarkNewTracker|BenchmarkClusterThroughput|BenchmarkStructLearnOverhead|BenchmarkPairAccumulate|BenchmarkStructFrame|BenchmarkSiteEvent|BenchmarkSample$|BenchmarkBankIncBatch|BenchmarkFederationThroughput|BenchmarkServeQueries|BenchmarkServeOverload|BenchmarkDecodeRequest|BenchmarkServeHandler'
+PATTERN='BenchmarkParallelIngest|BenchmarkQueryProb|BenchmarkClassify$|BenchmarkEstimatedModel|BenchmarkNewTracker|BenchmarkClusterThroughput|BenchmarkStructLearnOverhead|BenchmarkPairAccumulate|BenchmarkStructFrame|BenchmarkSiteEvent|BenchmarkSample$|BenchmarkRNG|BenchmarkBankIncBatch|BenchmarkFederationThroughput|BenchmarkServeQueries|BenchmarkServeOverload|BenchmarkDecodeRequest|BenchmarkServeHandler'
 
 # BenchmarkPairAccumulate, BenchmarkStructFrame, BenchmarkSiteEvent,
-# BenchmarkSample, BenchmarkBankIncBatch, BenchmarkDecodeRequest and
-# BenchmarkServeHandler live beside the kernels they measure, in
+# BenchmarkSample, BenchmarkRNG, BenchmarkBankIncBatch, BenchmarkDecodeRequest
+# and BenchmarkServeHandler live beside the kernels they measure, in
 # internal/cluster, internal/bn, internal/counter and internal/serve
-# (ns/event, ns/cell, B/frame, ns/increment, ns/request and allocs:
+# (ns/event, ns/draw, ns/cell, B/frame, ns/increment, ns/request and allocs:
 # reported, not gated).
 run_benchmarks() {
   go test -count=1 -run '^$' -bench "$PATTERN" -benchtime "$BENCH_TIME" . ./internal/bn ./internal/cluster ./internal/counter ./internal/serve
