@@ -132,9 +132,9 @@
 // served structure when the learned tree changes — bumping a structure
 // epoch carried on every snapshot, with versions monotone across the swap.
 // serve.NewLearnedCoordinatorSource serves queries from the learned tree
-// (cmd/bncluster -struct-batch, -serve-learned), and the drift experiment
-// (cmd/bnmle -exp drift, cluster.Config.DriftNetName) demonstrates recovery of a
-// mid-stream structure change with the communication overhead quantified.
+// (cmd/bncluster -struct-batch, -serve-learned); with
+// cluster.Config.DriftNetName (cmd/bncluster -drift-net) the generating
+// network changes mid-stream and the overlay re-learns the new tree.
 //
 // # Distributed deployment
 //

@@ -143,7 +143,7 @@ func (co *Coordinator) WriteCheckpoint(w io.Writer) error {
 	}
 	rows := make([][]int64, len(co.reported))
 	for i := range co.reported {
-		rows[i] = slices.Clone(co.reported[i].vals)
+		rows[i] = slices.Clone(co.reported[i])
 	}
 	frames, updates := co.frames.Load(), co.updates.Load()
 	co.mu.Unlock()
@@ -215,7 +215,7 @@ func (co *Coordinator) RestoreCheckpoint(r io.Reader) error {
 			co.doneCount++
 		}
 		// readCheckpoint bounded every row id by the layout.
-		co.reported[i].merge(co.layout.NumCounters(), st.Sites[i].Row)
+		maxMerge(co.reported[i], st.Sites[i].Row, nil)
 	}
 	co.version.Add(1) // a snapshot acquired before the restore is stale
 	return nil

@@ -269,7 +269,7 @@ func TestCheckpointRejectsRowOutsideLayout(t *testing.T) {
 	if err != nil {
 		t.Fatalf("row naming the last counter %d: %v", last, err)
 	}
-	if got := co.reported[1].vals[last]; got != 7 {
+	if got := co.reported[1][last]; got != 7 {
 		t.Errorf("restored row holds %d at counter %d, want 7", got, last)
 	}
 	if _, id, err := restore(1); err == nil {

@@ -264,10 +264,10 @@ type Coordinator struct {
 	mu        sync.Mutex
 	slots     []siteSlot
 	doneCount int
-	// reported[site].vals[counter] is the site's last reported local count;
+	// reported[site][counter] is the site's last reported local count;
 	// version counts the batches folded into it and is read without the lock
 	// by the snapshot validator.
-	reported []dirtyVec
+	reported [][]int64
 	version  atomic.Uint64
 
 	// snap is the last published estimate snapshot (nil until the first
@@ -354,9 +354,9 @@ func NewCoordinator(cfg Config, addr string) (*Coordinator, error) {
 		ckptEvery: cfg.CheckpointEveryFrames,
 		ckptCh:    make(chan struct{}, 1),
 	}
-	co.reported = make([]dirtyVec, cfg.Sites)
+	co.reported = make([][]int64, cfg.Sites)
 	for i := range co.reported {
-		co.reported[i] = newDirtyVec(layout.NumCounters())
+		co.reported[i] = make([]int64, layout.NumCounters())
 	}
 	if cfg.StructBatchEvents > 0 {
 		winEvents, winBlocks := cfg.structWindow()
@@ -677,7 +677,7 @@ func (co *Coordinator) siteEvents(id uint32) int64 {
 // idempotent.
 func (co *Coordinator) foldCounts(site uint32, ups []Update) {
 	co.mu.Lock()
-	co.reported[site].merge(co.layout.NumCounters(), ups)
+	maxMerge(co.reported[site], ups, nil)
 	co.version.Add(1)
 	co.mu.Unlock()
 	co.updates.Add(int64(len(ups)))
@@ -780,7 +780,7 @@ func (co *Coordinator) AcquireSnapshot() *core.Snapshot {
 func (co *Coordinator) estimatesLocked(est []float64) {
 	k, sqrtK := co.cfg.Sites, math.Sqrt(float64(co.cfg.Sites))
 	for site := 0; site < k; site++ {
-		row := co.reported[site].vals
+		row := co.reported[site]
 		for _, sec := range co.layout.sections {
 			for id := sec.lo; id < sec.hi; id++ {
 				est[id] += counter.OneWayEstimate(k, sqrtK, sec.eps, row[id])

@@ -131,14 +131,31 @@ func (f *frameFolder) fold(t byte, payload []byte) (data bool, err error) {
 	return true, nil
 }
 
+// maxMerge is the receiver-side rule, written once: it raises vals[id] to
+// every larger count in ups and passes each raised cell and its growth to
+// raised, if non-nil. A relay's per-site vectors mark the cell dirty
+// (dirtyVec.merge) and the structure engine adds the growth to the site's
+// window; the coordinator's reported rows, folds and checkpoint restores
+// alike, need no hook. Ids must lie in [0, len(vals)).
+func maxMerge(vals []int64, ups []Update, raised func(id uint32, growth int64)) {
+	for _, u := range ups {
+		if old := vals[u.Counter]; u.LocalCount > old {
+			vals[u.Counter] = u.LocalCount
+			if raised != nil {
+				raised(u.Counter, u.LocalCount-old)
+			}
+		}
+	}
+}
+
 // dirtyVec is a monotone vector that remembers which cells moved since they
 // were last drained: a site's latest decided report per counter (written by
-// set), or a receiving node's max-merged view of one site's counters or pair
-// cells (written by merge). A site and a relay ship it upstream a dirty set at
-// a time; the coordinator, the root, has nowhere to ship and only reads vals.
-// The dirty set is a bitset, so a drain scans it in word order and yields
-// ascending ids without sorting. A relay's vectors are sized on first merge,
-// so a site that never reports costs nothing.
+// set), or a relay's max-merged view of one site's counters or pair cells
+// (written by merge). Both ship it upstream a dirty set at a time. The
+// coordinator, the root, has nowhere to ship, so its rows are plain vectors
+// under maxMerge. The dirty set is a bitset, so a drain scans it in word
+// order and yields ascending ids without sorting. A relay's vectors are sized
+// on first merge, so a site that never reports costs nothing.
 type dirtyVec struct {
 	vals  []int64
 	dirty []uint64
@@ -154,22 +171,22 @@ func newDirtyVec(size uint32) dirtyVec {
 // set stores cell id's new value and marks it dirty.
 func (v *dirtyVec) set(id uint32, n int64) {
 	v.vals[id] = n
+	v.mark(id)
+}
+
+// mark marks cell id dirty.
+func (v *dirtyVec) mark(id uint32) {
 	v.dirty[id>>6] |= 1 << (id & 63)
 	v.any = true
 }
 
-// merge max-merges ups into a vector of size cells — the receiver-side rule,
-// written once: a relay's per-site vectors, the coordinator's reported rows
-// and a checkpoint restore all fold through it. Ids must lie in [0, size).
+// merge max-merges ups into a vector of size cells and marks the raised
+// cells dirty. Ids must lie in [0, size).
 func (v *dirtyVec) merge(size uint32, ups []Update) {
 	if v.vals == nil {
 		*v = newDirtyVec(size)
 	}
-	for _, u := range ups {
-		if u.LocalCount > v.vals[u.Counter] {
-			v.set(u.Counter, u.LocalCount)
-		}
-	}
+	maxMerge(v.vals, ups, func(id uint32, _ int64) { v.mark(id) })
 }
 
 // drain appends the dirty cells to dst in ascending id order and marks the

@@ -47,7 +47,7 @@
 //     its reported rows and structure engine, estimates from them, and
 //     decides membership events — a site on its own connection is the
 //     one-site case of a relay link. Both folds are the same idempotent
-//     max-merge (dirtyVec.merge), which is what makes relays, replays and
+//     max-merge (maxMerge), which is what makes relays, replays and
 //     duplicated frames invisible to the final estimates.
 //
 // The coordinator has one lock: one reader goroutine per connection folds a

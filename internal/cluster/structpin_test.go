@@ -128,6 +128,24 @@ func runCumulativeOnlySite(addr string, id uint32) error {
 	return err
 }
 
+// learnedParent returns the coordinator's published learned tree as a
+// parent vector (-1 at the root), orientation included.
+func learnedParent(t *testing.T, co *Coordinator) []int {
+	t.Helper()
+	netw, _, ok := co.LearnedStructure()
+	if !ok {
+		t.Fatal("no learned structure")
+	}
+	parent := make([]int, netw.Len())
+	for i := range parent {
+		parent[i] = -1
+		if ps := netw.Parents(i); len(ps) > 0 {
+			parent[i] = ps[0]
+		}
+	}
+	return parent
+}
+
 // TestStructDeltaMatchesCumulativeOnly runs one two-site stream twice: once
 // with sites that ship increments, once with sites started without
 // StructDelta, which must then ship cumulative frames only. The coordinator
@@ -180,11 +198,7 @@ func TestStructDeltaMatchesCumulativeOnly(t *testing.T) {
 			_, co, _ = runThroughProxy(t, cfg, chaos.Config{Tap: tap}, nil)
 		}
 		rows, pos := structRows(co)
-		st := co.structs.state.Load()
-		if st == nil {
-			t.Fatal("no learned structure")
-		}
-		return outcome{rows, pos, st.parent, types}
+		return outcome{rows, pos, learnedParent(t, co), types}
 	}
 	deltas, cumulative := run(false), run(true)
 
@@ -302,16 +316,13 @@ func TestStructKernelEndToEndPins(t *testing.T) {
 			if got := hashInt64s(co.structs.perSite[0]); got != wantCounts {
 				t.Errorf("cumulative pair counts hash %#x, want %#x", got, wantCounts)
 			}
-			st := co.structs.state.Load()
-			if st == nil {
-				t.Fatal("no learned structure")
-			}
-			parent := make([]int64, len(st.parent))
-			for i, v := range st.parent {
+			learned := learnedParent(t, co)
+			parent := make([]int64, len(learned))
+			for i, v := range learned {
 				parent[i] = int64(v)
 			}
 			if got := hashInt64s(parent); got != wantParent {
-				t.Errorf("learned parent vector hash %#x (%v), want %#x", got, st.parent, wantParent)
+				t.Errorf("learned parent vector hash %#x (%v), want %#x", got, learned, wantParent)
 			}
 			if mode.sever > 0 {
 				if p.Severed() == 0 {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -39,7 +40,7 @@ import (
 // each cell's growth lands in a per-site decay.WindowVec so stale
 // statistics age out, and Chow–Liu re-runs on the windowed MI matrix at every
 // window-block rotation. When the learned tree's undirected edge set changes,
-// the coordinator hot-swaps the published structure: a new structState with
+// the coordinator hot-swaps the published structure: a new snapshot with
 // a bumped structure epoch, its parent-pair parameters seeded directly from
 // the same windowed pair statistics (for a tree, the windowed pair joint
 // counts ARE the CPT sufficient statistics). The flat base-DAG parameter
@@ -220,29 +221,8 @@ var ErrStructLearningOff = errors.New("cluster: structure learning not enabled")
 // serves normally — the documented cold-start behavior.
 var ErrNoLearnedStructure = errors.New("cluster: no learned structure yet")
 
-// structState is one immutable published structure: the learned tree and its
-// windowed-MLE parameters as a core.Snapshot, plus what the next relearn
-// compares against. Hot swaps publish a fresh structState; readers holding an
-// old one keep a consistent view.
-type structState struct {
-	// snap is the read handle served for this state. Its network is the
-	// learned tree (base variable names and cardinalities, learned
-	// single-parent structure, rooted at variable 0); its factor rows are
-	// seeded from the windowed pair statistics, rows with an unobserved parent
-	// configuration uniform. Its structure epoch counts structure changes — 1
-	// for the first learned tree, bumped every time the learned undirected
-	// edge set differs from the previous one — so serving clients can observe
-	// swaps. Its version is the struct-statistics version the state was built
-	// from: monotone across relearns (parameter refreshes bump it even when
-	// the tree is unchanged), which keeps the per-client version-monotone
-	// serving contract intact across hot swaps.
-	snap   *core.Snapshot
-	parent []int
-}
-
 // StructStats summarizes the structure-learning overlay's communication and
-// learning activity — the numbers the drift experiment quotes against the
-// flat fixed-structure run.
+// learning activity.
 type StructStats struct {
 	// Frames counts folded struct frames (also included in Stats.Frames)
 	// and Entries the cell entries they carried: every nonzero cell of a
@@ -284,7 +264,20 @@ type structEngine struct {
 	swaps    int64
 	mi       [][]float64 // scratch MI matrix, reused across relearns
 
-	state atomic.Pointer[structState]
+	// learned is the published structure, nil before the first relearn: one
+	// immutable snapshot per relearn, so readers holding an old one keep a
+	// consistent view across a hot swap. Its network is the learned tree
+	// (base variable names and cardinalities, learned single-parent
+	// structure, rooted at variable 0); its factor rows are seeded from the
+	// windowed pair statistics, rows with an unobserved parent configuration
+	// uniform. Its structure epoch counts structure changes — 1 for the first
+	// learned tree, bumped every time the learned undirected edge set differs
+	// from the previous one — so serving clients can observe swaps. Its
+	// version is the struct-statistics version it was built from: monotone
+	// across relearns (parameter refreshes bump it even when the tree is
+	// unchanged), which keeps the per-client version-monotone serving
+	// contract intact across hot swaps.
+	learned atomic.Pointer[core.Snapshot]
 }
 
 // newStructEngine builds the overlay for a coordinator. windowEvents is the
@@ -330,13 +323,8 @@ func newStructEngine(netw *bn.Network, sites int, windowEvents int64, blocks int
 func (e *structEngine) apply(site uint32, siteEvents uint64, ups []Update) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	row, win := e.perSite[site], e.windows[site]
-	for _, u := range ups {
-		if u.LocalCount > row[u.Counter] {
-			win.Add(int(u.Counter), u.LocalCount-row[u.Counter])
-			row[u.Counter] = u.LocalCount
-		}
-	}
+	win := e.windows[site]
+	maxMerge(e.perSite[site], ups, func(id uint32, growth int64) { win.Add(int(id), growth) })
 	e.frames++
 	e.entries += int64(len(ups))
 	e.version++
@@ -350,7 +338,7 @@ func (e *structEngine) apply(site uint32, siteEvents uint64, ups []Update) {
 }
 
 // relearnLocked aggregates the per-site windows, re-runs Chow–Liu on the
-// windowed MI matrix, and publishes a new structState; the epoch bumps only
+// windowed MI matrix, and publishes a new snapshot; the epoch bumps only
 // when the undirected edge set changed. Callers hold e.mu.
 func (e *structEngine) relearnLocked() {
 	win := e.agg
@@ -369,41 +357,31 @@ func (e *structEngine) relearnLocked() {
 	parent := chowliu.TreeFromMI(e.mi)
 	e.relearns++
 
-	old := e.state.Load()
-	changed := old == nil || !sameUndirected(parent, old.parent, n)
+	vars := make([]bn.Variable, n)
+	for i := 0; i < n; i++ {
+		base := e.net.Var(i)
+		vars[i] = bn.Variable{Name: base.Name, Card: base.Card}
+		if parent[i] >= 0 {
+			vars[i].Parents = []int{parent[i]}
+		}
+	}
+	netw, err := bn.NewNetwork(vars)
+	if err != nil {
+		// A spanning tree over validated variables cannot be cyclic;
+		// treat a construction failure as "keep the previous structure".
+		return
+	}
 	epoch := uint64(1)
-	var netw *bn.Network
-	if old != nil {
-		epoch, netw = old.snap.StructureEpoch(), old.snap.Network()
-		if changed {
+	if old := e.learned.Load(); old != nil {
+		epoch = old.StructureEpoch()
+		if maps.Equal(chowliu.UndirectedEdges(netw), chowliu.UndirectedEdges(old.Network())) {
+			netw = old.Network() // identical edge set: keep the old orientation too
+		} else {
 			epoch++
 			e.swaps++
 		}
 	}
-
-	if changed {
-		vars := make([]bn.Variable, n)
-		for i := 0; i < n; i++ {
-			base := e.net.Var(i)
-			vars[i] = bn.Variable{Name: base.Name, Card: base.Card}
-			if parent[i] >= 0 {
-				vars[i].Parents = []int{parent[i]}
-			}
-		}
-		var err error
-		if netw, err = bn.NewNetwork(vars); err != nil {
-			// A spanning tree over validated variables cannot be cyclic;
-			// treat a construction failure as "keep the previous structure".
-			return
-		}
-	} else {
-		parent = old.parent // identical edge set: keep the old orientation too
-	}
-
-	e.state.Store(&structState{
-		snap:   core.NewSnapshot(netw, e.seedFactorsLocked(win, netw), e.version, time.Now(), epoch),
-		parent: parent,
-	})
+	e.learned.Store(core.NewSnapshot(netw, e.seedFactorsLocked(win, netw), e.version, time.Now(), epoch))
 }
 
 // seedFactorsLocked materializes the learned tree's CPD estimates straight
@@ -488,36 +466,6 @@ func (e *structEngine) seedFactorsLocked(win []int64, learned *bn.Network) [][]f
 	return factors
 }
 
-// sameUndirected reports whether two parent vectors describe the same
-// undirected edge set.
-func sameUndirected(a, b []int, n int) bool {
-	type edge [2]int
-	canon := func(parent []int) map[edge]bool {
-		m := make(map[edge]bool, n)
-		for i, p := range parent {
-			if p < 0 {
-				continue
-			}
-			lo, hi := i, p
-			if lo > hi {
-				lo, hi = hi, lo
-			}
-			m[edge{lo, hi}] = true
-		}
-		return m
-	}
-	ea, eb := canon(a), canon(b)
-	if len(ea) != len(eb) {
-		return false
-	}
-	for e := range ea {
-		if !eb[e] {
-			return false
-		}
-	}
-	return true
-}
-
 // stats returns the overlay's communication/learning tallies.
 func (e *structEngine) stats() StructStats {
 	e.mu.Lock()
@@ -528,8 +476,8 @@ func (e *structEngine) stats() StructStats {
 		Relearns: e.relearns,
 		Swaps:    e.swaps,
 	}
-	if st := e.state.Load(); st != nil {
-		s.Epoch = st.snap.StructureEpoch()
+	if snap := e.learned.Load(); snap != nil {
+		s.Epoch = snap.StructureEpoch()
 	}
 	return s
 }
@@ -546,11 +494,11 @@ func (co *Coordinator) AcquireLearnedSnapshot() (*core.Snapshot, error) {
 	if co.structs == nil {
 		return nil, ErrStructLearningOff
 	}
-	st := co.structs.state.Load()
-	if st == nil {
+	snap := co.structs.learned.Load()
+	if snap == nil {
 		return nil, ErrNoLearnedStructure
 	}
-	return st.snap, nil
+	return snap, nil
 }
 
 // LearnedStructure returns the current learned tree and its structure

@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"encoding/binary"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"distbayes/internal/chowliu"
 	"distbayes/internal/core"
 	"distbayes/internal/netgen"
 )
@@ -315,5 +317,57 @@ func TestStructOverlayLeavesFlatEstimatesIdentical(t *testing.T) {
 	}
 	if _, err := snap.Model(); err != nil {
 		t.Errorf("learned snapshot model: %v", err)
+	}
+}
+
+// TestDriftRelearnsPostDriftTree runs online structure learning under
+// structure drift: every site's generating model switches at mid-stream from
+// one random 12-variable tree to another over the same variables, and the
+// windowed pair statistics must age the old tree out so that the final
+// learned tree is the post-drift one, all 11 undirected edges of it. Each row
+// is one seed s: trees tree:12:3:(s+3) -> tree:12:3:(s+57), 20 000 events
+// over 10 sites, a 5 000-event window in 6 blocks, struct frames every 256
+// events. Swap and relearn counts are not pinned: with ten sites they depend
+// on how the sites' frames interleave.
+func TestDriftRelearnsPostDriftTree(t *testing.T) {
+	for _, seed := range []uint64{1, 2, 3} {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			driftName := fmt.Sprintf("tree:12:3:%d", seed+57)
+			cfg := Config{
+				NetName: fmt.Sprintf("tree:12:3:%d", seed+3), CPTSeed: seed + 0xC0DE,
+				Strategy: core.Uniform, Eps: 0.1, Delta: 0.25,
+				Sites: 10, Events: 20000, StreamSeed: seed + 7,
+				DriftNetName: driftName, DriftAfter: 0.5, DriftCPTSeed: seed + 0xD21F,
+				StructBatchEvents: 256, StructWindowEvents: 5000, StructWindowBlocks: 6,
+			}
+			_, co, err := RunLocal(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			learned, epoch, ok := co.LearnedStructure()
+			if !ok {
+				t.Fatal("no learned structure")
+			}
+			driftNet, err := netgen.ByName(driftName)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, got := chowliu.UndirectedEdges(driftNet), chowliu.UndirectedEdges(learned)
+			match := 0
+			for e := range want {
+				if got[e] {
+					match++
+				}
+			}
+			if len(want) != 11 || match != len(want) {
+				t.Errorf("learned tree recovers %d/%d post-drift edges, want 11/11 (learned %v)", match, len(want), got)
+			}
+			if epoch < 2 {
+				t.Errorf("structure epoch %d, want >= 2: the pre-drift tree was never swapped out", epoch)
+			}
+			if ss := co.StructLearnStats(); ss.Frames == 0 {
+				t.Errorf("no struct frames folded: %+v", ss)
+			}
+		})
 	}
 }

@@ -15,21 +15,6 @@ func init() {
 		nil, func(r cluster.Result) float64 { return r.Throughput })
 }
 
-// clusterBase is the live-cluster run every TCP experiment starts from:
-// p.Network's model at the session's seeds, budget, site count and stream
-// length. Callers set the strategy and the topology knobs they study.
-func clusterBase(p Params) cluster.Config {
-	return cluster.Config{
-		NetName:    p.Network,
-		CPTSeed:    p.Seed + 0xC0DE,
-		Eps:        p.Eps,
-		Delta:      p.Delta,
-		Sites:      p.Sites,
-		Events:     p.Events,
-		StreamSeed: p.Seed + 7,
-	}
-}
-
 // clusterNetworks are the Fig. 7/8 networks (the paper uses the two smaller
 // networks on the EC2 cluster).
 var clusterNetworks = []string{"alarm", "hepar2"}
@@ -57,10 +42,11 @@ func (s *Session) clusterSweep() (map[clusterPoint]cluster.Result, error) {
 	for _, name := range clusterNetworks {
 		for _, k := range s.p.SiteList {
 			for _, st := range allStrategies {
-				cfg := clusterBase(s.p)
-				cfg.NetName, cfg.Strategy = name, st
-				cfg.Sites = k
-				cfg.LiveQueryMicros = 1000
+				cfg := cluster.Config{
+					NetName: name, CPTSeed: s.p.Seed + 0xC0DE, Strategy: st,
+					Eps: s.p.Eps, Delta: s.p.Delta, Sites: k, Events: s.p.Events,
+					StreamSeed: s.p.Seed + 7, LiveQueryMicros: 1000,
+				}
 				res, _, err := cluster.RunLocal(cfg)
 				if err != nil {
 					return nil, fmt.Errorf("cluster sweep %s k=%d %v: %w", name, k, st, err)

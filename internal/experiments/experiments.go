@@ -5,8 +5,8 @@
 // network (Figs. 1–6), the live TCP cluster sweep (Figs. 7/8) and the
 // classification pass (Tables II/III) — computes each on first use, and every
 // figure is a small declaration projecting one of them into a Table. The
-// single-point studies, the ablations and the cluster extensions share no
-// data and keep their own runs. Default parameters are scaled down from the
+// single-point studies (Figs. 9–11, NEW-ALARM) share no data and keep their
+// own runs. Default parameters are scaled down from the
 // paper's largest runs (up to 5M events) so the full suite finishes on a
 // laptop; the cmd/bnmle flags reach full scale.
 package experiments

@@ -21,7 +21,6 @@ func init() {
 	registry["table2"] = classTable(0)
 	registry["table3"] = classTable(1)
 	registry["newalarm"] = runNewAlarm
-	registry["ablation-nb"] = runAblationNB
 }
 
 var (
@@ -161,8 +160,8 @@ func modelOf(net *bn.Network, seed uint64) (*bn.Model, error) {
 }
 
 // defaultCPTSeed is the seed netgen.ModelByName gives the Table I networks;
-// the derived networks (stripped LINK, NEW-ALARM, the Naïve-Bayes model) use
-// it too.
+// the derived networks (stripped LINK, NEW-ALARM, the claims test's
+// Naïve-Bayes net) use it too.
 var defaultCPTSeed = netgen.DefaultCPTOptions().Seed
 
 // runTable1 reproduces Table I: the network inventory.
@@ -217,7 +216,7 @@ func runFig9(s *Session) ([]*Table, error) {
 		}
 		spec := s.spec(m, paperStrategies...)
 		spec.queries, spec.runs = 1, 1
-		msgs, _, err := s.lastPoint(spec)
+		msgs, err := s.lastPoint(spec)
 		if err != nil {
 			return nil, err
 		}
@@ -273,7 +272,7 @@ func runFig11(s *Session) ([]*Table, error) {
 	for _, k := range fig11Sites {
 		spec := s.spec(m, paperStrategies...)
 		spec.sites, spec.queries = k, 1
-		msgs, _, err := s.lastPoint(spec)
+		msgs, err := s.lastPoint(spec)
 		if err != nil {
 			return nil, err
 		}
@@ -371,7 +370,7 @@ func runNewAlarm(s *Session) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	msgs, _, err := s.lastPoint(s.spec(m, core.Uniform, core.NonUniform))
+	msgs, err := s.lastPoint(s.spec(m, core.Uniform, core.NonUniform))
 	if err != nil {
 		return nil, err
 	}
@@ -400,50 +399,4 @@ func runNewAlarm(s *Session) ([]*Table, error) {
 		},
 	}
 	return []*Table{t}, nil
-}
-
-// variant is one row of an ablation: a labelled variation of the paper's
-// tracking setup, run to the single checkpoint p.Events.
-type variant struct {
-	label string
-	spec  trackingSpec
-}
-
-// ablationTable renders the table shape the ablations share: per variant its
-// label, the stream length, and the (single) strategy's message count and
-// mean error to EXACTMLE at the end of the run.
-func (s *Session) ablationTable(id, title, labelHeader string, variants []variant) ([]*Table, error) {
-	t := &Table{ID: id, Title: title, Header: []string{labelHeader, "m", "messages", "mean-err-to-mle"}}
-	for _, v := range variants {
-		msgs, errToMLE, err := s.lastPoint(v.spec)
-		if err != nil {
-			return nil, err
-		}
-		st := v.spec.strategies[0]
-		t.Rows = append(t.Rows, []string{v.label, fmtInt(int64(s.p.Events)), fmtF(msgs(st)), fmtF(errToMLE(st))})
-	}
-	return []*Table{t}, nil
-}
-
-// runAblationNB compares the Naïve-Bayes specialization (eq. 9) against the
-// general allocations on a Naïve-Bayes model (Section V, Lemma 11).
-func runAblationNB(s *Session) ([]*Table, error) {
-	featureCards := make([]int, 30)
-	for i := range featureCards {
-		featureCards[i] = 2 + i%5
-	}
-	net, err := netgen.NaiveBayesNet(5, featureCards)
-	if err != nil {
-		return nil, err
-	}
-	m, err := modelOf(net, defaultCPTSeed)
-	if err != nil {
-		return nil, err
-	}
-	var variants []variant
-	for _, st := range []core.Strategy{core.Uniform, core.NonUniform, core.NaiveBayes} {
-		variants = append(variants, variant{st.String(), s.spec(m, st)})
-	}
-	return s.ablationTable("ablation-nb",
-		"Section V: Naïve-Bayes specialization vs general allocations (5-class NB, 30 features)", "algorithm", variants)
 }

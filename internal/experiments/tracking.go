@@ -194,16 +194,14 @@ func (s *Session) paperSweep(network string) (*trackingResult, error) {
 	return res, nil
 }
 
-// lastPoint runs spec to the single checkpoint p.Events and returns what the
-// single-point experiments report there, per strategy: the median message
-// count and the mean error to EXACTMLE.
-func (s *Session) lastPoint(spec trackingSpec) (msgs, errToMLE func(core.Strategy) float64, err error) {
+// lastPoint runs spec to the single checkpoint p.Events and returns the
+// median message count there, per strategy: what the single-point
+// experiments report.
+func (s *Session) lastPoint(spec trackingSpec) (msgs func(core.Strategy) float64, err error) {
 	spec.checkpoints = []int{s.p.Events}
 	res, err := runTracking(spec)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	msgs = func(st core.Strategy) float64 { return messages(res, st, 0) }
-	errToMLE = func(st core.Strategy) float64 { return mean(errMLE(res, st, 0)) }
-	return msgs, errToMLE, nil
+	return func(st core.Strategy) float64 { return messages(res, st, 0) }, nil
 }

@@ -137,7 +137,7 @@ func Names() []string { return []string{"alarm", "hepar2", "link", "munin", "new
 
 // ByName returns the network for a Table I name (see Names), or a
 // parameterized random tree for a "tree:<n>:<card>:<seed>" name. Tree names
-// are what the drift experiments use: two trees of the same n and card (any
+// are what the drift runs use: two trees of the same n and card (any
 // seeds) have identical variable names and cardinalities and differ only in
 // structure, and the name is enough for both ends of a cluster to
 // regenerate the network deterministically — structure never travels.
