@@ -42,18 +42,14 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
+	"distbayes/cmd/internal/probe"
 	"distbayes/internal/cluster"
 	"distbayes/internal/core"
 	"distbayes/internal/serve"
@@ -259,70 +255,25 @@ func attachServer(co *cluster.Coordinator, addr string, maxConcurrent int, degra
 
 // finishServer answers -probe over the server's own HTTP endpoint, then
 // drains and stops the server.
-func finishServer(srv *serve.Server, probe string, probeTimeout time.Duration) {
+func finishServer(srv *serve.Server, assign string, probeTimeout time.Duration) {
 	if srv == nil {
-		if probe != "" {
+		if assign != "" {
 			fatal(fmt.Errorf("-probe requires -serve"))
 		}
 		return
 	}
-	if probe != "" {
-		p, err := probeMarginal(srv.Addr(), probe, probeTimeout)
+	if assign != "" {
+		p, err := probe.Marginal(srv.Addr(), assign, probeTimeout)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("P[%s] = %.6g\n", probe, p)
+		fmt.Printf("P[%s] = %.6g\n", assign, p)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
 		fatal(err)
 	}
-}
-
-// probeMarginal parses "name=value,..." and asks /v1/marginal — the full
-// HTTP path, not a shortcut through the coordinator. The timeout bounds
-// the whole probe so a wedged server turns into a nonzero exit, not a
-// hung smoke script.
-func probeMarginal(addr, probe string, timeout time.Duration) (float64, error) {
-	assign := map[string]int{}
-	for _, part := range strings.Split(probe, ",") {
-		kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
-		if len(kv) != 2 {
-			return 0, fmt.Errorf("bad probe assignment %q, want name=value", part)
-		}
-		v, err := strconv.Atoi(kv[1])
-		if err != nil {
-			return 0, fmt.Errorf("bad probe value %q for %s", kv[1], kv[0])
-		}
-		assign[kv[0]] = v
-	}
-	body, err := json.Marshal(map[string]any{"assign": assign})
-	if err != nil {
-		return 0, err
-	}
-	client := &http.Client{Timeout: timeout}
-	resp, err := client.Post("http://"+addr+"/v1/marginal", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	rb, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("probe: status %d: %s", resp.StatusCode, bytes.TrimSpace(rb))
-	}
-	var env struct {
-		Result struct {
-			P float64 `json:"p"`
-		} `json:"result"`
-	}
-	if err := json.Unmarshal(rb, &env); err != nil {
-		return 0, err
-	}
-	return env.Result.P, nil
 }
 
 func report(res cluster.Result) {

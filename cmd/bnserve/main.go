@@ -17,19 +17,14 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"time"
 
+	"distbayes/cmd/internal/probe"
 	"distbayes/internal/bif"
 	"distbayes/internal/bn"
 	"distbayes/internal/core"
@@ -55,7 +50,7 @@ func main() {
 		maxQueue = flag.Int("max-queue", 0, "admission wait-queue depth (0 = 2x max-concurrent, negative = none)")
 		reqTO    = flag.Duration("request-timeout", serve.DefaultRequestTimeout, "per-request deadline (negative = none)")
 		writeTO  = flag.Duration("write-timeout", serve.DefaultWriteTimeout, "HTTP write timeout (negative = none)")
-		probe    = flag.String("probe", "", "after ingest, print P[name=value,...] via /v1/marginal and exit")
+		probeFor = flag.String("probe", "", "after ingest, print P[name=value,...] via /v1/marginal and exit")
 		probeTO  = flag.Duration("probe-timeout", 10*time.Second, "deadline for the -probe query; a wedged server fails the probe instead of hanging it")
 	)
 	flag.Parse()
@@ -112,12 +107,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bnserve: ingested %d events, serving\n", *events)
 	}
 
-	if *probe != "" {
-		p, err := probeMarginal(srv.Addr(), *probe, *probeTO)
+	if *probeFor != "" {
+		p, err := probe.Marginal(srv.Addr(), *probeFor, *probeTO)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("P[%s] = %.6g\n", *probe, p)
+		fmt.Printf("P[%s] = %.6g\n", *probeFor, p)
 		shutdown(srv)
 		return
 	}
@@ -141,51 +136,6 @@ func shutdown(srv *serve.Server) {
 	if err := srv.Shutdown(ctx); err != nil {
 		fatal(err)
 	}
-}
-
-// probeMarginal parses "name=value,..." and asks the server's own
-// /v1/marginal endpoint — exercising the full HTTP path, not a shortcut
-// through the tracker. The timeout bounds the whole probe so a wedged
-// server turns into a nonzero exit, not a hung smoke script.
-func probeMarginal(addr, probe string, timeout time.Duration) (float64, error) {
-	assign := map[string]int{}
-	for _, part := range strings.Split(probe, ",") {
-		kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
-		if len(kv) != 2 {
-			return 0, fmt.Errorf("bad probe assignment %q, want name=value", part)
-		}
-		v, err := strconv.Atoi(kv[1])
-		if err != nil {
-			return 0, fmt.Errorf("bad probe value %q for %s", kv[1], kv[0])
-		}
-		assign[kv[0]] = v
-	}
-	body, err := json.Marshal(map[string]any{"assign": assign})
-	if err != nil {
-		return 0, err
-	}
-	client := &http.Client{Timeout: timeout}
-	resp, err := client.Post("http://"+addr+"/v1/marginal", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	rb, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("probe: status %d: %s", resp.StatusCode, bytes.TrimSpace(rb))
-	}
-	var env struct {
-		Result struct {
-			P float64 `json:"p"`
-		} `json:"result"`
-	}
-	if err := json.Unmarshal(rb, &env); err != nil {
-		return 0, err
-	}
-	return env.Result.P, nil
 }
 
 func loadModel(netName, bifPath string) (*bn.Model, error) {

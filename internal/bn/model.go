@@ -152,15 +152,6 @@ func (m *Model) JointProb(x []int) float64 {
 	return p
 }
 
-// LogJointProb returns ln P[X = x]; it is -Inf if any factor is zero.
-func (m *Model) LogJointProb(x []int) float64 {
-	lp := 0.0
-	for i := 0; i < m.net.Len(); i++ {
-		lp += math.Log(m.cpds[i].P(x[i], m.net.ParentIndex(i, x)))
-	}
-	return lp
-}
-
 // SubsetProb returns the marginal probability of the assignment x restricted
 // to the ancestrally closed set of variables `set` (as produced by
 // Network.AncestralClosure). For such sets the marginal factorizes exactly:

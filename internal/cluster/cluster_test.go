@@ -286,6 +286,8 @@ func TestConfigValidation(t *testing.T) {
 		{NetName: "alarm", Sites: 0, Events: 10},
 		{NetName: "alarm", Sites: 2, Events: 0},
 		{NetName: "alarm", Sites: 2, Events: 10, Strategy: core.Uniform, Eps: 0},
+		{NetName: "alarm", Sites: 2, Events: 10, Strategy: core.Baseline, Eps: math.NaN()},
+		{NetName: "alarm", Sites: 2, Events: 10, Strategy: core.Strategy(9), Eps: 0.1},
 	}
 	for i, cfg := range bad {
 		if _, err := NewCoordinator(cfg, "127.0.0.1:0"); err == nil {
@@ -296,6 +298,66 @@ func TestConfigValidation(t *testing.T) {
 		NetName: "nope", Sites: 1, Events: 1, Strategy: core.ExactMLE,
 	}, "127.0.0.1:0"); err == nil {
 		t.Error("unknown network accepted")
+	}
+}
+
+// TestSiteRefusesInvalidStartConfig: a site checks the start frame it is
+// sent against the coordinator's own run-shape rule and ends its run with an
+// error. Without the check, zero sites or a NaN eps kept the site computing
+// its report thresholds for about 2^63 steps, and an infinite eps left it
+// never reporting. Each case has a deadline, so a hang fails the case
+// instead of the package.
+func TestSiteRefusesInvalidStartConfig(t *testing.T) {
+	base := StartConfig{NetName: "tree:6:2:1", Strategy: uint8(core.Uniform), Eps: 0.1, Delta: 0.25, Sites: 2, Events: 100}
+	cases := map[string]func(*StartConfig){
+		"zero sites":       func(c *StartConfig) { c.Sites = 0 },
+		"uniform NaN eps":  func(c *StartConfig) { c.Eps = math.NaN() },
+		"baseline NaN eps": func(c *StartConfig) { c.Strategy, c.Eps = uint8(core.Baseline), math.NaN() },
+		"infinite eps":     func(c *StartConfig) { c.Eps = math.Inf(1) },
+		"eps one":          func(c *StartConfig) { c.Eps = 1 },
+		"unknown strategy": func(c *StartConfig) { c.Strategy = 200 },
+	}
+	if _, err := newSiteRun(0, base); err != nil {
+		t.Fatalf("valid start config refused: %v", err)
+	}
+	for name, edit := range cases {
+		t.Run(name, func(t *testing.T) {
+			cfg := base
+			edit(&cfg)
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			site := NewSite(0, ln.Addr().String())
+			site.DialAttempts = 1
+			done := make(chan error, 1)
+			go func() {
+				_, err := site.Run()
+				done <- err
+			}()
+			raw, err := ln.Accept()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer raw.Close()
+			raw.SetDeadline(time.Now().Add(3 * time.Second))
+			c := newConn(raw)
+			if ft, _, err := c.readFrame(); err != nil || ft != frameHello {
+				t.Fatalf("site opened with frame %d (%v), want hello", ft, err)
+			}
+			if err := c.send(frameStart, encodeStart(cfg)); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Fatalf("site accepted start config %+v", cfg)
+				}
+			case <-time.After(3 * time.Second):
+				t.Fatalf("site still running 3s after start config %+v", cfg)
+			}
+		})
 	}
 }
 

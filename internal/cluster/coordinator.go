@@ -125,14 +125,11 @@ func (c Config) validate() error {
 	if c.NetName == "" {
 		return fmt.Errorf("cluster: empty network name")
 	}
-	if c.Sites < 1 {
-		return fmt.Errorf("cluster: sites = %d, want >= 1", c.Sites)
+	if err := checkRunShape(c.Sites, c.Strategy, c.Eps); err != nil {
+		return err
 	}
 	if c.Events < 1 {
 		return fmt.Errorf("cluster: events = %d, want >= 1", c.Events)
-	}
-	if c.Strategy != core.ExactMLE && !(c.Eps > 0 && c.Eps < 1) {
-		return fmt.Errorf("cluster: eps = %v, want 0 < eps < 1", c.Eps)
 	}
 	if c.Shards < 0 {
 		return fmt.Errorf("cluster: shards = %d, want >= 0", c.Shards)
@@ -163,6 +160,25 @@ func (c Config) validate() error {
 	}
 	if c.DriftNetName == "" && (c.DriftAfter != 0 || c.DriftCPTSeed != 0) {
 		return fmt.Errorf("cluster: drift parameters set without a drift network name")
+	}
+	return nil
+}
+
+// checkRunShape is the one rule for the shape of a run, which both the
+// coordinator's Config and a site's StartConfig must pass: at least one
+// site, a known strategy, and 0 < eps < 1 unless the strategy is exact. A
+// site checks the start frame it was sent, because a zero site count or a
+// NaN eps would send its report thresholds (counter.OneWayExactUntil) into
+// a loop of about 2^63 steps, and an infinite eps would never report.
+func checkRunShape(sites int, s core.Strategy, eps float64) error {
+	if sites < 1 {
+		return fmt.Errorf("cluster: sites = %d, want >= 1", sites)
+	}
+	if s < core.ExactMLE || s > core.NaiveBayes {
+		return fmt.Errorf("cluster: unknown strategy %v", s)
+	}
+	if s != core.ExactMLE && !(eps > 0 && eps < 1) {
+		return fmt.Errorf("cluster: eps = %v, want 0 < eps < 1", eps)
 	}
 	return nil
 }

@@ -171,6 +171,9 @@ type siteRun struct {
 
 // newSiteRun regenerates the deterministic run state from a StartConfig.
 func newSiteRun(id uint32, cfg StartConfig) (*siteRun, error) {
+	if err := checkRunShape(int(cfg.Sites), core.Strategy(cfg.Strategy), cfg.Eps); err != nil {
+		return nil, err
+	}
 	netw, err := netgen.ByName(cfg.NetName)
 	if err != nil {
 		return nil, err

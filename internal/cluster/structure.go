@@ -222,18 +222,20 @@ var ErrStructLearningOff = errors.New("cluster: structure learning not enabled")
 var ErrNoLearnedStructure = errors.New("cluster: no learned structure yet")
 
 // StructStats summarizes the structure-learning overlay's communication and
-// learning activity.
+// learning activity. It is also the "struct" object of serve's /statsz.
 type StructStats struct {
 	// Frames counts folded struct frames (also included in Stats.Frames)
 	// and Entries the cell entries they carried: every nonzero cell of a
 	// cumulative frame, and of an increment frame only the cells that
 	// changed.
-	Frames, Entries int64
+	Frames  int64 `json:"frames"`
+	Entries int64 `json:"entries"`
 	// Relearns counts Chow–Liu re-runs; Swaps counts the subset that
 	// changed the undirected edge set after the first learned tree.
-	Relearns, Swaps int64
+	Relearns int64 `json:"relearns"`
+	Swaps    int64 `json:"swaps"`
 	// Epoch is the current structure epoch (0 before the first learn).
-	Epoch uint64
+	Epoch uint64 `json:"epoch"`
 }
 
 // structEngine is the coordinator's structure-learning overlay: per-site

@@ -927,13 +927,7 @@ func (s *Server) Stats() Stats {
 	}
 	if r, ok := s.src.(StructStatsReporter); ok {
 		if ss, on := r.StructLearnStats(); on {
-			st.Struct = &StructLearnStats{
-				Frames:   ss.Frames,
-				Entries:  ss.Entries,
-				Relearns: ss.Relearns,
-				Swaps:    ss.Swaps,
-				Epoch:    ss.Epoch,
-			}
+			st.Struct = &ss
 		}
 	}
 	return st

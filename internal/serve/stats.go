@@ -5,6 +5,8 @@ import (
 	"math/bits"
 	"sync/atomic"
 	"time"
+
+	"distbayes/internal/cluster"
 )
 
 // latencyBuckets is the number of power-of-two latency histogram buckets:
@@ -124,19 +126,7 @@ type Stats struct {
 	// Struct reports the back end's structure-learning counters; nil when
 	// the source does not run the overlay (fixed-structure runs, tracker
 	// sources).
-	Struct *StructLearnStats `json:"struct,omitempty"`
-}
-
-// StructLearnStats is the /statsz view of a coordinator's online
-// structure-learning overlay: how many struct-stats frames it folded, how
-// many Chow-Liu relearns and hot structure swaps it ran, and the current
-// structure epoch.
-type StructLearnStats struct {
-	Frames   int64  `json:"frames"`
-	Entries  int64  `json:"entries"`
-	Relearns int64  `json:"relearns"`
-	Swaps    int64  `json:"swaps"`
-	Epoch    uint64 `json:"epoch"`
+	Struct *cluster.StructStats `json:"struct,omitempty"`
 }
 
 // AdmissionStats describes the admission gate: its limits, its current

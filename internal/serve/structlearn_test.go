@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"sync"
@@ -148,6 +149,28 @@ func TestServeLearnedStructureHotSwap(t *testing.T) {
 	}
 	if ss.Swaps == 0 {
 		t.Errorf("drift run produced no structure swap: %+v", ss)
+	}
+	// /statsz carries the coordinator's counters under "struct", with the
+	// field names and order the endpoint has always written.
+	if st := srv.Stats().Struct; st == nil || *st != ss {
+		t.Errorf("Stats().Struct = %+v, want %+v", st, ss)
+	}
+	resp, err := http.Get("http://" + srv.Addr() + "/statsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var statsz struct {
+		Struct json.RawMessage `json:"struct"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&statsz)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf(`{"frames":%d,"entries":%d,"relearns":%d,"swaps":%d,"epoch":%d}`,
+		ss.Frames, ss.Entries, ss.Relearns, ss.Swaps, ss.Epoch)
+	if string(statsz.Struct) != want {
+		t.Errorf("/statsz struct = %s, want %s", statsz.Struct, want)
 	}
 	t.Logf("ok=%d cold=%d struct=%+v", okQueries.Load(), coldQueries.Load(), ss)
 }

@@ -29,21 +29,6 @@ func NewUniformAssigner(k int, seed uint64) *UniformAssigner {
 // Next implements Assigner.
 func (a *UniformAssigner) Next() int { return a.rng.Intn(a.k) }
 
-// RoundRobinAssigner cycles through sites deterministically.
-type RoundRobinAssigner struct {
-	k, next int
-}
-
-// NewRoundRobinAssigner creates a round-robin router over k sites.
-func NewRoundRobinAssigner(k int) *RoundRobinAssigner { return &RoundRobinAssigner{k: k} }
-
-// Next implements Assigner.
-func (a *RoundRobinAssigner) Next() int {
-	s := a.next
-	a.next = (a.next + 1) % a.k
-	return s
-}
-
 // Training couples a ground-truth sampler with a site assigner; each call to
 // Next produces one (site, event) pair. The event buffer is reused: callers
 // must not retain it across calls.

@@ -36,23 +36,13 @@ func TestUniformAssignerCoversSites(t *testing.T) {
 	}
 }
 
-func TestRoundRobinAssigner(t *testing.T) {
-	a := NewRoundRobinAssigner(3)
-	want := []int{0, 1, 2, 0, 1, 2, 0}
-	for i, w := range want {
-		if got := a.Next(); got != w {
-			t.Errorf("step %d: %d, want %d", i, got, w)
-		}
-	}
-}
-
 func TestTrainingStream(t *testing.T) {
 	m := smallModel(t)
-	tr := NewTraining(m, NewRoundRobinAssigner(4), 9)
+	tr := NewTraining(m, NewFixedAssigner(3), 9)
 	for i := 0; i < 100; i++ {
 		site, x := tr.Next()
-		if site != i%4 {
-			t.Fatalf("event %d at site %d, want %d", i, site, i%4)
+		if site != 3 {
+			t.Fatalf("event %d at site %d, want 3", i, site)
 		}
 		if !m.Network().ValidAssignment(x) {
 			t.Fatalf("invalid assignment %v", x)
