@@ -16,7 +16,8 @@ import (
 	"distbayes/internal/stream"
 )
 
-// TestWarmQueriesDoNotAllocate gates what BENCH_BASELINE.txt only reports: a
+// TestWarmQueriesDoNotAllocate gates what the benchmark's probes
+// (core.queryprob_warm_ns, serve.allocs_per_query) only report: a
 // query against a current snapshot — no ingest since it was built — takes no
 // lock and allocates nothing, on the tracker and on the coordinator.
 func TestWarmQueriesDoNotAllocate(t *testing.T) {

@@ -100,8 +100,9 @@
 // rows through kind-specialized counter.Bank.EstimateRange bulk loops
 // instead of a per-cell Estimate switch, so rebuilding munin's 101 866 CPT
 // cells stays cheap enough to refresh on a millisecond staleness bound
-// under live ingest (BenchmarkServeQueries: a multi-client closed-loop
-// load with a hot ingest pump, gated in BENCH_BASELINE.txt). See
+// under live ingest (the serve-ingest workload of benchmarks/run.sh: a
+// closed-loop client beside a paced ingest pump, recorded in BENCH_41.json
+// and gated by scripts/ledger.sh check). See
 // cmd/bnserve for the standalone binary and examples/serving for an
 // end-to-end cluster + server + client-mix program.
 //

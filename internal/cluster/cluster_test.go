@@ -447,7 +447,7 @@ func TestSiteFailureSurfacesAsError(t *testing.T) {
 	}
 }
 
-// TestDuplicateSiteIDRejected verifies an out-of-range site id is refused.
+// TestOutOfRangeSiteIDRejected verifies an out-of-range site id is refused.
 func TestOutOfRangeSiteIDRejected(t *testing.T) {
 	cfg := Config{
 		NetName: "alarm", CPTSeed: 0xC0DE, Strategy: core.ExactMLE,

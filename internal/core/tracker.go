@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -68,10 +69,10 @@ func (c Config) validate() error {
 	if c.Sites < 1 {
 		return fmt.Errorf("core: sites = %d, want >= 1", c.Sites)
 	}
-	if c.Smoothing < 0 {
-		return fmt.Errorf("core: smoothing = %v, want >= 0", c.Smoothing)
+	if !(c.Smoothing >= 0) || math.IsInf(c.Smoothing, 1) {
+		return fmt.Errorf("core: smoothing = %v, want finite and >= 0", c.Smoothing)
 	}
-	if c.Delta < 0 || c.Delta >= 1 {
+	if !(c.Delta >= 0 && c.Delta < 1) {
 		return fmt.Errorf("core: delta = %v, want 0 <= delta < 1", c.Delta)
 	}
 	if c.Shards < 0 {
@@ -366,9 +367,10 @@ type passScratch struct {
 // reference mode the goldens pin, and its schedule must not depend on
 // batching — over the same scratch laid out event-major. (Making its passes
 // one event long, so that both orders coincide and one loop serves, was
-// measured: a lock hand-off per event cost BenchmarkParallelIngest/shards=1
-// 40%.) A one-event pass takes that loop on any tracker: the two orders
-// coincide there and Inc beats a one-pair IncBatch.
+// measured: a lock hand-off per event cost the one-stripe engine 40% of its
+// events/sec; the tracker-ingest workload and core.seq_p1_events_per_s time
+// that engine now.) A one-event pass takes that loop on any tracker: the two
+// orders coincide there and Inc beats a one-pair IncBatch.
 func (t *Tracker) applyIndexed(m int, xAt func(int) []int, siteAt func(int) int) {
 	if m == 0 {
 		return

@@ -30,6 +30,10 @@ func TestConfigValidation(t *testing.T) {
 		{Strategy: Uniform, Eps: 0.1, Sites: 0},
 		{Strategy: Uniform, Eps: 0.1, Sites: 3, Smoothing: -1},
 		{Strategy: Uniform, Eps: 0.1, Sites: 3, Delta: 1.5},
+		{Strategy: ExactMLE, Sites: 3, Smoothing: math.NaN()},
+		{Strategy: ExactMLE, Sites: 3, Smoothing: math.Inf(1)},
+		{Strategy: ExactMLE, Sites: 3, Smoothing: math.Inf(-1)},
+		{Strategy: Uniform, Eps: 0.1, Sites: 3, Delta: math.NaN()},
 	}
 	for i, cfg := range bad {
 		if _, err := NewTracker(net, cfg); err == nil {

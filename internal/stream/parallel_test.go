@@ -64,7 +64,7 @@ func TestNextEventsCopiesAndMatchesNext(t *testing.T) {
 	}
 }
 
-// TestNewSiteTrainingsDeterministicAndPinned: per-site sub-streams are
+// TestNewSiteTrainingsDeterministic: per-site sub-streams are
 // deterministic in the seed and each event routes to its own site.
 func TestNewSiteTrainingsDeterministic(t *testing.T) {
 	m := smallModel(t)

@@ -5,8 +5,13 @@
 #     `Tracker`, `stream.FixedAssigner` or `OneWayReports()`, a flag such as
 #     `-probe`) holds an identifier that no .go or .sh file of the repository
 #     contains as a word;
-#   - a Test, Benchmark or Fuzz name anywhere in README.md is in no .go or
-#     .sh file;
+#   - a Test, Benchmark or Fuzz name in README.md, a Go comment,
+#     scripts/*.sh, .github/workflows/ci.yml or .claude/skills/verify/SKILL.md
+#     names no func the repository declares (a comment that mentions a
+#     deleted benchmark does not keep it alive), or one of them cites a
+#     script (scripts/loc.sh) or an upper-case top-level file
+#     (BENCHMARK.json) that does not exist; CHANGES.md, ROADMAP.md and docs/
+#     are history and are not read;
 #   - a repository path README.md cites (`internal/serve/decode.go`,
 #     `./cmd/bnmle`, `internal/counter/testdata/bank_v1_*.bin`; in a code
 #     span or in a fenced block) does not exist;
@@ -69,8 +74,9 @@ while IFS= read -r s; do
 		exists "$s" || miss "README.md: no path \`$s\`"
 		continue
 	fi
-	# A commit id is not a code name; an identifier beside a * is a pattern.
-	[[ $s =~ ^[0-9a-f]{7,40}$ ]] && continue
+	# A commit id is not a code name; an identifier beside a * is a pattern;
+	# Test, Benchmark and Fuzz names are checked against funcs below.
+	[[ $s =~ ^[0-9a-f]{7,40}$ || $s =~ ^(Test|Benchmark|Fuzz)[A-Z] ]] && continue
 	for id in $(perl -ne 'print "$1\n" while /(?<![*\w])([A-Za-z_]\w*)(?![*\w])/g' <<<"$s"); do
 		has_word "$id" || miss "README.md: \`$s\`: no .go or .sh file has $id"
 	done
@@ -80,9 +86,22 @@ for p in $fenced; do
 	exists "$p" || miss "README.md: code block: no path $p"
 done
 
-for id in $(grep -oE '\b(Test|Benchmark|Fuzz)[A-Z][A-Za-z0-9_]*' README.md | sort -u); do
-	has_word "$id" || miss "README.md: no .go or .sh file has $id"
-done
+# Test, Benchmark and Fuzz names and cited files in the documents that
+# describe HEAD, each as FILE:LINE: TEXT; Go files contribute their comments.
+funcs=$(find . -path ./.git -prune -o -name '*.go' -print0 |
+	xargs -0 perl -ne 'print "$1\n" if /^func ((?:Test|Benchmark|Fuzz)\w*)\(/' | sort -u)
+while IFS=$'\t' read -r loc cite; do
+	if [[ $cite == *.* ]]; then
+		[[ $loc == README.md:* ]] || exists "$cite" || miss "$loc: no file $cite"
+	else
+		grep -qxF "$cite" <<<"$funcs" || miss "$loc: no func $cite"
+	fi
+done < <({
+	grep -nH '' README.md scripts/*.sh .github/workflows/ci.yml .claude/skills/verify/SKILL.md
+	find . -path ./.git -prune -o -name '*.go' -print0 |
+		xargs -0 perl -ne 'print "$ARGV:$.:$1\n" if m{//(.*)$}; close ARGV if eof'
+} | perl -ne '/^([^:]+:\d+):(.*)$/ or next; ($l, $t) = ($1, $2);
+	print "$l\t$1\n" while $t =~ /\b((?:Test|Benchmark|Fuzz)[A-Z]\w*|(?<![\w\/.])(?:scripts\/[\w-]+\.sh|[A-Z][A-Z0-9_]+\.(?:json|txt|md)))\b/g')
 
 # README sections cited from Go files and golden notes. Comment markers are
 # joined away first, so a citation may wrap a line.

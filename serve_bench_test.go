@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -21,170 +20,6 @@ import (
 	"distbayes/internal/serve"
 	"distbayes/internal/stream"
 )
-
-// BenchmarkServeQueries measures the serving subsystem end to end on the
-// paper's largest network: an HTTP query server over a striped munin
-// tracker (1041 variables, 101 866 CPT cells) answers a closed-loop client
-// mix — full-joint QueryProb and small-subset QuerySubsetProb — while an
-// ingest pump keeps the tracker hot, so every snapshot refresh pays the
-// vectorized EstimateRange rebuild under live writes. Clients speak raw
-// HTTP/1.1 over keep-alive TCP connections with pre-encoded request bytes,
-// so the measured path is the server, not client-side encoding. Reports
-// sustained queries/sec plus client-observed p50/p99 latency.
-func BenchmarkServeQueries(b *testing.B) {
-	model, err := netgen.ModelByName("munin")
-	if err != nil {
-		b.Fatal(err)
-	}
-	nw := model.Network()
-	const sites = 4
-	tr, err := core.NewTracker(nw, core.Config{
-		Strategy: core.NonUniform, Eps: 0.1, Sites: sites, Seed: 1, Shards: 4,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	// Warm the counters and pre-generate the pump's event pool outside the
-	// timer: the pump measures ingestion pressure on serving, not sampling.
-	training := stream.NewTraining(model, stream.NewUniformAssigner(sites, 2), 3)
-	pool := training.NextEvents(nil, 2048)
-	tr.UpdateEvents(pool)
-
-	srv, err := serve.New(serve.Config{
-		Source:         serve.NewTrackerSource(tr),
-		MaxSnapshotAge: 10 * time.Millisecond,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := srv.Start("127.0.0.1:0"); err != nil {
-		b.Fatal(err)
-	}
-	addr := srv.Addr()
-
-	// Hot ingest pump: one goroutine cycling the pool in protocol batches
-	// for the whole measurement window.
-	stopIngest := make(chan struct{})
-	ingestDone := make(chan struct{})
-	var ingested atomic.Int64
-	go func() {
-		defer close(ingestDone)
-		if os.Getenv("DISTBAYES_BENCH_NO_INGEST") != "" {
-			<-stopIngest
-			return
-		}
-		// Paced small batches: a munin event updates ~2000 counter cells,
-		// so an unpaced loop would saturate any core count the runner has
-		// and serving latency would measure goroutine preemption, not the
-		// server. Sleeping between batches keeps the pump genuinely off-CPU
-		// so ingest pressure is a steady fraction of the machine, the way a
-		// receiving site behaves between stream arrivals.
-		tick := time.NewTicker(time.Millisecond)
-		defer tick.Stop()
-		for off := 0; ; off = (off + 8) % len(pool) {
-			select {
-			case <-stopIngest:
-				return
-			case <-tick.C:
-			}
-			tr.UpdateEvents(pool[off : off+8])
-			ingested.Add(8)
-		}
-	}()
-
-	// Pre-encode the request mix: full-joint probabilities (the CSV fast
-	// path) alternating with subset probabilities over small ancestrally
-	// closed subsets — the full-table scan and the targeted lookup, the two
-	// shapes a serving tier sees most.
-	subsets := smallClosures(nw, 8)
-	if len(subsets) == 0 {
-		b.Fatal("no small ancestral closures in munin")
-	}
-	rng := bn.NewRNG(7)
-	var x []int
-	reqs := make([][]byte, 16)
-	for i := range reqs {
-		x = stream.RandomAssignment(nw, rng, x)
-		if i%2 == 0 {
-			reqs[i] = encodeRequest(addr, "/v1/queryprob", csvAssignment(x))
-		} else {
-			set := subsets[(i/2)%len(subsets)]
-			var sb strings.Builder
-			sb.WriteString(`{"assign":{`)
-			for j, v := range set {
-				if j > 0 {
-					sb.WriteByte(',')
-				}
-				fmt.Fprintf(&sb, `"%s":%d`, nw.Var(v).Name, x[v])
-			}
-			sb.WriteString(`}}`)
-			reqs[i] = encodeRequest(addr, "/v1/subsetprob", sb.String())
-		}
-	}
-
-	clients := 4
-	if clients > b.N {
-		clients = b.N // -benchtime=1x smoke: one client, one query
-	}
-	lats := make([][]int64, clients)
-	var wg sync.WaitGroup
-	errs := make(chan error, clients)
-	b.ResetTimer()
-	for c := 0; c < clients; c++ {
-		n := b.N / clients
-		if c < b.N%clients {
-			n++
-		}
-		wg.Add(1)
-		go func(c, n int) {
-			defer wg.Done()
-			conn, err := net.Dial("tcp", addr)
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer conn.Close()
-			br := bufio.NewReaderSize(conn, 16<<10)
-			lat := make([]int64, 0, n)
-			for i := 0; i < n; i++ {
-				t0 := time.Now()
-				if _, err := conn.Write(reqs[(c*7+i)%len(reqs)]); err != nil {
-					errs <- err
-					return
-				}
-				if err := readResponse(br); err != nil {
-					errs <- err
-					return
-				}
-				lat = append(lat, time.Since(t0).Microseconds())
-			}
-			lats[c] = lat
-		}(c, n)
-	}
-	wg.Wait()
-	b.StopTimer()
-	close(stopIngest)
-	<-ingestDone
-	select {
-	case err := <-errs:
-		b.Fatal(err)
-	default:
-	}
-
-	elapsed := b.Elapsed().Seconds()
-	all := make([]int64, 0, b.N)
-	for _, l := range lats {
-		all = append(all, l...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	b.ReportMetric(float64(len(all))/elapsed, "queries/sec")
-	b.ReportMetric(float64(all[len(all)/2]), "p50-µs")
-	b.ReportMetric(float64(all[len(all)*99/100]), "p99-µs")
-	b.ReportMetric(float64(ingested.Load())/elapsed, "ingest-ev/s")
-
-	shutdownServer(b, srv)
-}
 
 // slowSource adds a fixed latency to every snapshot acquisition — the
 // shape of a coordinator-backed source under load, where an acquire is an
@@ -213,8 +48,8 @@ func (s slowSource) AcquireSnapshot() (serve.Snapshot, error) {
 // excess must be shed with fast 429s so the latency of what IS admitted
 // stays bounded instead of collapsing for everyone; the reported
 // p99-admitted-µs (queue wait is capped by the queue depth) and
-// queries/sec (admitted throughput, gated in BENCH_BASELINE.txt) are that
-// contract as numbers. Shed responses cost no snapshot work, so
+// queries/sec (admitted throughput, gated by scripts/ledger.sh check) are
+// that contract as numbers. Shed responses cost no snapshot work, so
 // shed/sec >> queries/sec is the expected shape.
 func BenchmarkServeOverload(b *testing.B) {
 	model, err := netgen.ModelByName("munin")
@@ -332,8 +167,9 @@ func BenchmarkServeOverload(b *testing.B) {
 }
 
 // readResponseCode consumes one HTTP/1.1 response off the keep-alive
-// stream like readResponse, but returns the status code instead of
-// requiring 200 — the overload benchmark counts 429/503 as data.
+// stream (status line, headers with the Content-Length the server always
+// sets, then the body, discarded) and returns its status code: the overload
+// benchmark counts 429/503 as data.
 func readResponseCode(br *bufio.Reader) (int, error) {
 	status, err := br.ReadString('\n')
 	if err != nil {
@@ -372,20 +208,6 @@ func readResponseCode(br *bufio.Reader) (int, error) {
 	return code, nil
 }
 
-// smallClosures returns up to 8 distinct ancestral closures of at most max
-// variables — the well-posed small subset queries of a network.
-func smallClosures(nw *bn.Network, max int) [][]int {
-	var out [][]int
-	for i := 0; i < nw.Len() && len(out) < 8; i++ {
-		set := nw.AncestralClosure([]int{i})
-		if len(set) > 1 && len(set) <= max {
-			sort.Ints(set)
-			out = append(out, set)
-		}
-	}
-	return out
-}
-
 // encodeRequest renders one keep-alive HTTP/1.1 POST as raw bytes.
 func encodeRequest(host, path, body string) []byte {
 	return []byte(fmt.Sprintf(
@@ -404,40 +226,6 @@ func csvAssignment(x []int) string {
 		sb.WriteString(strconv.Itoa(v))
 	}
 	return sb.String()
-}
-
-// readResponse consumes exactly one HTTP/1.1 response off the keep-alive
-// stream: status line, headers (Content-Length is required — the server
-// always sets it), then the body, discarded.
-func readResponse(br *bufio.Reader) error {
-	status, err := br.ReadString('\n')
-	if err != nil {
-		return err
-	}
-	if !strings.Contains(status, " 200 ") {
-		return fmt.Errorf("unexpected status line %q", strings.TrimSpace(status))
-	}
-	length := -1
-	for {
-		line, err := br.ReadString('\n')
-		if err != nil {
-			return err
-		}
-		line = strings.TrimRight(line, "\r\n")
-		if line == "" {
-			break
-		}
-		if v, ok := strings.CutPrefix(line, "Content-Length: "); ok {
-			if length, err = strconv.Atoi(v); err != nil {
-				return err
-			}
-		}
-	}
-	if length < 0 {
-		return fmt.Errorf("response without Content-Length")
-	}
-	_, err = io.CopyN(io.Discard, br, int64(length))
-	return err
 }
 
 func shutdownServer(b *testing.B, srv *serve.Server) {
