@@ -9,15 +9,16 @@ import (
 
 // servingWantLines are the deterministic lines of the example transcript:
 // the training summary and every endpoint answer (fixed network, seeds and
-// event order make the served estimates exact goldens). The closed-loop
+// event order make the served estimates exact goldens, which a change to the
+// sites' report schedule re-records). The closed-loop
 // rate line is timing-dependent and only checked for presence.
 var servingWantLines = []string{
 	"trained 20000 events across 4 sites on a loopback TCP cluster",
 	"health: ok",
-	"  joint, all zeros  /v1/queryprob  = 1.40805e-28",
-	"  subset            /v1/subsetprob = 0.0284496",
+	"  joint, all zeros  /v1/queryprob  = 1.4107e-28",
+	"  subset            /v1/subsetprob = 0.0284535",
 	"  classify alarm_3  /v1/classify   = 3",
-	"  marginal alarm_3  /v1/marginal   = 0.243303",
+	"  marginal alarm_3  /v1/marginal   = 0.243178",
 	"server drained and stopped",
 }
 

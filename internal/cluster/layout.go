@@ -74,28 +74,37 @@ func (l *counterLayout) ParID(i, pidx int) uint32 {
 }
 
 // siteCounters is the site half of the one-way counter protocol
-// (counter.OneWayKind) as one self-contained type: every local count in a
-// dense slice indexed by layout counter id, the latest decided report per
-// counter with the window of counters decided since the last drain, and
-// per-variable report constants.
+// (counter.OneWayKind) as one self-contained type: every counter's local
+// count and pending report proposal in one dense slice indexed by layout
+// counter id, the latest decided report per counter with the window of
+// counters decided since the last drain, and per-variable report constants.
 //
-// Bit-identity contract: event makes the decisions of the historical per-id
-// loop (sitekernel_test.go keeps it as the oracle) — variables ascending,
-// pair counter before parent counter, a report whenever the count is within
-// counter.OneWayExactUntil and otherwise one rng.Float64 coin decided by
-// counter.OneWayReports — so the same counters report at the same counts
-// after the same draws in the same order. A one-way counter.Bank decides the same way, which is what
-// lets a core.Tracker reproduce a cluster run bit for bit.
+// Bit-identity contract: event makes the decisions of the per-id loop
+// (sitekernel_test.go keeps it as the oracle) — variables ascending, pair
+// counter before parent counter, a report whenever the count is within
+// counter.OneWayExactUntil, and past it a decision only at the counter's
+// pending proposal, by counter.OneWayGap.Decide — so the same
+// counters report at the same counts after the same draws in the same order.
+// A one-way counter.Bank decides the same way, which is what lets a
+// core.Tracker reproduce a cluster run bit for bit.
 type siteCounters struct {
-	k      int
-	sqrtK  float64
-	counts []int64
+	k     int
+	sqrtK float64
+	ctrs  []siteCounter
 	// reported.vals[id] is the latest local count the site decided to report
 	// for counter id (0 = never) — the crux of crash safety, see siteRun — and
 	// its dirty set is the pending window. Ids suffice there: counts are
 	// monotone, so the latest decision subsumes the window's earlier ones.
 	reported dirtyVec
 	vars     []siteVar
+}
+
+// siteCounter is one counter at a site: its local count n and its pending
+// proposal, interleaved so that an increment between proposals loads, adds,
+// stores and compares within one record.
+type siteCounter struct {
+	n   int64
+	gap counter.OneWayGap
 }
 
 // siteVar holds one variable's id offsets and, for its pair ([0]) and parent
@@ -110,7 +119,7 @@ func newSiteCounters(layout *counterLayout, k int) *siteCounters {
 	s := &siteCounters{
 		k:        k,
 		sqrtK:    math.Sqrt(float64(k)),
-		counts:   make([]int64, layout.NumCounters()),
+		ctrs:     make([]siteCounter, layout.NumCounters()),
 		reported: newDirtyVec(layout.NumCounters()),
 		vars:     make([]siteVar, layout.net.Len()),
 	}
@@ -127,21 +136,32 @@ func newSiteCounters(layout *counterLayout, k int) *siteCounters {
 
 // event counts one stream event — x with its parent-configuration indices
 // over the layout's network — on the 2n counters it touches and decides each
-// one's report.
+// one's report: within the exact phase always, past it at the counter's
+// pending proposal only. The pair and parent counters are written out, not
+// looped over: a loop over the two measured ~100 ns slower per alarm event
+// (docs/runs/pr42.txt).
 func (s *siteCounters) event(x, pidx []int, rng *bn.RNG) {
 	for i := range s.vars {
 		v := &s.vars[i]
 		p := uint32(pidx[i])
-		s.count(v.pairOff+p*v.card+uint32(x[i]), v.eps[0], v.exactUntil[0], rng)
-		s.count(v.parOff+p, v.eps[1], v.exactUntil[1], rng)
+		if id := v.pairOff + p*v.card + uint32(x[i]); s.inc(id) {
+			if n := s.ctrs[id].n; n <= v.exactUntil[0] || s.ctrs[id].gap.Decide(rng, s.k, s.sqrtK, v.eps[0], n) {
+				s.reported.set(id, n)
+			}
+		}
+		if id := v.parOff + p; s.inc(id) {
+			if n := s.ctrs[id].n; n <= v.exactUntil[1] || s.ctrs[id].gap.Decide(rng, s.k, s.sqrtK, v.eps[1], n) {
+				s.reported.set(id, n)
+			}
+		}
 	}
 }
 
-func (s *siteCounters) count(id uint32, eps float64, exactUntil int64, rng *bn.RNG) {
-	n := s.counts[id] + 1
-	s.counts[id] = n
-	if n > exactUntil && !counter.OneWayReports(rng.Float64(), s.k, s.sqrtK, eps, n) {
-		return
-	}
-	s.reported.set(id, n)
+// inc counts one increment of counter id and says whether its new count
+// needs a decision: one at or past the pending proposal, which is every count
+// until the counter draws its first.
+func (s *siteCounters) inc(id uint32) bool {
+	c := &s.ctrs[id]
+	c.n++
+	return c.gap.Due(c.n)
 }

@@ -60,7 +60,8 @@
 // was removed; estimates never depended on it.) With batching off the
 // coordinator reproduces the historical serial implementation's updates,
 // frame count and estimates bit for bit (pinned by
-// TestSequentialClusterBitCompat's PR 3 HEAD goldens).
+// TestSequentialClusterBitCompat's goldens: PR 3 HEAD's, re-recorded once
+// when the sites' report schedule changed to drawn gaps).
 //
 // The wire protocol is versioned by frame type and append-only: every frame
 // type ever shipped still decodes (the fixed-width frameUpdates of the first
@@ -89,8 +90,12 @@
 //     site estimates the global count of a counter as k times its own local
 //     count (events are routed uniformly, the paper's setup) and derives
 //     the report probability p = min(1, √k/(ε'·k·n_local)) from it
-//     (counter.OneWayReportProb, decided in siteCounters.count); the
-//     coordinator sums counter.OneWayEstimate over the sites' last reports
+//     (counter.OneWayReportProb). A site decides it in siteCounters.event:
+//     while p is 1 by an integer compare (counter.OneWayExactUntil), and
+//     past that by drawing the gap to its next report and thinning it
+//     (counter.OneWayGap), which reports each count with the same p at one
+//     compare per increment between proposals. The coordinator sums
+//     counter.OneWayEstimate over the sites' last reports
 //     (Coordinator.estimatesLocked). Both functions live in internal/counter,
 //     so a core.Tracker running the kind reproduces a cluster run bit for
 //     bit (TestOneWayTrackerReproducesClusterRun in internal/core), and the
@@ -135,7 +140,7 @@
 //     replays. A coordinator killed at any frame therefore converges after
 //     restore, and the estimates match the uninterrupted run bit for bit
 //     (TestChaosCoordinatorKillRestartConverges, and
-//     TestCheckpointGoldenBitCompat against the PR 3 HEAD goldens).
+//     TestCheckpointGoldenBitCompat against the same goldens).
 //
 // Under site churn — every site killed twice mid-stream and restarted
 // (TestChaosSiteKillRestartBitIdentical) — the estimates match the

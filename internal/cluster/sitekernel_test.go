@@ -31,6 +31,7 @@ type oracleSite struct {
 	sqrtK        float64
 	rng          *bn.RNG
 	counts       []int64
+	gaps         []counter.OneWayGap
 	lastReported []int64
 	pending      []uint32
 	queued       []bool
@@ -39,18 +40,18 @@ type oracleSite struct {
 func newOracleSite(netw *bn.Network, layout *counterLayout, k int, rng *bn.RNG) *oracleSite {
 	n := layout.NumCounters()
 	return &oracleSite{netw: netw, layout: layout, k: k, sqrtK: math.Sqrt(float64(k)), rng: rng,
-		counts: make([]int64, n), lastReported: make([]int64, n), queued: make([]bool, n)}
+		counts: make([]int64, n), gaps: make([]counter.OneWayGap, n), lastReported: make([]int64, n), queued: make([]bool, n)}
 }
 
-// inc is the historical siteCounters.inc.
+// inc is the historical siteCounters.inc, with the per-increment coin past
+// the exact phase replaced by the counter's gap.
 func (o *oracleSite) inc(id uint32) (localCount int64, report bool) {
 	o.counts[id]++
-	n := o.counts[id]
-	p := counter.OneWayReportProb(o.k, o.sqrtK, o.eps(id), n)
-	if p >= 1 || o.rng.Float64() < p {
+	n, eps := o.counts[id], o.eps(id)
+	if counter.OneWayReportProb(o.k, o.sqrtK, eps, n) >= 1 {
 		return n, true
 	}
-	return n, false
+	return n, o.gaps[id].Due(n) && o.gaps[id].Decide(o.rng, o.k, o.sqrtK, eps, n)
 }
 
 // eps is the error parameter of counter id: that of the layout section
@@ -149,6 +150,15 @@ func siteReference(t testing.TB, id uint32, cfg StartConfig) (o *oracleSite, nex
 	}
 }
 
+// localCounts returns every counter's local count at s, by counter id.
+func localCounts(s *siteCounters) []int64 {
+	n := make([]int64, len(s.ctrs))
+	for id := range s.ctrs {
+		n[id] = s.ctrs[id].n
+	}
+	return n
+}
+
 // decodeFrames decodes every updates frame of a site's wire bytes.
 func decodeFrames(t *testing.T, wire []byte, numCounters uint32) (frames [][]Update) {
 	t.Helper()
@@ -204,8 +214,8 @@ func TestDriftRunFlatCountersMatchReference(t *testing.T) {
 				t.Fatalf("site %d: decided report %d differs from the reference (%d reports, want %d)", id, j, len(got), len(want))
 			}
 		}
-		if len(got) != len(want) || !slices.Equal(st.counts.counts, o.counts) {
-			t.Fatalf("site %d: %d reports, want %d; local counts equal: %v", id, len(got), len(want), slices.Equal(st.counts.counts, o.counts))
+		if len(got) != len(want) || !slices.Equal(localCounts(st.counts), o.counts) {
+			t.Fatalf("site %d: %d reports, want %d; local counts equal: %v", id, len(got), len(want), slices.Equal(localCounts(st.counts), o.counts))
 		}
 	}
 }
@@ -236,7 +246,7 @@ func TestSiteEventMatchesPerIDOracle(t *testing.T) {
 				t.Fatalf("%v event %d: reports %v, oracle %v", strategy, e, got, want)
 			}
 		}
-		if !slices.Equal(sc.counts, o.counts) || !slices.Equal(sc.reported.vals, o.lastReported) || rng.State() != o.rng.State() {
+		if !slices.Equal(localCounts(sc), o.counts) || !slices.Equal(sc.reported.vals, o.lastReported) || rng.State() != o.rng.State() {
 			t.Fatalf("%v: counts, latest reports or generator state differ from the oracle", strategy)
 		}
 	}
@@ -306,8 +316,9 @@ func TestBitsetWindowShipsSortedListFrames(t *testing.T) {
 
 // siteEventBench builds a warm site over name and returns one whole site
 // event — sample, count, window bookkeeping — as a closure. With sampling
-// set, every counter is first pushed past its exact phase so each increment
-// pays the divide and the coin; otherwise ε is so small that none ever does.
+// set, every counter is first pushed past its exact phase, so an increment
+// pays a compare and, at a proposal, a decision and the next gap; otherwise
+// ε is so small that every counter stays exact.
 func siteEventBench(tb testing.TB, name string, sampling bool) func() {
 	tb.Helper()
 	cfg := StartConfig{
@@ -322,8 +333,8 @@ func siteEventBench(tb testing.TB, name string, sampling bool) func() {
 		tb.Fatal(err)
 	}
 	if sampling {
-		for id := range st.counts.counts {
-			st.counts.counts[id] = 1 << 20
+		for id := range st.counts.ctrs {
+			st.counts.ctrs[id].n = 1 << 20
 		}
 	}
 	return func() {
@@ -337,7 +348,7 @@ func siteEventBench(tb testing.TB, name string, sampling bool) func() {
 
 // BenchmarkSiteEvent measures one site event (ns/op is ns/event) on the
 // smallest and the largest bundled network, with every counter in its exact
-// phase and with every counter in its sampling phase.
+// phase and with every counter drawing gaps.
 func BenchmarkSiteEvent(b *testing.B) {
 	for _, name := range []string{"alarm", "munin"} {
 		for _, phase := range []string{"exact", "sampling"} {

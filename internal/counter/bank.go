@@ -21,7 +21,8 @@ import (
 //	a record, HYZ      hyz[s]: pThresh, base, estSum, adj, nReporters
 //	                   (36 B of fields in a 40 B struct); per site
 //	                   sites[s·k+site]: d and r side by side              40 + 16k B
-//	every cell, one-way sites[cell·k+site]: d and r (oneway.go)          16k B
+//	every cell, one-way oneWay.sites[cell·k+site]: d, r and the pending
+//	                   proposal (oneway.go)                               32k B
 //
 // A counter forwards every increment until its count reaches the point
 // where reporting less is worthwhile (√k/ε for HYZ), and only then needs
@@ -125,12 +126,14 @@ type Bank struct {
 	rng *bn.RNG
 
 	// The round records of a HYZ bank: record s is hyz[s], with its per-site
-	// state at sites[s*k : (s+1)*k]. A one-way bank keeps cell c's per-site
-	// state at sites[c*k : (c+1)*k] and has no hyz.
+	// state at sites[s*k : (s+1)*k].
 	hyz   []hyzRound
 	sites []hyzSite
+	// oneWay is a one-way bank's state (oneway.go), which has no records;
+	// nil for the other kinds.
+	oneWay *oneWayBank
 
-	// The struct is 120 bytes, in the allocator's 128-byte size class, which
+	// The struct is 128 bytes, in the allocator's 128-byte size class, which
 	// is what makes every Bank 64-byte aligned, so each half is one cache
 	// line (TestBankHeaderLines holds both).
 }
@@ -164,8 +167,9 @@ func NewBank(kind Kind, cells, k int, eps, delta float64, metrics *Metrics, rng 
 		}
 		b.exactThresh = ExactThreshold(k, eps)
 		if kind == OneWayKind {
-			b.exactThresh = OneWayExactUntil(k, math.Sqrt(float64(k)), eps)
-			b.sites = make([]hyzSite, cells*k)
+			sqrtK := math.Sqrt(float64(k))
+			b.exactThresh = OneWayExactUntil(k, sqrtK, eps)
+			b.oneWay = &oneWayBank{sites: make([]oneWaySite, cells*k), sqrtK: sqrtK}
 		}
 	default:
 		return nil, fmt.Errorf("counter: unknown bank kind %d", kind)

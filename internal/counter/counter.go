@@ -45,9 +45,9 @@
 // The package simulates every protocol in-process: site-side and
 // coordinator-side state live in one struct and "messages" are tallied in a
 // Metrics value. The one-way kind's decision and estimate are also the live
-// cluster's: its sites decide with OneWayExactUntil and OneWayReports and
-// its coordinator estimates with OneWayEstimate, so a tracker running the
-// kind reproduces a cluster run bit for bit.
+// cluster's: its sites decide with OneWayExactUntil and OneWayGap and its
+// coordinator estimates with OneWayEstimate, so a tracker running the kind
+// reproduces a cluster run bit for bit.
 //
 // Bank is a flat struct-of-arrays bank of many counters sharing one
 // configuration (the tracker's hot path — see bank.go for the layout); a

@@ -149,3 +149,60 @@ func TestOneWayReportsEdges(t *testing.T) {
 		}
 	}
 }
+
+// FuzzOneWayGap holds the proposal draw to its domain: for k in 1…64, ε′ in
+// (0, 1), a count from in [1, 2⁶²] and a coin u on bn.RNG.Float64's grid,
+// oneWayNext's rate is the report probability at from, in (0, 1]; its next
+// is at least from, without overflow: from plus the floor of the geometric
+// gap ln(1−u)/ln(1−q), or MaxInt64 exactly when that gap would pass it; and
+// OneWayGap.Decide at from, drawing from a generator seeded with u's bits,
+// leaves its next proposal past from.
+// OneWayExactUntil, for the same k and ε′, is where p is last 1. The seeds
+// put u at 0, at the top of the grid and between, from at 1, at the exact
+// phase's end and at 2⁶², and q where the gap saturates.
+func FuzzOneWayGap(f *testing.F) {
+	const grid = 1 << 53
+	for _, k := range []int{1, 2, 30, 64} {
+		sqrtK := math.Sqrt(float64(k))
+		for _, eps := range []float64{3.2e-5, 0.013, 0.1, 0.999} {
+			for _, from := range []int64{1, OneWayExactUntil(k, sqrtK, eps) + 1, 1 << 40, 1 << 62} {
+				for _, u := range []uint64{0, 1, grid / 3, grid - 1} {
+					f.Add(u, uint8(k-1), eps, from)
+				}
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, ui uint64, kb uint8, eps float64, from int64) {
+		if !(eps > 0 && eps < 1) || from < 1 || from > 1<<62 {
+			return
+		}
+		u, k := float64(ui%grid)/grid, 1+int(kb%64)
+		sqrtK := math.Sqrt(float64(k))
+		next, q := oneWayNext(u, k, sqrtK, eps, from)
+		if q != OneWayReportProb(k, sqrtK, eps, from) || !(q > 0 && q <= 1) {
+			t.Fatalf("oneWayNext(%v, %d, %v, %d): rate %v, want OneWayReportProb in (0, 1]", u, k, eps, from, q)
+		}
+		if next < from {
+			t.Fatalf("oneWayNext(%v, %d, %v, %d) = %d, before from", u, k, eps, from, next)
+		}
+		// The gap as a real number: ln(1−u)/ln(1−q) ≥ 0.
+		real := math.Log(1-u) / math.Log1p(-q)
+		if next == math.MaxInt64 {
+			if room := float64(math.MaxInt64 - from); real < room*(1-1e-9) {
+				t.Fatalf("oneWayNext(%v, %d, %v, %d) saturated, but the gap %v fits in %v", u, k, eps, from, real, room)
+			}
+		} else if g := float64(next - from); g > real || real >= g+1+1e-9*g+1e-9 {
+			t.Fatalf("oneWayNext(%v, %d, %v, %d): gap %v, not the floor of %v", u, k, eps, from, g, real)
+		}
+		var g OneWayGap
+		if g.Decide(bn.NewRNG(ui|1), k, sqrtK, eps, from); g.Next <= from {
+			t.Fatalf("OneWayGap.Decide(%d, %v, %d) left its next proposal at %d", k, eps, from, g.Next)
+		}
+		if e := OneWayExactUntil(k, sqrtK, eps); e != math.MaxInt64 {
+			if OneWayReportProb(k, sqrtK, eps, e+1) >= 1 || (e > 0 && OneWayReportProb(k, sqrtK, eps, e) < 1) {
+				t.Fatalf("OneWayExactUntil(%d, %v) = %d: p there %v, one later %v", k, eps, e,
+					OneWayReportProb(k, sqrtK, eps, e), OneWayReportProb(k, sqrtK, eps, e+1))
+			}
+		}
+	})
+}

@@ -1,12 +1,16 @@
 #!/usr/bin/env bash
 # Fails unless the per-increment draws and decisions compile to inline code:
-# bn's (*RNG).Uint64 and (*RNG).Float64 and counter.OneWayReports must be
-# inlinable, and the hot call sites must inline the RNG — the sampling-mode
-# coins of counter.Bank.Inc/IncBatch (bank.go) and of the one-way bank
-# (oneway.go), a site's one-way coin (siteCounters.count, layout.go) and every
+# bn's (*RNG).Uint64 and (*RNG).Float64, counter.OneWayReports (a gap
+# proposal's acceptance) and counter's (*OneWayGap).Due (the compare an
+# increment between gap proposals costs) must be inlinable; a site's
+# increment (siteCounters.inc, layout.go) must inline Due and event must
+# inline inc; and the hot call sites must inline the RNG — the sampling-mode
+# coins of counter.Bank.Inc/IncBatch (bank.go), every draw of a gap's
+# decision (oneway.go, which must also inline OneWayReports there) and every
 # forward-sampling draw (Sampler.draw, model.go). One more branch in the RNG
-# step pushes it past the inliner's budget and turns each of those draws back
-# into a call; this script is what notices.
+# step pushes it past the inliner's budget and turns each of those draws
+# back into a call; this script is what notices. The gap draw itself
+# (oneWayNext, two logs) is paid once per proposal and is not checked.
 # Run from anywhere: scripts/inline_check.sh (prints each check and exits 1
 # if any failed).
 set -euo pipefail
@@ -48,8 +52,13 @@ inlined() {
 inlinable '(*RNG).Uint64'
 inlinable '(*RNG).Float64'
 inlinable 'OneWayReports'
+inlinable '(*OneWayGap).Due'
+inlinable '(*siteCounters).inc'
 inlined internal/counter/bank.go 'b.rng.Uint64()' 'bn.(*RNG).Uint64'
-inlined internal/counter/oneway.go 'b.rng.Float64()' 'bn.(*RNG).Uint64'
-inlined internal/cluster/layout.go 'rng.Float64()' 'bn.(*RNG).Uint64'
+inlined internal/counter/oneway.go 'rng.Float64()' 'bn.(*RNG).Uint64'
+inlined internal/counter/oneway.go 'OneWayReports(rng.Float64()' 'OneWayReports'
+inlined internal/counter/oneway.go '.gap.Due(' '(*OneWayGap).Due'
+inlined internal/cluster/layout.go 'c.gap.Due(' 'counter.(*OneWayGap).Due'
+inlined internal/cluster/layout.go 's.inc(id)' '(*siteCounters).inc'
 inlined internal/bn/model.go 's.rng.Float64()' '(*RNG).Uint64'
 exit $fail

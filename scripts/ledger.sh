@@ -3,12 +3,14 @@
 #
 #   scripts/ledger.sh record N   write BENCH_<N>.json (never overwrites one)
 #   scripts/ledger.sh check      one seed-1 run against the newest BENCH_*.json
+#   scripts/ledger.sh tree       the program tree id a ledger records
 #
 # record runs benchmarks/run.sh on every workload of BENCHMARK.json for each
 # of SEEDS, one -trace 1 run per seed for the layer probes, and every Go
 # benchmark of the module five times. BENCH_<N>.json holds the commit (with
-# -dirty for uncommitted changes), the cpu line, the Go version and the
-# seeds; per workload and end-to-end metric the median and quartiles over the
+# -dirty for uncommitted changes), the program tree, the cpu line, the Go
+# version and the seeds; the machine's processor count and the model and model name lines
+# of /proc/cpuinfo; per workload and end-to-end metric the median and quartiles over the
 # seeds; per workload the three count metrics and the failed operations seed
 # by seed; the probes' medians and quartiles; and per benchmark row the
 # median of each reported unit.
@@ -16,14 +18,23 @@
 # check runs every workload on the first seed and every benchmark once. It
 # exits 1 when a workload's 1/s or a benchmark row's events/sec or
 # queries/sec value is more than DROP % below the ledger's median, enforced
-# only when the cpu line matches the ledger's (absolute rates do not compare
-# across hardware; elsewhere the drop is printed as advice), and on any cpu
+# only when the hardware matches the ledger's — the cpu line, the processor
+# count and both cpuinfo lines; Go's cpu line alone ("Intel(R) Xeon(R)
+# Processor") is shared by unlike hosts, and absolute rates do not compare
+# across hardware, so elsewhere, and against a ledger that predates those
+# fields, the drop is printed as advice — and on any hardware
 # when an operation fails or a count metric differs from the ledger's seed-1
 # value: msgs_per_event, frames_per_event and err_vs_mle_mean count what the
 # program did, and repeat to the last digit for a seed. Probes are recorded,
 # not gated: they are uncorrected, and one run of an unchanged tree read
 # core.seq_p1_events_per_s 36 % below the ledger's median. Needs jq and two
 # processors.
+#
+# The program tree is the git tree id of every file a commit of the working
+# tree would hold, less the ledgers, docs/ and the Markdown files: a ledger
+# recorded before its commit (commit ending in -dirty) still names what it
+# measured, and `scripts/ledger.sh tree` in a checkout prints the same id
+# exactly when that checkout runs the same program.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 SEEDS=(1 2 3 4 5) # fixed before any run; check runs the first
@@ -61,6 +72,25 @@ micro() {
 	cpu=$(grep -m1 '^cpu:' "$work/micro.txt" || echo 'cpu: unknown')
 }
 
+# hardware: this machine's identity beside the cpu line, as a JSON object.
+hardware() {
+	local model name
+	model=$(grep -m1 $'^model\t' /proc/cpuinfo | cut -d: -f2- | sed 's/^ //' || true)
+	name=$(grep -m1 $'^model name\t' /proc/cpuinfo | cut -d: -f2- | sed 's/^ //' || true)
+	jq -n -c --argjson nproc "$(nproc)" --arg model "$model" --arg name "$name" \
+		'{nproc: $nproc, cpu_model: $model, cpu_model_name: $name}'
+}
+
+# tree: the program tree id (see the header), from a scratch index.
+tree() {
+	local index
+	index=$(mktemp -u)
+	GIT_INDEX_FILE=$index git add -A .
+	GIT_INDEX_FILE=$index git rm -r -q --cached --ignore-unmatch -- 'BENCH_*.json' docs '*.md'
+	GIT_INDEX_FILE=$index git write-tree
+	rm -f "$index"
+}
+
 # Quantiles as benchmarks/aastat computes them (exclusive method).
 stats='def q($p): sort as $s | length as $n | if $n == 1 then $s[0] else
 	($p * ($n + 1) - 1) as $pos | ([0, ([($pos | floor), $n - 2] | min)] | max) as $lo |
@@ -81,9 +111,9 @@ record() {
 	done
 	micro 5
 	jq -n --slurpfile runs "$work/runs.jsonl" --slurpfile probes "$work/probes.jsonl" \
-		--slurpfile micro "$work/micro.jsonl" --arg commit "$(git describe --always --dirty --abbrev=40)" --arg cpu "$cpu" \
-		--arg go "$(go version)" --argjson seeds "[$(IFS=,; echo "${SEEDS[*]}")]" "$stats"'
-	{commit: $commit, cpu: $cpu, go: $go, seeds: $seeds,
+		--slurpfile micro "$work/micro.jsonl" --arg commit "$(git describe --always --dirty --abbrev=40)" --arg tree "$(tree)" --arg cpu "$cpu" \
+		--arg go "$(go version)" --argjson seeds "[$(IFS=,; echo "${SEEDS[*]}")]" --argjson hw "$(hardware)" "$stats"'
+	{commit: $commit, tree: $tree, cpu: $cpu} + $hw + {go: $go, seeds: $seeds,
 	 workloads: ($runs | group_by(.workload) | map({key: .[0].workload, value: {
 		metrics: summary,
 		per_seed: (sort_by(.seed) | . as $rs | (counts | map({key: ., value: (. as $c | [$rs[].metrics[$c].value])}) | from_entries)
@@ -99,10 +129,12 @@ check() {
 	[ -n "$ledger" ] || { echo "ledger: no BENCH_*.json; run scripts/ledger.sh record N first" >&2; exit 2; }
 	runs "${SEEDS[0]}"
 	micro 1
-	local gate=1
-	if [ "$cpu" != "$(jq -r .cpu "$ledger")" ]; then
+	local gate=1 now was
+	now=$(jq -c --arg cpu "$cpu" '{cpu: $cpu} + .' <<<"$(hardware)")
+	was=$(jq -c '{cpu, nproc, cpu_model, cpu_model_name}' "$ledger")
+	if [ "$now" != "$was" ]; then
 		gate=0
-		echo "ledger: $cpu is not $ledger's $(jq -r .cpu "$ledger"): rate drops are advice only" >&2
+		echo "ledger: this machine, $now, is not $ledger's $was: rate drops are advice only" >&2
 	fi
 	jq -n -r --slurpfile l "$ledger" --slurpfile runs "$work/runs.jsonl" --slurpfile micro "$work/micro.jsonl" \
 		--argjson gate "$gate" --argjson drop "$DROP" "$stats"'
@@ -124,5 +156,6 @@ check() {
 case "${1:-}" in
 record) record "${2:-}" ;;
 check) check ;;
-*) echo "usage: scripts/ledger.sh record N | check" >&2; exit 2 ;;
+tree) tree ;;
+*) echo "usage: scripts/ledger.sh record N | check | tree" >&2; exit 2 ;;
 esac
