@@ -73,13 +73,15 @@
 // guarded by per-stripe version counters: a rebuild locks each stripe once
 // and bulk-reads every variable's rows, and repeated queries between ingest
 // flushes reuse the snapshot without taking any locks. A retired snapshot
-// returns its one backing array of factor rows to a pool, so a steady-state
-// ingest+query mix rebuilds into recycled storage instead of allocating the
-// rows per rebuild.
+// returns its one backing array of estimate rows to a pool, so a
+// steady-state ingest+query mix rebuilds into recycled storage instead of
+// allocating the rows per rebuild.
 //
 // There is one snapshot type and one query kernel. core.Snapshot is an
-// immutable set of per-variable factor rows with its network, version, build
-// time and structure epoch; the tracker, the cluster coordinator and the
+// immutable set of per-variable estimate rows (pair estimates, then parent
+// estimates) with its network, version, build time and structure epoch; its
+// Factor divides them on read, Algorithm 3's ratio, so a rebuild only
+// copies estimates. The tracker, the cluster coordinator and the
 // coordinator's learned-structure overlay each only build one, and Algorithm
 // 3, the Markov-blanket argmax, partial-evidence classification and the
 // normalized model are each written once against it

@@ -748,40 +748,34 @@ func (co *Coordinator) handleDone(site uint32, events int64) {
 }
 
 // AcquireSnapshot returns the current estimates as the one read handle of the
-// repo (core.Snapshot): the factor rows est[pair]/est[par] of every CPD cell
-// (0 where the parent configuration has no mass, so a joint query over it is
-// 0 and its model row normalizes to uniform), at the fold version they were
-// computed at. It is rebuilt only when a batch was folded since the cached one
-// was built, so repeated queries against a quiescent coordinator share one
-// snapshot with no lock traffic, and queries racing ingestion rebuild one at a
-// time under the lock. Valid at any time: mid-run it reflects the reports
-// received so far — the paper's query-at-any-time model — and after Serve
-// returns it is the final estimate. Estimate snapshots are garbage-collected,
-// so Release is a no-op.
+// repo (core.Snapshot): every counter's estimate, one row per variable (its
+// pair block then its parent block, the layout's own order), at the fold
+// version they were computed at; the snapshot's Factor divides
+// est[pair]/est[par] on read (0 where the parent configuration has no mass,
+// so a joint query over it is 0 and its model row normalizes to uniform). It
+// is rebuilt only when a batch was folded since the cached one was built, so
+// repeated queries against a quiescent coordinator share one snapshot with no
+// lock traffic, and queries racing ingestion rebuild one at a time under the
+// lock. Valid at any time: mid-run it reflects the reports received so far —
+// the paper's query-at-any-time model — and after Serve returns it is the
+// final estimate. Estimate snapshots are garbage-collected, so Release is a
+// no-op.
 func (co *Coordinator) AcquireSnapshot() *core.Snapshot {
 	if s := co.snap.Load(); s != nil && s.Version() == co.version.Load() {
 		return s
 	}
 	est := make([]float64, co.layout.NumCounters())
 	rows := make([][]float64, co.net.Len())
-	cells := make([]float64, co.net.NumCells()) // one backing array for every row
+	for i := range rows {
+		lo, hi := co.layout.pairOff[i], co.layout.parOff[i]+uint32(co.net.ParentCard(i))
+		rows[i] = est[lo:hi:hi]
+	}
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	if s := co.snap.Load(); s != nil && s.Version() == co.version.Load() {
 		return s
 	}
 	co.estimatesLocked(est)
-	for i := range rows {
-		j, k := co.net.Card(i), co.net.ParentCard(i)
-		rows[i], cells = cells[:j*k:j*k], cells[j*k:]
-		for pidx := 0; pidx < k; pidx++ {
-			if den := est[co.layout.ParID(i, pidx)]; den > 0 {
-				for v := 0; v < j; v++ {
-					rows[i][pidx*j+v] = est[co.layout.PairID(i, v, pidx)] / den
-				}
-			}
-		}
-	}
 	s := core.NewSnapshot(co.net, rows, co.version.Load(), time.Now(), 0)
 	co.snap.Store(s)
 	return s

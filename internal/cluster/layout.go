@@ -10,9 +10,10 @@ import (
 
 // counterLayout assigns a dense global id to every distributed counter of a
 // network: for each variable, first its J_i·K_i pair counters (in CPT order,
-// pidx·J_i + value), then its K_i parent counters. Sites and the
-// coordinator compute the same layout independently from the regenerated
-// network, so counter ids never travel in full.
+// pidx·J_i + value), then its K_i parent counters — the row a core.Snapshot
+// reads, so the coordinator's snapshot is a view of its estimate vector.
+// Sites and the coordinator compute the same layout independently from the
+// regenerated network, so counter ids never travel in full.
 type counterLayout struct {
 	net     *bn.Network
 	pairOff []uint32
@@ -62,16 +63,6 @@ func newCounterLayout(net *bn.Network, strategy core.Strategy, eps float64) (*co
 
 // NumCounters returns the total number of counters.
 func (l *counterLayout) NumCounters() uint32 { return l.total }
-
-// PairID returns the id of A_i(value, pidx).
-func (l *counterLayout) PairID(i, value, pidx int) uint32 {
-	return l.pairOff[i] + uint32(pidx*l.net.Card(i)+value)
-}
-
-// ParID returns the id of A_i(pidx).
-func (l *counterLayout) ParID(i, pidx int) uint32 {
-	return l.parOff[i] + uint32(pidx)
-}
 
 // siteCounters is the site half of the one-way counter protocol
 // (counter.OneWayKind) as one self-contained type: every counter's local

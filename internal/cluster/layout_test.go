@@ -7,6 +7,16 @@ import (
 	"distbayes/internal/netgen"
 )
 
+// PairID returns the id of A_i(value, pidx).
+func (l *counterLayout) PairID(i, value, pidx int) uint32 {
+	return l.pairOff[i] + uint32(pidx*l.net.Card(i)+value)
+}
+
+// ParID returns the id of A_i(pidx).
+func (l *counterLayout) ParID(i, pidx int) uint32 {
+	return l.parOff[i] + uint32(pidx)
+}
+
 // TestLayoutSectionsPartition is the property test for counterLayout.sections:
 // over several networks and strategies, the sections must cover
 // [0, NumCounters()) exactly — contiguous, ascending, no gaps or overlaps —

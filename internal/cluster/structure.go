@@ -270,8 +270,8 @@ type structEngine struct {
 	// immutable snapshot per relearn, so readers holding an old one keep a
 	// consistent view across a hot swap. Its network is the learned tree
 	// (base variable names and cardinalities, learned single-parent
-	// structure, rooted at variable 0); its factor rows are seeded from the
-	// windowed pair statistics, rows with an unobserved parent configuration
+	// structure, rooted at variable 0); its rows are seeded with the
+	// windowed pair counts, rows with an unobserved parent configuration
 	// uniform. Its structure epoch counts structure changes — 1 for the first
 	// learned tree, bumped every time the learned undirected edge set differs
 	// from the previous one — so serving clients can observe swaps. Its
@@ -386,13 +386,12 @@ func (e *structEngine) relearnLocked() {
 	e.learned.Store(core.NewSnapshot(netw, e.seedFactorsLocked(win, netw), e.version, time.Now(), epoch))
 }
 
-// seedFactorsLocked materializes the learned tree's CPD estimates straight
-// from the windowed pair statistics: for a tree, a variable's pair joint
-// counts with its parent are exactly the CPT sufficient statistics, and
-// marginals come from summing any pair's table (every event increments
-// every pair, and a site's frame lands atomically, so the tables are
-// mutually consistent). Unobserved parent configurations fall back to the
-// uniform row. Callers hold e.mu.
+// seedFactorsLocked fills the learned tree's snapshot rows (core.NewSnapshot's
+// layout: pair counts, then parent counts) straight from the windowed pair
+// statistics: for a tree, a variable's pair joint counts with its parent are
+// exactly the CPT sufficient statistics, and marginals come from summing any
+// pair's table (every event increments every pair, and a site's frame lands
+// atomically, so the tables are mutually consistent). Callers hold e.mu.
 func (e *structEngine) seedFactorsLocked(win []int64, learned *bn.Network) [][]float64 {
 	n := e.net.Len()
 	marg := make([][]int64, n)
@@ -422,25 +421,22 @@ func (e *structEngine) seedFactorsLocked(win []int64, learned *bn.Network) [][]f
 		total += c
 	}
 
-	factors := make([][]float64, n)
+	rows := make([][]float64, n)
 	for i := 0; i < n; i++ {
 		ci := learned.Card(i)
 		ps := learned.Parents(i)
 		if len(ps) == 0 {
-			row := make([]float64, ci)
+			row := make([]float64, ci+1)
 			for v := 0; v < ci; v++ {
-				if total > 0 {
-					row[v] = float64(marg[i][v]) / float64(total)
-				} else {
-					row[v] = 1 / float64(ci)
-				}
+				row[v] = float64(marg[i][v])
 			}
-			factors[i] = row
+			countRow(row[:ci], &row[ci], total)
+			rows[i] = row
 			continue
 		}
 		p := ps[0]
 		cp := learned.Card(p)
-		tbl := make([]float64, cp*ci)
+		tbl := make([]float64, (ci+1)*cp)
 		lo, hi := i, p
 		if lo > hi {
 			lo, hi = hi, lo
@@ -448,24 +444,32 @@ func (e *structEngine) seedFactorsLocked(win []int64, learned *bn.Network) [][]f
 		joint := e.layout.JointAt(win, e.layout.PairIndex(lo, hi))
 		cHi := e.net.Card(hi)
 		for pv := 0; pv < cp; pv++ {
-			den := marg[p][pv]
 			for v := 0; v < ci; v++ {
-				var c int64
 				if i < p { // joint rows indexed by X_i
-					c = joint[v*cHi+pv]
+					tbl[pv*ci+v] = float64(joint[v*cHi+pv])
 				} else { // joint rows indexed by X_p
-					c = joint[pv*cHi+v]
-				}
-				if den > 0 {
-					tbl[pv*ci+v] = float64(c) / float64(den)
-				} else {
-					tbl[pv*ci+v] = 1 / float64(ci)
+					tbl[pv*ci+v] = float64(joint[pv*cHi+v])
 				}
 			}
+			countRow(tbl[pv*ci:(pv+1)*ci], &tbl[ci*cp+pv], marg[p][pv])
 		}
-		factors[i] = tbl
+		rows[i] = tbl
 	}
-	return factors
+	return rows
+}
+
+// countRow stores den as the parent estimate *par of one parent
+// configuration's pair counts; a den with no mass stores count 1 over
+// J_i = len(pair) instead, which Factor reads as the uniform 1/J_i.
+func countRow(pair []float64, par *float64, den int64) {
+	if den > 0 {
+		*par = float64(den)
+		return
+	}
+	for v := range pair {
+		pair[v] = 1
+	}
+	*par = float64(len(pair))
 }
 
 // stats returns the overlay's communication/learning tallies.

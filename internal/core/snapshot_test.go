@@ -527,20 +527,18 @@ func TestHeldSnapshotOutlivesSuccessors(t *testing.T) {
 	evs := genEventStream(m, 4, 1010, 9)
 	tr.UpdateEvents(evs[:1000])
 	held := tr.AcquireSnapshot()
-	var want [][]float64
-	for i := 0; i < net.Len(); i++ {
-		want = append(want, append([]float64(nil), held.factors[i]...))
-	}
+	want := factorTables(held)
 	// Each round rebuilds and retires the previous successor, whose row set
 	// the next rebuild draws from the pool.
 	for _, ev := range evs[1000:] {
 		tr.Update(ev.Site, ev.X)
 		tr.AcquireSnapshot().Release()
 	}
+	got := factorTables(held)
 	for i := range want {
 		for c, w := range want[i] {
-			if got := held.factors[i][c]; got != w {
-				t.Fatalf("held snapshot row %d cell %d changed from %v to %v: recycled under a reader", i, c, w, got)
+			if got[i][c] != w {
+				t.Fatalf("held snapshot row %d cell %d changed from %v to %v: recycled under a reader", i, c, w, got[i][c])
 			}
 		}
 	}

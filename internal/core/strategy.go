@@ -16,7 +16,10 @@
 //
 // Ingestion runs in one of two engines, chosen by Config.Shards — sequential
 // (the bit-reproducible reference) and striped (Shards > 1 lock stripes) —
-// documented on the Tracker type in tracker.go.
+// documented on the Tracker type in tracker.go. Every query reads a Snapshot
+// (view.go): an immutable copy of the counters' estimates, one row per
+// variable holding its pair estimates and then its parent estimates;
+// Snapshot.Factor is Algorithm 3's ratio of the two, divided when it is read.
 package core
 
 import (

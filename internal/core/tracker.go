@@ -181,14 +181,12 @@ type Tracker struct {
 	// snap is the last published model snapshot (nil until the first
 	// query).
 	snap atomic.Pointer[modelSnapshot]
-	// rebuildMu serializes snapshot rebuilds and cache replacement and
-	// guards parRow, the rebuilds' parent-row scratch. The query fast path
-	// never takes it.
+	// rebuildMu serializes snapshot rebuilds and cache replacement. The
+	// query fast path never takes it.
 	rebuildMu sync.Mutex
-	parRow    []float64
 	// rows recycles snapshot row sets (*snapRows) once no snapshot
-	// references them, so a steady ingest+query mix stops allocating
-	// NumCells floats per rebuild.
+	// references them, so a steady ingest+query mix stops allocating a row
+	// set per rebuild.
 	rows sync.Pool
 }
 
@@ -510,32 +508,6 @@ func (t *Tracker) Ingest(ctx context.Context, events <-chan Event) (int64, error
 	}
 }
 
-// smoothRows turns one variable's raw rows (J_i = j values per parent
-// configuration) into its factor row in place: pair[pidx*j+v] becomes
-// (pair[pidx*j+v]+s)/(par[pidx]+s·j), or 0 where that denominator is not
-// positive. It is the snapshot builder's step.
-func smoothRows(pair, par []float64, s float64, j int) {
-	for pidx, den := range par {
-		den += s * float64(j)
-		row := pair[pidx*j : (pidx+1)*j]
-		for v := range row {
-			if den <= 0 {
-				row[v] = 0
-			} else {
-				row[v] = (row[v] + s) / den
-			}
-		}
-	}
-}
-
-// growFloats returns s resized to n cells, reallocating only when needed.
-func growFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
 // modelSnapshot is the tracker's cache entry: one Snapshot — every CPD
 // factor, read stripe by stripe under each stripe's lock — plus the
 // bookkeeping that shares and recycles it.
@@ -548,8 +520,8 @@ func growFloats(s []float64, n int) []float64 {
 // may see earlier stripes post-event and later stripes pre-event; quiesce
 // ingestion for a stream-position-exact view.
 type modelSnapshot struct {
-	// Snapshot holds the rows (factors[i][pidx*J_i+v] is the smoothed
-	// factor), the lazily normalized model, when the rows were read and the
+	// Snapshot holds the estimate rows (Factor smooths and divides them on
+	// read), the lazily normalized model, when the rows were read and the
 	// version. Its Release drops one reference (releaseSnap).
 	Snapshot
 	// refs counts live references: one held by the tracker's cache slot
@@ -561,10 +533,10 @@ type modelSnapshot struct {
 	rows *snapRows
 }
 
-// snapRows is one snapshot's pooled row set: one backing array of NumCells
-// floats sliced into factors[i] of J_i·K_i cells. Pooling the box rather than
-// the slice keeps Put from re-boxing a slice header.
-type snapRows struct{ factors [][]float64 }
+// snapRows is one snapshot's pooled row set: one backing array sliced into
+// est[i] of (J_i+1)·K_i cells, the layout Snapshot reads. Pooling the box
+// rather than the slice keeps Put from re-boxing a slice header.
+type snapRows struct{ est [][]float64 }
 
 // getRows returns a pooled row set (contents unspecified — the rebuild
 // overwrites every cell).
@@ -572,11 +544,15 @@ func (t *Tracker) getRows() *snapRows {
 	if r, ok := t.rows.Get().(*snapRows); ok {
 		return r
 	}
-	r := &snapRows{factors: make([][]float64, t.net.Len())}
-	cells := make([]float64, t.net.NumCells())
-	for i := range r.factors {
-		n := t.net.Card(i) * t.net.ParentCard(i)
-		r.factors[i], cells = cells[:n:n], cells[n:]
+	r := &snapRows{est: make([][]float64, t.net.Len())}
+	total := t.net.NumCells()
+	for i := range r.est {
+		total += t.net.ParentCard(i)
+	}
+	cells := make([]float64, total)
+	for i := range r.est {
+		n := (t.net.Card(i) + 1) * t.net.ParentCard(i)
+		r.est[i], cells = cells[:n:n], cells[n:]
 	}
 	return r
 }
@@ -657,22 +633,20 @@ func (t *Tracker) snapshot() *modelSnapshot {
 func (t *Tracker) AcquireSnapshot() *Snapshot { return &t.snapshot().Snapshot }
 
 // buildSnapshot reads every stripe into a pooled row set — per variable one
-// kind-specialized bulk read per bank (counter.Bank.EstimateRange) and the
-// smoothing — and returns the new snapshot with two references held: the
-// cache slot's and the caller's. Callers hold rebuildMu.
+// kind-specialized bulk read per bank (counter.Bank.EstimateRange); Factor
+// smooths and divides on read — and returns the new snapshot with two
+// references held: the cache slot's and the caller's. Callers hold rebuildMu.
 func (t *Tracker) buildSnapshot() *modelSnapshot {
 	rows := t.getRows()
-	ns := &modelSnapshot{Snapshot: Snapshot{net: t.net, factors: rows.factors}, rows: rows}
+	ns := &modelSnapshot{Snapshot: Snapshot{net: t.net, est: rows.est, smoothing: t.cfg.Smoothing}, rows: rows}
 	ns.release = func() { t.releaseSnap(ns) }
 	for s := range t.shards {
 		sh := &t.shards[s]
 		sh.mu.Lock()
 		for _, i := range sh.vars {
-			j, k := t.net.Card(i), t.net.ParentCard(i)
-			t.parRow = growFloats(t.parRow, k)
-			t.pair[i].EstimateRange(0, j*k, rows.factors[i])
-			t.par[i].EstimateRange(0, k, t.parRow)
-			smoothRows(rows.factors[i], t.parRow, t.cfg.Smoothing, j)
+			jk := t.net.Card(i) * t.net.ParentCard(i)
+			t.pair[i].EstimateRange(0, jk, rows.est[i])
+			t.par[i].EstimateRange(0, t.net.ParentCard(i), rows.est[i][jk:])
 		}
 		ns.version += sh.version.Load() // under mu: stable
 		sh.mu.Unlock()

@@ -11,7 +11,7 @@ import (
 
 // Factors reads one CPD estimate, P̃[X_i = v | parent config pidx] — the only
 // thing the query kernel below needs from wherever the counters live: a
-// Snapshot's rows or the serving layer's Snapshot interface.
+// Snapshot's Factor or the serving layer's Snapshot interface.
 type Factors func(i, v, pidx int) float64
 
 // QueryProb is Algorithm 3: the joint probability of the full assignment x,
@@ -95,11 +95,14 @@ func ClassifyPartial(m *bn.Model, target int, evidence map[int]int) (int, error)
 	return best, nil
 }
 
-// Snapshot is the one read handle on tracked parameters: an immutable
-// materialization of every CPD estimate of one network, with the version of
-// the counter state it was built from. Every producer — Tracker, the cluster
-// coordinator, the coordinator's learned-structure overlay — only builds one;
-// every query is answered by the kernel above reading its rows.
+// Snapshot is the one read handle on tracked parameters: an immutable copy
+// of the counter estimates behind every CPD of one network, with the version
+// of the counter state it was built from. Its rows hold estimates, not
+// ratios; Factor is Algorithm 3's ratio A_i(x_i, x_i^par)/A_i(x_i^par),
+// divided when it is read, so a rebuild only copies. Every producer —
+// Tracker, the cluster coordinator, the coordinator's learned-structure
+// overlay — only builds one; every query is answered by the kernel above
+// reading its Factor.
 //
 // A Snapshot never changes after it is published, so any number of goroutines
 // may read one handle concurrently (the serving layer shares one across every
@@ -108,12 +111,16 @@ func ClassifyPartial(m *bn.Model, target int, evidence map[int]int) (int, error)
 // after Release.
 type Snapshot struct {
 	net *bn.Network
-	// factors[i][pidx*J_i+v] is the estimate of P[X_i = v | pidx], laid out
-	// like bn.CPT.
-	factors [][]float64
-	version uint64
-	builtAt time.Time
-	epoch   uint64
+	// est[i] is variable i's row: its J_i·K_i pair estimates A_i(v, pidx) at
+	// pidx*J_i+v (laid out like bn.CPT), then its K_i parent estimates
+	// A_i(pidx) at J_i·K_i+pidx.
+	est [][]float64
+	// smoothing is the Laplace pseudo-count s that Factor adds (0 for the
+	// cluster's snapshots).
+	smoothing float64
+	version   uint64
+	builtAt   time.Time
+	epoch     uint64
 	// release, when set, returns one acquisition to the producer (the tracker
 	// recycles the rows once the last reader is gone); garbage-collected
 	// snapshots leave it nil.
@@ -124,25 +131,33 @@ type Snapshot struct {
 	modelErr  error
 }
 
-// NewSnapshot publishes factor rows (factors[i][pidx*J_i+v], owned by the
-// snapshot from here on) as a garbage-collected Snapshot of net. version must
-// be non-decreasing across the snapshots of one producer; epoch counts the
-// producer's structure changes (0 for a fixed structure).
-func NewSnapshot(net *bn.Network, factors [][]float64, version uint64, builtAt time.Time, epoch uint64) *Snapshot {
-	return &Snapshot{net: net, factors: factors, version: version, builtAt: builtAt, epoch: epoch}
+// NewSnapshot publishes estimate rows (est[i] holds variable i's J_i·K_i
+// pair estimates at pidx*J_i+v, then its K_i parent estimates; owned by the
+// snapshot from here on) as a garbage-collected, unsmoothed Snapshot of net.
+// version must be non-decreasing across the snapshots of one producer; epoch
+// counts the producer's structure changes (0 for a fixed structure).
+func NewSnapshot(net *bn.Network, est [][]float64, version uint64, builtAt time.Time, epoch uint64) *Snapshot {
+	return &Snapshot{net: net, est: est, version: version, builtAt: builtAt, epoch: epoch}
 }
 
-// Factor returns the estimate of P[X_i = v | parent config pidx] as
-// materialized in this snapshot.
+// Factor returns Algorithm 3's estimate of P[X_i = v | parent config pidx]
+// from this snapshot's rows: (A_i(v, pidx)+s)/(A_i(pidx)+s·J_i) with the
+// snapshot's smoothing s, or 0 where that denominator is not positive (a
+// parent configuration with no mass, so a joint query over it is 0).
 func (s *Snapshot) Factor(i, v, pidx int) float64 {
-	return s.factors[i][pidx*s.net.Card(i)+v]
+	j, row := s.net.Card(i), s.est[i]
+	den := row[j*s.net.ParentCard(i)+pidx] + s.smoothing*float64(j)
+	if den <= 0 {
+		return 0
+	}
+	return (row[pidx*j+v] + s.smoothing) / den
 }
 
 // Version identifies the counter state the snapshot was built from; it is
 // monotone non-decreasing across acquisitions from one producer.
 func (s *Snapshot) Version() uint64 { return s.version }
 
-// BuiltAt is when the snapshot's rows were materialized.
+// BuiltAt is when the snapshot's rows were read.
 func (s *Snapshot) BuiltAt() time.Time { return s.builtAt }
 
 // Network returns the structure the factors are parameters of: the tracked
@@ -181,7 +196,10 @@ func (s *Snapshot) Classify(target int, x []int) int { return Classify(s.net, s.
 func (s *Snapshot) Model() (*bn.Model, error) {
 	s.modelOnce.Do(func() {
 		s.model, s.modelErr = bn.NewNormalizedModel(s.net, func(i int, tbl []float64) {
-			copy(tbl, s.factors[i])
+			j := s.net.Card(i)
+			for c := range tbl {
+				tbl[c] = s.Factor(i, c%j, c/j)
+			}
 		})
 	})
 	return s.model, s.modelErr

@@ -241,7 +241,10 @@ type Server struct {
 	lastVersion      atomic.Uint64
 	byEndpoint       map[string]*atomic.Int64
 	lat              histogram
-	qps              qpsWindow
+	// refreshWait times each source acquisition a refresh makes: for a
+	// tracker source, the snapshot rebuild the refreshing request waits on.
+	refreshWait histogram
+	qps         qpsWindow
 }
 
 // New builds a server over cfg.Source.
@@ -443,7 +446,9 @@ func (s *Server) refreshLocked() (*cachedSnap, bool, error) {
 			return c, false, nil
 		}
 	}
+	t0 := time.Now()
 	snap, err := s.src.AcquireSnapshot()
+	s.refreshWait.observe(time.Since(t0))
 	if err == nil {
 		s.degraded.Store(false)
 		nc := &cachedSnap{snap: snap, acquired: time.Now()}
@@ -899,8 +904,11 @@ func (s *Server) Stats() Stats {
 			RefreshErrors: s.refreshErrs.Load(),
 		},
 		Snapshot: SnapshotStats{
-			Acquires:  s.acquires.Load(),
-			Refreshes: s.refreshes.Load(),
+			Acquires:             s.acquires.Load(),
+			Refreshes:            s.refreshes.Load(),
+			RefreshWaitCount:     s.refreshWait.count.Load(),
+			RefreshWaitP50Micros: s.refreshWait.quantile(0.50),
+			RefreshWaitP99Micros: s.refreshWait.quantile(0.99),
 		},
 		Latency: LatencyStats{
 			Count:             s.lat.count.Load(),

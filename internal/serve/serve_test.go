@@ -501,6 +501,47 @@ func TestServeDuringParallelIngest(t *testing.T) {
 	}
 }
 
+// TestRefreshWaitCountsAcquisitions: with per-request re-acquisition and an
+// update before each query, every query refreshes, and each refresh's source
+// acquisition — a tracker rebuild — lands in the refresh-wait histogram that
+// Stats and /statsz report.
+func TestRefreshWaitCountsAcquisitions(t *testing.T) {
+	model, tr := newAlarmTracker(t, 2000, 1)
+	srv := startServer(t, Config{Source: NewTrackerSource(tr), MaxSnapshotAge: -1})
+	x := make([]int, model.Network().Len())
+	before := srv.Stats().Snapshot
+	const queries = 8
+	for q := 0; q < queries; q++ {
+		tr.Update(0, x)
+		if code, b := post(t, srv.Addr(), "/v1/queryprob", jsonX(x)); code != http.StatusOK {
+			t.Fatalf("queryprob: status %d: %s", code, b)
+		}
+	}
+	after := srv.Stats().Snapshot
+	if got := after.RefreshWaitCount - before.RefreshWaitCount; got != queries {
+		t.Errorf("refresh-wait count rose by %d over %d forced refreshes", got, queries)
+	}
+	if after.Refreshes-before.Refreshes != queries {
+		t.Errorf("refreshes rose by %d over %d forced refreshes", after.Refreshes-before.Refreshes, queries)
+	}
+	if after.RefreshWaitP50Micros <= 0 || after.RefreshWaitP99Micros < after.RefreshWaitP50Micros {
+		t.Errorf("refresh-wait percentiles off: %+v", after)
+	}
+
+	resp, err := http.Get("http://" + srv.Addr() + "/statsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st Stats
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Snapshot.RefreshWaitCount != after.RefreshWaitCount || st.Snapshot.RefreshWaitP50Micros != after.RefreshWaitP50Micros {
+		t.Errorf("/statsz refresh wait %+v, Stats %+v", st.Snapshot, after)
+	}
+}
+
 // TestServeDuringCoordinatorChurn serves from a live coordinator while its
 // sites stream — and crash mid-stream, reconnect and resume — under -race.
 func TestServeDuringCoordinatorChurn(t *testing.T) {

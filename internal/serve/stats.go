@@ -10,9 +10,9 @@ import (
 )
 
 // latencyBuckets is the number of power-of-two latency histogram buckets:
-// bucket i counts requests whose latency in whole microseconds has bit
+// bucket i counts observations whose duration in whole microseconds has bit
 // length i, i.e. lies in [2^(i-1), 2^i) µs (bucket 0 absorbs sub-µs
-// requests, the last bucket absorbs everything from ~1s up).
+// ones, the last bucket absorbs everything from ~1s up).
 const latencyBuckets = 22
 
 // histogram is a lock-free power-of-two latency histogram. Quantiles come
@@ -173,6 +173,13 @@ type SnapshotStats struct {
 	// i.e. actual rebuilds become visible here.
 	Acquires  int64 `json:"acquires"`
 	Refreshes int64 `json:"refreshes"`
+	// RefreshWaitCount counts the timed source acquisitions, and the
+	// percentiles (power-of-two bucket upper bounds in µs) say how long the
+	// refreshing request waited on each — for a tracker source, a snapshot
+	// rebuild whenever ingest moved.
+	RefreshWaitCount     int64   `json:"refresh_wait_count"`
+	RefreshWaitP50Micros float64 `json:"refresh_wait_p50_us"`
+	RefreshWaitP99Micros float64 `json:"refresh_wait_p99_us"`
 }
 
 // LatencyStats summarizes the request latency histogram. Percentiles are

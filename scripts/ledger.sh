@@ -7,7 +7,10 @@
 #
 # record runs benchmarks/run.sh on every workload of BENCHMARK.json for each
 # of SEEDS, one -trace 1 run per seed for the layer probes, and every Go
-# benchmark of the module five times. BENCH_<N>.json holds the commit (with
+# benchmark of the module five times, each time in a separate `go test
+# -count 1` process: this box's speed shifts for stretches of wall-clock
+# time that can cover a whole process, so a row's median spans five
+# processes rather than five passes of one. BENCH_<N>.json holds the commit (with
 # -dirty for uncommitted changes), the program tree, the cpu line, the Go
 # version and the seeds; the machine's processor count and the model and model name lines
 # of /proc/cpuinfo; per workload and end-to-end metric the median and quartiles over the
@@ -62,13 +65,17 @@ runs() {
 	done
 }
 
-# micro COUNT: every benchmark of the module, COUNT times, as one
-# {name, unit, value} line per reported value in micro.jsonl; sets cpu to the
-# run's cpu: line.
+# micro COUNT: every benchmark of the module in COUNT separate
+# `go test -count 1` processes, as one {name, unit, value} line per reported
+# value in micro.jsonl; sets cpu to the run's cpu: line.
 micro() {
-	go test -run '^$' -bench . -count "$1" ./... | tee "$work/micro.txt" |
-		awk '/^Benchmark/ { n = $1; sub(/-[0-9]+$/, "", n)
-			for (i = 3; i < NF; i += 2) printf "{\"name\":\"%s\",\"unit\":\"%s\",\"value\":%s}\n", n, $(i + 1), $i }' >"$work/micro.jsonl"
+	: >"$work/micro.txt"
+	for ((pass = 0; pass < $1; pass++)); do
+		go test -run '^$' -bench . -count 1 ./... | tee -a "$work/micro.txt"
+	done
+	awk '/^Benchmark/ { n = $1; sub(/-[0-9]+$/, "", n)
+			for (i = 3; i < NF; i += 2) printf "{\"name\":\"%s\",\"unit\":\"%s\",\"value\":%s}\n", n, $(i + 1), $i }' \
+		"$work/micro.txt" >"$work/micro.jsonl"
 	cpu=$(grep -m1 '^cpu:' "$work/micro.txt" || echo 'cpu: unknown')
 }
 
