@@ -16,7 +16,7 @@
 //	internal/core        the tracking algorithms (EXACTMLE, BASELINE, UNIFORM,
 //	                     NONUNIFORM, Naïve-Bayes specialization) with their
 //	                     Lagrange error-budget allocator (eqs. 5-9), and the
-//	                     one read path: core.Snapshot and the query kernel
+//	                     one read path: core.Snapshot and its query kernels
 //	internal/netgen      Table I network generators and variants
 //	internal/stream      workload generation (training streams, test queries)
 //	internal/cluster     live TCP implementation (coordinator + sites)
@@ -84,8 +84,9 @@
 // copies estimates. The tracker, the cluster coordinator and the
 // coordinator's learned-structure overlay each only build one, and Algorithm
 // 3, the Markov-blanket argmax, partial-evidence classification and the
-// normalized model are each written once against it
-// (core.QueryProb, core.Classify, ... — also what the HTTP handlers call). Any number of goroutines may read one
+// normalized model are each written once as its methods
+// (Snapshot.QueryProb, Snapshot.Classify, ... — also what the HTTP handlers
+// call), which read Factor inlined. Any number of goroutines may read one
 // snapshot; each acquisition is released exactly once.
 //
 // # Query serving

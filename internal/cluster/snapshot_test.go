@@ -90,7 +90,9 @@ func snapshotProducers(t *testing.T) map[string]snapshotProducer {
 // keeps, checked on each of them: versions never go backwards while ingest
 // runs underneath, a held snapshot does not change, every factor is the
 // pre-normalisation cell its Model was built from, QueryProb is the
-// ascending-variable product of those factors bit for bit, the structure
+// ascending-variable product of those factors bit for bit, QuerySubsetProb
+// their product over an ancestral closure in set order, Classify the argmax
+// of the log sum over the target's Markov blanket, the structure
 // epoch is 0 unless the structure is learned, and releasing every acquisition
 // leaves the producer able to build the next snapshot.
 func TestSnapshotContract(t *testing.T) {
@@ -207,7 +209,46 @@ func TestSnapshotContract(t *testing.T) {
 						t.Fatalf("producer QueryProb(%v) = %v, snapshot product %v", x, got, want)
 					}
 				}
+				set := netw.AncestralClosure([]int{q % netw.Len()})
+				want = 1.0
+				for _, i := range set {
+					want *= snap.Factor(i, x[i], netw.ParentIndex(i, x))
+				}
+				if got := snap.QuerySubsetProb(set, x); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("QuerySubsetProb(%v, %v) = %v, product in set order %v", set, x, got, want)
+				}
+				target := 7 * q % netw.Len()
+				if got, want := snap.Classify(target, x), blanketArgmax(snap, target, x); got != want {
+					t.Fatalf("Classify(%d, %v) = %d, log-sum argmax %d", target, x, got, want)
+				}
 			}
 		})
 	}
+}
+
+// blanketArgmax is Classify's answer worked out from Factor: for each value
+// y of the target, ascending, the sum of the logs of the target's factor and
+// its children's (a zero factor adds -Inf), and the first y with the largest
+// sum.
+func blanketArgmax(snap *core.Snapshot, target int, x []int) int {
+	netw := snap.Network()
+	y := append([]int(nil), x...)
+	logOf := func(p float64) float64 {
+		if p <= 0 {
+			return math.Inf(-1)
+		}
+		return math.Log(p)
+	}
+	best, bestScore := 0, math.Inf(-1)
+	for v := 0; v < netw.Card(target); v++ {
+		y[target] = v
+		score := logOf(snap.Factor(target, v, netw.ParentIndex(target, y)))
+		for _, c := range netw.Children(target) {
+			score += logOf(snap.Factor(c, y[c], netw.ParentIndex(c, y)))
+		}
+		if score > bestScore {
+			best, bestScore = v, score
+		}
+	}
+	return best
 }

@@ -9,71 +9,12 @@ import (
 	"distbayes/internal/bn"
 )
 
-// Factors reads one CPD estimate, P̃[X_i = v | parent config pidx] — the only
-// thing the query kernel below needs from wherever the counters live: a
-// Snapshot's Factor or the serving layer's Snapshot interface.
-type Factors func(i, v, pidx int) float64
-
-// QueryProb is Algorithm 3: the joint probability of the full assignment x,
-// Π_i f(i, x_i, x_i^par), multiplied in ascending variable order (the order is
-// part of the contract — every answer for one set of factors is bit-equal).
-// A zero factor (an unseen parent configuration without smoothing) makes the
-// product 0.
-func QueryProb(net *bn.Network, f Factors, x []int) float64 {
-	p := 1.0
-	for i := 0; i < net.Len(); i++ {
-		p *= f(i, x[i], net.ParentIndex(i, x))
-	}
-	return p
-}
-
-// QuerySubsetProb is the marginal probability of x restricted to an
-// ancestrally closed variable set (see bn.Network.AncestralClosure), which
-// factorizes exactly over the member CPDs; factors multiply in set order.
-func QuerySubsetProb(net *bn.Network, f Factors, set, x []int) float64 {
-	p := 1.0
-	for _, i := range set {
-		p *= f(i, x[i], net.ParentIndex(i, x))
-	}
-	return p
-}
-
-// Classify returns argmax_y P̃[X_target = y | x_{-target}] (the approximate
-// Bayesian classification of Definition 4). Only the factors in the target's
-// Markov blanket vary with y — its own and its children's — so only those are
-// scanned. Ties break toward the smaller value. x[target] is used as scratch
-// and restored before returning, so concurrent callers must each pass their
-// own x.
-func Classify(net *bn.Network, f Factors, target int, x []int) int {
-	saved := x[target]
-	defer func() { x[target] = saved }()
-	best, bestScore := 0, math.Inf(-1)
-	for y := 0; y < net.Card(target); y++ {
-		x[target] = y
-		score := logOrNegInf(f(target, y, net.ParentIndex(target, x)))
-		for _, c := range net.Children(target) {
-			score += logOrNegInf(f(c, x[c], net.ParentIndex(c, x)))
-		}
-		if score > bestScore {
-			best, bestScore = y, score
-		}
-	}
-	return best
-}
-
-func logOrNegInf(p float64) float64 {
-	if p <= 0 {
-		return math.Inf(-1)
-	}
-	return math.Log(p)
-}
-
 // ClassifyPartial predicts argmax_y P[X_target = y | evidence] on a normalized
 // model when only a subset of the other variables is observed (the general
-// Bayesian classification setting; Classify handles the fully observed case
-// much faster). It runs exact variable-elimination inference, so it is
-// exponential in the treewidth — intended for moderate networks or small
-// unobserved sets.
+// Bayesian classification setting; Snapshot.Classify handles the fully
+// observed case much faster). It runs exact variable-elimination inference,
+// so it is exponential in the treewidth — intended for moderate networks or
+// small unobserved sets.
 func ClassifyPartial(m *bn.Model, target int, evidence map[int]int) (int, error) {
 	net := m.Network()
 	if target < 0 || target >= net.Len() {
@@ -101,8 +42,8 @@ func ClassifyPartial(m *bn.Model, target int, evidence map[int]int) (int, error)
 // ratios; Factor is Algorithm 3's ratio A_i(x_i, x_i^par)/A_i(x_i^par),
 // divided when it is read, so a rebuild only copies. Every producer —
 // Tracker, the cluster coordinator, the coordinator's learned-structure
-// overlay — only builds one; every query is answered by the kernel above
-// reading its Factor.
+// overlay — only builds one; every query is answered by its kernel methods
+// below, which read Factor.
 //
 // A Snapshot never changes after it is published, so any number of goroutines
 // may read one handle concurrently (the serving layer shares one across every
@@ -176,18 +117,60 @@ func (s *Snapshot) Release() {
 	}
 }
 
-// QueryProb answers Algorithm 3 from this snapshot (see the function).
-func (s *Snapshot) QueryProb(x []int) float64 { return QueryProb(s.net, s.Factor, x) }
-
-// QuerySubsetProb answers an ancestrally closed marginal from this snapshot
-// (see the function).
-func (s *Snapshot) QuerySubsetProb(set, x []int) float64 {
-	return QuerySubsetProb(s.net, s.Factor, set, x)
+// QueryProb is Algorithm 3: the joint probability of the full assignment x,
+// Π_i Factor(i, x_i, x_i^par), multiplied from 1.0 in ascending variable
+// order (the order is part of the contract — every answer from one snapshot
+// is bit-equal). A zero factor (an unseen parent configuration without
+// smoothing) makes the product 0. The query kernels call Factor on the
+// concrete type, so it inlines into their loops.
+func (s *Snapshot) QueryProb(x []int) float64 {
+	p := 1.0
+	for i := 0; i < s.net.Len(); i++ {
+		p *= s.Factor(i, x[i], s.net.ParentIndex(i, x))
+	}
+	return p
 }
 
-// Classify is the fully observed Markov-blanket argmax over this snapshot
-// (see the function).
-func (s *Snapshot) Classify(target int, x []int) int { return Classify(s.net, s.Factor, target, x) }
+// QuerySubsetProb is the marginal probability of x restricted to an
+// ancestrally closed variable set (see bn.Network.AncestralClosure), which
+// factorizes exactly over the member CPDs; factors multiply in set order.
+func (s *Snapshot) QuerySubsetProb(set, x []int) float64 {
+	p := 1.0
+	for _, i := range set {
+		p *= s.Factor(i, x[i], s.net.ParentIndex(i, x))
+	}
+	return p
+}
+
+// Classify returns argmax_y P̃[X_target = y | x_{-target}] (the approximate
+// Bayesian classification of Definition 4). Only the factors in the target's
+// Markov blanket vary with y — its own and its children's — so only those are
+// scanned, as a sum of logs. Ties break toward the smaller value. x[target]
+// is used as scratch and restored before returning, so concurrent callers
+// must each pass their own x.
+func (s *Snapshot) Classify(target int, x []int) int {
+	saved := x[target]
+	defer func() { x[target] = saved }()
+	best, bestScore := 0, math.Inf(-1)
+	for y := 0; y < s.net.Card(target); y++ {
+		x[target] = y
+		score := logOrNegInf(s.Factor(target, y, s.net.ParentIndex(target, x)))
+		for _, c := range s.net.Children(target) {
+			score += logOrNegInf(s.Factor(c, x[c], s.net.ParentIndex(c, x)))
+		}
+		if score > bestScore {
+			best, bestScore = y, score
+		}
+	}
+	return best
+}
+
+func logOrNegInf(p float64) float64 {
+	if p <= 0 {
+		return math.Inf(-1)
+	}
+	return math.Log(p)
+}
 
 // Model returns the snapshot's factors normalized into a bn.Model (tracked
 // ratios need not sum to exactly 1 under approximation; rows whose parent

@@ -18,9 +18,12 @@ import (
 // in one pass and validated against the network before use: unknown names,
 // out-of-range values, wrong arity and non-closed subsets are rejected. A
 // positional assignment (CSV or "x") is refused at its (n+1)-th value on an
-// n-variable network, so it never allocates more than n values whatever the
-// body holds; the name maps grow with the body, which the server's body cap
-// bounds before the decoder sees a byte.
+// n-variable network, so it never holds more than n values whatever the body
+// holds; the name maps grow with the body, which the server's body cap
+// bounds before the decoder sees a byte. The decoders are methods of a
+// scratch, the request's n-sized buffers, which the server takes from its
+// pool and takes back once the answer is written: a request that fits them
+// allocates no n-sized slice.
 //
 // The JSON body is one object; the keys "x", "assign", "target" and
 // "evidence" fill a jsonQuery and any other key is skipped. The scanner
@@ -59,8 +62,34 @@ var jsonFields = [...]string{"x", "assign", "target", "evidence"}
 // maxSkipDepth is encoding/json's nesting limit less the request object.
 const maxSkipDepth = 10000 - 1
 
-// decodeJSON scans a request object on an n-variable network.
-func decodeJSON(body []byte, n int) (jsonQuery, error) {
+// scratch is one request's n-sized decode buffers: the assignment the
+// positional and name-map decoders fill, and the subset decoder's marks.
+// What a decoder returns aliases them until the scratch is reused.
+type scratch struct {
+	x    []int
+	seen []bool
+}
+
+// values returns n assignment cells, not cleared.
+func (sc *scratch) values(n int) []int {
+	if cap(sc.x) < n {
+		sc.x = make([]int, n)
+	}
+	return sc.x[:n]
+}
+
+// marks returns n cleared marks.
+func (sc *scratch) marks(n int) []bool {
+	if cap(sc.seen) < n {
+		sc.seen = make([]bool, n)
+	}
+	clear(sc.seen[:n])
+	return sc.seen[:n]
+}
+
+// decodeJSON scans a request object on an n-variable network; its "x" is
+// read into the scratch.
+func (sc *scratch) decodeJSON(body []byte, n int) (jsonQuery, error) {
 	var q jsonQuery
 	var seen [len(jsonFields)]bool
 	s := scanner{b: body}
@@ -87,7 +116,7 @@ func decodeJSON(body []byte, n int) (jsonQuery, error) {
 		var err error
 		switch f {
 		case 0:
-			q.X, err = s.ints(n)
+			q.X, err = s.ints(sc.values(n))
 		case 1:
 			q.Assign, err = s.intMap()
 		case 2:
@@ -125,35 +154,17 @@ func (s *scanner) ws() byte {
 	return 0
 }
 
-// seq scans open [elem {',' elem}] close, with elem consuming one element.
-func (s *scanner) seq(open, close byte, elem func() error) error {
-	if s.ws() != open {
-		return s.fail("want " + string(open))
+// object scans an object, calling member with each key once the scanner
+// stands at its value; member consumes the value.
+func (s *scanner) object(member func(key []byte) error) error {
+	if s.ws() != '{' {
+		return s.fail("want {")
 	}
-	if s.p++; s.ws() == close {
+	if s.p++; s.ws() == '}' {
 		s.p++
 		return nil
 	}
 	for {
-		if err := elem(); err != nil {
-			return err
-		}
-		switch s.ws() {
-		case ',':
-			s.p++
-		case close:
-			s.p++
-			return nil
-		default:
-			return s.fail("want , or " + string(close))
-		}
-	}
-}
-
-// object scans an object, calling member with each key once the scanner
-// stands at its value; member consumes the value.
-func (s *scanner) object(member func(key []byte) error) error {
-	return s.seq('{', '}', func() error {
 		key, err := s.str()
 		if err != nil {
 			return err
@@ -162,8 +173,19 @@ func (s *scanner) object(member func(key []byte) error) error {
 			return s.fail("want :")
 		}
 		s.p++
-		return member(key)
-	})
+		if err := member(key); err != nil {
+			return err
+		}
+		switch s.ws() {
+		case ',':
+			s.p++
+		case '}':
+			s.p++
+			return nil
+		default:
+			return s.fail("want , or }")
+		}
+	}
 }
 
 // str scans a string token. Plain ASCII is returned in place; a token with
@@ -216,18 +238,93 @@ func (s *scanner) int() (int, error) {
 	return v, nil
 }
 
-// ints scans the "x" array, refusing it at its (n+1)-th value.
-func (s *scanner) ints(n int) ([]int, error) {
-	x := make([]int, 0, n)
-	err := s.seq('[', ']', func() error {
-		if len(x) == n {
-			return fmt.Errorf("serve: x has more than %d values", n)
+// ints scans the "x" array into x, refusing it at its (len(x)+1)-th value.
+func (s *scanner) ints(x []int) ([]int, error) {
+	if s.ws() != '[' {
+		return nil, s.fail("want [")
+	}
+	if s.p++; s.ws() == ']' {
+		s.p++
+		return x[:0], nil
+	}
+	k, err := s.list(x, nil)
+	return x[:k], err
+}
+
+// list reads a positional assignment into x from the scanner's position and
+// returns how many values it read: the elements of an "x" array through its
+// ']' (nw nil), or a whole CSV body (nw checks each value against its
+// card). It is one loop over values. The common value, one digit and its
+// comma, costs a few compares; any other value — padded, several digits,
+// signed, the last one, malformed — takes the general branch of the same
+// iteration. The dialects differ only where their formats do: an element is
+// what encoding/json stores in an int, padded with JSON white space; a CSV
+// value is 1–9 digits, leading zeros allowed, below its card and padded
+// with Unicode white space. Either list is refused at its (len(x)+1)-th
+// value.
+func (s *scanner) list(x []int, nw *bn.Network) (int, error) {
+	b, csv, i := s.b, nw != nil, 0
+	for p := s.p; ; p = s.p {
+		if p+1 < len(b) && b[p]-'0' <= 9 && b[p+1] == ',' && i < len(x) {
+			if d := int(b[p] - '0'); !csv || d < nw.Card(i) {
+				x[i], i, s.p = d, i+1, p+2
+				continue
+			}
 		}
-		v, err := s.int()
-		x = append(x, v)
-		return err
-	})
-	return x, err
+		if i == len(x) {
+			return i, fmt.Errorf("serve: more than %d values (one per variable)", len(x))
+		}
+		var err error
+		if csv {
+			x[i], err = s.csvValue(i, nw.Card(i))
+		} else {
+			x[i], err = s.int()
+		}
+		if err != nil {
+			return i, err
+		}
+		i++
+		switch c := s.ws(); {
+		case c == ',':
+			s.p++
+		case !csv && c == ']':
+			s.p++
+			return i, nil
+		case csv && s.p == len(b):
+			return i, nil
+		default:
+			return i, s.fail("want , or the end of the list")
+		}
+	}
+}
+
+// csvValue scans CSV value i, 1–9 digits below card, and the Unicode white
+// space on either side.
+func (s *scanner) csvValue(i, card int) (int, error) {
+	s.pad()
+	start, v := s.p, 0
+	for ; s.p < len(s.b) && s.p-start < 9 && '0' <= s.b[s.p] && s.b[s.p] <= '9'; s.p++ {
+		v = v*10 + int(s.b[s.p]-'0')
+	}
+	if s.p == start || v >= card {
+		return 0, fmt.Errorf("serve: value %d: want 1-9 digits below its card %d", i, card)
+	}
+	s.pad()
+	return v, nil
+}
+
+// pad skips Unicode white space.
+func (s *scanner) pad() {
+	for s.p < len(s.b) {
+		r, size := rune(s.b[s.p]), 1
+		if r >= utf8.RuneSelf {
+			r, size = utf8.DecodeRune(s.b[s.p:])
+		}
+		if !unicode.IsSpace(r) {
+			return
+		}
+		s.p += size
+	}
 }
 
 // intMap scans a name→value object.
@@ -274,39 +371,19 @@ func (s *scanner) skip() error {
 	return nil
 }
 
-// parseCSVAssignment parses the compact "v0,v1,..." form in one pass: each
-// value is 1–9 digits, optionally padded with Unicode white space, and the
-// body is refused at its (n+1)-th value.
-func parseCSVAssignment(nw *bn.Network, body []byte) ([]int, error) {
-	n := nw.Len()
-	x := make([]int, n)
-	i, v, digits, padded, p := 0, 0, 0, false, 0
-scan:
-	for ; p <= len(body); p++ {
-		c := byte(',') // the end of the body closes the last value
-		if p < len(body) {
-			c = body[p]
-		}
-		switch {
-		case '0' <= c && c <= '9' && !padded && digits < 9:
-			v, digits = v*10+int(c-'0'), digits+1
-		case c == ',' && i < n && digits > 0 && v < nw.Card(i):
-			x[i], i, v, digits, padded = v, i+1, 0, 0, false
-		default:
-			r, size := utf8.DecodeRune(body[p:])
-			if !unicode.IsSpace(r) {
-				break scan
-			}
-			padded, p = digits > 0, p+size-1
-		}
+// parseCSVAssignment parses the compact "v0,v1,..." form in one pass (see
+// scanner.list).
+func (sc *scratch) parseCSVAssignment(nw *bn.Network, body []byte) ([]int, error) {
+	x := sc.values(nw.Len())
+	s := scanner{b: body}
+	k, err := s.list(x, nw)
+	if err == nil && k < len(x) {
+		err = fmt.Errorf("serve: %d values, want %d (one per variable)", k, len(x))
 	}
-	switch {
-	case p > len(body) && i == n:
-		return x, nil
-	case p <= len(body) && i < n:
-		return nil, fmt.Errorf("serve: value %d: want 1-9 digits below its card %d", i, nw.Card(i))
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("serve: %d values, want %d (one per variable)", bytes.Count(body, []byte{','})+1, n)
+	return x, nil
 }
 
 // resolveVar maps a variable name to its index.
@@ -341,7 +418,7 @@ func applyAssign(nw *bn.Network, names map[string]int, m map[string]int, set fun
 // positional "x", validated in place, or complete name map "assign". skip,
 // when >= 0, is a variable whose value may be omitted and is zeroed (the
 // classification target — its cell is scratch).
-func assignmentFromQuery(nw *bn.Network, names map[string]int, q *jsonQuery, skip int) ([]int, error) {
+func (sc *scratch) assignmentFromQuery(nw *bn.Network, names map[string]int, q *jsonQuery, skip int) ([]int, error) {
 	n := nw.Len()
 	switch {
 	case q.X != nil:
@@ -357,8 +434,8 @@ func assignmentFromQuery(nw *bn.Network, names map[string]int, q *jsonQuery, ski
 		}
 		return q.X, nil
 	case q.Assign != nil:
-		x := make([]int, n)
-		seen := make([]bool, n)
+		x, seen := sc.values(n), sc.marks(n)
+		clear(x)
 		if err := applyAssign(nw, names, q.Assign, func(i, v int) { x[i], seen[i] = v, true }); err != nil {
 			return nil, err
 		}
@@ -374,36 +451,36 @@ func assignmentFromQuery(nw *bn.Network, names map[string]int, q *jsonQuery, ski
 
 // decodeFullAssignment decodes a full-assignment body: CSV fast path or
 // JSON ("x" / "assign").
-func decodeFullAssignment(nw *bn.Network, names map[string]int, body []byte) ([]int, error) {
+func (sc *scratch) decodeFullAssignment(nw *bn.Network, names map[string]int, body []byte) ([]int, error) {
 	body = bytes.TrimSpace(body)
 	if len(body) == 0 {
 		return nil, fmt.Errorf("serve: empty request body")
 	}
 	if body[0] != '{' {
-		return parseCSVAssignment(nw, body)
+		return sc.parseCSVAssignment(nw, body)
 	}
-	q, err := decodeJSON(body, nw.Len())
+	q, err := sc.decodeJSON(body, nw.Len())
 	if err != nil {
 		return nil, err
 	}
-	return assignmentFromQuery(nw, names, &q, -1)
+	return sc.assignmentFromQuery(nw, names, &q, -1)
 }
 
 // decodeSubsetAssignment decodes a subset query: JSON "assign" naming the
 // member variables. The set must be ancestrally closed — every member's
 // parents assigned too — for the subset factorization to be exact; the
 // in-process tracker trusts its callers here, the network front end
-// validates. Returns the members ascending plus the embedding assignment.
-func decodeSubsetAssignment(nw *bn.Network, names map[string]int, body []byte) ([]int, []int, error) {
-	q, err := decodeJSON(bytes.TrimSpace(body), nw.Len())
+// validates. Returns the members ascending plus the embedding assignment,
+// whose cells outside the set are left as the scratch held them.
+func (sc *scratch) decodeSubsetAssignment(nw *bn.Network, names map[string]int, body []byte) ([]int, []int, error) {
+	q, err := sc.decodeJSON(bytes.TrimSpace(body), nw.Len())
 	if err != nil {
 		return nil, nil, err
 	}
 	if len(q.Assign) == 0 {
 		return nil, nil, fmt.Errorf(`serve: subset query needs a non-empty "assign"`)
 	}
-	x := make([]int, nw.Len())
-	seen := make([]bool, nw.Len())
+	x, seen := sc.values(nw.Len()), sc.marks(nw.Len())
 	if err := applyAssign(nw, names, q.Assign, func(i, v int) { x[i], seen[i] = v, true }); err != nil {
 		return nil, nil, err
 	}
@@ -425,8 +502,8 @@ func decodeSubsetAssignment(nw *bn.Network, names map[string]int, body []byte) (
 
 // decodeClassify decodes a classification request: JSON "target" plus a
 // full assignment ("x" or "assign"); the target's own value may be omitted.
-func decodeClassify(nw *bn.Network, names map[string]int, body []byte) (int, []int, error) {
-	q, err := decodeJSON(bytes.TrimSpace(body), nw.Len())
+func (sc *scratch) decodeClassify(nw *bn.Network, names map[string]int, body []byte) (int, []int, error) {
+	q, err := sc.decodeJSON(bytes.TrimSpace(body), nw.Len())
 	if err != nil {
 		return 0, nil, err
 	}
@@ -434,14 +511,14 @@ func decodeClassify(nw *bn.Network, names map[string]int, body []byte) (int, []i
 	if err != nil {
 		return 0, nil, err
 	}
-	x, err := assignmentFromQuery(nw, names, &q, target)
+	x, err := sc.assignmentFromQuery(nw, names, &q, target)
 	return target, x, err
 }
 
 // decodeClassifyPartial decodes "target" + "evidence" (a name→value map of
 // the observed subset, which must not include the target).
-func decodeClassifyPartial(nw *bn.Network, names map[string]int, body []byte) (int, map[int]int, error) {
-	q, err := decodeJSON(bytes.TrimSpace(body), nw.Len())
+func (sc *scratch) decodeClassifyPartial(nw *bn.Network, names map[string]int, body []byte) (int, map[int]int, error) {
+	q, err := sc.decodeJSON(bytes.TrimSpace(body), nw.Len())
 	if err != nil {
 		return 0, nil, err
 	}
@@ -461,8 +538,8 @@ func decodeClassifyPartial(nw *bn.Network, names map[string]int, body []byte) (i
 
 // decodeMarginal decodes a marginal query: JSON "assign", a non-empty
 // name→value map over any variable subset.
-func decodeMarginal(nw *bn.Network, names map[string]int, body []byte) (map[int]int, error) {
-	q, err := decodeJSON(bytes.TrimSpace(body), nw.Len())
+func (sc *scratch) decodeMarginal(nw *bn.Network, names map[string]int, body []byte) (map[int]int, error) {
+	q, err := sc.decodeJSON(bytes.TrimSpace(body), nw.Len())
 	if err != nil {
 		return nil, err
 	}

@@ -16,6 +16,35 @@ import (
 	"distbayes/internal/stream"
 )
 
+// The decoders on a fresh scratch each call, as a test without a server
+// calls them: every call allocates its own n-sized buffers.
+
+func decodeJSON(body []byte, n int) (jsonQuery, error) { return new(scratch).decodeJSON(body, n) }
+
+func parseCSVAssignment(nw *bn.Network, body []byte) ([]int, error) {
+	return new(scratch).parseCSVAssignment(nw, body)
+}
+
+func decodeFullAssignment(nw *bn.Network, names map[string]int, body []byte) ([]int, error) {
+	return new(scratch).decodeFullAssignment(nw, names, body)
+}
+
+func decodeSubsetAssignment(nw *bn.Network, names map[string]int, body []byte) ([]int, []int, error) {
+	return new(scratch).decodeSubsetAssignment(nw, names, body)
+}
+
+func decodeClassify(nw *bn.Network, names map[string]int, body []byte) (int, []int, error) {
+	return new(scratch).decodeClassify(nw, names, body)
+}
+
+func decodeClassifyPartial(nw *bn.Network, names map[string]int, body []byte) (int, map[int]int, error) {
+	return new(scratch).decodeClassifyPartial(nw, names, body)
+}
+
+func decodeMarginal(nw *bn.Network, names map[string]int, body []byte) (map[int]int, error) {
+	return new(scratch).decodeMarginal(nw, names, body)
+}
+
 // TestDecodeJSONMatchesMarshal decodes 1 000 random queries, each written
 // four ways — json.Marshal, json.MarshalIndent, and a hand-built object with
 // a random subset of the fields in random order among unknown keys holding
@@ -201,7 +230,8 @@ func repairKeys(m map[string]int) map[string]int {
 // BenchmarkDecodeRequest times the request decoders on the bodies the
 // repository benchmark sends: a full assignment in the CSV form, a classify
 // with a target and an "x" array, and a subset query over a small ancestral
-// closure, each cycling through 64 sampled events.
+// closure, each cycling through 64 sampled events into one reused scratch,
+// as a server's pooled requests do.
 func BenchmarkDecodeRequest(b *testing.B) {
 	for _, netName := range []string{"alarm", "munin"} {
 		model, err := netgen.ModelByName(netName)
@@ -214,14 +244,15 @@ func BenchmarkDecodeRequest(b *testing.B) {
 			names[nw.Var(i).Name] = i
 		}
 		csv, classify, subset := decodeBenchBodies(model)
+		sc := new(scratch)
 		for _, tc := range []struct {
 			kind   string
 			bodies [][]byte
 			decode func([]byte) error
 		}{
-			{"csv", csv, func(body []byte) error { _, err := decodeFullAssignment(nw, names, body); return err }},
-			{"classify", classify, func(body []byte) error { _, _, err := decodeClassify(nw, names, body); return err }},
-			{"subset", subset, func(body []byte) error { _, _, err := decodeSubsetAssignment(nw, names, body); return err }},
+			{"csv", csv, func(body []byte) error { _, err := sc.decodeFullAssignment(nw, names, body); return err }},
+			{"classify", classify, func(body []byte) error { _, _, err := sc.decodeClassify(nw, names, body); return err }},
+			{"subset", subset, func(body []byte) error { _, _, err := sc.decodeSubsetAssignment(nw, names, body); return err }},
 		} {
 			for _, body := range tc.bodies {
 				if err := tc.decode(body); err != nil {

@@ -25,15 +25,17 @@ import (
 // FuzzLoadState). encoding/json is the JSON scanner's oracle: a body the
 // scanner accepts decodes to the same jsonQuery under json.Unmarshal. The
 // previous CSV parser, kept below, is the CSV parser's: both accept and
-// refuse the same bodies, with the same values.
+// refuse the same bodies, with the same values. Every body is decoded on
+// alarm (cards 2–4) and on a four-variable tree of card 12, whose values
+// reach two digits.
 func FuzzServeRequest(f *testing.F) {
-	nw, err := netgen.ByName("alarm")
-	if err != nil {
-		f.Fatal(err)
-	}
-	names := make(map[string]int, nw.Len())
-	for i := 0; i < nw.Len(); i++ {
-		names[nw.Var(i).Name] = i
+	var nets []*bn.Network
+	for _, name := range []string{"alarm", fuzzTree} {
+		nw, err := netgen.ByName(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		nets = append(nets, nw)
 	}
 
 	for _, seed := range fuzzServeSeeds() {
@@ -41,82 +43,97 @@ func FuzzServeRequest(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if q, err := decodeJSON(data, nw.Len()); err == nil {
-			var want jsonQuery
-			if err := json.Unmarshal(data, &want); err != nil {
-				t.Fatalf("scanner accepted a body encoding/json refuses: %v", err)
-			}
-			if !reflect.DeepEqual(q, want) {
-				t.Fatalf("scanner read %#v, encoding/json %#v", q, want)
-			}
-		}
-		got, err := parseCSVAssignment(nw, data)
-		want, wantErr := csvOracle(nw, data)
-		if (err == nil) != (wantErr == nil) || !slices.Equal(got, want) {
-			t.Fatalf("CSV parser: %v, %v; previous parser: %v, %v", got, err, want, wantErr)
-		}
-		if x, err := decodeFullAssignment(nw, names, data); err == nil {
-			if len(x) != nw.Len() {
-				t.Fatalf("full assignment has %d values, want %d", len(x), nw.Len())
-			}
-			for i, v := range x {
-				if v < 0 || v >= nw.Card(i) {
-					t.Fatalf("x[%d] = %d out of range", i, v)
-				}
-			}
-		}
-		if set, x, err := decodeSubsetAssignment(nw, names, data); err == nil {
-			if len(set) == 0 {
-				t.Fatal("accepted empty subset")
-			}
-			for idx, i := range set {
-				if idx > 0 && set[idx-1] >= i {
-					t.Fatal("subset not ascending")
-				}
-				if x[i] < 0 || x[i] >= nw.Card(i) {
-					t.Fatalf("subset value %d out of range for %d", x[i], i)
-				}
-				inSet := func(j int) bool {
-					for _, s := range set {
-						if s == j {
-							return true
-						}
-					}
-					return false
-				}
-				for _, p := range nw.Parents(i) {
-					if !inSet(p) {
-						t.Fatalf("accepted non-closed subset: %d missing parent %d", i, p)
-					}
-				}
-			}
-		}
-		if target, x, err := decodeClassify(nw, names, data); err == nil {
-			if target < 0 || target >= nw.Len() || len(x) != nw.Len() {
-				t.Fatalf("classify target %d / arity %d invalid", target, len(x))
-			}
-		}
-		if target, ev, err := decodeClassifyPartial(nw, names, data); err == nil {
-			if _, ok := ev[target]; ok {
-				t.Fatal("accepted target in evidence")
-			}
-			for i, v := range ev {
-				if i < 0 || i >= nw.Len() || v < 0 || v >= nw.Card(i) {
-					t.Fatalf("evidence %d=%d out of range", i, v)
-				}
-			}
-		}
-		if assign, err := decodeMarginal(nw, names, data); err == nil {
-			if len(assign) == 0 {
-				t.Fatal("accepted empty marginal")
-			}
-			for i, v := range assign {
-				if i < 0 || i >= nw.Len() || v < 0 || v >= nw.Card(i) {
-					t.Fatalf("marginal %d=%d out of range", i, v)
-				}
-			}
+		for _, nw := range nets {
+			checkDecoders(t, nw, data)
 		}
 	})
+}
+
+// fuzzTree is FuzzServeRequest's second network: variables t_0…t_3, card 12.
+const fuzzTree = "tree:4:12:1"
+
+// checkDecoders runs every decoder on data over nw and checks what each
+// accepts (see FuzzServeRequest).
+func checkDecoders(t *testing.T, nw *bn.Network, data []byte) {
+	names := make(map[string]int, nw.Len())
+	for i := 0; i < nw.Len(); i++ {
+		names[nw.Var(i).Name] = i
+	}
+	if q, err := decodeJSON(data, nw.Len()); err == nil {
+		var want jsonQuery
+		if err := json.Unmarshal(data, &want); err != nil {
+			t.Fatalf("scanner accepted a body encoding/json refuses: %v", err)
+		}
+		if !reflect.DeepEqual(q, want) {
+			t.Fatalf("scanner read %#v, encoding/json %#v", q, want)
+		}
+	}
+	got, err := parseCSVAssignment(nw, data)
+	want, wantErr := csvOracle(nw, data)
+	if (err == nil) != (wantErr == nil) || !slices.Equal(got, want) {
+		t.Fatalf("CSV parser: %v, %v; previous parser: %v, %v", got, err, want, wantErr)
+	}
+	if x, err := decodeFullAssignment(nw, names, data); err == nil {
+		if len(x) != nw.Len() {
+			t.Fatalf("full assignment has %d values, want %d", len(x), nw.Len())
+		}
+		for i, v := range x {
+			if v < 0 || v >= nw.Card(i) {
+				t.Fatalf("x[%d] = %d out of range", i, v)
+			}
+		}
+	}
+	if set, x, err := decodeSubsetAssignment(nw, names, data); err == nil {
+		if len(set) == 0 {
+			t.Fatal("accepted empty subset")
+		}
+		for idx, i := range set {
+			if idx > 0 && set[idx-1] >= i {
+				t.Fatal("subset not ascending")
+			}
+			if x[i] < 0 || x[i] >= nw.Card(i) {
+				t.Fatalf("subset value %d out of range for %d", x[i], i)
+			}
+			inSet := func(j int) bool {
+				for _, s := range set {
+					if s == j {
+						return true
+					}
+				}
+				return false
+			}
+			for _, p := range nw.Parents(i) {
+				if !inSet(p) {
+					t.Fatalf("accepted non-closed subset: %d missing parent %d", i, p)
+				}
+			}
+		}
+	}
+	if target, x, err := decodeClassify(nw, names, data); err == nil {
+		if target < 0 || target >= nw.Len() || len(x) != nw.Len() {
+			t.Fatalf("classify target %d / arity %d invalid", target, len(x))
+		}
+	}
+	if target, ev, err := decodeClassifyPartial(nw, names, data); err == nil {
+		if _, ok := ev[target]; ok {
+			t.Fatal("accepted target in evidence")
+		}
+		for i, v := range ev {
+			if i < 0 || i >= nw.Len() || v < 0 || v >= nw.Card(i) {
+				t.Fatalf("evidence %d=%d out of range", i, v)
+			}
+		}
+	}
+	if assign, err := decodeMarginal(nw, names, data); err == nil {
+		if len(assign) == 0 {
+			t.Fatal("accepted empty marginal")
+		}
+		for i, v := range assign {
+			if i < 0 || i >= nw.Len() || v < 0 || v >= nw.Card(i) {
+				t.Fatalf("marginal %d=%d out of range", i, v)
+			}
+		}
+	}
 }
 
 // fuzzServeSeeds is the seed corpus: one representative body per request
@@ -161,6 +178,21 @@ func fuzzServeSeeds() []string {
 		`{"u":` + strings.Repeat("[", maxSkipDepth+1) + strings.Repeat("]", maxSkipDepth+1) + `}`,
 		`"alarm_0"`,
 		"\u00a00\u3000, 1\v" + csv[3:],
+		// On fuzzTree: two-digit values, a leading zero, padding, a value
+		// equal to the card, n+1 values and a trailing comma.
+		"10,11,0,9",
+		"05,1,2,3",
+		" 10 ,\t2,\u00a03 , 11\n",
+		"12,0,0,0",
+		"1,2,3,4,5",
+		"1,2,3,4,",
+		`{"x":[10,11,0,9]}`,
+		`{"x":[05,1,2,3]}`,
+		`{"x":[ 10 , 2,3 ,11 ]}`,
+		`{"x":[12,0,0,0]}`,
+		`{"x":[1,2,3,4,5]}`,
+		`{"x":[1,2,3,4,]}`,
+		`{"target":"t_1","x":[10,0,11,1]}`,
 	}
 }
 

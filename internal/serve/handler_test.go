@@ -23,11 +23,11 @@ type handlerRig struct {
 	w    reusableWriter
 }
 
-// newHandlerRig serves a 2 000-event alarm tracker; its snapshot is acquired
-// once and then shared, so a call never rebuilds one.
-func newHandlerRig(t testing.TB) *handlerRig {
+// newHandlerRig serves a 2 000-event tracker of the named network; its
+// snapshot is acquired once and then shared, so a call never rebuilds one.
+func newHandlerRig(t testing.TB, netName string) *handlerRig {
 	t.Helper()
-	_, tr := newAlarmTracker(t, 2000, 0)
+	_, tr := newNetTracker(t, netName, 2000, 0)
 	srv, err := New(Config{Source: NewTrackerSource(tr), MaxSnapshotAge: time.Hour})
 	if err != nil {
 		t.Fatal(err)
@@ -90,45 +90,53 @@ func (w *reusableWriter) Write(p []byte) (int, error) {
 	return w.buf.Write(p)
 }
 
-// handlerBodies is the request mix of the repository benchmark on alarm: 64
-// sampled events, each as a CSV queryprob, a subsetprob over a small
-// ancestral closure and a classify with an "x" array.
-func handlerBodies(t testing.TB) map[string][][]byte {
+// handlerBodies is the request mix of the repository benchmark on the named
+// network: 64 sampled events, each as a CSV queryprob, a subsetprob over a
+// small ancestral closure and a classify with an "x" array.
+func handlerBodies(t testing.TB, netName string) map[string][][]byte {
 	t.Helper()
-	model, _ := newAlarmTracker(t, 0, 0)
+	model, _ := newNetTracker(t, netName, 0, 0)
 	csv, classify, subset := decodeBenchBodies(model)
 	return map[string][][]byte{"queryprob": csv, "subsetprob": subset, "classify": classify}
 }
 
 // BenchmarkServeHandler times one query through Handler — routing, the
 // admission gate, the body read, the decode, the query kernel on a shared
-// snapshot and the response encode — without the HTTP server or a socket.
+// snapshot and the response encode — without the HTTP server or a socket,
+// on alarm (rows named by endpoint) and on munin (rows "munin/<endpoint>").
 func BenchmarkServeHandler(b *testing.B) {
-	rig := newHandlerRig(b)
-	bodies := handlerBodies(b)
-	for _, endpoint := range []string{"queryprob", "subsetprob", "classify"} {
-		path := "/v1/" + endpoint
-		for _, body := range bodies[endpoint] {
-			if code := rig.do(path, body); code != http.StatusOK {
-				b.Fatalf("%s %s: %d %s", endpoint, body, code, rig.w.buf.Bytes())
+	for _, netName := range []string{"alarm", "munin"} {
+		rig := newHandlerRig(b, netName)
+		bodies := handlerBodies(b, netName)
+		for _, endpoint := range []string{"queryprob", "subsetprob", "classify"} {
+			path, row := "/v1/"+endpoint, endpoint
+			if netName != "alarm" {
+				row = netName + "/" + endpoint
 			}
+			for _, body := range bodies[endpoint] {
+				if code := rig.do(path, body); code != http.StatusOK {
+					b.Fatalf("%s %s: %d %s", row, body, code, rig.w.buf.Bytes())
+				}
+			}
+			b.Run(row, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					rig.do(path, bodies[endpoint][i%len(bodies[endpoint])])
+				}
+			})
 		}
-		b.Run(endpoint, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				rig.do(path, bodies[endpoint][i%len(bodies[endpoint])])
-			}
-		})
 	}
 }
 
-// nanSource returns snapshots whose every Factor is NaN, following
+// nanSource returns snapshots whose every probability is NaN, following
 // panicSource: a model whose answers have no JSON encoding.
 type nanSource struct{ ModelSource }
 
 type nanSnap struct{ Snapshot }
 
-func (nanSnap) Factor(i, v, pidx int) float64 { return math.NaN() }
+func (nanSnap) QueryProb([]int) float64 { return math.NaN() }
+
+func (nanSnap) QuerySubsetProb(_, _ []int) float64 { return math.NaN() }
 
 func (s nanSource) AcquireSnapshot() (Snapshot, error) {
 	snap, err := s.ModelSource.AcquireSnapshot()

@@ -379,8 +379,8 @@ func TestServeDeadlineExceeded(t *testing.T) {
 	}
 }
 
-// panicSource returns snapshots whose Factor panics while the switch is
-// on — the pathological-handler case the recovery middleware contains.
+// panicSource returns snapshots whose query kernels panic while the switch
+// is on — the pathological-handler case the recovery middleware contains.
 type panicSource struct {
 	ModelSource
 	panicking atomic.Bool
@@ -391,11 +391,25 @@ type panicSnap struct {
 	panicking *atomic.Bool
 }
 
-func (p panicSnap) Factor(i, v, pidx int) float64 {
+func (p panicSnap) check() {
 	if p.panicking.Load() {
-		panic("injected factor panic")
+		panic("injected query panic")
 	}
-	return p.Snapshot.Factor(i, v, pidx)
+}
+
+func (p panicSnap) QueryProb(x []int) float64 {
+	p.check()
+	return p.Snapshot.QueryProb(x)
+}
+
+func (p panicSnap) QuerySubsetProb(set, x []int) float64 {
+	p.check()
+	return p.Snapshot.QuerySubsetProb(set, x)
+}
+
+func (p panicSnap) Classify(target int, x []int) int {
+	p.check()
+	return p.Snapshot.Classify(target, x)
 }
 
 func (s *panicSource) AcquireSnapshot() (Snapshot, error) {

@@ -245,6 +245,9 @@ type Server struct {
 	// tracker source, the snapshot rebuild the refreshing request waits on.
 	refreshWait histogram
 	qps         qpsWindow
+	// scratches holds *scratch, the decoders' n-sized buffers, each taken
+	// by one request and given back once its answer is written.
+	scratches sync.Pool
 }
 
 // New builds a server over cfg.Source.
@@ -292,7 +295,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.mux = http.NewServeMux()
 	s.byEndpoint = make(map[string]*atomic.Int64)
-	query := func(method, name string, fn func(body []byte, snap Snapshot) (any, error)) {
+	s.scratches.New = func() any { return new(scratch) }
+	query := func(method, name string, fn func(sc *scratch, body []byte, snap Snapshot) (any, error)) {
 		ctr := new(atomic.Int64)
 		s.byEndpoint[name] = ctr
 		s.mux.HandleFunc("/v1/"+name, s.handle(ctr, method, fn))
@@ -646,10 +650,11 @@ const retryAfterSeconds = 1
 
 // handle wraps one query endpoint with the shared mechanics: request
 // accounting, the per-request deadline, the admission gate, the method and
-// body cap, the per-request snapshot acquire/release, the response envelope
-// and latency recording. fn computes the payload from one immutable snapshot;
-// its errors are the request's fault (400) unless marked snapshotError (500).
-func (s *Server) handle(ctr *atomic.Int64, method string, fn func(body []byte, snap Snapshot) (any, error)) http.HandlerFunc {
+// body cap, the per-request snapshot acquire/release and decode scratch, the
+// response envelope and latency recording. fn computes the payload from one
+// immutable snapshot; its errors are the request's fault (400) unless marked
+// snapshotError (500).
+func (s *Server) handle(ctr *atomic.Int64, method string, fn func(sc *scratch, body []byte, snap Snapshot) (any, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		started := time.Now()
 		s.requests.Add(1)
@@ -678,7 +683,9 @@ func (s *Server) handle(ctr *atomic.Int64, method string, fn func(body []byte, s
 			return
 		}
 		defer s.releaseRef(c)
-		result, err := fn(body, c.snap)
+		sc := s.scratches.Get().(*scratch)
+		defer s.scratches.Put(sc)
+		result, err := fn(sc, body, c.snap)
 		if err != nil {
 			code := http.StatusBadRequest
 			if errors.As(err, new(snapshotError)) {
@@ -719,46 +726,43 @@ func (s *Server) fail(w http.ResponseWriter, code int, err error) {
 // The five query handlers below decode a request against the snapshot's own
 // network — under a learned-structure source the parent sets and the
 // ancestrally closed subsets can change across a hot swap — and hand it to
-// the one query kernel (internal/core), reading factors through
-// Snapshot.Factor: the same float64 values multiplied in the same order as an
-// in-process Tracker or Coordinator query, so answers are bit-identical to
-// in-process queries against the same snapshot.
+// the snapshot's query kernel (core.Snapshot's methods): the same float64
+// values multiplied in the same order as an in-process Tracker or
+// Coordinator query, so answers are bit-identical to in-process queries
+// against the same snapshot.
 
-// queryProb answers P[x] for a full assignment (core.QueryProb).
-func (s *Server) queryProb(body []byte, snap Snapshot) (any, error) {
-	netw := snap.Network()
-	x, err := decodeFullAssignment(netw, s.names, body)
+// queryProb answers P[x] for a full assignment (Snapshot.QueryProb).
+func (s *Server) queryProb(sc *scratch, body []byte, snap Snapshot) (any, error) {
+	x, err := sc.decodeFullAssignment(snap.Network(), s.names, body)
 	if err != nil {
 		return nil, err
 	}
-	return probResult{P: core.QueryProb(netw, snap.Factor, x)}, nil
+	return probResult{P: snap.QueryProb(x)}, nil
 }
 
 // subsetProb answers the marginal of an ancestrally closed subset
-// (core.QuerySubsetProb).
-func (s *Server) subsetProb(body []byte, snap Snapshot) (any, error) {
-	netw := snap.Network()
-	set, x, err := decodeSubsetAssignment(netw, s.names, body)
+// (Snapshot.QuerySubsetProb).
+func (s *Server) subsetProb(sc *scratch, body []byte, snap Snapshot) (any, error) {
+	set, x, err := sc.decodeSubsetAssignment(snap.Network(), s.names, body)
 	if err != nil {
 		return nil, err
 	}
-	return probResult{P: core.QuerySubsetProb(netw, snap.Factor, set, x)}, nil
+	return probResult{P: snap.QuerySubsetProb(set, x)}, nil
 }
 
-// classify is the fully observed Markov-blanket argmax (core.Classify).
-func (s *Server) classify(body []byte, snap Snapshot) (any, error) {
-	netw := snap.Network()
-	target, x, err := decodeClassify(netw, s.names, body)
+// classify is the fully observed Markov-blanket argmax (Snapshot.Classify).
+func (s *Server) classify(sc *scratch, body []byte, snap Snapshot) (any, error) {
+	target, x, err := sc.decodeClassify(snap.Network(), s.names, body)
 	if err != nil {
 		return nil, err
 	}
-	return classifyResult{Value: core.Classify(netw, snap.Factor, target, x)}, nil
+	return classifyResult{Value: snap.Classify(target, x)}, nil
 }
 
 // classifyPartial predicts the target from partial evidence by exact
 // inference on the snapshot's normalized model (core.ClassifyPartial).
-func (s *Server) classifyPartial(body []byte, snap Snapshot) (any, error) {
-	target, ev, err := decodeClassifyPartial(snap.Network(), s.names, body)
+func (s *Server) classifyPartial(sc *scratch, body []byte, snap Snapshot) (any, error) {
+	target, ev, err := sc.decodeClassifyPartial(snap.Network(), s.names, body)
 	if err != nil {
 		return nil, err
 	}
@@ -775,8 +779,8 @@ func (s *Server) classifyPartial(body []byte, snap Snapshot) (any, error) {
 
 // marginal answers an arbitrary marginal P[assign] by exact inference on
 // the snapshot's normalized model (Tracker.InferMarginal).
-func (s *Server) marginal(body []byte, snap Snapshot) (any, error) {
-	assign, err := decodeMarginal(snap.Network(), s.names, body)
+func (s *Server) marginal(sc *scratch, body []byte, snap Snapshot) (any, error) {
+	assign, err := sc.decodeMarginal(snap.Network(), s.names, body)
 	if err != nil {
 		return nil, err
 	}
@@ -815,7 +819,7 @@ type modelVar struct {
 // model dumps the snapshot's normalized model (EstimatedModel over the
 // wire): every variable's name, cardinality, parents — the snapshot's own,
 // possibly learned, structure — and CPT in pidx-major order.
-func (s *Server) model(_ []byte, snap Snapshot) (any, error) {
+func (s *Server) model(_ *scratch, _ []byte, snap Snapshot) (any, error) {
 	m, err := modelOf(snap)
 	if err != nil {
 		return nil, err

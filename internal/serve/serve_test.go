@@ -25,7 +25,13 @@ import (
 // newAlarmTracker builds an alarm tracker with events ingested events.
 func newAlarmTracker(t testing.TB, events int, shards int) (*bn.Model, *core.Tracker) {
 	t.Helper()
-	model, err := netgen.ModelByName("alarm")
+	return newNetTracker(t, "alarm", events, shards)
+}
+
+// newNetTracker is newAlarmTracker on any netgen network.
+func newNetTracker(t testing.TB, name string, events int, shards int) (*bn.Model, *core.Tracker) {
+	t.Helper()
+	model, err := netgen.ModelByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}

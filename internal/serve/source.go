@@ -22,10 +22,16 @@ import (
 // Production has exactly one implementation, *core.Snapshot, which every
 // source below hands out (SwappableSource wraps it to offset the version);
 // this stays an interface so tests can substitute fakes — a panicking
-// Factor, a failing Model.
+// query, a failing Model.
 type Snapshot interface {
 	// Factor is the tracked estimate of P[X_i = v | parent config pidx].
 	Factor(i, v, pidx int) float64
+	// QueryProb, QuerySubsetProb and Classify are the query kernels of
+	// core.Snapshot: one interface call per request, with Factor inlined
+	// into the loop over the network's variables.
+	QueryProb(x []int) float64
+	QuerySubsetProb(set, x []int) float64
+	Classify(target int, x []int) int
 	Version() uint64
 	BuiltAt() time.Time
 	Model() (*bn.Model, error)
@@ -227,7 +233,7 @@ func (s *SwappableSource) StructLearnStats() (cluster.StructStats, bool) {
 }
 
 // offsetSnapshot shifts the wrapped snapshot's version by the swap offset;
-// everything else (factors, model, release) passes through.
+// everything else (factors, query kernels, model, release) passes through.
 type offsetSnapshot struct {
 	Snapshot
 	off uint64

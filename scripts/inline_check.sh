@@ -11,12 +11,15 @@
 # step pushes it past the inliner's budget and turns each of those draws
 # back into a call; this script is what notices. The gap draw itself
 # (oneWayNext, two logs) is paid once per proposal and is not checked.
+# On the query side, core's (*Snapshot).Factor must inline into every line
+# of the snapshot's query kernels (view.go) that reads a factor: a kernel
+# that calls it instead pays a call per variable, 1 041 on munin.
 # Run from anywhere: scripts/inline_check.sh (prints each check and exits 1
 # if any failed).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out=$(go build -gcflags=-m ./internal/bn ./internal/counter ./internal/cluster 2>&1)
+out=$(go build -gcflags=-m ./internal/bn ./internal/counter ./internal/cluster ./internal/core 2>&1)
 fail=0
 
 # inlinable NAME: the compiler reports "can inline NAME".
@@ -61,4 +64,7 @@ inlined internal/counter/oneway.go '.gap.Due(' '(*OneWayGap).Due'
 inlined internal/cluster/layout.go 'c.gap.Due(' 'counter.(*OneWayGap).Due'
 inlined internal/cluster/layout.go 's.inc(id)' '(*siteCounters).inc'
 inlined internal/bn/model.go 's.rng.Float64()' '(*RNG).Uint64'
+inlinable '(*Snapshot).Factor'
+inlined internal/core/view.go 'p *= s.Factor(' '(*Snapshot).Factor'
+inlined internal/core/view.go 'logOrNegInf(s.Factor(' '(*Snapshot).Factor'
 exit $fail

@@ -43,9 +43,14 @@ cd "$(dirname "$0")/.."
 SEEDS=(1 2 3 4 5) # fixed before any run; check runs the first
 DROP=30
 work=.bench_build/ledger
-rm -rf "$work"
-mkdir -p "$work"
 workloads=$(jq -r '.workloads[].name' BENCHMARK.json)
+
+# fresh: empty the work directory — the last recording's log.txt, runs.jsonl
+# and micro.txt — for a new record or check; tree leaves it alone.
+fresh() {
+	rm -rf "$work"
+	mkdir -p "$work"
+}
 
 # bench SEED ARGS...: one run of the repository benchmark; its JSON result,
 # tagged with its seed, goes to standard output.
@@ -112,6 +117,7 @@ def counts: ["msgs_per_event", "frames_per_event", "err_vs_mle_mean"];'
 record() {
 	local out=BENCH_$1.json
 	[ -n "$1" ] && [ ! -e "$out" ] || { echo "ledger: $out exists or no N given; the ledger is append-only" >&2; exit 2; }
+	fresh
 	runs "${SEEDS[@]}"
 	for seed in "${SEEDS[@]}"; do
 		bench "$seed" -workload "${workloads%%$'\n'*}" -trace 1 >>"$work/probes.jsonl"
@@ -134,6 +140,7 @@ check() {
 	local ledger
 	ledger=$(ls BENCH_*.json 2>/dev/null | sort -V | tail -n 1)
 	[ -n "$ledger" ] || { echo "ledger: no BENCH_*.json; run scripts/ledger.sh record N first" >&2; exit 2; }
+	fresh
 	runs "${SEEDS[0]}"
 	micro 1
 	local gate=1 now was
