@@ -251,6 +251,11 @@ func (nw *Network) ParentIndex(i int, x []int) int {
 	return idx
 }
 
+// Strides returns the mixed-radix multipliers of variable i's parents, in
+// the order of Parents(i): ParentIndex is Σ_p x[Parents(i)[p]]·Strides(i)[p].
+// The returned slice must not be modified.
+func (nw *Network) Strides(i int) []int { return nw.strides[i] }
+
 // ParentIndexOf computes the parent-configuration index from the parent
 // values themselves (vals[p] is the value of Parents(i)[p]).
 func (nw *Network) ParentIndexOf(i int, vals []int) int {

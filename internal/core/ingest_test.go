@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"distbayes/internal/bn"
 	"distbayes/internal/counter"
@@ -244,4 +246,160 @@ func TestDeltaFlushEventsValidation(t *testing.T) {
 	if _, err := NewTracker(m.Network(), cfg); err == nil {
 		t.Error("negative DeltaFlushEvents accepted")
 	}
+}
+
+// TestColumnCellsMatchParentIndex holds the column pass to the cell ids the
+// network defines: on alarm, munin and hepar2 (up to five parents), at pass
+// sizes 1, 7, 8, 9, 61 and 62 — inside, at and past one transpose block, and
+// munin's full pass — every pair cell is ParentIndex·J_i + x_i and every
+// parent cell ParentIndex.
+func TestColumnCellsMatchParentIndex(t *testing.T) {
+	for _, name := range []string{"alarm", "munin", "hepar2"} {
+		model, err := netgen.ModelByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net := model.Network()
+		if name == "hepar2" && net.MaxInDegree() < 3 {
+			t.Fatalf("hepar2's largest parent set is %d; the test wants 3 or more", net.MaxInDegree())
+		}
+		tr, err := NewTracker(net, cfgFor(ExactMLE, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, evs := net.Len(), genEventStream(model, 4, 62, 41)
+		for _, q := range []int{1, 7, 8, 9, 61, 62} {
+			xs := make([][]int, q)
+			for e := range xs {
+				xs[e] = evs[e].X
+			}
+			cells := make([]int32, 2*n*q)
+			for c := range cells {
+				cells[c] = -1 // a cell the pass does not write stays -1
+			}
+			tr.columnCells(0, xs, make([]int32, n*q), cells)
+			for i := range n {
+				for e, x := range xs {
+					pidx := net.ParentIndex(i, x)
+					if got, want := cells[2*q*i+e], int32(pidx*net.Card(i)+x[i]); got != want {
+						t.Fatalf("%s q=%d: variable %d event %d: pair cell %d, want %d", name, q, i, e, got, want)
+					}
+					if got := cells[2*q*i+q+e]; got != int32(pidx) {
+						t.Fatalf("%s q=%d: variable %d event %d: parent cell %d, want %d", name, q, i, e, got, pidx)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMalformedEventLeavesTrackerUsable feeds rows the index phase must
+// reject — a root value equal to its card, a non-root one (which the parent
+// row arithmetic would fold into the next parent row), a negative value, one
+// whose low 32 bits are a valid value, a short and a long row — alone, in the
+// middle of a pass and in a call's second pass. Each call panics with the
+// index phase's message, not a runtime error from deeper down. Then no stripe
+// lock is held, a query and an update finish, and the tracker's state is that
+// of a tracker fed only the passes before the rejected one: the rejected
+// event's pass changed no counter, and Events counts exactly the applied
+// events.
+func TestMalformedEventLeavesTrackerUsable(t *testing.T) {
+	model, err := netgen.ModelByName("alarm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := model.Network()
+	root, child := -1, -1
+	for i := range net.Len() {
+		if len(net.Parents(i)) == 0 && root < 0 {
+			root = i
+		} else if len(net.Parents(i)) > 0 && child < 0 {
+			child = i
+		}
+	}
+	evs := genEventStream(model, 4, 200, 13)
+	const warm = 100
+	edited := func(edit func(x []int) []int) []int {
+		return edit(append([]int(nil), evs[0].X...))
+	}
+	rows := []struct {
+		name string
+		x    []int
+	}{
+		{"root value = card", edited(func(x []int) []int { x[root] = net.Card(root); return x })},
+		{"non-root value = card", edited(func(x []int) []int { x[child] = net.Card(child); return x })},
+		{"negative value", edited(func(x []int) []int { x[child] = -1; return x })},
+		{"value past int32", edited(func(x []int) []int { x[child] = math.MaxInt - math.MaxUint32; return x })},
+		{"short row", edited(func(x []int) []int { return x[:len(x)-1] })},
+		{"long row", edited(func(x []int) []int { return append(x, 0) })},
+	}
+	pass := min(maxPassEvents, maxPassEntries/(2*net.Len()))
+	for _, shards := range []int{1, 4} {
+		for _, row := range rows {
+			bad := Event{Site: 1, X: row.x}
+			for _, at := range []struct {
+				name    string
+				batch   []Event
+				applied int
+			}{
+				{"alone", []Event{bad}, 0},
+				{"mid-pass", append(append(append([]Event(nil), evs[warm:warm+10]...), bad), evs[warm+10:warm+20]...), 0},
+				{"second pass", append(append([]Event(nil), evs[warm:warm+pass+5]...), bad), pass},
+			} {
+				name := fmt.Sprintf("shards=%d/%s/%s", shards, row.name, at.name)
+				tr, err := NewTracker(net, cfgFor(NonUniform, shards))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := NewTracker(net, cfgFor(NonUniform, shards))
+				if err != nil {
+					t.Fatal(err)
+				}
+				tr.UpdateEvents(evs[:warm])
+				ref.UpdateEvents(evs[:warm])
+				ref.UpdateEvents(at.batch[:at.applied])
+				if msg, _ := panicOf(func() { tr.UpdateEvents(at.batch) }).(string); !strings.HasPrefix(msg, "core: event ") {
+					t.Fatalf("%s: the malformed event was not rejected by the index phase (panic %q)", name, msg)
+				}
+				for s := range tr.shards {
+					if !tr.shards[s].mu.TryLock() {
+						t.Errorf("%s: stripe %d is still locked after the rejected call", name, s)
+						continue
+					}
+					tr.shards[s].mu.Unlock()
+				}
+				// Everything that takes a stripe lock runs behind a bounded wait.
+				var state bytes.Buffer
+				var saveErr error
+				done := make(chan struct{})
+				go func() {
+					defer close(done)
+					tr.QueryProb(evs[0].X)
+					saveErr = tr.SaveState(&state)
+					tr.UpdateEvents(evs[warm : warm+10])
+				}()
+				select {
+				case <-done:
+				case <-time.After(10 * time.Second):
+					t.Fatalf("%s: a query and an update after the rejected call did not finish", name)
+				}
+				if saveErr != nil {
+					t.Fatal(saveErr)
+				}
+				if !bytes.Equal(state.Bytes(), stateBytes(t, ref)) {
+					t.Errorf("%s: state differs from a tracker fed the %d applied events", name, at.applied)
+				}
+				if want := int64(warm + at.applied + 10); tr.Events() != want {
+					t.Errorf("%s: Events() = %d, want %d", name, tr.Events(), want)
+				}
+			}
+		}
+	}
+}
+
+// panicOf runs f and returns what it panicked with, or nil.
+func panicOf(f func()) (msg any) {
+	defer func() { msg = recover() }()
+	f()
+	return nil
 }

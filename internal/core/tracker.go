@@ -92,7 +92,9 @@ type Event struct {
 	// X is the full observed assignment. The tracker only reads it for the
 	// duration of the ingesting call; producers that hand events to another
 	// goroutine must give each event its own backing array (see
-	// stream.Training.NextEvents).
+	// stream.Training.NextEvents). A row of another length than the
+	// network's, or a value outside its variable's card, makes the ingesting
+	// call panic before that event's pass changes any counter.
 	X []int
 }
 
@@ -302,8 +304,8 @@ func (t *Tracker) Config() Config { return t.cfg }
 // Allocation returns the per-variable counter error parameters in use.
 func (t *Tracker) Allocation() Allocation { return t.alloc }
 
-// Events returns the number of training observations processed; an
-// ingesting call's events count once all of them have reached the counters.
+// Events returns the number of training observations processed; a pass's
+// events (see applyIndexed) count once all of them have reached the counters.
 func (t *Tracker) Events() int64 { return t.events.Load() }
 
 // Messages returns a snapshot of the protocol messages exchanged so far;
@@ -320,7 +322,9 @@ func (t *Tracker) checkSite(site int) {
 // Update records one training observation x received at the given site
 // (Algorithm 2): for every variable the pair counter and the parent counter
 // of the observed configuration are incremented. Safe for concurrent use;
-// with a single stripe, concurrent callers serialize in arrival order.
+// with a single stripe, concurrent callers serialize in arrival order. Like
+// every ingesting call it panics on an out-of-range site or a malformed x
+// (see Event.X).
 func (t *Tracker) Update(site int, x []int) {
 	t.checkSite(site)
 	t.applyIndexed(1, func(int) []int { return x }, func(int) int { return site })
@@ -330,45 +334,58 @@ func (t *Tracker) Update(site int, x []int) {
 // event, so a pass is as many events as keep it within maxPassEntries int32s
 // — 512 KiB whatever the network (munin, n = 1041: 62 events) — and never
 // more than maxPassEvents, which already amortizes a bank's cache misses over
-// a run. Internal constants, not knobs.
+// a run. The column pass copies its events into columns transposeBlock events
+// at a time: one 32-byte run per variable per block. Internal constants, not
+// knobs.
 const (
 	maxPassEvents  = 64
 	maxPassEntries = 1 << 17
+	transposeBlock = 8
 )
 
 // passScratch is the pooled scratch of one pass: the pair-bank and
-// parent-bank cell of every (variable, event) of the pass and the events'
-// sites. The box is pooled, not the slices, so Put does not re-box a slice
-// header on every call (cf. snapRows).
+// parent-bank cell of every (variable, event) of the pass, the events'
+// values in columns (the column pass only), and the events' rows and sites.
+// The box is pooled, not the slices, so Put does not re-box a slice header on
+// every call (cf. snapRows).
 type passScratch struct {
-	cells, sites []int32
+	cells, cols, sites []int32
+	xs                 [][]int
 }
 
 // applyIndexed is the ingestion engine behind Update (m = 1), UpdateBatch,
 // UpdateEvents and Ingest. The m events are cut into passes; for each pass the
-// goroutine-local phase computes every event's pair and parent cell with no
-// lock held (the bulk of the per-event CPU work, and perfectly parallel
-// across producers) into a variable-major scratch, and the merge phase walks
-// the stripes in ascending order and, under each stripe's lock, applies every
-// owned variable's whole run with two Bank.IncBatch calls.
+// index phase computes every event's pair and parent cell with no lock held
+// (the bulk of the per-event CPU work, and perfectly parallel across
+// producers), and the merge phase walks the stripes in ascending order and,
+// under each stripe's lock, applies the owned variables' increments. The
+// index phase also checks every event (len(X) = n, each value below its
+// card) and panics on a malformed one, as checkSite does, before the pass
+// takes any lock: a rejected event's pass changes no counter, and the passes
+// before it are applied and counted in Events.
 //
-// Bank-major order is the point: event-major application touches all 2n banks
-// (header and word[] lines each) per event and reuses nothing
-// between two visits to a bank — on munin's 2082 banks that was most of the
-// 36 µs per event — while a run loads a bank's lines once per pass. Within a
-// stripe the randomized counters share one RNG, so the draw order, and with
-// it the message schedule, depends on where the pass boundaries fall: on a
-// striped tracker a single writer's schedule is a function of seed, event
-// order and batching (exact counts and the (ε, δ) guarantee do not care).
+// On a striped tracker a pass of more than one event is bank-major: its
+// index phase is the column pass (columnCells), which writes each variable's
+// run of q pair cells and q parent cells side by side, and the merge applies
+// every owned variable's whole run with two Bank.IncBatch calls. Event-major
+// application touches all 2n banks (header and word[] lines each) per event
+// and reuses nothing between two visits to a bank, while a run loads a bank's
+// lines once per pass. Within a stripe the randomized counters share one RNG,
+// so the draw order, and with it the message schedule, depends on where the
+// pass boundaries fall: on a striped tracker a single writer's schedule is a
+// function of seed, event order and batching (exact counts and the (ε, δ)
+// guarantee do not care).
 //
 // A single stripe keeps the historical event-major order instead — it is the
 // reference mode the goldens pin, and its schedule must not depend on
-// batching — over the same scratch laid out event-major. (Making its passes
-// one event long, so that both orders coincide and one loop serves, was
-// measured: a lock hand-off per event cost the one-stripe engine 40% of its
-// events/sec; the tracker-ingest workload and core.seq_p1_events_per_s time
-// that engine now.) A one-event pass takes that loop on any tracker: the two
-// orders coincide there and Inc beats a one-pair IncBatch.
+// batching — and its per-event index loop (eventCells), whose rows of 2n
+// cells its merge reads in order. (Making its passes one event long, so that
+// both orders coincide and one loop serves, was measured: a lock hand-off per
+// event cost the one-stripe engine 40% of its events/sec. Feeding it from the
+// column pass instead was ~10% slower on munin, as its merge then reads the
+// variable-major scratch with a stride.) A one-event pass takes that loop on
+// any tracker: the two orders coincide there and Inc beats a one-pair
+// IncBatch.
 func (t *Tracker) applyIndexed(m int, xAt func(int) []int, siteAt func(int) int) {
 	if m == 0 {
 		return
@@ -380,49 +397,123 @@ func (t *Tracker) applyIndexed(m int, xAt func(int) []int, siteAt func(int) int)
 		sc = new(passScratch)
 	}
 	if cap(sc.sites) < pass {
-		sc.cells, sc.sites = make([]int32, 2*n*pass), make([]int32, pass)
+		sc.cells, sc.sites, sc.xs = make([]int32, 2*n*pass), make([]int32, pass), make([][]int, pass)
+		if len(t.shards) > 1 { // only a striped tracker runs the column pass
+			sc.cols = make([]int32, n*pass)
+		}
 	}
 	for lo := 0; lo < m; lo += pass {
 		q := min(pass, m-lo)
 		cells, sites := sc.cells[:2*n*q], sc.sites[:q]
-		// Variable i's pair cell for event e is cells[i*vs+e*es], its parent
-		// cell po further: variable-major runs of q, or event-major rows of 2n.
 		eventMajor := len(t.shards) == 1 || q == 1
-		vs, es, po := 2*q, 1, q
 		if eventMajor {
-			vs, es, po = 2, 2*n, 1
-		}
-		for e := 0; e < q; e++ {
-			x := xAt(lo + e)
-			sites[e] = int32(siteAt(lo + e))
-			for i := 0; i < n; i++ {
-				pidx := t.net.ParentIndex(i, x)
-				cells[i*vs+e*es] = int32(pidx*t.net.Card(i) + x[i])
-				cells[i*vs+e*es+po] = int32(pidx)
+			for e := range sites {
+				sites[e] = int32(siteAt(lo + e))
+				t.eventCells(lo+e, xAt(lo+e), cells[2*n*e:2*n*(e+1)])
 			}
+		} else {
+			xs := sc.xs[:q]
+			for e := range xs {
+				xs[e], sites[e] = xAt(lo+e), int32(siteAt(lo+e))
+			}
+			t.columnCells(lo, xs, sc.cols[:n*q], cells)
 		}
 		for s := range t.shards {
 			sh := &t.shards[s]
 			sh.mu.Lock()
 			if eventMajor {
-				for e := 0; e < q; e++ {
-					row, site := cells[e*es:e*es+es], int(sites[e])
+				for e, site := range sites {
+					row := cells[2*n*e : 2*n*(e+1)]
 					for _, i := range sh.vars {
-						t.pair[i].Inc(int(row[2*i]), site)
-						t.par[i].Inc(int(row[2*i+1]), site)
+						t.pair[i].Inc(int(row[2*i]), int(site))
+						t.par[i].Inc(int(row[2*i+1]), int(site))
 					}
 				}
 			} else {
 				for _, i := range sh.vars {
-					t.pair[i].IncBatch(cells[i*vs:i*vs+q], sites)
-					t.par[i].IncBatch(cells[i*vs+q:i*vs+2*q], sites)
+					t.pair[i].IncBatch(cells[2*q*i:2*q*i+q], sites)
+					t.par[i].IncBatch(cells[2*q*i+q:2*q*(i+1)], sites)
 				}
 			}
 			t.unlockMutated(sh)
 		}
+		t.events.Add(int64(q))
 	}
+	clear(sc.xs) // the pool must not keep the callers' events alive
 	t.scratch.Put(sc)
-	t.events.Add(int64(m))
+}
+
+// eventCells is the event-major index loop of event e: variable i's pair
+// cell at row[2i], its parent cell at row[2i+1].
+func (t *Tracker) eventCells(e int, x []int, row []int32) {
+	net := t.net
+	if len(x) != net.Len() {
+		t.checkEvent(e, x)
+	}
+	for i, v := range x {
+		j := net.Card(i)
+		if uint(v) >= uint(j) {
+			t.checkEvent(e, x)
+		}
+		pidx := net.ParentIndex(i, x)
+		row[2*i], row[2*i+1] = int32(pidx*j+v), int32(pidx)
+	}
+}
+
+// columnCells is the column pass of q = len(xs) events, the first of them
+// event lo: variable i's q pair cells at cells[2q·i:], then its q parent
+// cells. It copies the events into cols, variable i's values at cols[q·i:],
+// transposeBlock events at a time so that reads and writes both run
+// sequentially; then, per variable, one loop over the parents' columns builds
+// the parent cells from Parents(i) and Strides(i), read once per pass, and a
+// last loop over the variable's own column checks each value against J_i and
+// writes pidx·J_i + x_i. The cells are ParentIndex's, in the runs the
+// event-major loop would write.
+func (t *Tracker) columnCells(lo int, xs [][]int, cols, cells []int32) {
+	n, q := t.net.Len(), len(xs)
+	for e, x := range xs {
+		if len(x) != n {
+			t.checkEvent(lo+e, x)
+		}
+	}
+	for b := 0; b < q; b += transposeBlock {
+		blk := xs[b:min(b+transposeBlock, q)]
+		for i := range n {
+			col := cols[q*i+b : q*i+b+len(blk)]
+			for e, x := range blk {
+				// A value outside [0, 2³¹) reads as MaxInt32, which no card exceeds.
+				col[e] = int32(min(uint(x[i]), math.MaxInt32))
+			}
+		}
+	}
+	for i := range n {
+		c0 := cols[q*i : q*(i+1)]
+		pair, par := cells[2*q*i : 2*q*i+q][:len(c0)], cells[2*q*i+q : 2*q*(i+1)][:len(c0)]
+		clear(par)
+		st := t.net.Strides(i)
+		for p, parent := range t.net.Parents(i) {
+			col, s := cols[q*parent : q*(parent+1)][:len(par)], int32(st[p])
+			for e := range par {
+				par[e] += col[e] * s
+			}
+		}
+		j := int32(t.net.Card(i))
+		for e := range c0 {
+			if uint32(c0[e]) >= uint32(j) {
+				t.checkEvent(lo+e, xs[e])
+			}
+			pair[e] = par[e]*j + c0[e]
+		}
+	}
+}
+
+// checkEvent panics, as checkSite does, unless event e's row is a full
+// assignment of the network: the index phase's slow path, taken once it has
+// seen a value or a length that does not fit.
+func (t *Tracker) checkEvent(e int, x []int) {
+	if !t.net.ValidAssignment(x) {
+		panic(fmt.Sprintf("core: event %d is not a full assignment: %d values for %d variables, or one outside [0, card)", e, len(x), t.net.Len()))
+	}
 }
 
 // unlockMutated ends a locked section that mutated sh's banks: it publishes

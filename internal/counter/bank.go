@@ -18,9 +18,9 @@ import (
 // lives in a few slices, split by what each phase of a counter reads:
 //
 //	every cell         word[cell] int64: the count, or ^record            8 B
-//	a record, HYZ      hyz[s]: pThresh, base, estSum, adj, nReporters
-//	                   (36 B of fields in a 40 B struct); per site
-//	                   sites[s·k+site]: d and r side by side              40 + 16k B
+//	a record, HYZ      hyz[s]: pThresh, base, estSum, adj, endSum,
+//	                   nReporters (44 B of fields in a 48 B struct); per
+//	                   site sites[s·k+site]: d and r side by side         48 + 16k B
 //	every cell, one-way oneWay.sites[cell·k+site]: d, r and the pending
 //	                   proposal (oneway.go)                               32k B
 //
@@ -50,7 +50,8 @@ import (
 // which visits every bank for every event, felt it (−7 % events/s on alarm
 // at k = 30). What won most of that back is fewer cache lines per visit: the
 // coordinator's scalars of a round are one struct (a report or an estimate
-// reads it, not one line of each of five planes), a site's d and r share a
+// reads it, not one line of each of five planes; endSum turns a report's
+// round-end test into one integer compare, see setEnd), a site's d and r share a
 // line, the Bank header is two lines ordered by who reads what (see the
 // struct), and Inc does the randomized increment in line.
 //
@@ -400,10 +401,13 @@ func (b *Bank) openRecord(cell int) (s int, count int64) {
 
 // hyzRound is the coordinator's half of a randomized counter's round record.
 type hyzRound struct {
-	pThresh    uint64  // a site reports when its draw falls below p·2⁶⁴
-	base       int64   // the exact count the round opened at
-	estSum     int64   // Σ over reporting sites of their last reported delta
-	adj        float64 // (1−p)/p, the expected unreported tail of a reporter
+	pThresh uint64  // a site reports when its draw falls below p·2⁶⁴
+	base    int64   // the exact count the round opened at
+	estSum  int64   // Σ over reporting sites of their last reported delta
+	adj     float64 // (1−p)/p, the expected unreported tail of a reporter
+	// endSum is the smallest estSum at which the round ends at the current
+	// nReporters (see setEnd).
+	endSum     int64
 	nReporters int32
 }
 
@@ -424,8 +428,46 @@ func (r *hyzRound) setProb(p float64) {
 
 // inRound is the coordinator's estimate of the increments since the round
 // opened.
-func (r *hyzRound) inRound() float64 {
-	return float64(r.estSum) + float64(r.nReporters)*r.adj
+func (r *hyzRound) inRound() float64 { return r.inRoundAt(r.estSum) }
+
+// inRoundAt is inRound with estSum in place of the record's.
+func (r *hyzRound) inRoundAt(estSum int64) float64 {
+	return float64(estSum) + float64(r.nReporters)*r.adj
+}
+
+// setEnd stores in endSum the smallest estSum s for which the round ends,
+// inRoundAt(s) >= float64(base), found by evaluating that compare itself.
+// The rounded sum never falls as s grows, so a report may test
+// estSum >= endSum instead, with the same answer. It runs when a round opens,
+// when nReporters grows and when a record is restored.
+//
+// The search starts at the float guess base − nReporters·adj and gallops
+// away from it, doubling its step, until it brackets the boundary, then
+// bisects: two or three evaluations below 2⁵³, ~a dozen where a float
+// spans 2¹⁰ integers. At s = MaxInt64 the sum is at least 2⁶³ ≥ base (adj ≥ 0),
+// so the round always ends somewhere.
+func (r *hyzRound) setEnd() {
+	ends := func(s int64) bool { return r.inRoundAt(s) >= float64(r.base) }
+	lo, hi := int64(math.MinInt64), int64(math.MaxInt64) // !ends(lo), ends(hi)
+	if ends(lo) {
+		r.endSum = lo
+		return
+	}
+	next := int64(0)
+	if g := float64(r.base) - float64(r.nReporters)*r.adj; g > -1<<62 && g < 1<<62 {
+		next = int64(g)
+	}
+	for step := uint64(1); uint64(hi)-uint64(lo) > 1; step <<= 1 {
+		if next <= lo || next >= hi {
+			next = lo + int64((uint64(hi)-uint64(lo))/2)
+		}
+		if ends(next) {
+			hi, next = next, int64(uint64(next)-step)
+		} else {
+			lo, next = next, int64(uint64(next)+step)
+		}
+	}
+	r.endSum = hi
 }
 
 // reportHYZ delivers site's current in-round delta to the coordinator and
@@ -436,10 +478,11 @@ func (b *Bank) reportHYZ(cell, s, site int) {
 	rd, st := &b.hyz[s], &b.sites[s*b.k+site]
 	if st.r == 0 {
 		rd.nReporters++
+		rd.setEnd()
 	}
 	rd.estSum += st.d - st.r
 	st.r = st.d
-	if rd.inRound() >= float64(rd.base) {
+	if rd.estSum >= rd.endSum { // inRound() >= float64(base), see setEnd
 		b.openRoundHYZ(cell)
 	}
 }
@@ -455,5 +498,6 @@ func (b *Bank) openRoundHYZ(cell int) {
 	rd := &b.hyz[s]
 	*rd = hyzRound{base: count}
 	rd.setProb(ReportProb(b.k, b.eps, rd.base))
+	rd.setEnd()
 	clear(b.sites[s*b.k : (s+1)*b.k])
 }

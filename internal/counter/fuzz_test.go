@@ -164,3 +164,40 @@ func TestWriteFuzzBankCorpus(t *testing.T) {
 func writeFuzzCorpusFile(path string, data []byte) error {
 	return os.WriteFile(path, []byte("go test fuzz v1\n[]byte("+strconv.Quote(string(data))+")\n"), 0o644)
 }
+
+// FuzzHYZRoundEnd holds a report's integer round-end compare, estSum >=
+// endSum, to the float compare it stands for, inRound() >= float64(base):
+// for k ∈ {1, 4, 30}, a round base from ExactThreshold(k, eps) up to 2⁶²,
+// nReporters from 0 to k, and estSum at the stored threshold ±2 and at the
+// ends of int64 and of the float sum's exact range.
+func FuzzHYZRoundEnd(f *testing.F) {
+	f.Add(uint8(0), uint64(0), uint8(0), 0.1)
+	f.Add(uint8(1), uint64(1000), uint8(1), 0.01)
+	f.Add(uint8(1), uint64(1<<53+1), uint8(4), 0.15)
+	f.Add(uint8(2), uint64(1<<40), uint8(17), 5e-5)
+	f.Add(uint8(2), uint64(1<<62), uint8(30), 0.9)
+	f.Fuzz(func(t *testing.T, kSel uint8, baseSel uint64, reporters uint8, eps float64) {
+		k := []int{1, 4, 30}[kSel%3]
+		if !(eps >= 1e-9 && eps < 1) {
+			eps = 0.1
+		}
+		first := ExactThreshold(k, eps)
+		rd := hyzRound{base: first + int64(baseSel%uint64(1<<62-first+1)), nReporters: int32(int(reporters) % (k + 1))}
+		rd.setProb(ReportProb(k, eps, rd.base))
+		rd.setEnd()
+		sat := func(d int64) int64 { // endSum + d, kept inside int64
+			if (d > 0 && rd.endSum > math.MaxInt64-d) || (d < 0 && rd.endSum < math.MinInt64-d) {
+				return rd.endSum
+			}
+			return rd.endSum + d
+		}
+		for _, s := range []int64{sat(-2), sat(-1), rd.endSum, sat(1), sat(2),
+			math.MinInt64, math.MinInt64 + 1, -1, 0, 1 << 53, 1<<53 + 1, math.MaxInt64 - 1, math.MaxInt64} {
+			rd.estSum = s
+			if got, want := rd.estSum >= rd.endSum, rd.inRound() >= float64(rd.base); got != want {
+				t.Fatalf("k=%d eps=%v base=%d nReporters=%d adj=%v: estSum %d >= endSum %d is %v, the float compare %v",
+					k, eps, rd.base, rd.nReporters, rd.adj, s, rd.endSum, got, want)
+			}
+		}
+	})
+}

@@ -11,8 +11,9 @@ import (
 // coordinator with, without replaying the stream. Only dynamic state is
 // serialized; the configuration (kind, k, ε, metrics tally, RNG) stays with
 // the receiving bank, which must have been constructed identically. Derived
-// round parameters (pThresh, adj) are recomputed from the restored round
-// base, exactly as openRoundHYZ would.
+// round parameters are recomputed, not read: pThresh and adj from the
+// restored round base, exactly as openRoundHYZ would, and the round-end
+// estSum endSum from those and the restored nReporters, as a report would.
 
 var (
 	// errExactCellRoundState rejects a record that carries round state for a
@@ -232,6 +233,7 @@ func (b *Bank) unmarshalRecords(count func(cell int) int64, flags, planes []byte
 			b.sites[s*k+i] = hyzSite{d: d(cell, i), r: r(cell, i)}
 		}
 		b.hyz[s].setProb(ReportProb(k, b.eps, b.hyz[s].base))
+		b.hyz[s].setEnd()
 	}
 	return nil
 }

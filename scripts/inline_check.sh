@@ -14,12 +14,19 @@
 # On the query side, core's (*Snapshot).Factor must inline into every line
 # of the snapshot's query kernels (view.go) that reads a factor: a kernel
 # that calls it instead pays a call per variable, 1 041 on munin.
+# On the ingest side, the column pass's per-event loops (core.columnCells,
+# tracker.go) must carry no bounds check: every line that indexes c0[e],
+# par[e] or pair[e] must be free of the IsInBounds that
+# -d=ssa/check_bce/debug=1 reports — a slice that loses its reslice to the
+# run length puts a compare and a branch back on each of a munin pass's
+# ~130k cells.
 # Run from anywhere: scripts/inline_check.sh (prints each check and exits 1
 # if any failed).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 out=$(go build -gcflags=-m ./internal/bn ./internal/counter ./internal/cluster ./internal/core 2>&1)
+bce=$(go build -gcflags=-d=ssa/check_bce/debug=1 ./internal/core 2>&1)
 fail=0
 
 # inlinable NAME: the compiler reports "can inline NAME".
@@ -52,6 +59,26 @@ inlined() {
 	done
 }
 
+# unchecked FILE PATTERN: no line of FILE matching PATTERN (a fixed string)
+# shows "Found IsInBounds" in the bounds-check report.
+unchecked() {
+	local file=$1 pattern=$2 lines line
+	lines=$(grep -nF "$pattern" "$file" | cut -d: -f1)
+	if [ -z "$lines" ]; then
+		echo "FAIL  no line of $file holds $pattern" >&2
+		fail=1
+		return
+	fi
+	for line in $lines; do
+		if awk -v at="$file:$line:" 'index($0, at) == 1 && index($0, ": Found IsInBounds") { found = 1 } END { exit !found }' <<<"$bce"; then
+			echo "FAIL  $file:$line checks bounds" >&2
+			fail=1
+		else
+			echo "ok    $file:$line has no bounds check"
+		fi
+	done
+}
+
 inlinable '(*RNG).Uint64'
 inlinable '(*RNG).Float64'
 inlinable 'OneWayReports'
@@ -67,4 +94,7 @@ inlined internal/bn/model.go 's.rng.Float64()' '(*RNG).Uint64'
 inlinable '(*Snapshot).Factor'
 inlined internal/core/view.go 'p *= s.Factor(' '(*Snapshot).Factor'
 inlined internal/core/view.go 'logOrNegInf(s.Factor(' '(*Snapshot).Factor'
+unchecked internal/core/tracker.go 'c0[e]'
+unchecked internal/core/tracker.go 'par[e]'
+unchecked internal/core/tracker.go 'pair[e]'
 exit $fail
