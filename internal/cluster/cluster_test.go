@@ -149,61 +149,6 @@ func TestClusterEndToEndExact(t *testing.T) {
 	}
 }
 
-// TestClusterMatchesSequentialCounts replays the same per-site streams
-// sequentially and verifies the coordinator's exact-strategy estimates equal
-// the literal counts.
-func TestClusterMatchesSequentialCounts(t *testing.T) {
-	cfg := Config{
-		NetName: "alarm", CPTSeed: 0xC0DE, Strategy: core.ExactMLE,
-		Sites: 3, Events: 999, StreamSeed: 17,
-	}
-	res, co, err := RunLocal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Events != 999 {
-		t.Fatalf("events = %d", res.Stats.Events)
-	}
-	netw := co.Network()
-	opt := netgen.DefaultCPTOptions()
-	opt.Seed = cfg.CPTSeed
-	cpds, err := netgen.GenCPTs(netw, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model, err := bn.NewModel(netw, cpds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	layout, err := newCounterLayout(netw, core.ExactMLE, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := make([]int64, layout.NumCounters())
-	per := cfg.Events / cfg.Sites
-	x := make([]int, netw.Len())
-	for site := 0; site < cfg.Sites; site++ {
-		ev := per
-		if site < cfg.Events%cfg.Sites {
-			ev++
-		}
-		sampler := model.NewSampler(cfg.StreamSeed + uint64(site))
-		for e := 0; e < ev; e++ {
-			sampler.Sample(x)
-			for i := 0; i < netw.Len(); i++ {
-				pidx := netw.ParentIndex(i, x)
-				counts[layout.PairID(i, x[i], pidx)]++
-				counts[layout.ParID(i, pidx)]++
-			}
-		}
-	}
-	for id, got := range allEstimates(co) {
-		if got != float64(counts[id]) {
-			t.Fatalf("counter %d: coordinator %v, sequential %d", id, got, counts[id])
-		}
-	}
-}
-
 func TestClusterApproximateAccuracyAndSavings(t *testing.T) {
 	exactCfg := Config{
 		NetName: "alarm", CPTSeed: 0xC0DE, Strategy: core.ExactMLE,
@@ -288,6 +233,8 @@ func TestConfigValidation(t *testing.T) {
 		{NetName: "alarm", Sites: 2, Events: 10, Strategy: core.Uniform, Eps: 0},
 		{NetName: "alarm", Sites: 2, Events: 10, Strategy: core.Baseline, Eps: math.NaN()},
 		{NetName: "alarm", Sites: 2, Events: 10, Strategy: core.Strategy(9), Eps: 0.1},
+		{NetName: "alarm", Sites: 2, Events: 10, Strategy: core.ExactMLE, HotSiteShare: math.NaN()},
+		{NetName: "alarm", Sites: 2, Events: 10, Strategy: core.ExactMLE, DriftNetName: "alarm", DriftAfter: math.NaN()},
 	}
 	for i, cfg := range bad {
 		if _, err := NewCoordinator(cfg, "127.0.0.1:0"); err == nil {

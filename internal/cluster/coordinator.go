@@ -137,7 +137,8 @@ func (c Config) validate() error {
 	if c.SiteBatchEvents < 0 {
 		return fmt.Errorf("cluster: site batch cadence = %d, want >= 0", c.SiteBatchEvents)
 	}
-	if c.HotSiteShare < 0 || c.HotSiteShare >= 1 {
+	// Written so that NaN fails: every comparison with NaN is false.
+	if !(c.HotSiteShare >= 0 && c.HotSiteShare < 1) {
 		return fmt.Errorf("cluster: hot-site share = %v, want [0, 1)", c.HotSiteShare)
 	}
 	if c.CheckpointEveryFrames < 0 {
@@ -155,7 +156,7 @@ func (c Config) validate() error {
 	if c.StructWindowBlocks < 0 {
 		return fmt.Errorf("cluster: struct window blocks = %d, want >= 0", c.StructWindowBlocks)
 	}
-	if c.DriftAfter < 0 || c.DriftAfter >= 1 {
+	if !(c.DriftAfter >= 0 && c.DriftAfter < 1) {
 		return fmt.Errorf("cluster: drift-after fraction = %v, want [0, 1)", c.DriftAfter)
 	}
 	if c.DriftNetName == "" && (c.DriftAfter != 0 || c.DriftCPTSeed != 0) {

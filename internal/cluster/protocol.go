@@ -28,7 +28,7 @@
 //     connection. Report decisions are made per increment by the same
 //     seeded site RNG in every mode and counts are monotone, so the window
 //     size changes how many frames carry the reports, never a final
-//     estimate (TestBatchedSitesBitIdenticalFewerFrames); a report is
+//     estimate (TestMatrix's cluster-batched row in internal/core); a report is
 //     delayed by at most one window, staleness of the same kind as the
 //     trailing gap the report probability already models.
 //   - Receive: tier.serve (tier.go) is the only connection path of a
@@ -98,16 +98,18 @@
 //     counter.OneWayEstimate over the sites' last reports
 //     (Coordinator.estimatesLocked). Both functions live in internal/counter,
 //     so a core.Tracker running the kind reproduces a cluster run bit for
-//     bit (TestOneWayTrackerReproducesClusterRun in internal/core), and the
+//     bit (TestMatrix's oneway-tracker rows in internal/core), and the
 //     counter package doc sets its message cost beside HYZ's. This removes
 //     the synchronization round-trips and every coordinator → site message;
 //     no theorem of the paper covers it, and the trade-off is imprecision
-//     under skewed routing, measured by
-//     TestSkewedRoutingImprecision: on ALARM with ε = 0.1, k = 8 and 40K
-//     events, the worst relative error over well-populated counters was
-//     ≈0.003 (0.03·ε) under even routing and ≈0.011 (0.11·ε) with 90% of
-//     the stream routed to one hot site — roughly a 3× degradation, still
-//     an order of magnitude inside the ε budget.
+//     under skewed routing, measured by TestMatrix's cluster-flat,
+//     cluster-hot50 and cluster-hot90 rows: on ALARM with ε = 0.9, k = 4
+//     and 2 000 events, the share of counters past their exact phase whose
+//     estimate misses its count by more than ε′ is 10–14 % under even
+//     routing, 12–15 % with half the stream routed to one hot site and
+//     39–43 % with 90 % — as for the test's own one-way reference counter
+//     on the same events (10–12, 14–16 and 40–41 %), which the rows hold
+//     them to.
 //  2. The paper's transmission optimization is applied: all counter updates
 //     triggered by one event are merged into a single frame, and an event
 //     that triggers no update sends nothing. Batching extends the same idea

@@ -269,57 +269,6 @@ func TestStructLayout(t *testing.T) {
 	}
 }
 
-// TestStructOverlayLeavesFlatEstimatesIdentical runs the same stream with
-// structure learning off and on: the overlay must not perturb the flat
-// counter protocol — every coordinator estimate stays bit-identical — while
-// the struct-on run additionally produces a learned structure.
-func TestStructOverlayLeavesFlatEstimatesIdentical(t *testing.T) {
-	cfg := Config{
-		NetName: "tree:8:3:5", CPTSeed: 0xC0DE, Strategy: core.ExactMLE,
-		Sites: 3, Events: 3000, StreamSeed: 11,
-	}
-	_, off, err := RunLocal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	onCfg := cfg
-	onCfg.StructBatchEvents = 128
-	_, on, err := RunLocal(onCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	offEst, onEst := allEstimates(off), allEstimates(on)
-	if len(offEst) != len(onEst) {
-		t.Fatalf("%d counters struct-off, %d struct-on", len(offEst), len(onEst))
-	}
-	for id, a := range offEst {
-		if b := onEst[id]; a != b {
-			t.Fatalf("counter %d: struct-off %v != struct-on %v", id, a, b)
-		}
-	}
-	if _, _, ok := off.LearnedStructure(); ok {
-		t.Error("struct-off run reports a learned structure")
-	}
-	if _, err := off.AcquireLearnedSnapshot(); err == nil {
-		t.Error("struct-off AcquireLearnedSnapshot succeeded")
-	}
-	netw, epoch, ok := on.LearnedStructure()
-	if !ok || netw == nil || epoch == 0 {
-		t.Fatalf("struct-on run has no learned structure (ok=%v epoch=%d)", ok, epoch)
-	}
-	snap, err := on.AcquireLearnedSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer snap.Release()
-	if snap.StructureEpoch() != epoch {
-		t.Errorf("snapshot epoch %d != %d", snap.StructureEpoch(), epoch)
-	}
-	if _, err := snap.Model(); err != nil {
-		t.Errorf("learned snapshot model: %v", err)
-	}
-}
-
 // TestDriftRelearnsPostDriftTree runs online structure learning under
 // structure drift: every site's generating model switches at mid-stream from
 // one random 12-variable tree to another over the same variables, and the

@@ -67,81 +67,6 @@ func cfgFor(st Strategy, shards int) Config {
 	return Config{Strategy: st, Eps: 0.15, Delta: 0.25, Sites: 4, Seed: 42, Shards: shards}
 }
 
-// TestBatchedIngestionMatchesSequential asserts that for every strategy, a
-// single-stripe tracker fed the same ordered stream through UpdateEvents (in
-// odd-sized batches) and through an Ingest pump produces results
-// bit-identical to the sequential per-event Update loop: same exact counts,
-// same message tallies, same query answers.
-func TestBatchedIngestionMatchesSequential(t *testing.T) {
-	m := testModel(t)
-	const events = 12000
-	evs := genEventStream(m, 4, events, 7)
-
-	for _, st := range allStrategies {
-		st := st
-		t.Run(st.String(), func(t *testing.T) {
-			seq, err := NewTracker(m.Network(), cfgFor(st, 0))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, ev := range evs {
-				seq.Update(ev.Site, ev.X)
-			}
-
-			batched, err := NewTracker(m.Network(), cfgFor(st, 1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for lo := 0; lo < len(evs); lo += 77 {
-				batched.UpdateEvents(evs[lo:min(lo+77, len(evs))])
-			}
-
-			pumped, err := NewTracker(m.Network(), cfgFor(st, 1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ch := make(chan Event, 64)
-			go func() {
-				for _, ev := range evs {
-					ch <- ev
-				}
-				close(ch)
-			}()
-			n, err := pumped.Ingest(context.Background(), ch)
-			if err != nil {
-				t.Fatalf("Ingest: %v", err)
-			}
-			if n != events {
-				t.Fatalf("Ingest consumed %d events, want %d", n, events)
-			}
-
-			wantCells := cellCounts(t, seq)
-			wantMsgs := seq.Messages()
-			wantQueries := queryAll(seq)
-			for name, tr := range map[string]*Tracker{"batched": batched, "pumped": pumped} {
-				if got := tr.Events(); got != seq.Events() {
-					t.Errorf("%s: events = %d, want %d", name, got, seq.Events())
-				}
-				if got := tr.Messages(); got != wantMsgs {
-					t.Errorf("%s: messages = %+v, want %+v", name, got, wantMsgs)
-				}
-				gotCells := cellCounts(t, tr)
-				for c := range wantCells {
-					if gotCells[c] != wantCells[c] {
-						t.Fatalf("%s: cell %d counts = %v, want %v", name, c, gotCells[c], wantCells[c])
-					}
-				}
-				gotQ := queryAll(tr)
-				for q := range wantQueries {
-					if gotQ[q] != wantQueries[q] {
-						t.Fatalf("%s: query %d = %v, want %v", name, q, gotQ[q], wantQueries[q])
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestConcurrentShardedExactCounts partitions one stream by site and feeds a
 // multi-stripe tracker from one goroutine per site. Exact counts are
 // order-independent, so they must match the sequential reference for every

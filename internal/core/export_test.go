@@ -23,3 +23,7 @@ func NewOneWayTracker(net *bn.Network, cfg Config) (*Tracker, error) {
 // Reseed restarts the generator of the first stripe — every randomized bank's
 // on a sequential tracker — at bn.NewRNG(seed).
 func (t *Tracker) Reseed(seed uint64) { *t.shards[0].rng = *bn.NewRNG(seed) }
+
+// Estimates returns variable i's raw estimate row: its J_i·K_i pair
+// estimates at pidx·J_i+v, then its K_i parent estimates.
+func (s *Snapshot) Estimates(i int) []float64 { return s.est[i] }

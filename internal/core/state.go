@@ -16,7 +16,7 @@ import (
 // restart without replaying the stream; LoadState restores it into a tracker
 // built over the same network with the same Config. Restoring and continuing
 // the stream is bit-for-bit identical to never having stopped (see
-// TestCheckpointRoundTripEquivalence).
+// TestMatrix's tracker-restored row).
 //
 // Format DBAYES03: counter state is written as one length-prefixed record
 // per bank (two banks per variable — pair then parent), matching the flat

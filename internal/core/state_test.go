@@ -20,65 +20,6 @@ func genEvents(m *bn.Model, count, sites int, seed uint64) (sitesOut []int, even
 	return
 }
 
-func TestCheckpointRoundTripEquivalence(t *testing.T) {
-	m := chainModel(t, 20, 3, 4)
-	net := m.Network()
-	cfg := Config{Strategy: NonUniform, Eps: 0.15, Sites: 8, Seed: 99}
-	sites, events := genEvents(m, 20000, cfg.Sites, 7)
-
-	// Reference: uninterrupted run over all events.
-	ref, err := NewTracker(net, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for e := range events {
-		ref.Update(sites[e], events[e])
-	}
-
-	// Checkpointed: first half, save, restore into a fresh tracker, second
-	// half.
-	first, err := NewTracker(net, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for e := 0; e < 10000; e++ {
-		first.Update(sites[e], events[e])
-	}
-	var buf bytes.Buffer
-	if err := first.SaveState(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := NewTracker(net, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.LoadState(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	if restored.Events() != 10000 {
-		t.Fatalf("restored events = %d", restored.Events())
-	}
-	for e := 10000; e < len(events); e++ {
-		restored.Update(sites[e], events[e])
-	}
-
-	// Bit-for-bit equivalence: message metrics and every CPD estimate.
-	if restored.Messages() != ref.Messages() {
-		t.Errorf("messages diverged: restored %+v, reference %+v", restored.Messages(), ref.Messages())
-	}
-	for i := 0; i < net.Len(); i++ {
-		for pidx := 0; pidx < net.ParentCard(i); pidx++ {
-			for v := 0; v < net.Card(i); v++ {
-				a := restored.QueryCPD(i, v, pidx)
-				b := ref.QueryCPD(i, v, pidx)
-				if a != b {
-					t.Fatalf("CPD(%d,%d,%d) diverged: %v vs %v", i, v, pidx, a, b)
-				}
-			}
-		}
-	}
-}
-
 func TestCheckpointExactStrategy(t *testing.T) {
 	m := testModel(t)
 	net := m.Network()

@@ -46,73 +46,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestExactMLEMatchesLiteralCounting(t *testing.T) {
-	m := testModel(t)
-	net := m.Network()
-	tr, err := NewTracker(net, Config{Strategy: ExactMLE, Sites: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	s := m.NewSampler(99)
-	const events = 5000
-	// Literal counts for comparison.
-	pairCount := map[[3]int]int{} // (var, value, pidx)
-	parCount := map[[2]int]int{}  // (var, pidx)
-	x := make([]int, net.Len())
-	for e := 0; e < events; e++ {
-		s.Sample(x)
-		tr.Update(e%4, x)
-		for i := 0; i < net.Len(); i++ {
-			pidx := net.ParentIndex(i, x)
-			pairCount[[3]int{i, x[i], pidx}]++
-			parCount[[2]int{i, pidx}]++
-		}
-	}
-
-	if tr.Events() != events {
-		t.Errorf("Events = %d, want %d", tr.Events(), events)
-	}
-	// Lemma 5 accounting: 2n messages per event, no broadcasts.
-	wantMsgs := int64(2 * net.Len() * events)
-	if got := tr.Messages(); got.SiteToCoord != wantMsgs || got.CoordToSite != 0 {
-		t.Errorf("messages = %+v, want %d up / 0 down", got, wantMsgs)
-	}
-
-	// QueryProb equals the product of empirical ratios.
-	queries := [][]int{{0, 0, 0}, {1, 2, 1}, {0, 1, 1}, {1, 1, 0}}
-	for _, q := range queries {
-		want := 1.0
-		for i := 0; i < net.Len(); i++ {
-			pidx := net.ParentIndex(i, q)
-			pc := parCount[[2]int{i, pidx}]
-			if pc == 0 {
-				want = 0
-				break
-			}
-			want *= float64(pairCount[[3]int{i, q[i], pidx}]) / float64(pc)
-		}
-		if got := tr.QueryProb(q); math.Abs(got-want) > 1e-12 {
-			t.Errorf("QueryProb(%v) = %v, want %v", q, got, want)
-		}
-	}
-
-	// ExactCount must agree with the literal tally.
-	for i := 0; i < net.Len(); i++ {
-		for pidx := 0; pidx < net.ParentCard(i); pidx++ {
-			for v := 0; v < net.Card(i); v++ {
-				gotPair, gotPar := tr.ExactCount(i, v, pidx)
-				if gotPair != int64(pairCount[[3]int{i, v, pidx}]) {
-					t.Fatalf("pair count (%d,%d,%d) = %d, want %d", i, v, pidx, gotPair, pairCount[[3]int{i, v, pidx}])
-				}
-				if gotPar != int64(parCount[[2]int{i, pidx}]) {
-					t.Fatalf("par count (%d,%d) = %d, want %d", i, pidx, gotPar, parCount[[2]int{i, pidx}])
-				}
-			}
-		}
-	}
-}
-
 func TestUpdateSiteRangePanics(t *testing.T) {
 	tr, err := NewTracker(testModel(t).Network(), Config{Strategy: ExactMLE, Sites: 2})
 	if err != nil {

@@ -17,8 +17,8 @@
 //     routed to sites uniformly ("deviation #1" in the cluster package
 //     comment): a site that sees more than its 1/k share of the stream
 //     overestimates the global count and reports less often than an ε
-//     bound would need (internal/cluster's TestSkewedRoutingImprecision
-//     measures by how much). See oneway.go.
+//     bound would need (the cluster-hot rows of internal/core's TestMatrix
+//     measure by how much). See oneway.go.
 //
 // What they cost, at equal k and stream (alarm, NONUNIFORM, ε = 0.1,
 // 2¹⁷ events over stream.NewSiteTrainings, sites taking turns; measured and
