@@ -60,7 +60,15 @@ func (g *gate) leave() {
 	}
 }
 
-// inFlight and waiting are point-in-time reads for /statsz.
+// limits, inFlight and waiting are the configuration and point-in-time
+// reads for /statsz.
+func (g *gate) limits() (maxConcurrent, maxQueue int) {
+	if g == nil {
+		return 0, 0
+	}
+	return cap(g.sem), int(g.maxQueue)
+}
+
 func (g *gate) inFlight() int {
 	if g == nil {
 		return 0
@@ -79,10 +87,12 @@ func (g *gate) waiting() int {
 // derived from the request's own context. Its context, and the runtime
 // timer behind it, is made only when the request has to wait for a slot —
 // queued at the gate or for the snapshot refresh — so a request that finds
-// a free slot and a fresh snapshot makes neither.
+// a free slot and a fresh snapshot makes neither. A request served by
+// Start's loop also ends its wait when its client hangs up (conn.watch).
 type deadline struct {
 	parent context.Context // the request's own
 	at     time.Time       // zero: no timeout, only the parent
+	conn   *conn           // nil: served through Handler by another server
 	ctx    context.Context
 	cancel context.CancelFunc
 }
@@ -91,10 +101,17 @@ type deadline struct {
 // once the deadline passes or the client goes away.
 func (d *deadline) wait(slot chan<- struct{}) error {
 	if d.ctx == nil {
-		d.ctx = d.parent
-		if !d.at.IsZero() {
+		switch {
+		case !d.at.IsZero():
 			d.ctx, d.cancel = context.WithDeadline(d.parent, d.at)
+		case d.conn != nil:
+			d.ctx, d.cancel = context.WithCancel(d.parent)
+		default:
+			d.ctx = d.parent
 		}
+	}
+	if d.conn != nil {
+		defer d.conn.watch(d.cancel)()
 	}
 	select {
 	case slot <- struct{}{}:

@@ -29,9 +29,14 @@
 // re-acquiring. This also bounds the rebuild rate under a query hammer —
 // a munin-scale rebuild bulk-reads 123 140 counters
 // (counter.Bank.EstimateRange), and acquiring per request would rebuild
-// per request whenever ingest runs hot. Set it negative to re-acquire on
-// every request (strict freshness, same answers a direct Tracker query
-// would give at that instant).
+// per request whenever ingest runs hot. The server refreshes ahead: a
+// request that finds the shared snapshot older than MaxSnapshotAge/2 starts
+// one background refresh through the refresh slot and is answered from the
+// cached snapshot, so under steady load no request waits for a rebuild; a
+// request that finds it older than MaxSnapshotAge waits for the refresh as
+// before. Set it negative to re-acquire on every request (strict
+// freshness, same answers a direct Tracker query would give at that
+// instant; no refresh ahead).
 //
 // # Degraded mode
 //
@@ -60,9 +65,11 @@
 // (BenchmarkServeOverload measures exactly this). Each request carries a
 // Config.RequestTimeout deadline, counted from its arrival and derived from
 // its own context, that is honored while queued at the gate and while
-// waiting on a snapshot refresh; deadline expiry yields 503. The deadline's
-// context and timer are created only when a request waits: one that finds a
-// free slot and a fresh snapshot creates neither. /statsz and /healthz
+// waiting on a snapshot refresh; deadline expiry yields 503, and so does a
+// client that hangs up while its request waits (Start's loop reads the
+// connection while a request waits, and only then). The deadline's context
+// and timer are created only when a request waits: one that finds a free
+// slot and a fresh snapshot creates neither. /statsz and /healthz
 // bypass the gate so the server stays observable under overload, and a
 // panic-recovery middleware turns a panicking handler into a 500 without
 // taking the process down.
@@ -76,12 +83,23 @@
 // decoders. The request decoders read a body in one pass and refuse a
 // positional assignment (CSV or "x") at its (n+1)-th value on an n-variable
 // network, so what they allocate for one is bounded by the network, not by
-// the body (they are fuzzed against encoding/json: FuzzServeRequest). Every decoded name and value is validated
-// against the network, subset queries must be ancestrally closed, and
-// Shutdown drains in-flight requests before releasing the cached
-// snapshot. The HTTP server's read-header/read/write/idle timeouts are
-// all configurable so a stalled client cannot hold a connection (or a
-// drain) open indefinitely.
+// the body (they are fuzzed against encoding/json: FuzzServeRequest). Every
+// decoded name and value is validated against the network, subset queries
+// must be ancestrally closed, and Shutdown closes idle connections and
+// drains in-flight requests before releasing the cached snapshot.
+//
+// Start serves HTTP/1.1 from its own keep-alive loop (conn.go): one goroutine
+// per connection parses each request with http.ReadRequest, runs Handler
+// into a buffered writer and sends status line, headers and body in one
+// write, with no goroutine per request. It keeps http.Server's limits: a
+// header block over http.DefaultMaxHeaderBytes is 431, a malformed request
+// 400, an unread body is discarded up to 256 KiB before the connection is
+// reused, and the read-header, read, write and idle timeouts have
+// http.Server's meaning, so a stalled client cannot hold a connection (or a
+// drain) open indefinitely. It also answers "Expect: 100-continue", HEAD,
+// "Connection: close" and HTTP/1.0; FuzzServeConn holds it to replies that
+// parse. It does not speak HTTP/2, sniff a Content-Type, or cancel a
+// request's context while its handler computes (docs/removed.md).
 //
 // See examples/serving for an end-to-end run: a TCP cluster training
 // while an attached server answers a closed-loop client mix.
@@ -89,6 +107,7 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -156,10 +175,14 @@ type Config struct {
 	// at the admission gate and while waiting on a snapshot refresh
 	// (0 = DefaultRequestTimeout, negative = none).
 	RequestTimeout time.Duration
-	// ReadHeaderTimeout, ReadTimeout, WriteTimeout and IdleTimeout
-	// configure the underlying http.Server (Start only). Defaults:
+	// ReadHeaderTimeout, ReadTimeout, WriteTimeout and IdleTimeout bound
+	// Start's connections as the same-named http.Server fields do: the
+	// request's header block, the whole request with its body, the time
+	// from the end of the header block to the end of the reply, and the
+	// wait for the next request on a kept connection. Defaults:
 	// DefaultReadHeaderTimeout, no read timeout, DefaultWriteTimeout,
-	// DefaultIdleTimeout; negative disables one.
+	// DefaultIdleTimeout; negative disables one, and a disabled header or
+	// idle timeout falls back to the read timeout, as in http.Server.
 	ReadHeaderTimeout time.Duration
 	ReadTimeout       time.Duration
 	WriteTimeout      time.Duration
@@ -167,7 +190,7 @@ type Config struct {
 }
 
 // timeoutOr resolves the config convention: zero → def, negative →
-// disabled (0, the http.Server "no timeout" value).
+// disabled (0, "no timeout").
 func timeoutOr(v, def time.Duration) time.Duration {
 	if v == 0 {
 		return def
@@ -206,18 +229,26 @@ type Server struct {
 
 	mux     *http.ServeMux
 	handler http.Handler // mux wrapped in panic recovery
-	hs      *http.Server
 	ln      net.Listener
 	served  chan struct{} // closed when Start's accept goroutine has exited
 	gate    *gate         // nil = unlimited
+
+	// mu guards the connections Start's loop serves (conn.go); once
+	// closing is set, the last connection to go closes drained.
+	mu      sync.Mutex
+	conns   map[*conn]struct{}
+	closing bool
+	drained chan struct{}
+	woke    atomic.Int64 // unix nanos of the loop's last wake (conn.go)
 
 	// cache is the shared snapshot acquisition. refreshMu is a 1-slot
 	// channel serializing re-acquisition — a stale cache triggers one
 	// source rebuild, not one per waiting request — chosen over a mutex
 	// so waiters can abandon the wait when their request deadline
-	// expires.
+	// expires. ahead counts the background refreshes that hold it.
 	refreshMu chan struct{}
 	cache     atomic.Pointer[cachedSnap]
+	ahead     sync.WaitGroup
 
 	// degraded flips when a refresh fails and clears on the next success;
 	// while set, the fast path is bypassed so every request re-probes the
@@ -241,10 +272,12 @@ type Server struct {
 	lastVersion      atomic.Uint64
 	byEndpoint       map[string]*atomic.Int64
 	lat              histogram
-	// refreshWait times each source acquisition a refresh makes: for a
-	// tracker source, the snapshot rebuild the refreshing request waits on.
-	refreshWait histogram
-	qps         qpsWindow
+	// refreshWait times each source acquisition a request waits on: for a
+	// tracker source, a snapshot rebuild; refreshAhead times those made in
+	// the background.
+	refreshWait  histogram
+	refreshAhead histogram
+	qps          qpsWindow
 	// scratches holds *scratch, the decoders' n-sized buffers, each taken
 	// by one request and given back once its answer is written.
 	scratches sync.Pool
@@ -269,6 +302,9 @@ func New(cfg Config) (*Server, error) {
 		refreshMu:         make(chan struct{}, 1),
 		start:             time.Now(),
 	}
+	// As in http.Server, an unset header or idle timeout is the read timeout.
+	s.readHeaderTimeout = cmp.Or(s.readHeaderTimeout, s.readTimeout)
+	s.idleTimeout = cmp.Or(s.idleTimeout, s.readTimeout)
 	if s.maxBody == 0 {
 		s.maxBody = DefaultMaxBodyBytes
 	}
@@ -318,11 +354,11 @@ func New(cfg Config) (*Server, error) {
 // serving through it.
 func (s *Server) Handler() http.Handler { return s.handler }
 
-// Start binds addr and serves in a background goroutine; it returns once
-// the listener is bound, so Addr is valid immediately (use ":0" to let the
-// kernel pick a port).
+// Start binds addr and serves HTTP/1.1 in a background goroutine, one more
+// per connection (conn.go); it returns once the listener is bound, so Addr is
+// valid immediately (use ":0" to let the kernel pick a port).
 func (s *Server) Start(addr string) error {
-	if s.hs != nil {
+	if s.ln != nil {
 		return fmt.Errorf("serve: already started")
 	}
 	ln, err := net.Listen("tcp", addr)
@@ -330,18 +366,10 @@ func (s *Server) Start(addr string) error {
 		return err
 	}
 	s.ln = ln
-	s.hs = &http.Server{
-		Handler:           s.handler,
-		ReadHeaderTimeout: s.readHeaderTimeout,
-		ReadTimeout:       s.readTimeout,
-		WriteTimeout:      s.writeTimeout,
-		IdleTimeout:       s.idleTimeout,
-	}
+	s.conns = make(map[*conn]struct{})
 	s.served = make(chan struct{})
-	go func() {
-		defer close(s.served)
-		s.hs.Serve(ln) // returns once Shutdown has closed the listener
-	}()
+	s.drained = make(chan struct{})
+	go s.accept(ln)
 	return nil
 }
 
@@ -349,21 +377,31 @@ func (s *Server) Start(addr string) error {
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // Shutdown flips /healthz to draining, stops accepting connections and joins
-// the accept goroutine Start launched, drains in-flight requests (every
-// accepted request completes and its response is written), then releases the
-// cached snapshot reference —
-// taken under the refresh slot so the release cannot race an in-flight
-// refresh publishing a new snapshot. The context bounds the drain, as in
-// net/http.Server.Shutdown.
+// the accept goroutine Start launched, closes idle connections and drains
+// in-flight requests (every accepted request completes, its response is
+// written and its connection goroutine exits), then joins any background
+// refresh and releases the cached snapshot reference — taken under the
+// refresh slot so the release cannot race a refresh publishing a new
+// snapshot. The context bounds the drain, as in net/http.Server.Shutdown; past
+// it, every connection is closed.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	var err error
-	if s.hs != nil {
-		err = s.hs.Shutdown(ctx)
+	if s.ln != nil {
+		s.ln.Close()
 		<-s.served
+		if !s.closeConns(false) {
+			select {
+			case <-s.drained:
+			case <-ctx.Done():
+				s.closeConns(true)
+				err = ctx.Err()
+			}
+		}
 	}
 	select {
 	case s.refreshMu <- struct{}{}:
+		s.ahead.Wait()
 		if old := s.cache.Swap(nil); old != nil {
 			s.releaseRef(old)
 		}
@@ -401,20 +439,26 @@ func (s *Server) withRecovery(next http.Handler) http.Handler {
 // acquireRef returns a referenced snapshot for one request (pair with
 // releaseRef) plus whether it is a degraded last-good snapshot. The fast
 // path shares the cached acquisition while it is younger than maxAge and
-// the server is healthy; the slow path funnels through the 1-slot refresh
-// channel — one source probe no matter how many requests found the cache
-// stale — abandoning the wait if the request's deadline passes first. On
-// refresh failure the last-good cache keeps serving (degraded) until it is
-// older than maxDegraded.
+// the server is healthy, and past maxAge/2 starts a background refresh
+// (startRefresh) so that under steady load no request waits for a rebuild;
+// the slow path funnels through the 1-slot refresh channel — one source
+// probe no matter how many requests found the cache stale — abandoning the
+// wait if the request's deadline passes first. On refresh failure the
+// last-good cache keeps serving (degraded) until it is older than
+// maxDegraded.
 func (s *Server) acquireRef(dl *deadline) (*cachedSnap, bool, error) {
 	for {
 		if s.maxAge >= 0 && !s.degraded.Load() {
-			c := s.cache.Load()
-			if c != nil && time.Since(c.acquired) <= s.maxAge {
-				if r := c.refs.Load(); r > 0 && c.refs.CompareAndSwap(r, r+1) {
-					return c, false, nil
+			if c := s.cache.Load(); c != nil {
+				if age := time.Since(c.acquired); age <= s.maxAge {
+					if r := c.refs.Load(); r > 0 && c.refs.CompareAndSwap(r, r+1) {
+						if age > s.maxAge/2 {
+							s.startRefresh()
+						}
+						return c, false, nil
+					}
+					continue // swapped out or contended; retry
 				}
-				continue // swapped out or contended; retry
 			}
 		}
 		select {
@@ -424,23 +468,42 @@ func (s *Server) acquireRef(dl *deadline) (*cachedSnap, bool, error) {
 				return nil, false, err
 			}
 		}
-		var (
-			c        *cachedSnap
-			degraded bool
-			err      error
-		)
-		func() {
-			defer func() { <-s.refreshMu }() // release the slot even if the source panics
-			c, degraded, err = s.refreshLocked()
-		}()
-		return c, degraded, err
+		return s.refreshLocked()
 	}
 }
 
-// refreshLocked runs with the refresh slot held: re-check the cache, probe
-// the source, and on failure fall back to the last-good snapshot within
-// the degraded ceiling.
+// startRefresh starts one background refresh, unless a refresh holds the
+// slot or Shutdown has begun. It holds the slot while it runs, so a request
+// that finds the cache past maxAge meanwhile waits for it, and Shutdown joins
+// it. A failure is handled like a foreground one.
+func (s *Server) startRefresh() {
+	select {
+	case s.refreshMu <- struct{}{}:
+	default:
+		return
+	}
+	if s.draining.Load() {
+		<-s.refreshMu
+		return
+	}
+	s.ahead.Add(1)
+	go func() {
+		defer s.ahead.Done()
+		defer func() { <-s.refreshMu }()
+		defer func() {
+			if recover() != nil { // a panicking source fails no request here
+				s.panics.Add(1)
+			}
+		}()
+		s.probe(&s.refreshAhead)
+	}()
+}
+
+// refreshLocked runs with the refresh slot held and releases it, even if the
+// source panics: re-check the cache, probe the source, and on failure fall
+// back to the last-good snapshot within the degraded ceiling.
 func (s *Server) refreshLocked() (*cachedSnap, bool, error) {
+	defer func() { <-s.refreshMu }()
 	if s.maxAge >= 0 && !s.degraded.Load() {
 		if c := s.cache.Load(); c != nil && time.Since(c.acquired) <= s.maxAge {
 			// Someone refreshed while we waited for the slot. The cache
@@ -450,24 +513,10 @@ func (s *Server) refreshLocked() (*cachedSnap, bool, error) {
 			return c, false, nil
 		}
 	}
-	t0 := time.Now()
-	snap, err := s.src.AcquireSnapshot()
-	s.refreshWait.observe(time.Since(t0))
+	nc, err := s.probe(&s.refreshWait)
 	if err == nil {
-		s.degraded.Store(false)
-		nc := &cachedSnap{snap: snap, acquired: time.Now()}
-		nc.refs.Store(2) // the cache slot plus this request
-		if old := s.cache.Swap(nc); old != nil {
-			s.releaseRef(old) // the cache slot's reference
-		}
-		s.noteAcquire(nc)
+		nc.refs.Add(1) // this request's, beside the cache slot's
 		return nc, false, nil
-	}
-	s.refreshErrs.Add(1)
-	msg := err.Error()
-	s.lastRefreshErr.Store(&msg)
-	if s.degraded.CompareAndSwap(false, true) {
-		s.degradedSince.Store(time.Now().UnixNano())
 	}
 	c := s.cache.Load()
 	if c == nil || s.maxDegraded < 0 {
@@ -482,6 +531,32 @@ func (s *Server) refreshLocked() (*cachedSnap, bool, error) {
 	c.refs.Add(1) // safe: only a swap under the refresh slot retires the cache reference
 	s.degradedServed.Add(1)
 	return c, true, nil
+}
+
+// probe runs with the refresh slot held: it acquires a snapshot from the
+// source, timed into h, and publishes it as the cache, or records the failure
+// and enters degraded mode.
+func (s *Server) probe(h *histogram) (*cachedSnap, error) {
+	t0 := time.Now()
+	snap, err := s.src.AcquireSnapshot()
+	h.observe(time.Since(t0))
+	if err != nil {
+		s.refreshErrs.Add(1)
+		msg := err.Error()
+		s.lastRefreshErr.Store(&msg)
+		if s.degraded.CompareAndSwap(false, true) {
+			s.degradedSince.Store(time.Now().UnixNano())
+		}
+		return nil, err
+	}
+	s.degraded.Store(false)
+	nc := &cachedSnap{snap: snap, acquired: time.Now()}
+	nc.refs.Store(1) // the cache slot
+	if old := s.cache.Swap(nc); old != nil {
+		s.releaseRef(old) // the cache slot's reference
+	}
+	s.noteAcquire(nc)
+	return nc, nil
 }
 
 // releaseRef drops one reference; the last drop releases the source
@@ -609,6 +684,7 @@ func recycleBody(buf *bytes.Buffer) {
 // answer is computed.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request, method string, buf *bytes.Buffer) ([]byte, int, error) {
 	if r.Method != method {
+		w.Header().Set("Allow", method)
 		return nil, http.StatusMethodNotAllowed, fmt.Errorf("serve: %s wants %s", r.URL.Path, method)
 	}
 	if r.ContentLength > s.maxBody {
@@ -661,6 +737,7 @@ func (s *Server) handle(ctr *atomic.Int64, method string, fn func(sc *scratch, b
 		s.qps.record(started.Unix())
 		ctr.Add(1)
 		dl := deadline{parent: r.Context()}
+		dl.conn, _ = w.(*conn) // Start's loop: watch for a hang-up while waiting
 		if s.reqTimeout > 0 {
 			dl.at = started.Add(s.reqTimeout)
 		}
@@ -894,8 +971,6 @@ func (s *Server) Stats() Stats {
 		QPS:           s.qps.rate(now.Unix()),
 		ByEndpoint:    make(map[string]int64, len(s.byEndpoint)),
 		Admission: AdmissionStats{
-			MaxConcurrent:    cap(s.gateSem()),
-			MaxQueue:         s.gateMaxQueue(),
 			InFlight:         s.gate.inFlight(),
 			Queued:           s.gate.waiting(),
 			Shed:             s.shed.Load(),
@@ -908,11 +983,14 @@ func (s *Server) Stats() Stats {
 			RefreshErrors: s.refreshErrs.Load(),
 		},
 		Snapshot: SnapshotStats{
-			Acquires:             s.acquires.Load(),
-			Refreshes:            s.refreshes.Load(),
-			RefreshWaitCount:     s.refreshWait.count.Load(),
-			RefreshWaitP50Micros: s.refreshWait.quantile(0.50),
-			RefreshWaitP99Micros: s.refreshWait.quantile(0.99),
+			Acquires:              s.acquires.Load(),
+			Refreshes:             s.refreshes.Load(),
+			RefreshWaitCount:      s.refreshWait.count.Load(),
+			RefreshWaitP50Micros:  s.refreshWait.quantile(0.50),
+			RefreshWaitP99Micros:  s.refreshWait.quantile(0.99),
+			RefreshAheadCount:     s.refreshAhead.count.Load(),
+			RefreshAheadP50Micros: s.refreshAhead.quantile(0.50),
+			RefreshAheadP99Micros: s.refreshAhead.quantile(0.99),
 		},
 		Latency: LatencyStats{
 			Count:             s.lat.count.Load(),
@@ -922,6 +1000,7 @@ func (s *Server) Stats() Stats {
 			BucketsPow2Micros: s.lat.snapshot(),
 		},
 	}
+	st.Admission.MaxConcurrent, st.Admission.MaxQueue = s.gate.limits()
 	if st.Degraded.Active {
 		st.Degraded.SinceSeconds = now.Sub(time.Unix(0, s.degradedSince.Load())).Seconds()
 	}
@@ -943,18 +1022,4 @@ func (s *Server) Stats() Stats {
 		}
 	}
 	return st
-}
-
-func (s *Server) gateSem() chan struct{} {
-	if s.gate == nil {
-		return nil
-	}
-	return s.gate.sem
-}
-
-func (s *Server) gateMaxQueue() int {
-	if s.gate == nil {
-		return 0
-	}
-	return int(s.gate.maxQueue)
 }

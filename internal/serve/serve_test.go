@@ -278,8 +278,16 @@ func TestServeRequestValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET queryprob: status %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != http.MethodPost {
+		t.Fatalf("GET queryprob: status %d, Allow %q", resp.StatusCode, resp.Header.Get("Allow"))
+	}
+	resp, err = http.Post("http://"+addr+"/v1/model", "application/json", strings.NewReader("{}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != http.MethodGet {
+		t.Fatalf("POST model: status %d, Allow %q", resp.StatusCode, resp.Header.Get("Allow"))
 	}
 
 	big := strings.Repeat("9,", 4096)
@@ -545,6 +553,40 @@ func TestRefreshWaitCountsAcquisitions(t *testing.T) {
 	}
 	if st.Snapshot.RefreshWaitCount != after.RefreshWaitCount || st.Snapshot.RefreshWaitP50Micros != after.RefreshWaitP50Micros {
 		t.Errorf("/statsz refresh wait %+v, Stats %+v", st.Snapshot, after)
+	}
+}
+
+// TestRefreshAheadUnderSteadyLoad: with ingest beside a steady stream of
+// queries, the snapshot is rebuilt in the background — a query that finds it
+// past MaxSnapshotAge/2 starts one build and is answered from the cache — so
+// background builds are counted and the refreshes requests wait on stay
+// where the first query left them.
+func TestRefreshAheadUnderSteadyLoad(t *testing.T) {
+	model, tr := newAlarmTracker(t, 2000, 0)
+	const maxAge = 40 * time.Millisecond
+	srv := startServer(t, Config{Source: NewTrackerSource(tr), MaxSnapshotAge: maxAge})
+	x := make([]int, model.Network().Len())
+	if code, b := post(t, srv.Addr(), "/v1/queryprob", csvBody(x)); code != http.StatusOK {
+		t.Fatalf("queryprob: status %d: %s", code, b)
+	}
+	before := srv.Stats().Snapshot
+	for start := time.Now(); time.Since(start) < 10*maxAge; {
+		tr.Update(0, x)
+		if code, b := post(t, srv.Addr(), "/v1/queryprob", csvBody(x)); code != http.StatusOK {
+			t.Fatalf("queryprob: status %d: %s", code, b)
+		}
+	}
+	after := srv.Stats().Snapshot
+	if ahead := after.RefreshAheadCount - before.RefreshAheadCount; ahead < 3 {
+		t.Errorf("%d background builds over ten MaxSnapshotAge periods of ingest: %+v", ahead, after)
+	}
+	// A scheduling stall of maxAge/2 between two queries may leave one
+	// query to wait on its own build.
+	if waits := after.RefreshWaitCount - before.RefreshWaitCount; waits > 1 {
+		t.Errorf("requests waited on %d builds under steady load: %+v", waits, after)
+	}
+	if after.RefreshAheadP50Micros <= 0 || after.Refreshes <= before.Refreshes {
+		t.Errorf("background builds not reported: %+v", after)
 	}
 }
 

@@ -173,13 +173,21 @@ type SnapshotStats struct {
 	// i.e. actual rebuilds become visible here.
 	Acquires  int64 `json:"acquires"`
 	Refreshes int64 `json:"refreshes"`
-	// RefreshWaitCount counts the timed source acquisitions, and the
-	// percentiles (power-of-two bucket upper bounds in µs) say how long the
-	// refreshing request waited on each — for a tracker source, a snapshot
-	// rebuild whenever ingest moved.
+	// RefreshWaitCount counts the source acquisitions a request waited on
+	// — the cache was past MaxSnapshotAge, or MaxSnapshotAge < 0, or the
+	// server is degraded — and the percentiles (power-of-two bucket upper
+	// bounds in µs) say how long each took: for a tracker source, a
+	// snapshot rebuild whenever ingest moved.
 	RefreshWaitCount     int64   `json:"refresh_wait_count"`
 	RefreshWaitP50Micros float64 `json:"refresh_wait_p50_us"`
 	RefreshWaitP99Micros float64 `json:"refresh_wait_p99_us"`
+	// RefreshAheadCount counts the acquisitions made in the background,
+	// started by a request that found the cache past MaxSnapshotAge/2 and
+	// was answered from it, and the percentiles time them alike. Under
+	// steady load nearly every refresh is one of these.
+	RefreshAheadCount     int64   `json:"refresh_ahead_count"`
+	RefreshAheadP50Micros float64 `json:"refresh_ahead_p50_us"`
+	RefreshAheadP99Micros float64 `json:"refresh_ahead_p99_us"`
 }
 
 // LatencyStats summarizes the request latency histogram. Percentiles are
