@@ -7,27 +7,27 @@ import (
 	"net"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 )
 
 // The HTTP/1.1 keep-alive loop behind Start. One goroutine per connection
-// reads a request with http.ReadRequest, runs the server's handler into the
-// connection's buffered ResponseWriter (the conn itself, its buffers reused
-// from request to request) and writes
-// status line, Date, Content-Length, the handler's headers and the body in one
-// write. It starts no goroutine per request: the connection is read in the
-// background only while a request waits at the gate or the refresh slot
-// (conn.watch), to see the client hang up.
+// parses each request in place (request.go) into one http.Request reused
+// from request to request, runs the server's handler into the connection's
+// buffered ResponseWriter (the conn itself, its buffers reused too) and
+// writes status line, Date, Content-Length, the handler's headers and the
+// body in one write. It starts no goroutine per request: the connection is
+// read in the background only while a request waits at the gate or the
+// refresh slot (conn.watch), to see the client hang up.
 
 const (
-	// headerReadLimit is how much a request's header block may read off the
-	// connection before it is refused with 431: http.DefaultMaxHeaderBytes
-	// plus the 4 KiB the buffered reader may read ahead, as http.Server counts.
+	// headerReadLimit is how long a request's header block may be before it
+	// is refused with 431: http.DefaultMaxHeaderBytes plus the 4 KiB
+	// http.Server allows the buffered reader to read ahead.
 	headerReadLimit = http.DefaultMaxHeaderBytes + 4096
-	// maxDrain is how much of a body the handler left unread is discarded to
-	// keep the connection (http.Server's bound); a longer rest closes it.
+	// maxDrain is how much of a chunked body the handler left unread is
+	// discarded to keep the connection (http.Server's bound); a longer rest
+	// closes it.
 	maxDrain = 256 << 10
 	// lingerClose is how long a connection closed with input unread keeps
 	// reading after its last reply, so the client's kernel does not discard
@@ -38,13 +38,12 @@ const (
 var aLongTimeAgo = time.Unix(1, 0)
 
 // conn is one accepted connection and the ResponseWriter of its requests.
-// Only its goroutine reads and writes rwc and br, except while a watch reads
-// ahead into br.
+// Only its goroutine reads and writes rwc and in.br, except while a watch
+// reads ahead into in.br.
 type conn struct {
+	in       reqReader // the request being served
 	s        *Server
 	rwc      net.Conn
-	br       *bufio.Reader
-	remain   int64     // bytes the header block may still read; < 0: no limit
 	readDL   time.Time // the read deadline the loop set last
 	stopping atomic.Bool
 	idle     bool // waiting for a request; guarded by s.mu
@@ -53,6 +52,8 @@ type conn struct {
 	code      int
 	body, out []byte
 	scratch   [4096]byte
+	date      []byte // the Date of the second dateAt (unix seconds)
+	dateAt    int64
 }
 
 func (c *conn) Header() http.Header { return c.header }
@@ -67,19 +68,6 @@ func (c *conn) Write(p []byte) (int, error) {
 	c.WriteHeader(http.StatusOK)
 	c.body = append(c.body, p...)
 	return len(p), nil
-}
-
-// Read feeds the buffered reader, within the header limit while one is set.
-func (c *conn) Read(p []byte) (int, error) {
-	if c.remain < 0 {
-		return c.rwc.Read(p)
-	}
-	if c.remain == 0 {
-		return 0, io.EOF
-	}
-	n, err := c.rwc.Read(p[:min(int64(len(p)), c.remain)])
-	c.remain -= int64(n)
-	return n, err
 }
 
 // readUntil sets the read deadline d after t0, or none for d ≤ 0.
@@ -99,8 +87,8 @@ func (c *conn) watch(hangup func()) (stop func()) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for n := c.br.Buffered() + 1; n <= c.br.Size(); n = c.br.Buffered() + 1 {
-			if _, err := c.br.Peek(n); err != nil {
+		for n := c.in.br.Buffered() + 1; n <= c.in.br.Size(); n = c.in.br.Buffered() + 1 {
+			if _, err := c.in.br.Peek(n); err != nil {
 				if !c.stopping.Load() {
 					hangup()
 				}
@@ -129,8 +117,8 @@ func (s *Server) accept(ln net.Listener) {
 			time.Sleep(5 * time.Millisecond)
 			continue
 		}
-		c := &conn{s: s, rwc: rwc, remain: -1, idle: true, header: make(http.Header)}
-		c.br = bufio.NewReader(c)
+		c := &conn{s: s, rwc: rwc, idle: true, header: make(http.Header)}
+		c.in = reqReader{br: bufio.NewReader(rwc), paths: s.paths, header: make(http.Header)}
 		s.mu.Lock()
 		s.conns[c] = struct{}{}
 		s.mu.Unlock()
@@ -186,25 +174,22 @@ func (c *conn) serve() {
 			wait = s.readHeaderTimeout
 		}
 		c.readUntil(t0, wait)
-		if _, err := c.br.Peek(1); err != nil || !s.setIdle(c, false) {
+		if _, err := c.in.br.Peek(1); err != nil || !s.setIdle(c, false) {
 			return
 		}
 		if !first {
 			t0 = time.Now()
 			c.readUntil(t0, s.readHeaderTimeout)
 		}
-		c.remain = headerReadLimit
-		req, err := http.ReadRequest(c.br)
-		tooLarge := err != nil && c.remain == 0
-		c.remain = -1
+		req, err := c.in.read()
 		if s.writeTimeout > 0 {
 			c.rwc.SetWriteDeadline(time.Now().Add(s.writeTimeout))
 		}
 		switch {
-		case tooLarge:
+		case err == errHeaderTooLarge:
 			c.fail(unparsed, http.StatusRequestHeaderFieldsTooLarge)
 			return
-		case err == io.EOF || errors.As(err, new(*net.OpError)):
+		case err == io.EOF || err != nil && errors.As(err, new(*net.OpError)):
 			return // the client went away or timed out: no one to answer
 		case err != nil:
 			c.fail(unparsed, http.StatusBadRequest)
@@ -213,7 +198,7 @@ func (c *conn) serve() {
 			c.fail(req, http.StatusBadRequest)
 			return
 		}
-		if req.ProtoAtLeast(1, 1) && req.ContentLength != 0 && strings.EqualFold(req.Header.Get("Expect"), "100-continue") {
+		if req.ProtoAtLeast(1, 1) && req.ContentLength != 0 && c.in.expect {
 			io.WriteString(c.rwc, "HTTP/1.1 100 Continue\r\n\r\n") // a failed write fails the reply too
 		}
 		c.readUntil(t0, s.readTimeout)
@@ -232,7 +217,7 @@ func (c *conn) serve() {
 		}
 		// The connection is kept only if the client asked for it and what
 		// the handler left of the body is gone.
-		drained := req.ContentLength == 0 || c.drain(req.Body)
+		drained := c.in.body.discard(c.scratch[:])
 		keep := drained && !req.Close && !s.draining.Load() && c.header.Get("Connection") != "close"
 		if !c.reply(req, keep) {
 			if !drained {
@@ -263,18 +248,6 @@ func (c *conn) run(req *http.Request) (aborted bool) {
 	return false
 }
 
-// drain discards up to maxDrain bytes the handler left of the body and
-// reports whether the body ended.
-func (c *conn) drain(body io.Reader) bool {
-	for n := 0; n <= maxDrain; {
-		m, err := body.Read(c.scratch[:])
-		if n += m; err != nil {
-			return err == io.EOF
-		}
-	}
-	return false
-}
-
 // reply writes the buffered reply in one write — the body not for HEAD — and
 // reports whether the connection stays open. Header values come from this
 // package's handlers and net/http's helpers, none with a line break.
@@ -285,7 +258,10 @@ func (c *conn) reply(req *http.Request, keep bool) bool {
 	}
 	b := strconv.AppendInt(append(c.out[:0], "HTTP/1.1 "...), int64(code), 10)
 	b = append(append(b, ' '), http.StatusText(code)...)
-	b = time.Now().UTC().AppendFormat(append(b, "\r\nDate: "...), http.TimeFormat)
+	if now := time.Now(); now.Unix() != c.dateAt {
+		c.date, c.dateAt = now.UTC().AppendFormat(c.date[:0], http.TimeFormat), now.Unix()
+	}
+	b = append(append(b, "\r\nDate: "...), c.date...)
 	b = strconv.AppendInt(append(b, "\r\nContent-Length: "...), int64(len(c.body)), 10)
 	for k, vs := range c.header {
 		if k != "Connection" && k != "Content-Length" && k != "Date" && k != "Transfer-Encoding" {
@@ -329,5 +305,5 @@ func (c *conn) linger() {
 		tcp.CloseWrite()
 	}
 	c.readUntil(time.Now(), lingerClose)
-	io.Copy(io.Discard, c)
+	io.Copy(io.Discard, c.rwc)
 }

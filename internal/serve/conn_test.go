@@ -332,3 +332,17 @@ func FuzzServeConn(f *testing.F) {
 		}
 	})
 }
+
+// TestConnUnsentBody: a request that declares a body over MaxBodyBytes and
+// does not send it is answered 413 at once, and the connection closed,
+// instead of once the client gives up waiting.
+func TestConnUnsentBody(t *testing.T) {
+	_, tr := newAlarmTracker(t, 500, 0)
+	srv := startServer(t, Config{Source: NewTrackerSource(tr), MaxBodyBytes: 4 << 10})
+	c, br := rawConn(t, srv.Addr())
+	c.SetDeadline(time.Now().Add(time.Second))
+	send(t, c, "POST /v1/queryprob HTTP/1.1\r\nHost: t\r\nContent-Length: 9000\r\n\r\n")
+	if resp, b := readReply(t, br, "POST"); resp.StatusCode != http.StatusRequestEntityTooLarge || !resp.Close {
+		t.Fatalf("reply %d close=%v %q, want 413 and a close", resp.StatusCode, resp.Close, b)
+	}
+}

@@ -89,17 +89,25 @@
 // drains in-flight requests before releasing the cached snapshot.
 //
 // Start serves HTTP/1.1 from its own keep-alive loop (conn.go): one goroutine
-// per connection parses each request with http.ReadRequest, runs Handler
-// into a buffered writer and sends status line, headers and body in one
-// write, with no goroutine per request. It keeps http.Server's limits: a
-// header block over http.DefaultMaxHeaderBytes is 431, a malformed request
-// 400, an unread body is discarded up to 256 KiB before the connection is
-// reused, and the read-header, read, write and idle timeouts have
-// http.Server's meaning, so a stalled client cannot hold a connection (or a
-// drain) open indefinitely. It also answers "Expect: 100-continue", HEAD,
-// "Connection: close" and HTTP/1.0; FuzzServeConn holds it to replies that
-// parse. It does not speak HTTP/2, sniff a Content-Type, or cancel a
-// request's context while its handler computes (docs/removed.md).
+// per connection parses each request in place (request.go) into one reused
+// http.Request, keeping of the header only Host, Content-Length,
+// Transfer-Encoding, Connection and Expect, runs Handler into a buffered
+// writer and sends status line, headers and body in one write, with no
+// goroutine per request; a warm query allocates nothing in the loop
+// (TestConnRequestAllocs). The parser accepts and refuses what
+// http.ReadRequest does and frames bodies as it does (FuzzReadRequest). The
+// loop keeps http.Server's limits: a header block over
+// http.DefaultMaxHeaderBytes is 431, a malformed request 400, an unread
+// chunked body is discarded up to 256 KiB before the connection is reused,
+// and the read-header, read, write and idle timeouts have http.Server's
+// meaning, so a stalled client cannot hold a connection (or a drain) open
+// indefinitely. A declared body the handler left unread whose rest has not
+// arrived closes the connection after the reply rather than wait for it. It
+// also answers "Expect: 100-continue", HEAD, "Connection: close" and
+// HTTP/1.0; FuzzServeConn holds it to replies that parse. Handler routes by
+// exact path: it does not redirect an unclean path, speak HTTP/2, sniff a
+// Content-Type, or cancel a request's context while its handler computes
+// (docs/removed.md).
 //
 // See examples/serving for an end-to-end run: a TCP cluster training
 // while an attached server answers a closed-loop client mix.
@@ -227,8 +235,8 @@ type Server struct {
 	writeTimeout      time.Duration
 	idleTimeout       time.Duration
 
-	mux     *http.ServeMux
-	handler http.Handler // mux wrapped in panic recovery
+	handler http.Handler // the routes, with panic recovery
+	paths   []string     // the routes' paths, interned by Start's loop
 	ln      net.Listener
 	served  chan struct{} // closed when Start's accept goroutine has exited
 	gate    *gate         // nil = unlimited
@@ -329,13 +337,13 @@ func New(cfg Config) (*Server, error) {
 	for i := 0; i < s.net.Len(); i++ {
 		s.names[s.net.Var(i).Name] = i
 	}
-	s.mux = http.NewServeMux()
+	routes := map[string]http.HandlerFunc{"/statsz": s.handleStatsz, "/healthz": s.handleHealthz}
 	s.byEndpoint = make(map[string]*atomic.Int64)
 	s.scratches.New = func() any { return new(scratch) }
 	query := func(method, name string, fn func(sc *scratch, body []byte, snap Snapshot) (any, error)) {
 		ctr := new(atomic.Int64)
 		s.byEndpoint[name] = ctr
-		s.mux.HandleFunc("/v1/"+name, s.handle(ctr, method, fn))
+		routes["/v1/"+name] = s.handle(ctr, method, fn)
 	}
 	query(http.MethodPost, "queryprob", s.queryProb)
 	query(http.MethodPost, "subsetprob", s.subsetProb)
@@ -343,9 +351,10 @@ func New(cfg Config) (*Server, error) {
 	query(http.MethodPost, "classifypartial", s.classifyPartial)
 	query(http.MethodPost, "marginal", s.marginal)
 	query(http.MethodGet, "model", s.model)
-	s.mux.HandleFunc("/statsz", s.handleStatsz)
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.handler = s.withRecovery(s.mux)
+	for path := range routes {
+		s.paths = append(s.paths, path)
+	}
+	s.handler = s.withRecovery(routes)
 	return s, nil
 }
 
@@ -416,9 +425,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// withRecovery turns a panicking handler into a 500 and keeps the server
-// alive: one bad request must not take down serving for everyone.
-func (s *Server) withRecovery(next http.Handler) http.Handler {
+// withRecovery routes a request by its exact path (404 for any other) and
+// turns a panicking handler into a 500 that keeps the server alive: one bad
+// request must not take down serving for everyone.
+func (s *Server) withRecovery(routes map[string]http.HandlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
 			v := recover()
@@ -432,7 +442,11 @@ func (s *Server) withRecovery(next http.Handler) http.Handler {
 			s.fail(w, http.StatusInternalServerError,
 				fmt.Errorf("serve: internal error serving %s: %v", r.URL.Path, v))
 		}()
-		next.ServeHTTP(w, r)
+		if h := routes[r.URL.Path]; h != nil {
+			h(w, r)
+		} else {
+			http.NotFound(w, r)
+		}
 	})
 }
 
