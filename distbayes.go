@@ -99,12 +99,13 @@
 // the serve package documentation). A server fronts an in-process Tracker
 // (serve.NewTrackerSource), a live cluster coordinator
 // (serve.NewCoordinatorSource, cmd/bncluster -serve) or its learned tree
-// through the same ModelSource interface, all handing out core.Snapshots. Underneath, snapshot rebuilds read whole counter
-// rows through kind-specialized counter.Bank.EstimateRange bulk loops
-// instead of a per-cell Estimate switch, so rebuilding munin's 101 866 CPT
-// cells stays cheap enough to refresh on a millisecond staleness bound
-// under live ingest (the serve-ingest workload of benchmarks/run.sh: a
-// closed-loop client beside a paced ingest pump, recorded in BENCH_41.json
+// through the same ModelSource interface, all handing out *core.Snapshot, the
+// one read handle from counters to HTTP reply. Underneath, snapshot rebuilds
+// read whole counter rows through kind-specialized counter.Bank.EstimateRange
+// bulk loops instead of a per-cell Estimate switch, so rebuilding munin's
+// 101 866 CPT cells stays cheap enough to refresh on a millisecond staleness
+// bound under live ingest (the serve-ingest workload of benchmarks/run.sh: a
+// closed-loop client beside a paced ingest pump, recorded in BENCH_52.json
 // and gated by scripts/ledger.sh check). See
 // cmd/bnserve for the standalone binary and examples/serving for an
 // end-to-end cluster + server + client-mix program.

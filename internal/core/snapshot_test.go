@@ -544,3 +544,53 @@ func TestHeldSnapshotOutlivesSuccessors(t *testing.T) {
 	}
 	held.Release()
 }
+
+// TestSnapshotReissue: a reissued handle reads its original's rows bit for
+// bit under its own version and release hook, inherits the build time,
+// network and structure epoch, and returns the original's model.
+func TestSnapshotReissue(t *testing.T) {
+	m := testModel(t)
+	cfg := cfgFor(NonUniform, 1)
+	cfg.Smoothing = 0.5
+	tr, err := NewTracker(m.Network(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.UpdateEvents(genEventStream(m, 4, 2000, 3))
+	held := tr.AcquireSnapshot()
+	defer held.Release()
+	var origCalls, hookCalls int
+	orig := &Snapshot{net: held.net, est: held.est, smoothing: held.smoothing, version: 7,
+		builtAt: held.builtAt, epoch: 3, release: func() { origCalls++ }}
+	re := orig.Reissue(42, func() { hookCalls++ })
+
+	want, got := factorTables(orig), factorTables(re)
+	for i := range want {
+		for c, w := range want[i] {
+			if math.Float64bits(got[i][c]) != math.Float64bits(w) {
+				t.Fatalf("reissued factor (%d, cell %d) = %v, original %v", i, c, got[i][c], w)
+			}
+		}
+	}
+	if re.Version() != 42 || !re.BuiltAt().Equal(orig.BuiltAt()) || re.Network() != orig.Network() || re.StructureEpoch() != 3 {
+		t.Errorf("reissued version %d, built %v, epoch %d (network shared: %v); want 42, %v, 3, true",
+			re.Version(), re.BuiltAt(), re.StructureEpoch(), re.Network() == orig.Network(), orig.BuiltAt())
+	}
+	re.Release()
+	if hookCalls != 1 || origCalls != 0 {
+		t.Errorf("Release ran the hook %d times and the original's release %d times; want 1 and 0", hookCalls, origCalls)
+	}
+	again := re.Reissue(43, nil)
+	again.Release() // a nil hook releases nothing
+	mRe, err := re.Model()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mOrig, _ := orig.Model()
+	if mAgain, _ := again.Model(); mRe != mOrig || mAgain != mOrig {
+		t.Errorf("reissued models %p, %p; want the original's %p", mRe, mAgain, mOrig)
+	}
+	if hookCalls != 1 || origCalls != 0 {
+		t.Errorf("after a nil-hook release: hook %d, original %d; want 1 and 0", hookCalls, origCalls)
+	}
+}

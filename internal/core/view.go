@@ -66,6 +66,8 @@ type Snapshot struct {
 	// recycles the rows once the last reader is gone); garbage-collected
 	// snapshots leave it nil.
 	release func()
+	// base, set on a Reissue, is the snapshot whose Model this one returns.
+	base *Snapshot
 
 	modelOnce sync.Once
 	model     *bn.Model
@@ -115,6 +117,21 @@ func (s *Snapshot) Release() {
 	if s.release != nil {
 		s.release()
 	}
+}
+
+// Reissue republishes s's rows under another version and release hook: the
+// new handle shares s's rows, network, smoothing, build time and structure
+// epoch, its Model is s's (built at most once for both), and its Release
+// calls only release (nil: nothing). The rows stay s's, so s must stay
+// acquired until the new handle's last read — a release hook that releases s
+// does that.
+func (s *Snapshot) Reissue(version uint64, release func()) *Snapshot {
+	base := s
+	if s.base != nil {
+		base = s.base
+	}
+	return &Snapshot{net: s.net, est: s.est, smoothing: s.smoothing, version: version,
+		builtAt: s.builtAt, epoch: s.epoch, release: release, base: base}
 }
 
 // QueryProb is Algorithm 3: the joint probability of the full assignment x,
@@ -177,6 +194,9 @@ func logOrNegInf(p float64) float64 {
 // configuration has no mass become uniform). It is built at most once per
 // snapshot and shared by every caller; treat it as read-only.
 func (s *Snapshot) Model() (*bn.Model, error) {
+	if s.base != nil {
+		return s.base.Model()
+	}
 	s.modelOnce.Do(func() {
 		s.model, s.modelErr = bn.NewNormalizedModel(s.net, func(i int, tbl []float64) {
 			j := s.net.Card(i)

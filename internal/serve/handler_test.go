@@ -128,31 +128,20 @@ func BenchmarkServeHandler(b *testing.B) {
 	}
 }
 
-// nanSource returns snapshots whose every probability is NaN, following
-// panicSource: a model whose answers have no JSON encoding.
-type nanSource struct{ ModelSource }
-
-type nanSnap struct{ Snapshot }
-
-func (nanSnap) QueryProb([]int) float64 { return math.NaN() }
-
-func (nanSnap) QuerySubsetProb(_, _ []int) float64 { return math.NaN() }
-
-func (s nanSource) AcquireSnapshot() (Snapshot, error) {
-	snap, err := s.ModelSource.AcquireSnapshot()
-	if err != nil {
-		return nil, err
-	}
-	return nanSnap{snap}, nil
-}
-
 // TestServeNonFiniteAnswerIsServerError: an answer JSON cannot carry is a 500
 // with a JSON error body and counts as an error, never a 200 with an empty
 // body.
 func TestServeNonFiniteAnswerIsServerError(t *testing.T) {
 	_, tr := newAlarmTracker(t, 500, 0)
-	srv := startServer(t, Config{Source: nanSource{NewTrackerSource(tr)}})
-	code, body := post(t, srv.Addr(), "/v1/queryprob", csvBody(make([]int, tr.Network().Len())))
+	nw := tr.Network()
+	rows := uniformRows(nw)
+	for _, row := range rows {
+		for c := range row {
+			row[c] = math.NaN() // every factor NaN/NaN: an answer with no JSON encoding
+		}
+	}
+	srv := startServer(t, Config{Source: rowsSource(nw, rows)})
+	code, body := post(t, srv.Addr(), "/v1/queryprob", csvBody(make([]int, nw.Len())))
 	if code != http.StatusInternalServerError {
 		t.Fatalf("NaN answer: status %d (%s), want 500", code, body)
 	}

@@ -35,7 +35,7 @@ type flakySource struct {
 	failing atomic.Bool
 }
 
-func (f *flakySource) AcquireSnapshot() (Snapshot, error) {
+func (f *flakySource) AcquireSnapshot() (*core.Snapshot, error) {
 	if f.failing.Load() {
 		return nil, errors.New("injected source failure")
 	}
@@ -379,45 +379,44 @@ func TestServeDeadlineExceeded(t *testing.T) {
 	}
 }
 
-// panicSource returns snapshots whose query kernels panic while the switch
-// is on — the pathological-handler case the recovery middleware contains.
+// uniformRows returns snapshot rows of nw (core.NewSnapshot's layout) whose
+// every factor is 1/J_i — pair cells 1, parent cells J_i — for the fault
+// injections below to corrupt.
+func uniformRows(nw *bn.Network) [][]float64 {
+	rows := make([][]float64, nw.Len())
+	for i := range rows {
+		j, k := nw.Card(i), nw.ParentCard(i)
+		rows[i] = make([]float64, (j+1)*k)
+		for c := range rows[i] {
+			rows[i][c] = 1
+			if c >= j*k {
+				rows[i][c] = float64(j)
+			}
+		}
+	}
+	return rows
+}
+
+// rowsSource serves one snapshot of rows on every acquire.
+func rowsSource(nw *bn.Network, rows [][]float64) ModelSource {
+	snap := core.NewSnapshot(nw, rows, 1, time.Now(), 0)
+	return &producerSource{name: "rows", netw: nw, acquire: func() (*core.Snapshot, error) { return snap, nil }}
+}
+
+// panicSource returns, while the switch is on, snapshots with one nil row
+// per variable, whose every Factor read panics (index out of range) — the
+// pathological-handler case the recovery middleware contains.
 type panicSource struct {
 	ModelSource
 	panicking atomic.Bool
 }
 
-type panicSnap struct {
-	Snapshot
-	panicking *atomic.Bool
-}
-
-func (p panicSnap) check() {
-	if p.panicking.Load() {
-		panic("injected query panic")
+func (s *panicSource) AcquireSnapshot() (*core.Snapshot, error) {
+	if s.panicking.Load() {
+		nw := s.Network()
+		return core.NewSnapshot(nw, make([][]float64, nw.Len()), 0, time.Now(), 0), nil
 	}
-}
-
-func (p panicSnap) QueryProb(x []int) float64 {
-	p.check()
-	return p.Snapshot.QueryProb(x)
-}
-
-func (p panicSnap) QuerySubsetProb(set, x []int) float64 {
-	p.check()
-	return p.Snapshot.QuerySubsetProb(set, x)
-}
-
-func (p panicSnap) Classify(target int, x []int) int {
-	p.check()
-	return p.Snapshot.Classify(target, x)
-}
-
-func (s *panicSource) AcquireSnapshot() (Snapshot, error) {
-	snap, err := s.ModelSource.AcquireSnapshot()
-	if err != nil {
-		return nil, err
-	}
-	return panicSnap{Snapshot: snap, panicking: &s.panicking}, nil
+	return s.ModelSource.AcquireSnapshot()
 }
 
 // TestServePanicRecovery: a panicking handler yields one 500 and the
@@ -444,32 +443,19 @@ func TestServePanicRecovery(t *testing.T) {
 	}
 }
 
-// brokenModelSource returns snapshots whose Model fails — a fault of the
-// snapshot, not of the request.
-type brokenModelSource struct{ ModelSource }
-
-type brokenModelSnap struct{ Snapshot }
-
-func (brokenModelSnap) Model() (*bn.Model, error) {
-	return nil, errors.New("injected model failure")
-}
-
-func (s brokenModelSource) AcquireSnapshot() (Snapshot, error) {
-	snap, err := s.ModelSource.AcquireSnapshot()
-	if err != nil {
-		return nil, err
-	}
-	return brokenModelSnap{snap}, nil
-}
-
 // TestServeModelFailureIsServerError: when the snapshot's own Model fails,
 // every endpoint that needs the model blames the server (500) — a well-formed
 // request is not a bad request — while malformed requests against the same
-// snapshot are still 400 and the factor endpoints are unaffected.
+// snapshot are still 400 and the factor endpoints are unaffected. The
+// snapshot's variable 0 has a +Inf pair cell at (v=1, pidx=0), so its
+// normalized row is NaN and bn.NewCPT refuses it; a query of x = 0 never
+// reads that cell.
 func TestServeModelFailureIsServerError(t *testing.T) {
 	_, tr := newAlarmTracker(t, 500, 0)
-	srv := startServer(t, Config{Source: brokenModelSource{NewTrackerSource(tr)}})
 	nw := tr.Network()
+	rows := uniformRows(nw)
+	rows[0][1] = math.Inf(1)
+	srv := startServer(t, Config{Source: rowsSource(nw, rows)})
 	a, b := nw.Var(0).Name, nw.Var(1).Name
 	for endpoint, body := range map[string]string{
 		"/v1/classifypartial": fmt.Sprintf(`{"target":%q,"evidence":{%q:0}}`, a, b),
@@ -503,23 +489,13 @@ type countingSource struct {
 	released atomic.Int64
 }
 
-type countedSnap struct {
-	Snapshot
-	released *atomic.Int64
-}
-
-func (c countedSnap) Release() {
-	c.released.Add(1)
-	c.Snapshot.Release()
-}
-
-func (s *countingSource) AcquireSnapshot() (Snapshot, error) {
+func (s *countingSource) AcquireSnapshot() (*core.Snapshot, error) {
 	snap, err := s.ModelSource.AcquireSnapshot()
 	if err != nil {
 		return nil, err
 	}
 	s.acquired.Add(1)
-	return countedSnap{Snapshot: snap, released: &s.released}, nil
+	return snap.Reissue(snap.Version(), func() { s.released.Add(1); snap.Release() }), nil
 }
 
 // TestServerShutdownRacesRefresh: Shutdown runs while a request is
@@ -621,8 +597,8 @@ func TestServerShutdownStalledClient(t *testing.T) {
 
 // TestSwappableSourceMonotoneVersions: swapping in a back end with a
 // lower raw version (a coordinator restored from checkpoint) must not
-// move served versions backwards, and a shape-incompatible replacement is
-// rejected.
+// move served versions backwards, swapping in a fresh one must not serve a
+// version again, and a shape-incompatible replacement is rejected.
 func TestSwappableSourceMonotoneVersions(t *testing.T) {
 	_, big := newAlarmTracker(t, 5000, 0)  // high version
 	_, small := newAlarmTracker(t, 100, 0) // low version: the "restored" back end
@@ -659,7 +635,7 @@ func TestSwappableSourceMonotoneVersions(t *testing.T) {
 	if snap.Version() < vBig {
 		t.Fatalf("version went backwards across swap: %d < %d", snap.Version(), vBig)
 	}
-	// Factors pass through the offset wrapper untouched.
+	// Factors pass through the reissued snapshot untouched.
 	direct, err := NewTrackerSource(small).AcquireSnapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -667,6 +643,21 @@ func TestSwappableSourceMonotoneVersions(t *testing.T) {
 	defer direct.Release()
 	if got, want := snap.Factor(0, 0, 0), direct.Factor(0, 0, 0); math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("offset snapshot factor %v != raw %v", got, want)
+	}
+
+	// A fresh back end starts its raw versions at 0: it must not serve a
+	// version already served for another state.
+	_, fresh := newAlarmTracker(t, 0, 0)
+	if err := sw.Swap(NewTrackerSource(fresh)); err != nil {
+		t.Fatal(err)
+	}
+	freshSnap, err := sw.AcquireSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer freshSnap.Release()
+	if v, pre := freshSnap.Version(), max(vBig, snap.Version()); v <= pre {
+		t.Fatalf("fresh back end served version %d, not past the pre-swap %d", v, pre)
 	}
 
 	other, err := netgen.ModelByName("hepar2")

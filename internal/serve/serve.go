@@ -4,7 +4,11 @@
 // immutable model snapshots, backed by an in-process core.Tracker or a
 // live cluster.Coordinator through the same ModelSource interface — the
 // user-facing half of the paper's query-at-any-time model: the sites
-// train, the coordinator tracks, the server answers.
+// train, the coordinator tracks, the server answers. A snapshot is the
+// producer's own *core.Snapshot from acquisition to reply: the server holds
+// it, the handlers call its query kernels directly, and SwappableSource
+// republishes it under a failover version with core.Snapshot.Reissue rather
+// than wrapping it.
 //
 // Endpoints (POST unless noted): /v1/queryprob, /v1/subsetprob,
 // /v1/classify, /v1/classifypartial, /v1/marginal, GET /v1/model, plus
@@ -214,7 +218,7 @@ func timeoutOr(v, def time.Duration) time.Duration {
 // and the underlying source snapshot is released exactly once, when the
 // last reference drops.
 type cachedSnap struct {
-	snap     Snapshot
+	snap     *core.Snapshot
 	acquired time.Time
 	refs     atomic.Int32
 }
@@ -340,7 +344,7 @@ func New(cfg Config) (*Server, error) {
 	routes := map[string]http.HandlerFunc{"/statsz": s.handleStatsz, "/healthz": s.handleHealthz}
 	s.byEndpoint = make(map[string]*atomic.Int64)
 	s.scratches.New = func() any { return new(scratch) }
-	query := func(method, name string, fn func(sc *scratch, body []byte, snap Snapshot) (any, error)) {
+	query := func(method, name string, fn func(sc *scratch, body []byte, snap *core.Snapshot) (any, error)) {
 		ctr := new(atomic.Int64)
 		s.byEndpoint[name] = ctr
 		routes["/v1/"+name] = s.handle(ctr, method, fn)
@@ -744,7 +748,7 @@ const retryAfterSeconds = 1
 // response envelope and latency recording. fn computes the payload from one
 // immutable snapshot; its errors are the request's fault (400) unless marked
 // snapshotError (500).
-func (s *Server) handle(ctr *atomic.Int64, method string, fn func(sc *scratch, body []byte, snap Snapshot) (any, error)) http.HandlerFunc {
+func (s *Server) handle(ctr *atomic.Int64, method string, fn func(sc *scratch, body []byte, snap *core.Snapshot) (any, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		started := time.Now()
 		s.requests.Add(1)
@@ -823,7 +827,7 @@ func (s *Server) fail(w http.ResponseWriter, code int, err error) {
 // against the same snapshot.
 
 // queryProb answers P[x] for a full assignment (Snapshot.QueryProb).
-func (s *Server) queryProb(sc *scratch, body []byte, snap Snapshot) (any, error) {
+func (s *Server) queryProb(sc *scratch, body []byte, snap *core.Snapshot) (any, error) {
 	x, err := sc.decodeFullAssignment(snap.Network(), s.names, body)
 	if err != nil {
 		return nil, err
@@ -833,7 +837,7 @@ func (s *Server) queryProb(sc *scratch, body []byte, snap Snapshot) (any, error)
 
 // subsetProb answers the marginal of an ancestrally closed subset
 // (Snapshot.QuerySubsetProb).
-func (s *Server) subsetProb(sc *scratch, body []byte, snap Snapshot) (any, error) {
+func (s *Server) subsetProb(sc *scratch, body []byte, snap *core.Snapshot) (any, error) {
 	set, x, err := sc.decodeSubsetAssignment(snap.Network(), s.names, body)
 	if err != nil {
 		return nil, err
@@ -842,7 +846,7 @@ func (s *Server) subsetProb(sc *scratch, body []byte, snap Snapshot) (any, error
 }
 
 // classify is the fully observed Markov-blanket argmax (Snapshot.Classify).
-func (s *Server) classify(sc *scratch, body []byte, snap Snapshot) (any, error) {
+func (s *Server) classify(sc *scratch, body []byte, snap *core.Snapshot) (any, error) {
 	target, x, err := sc.decodeClassify(snap.Network(), s.names, body)
 	if err != nil {
 		return nil, err
@@ -852,7 +856,7 @@ func (s *Server) classify(sc *scratch, body []byte, snap Snapshot) (any, error) 
 
 // classifyPartial predicts the target from partial evidence by exact
 // inference on the snapshot's normalized model (core.ClassifyPartial).
-func (s *Server) classifyPartial(sc *scratch, body []byte, snap Snapshot) (any, error) {
+func (s *Server) classifyPartial(sc *scratch, body []byte, snap *core.Snapshot) (any, error) {
 	target, ev, err := sc.decodeClassifyPartial(snap.Network(), s.names, body)
 	if err != nil {
 		return nil, err
@@ -870,7 +874,7 @@ func (s *Server) classifyPartial(sc *scratch, body []byte, snap Snapshot) (any, 
 
 // marginal answers an arbitrary marginal P[assign] by exact inference on
 // the snapshot's normalized model (Tracker.InferMarginal).
-func (s *Server) marginal(sc *scratch, body []byte, snap Snapshot) (any, error) {
+func (s *Server) marginal(sc *scratch, body []byte, snap *core.Snapshot) (any, error) {
 	assign, err := sc.decodeMarginal(snap.Network(), s.names, body)
 	if err != nil {
 		return nil, err
@@ -891,7 +895,7 @@ func (s *Server) marginal(sc *scratch, body []byte, snap Snapshot) (any, error) 
 type snapshotError struct{ error }
 
 // modelOf is Snapshot.Model with its failure blamed on the server side.
-func modelOf(snap Snapshot) (*bn.Model, error) {
+func modelOf(snap *core.Snapshot) (*bn.Model, error) {
 	m, err := snap.Model()
 	if err != nil {
 		return nil, snapshotError{err}
@@ -910,7 +914,7 @@ type modelVar struct {
 // model dumps the snapshot's normalized model (EstimatedModel over the
 // wire): every variable's name, cardinality, parents — the snapshot's own,
 // possibly learned, structure — and CPT in pidx-major order.
-func (s *Server) model(_ *scratch, _ []byte, snap Snapshot) (any, error) {
+func (s *Server) model(_ *scratch, _ []byte, snap *core.Snapshot) (any, error) {
 	m, err := modelOf(snap)
 	if err != nil {
 		return nil, err

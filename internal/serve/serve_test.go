@@ -683,7 +683,7 @@ type gatedSource struct {
 	once    sync.Once
 }
 
-func (g *gatedSource) AcquireSnapshot() (Snapshot, error) {
+func (g *gatedSource) AcquireSnapshot() (*core.Snapshot, error) {
 	g.once.Do(func() { close(g.entered) })
 	<-g.release
 	return g.ModelSource.AcquireSnapshot()

@@ -3,52 +3,16 @@ package serve
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"distbayes/internal/bn"
 	"distbayes/internal/cluster"
 	"distbayes/internal/core"
 )
 
-// Snapshot is one immutable view of the tracked model. Every Factor read
-// against one Snapshot value observes a single consistent materialization
-// of the counter state; Version identifies that state (monotone
-// non-decreasing across acquisitions from one source) and BuiltAt is when
-// it was materialized. Model lazily normalizes the factors into a
-// bn.Model, cached per snapshot; the returned model is immutable and
-// remains valid after Release. Release returns the snapshot's reference to
-// its source and must be called exactly once, after the last read.
-//
-// Production has exactly one implementation, *core.Snapshot, which every
-// source below hands out (SwappableSource wraps it to offset the version);
-// this stays an interface so tests can substitute fakes — a panicking
-// query, a failing Model.
-type Snapshot interface {
-	// Factor is the tracked estimate of P[X_i = v | parent config pidx].
-	Factor(i, v, pidx int) float64
-	// QueryProb, QuerySubsetProb and Classify are the query kernels of
-	// core.Snapshot: one interface call per request, with Factor inlined
-	// into the loop over the network's variables.
-	QueryProb(x []int) float64
-	QuerySubsetProb(set, x []int) float64
-	Classify(target int, x []int) int
-	Version() uint64
-	BuiltAt() time.Time
-	Model() (*bn.Model, error)
-	// Network is the structure the factors are parameters of. Fixed-
-	// structure sources return the tracked network on every snapshot; a
-	// learned-structure source (NewLearnedCoordinatorSource) may return a
-	// different structure over the same variables after a hot swap, and all
-	// of a snapshot's factors are consistent with its own network.
-	Network() *bn.Network
-	// StructureEpoch counts structure changes behind the snapshot: fixed at
-	// 0 for fixed-structure sources, bumped at every hot structure swap by
-	// learning sources. Exposed to clients in the response envelope's
-	// snapshot block so they can detect swaps; it is non-decreasing per
-	// source, like Version.
-	StructureEpoch() uint64
-	Release()
-}
+// Snapshot names the server's one read handle, *core.Snapshot. It is an
+// alias, not a type of its own: it stays only because the benchmark module
+// (benchmarks/bnbench) names serve.Snapshot.
+type Snapshot = *core.Snapshot
 
 // ModelSource is the serving back end — an in-process tracker
 // (NewTrackerSource), a live cluster coordinator (NewCoordinatorSource) or
@@ -57,14 +21,16 @@ type Snapshot interface {
 // trained: each is a health check plus the producer's AcquireSnapshot.
 type ModelSource interface {
 	Network() *bn.Network
-	// AcquireSnapshot returns the current model snapshot with a read
-	// reference held, or an error when the back end can no longer produce
-	// one (a closed or crashed coordinator). It may rebuild (bulk-reading
-	// the dirty part of the counter state) or return the cached snapshot
-	// when nothing changed. The server treats an error as a refresh
-	// failure and keeps answering from its last-good snapshot in degraded
-	// mode — see the package comment.
-	AcquireSnapshot() (Snapshot, error)
+	// AcquireSnapshot returns the current model snapshot — the producer's
+	// own *core.Snapshot, whose Network is the structure its factors are
+	// parameters of (a learned-structure source's may change at a hot swap,
+	// bumping StructureEpoch) — with a read reference held, or an error when
+	// the back end can no longer produce one (a closed or crashed
+	// coordinator). It may rebuild (bulk-reading the dirty part of the
+	// counter state) or return the cached snapshot when nothing changed. The
+	// server treats an error as a refresh failure and keeps answering from
+	// its last-good snapshot in degraded mode — see the package comment.
+	AcquireSnapshot() (*core.Snapshot, error)
 }
 
 // producerSource is the one ModelSource adapter: the tracked network, the
@@ -81,19 +47,18 @@ type producerSource struct {
 
 func (s *producerSource) Network() *bn.Network { return s.netw }
 
-func (s *producerSource) AcquireSnapshot() (Snapshot, error) {
-	var snap *core.Snapshot
+func (s *producerSource) AcquireSnapshot() (*core.Snapshot, error) {
 	var err error
 	if s.health != nil {
 		err = s.health()
 	}
 	if err == nil {
-		snap, err = s.acquire()
+		var snap *core.Snapshot
+		if snap, err = s.acquire(); err == nil {
+			return snap, nil
+		}
 	}
-	if err != nil {
-		return nil, fmt.Errorf("serve: %s source: %w", s.name, err)
-	}
-	return snap, nil
+	return nil, fmt.Errorf("serve: %s source: %w", s.name, err)
 }
 
 // NewTrackerSource serves queries from an in-process tracker. Snapshots
@@ -141,16 +106,19 @@ func NewLearnedCoordinatorSource(co *cluster.Coordinator) ModelSource {
 //
 // Versions stay monotone across swaps. A restored coordinator restarts
 // its version clock below the dead one's, so raw versions would jump
-// backwards at failover; SwappableSource offsets every
-// snapshot version by the highest version it has handed out, bumping the
-// offset at each Swap, so the consistency contract ("version monotone
-// non-decreasing") holds across the entire failover sequence.
+// backwards at failover, and a fresh back end would repeat versions already
+// served for another state. Each Swap therefore sets an offset one past the
+// highest version handed out so far, and AcquireSnapshot hands out the back
+// end's snapshot reissued under its version plus that offset
+// (core.Snapshot.Reissue: the same rows, the same release): the consistency
+// contract ("version monotone non-decreasing") holds across the entire
+// failover sequence, and a version never names two states.
 type SwappableSource struct {
 	netw *bn.Network
 
 	mu      sync.Mutex // guards cur/offset/maxSeen across acquire and swap
 	cur     ModelSource
-	offset  uint64 // added to every version from cur
+	offset  uint64 // added to every version from cur: 0, or one past maxSeen at the last Swap
 	maxSeen uint64 // highest offset version handed out so far
 }
 
@@ -167,23 +135,23 @@ func NewSwappableSource(initial ModelSource) (*SwappableSource, error) {
 // source must serve the same variables.
 func (s *SwappableSource) Network() *bn.Network { return s.netw }
 
-// AcquireSnapshot acquires from the current back end, offsetting the
-// version per the failover contract. The lock is held across the inner
-// acquire so a concurrent Swap cannot interleave between acquisition and
-// the offset bookkeeping; the server's refresh path is single-flight, so
-// the lock is uncontended in practice.
-func (s *SwappableSource) AcquireSnapshot() (Snapshot, error) {
+// AcquireSnapshot acquires from the current back end and reissues its
+// snapshot under the offset version, per the failover contract. The lock
+// is held across the inner acquire so a concurrent Swap cannot interleave
+// between acquisition and the offset bookkeeping; the server's refresh path
+// is single-flight, so the lock is uncontended in practice.
+func (s *SwappableSource) AcquireSnapshot() (*core.Snapshot, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	snap, err := s.cur.AcquireSnapshot()
 	if err != nil {
 		return nil, err
 	}
-	off := s.offset
-	if v := snap.Version() + off; v > s.maxSeen {
+	v := snap.Version() + s.offset
+	if v > s.maxSeen {
 		s.maxSeen = v
 	}
-	return &offsetSnapshot{Snapshot: snap, off: off}, nil
+	return snap.Reissue(v, snap.Release), nil
 }
 
 // Swap replaces the back end. The replacement must serve the same
@@ -198,7 +166,7 @@ func (s *SwappableSource) Swap(next ModelSource) error {
 		return fmt.Errorf("serve: swapped source incompatible: %w", err)
 	}
 	s.mu.Lock()
-	s.offset = s.maxSeen
+	s.offset = s.maxSeen + 1
 	s.cur = next
 	s.mu.Unlock()
 	return nil
@@ -231,12 +199,3 @@ func (s *SwappableSource) StructLearnStats() (cluster.StructStats, bool) {
 	}
 	return cluster.StructStats{}, false
 }
-
-// offsetSnapshot shifts the wrapped snapshot's version by the swap offset;
-// everything else (factors, query kernels, model, release) passes through.
-type offsetSnapshot struct {
-	Snapshot
-	off uint64
-}
-
-func (o *offsetSnapshot) Version() uint64 { return o.Snapshot.Version() + o.off }

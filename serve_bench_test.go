@@ -38,7 +38,7 @@ type slowSource struct {
 
 func (s *slowSource) Network() *bn.Network { return s.inner.Network() }
 
-func (s *slowSource) AcquireSnapshot() (serve.Snapshot, error) {
+func (s *slowSource) AcquireSnapshot() (*core.Snapshot, error) {
 	t0 := time.Now()
 	time.Sleep(s.delay)
 	d := time.Since(t0)
